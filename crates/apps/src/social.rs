@@ -38,6 +38,7 @@ use sps_model::logical::{
 use sps_model::{Adl, Value};
 use sps_sim::{SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -92,9 +93,15 @@ impl ProfileStoreHandle {
         self.0.lock().is_empty()
     }
 
-    /// Snapshot of all profiles (what a C3 job scans).
+    /// Snapshot of all profiles, in user order (tests and figures).
     pub fn snapshot(&self) -> Vec<Profile> {
         self.0.lock().values().cloned().collect()
+    }
+
+    /// Visits every profile in user order, in place and under the store's
+    /// lock (what a C3 job scans) — `f` must not call back into the store.
+    pub fn for_each(&self, f: impl FnMut(&Profile)) {
+        self.0.lock().values().for_each(f);
     }
 
     /// Profiles that have the given attribute.
@@ -244,22 +251,7 @@ impl Operator for AttributeAggregator {
         self.done = true;
         // Correlate sentiment with the attribute over the deduplicated
         // store.
-        let mut groups: BTreeMap<String, (f64, usize)> = BTreeMap::new();
-        for p in self.store.snapshot() {
-            if !has_attribute(&p, &self.attribute) {
-                continue;
-            }
-            let key = match self.attribute.as_str() {
-                "gender" => p.gender.clone().unwrap(),
-                "age" => format!("{}s", (p.age.unwrap() / 10) * 10),
-                "location" => p.location.clone().unwrap(),
-                _ => unreachable!("validated at construction"),
-            };
-            let slot = groups.entry(key).or_insert((0.0, 0));
-            slot.0 += p.sentiment;
-            slot.1 += 1;
-        }
-        for (value, (sum, n)) in groups {
+        for (value, (sum, n)) in sentiment_by_attribute(&self.store, &self.attribute) {
             ctx.submit(
                 0,
                 Tuple::new()
@@ -286,6 +278,39 @@ impl Operator for AttributeAggregator {
         self.done = StateReader::new(blob).get_bool()?;
         Ok(())
     }
+}
+
+/// Sentiment sum and profile count per value of `attribute` over the
+/// deduplicated store, scanned in place; profiles without the attribute are
+/// skipped. A key is allocated only when its group is first seen.
+fn sentiment_by_attribute(
+    store: &ProfileStoreHandle,
+    attribute: &str,
+) -> BTreeMap<String, (f64, usize)> {
+    let mut groups: BTreeMap<String, (f64, usize)> = BTreeMap::new();
+    let mut decade = String::new();
+    store.for_each(|p| {
+        let key = match attribute {
+            "gender" => p.gender.as_deref(),
+            "location" => p.location.as_deref(),
+            "age" => p.age.map(|age| {
+                decade.clear();
+                write!(decade, "{}s", (age / 10) * 10).expect("writing to a String");
+                decade.as_str()
+            }),
+            _ => unreachable!("validated at construction"),
+        };
+        let Some(key) = key else {
+            return;
+        };
+        let slot = match groups.get_mut(key) {
+            Some(slot) => slot,
+            None => groups.entry(key.to_string()).or_insert((0.0, 0)),
+        };
+        slot.0 += p.sentiment;
+        slot.1 += 1;
+    });
+    groups
 }
 
 /// Registers the social operator kinds.
@@ -661,6 +686,108 @@ mod tests {
             .unwrap()
             .logic::<CompositionOrca>()
             .unwrap()
+    }
+
+    /// What the aggregator emitted before it scanned the store in place:
+    /// the grouping over a cloned `snapshot()`, owned keys throughout.
+    fn tuples_by_snapshot(store: &ProfileStoreHandle, attribute: &str, now: SimTime) -> Vec<Tuple> {
+        let mut groups: BTreeMap<String, (f64, usize)> = BTreeMap::new();
+        for p in store.snapshot() {
+            if !has_attribute(&p, attribute) {
+                continue;
+            }
+            let key = match attribute {
+                "gender" => p.gender.clone().unwrap(),
+                "age" => format!("{}s", (p.age.unwrap() / 10) * 10),
+                "location" => p.location.clone().unwrap(),
+                _ => unreachable!(),
+            };
+            let slot = groups.entry(key).or_insert((0.0, 0));
+            slot.0 += p.sentiment;
+            slot.1 += 1;
+        }
+        groups
+            .into_iter()
+            .map(|(value, (sum, n))| {
+                Tuple::new()
+                    .with("attribute", attribute)
+                    .with("value", value.as_str())
+                    .with("avg_sentiment", sum / n as f64)
+                    .with("count", n as i64)
+                    .with("ts", Value::Timestamp(now.as_millis()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn aggregator_over_for_each_emits_what_the_snapshot_grouping_did() {
+        let stores = SharedStores::new();
+        let mut rng = SimRng::new(0x50c1a1);
+        for _ in 0..400 {
+            // ~300 distinct users, so merges also update existing profiles.
+            stores.profile_store.merge(Profile {
+                user: format!("u{}", rng.gen_range(0, 300)),
+                gender: rng
+                    .gen_bool(0.6)
+                    .then(|| if rng.gen_bool(0.5) { "f" } else { "m" }.to_string()),
+                // Ages beyond two digits: "100s" sorts before "20s".
+                age: rng.gen_bool(0.5).then(|| rng.gen_range(5, 120) as i64),
+                location: rng
+                    .gen_bool(0.4)
+                    .then(|| format!("loc{}", rng.gen_range(0, 40))),
+                sentiment: -rng.next_f64(),
+                sources: vec!["test".into()],
+            });
+        }
+        assert!(stores.profile_store.len() > 200);
+
+        let registry = crate::registry(&stores);
+        let now = SimTime::from_millis(100);
+        for (attribute, _) in ATTRIBUTES {
+            let mut adl = c3_app();
+            let aggregator = adl
+                .operators
+                .iter_mut()
+                .find(|o| o.name == "aggregator")
+                .unwrap();
+            aggregator
+                .params
+                .insert("attribute".into(), Value::Str(attribute.into()));
+            let pe_index = aggregator.pe;
+            let mut pe =
+                sps_engine::PeRuntime::build(&adl, pe_index, &registry, SimRng::new(1)).unwrap();
+            let out = pe.step(now, SimDuration::from_millis(100), 1_000_000);
+
+            // The sink is in another PE: read the tuples off the wire.
+            use sps_engine::codec::{decode_frame, Decoded};
+            let mut emitted: Vec<Tuple> = Vec::new();
+            let mut finals = 0;
+            for delivery in &out.remote {
+                match decode_frame(delivery.payload.clone()).unwrap() {
+                    Decoded::Batch(batch) => emitted.extend(batch),
+                    Decoded::Item(sps_engine::StreamItem::Tuple(t)) => emitted.push(t),
+                    Decoded::Item(sps_engine::StreamItem::Punct(p)) => {
+                        assert_eq!(p, Punct::Final);
+                        finals += 1;
+                    }
+                }
+            }
+            assert_eq!(
+                finals, 1,
+                "{attribute}: one final punctuation, after the tuples"
+            );
+            let expect = tuples_by_snapshot(&stores.profile_store, attribute, now);
+            assert!(expect.len() > 1, "{attribute}: several groups");
+            assert_eq!(emitted.len(), expect.len(), "{attribute}");
+            for (got, want) in emitted.iter().zip(&expect) {
+                assert_eq!(got, want, "{attribute}");
+                // `==` on floats would let -0.0 pass for 0.0.
+                assert_eq!(
+                    got.get_f64("avg_sentiment").unwrap().to_bits(),
+                    want.get_f64("avg_sentiment").unwrap().to_bits()
+                );
+            }
+        }
     }
 
     #[test]

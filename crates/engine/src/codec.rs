@@ -22,7 +22,7 @@
 
 use crate::error::EngineError;
 use crate::op::{Punct, StreamItem, TupleBatch};
-use crate::tuple::Tuple;
+use crate::tuple::{Name, Tuple};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sps_model::Value;
 
@@ -206,14 +206,15 @@ pub fn split_batch_payload(payload: Bytes, skip: usize) -> Result<Bytes, EngineE
 }
 
 /// Decodes a stream item from a buffer produced by [`encode`].
-pub fn decode(mut buf: Bytes) -> Result<StreamItem, EngineError> {
-    if buf.remaining() < 1 {
+pub fn decode(buf: Bytes) -> Result<StreamItem, EngineError> {
+    let mut cur: &[u8] = &buf;
+    if cur.is_empty() {
         return Err(EngineError::Codec("empty buffer".into()));
     }
-    match buf.get_u8() {
+    match cur.get_u8() {
         TAG_TUPLE => {
-            let t = decode_tuple(&mut buf)?;
-            if buf.has_remaining() {
+            let t = decode_tuple(&mut cur, None)?;
+            if !cur.is_empty() {
                 return Err(EngineError::Codec("trailing bytes after tuple".into()));
             }
             Ok(StreamItem::Tuple(t))
@@ -225,31 +226,36 @@ pub fn decode(mut buf: Bytes) -> Result<StreamItem, EngineError> {
 }
 
 /// Decodes a batch frame produced by [`encode_batch_into`].
-pub fn decode_batch(mut buf: Bytes) -> Result<TupleBatch, EngineError> {
-    if buf.remaining() < 1 || buf.get_u8() != TAG_BATCH {
+pub fn decode_batch(buf: Bytes) -> Result<TupleBatch, EngineError> {
+    let mut cur: &[u8] = &buf;
+    if cur.is_empty() || cur.get_u8() != TAG_BATCH {
         return Err(EngineError::Codec("not a batch frame".into()));
     }
-    let batch = decode_batch_body(&mut buf)?;
-    if buf.has_remaining() {
+    let batch = decode_batch_body(&mut cur)?;
+    if !cur.is_empty() {
         return Err(EngineError::Codec("trailing bytes after batch".into()));
     }
     Ok(batch)
 }
 
-fn decode_batch_body(buf: &mut Bytes) -> Result<TupleBatch, EngineError> {
-    if buf.remaining() < 4 {
+/// Decodes the tuples of a batch frame, carrying the schema along: the
+/// tuples of one run almost always share their attribute names, so each
+/// tuple reuses the previous one's [`Name`]s instead of allocating its own.
+fn decode_batch_body(buf: &mut &[u8]) -> Result<TupleBatch, EngineError> {
+    if buf.len() < 4 {
         return Err(EngineError::Codec("truncated batch header".into()));
     }
     let count = buf.get_u32_le() as usize;
-    if count > buf.remaining() {
+    if count > buf.len() {
         return Err(EngineError::Codec("batch count exceeds buffer".into()));
     }
     let mut batch = TupleBatch::with_capacity(count);
     for _ in 0..count {
-        if buf.remaining() < 1 || buf.get_u8() != TAG_TUPLE {
+        if buf.is_empty() || buf.get_u8() != TAG_TUPLE {
             return Err(EngineError::Codec("batch frame holds a non-tuple".into()));
         }
-        batch.push(decode_tuple(buf)?);
+        let tuple = decode_tuple(buf, batch.as_slice().last())?;
+        batch.push(tuple);
     }
     Ok(batch)
 }
@@ -294,15 +300,16 @@ pub fn encode_queue<'a>(items: impl IntoIterator<Item = &'a StreamItem>) -> Byte
 
 /// Decodes a queue blob written by [`encode_queue`] back into its item
 /// sequence (batch frames are flattened in order).
-pub fn decode_queue(mut buf: Bytes) -> Result<Vec<StreamItem>, EngineError> {
+pub fn decode_queue(buf: Bytes) -> Result<Vec<StreamItem>, EngineError> {
+    let mut cur: &[u8] = &buf;
     let mut items = Vec::new();
-    while buf.has_remaining() {
-        match buf.get_u8() {
-            TAG_TUPLE => items.push(StreamItem::Tuple(decode_tuple(&mut buf)?)),
+    while !cur.is_empty() {
+        match cur.get_u8() {
+            TAG_TUPLE => items.push(StreamItem::Tuple(decode_tuple(&mut cur, None)?)),
             TAG_WINDOW_PUNCT => items.push(StreamItem::Punct(Punct::Window)),
             TAG_FINAL_PUNCT => items.push(StreamItem::Punct(Punct::Final)),
             TAG_BATCH => {
-                let batch = decode_batch_body(&mut buf)?;
+                let batch = decode_batch_body(&mut cur)?;
                 items.extend(batch.into_iter().map(StreamItem::Tuple));
             }
             tag => return Err(EngineError::Codec(format!("unknown queue tag {tag}"))),
@@ -311,37 +318,65 @@ pub fn decode_queue(mut buf: Bytes) -> Result<Vec<StreamItem>, EngineError> {
     Ok(items)
 }
 
-fn decode_tuple(buf: &mut Bytes) -> Result<Tuple, EngineError> {
-    let need = |buf: &Bytes, n: usize| -> Result<(), EngineError> {
-        if buf.remaining() < n {
-            Err(EngineError::Codec(format!(
-                "truncated: need {n} bytes, have {}",
-                buf.remaining()
-            )))
-        } else {
-            Ok(())
-        }
-    };
-    need(buf, 2)?;
-    let count = buf.get_u16_le() as usize;
-    let mut tuple = Tuple::new();
-    for _ in 0..count {
-        need(buf, 2)?;
-        let name_len = buf.get_u16_le() as usize;
-        need(buf, name_len)?;
-        let name_bytes = buf.copy_to_bytes(name_len);
-        let name = std::str::from_utf8(&name_bytes)
-            .map_err(|_| EngineError::Codec("attribute name is not utf-8".into()))?
-            .to_string();
-        let value = decode_value(buf)?;
-        tuple.set(&name, value);
+/// Splits `n` bytes off the front of the cursor, or fails on truncation.
+#[inline]
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], EngineError> {
+    if buf.len() < n {
+        return Err(truncated(n, buf.len()));
     }
-    Ok(tuple)
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
 }
 
-fn decode_value(buf: &mut Bytes) -> Result<Value, EngineError> {
-    let need = |buf: &Bytes, n: usize| -> Result<(), EngineError> {
-        if buf.remaining() < n {
+#[cold]
+fn truncated(need: usize, have: usize) -> EngineError {
+    EngineError::Codec(format!("truncated: need {need} bytes, have {have}"))
+}
+
+/// Decodes one tuple body. `carried` is the previous tuple of the same batch
+/// frame, if any: a name whose bytes equal the carried tuple's name at the
+/// same position shares that allocation.
+fn decode_tuple(buf: &mut &[u8], carried: Option<&Tuple>) -> Result<Tuple, EngineError> {
+    let count = take(buf, 2)?.get_u16_le() as usize;
+    let schema = carried.map_or(&[][..], Tuple::attrs);
+    // An attribute is at least four bytes on the wire, so a corrupt count
+    // cannot reserve more than the buffer could hold.
+    let mut attrs: Vec<(Name, Value)> = Vec::with_capacity(count.min(buf.len() / 4));
+    // While every name so far was the carried one at its position, the
+    // carried tuple's uniqueness covers this one too; after the first
+    // mismatch each name is checked against the ones before it.
+    let mut on_schema = true;
+    for i in 0..count {
+        let name_len = take(buf, 2)?.get_u16_le() as usize;
+        let name_bytes = take(buf, name_len)?;
+        let name = match schema.get(i) {
+            Some((carried, _)) if carried.as_bytes() == name_bytes => Name::clone(carried),
+            _ => {
+                on_schema = false;
+                Name::from(
+                    std::str::from_utf8(name_bytes)
+                        .map_err(|_| EngineError::Codec("attribute name is not utf-8".into()))?,
+                )
+            }
+        };
+        let value = decode_value(buf)?;
+        if !on_schema {
+            // A frame that repeats a name: the later value replaces the
+            // earlier attribute in place, as `Tuple::set` would.
+            if let Some(slot) = attrs.iter_mut().find(|(n, _)| *n == name) {
+                slot.1 = value;
+                continue;
+            }
+        }
+        attrs.push((name, value));
+    }
+    Ok(Tuple::from_unique_attrs(attrs))
+}
+
+fn decode_value(buf: &mut &[u8]) -> Result<Value, EngineError> {
+    let need = |buf: &[u8], n: usize| -> Result<(), EngineError> {
+        if buf.len() < n {
             Err(EngineError::Codec("truncated value".into()))
         } else {
             Ok(())
@@ -361,8 +396,9 @@ fn decode_value(buf: &mut Bytes) -> Result<Value, EngineError> {
             need(buf, 4)?;
             let len = buf.get_u32_le() as usize;
             need(buf, len)?;
-            let bytes = buf.copy_to_bytes(len);
-            let s = std::str::from_utf8(&bytes)
+            let (bytes, rest) = buf.split_at(len);
+            *buf = rest;
+            let s = std::str::from_utf8(bytes)
                 .map_err(|_| EngineError::Codec("string value is not utf-8".into()))?;
             Ok(Value::Str(s.to_string()))
         }
@@ -379,7 +415,7 @@ fn decode_value(buf: &mut Bytes) -> Result<Value, EngineError> {
             let len = buf.get_u32_le() as usize;
             // Cap pathological lengths so corrupt buffers fail fast instead
             // of attempting huge allocations.
-            if len > buf.remaining() {
+            if len > buf.len() {
                 return Err(EngineError::Codec("list length exceeds buffer".into()));
             }
             let mut items = Vec::with_capacity(len);

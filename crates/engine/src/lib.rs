@@ -29,8 +29,8 @@ pub mod window;
 
 pub use ckpt::{OpCheckpoint, PeCheckpoint, StateBlob, StateReader, StateWriter};
 pub use error::EngineError;
-pub use metrics::{MetricKey, MetricStore};
+pub use metrics::{MetricId, MetricKey, MetricStore};
 pub use op::{OpCtx, Operator, Punct, StreamItem};
 pub use pe::{PeOutput, PeRuntime, RemoteDelivery};
 pub use registry::OperatorRegistry;
-pub use tuple::Tuple;
+pub use tuple::{Name, Tuple};

@@ -6,7 +6,6 @@
 //! code at any point during execution — e.g. the sentiment application's
 //! `nKnownCauses` / `nUnknownCauses` counters (§5.1).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Well-known built-in metric names (paper §2.1 examples).
@@ -26,7 +25,7 @@ pub mod builtin {
 }
 
 /// Identifies one metric instance within a job.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MetricKey {
     /// Operator-level metric: `(operator instance name, metric name)`.
     Operator(String, String),
@@ -34,6 +33,26 @@ pub enum MetricKey {
     OperatorPort(String, usize, String),
     /// PE-level metric: `(pe index, metric name)`.
     Pe(usize, String),
+}
+
+/// A borrowed [`MetricKey`]: lets the store look a key up (and order keys)
+/// without building the two `String`s of an owned one. Variants and fields
+/// are declared in `MetricKey`'s order; `MetricKey`'s `Ord` is this one's.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum KeyRef<'a> {
+    Operator(&'a str, &'a str),
+    OperatorPort(&'a str, usize, &'a str),
+    Pe(usize, &'a str),
+}
+
+impl KeyRef<'_> {
+    fn to_key(self) -> MetricKey {
+        match self {
+            KeyRef::Operator(op, m) => MetricKey::Operator(op.into(), m.into()),
+            KeyRef::OperatorPort(op, port, m) => MetricKey::OperatorPort(op.into(), port, m.into()),
+            KeyRef::Pe(pe, m) => MetricKey::Pe(pe, m.into()),
+        }
+    }
 }
 
 impl MetricKey {
@@ -49,6 +68,41 @@ impl MetricKey {
             MetricKey::Pe(..) => None,
         }
     }
+
+    fn key_ref(&self) -> KeyRef<'_> {
+        match self {
+            MetricKey::Operator(op, m) => KeyRef::Operator(op, m),
+            MetricKey::OperatorPort(op, port, m) => KeyRef::OperatorPort(op, *port, m),
+            MetricKey::Pe(pe, m) => KeyRef::Pe(*pe, m),
+        }
+    }
+}
+
+impl Ord for MetricKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key_ref().cmp(&other.key_ref())
+    }
+}
+
+impl PartialOrd for MetricKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A pre-resolved metric of one [`MetricStore`]: updating through it is an
+/// array index instead of a key lookup. Only meaningful for the store that
+/// issued it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MetricId(usize);
+
+#[derive(Clone, Debug)]
+struct Slot {
+    key: Arc<MetricKey>,
+    value: i64,
+    /// False until the first `add`/`set`: a resolved but never-updated
+    /// metric does not exist as far as readers are concerned.
+    live: bool,
 }
 
 /// A flat store of metric values, owned by a PE container and periodically
@@ -56,10 +110,16 @@ impl MetricKey {
 ///
 /// Keys are interned behind `Arc` the first time they are inserted, so the
 /// per-checkpoint-quantum [`MetricStore::snapshot`] hands out refcount bumps
-/// instead of deep-cloning every operator/metric name string.
+/// instead of deep-cloning every operator/metric name string. The container
+/// resolves its built-in metrics to [`MetricId`]s once, at build time.
 #[derive(Clone, Debug, Default)]
 pub struct MetricStore {
-    values: BTreeMap<Arc<MetricKey>, i64>,
+    /// Every key the store knows, live or merely resolved; a slot's
+    /// position is its `MetricId` and never changes.
+    slots: Vec<Slot>,
+    /// Slot positions sorted by key.
+    order: Vec<usize>,
+    live: usize,
 }
 
 impl MetricStore {
@@ -67,81 +127,156 @@ impl MetricStore {
         Self::default()
     }
 
+    fn find(&self, key: KeyRef<'_>) -> Result<usize, usize> {
+        self.order
+            .binary_search_by(|&slot| self.slots[slot].key.key_ref().cmp(&key))
+    }
+
+    /// The slot a [`MetricStore::find`] result stands for, created (not
+    /// live) under `interned`'s key if the store has never seen it.
+    fn slot_at(
+        &mut self,
+        found: Result<usize, usize>,
+        interned: impl FnOnce() -> Arc<MetricKey>,
+    ) -> usize {
+        match found {
+            Ok(pos) => self.order[pos],
+            Err(pos) => {
+                let slot = self.slots.len();
+                self.slots.push(Slot {
+                    key: interned(),
+                    value: 0,
+                    live: false,
+                });
+                self.order.insert(pos, slot);
+                slot
+            }
+        }
+    }
+
+    fn slot_of(&mut self, key: KeyRef<'_>) -> usize {
+        let found = self.find(key);
+        self.slot_at(found, || Arc::new(key.to_key()))
+    }
+
+    /// Resolves a key to an id for [`MetricStore::add_by`] /
+    /// [`MetricStore::set_by`]. Resolving creates nothing observable: the
+    /// metric appears with its first update.
+    pub fn resolve(&mut self, key: MetricKey) -> MetricId {
+        let found = self.find(key.key_ref());
+        MetricId(self.slot_at(found, || Arc::new(key)))
+    }
+
+    /// The value behind an id, brought to life (at zero) if this is its
+    /// first update.
+    fn value_mut(&mut self, id: MetricId) -> &mut i64 {
+        let slot = &mut self.slots[id.0];
+        if !slot.live {
+            slot.live = true;
+            self.live += 1;
+        }
+        &mut slot.value
+    }
+
+    pub fn add_by(&mut self, id: MetricId, delta: i64) {
+        *self.value_mut(id) += delta;
+    }
+
+    pub fn set_by(&mut self, id: MetricId, value: i64) {
+        *self.value_mut(id) = value;
+    }
+
     /// Sets a metric to an absolute value (creates it if absent — operators
     /// "can create new custom metrics at any point during their execution").
     pub fn set(&mut self, key: MetricKey, value: i64) {
-        if let Some(v) = self.values.get_mut(&key) {
-            *v = value;
-        } else {
-            self.values.insert(Arc::new(key), value);
-        }
+        let id = self.resolve(key);
+        self.set_by(id, value);
     }
 
     /// Sets a metric through an already-interned key (checkpoint restore),
     /// sharing the snapshot's allocation instead of re-interning.
     pub fn set_shared(&mut self, key: Arc<MetricKey>, value: i64) {
-        self.values.insert(key, value);
+        let found = self.find(key.key_ref());
+        let slot = self.slot_at(found, || key);
+        self.set_by(MetricId(slot), value);
     }
 
     /// Adds a delta, creating the metric at zero first if needed.
     pub fn add(&mut self, key: MetricKey, delta: i64) {
-        if let Some(v) = self.values.get_mut(&key) {
-            *v += delta;
-        } else {
-            self.values.insert(Arc::new(key), delta);
+        let id = self.resolve(key);
+        self.add_by(id, delta);
+    }
+
+    /// Forgets every value (checkpoint restore starts from an empty store)
+    /// while keeping resolved ids valid.
+    pub fn clear(&mut self) {
+        for slot in &mut self.slots {
+            slot.live = false;
+            slot.value = 0;
         }
+        self.live = 0;
+    }
+
+    fn get_ref(&self, key: KeyRef<'_>) -> Option<i64> {
+        let slot = &self.slots[self.order[self.find(key).ok()?]];
+        slot.live.then_some(slot.value)
     }
 
     pub fn get(&self, key: &MetricKey) -> Option<i64> {
-        self.values.get(key).copied()
+        self.get_ref(key.key_ref())
     }
 
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.live
     }
 
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.live == 0
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (&MetricKey, i64)> {
-        self.values.iter().map(|(k, v)| (k.as_ref(), *v))
-    }
-
-    /// Snapshot for SRM collection and checkpointing: interned keys, so each
-    /// row costs one refcount bump, not a string clone.
-    pub fn snapshot(&self) -> Vec<(Arc<MetricKey>, i64)> {
-        self.values
+    fn live_slots(&self) -> impl Iterator<Item = &Slot> {
+        self.order
             .iter()
-            .map(|(k, v)| (Arc::clone(k), *v))
-            .collect()
+            .map(|&slot| &self.slots[slot])
+            .filter(|slot| slot.live)
+    }
+
+    /// Live metrics in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&MetricKey, i64)> {
+        self.live_slots().map(|s| (s.key.as_ref(), s.value))
+    }
+
+    /// Snapshot for SRM collection and checkpointing, in key order:
+    /// interned keys, so each row costs one refcount bump, not a string
+    /// clone.
+    pub fn snapshot(&self) -> Vec<(Arc<MetricKey>, i64)> {
+        let mut rows = Vec::with_capacity(self.live);
+        rows.extend(self.live_slots().map(|s| (Arc::clone(&s.key), s.value)));
+        rows
     }
 
     /// Convenience accessors used by operator contexts.
     pub fn op_add(&mut self, op: &str, metric: &str, delta: i64) {
-        self.add(
-            MetricKey::Operator(op.to_string(), metric.to_string()),
-            delta,
-        );
+        let slot = self.slot_of(KeyRef::Operator(op, metric));
+        self.add_by(MetricId(slot), delta);
     }
 
     pub fn op_set(&mut self, op: &str, metric: &str, value: i64) {
-        self.set(
-            MetricKey::Operator(op.to_string(), metric.to_string()),
-            value,
-        );
+        let slot = self.slot_of(KeyRef::Operator(op, metric));
+        self.set_by(MetricId(slot), value);
     }
 
     pub fn op_get(&self, op: &str, metric: &str) -> Option<i64> {
-        self.get(&MetricKey::Operator(op.to_string(), metric.to_string()))
+        self.get_ref(KeyRef::Operator(op, metric))
     }
 
     pub fn pe_add(&mut self, pe: usize, metric: &str, delta: i64) {
-        self.add(MetricKey::Pe(pe, metric.to_string()), delta);
+        let slot = self.slot_of(KeyRef::Pe(pe, metric));
+        self.add_by(MetricId(slot), delta);
     }
 
     pub fn pe_get(&self, pe: usize, metric: &str) -> Option<i64> {
-        self.get(&MetricKey::Pe(pe, metric.to_string()))
+        self.get_ref(KeyRef::Pe(pe, metric))
     }
 }
 
@@ -197,6 +332,68 @@ mod tests {
         assert_eq!(snap[0].0.operator_name(), Some("a"));
         assert_eq!(snap[1].0.operator_name(), Some("b"));
         assert!(matches!(snap[2].0.as_ref(), MetricKey::Pe(0, _)));
+    }
+
+    #[test]
+    fn resolved_metric_is_absent_until_its_first_update() {
+        let mut m = MetricStore::new();
+        m.op_add("b", "m", 1);
+        m.op_add("z", "m", 1);
+        // Resolved between two live keys, never touched.
+        let id = m.resolve(MetricKey::Operator("k".into(), "m".into()));
+        let port = m.resolve(MetricKey::OperatorPort("k".into(), 0, "m".into()));
+        let key = MetricKey::Operator("k".into(), "m".into());
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.get(&key), None);
+        assert_eq!(m.op_get("k", "m"), None);
+        assert_eq!(m.iter().count(), 2);
+        assert!(m.snapshot().iter().all(|(k, _)| **k != key));
+
+        // The first update creates it, in key order: b < k < z, then the
+        // port keys.
+        m.add_by(id, 5);
+        m.add_by(id, 2);
+        assert_eq!(m.get(&key), Some(7));
+        let ops: Vec<_> = m.iter().map(|(k, v)| (k.operator_name(), v)).collect();
+        assert_eq!(ops, [(Some("b"), 1), (Some("k"), 7), (Some("z"), 1)]);
+        m.set_by(port, 9);
+        let snap = m.snapshot();
+        assert_eq!(snap.len(), 4);
+        assert_eq!(
+            *snap[3].0,
+            MetricKey::OperatorPort("k".into(), 0, "m".into())
+        );
+
+        // By-key and by-id updates hit the same row, and its interned key.
+        m.op_add("k", "m", 1);
+        assert_eq!(m.get(&key), Some(8));
+        assert!(Arc::ptr_eq(&m.snapshot()[1].0, &snap[1].0));
+
+        // Clearing forgets the values, not the ids.
+        m.clear();
+        assert!(m.is_empty() && m.snapshot().is_empty());
+        m.add_by(id, 3);
+        assert_eq!(m.op_get("k", "m"), Some(3));
+        assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn key_order_is_variant_then_fields() {
+        let op = |o: &str, m: &str| MetricKey::Operator(o.into(), m.into());
+        let port = |o: &str, p: usize, m: &str| MetricKey::OperatorPort(o.into(), p, m.into());
+        let keys = [
+            op("a", "m"),
+            op("a", "n"),
+            op("ab", "a"),
+            port("a", 0, "z"),
+            port("a", 1, "a"),
+            port("b", 0, "a"),
+            MetricKey::Pe(0, "z".into()),
+            MetricKey::Pe(1, "a".into()),
+        ];
+        for pair in keys.windows(2) {
+            assert!(pair[0] < pair[1], "{:?} < {:?}", pair[0], pair[1]);
+        }
     }
 
     #[test]

@@ -550,9 +550,9 @@ mod tests {
             b.iter().map(|t| t.approx_bytes()).sum::<usize>()
         );
         assert_eq!(b.as_slice().len(), 2);
-        let names: Vec<String> = (&b)
+        let names: Vec<&str> = (&b)
             .into_iter()
-            .flat_map(|t| t.attrs().iter().map(|(n, _)| n.clone()))
+            .flat_map(|t| t.attrs().iter().map(|(n, _)| &**n))
             .collect();
         assert_eq!(names, ["a", "b"]);
     }

@@ -71,7 +71,7 @@ impl Join {
             out.set(name, value.clone());
         }
         for (name, value) in right.attrs() {
-            if name == &self.key {
+            if **name == *self.key {
                 continue; // equal by definition
             }
             if out.get(name).is_some() {

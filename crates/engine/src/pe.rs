@@ -17,7 +17,7 @@
 use crate::ckpt::{OpCheckpoint, PeCheckpoint, CKPT_FORMAT_VERSION};
 use crate::codec::{self, TupleCodec};
 use crate::error::EngineError;
-use crate::metrics::{builtin, MetricKey, MetricStore};
+use crate::metrics::{builtin, MetricId, MetricKey, MetricStore};
 use crate::op::{OpCtx, Operator, Punct, StreamItem, TupleBatch};
 use crate::registry::OperatorRegistry;
 use crate::tuple::Tuple;
@@ -27,11 +27,13 @@ use sps_sim::{SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Address of an operator input port in another PE.
+/// Address of an operator input port in another PE. The operator name is
+/// shared with the route table it was resolved from, so copying a
+/// destination into each delivery allocates nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RemoteDest {
     pub pe: usize,
-    pub op: String,
+    pub op: Arc<str>,
     pub port: usize,
 }
 
@@ -51,7 +53,8 @@ pub struct RemoteDelivery {
 /// the import/export broker.
 #[derive(Clone, Debug)]
 pub struct ExportedItem {
-    pub op: String,
+    /// The exporting operator's name, shared with its container slot.
+    pub op: Arc<str>,
     pub port: usize,
     pub item: StreamItem,
 }
@@ -67,8 +70,51 @@ pub struct PeOutput {
     pub work_done: u64,
 }
 
+/// Built-in metrics of one operator, resolved once at build time.
+struct SlotMetrics {
+    processed: MetricId,
+    submitted: MetricId,
+    queue_size: MetricId,
+    finals: MetricId,
+    /// Per input port: `(nTuplesProcessed, queueSize)`.
+    in_ports: Vec<(MetricId, MetricId)>,
+    /// Per output port: `nTuplesSubmitted`.
+    out_ports: Vec<MetricId>,
+}
+
+impl SlotMetrics {
+    fn resolve(metrics: &mut MetricStore, op: &str, inputs: usize, outputs: usize) -> Self {
+        let mut op_metric =
+            |metric: &str| metrics.resolve(MetricKey::Operator(op.into(), metric.into()));
+        let processed = op_metric(builtin::N_TUPLES_PROCESSED);
+        let submitted = op_metric(builtin::N_TUPLES_SUBMITTED);
+        let queue_size = op_metric(builtin::QUEUE_SIZE);
+        let finals = op_metric(builtin::N_FINAL_PUNCTS_PROCESSED);
+        let mut port_metric = |port: usize, metric: &str| {
+            metrics.resolve(MetricKey::OperatorPort(op.into(), port, metric.into()))
+        };
+        SlotMetrics {
+            processed,
+            submitted,
+            queue_size,
+            finals,
+            in_ports: (0..inputs)
+                .map(|port| {
+                    (
+                        port_metric(port, builtin::N_TUPLES_PROCESSED),
+                        port_metric(port, builtin::QUEUE_SIZE),
+                    )
+                })
+                .collect(),
+            out_ports: (0..outputs)
+                .map(|port| port_metric(port, builtin::N_TUPLES_SUBMITTED))
+                .collect(),
+        }
+    }
+}
+
 struct OpSlot {
-    name: String,
+    name: Arc<str>,
     kind: String,
     op: Box<dyn Operator>,
     outputs: usize,
@@ -88,18 +134,23 @@ struct OpSlot {
     exported_ports: Vec<bool>,
     /// Round-robin cursor over input ports.
     next_port: usize,
+    metrics: SlotMetrics,
 }
 
 /// The PE container.
 pub struct PeRuntime {
     pe_index: usize,
     slots: Vec<OpSlot>,
-    op_index: BTreeMap<String, usize>,
+    op_index: BTreeMap<Arc<str>, usize>,
     metrics: MetricStore,
+    /// The PE-level `nTupleBytesProcessed`.
+    bytes_processed: MetricId,
     rng: SimRng,
     crashed: Option<String>,
     /// Reusable encode scratch for the remote transport path.
     codec: TupleCodec,
+    /// Reusable list of local deliveries gathered by `route`.
+    local_scratch: Vec<(usize, usize, StreamItem)>,
 }
 
 /// One scheduling decision from the drain loop: a run of consecutive tuples
@@ -136,29 +187,33 @@ impl PeRuntime {
     ) -> Result<Self, EngineError> {
         let mut slots = Vec::new();
         let mut op_index = BTreeMap::new();
+        let mut metrics = MetricStore::new();
         for op in adl.operators.iter().filter(|o| o.pe == pe_index) {
             let instance = registry.instantiate(op)?;
             let cost = instance.cost_per_tuple();
-            op_index.insert(op.name.clone(), slots.len());
+            let name: Arc<str> = Arc::from(op.name.as_str());
+            let inputs = op.inputs.max(1);
+            op_index.insert(Arc::clone(&name), slots.len());
             slots.push(OpSlot {
-                name: op.name.clone(),
                 kind: op.kind.clone(),
                 op: instance,
                 outputs: op.outputs,
                 cost,
-                queues: (0..op.inputs.max(1)).map(|_| VecDeque::new()).collect(),
-                finals_seen: vec![false; op.inputs.max(1)],
+                queues: (0..inputs).map(|_| VecDeque::new()).collect(),
+                finals_seen: vec![false; inputs],
                 local_routes: vec![Vec::new(); op.outputs],
                 remote_routes: vec![Vec::new(); op.outputs],
                 exported_ports: vec![false; op.outputs],
                 next_port: 0,
+                metrics: SlotMetrics::resolve(&mut metrics, &name, inputs, op.outputs),
+                name,
             });
         }
         for stream in &adl.streams {
-            let Some(&from_slot) = op_index.get(&stream.from_op) else {
+            let Some(&from_slot) = op_index.get(stream.from_op.as_str()) else {
                 continue; // source is in another PE
             };
-            if let Some(&to_slot) = op_index.get(&stream.to_op) {
+            if let Some(&to_slot) = op_index.get(stream.to_op.as_str()) {
                 slots[from_slot].local_routes[stream.from_port].push((to_slot, stream.to_port));
             } else {
                 let to_pe = adl
@@ -169,24 +224,30 @@ impl PeRuntime {
                     })?;
                 slots[from_slot].remote_routes[stream.from_port].push(RemoteDest {
                     pe: to_pe,
-                    op: stream.to_op.clone(),
+                    op: Arc::from(stream.to_op.as_str()),
                     port: stream.to_port,
                 });
             }
         }
         for export in &adl.exports {
-            if let Some(&slot) = op_index.get(&export.op) {
+            if let Some(&slot) = op_index.get(export.op.as_str()) {
                 slots[slot].exported_ports[export.port] = true;
             }
         }
+        let bytes_processed = metrics.resolve(MetricKey::Pe(
+            pe_index,
+            builtin::N_TUPLE_BYTES_PROCESSED.into(),
+        ));
         Ok(PeRuntime {
             pe_index,
             slots,
             op_index,
-            metrics: MetricStore::new(),
+            metrics,
+            bytes_processed,
             rng,
             crashed: None,
             codec: TupleCodec::new(),
+            local_scratch: Vec::new(),
         })
     }
 
@@ -199,7 +260,7 @@ impl PeRuntime {
     }
 
     pub fn operator_names(&self) -> Vec<&str> {
-        self.slots.iter().map(|s| s.name.as_str()).collect()
+        self.slots.iter().map(|s| &*s.name).collect()
     }
 
     pub fn metrics(&self) -> &MetricStore {
@@ -223,6 +284,17 @@ impl PeRuntime {
         if self.crashed.is_some() {
             return Ok(()); // a dead process silently loses input
         }
+        self.input_queue(op_name, port)?.push_back(item);
+        Ok(())
+    }
+
+    /// The queue behind an operator input port (ports past the last one
+    /// land on the last).
+    fn input_queue(
+        &mut self,
+        op_name: &str,
+        port: usize,
+    ) -> Result<&mut VecDeque<StreamItem>, EngineError> {
         let &slot = self
             .op_index
             .get(op_name)
@@ -232,8 +304,7 @@ impl PeRuntime {
             })?;
         let queues = &mut self.slots[slot].queues;
         let port = port.min(queues.len().saturating_sub(1));
-        queues[port].push_back(item);
-        Ok(())
+        Ok(&mut queues[port])
     }
 
     /// Decodes and injects a serialized remote delivery — one item frame or
@@ -243,22 +314,17 @@ impl PeRuntime {
         match codec::decode_frame(delivery.payload.clone())? {
             codec::Decoded::Item(item) => {
                 if let StreamItem::Tuple(t) = &item {
-                    self.metrics.pe_add(
-                        self.pe_index,
-                        builtin::N_TUPLE_BYTES_PROCESSED,
-                        t.approx_bytes() as i64,
-                    );
+                    self.metrics
+                        .add_by(self.bytes_processed, t.approx_bytes() as i64);
                 }
                 self.inject(&delivery.dest.op, delivery.dest.port, item)
             }
             codec::Decoded::Batch(batch) => {
-                self.metrics.pe_add(
-                    self.pe_index,
-                    builtin::N_TUPLE_BYTES_PROCESSED,
-                    batch.approx_bytes() as i64,
-                );
-                for t in batch {
-                    self.inject(&delivery.dest.op, delivery.dest.port, StreamItem::Tuple(t))?;
+                self.metrics
+                    .add_by(self.bytes_processed, batch.approx_bytes() as i64);
+                if self.crashed.is_none() {
+                    self.input_queue(&delivery.dest.op, delivery.dest.port)?
+                        .extend(batch.into_iter().map(StreamItem::Tuple));
                 }
                 Ok(())
             }
@@ -341,13 +407,9 @@ impl PeRuntime {
     pub fn refresh_queue_metrics(&mut self) {
         for slot in &self.slots {
             let total: usize = slot.queues.iter().map(VecDeque::len).sum();
-            self.metrics
-                .op_set(&slot.name, builtin::QUEUE_SIZE, total as i64);
-            for (port, q) in slot.queues.iter().enumerate() {
-                self.metrics.set(
-                    MetricKey::OperatorPort(slot.name.clone(), port, builtin::QUEUE_SIZE.into()),
-                    q.len() as i64,
-                );
+            self.metrics.set_by(slot.metrics.queue_size, total as i64);
+            for (q, &(_, queue_size)) in slot.queues.iter().zip(&slot.metrics.in_ports) {
+                self.metrics.set_by(queue_size, q.len() as i64);
             }
         }
     }
@@ -441,19 +503,12 @@ impl PeRuntime {
     ) -> bool {
         // Consumption-side built-in metrics, amortized over the run.
         let k = batch.len() as i64;
-        let name = self.slots[slot_idx].name.clone();
-        self.metrics.op_add(&name, builtin::N_TUPLES_PROCESSED, k);
-        self.metrics.add(
-            MetricKey::OperatorPort(name, port, builtin::N_TUPLES_PROCESSED.into()),
-            k,
-        );
-        self.metrics.pe_add(
-            self.pe_index,
-            builtin::N_TUPLE_BYTES_PROCESSED,
-            batch.approx_bytes() as i64,
-        );
-
         let slot = &mut self.slots[slot_idx];
+        self.metrics.add_by(slot.metrics.processed, k);
+        self.metrics.add_by(slot.metrics.in_ports[port].0, k);
+        self.metrics
+            .add_by(self.bytes_processed, batch.approx_bytes() as i64);
+
         let all_final = slot.finals_seen.iter().all(|&s| s);
         let mut ctx = OpCtx::new(
             now,
@@ -496,13 +551,9 @@ impl PeRuntime {
         quantum: SimDuration,
         out: &mut PeOutput,
     ) -> bool {
-        if punct == Punct::Final {
-            let name = self.slots[slot_idx].name.clone();
-            self.metrics
-                .op_add(&name, builtin::N_FINAL_PUNCTS_PROCESSED, 1);
-        }
         let slot = &mut self.slots[slot_idx];
         if punct == Punct::Final {
+            self.metrics.add_by(slot.metrics.finals, 1);
             if let Some(seen) = slot.finals_seen.get_mut(port) {
                 *seen = true;
             }
@@ -532,87 +583,94 @@ impl PeRuntime {
     /// outbox, and the export outbox. Runs of consecutive tuples on one
     /// output port are serialized as a single batch payload per remote
     /// channel; local queues and the (cross-job) export path stay per-item,
-    /// preserving emission order exactly.
+    /// preserving emission order exactly. Each item is moved into its last
+    /// consumer; the others get (pointer) copies.
     fn route(&mut self, slot_idx: usize, emitted: Vec<(usize, StreamItem)>, out: &mut PeOutput) {
         if emitted.is_empty() {
             return;
         }
-        // Gather destinations first (immutable pass), then apply (mutable
-        // pass) to keep the borrow checker happy with self-loops.
-        let mut local: Vec<(usize, usize, StreamItem)> = Vec::new();
-        {
-            let slot = &self.slots[slot_idx];
-            let name = &slot.name;
-            let mut i = 0;
-            while i < emitted.len() {
-                let (port, item) = &emitted[i];
-                let port = *port;
-                // Extend the run while consecutive emissions are tuples on
-                // the same port; puncts and port switches end it.
-                let mut j = i + 1;
-                if matches!(item, StreamItem::Tuple(_)) && batching_enabled() {
-                    while j < emitted.len()
-                        && emitted[j].0 == port
-                        && matches!(emitted[j].1, StreamItem::Tuple(_))
-                    {
-                        j += 1;
-                    }
-                }
-                let run = &emitted[i..j];
-                if let StreamItem::Tuple(_) = item {
-                    self.metrics
-                        .op_add(name, builtin::N_TUPLES_SUBMITTED, run.len() as i64);
-                    self.metrics.add(
+        // Gather local destinations first (immutable pass over the route
+        // tables), then apply (mutable pass) to keep the borrow checker
+        // happy with self-loops.
+        let mut local = std::mem::take(&mut self.local_scratch);
+        let slot = &self.slots[slot_idx];
+        let mut items = emitted.into_iter();
+        while let Some((port, first)) = items.as_slice().first() {
+            let port = *port;
+            // Extend the run while consecutive emissions are tuples on
+            // the same port; puncts and port switches end it.
+            let mut len = 1;
+            if matches!(first, StreamItem::Tuple(_)) && batching_enabled() {
+                len += items.as_slice()[1..]
+                    .iter()
+                    .take_while(|(p, it)| *p == port && matches!(it, StreamItem::Tuple(_)))
+                    .count();
+            }
+            let run = &items.as_slice()[..len];
+            if let StreamItem::Tuple(_) = first {
+                self.metrics.add_by(slot.metrics.submitted, len as i64);
+                match slot.metrics.out_ports.get(port) {
+                    Some(&submitted) => self.metrics.add_by(submitted, len as i64),
+                    // A submission on a port the operator does not have is
+                    // counted, then dropped below.
+                    None => self.metrics.add(
                         MetricKey::OperatorPort(
-                            name.clone(),
+                            slot.name.to_string(),
                             port,
                             builtin::N_TUPLES_SUBMITTED.into(),
                         ),
-                        run.len() as i64,
-                    );
+                        len as i64,
+                    ),
                 }
-                let exported = port < slot.exported_ports.len() && slot.exported_ports[port];
-                let routed = port < slot.local_routes.len();
-                for (_, it) in run {
-                    if exported {
-                        out.exported.push(ExportedItem {
-                            op: name.clone(),
-                            port,
-                            item: it.clone(),
-                        });
-                    }
-                    if routed {
-                        for &(to_slot, to_port) in &slot.local_routes[port] {
-                            local.push((to_slot, to_port, it.clone()));
+            }
+            let exported = slot.exported_ports.get(port).copied().unwrap_or(false);
+            let local_routes = slot.local_routes.get(port).map_or(&[][..], Vec::as_slice);
+            let remote_routes = slot.remote_routes.get(port).map_or(&[][..], Vec::as_slice);
+            if !remote_routes.is_empty() {
+                let payload = if len > 1 {
+                    self.codec.encode_tuple_run(
+                        len,
+                        run.iter().map(|(_, it)| match it {
+                            StreamItem::Tuple(t) => t,
+                            StreamItem::Punct(_) => unreachable!("runs hold only tuples"),
+                        }),
+                    )
+                } else {
+                    self.codec.encode_item(first)
+                };
+                for dest in remote_routes {
+                    out.remote.push(RemoteDelivery {
+                        dest: dest.clone(),
+                        payload: payload.clone(),
+                        items: len as u32,
+                    });
+                }
+            }
+            let export = |item| ExportedItem {
+                op: Arc::clone(&slot.name),
+                port,
+                item,
+            };
+            for (_, item) in items.by_ref().take(len) {
+                match local_routes.split_last() {
+                    Some((&(last_slot, last_port), others)) => {
+                        if exported {
+                            out.exported.push(export(item.clone()));
                         }
+                        for &(to_slot, to_port) in others {
+                            local.push((to_slot, to_port, item.clone()));
+                        }
+                        local.push((last_slot, last_port, item));
                     }
+                    None if exported => out.exported.push(export(item)),
+                    None => {}
                 }
-                if routed && !slot.remote_routes[port].is_empty() {
-                    let payload = if run.len() > 1 {
-                        self.codec.encode_tuple_run(
-                            run.len(),
-                            run.iter().map(|(_, it)| match it {
-                                StreamItem::Tuple(t) => t,
-                                StreamItem::Punct(_) => unreachable!("runs hold only tuples"),
-                            }),
-                        )
-                    } else {
-                        self.codec.encode_item(item)
-                    };
-                    for dest in &slot.remote_routes[port] {
-                        out.remote.push(RemoteDelivery {
-                            dest: dest.clone(),
-                            payload: payload.clone(),
-                            items: run.len() as u32,
-                        });
-                    }
-                }
-                i = j;
             }
         }
-        for (to_slot, to_port, item) in local {
+        for (to_slot, to_port, item) in local.drain(..) {
             self.slots[to_slot].queues[to_port].push_back(item);
         }
+        self.local_scratch = local;
     }
 
     // ---- checkpoint / restore ----------------------------------------------
@@ -634,7 +692,7 @@ impl PeRuntime {
                 .slots
                 .iter()
                 .map(|slot| OpCheckpoint {
-                    name: slot.name.clone(),
+                    name: slot.name.to_string(),
                     kind: slot.kind.clone(),
                     finals_seen: slot.finals_seen.clone(),
                     blob: slot.op.checkpoint(),
@@ -685,7 +743,7 @@ impl PeRuntime {
         }
         let mut restored = 0;
         for (slot, op_ckpt) in self.slots.iter_mut().zip(&ckpt.ops) {
-            if slot.name != op_ckpt.name || slot.kind != op_ckpt.kind {
+            if *slot.name != *op_ckpt.name || slot.kind != op_ckpt.kind {
                 return Err(EngineError::Checkpoint(format!(
                     "checkpoint operator {}({}) does not match container slot {}({})",
                     op_ckpt.name, op_ckpt.kind, slot.name, slot.kind
@@ -721,7 +779,7 @@ impl PeRuntime {
                 queue.extend(codec::decode_queue(blob.clone())?);
             }
         }
-        self.metrics = MetricStore::new();
+        self.metrics.clear();
         for (key, value) in &ckpt.metrics {
             // Share the checkpoint's interned keys instead of re-cloning
             // every name string into the revived store.
@@ -819,9 +877,17 @@ mod tests {
     fn fused_pipeline_flows_in_one_pe() {
         let adl = pipeline_adl();
         let mut pe = PeRuntime::build(&adl, 0, &registry(), SimRng::new(1)).unwrap();
+        // Built-in metrics are resolved at build time but exist only once
+        // updated.
+        assert!(pe.metrics().is_empty());
         let out = pe.step(SimTime::ZERO, SimDuration::from_millis(100), 10_000);
         assert!(out.crashed.is_none());
         assert!(out.remote.is_empty());
+        assert_eq!(
+            pe.metrics()
+                .op_get("snk", builtin::N_FINAL_PUNCTS_PROCESSED),
+            None
+        );
         // 50/s at 100ms = 5 tuples; evens pass: seq 0, 2, 4.
         let tap = pe.tap("snk").unwrap();
         assert_eq!(tap.len(), 3);
@@ -881,7 +947,7 @@ mod tests {
         assert!(out0
             .remote
             .iter()
-            .all(|d| d.dest.pe == 1 && d.dest.op == "snk"));
+            .all(|d| d.dest.pe == 1 && &*d.dest.op == "snk"));
         for d in &out0.remote {
             pe1.receive(d).unwrap();
         }
@@ -964,7 +1030,7 @@ mod tests {
         let mut pe = PeRuntime::build(&adl, 0, &registry(), SimRng::new(1)).unwrap();
         let out = pe.step(SimTime::ZERO, SimDuration::from_millis(100), 10_000);
         assert_eq!(out.exported.len(), 3);
-        assert!(out.exported.iter().all(|e| e.op == "flt" && e.port == 0));
+        assert!(out.exported.iter().all(|e| &*e.op == "flt" && e.port == 0));
         // Export does not steal from local consumers.
         assert_eq!(pe.tap("snk").unwrap().len(), 3);
     }

@@ -3,19 +3,39 @@
 //! Attribute counts are small (a handful per stream), so lookup is a linear
 //! scan over an inline vector — faster in practice than hashing for these
 //! sizes and trivially deterministic.
+//!
+//! The attribute list is shared copy-on-write: `clone` is a refcount bump,
+//! and `set`/`remove` copy the list only when another clone still holds it
+//! (`Arc::make_mut`). A tuple fanned out to several consumers — local
+//! routes, importing jobs, upstream-backup buffers, sink retention, window
+//! stores — is therefore one allocation until somebody mutates their copy.
 
 use sps_model::Value;
 use std::fmt;
+use std::sync::Arc;
 
-/// A stream data item: ordered `(name, value)` attributes.
+/// An attribute name. Shared, so copying a tuple's schema (into a clone
+/// that is being mutated, or across the tuples of one decoded batch) never
+/// re-allocates the name strings.
+pub type Name = Arc<str>;
+
+/// A stream data item: ordered `(name, value)` attributes with unique names.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Tuple {
-    attrs: Vec<(String, Value)>,
+    attrs: Arc<Vec<(Name, Value)>>,
 }
 
 impl Tuple {
     pub fn new() -> Self {
-        Tuple { attrs: Vec::new() }
+        Tuple::default()
+    }
+
+    /// Wraps an attribute list whose names the caller guarantees to be
+    /// unique (the decoder checks while it builds the list).
+    pub(crate) fn from_unique_attrs(attrs: Vec<(Name, Value)>) -> Self {
+        Tuple {
+            attrs: Arc::new(attrs),
+        }
     }
 
     /// Builder-style attribute addition; replaces an existing attribute with
@@ -27,15 +47,19 @@ impl Tuple {
 
     pub fn set(&mut self, name: &str, value: impl Into<Value>) {
         let value = value.into();
-        if let Some(slot) = self.attrs.iter_mut().find(|(n, _)| n == name) {
+        let attrs = Arc::make_mut(&mut self.attrs);
+        if let Some(slot) = attrs.iter_mut().find(|(n, _)| &**n == name) {
             slot.1 = value;
         } else {
-            self.attrs.push((name.to_string(), value));
+            attrs.push((Name::from(name), value));
         }
     }
 
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        self.attrs
+            .iter()
+            .find(|(n, _)| &**n == name)
+            .map(|(_, v)| v)
     }
 
     pub fn get_int(&self, name: &str) -> Option<i64> {
@@ -55,8 +79,8 @@ impl Tuple {
     }
 
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        let idx = self.attrs.iter().position(|(n, _)| n == name)?;
-        Some(self.attrs.remove(idx).1)
+        let idx = self.attrs.iter().position(|(n, _)| &**n == name)?;
+        Some(Arc::make_mut(&mut self.attrs).remove(idx).1)
     }
 
     pub fn len(&self) -> usize {
@@ -67,7 +91,7 @@ impl Tuple {
         self.attrs.is_empty()
     }
 
-    pub fn attrs(&self) -> &[(String, Value)] {
+    pub fn attrs(&self) -> &[(Name, Value)] {
         &self.attrs
     }
 
@@ -106,9 +130,11 @@ impl fmt::Display for Tuple {
 
 impl FromIterator<(String, Value)> for Tuple {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
-        Tuple {
-            attrs: iter.into_iter().collect(),
+        let mut t = Tuple::new();
+        for (name, value) in iter {
+            t.set(&name, value);
         }
+        t
     }
 }
 

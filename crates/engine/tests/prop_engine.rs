@@ -1,8 +1,10 @@
-//! Property tests: tuple codec round-trips, expression-parser robustness,
+//! Property tests: tuple codec round-trips (item frames and schema-carrying
+//! batch frames), copy-on-write tuple aliasing, expression-parser robustness,
 //! and window invariants.
 
+use bytes::Bytes;
 use proptest::prelude::*;
-use sps_engine::codec::{decode, encode};
+use sps_engine::codec::{decode, decode_batch, encode, TupleCodec};
 use sps_engine::expr::Expr;
 use sps_engine::window::{SlidingTimeWindow, TumblingCountWindow};
 use sps_engine::{Punct, StreamItem, Tuple};
@@ -35,7 +37,194 @@ fn arb_tuple() -> impl Strategy<Value = Tuple> {
     })
 }
 
+/// Names that are prefixes of each other, so a carried name can only be
+/// reused on a byte-exact match.
+const NAMES: [&str; 6] = ["a", "ab", "abc", "b", "ba", "seq"];
+
+/// The attributes of one tuple as they appear on the wire: any order, names
+/// may repeat, possibly none.
+fn arb_wire_attrs() -> impl Strategy<Value = Vec<(usize, Value)>> {
+    prop::collection::vec((0..NAMES.len(), arb_value()), 0..7)
+}
+
+/// A batch whose schema changes mid-batch: each tuple either keeps the
+/// previous tuple's names (fresh values, cycled) or brings its own.
+fn arb_wire_batch() -> impl Strategy<Value = Vec<Vec<(usize, Value)>>> {
+    prop::collection::vec((any::<bool>(), arb_wire_attrs()), 0..8).prop_map(|rows| {
+        let mut batch: Vec<Vec<(usize, Value)>> = Vec::new();
+        for (keep_schema, attrs) in rows {
+            let row = match batch.last() {
+                Some(prev) if keep_schema && !attrs.is_empty() => prev
+                    .iter()
+                    .zip(attrs.iter().cycle())
+                    .map(|((name, _), (_, value))| (*name, value.clone()))
+                    .collect(),
+                _ => attrs,
+            };
+            batch.push(row);
+        }
+        batch
+    })
+}
+
+/// What `Tuple::set` makes of a wire attribute list: a later value replaces
+/// the earlier attribute of the same name, at the position of the first.
+fn tuple_of(attrs: &[(usize, Value)]) -> Tuple {
+    let mut t = Tuple::new();
+    for (name, value) in attrs {
+        t.set(NAMES[*name], value.clone());
+    }
+    t
+}
+
+/// A batch frame written attribute by attribute — unlike the encoder, it can
+/// repeat a name inside one tuple. An attribute's bytes are those of a
+/// one-attribute item frame minus its tag and count.
+fn hand_built_batch_frame(batch: &[Vec<(usize, Value)>]) -> Bytes {
+    let mut frame = vec![3u8];
+    frame.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+    for attrs in batch {
+        frame.push(0);
+        frame.extend_from_slice(&(attrs.len() as u16).to_le_bytes());
+        for (name, value) in attrs {
+            let one = encode(&StreamItem::Tuple(
+                Tuple::new().with(NAMES[*name], value.clone()),
+            ));
+            frame.extend_from_slice(&one[3..]);
+        }
+    }
+    Bytes::from(frame)
+}
+
+#[derive(Clone, Debug)]
+enum TupleOp {
+    Set(usize, Value),
+    With(usize, Value),
+    Remove(usize),
+}
+
+fn arb_tuple_op() -> impl Strategy<Value = TupleOp> {
+    prop_oneof![
+        (0..NAMES.len(), arb_value()).prop_map(|(n, v)| TupleOp::Set(n, v)),
+        (0..NAMES.len(), arb_value()).prop_map(|(n, v)| TupleOp::With(n, v)),
+        (0..NAMES.len()).prop_map(TupleOp::Remove),
+    ]
+}
+
+/// The reference a COW tuple must behave like: a plain owned list.
+fn apply_to_model(model: &mut Vec<(String, Value)>, op: &TupleOp) {
+    match op {
+        TupleOp::Set(n, v) | TupleOp::With(n, v) => {
+            match model.iter_mut().find(|(name, _)| name == NAMES[*n]) {
+                Some(slot) => slot.1 = v.clone(),
+                None => model.push((NAMES[*n].to_string(), v.clone())),
+            }
+        }
+        TupleOp::Remove(n) => model.retain(|(name, _)| name != NAMES[*n]),
+    }
+}
+
+fn apply_to_tuple(t: &mut Tuple, op: &TupleOp) {
+    match op {
+        TupleOp::Set(n, v) => t.set(NAMES[*n], v.clone()),
+        TupleOp::With(n, v) => *t = t.clone().with(NAMES[*n], v.clone()),
+        TupleOp::Remove(n) => {
+            t.remove(NAMES[*n]);
+        }
+    }
+}
+
+fn matches_model(t: &Tuple, model: &[(String, Value)]) -> bool {
+    t.len() == model.len()
+        && t.attrs()
+            .iter()
+            .zip(model)
+            .all(|((n, v), (mn, mv))| **n == **mn && v == mv)
+}
+
+#[test]
+fn batch_frame_repeating_a_name_keeps_first_position_and_last_value() {
+    let v = |i: i64| Value::Int(i);
+    let batch = vec![
+        // Repeats inside the first tuple of a frame (no carried schema).
+        vec![(0, v(1)), (3, v(2)), (0, v(3))],
+        // On the carried schema for two names, then a repeat.
+        vec![(0, v(4)), (3, v(5)), (3, v(6))],
+        // Off the carried schema at once, by repeating its first name.
+        vec![(0, v(7)), (0, v(8))],
+    ];
+    let decoded = decode_batch(hand_built_batch_frame(&batch)).unwrap();
+    let expect = [
+        Tuple::new().with("a", 3i64).with("b", 2i64),
+        Tuple::new().with("a", 4i64).with("b", 6i64),
+        Tuple::new().with("a", 8i64),
+    ];
+    assert_eq!(decoded.as_slice(), &expect[..]);
+}
+
 proptest! {
+    #[test]
+    fn batch_decode_matches_tuple_set_semantics(batch in arb_wire_batch()) {
+        let expect: Vec<Tuple> = batch.iter().map(|attrs| tuple_of(attrs)).collect();
+        let frame = hand_built_batch_frame(&batch);
+        let decoded = decode_batch(frame.clone()).unwrap();
+        prop_assert_eq!(decoded.as_slice(), &expect[..]);
+        // Every strict prefix fails cleanly (no panic, no success).
+        for cut in 0..frame.len() {
+            prop_assert!(decode_batch(frame.slice(0..cut)).is_err());
+        }
+    }
+
+    #[test]
+    fn batch_codec_roundtrip(batch in arb_wire_batch()) {
+        let tuples: Vec<Tuple> = batch.iter().map(|attrs| tuple_of(attrs)).collect();
+        let payload = TupleCodec::new().encode_batch(&tuples);
+        let decoded = decode_batch(payload).unwrap();
+        prop_assert_eq!(decoded.as_slice(), &tuples[..]);
+        // A tuple decodes the same inside a batch (schema carried) and
+        // alone in an item frame (nothing carried).
+        for t in &tuples {
+            let alone = decode(encode(&StreamItem::Tuple(t.clone()))).unwrap();
+            prop_assert_eq!(alone, StreamItem::Tuple(t.clone()));
+        }
+    }
+
+    #[test]
+    fn clones_never_alias(
+        start in arb_wire_attrs(),
+        ops in prop::collection::vec((any::<bool>(), arb_tuple_op()), 0..24),
+    ) {
+        let mut original = tuple_of(&start);
+        let mut model_original: Vec<(String, Value)> = original
+            .attrs()
+            .iter()
+            .map(|(n, v)| (n.to_string(), v.clone()))
+            .collect();
+        let mut copy = original.clone();
+        let mut model_copy = model_original.clone();
+        prop_assert_eq!(&copy, &original);
+        for (on_copy, op) in &ops {
+            if *on_copy {
+                apply_to_tuple(&mut copy, op);
+                apply_to_model(&mut model_copy, op);
+            } else {
+                apply_to_tuple(&mut original, op);
+                apply_to_model(&mut model_original, op);
+            }
+            // Mutating either side leaves the other exactly as it was.
+            prop_assert!(matches_model(&original, &model_original));
+            prop_assert!(matches_model(&copy, &model_copy));
+        }
+        // Equality is by content: a tuple rebuilt from scratch shares
+        // nothing with `original` and still equals it.
+        let mut rebuilt = Tuple::new();
+        for (n, v) in &model_original {
+            rebuilt.set(n, v.clone());
+        }
+        prop_assert_eq!(&rebuilt, &original);
+        prop_assert_eq!(original.clone(), original);
+    }
+
     #[test]
     fn codec_roundtrip(t in arb_tuple()) {
         let item = StreamItem::Tuple(t);

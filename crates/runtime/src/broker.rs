@@ -20,13 +20,14 @@ use sps_engine::{RemoteDelivery, StreamItem};
 use sps_model::logical::{ExportSpec, ImportSpec};
 use sps_sim::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A registered export endpoint.
 #[derive(Clone, Debug)]
 struct ExportReg {
     job: JobId,
     app_name: String,
-    op: String,
+    op: Arc<str>,
     port: usize,
     spec: ExportSpec,
 }
@@ -35,17 +36,22 @@ struct ExportReg {
 #[derive(Clone, Debug)]
 struct ImportReg {
     job: JobId,
-    op: String,
+    op: Arc<str>,
     spec: ImportSpec,
 }
+
+/// An importing endpoint an exported item is routed to: `(job, operator)`.
+pub type ImportTarget = (JobId, Arc<str>);
 
 /// Matches exported streams to import subscriptions across running jobs.
 #[derive(Default)]
 pub struct Broker {
     exports: Vec<ExportReg>,
     imports: Vec<ImportReg>,
-    /// Cached resolution: (export job, op, port) → [(import job, import op)].
-    routes: BTreeMap<(JobId, String, usize), Vec<(JobId, String)>>,
+    /// Cached resolution: (export job, port) → op → [(import job, import
+    /// op)]. The operator name is the inner key so that routing an item
+    /// looks it up by `&str`; the names are shared with the registrations.
+    routes: BTreeMap<(JobId, usize), BTreeMap<Arc<str>, Vec<ImportTarget>>>,
 }
 
 impl Broker {
@@ -65,13 +71,17 @@ impl Broker {
             self.exports.push(ExportReg {
                 job,
                 app_name: app_name.to_string(),
-                op,
+                op: op.into(),
                 port,
                 spec,
             });
         }
         for (op, spec) in imports {
-            self.imports.push(ImportReg { job, op, spec });
+            self.imports.push(ImportReg {
+                job,
+                op: op.into(),
+                spec,
+            });
         }
         self.rebuild_routes();
     }
@@ -86,7 +96,7 @@ impl Broker {
     fn rebuild_routes(&mut self) {
         self.routes.clear();
         for export in &self.exports {
-            let targets: Vec<(JobId, String)> = self
+            let targets: Vec<ImportTarget> = self
                 .imports
                 .iter()
                 .filter(|imp| {
@@ -94,35 +104,40 @@ impl Broker {
                     // (that would be a static stream).
                     imp.job != export.job && imp.spec.matches(&export.spec, &export.app_name)
                 })
-                .map(|imp| (imp.job, imp.op.clone()))
+                .map(|imp| (imp.job, Arc::clone(&imp.op)))
                 .collect();
             if !targets.is_empty() {
                 self.routes
-                    .insert((export.job, export.op.clone(), export.port), targets);
+                    .entry((export.job, export.port))
+                    .or_default()
+                    .insert(Arc::clone(&export.op), targets);
             }
         }
     }
 
     /// Destinations for an item emitted on an exported port:
     /// `(importing job, importing operator)` pairs.
-    pub fn route(&self, job: JobId, op: &str, port: usize) -> &[(JobId, String)] {
+    pub fn route(&self, job: JobId, op: &str, port: usize) -> &[ImportTarget] {
         self.routes
-            .get(&(job, op.to_string(), port))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .get(&(job, port))
+            .and_then(|by_op| by_op.get(op))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Current number of live cross-job connections.
     pub fn num_connections(&self) -> usize {
-        self.routes.values().map(Vec::len).sum()
+        self.routes
+            .values()
+            .flat_map(BTreeMap::values)
+            .map(Vec::len)
+            .sum()
     }
 
     /// Does any *other running* job import from the given job? Used by the
     /// orchestrator's starvation check on cancellation (§4.4).
     pub fn has_dependents(&self, job: JobId) -> bool {
-        self.routes
-            .iter()
-            .any(|((export_job, _, _), targets)| *export_job == job && !targets.is_empty())
+        // Only exports with at least one importer are in the table.
+        self.routes.keys().any(|(export_job, _)| *export_job == job)
     }
 }
 
@@ -138,17 +153,17 @@ pub enum ChannelKey {
         job: JobId,
         from: usize,
         to: usize,
-        op: String,
+        op: Arc<str>,
         port: usize,
     },
     /// Cross-job export, resolved by the broker to an importing operator.
     Export {
         from_job: JobId,
         from: usize,
-        op: String,
+        op: Arc<str>,
         port: usize,
         to_job: JobId,
-        to_op: String,
+        to_op: Arc<str>,
     },
 }
 
@@ -180,7 +195,7 @@ pub enum BackupItem {
     /// be a whole batch frame carrying a run of tuples.
     Remote(RemoteDelivery),
     /// A cross-job import (replayed via `inject` on the importing operator).
-    Import { op: String, item: StreamItem },
+    Import { op: Arc<str>, item: StreamItem },
 }
 
 impl BackupItem {
@@ -423,7 +438,7 @@ mod tests {
             vec![("in".into(), ImportSpec::by_id("feed"))],
         );
         assert_eq!(b.num_connections(), 1);
-        assert_eq!(b.route(JobId(1), "out", 0), &[(JobId(2), "in".to_string())]);
+        assert_eq!(b.route(JobId(1), "out", 0), &[(JobId(2), "in".into())]);
         assert!(b.route(JobId(1), "out", 1).is_empty());
         assert!(b.has_dependents(JobId(1)));
         assert!(!b.has_dependents(JobId(2)));
@@ -463,7 +478,7 @@ mod tests {
             )],
         );
         let routes = b.route(JobId(1), "out", 0);
-        assert_eq!(routes, &[(JobId(2), "in".to_string())]);
+        assert_eq!(routes, &[(JobId(2), "in".into())]);
     }
 
     #[test]

@@ -23,7 +23,8 @@ use sps_engine::{
 use sps_model::adl::Adl;
 use sps_model::logical::HostPool;
 use sps_sim::{SimDuration, SimRng, SimTime, TraceRing};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Tunable timing/capacity parameters.
 #[derive(Clone, Copy, Debug)]
@@ -221,7 +222,7 @@ pub struct Kernel {
     pub ckpt: CheckpointStore,
     pub trace: TraceRing,
     rng: SimRng,
-    scheduled_kills: Vec<(SimTime, KillTarget)>,
+    scheduled_kills: VecDeque<(SimTime, KillTarget)>,
     last_metrics_push: SimTime,
     crash_log: Vec<CrashRecord>,
     restart_log: Vec<RestartRecord>,
@@ -275,7 +276,7 @@ impl Kernel {
             registry,
             ckpt: CheckpointStore::for_policy(&config.checkpoint),
             trace: TraceRing::new(65_536),
-            scheduled_kills: Vec::new(),
+            scheduled_kills: VecDeque::new(),
             last_metrics_push: SimTime::ZERO,
             crash_log: Vec::new(),
             restart_log: Vec::new(),
@@ -994,15 +995,8 @@ impl Kernel {
         // Heartbeats: every up host's controller pings SAM each quantum,
         // unless the partition swallows them.
         if self.hc_partition_until.is_none() {
-            let now = self.now;
-            let names: Vec<String> = self
-                .cluster
-                .hosts()
-                .filter(|h| h.up)
-                .map(|h| h.name.clone())
-                .collect();
-            for name in names {
-                self.sam.record_heartbeat(&name, now);
+            for host in self.cluster.hosts().filter(|h| h.up) {
+                self.sam.record_heartbeat(&host.name, self.now);
             }
         }
 
@@ -1021,8 +1015,10 @@ impl Kernel {
 
     /// Schedules a fault injection at an absolute simulation time.
     pub fn schedule_kill(&mut self, at: SimTime, target: KillTarget) {
-        self.scheduled_kills.push((at, target));
-        self.scheduled_kills.sort_by_key(|(t, _)| *t);
+        self.scheduled_kills.push_back((at, target));
+        self.scheduled_kills
+            .make_contiguous()
+            .sort_by_key(|(t, _)| *t);
     }
 
     fn notify_pe_failure(&mut self, pe: PeId, reason: CrashReason) {
@@ -1190,11 +1186,14 @@ impl Kernel {
         self.control_plane_quantum();
 
         // Scheduled fault injections.
-        while let Some((t, _)) = self.scheduled_kills.first() {
-            if *t > self.now {
+        while self
+            .scheduled_kills
+            .front()
+            .is_some_and(|(t, _)| *t <= self.now)
+        {
+            let Some((_, target)) = self.scheduled_kills.pop_front() else {
                 break;
-            }
-            let (_, target) = self.scheduled_kills.remove(0);
+            };
             let result = match &target {
                 KillTarget::Pe(pe) => self.kill_pe(*pe),
                 KillTarget::Host(h) => self.kill_host(h),
@@ -1432,14 +1431,14 @@ impl Kernel {
     /// upstream-backup suppression/buffering as [`Self::transport_remote`]
     /// (each `(exporter, importer)` pair is its own channel).
     fn transport_export(&mut self, job: JobId, from_adl: usize, item: ExportedItem) {
-        let targets: Vec<(JobId, String)> = self.broker.route(job, &item.op, item.port).to_vec();
         let ub = self.upstream_backup_enabled();
         let now = self.now;
-        for (target_job, import_op) in targets {
+        for (target_job, import_op) in self.broker.route(job, &item.op, item.port) {
+            let target_job = *target_job;
             let Some(info) = self.sam.job(target_job) else {
                 continue;
             };
-            let Some(op) = info.adl.operator(&import_op) else {
+            let Some(op) = info.adl.operator(import_op) else {
                 continue;
             };
             let to_adl = op.pe;
@@ -1451,10 +1450,10 @@ impl Kernel {
                 let key = ChannelKey::Export {
                     from_job: job,
                     from: from_adl,
-                    op: item.op.clone(),
+                    op: Arc::clone(&item.op),
                     port: item.port,
                     to_job: target_job,
-                    to_op: import_op.clone(),
+                    to_op: Arc::clone(import_op),
                 };
                 if self.backup.advance(&key) {
                     continue;
@@ -1465,14 +1464,14 @@ impl Kernel {
                     (target_job, to_adl),
                     now,
                     BackupItem::Import {
-                        op: import_op.clone(),
+                        op: Arc::clone(import_op),
                         item: item.item.clone(),
                     },
                 );
             }
             if let Some(proc) = self.cluster.process_mut(target_pe) {
                 if proc.status == PeStatus::Up {
-                    let _ = proc.runtime.inject(&import_op, 0, item.item.clone());
+                    let _ = proc.runtime.inject(import_op, 0, item.item.clone());
                 }
             }
         }

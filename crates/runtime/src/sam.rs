@@ -161,7 +161,12 @@ impl Sam {
 
     /// Records a heartbeat relayed by a host controller.
     pub fn record_heartbeat(&mut self, host: &str, now: SimTime) {
-        self.host_liveness.insert(host.to_string(), now);
+        match self.host_liveness.get_mut(host) {
+            Some(last) => *last = now,
+            None => {
+                self.host_liveness.insert(host.to_string(), now);
+            }
+        }
     }
 
     /// Forgets a host's heartbeat state (host decommissioned or declared).
