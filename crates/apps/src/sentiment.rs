@@ -24,7 +24,8 @@ use orca::{
 };
 use parking_lot::Mutex;
 use sps_engine::{
-    EngineError, OpCtx, Operator, OperatorRegistry, StateBlob, StateReader, StateWriter, Tuple,
+    EngineError, OpCtx, Operator, OperatorRegistry, Schema, StateBlob, StateReader, StateWriter,
+    Tuple,
 };
 use sps_model::compiler::{compile, CompileOptions};
 use sps_model::logical::{AppModelBuilder, CompositeGraphBuilder, OperatorInvocation};
@@ -143,6 +144,7 @@ pub struct TweetSource {
     credit: f64,
     rng: Option<SimRng>,
     seed: u64,
+    schema: Arc<Schema>,
 }
 
 impl TweetSource {
@@ -172,6 +174,7 @@ impl TweetSource {
             credit: 0.0,
             rng: Some(SimRng::new(seed)),
             seed,
+            schema: Schema::new(&["product", "sentiment", "cause", "ts"]),
         })
     }
 }
@@ -210,11 +213,15 @@ impl Operator for TweetSource {
                     _ => rare[rng.gen_range(0, rare.len() as u64) as usize],
                 }
             };
-            let t = Tuple::new()
-                .with("product", product)
-                .with("sentiment", if negative { "neg" } else { "pos" })
-                .with("cause", cause)
-                .with("ts", Value::Timestamp(ctx.now().as_millis()));
+            let t = Tuple::from_schema(
+                &self.schema,
+                vec![
+                    Value::from(product),
+                    Value::from(if negative { "neg" } else { "pos" }),
+                    Value::from(cause),
+                    Value::Timestamp(ctx.now().as_millis()),
+                ],
+            );
             ctx.submit(0, t);
         }
     }

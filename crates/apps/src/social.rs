@@ -28,8 +28,8 @@ use orca::{
 use parking_lot::Mutex;
 use sps_engine::metrics::builtin;
 use sps_engine::{
-    EngineError, OpCtx, Operator, OperatorRegistry, Punct, StateBlob, StateReader, StateWriter,
-    Tuple,
+    EngineError, MetricId, OpCtx, Operator, OperatorRegistry, Punct, Schema, StateBlob,
+    StateReader, StateWriter, Tuple,
 };
 use sps_model::compiler::{compile, CompileOptions};
 use sps_model::logical::{
@@ -62,25 +62,70 @@ pub struct Profile {
 #[derive(Clone, Default)]
 pub struct ProfileStoreHandle(Arc<Mutex<BTreeMap<String, Profile>>>);
 
+/// One sighting of a user, its strings borrowed from wherever they were
+/// found: what [`ProfileStoreHandle::merge_observed`] folds into the store
+/// without an owned [`Profile`] in between.
+#[derive(Clone, Copy, Debug)]
+pub struct Observation<'a> {
+    pub user: &'a str,
+    pub gender: Option<&'a str>,
+    pub age: Option<i64>,
+    pub location: Option<&'a str>,
+    pub sentiment: f64,
+    pub sources: &'a [&'a str],
+}
+
+/// Overwrites an optional string attribute, reusing its allocation.
+fn assign(slot: &mut Option<String>, value: &str) {
+    match slot {
+        Some(held) => {
+            held.clear();
+            held.push_str(value);
+        }
+        None => *slot = Some(value.to_string()),
+    }
+}
+
 impl ProfileStoreHandle {
     /// Merges an observation into the store (attributes accumulate).
     pub fn merge(&self, p: Profile) {
+        let sources: Vec<&str> = p.sources.iter().map(String::as_str).collect();
+        self.merge_observed(Observation {
+            user: &p.user,
+            gender: p.gender.as_deref(),
+            age: p.age,
+            location: p.location.as_deref(),
+            sentiment: p.sentiment,
+            sources: &sources,
+        });
+    }
+
+    /// [`ProfileStoreHandle::merge`] from borrowed fields. The user is
+    /// looked up by `&str`; a key is allocated only on first sight.
+    pub fn merge_observed(&self, seen: Observation<'_>) {
         let mut store = self.0.lock();
-        let entry = store.entry(p.user.clone()).or_default();
-        entry.user = p.user;
-        if p.gender.is_some() {
-            entry.gender = p.gender;
+        let entry = match store.get_mut(seen.user) {
+            Some(entry) => entry,
+            None => store
+                .entry(seen.user.to_string())
+                .or_insert_with(|| Profile {
+                    user: seen.user.to_string(),
+                    ..Default::default()
+                }),
+        };
+        if let Some(gender) = seen.gender {
+            assign(&mut entry.gender, gender);
         }
-        if p.age.is_some() {
-            entry.age = p.age;
+        if seen.age.is_some() {
+            entry.age = seen.age;
         }
-        if p.location.is_some() {
-            entry.location = p.location;
+        if let Some(location) = seen.location {
+            assign(&mut entry.location, location);
         }
-        entry.sentiment = p.sentiment;
-        for s in p.sources {
-            if !entry.sources.contains(&s) {
-                entry.sources.push(s);
+        entry.sentiment = seen.sentiment;
+        for &source in seen.sources {
+            if !entry.sources.iter().any(|held| held == source) {
+                entry.sources.push(source.to_string());
             }
         }
     }
@@ -131,6 +176,7 @@ fn has_attribute(p: &Profile, attribute: &str) -> bool {
 /// `{user, source, sentiment}`.
 pub struct SocialStreamReader {
     source: String,
+    schema: Arc<Schema>,
     rate: f64,
     credit: f64,
     rng: SimRng,
@@ -149,11 +195,15 @@ impl Operator for SocialStreamReader {
             let sentiment = -self.rng.next_f64(); // negative posts
             ctx.submit(
                 0,
-                Tuple::new()
-                    .with("user", user.as_str())
-                    .with("source", self.source.as_str())
-                    .with("sentiment", sentiment)
-                    .with("ts", Value::Timestamp(ctx.now().as_millis())),
+                Tuple::from_schema(
+                    &self.schema,
+                    vec![
+                        Value::Str(user),
+                        Value::Str(self.source.clone()),
+                        Value::Float(sentiment),
+                        Value::Timestamp(ctx.now().as_millis()),
+                    ],
+                ),
             );
         }
     }
@@ -183,6 +233,11 @@ pub struct SocialQuery {
     p_gender: f64,
     p_age: f64,
     p_location: f64,
+    /// Handles of `nGenderProfiles`, `nAgeProfiles`, `nLocationProfiles`,
+    /// resolved on the first tuple.
+    counters: Option<[MetricId; 3]>,
+    /// Scratch for the `locN` string of the tuple in hand.
+    location: String,
 }
 
 impl Operator for SocialQuery {
@@ -190,33 +245,41 @@ impl Operator for SocialQuery {
         let Some(user) = tuple.get_str("user") else {
             return;
         };
-        let mut profile = Profile {
-            user: user.to_string(),
-            sentiment: tuple.get_f64("sentiment").unwrap_or(0.0),
-            sources: vec![self.service.clone()],
-            ..Default::default()
-        };
-        if self.rng.gen_bool(self.p_gender) {
-            profile.gender = Some(if self.rng.gen_bool(0.5) { "f" } else { "m" }.to_string());
-        }
-        if self.rng.gen_bool(self.p_age) {
-            profile.age = Some(self.rng.gen_range(13, 80) as i64);
-        }
-        if self.rng.gen_bool(self.p_location) {
-            profile.location = Some(format!("loc{}", self.rng.gen_range(0, 50)));
-        }
+        let gender =
+            self.rng
+                .gen_bool(self.p_gender)
+                .then(|| if self.rng.gen_bool(0.5) { "f" } else { "m" });
+        let age = self
+            .rng
+            .gen_bool(self.p_age)
+            .then(|| self.rng.gen_range(13, 80) as i64);
+        let location = self.rng.gen_bool(self.p_location).then(|| {
+            self.location.clear();
+            write!(self.location, "loc{}", self.rng.gen_range(0, 50)).expect("writing to a String");
+            self.location.as_str()
+        });
         // Cumulative per-attribute counters — duplicates included, exactly
         // as the paper notes.
-        for (attr, metric) in [
-            ("gender", "nGenderProfiles"),
-            ("age", "nAgeProfiles"),
-            ("location", "nLocationProfiles"),
-        ] {
-            if has_attribute(&profile, attr) {
-                ctx.metric_add(metric, 1);
-            }
+        let [n_gender, n_age, n_location] = *self
+            .counters
+            .get_or_insert_with(|| ATTRIBUTES.map(|(_, metric)| ctx.metric_id(metric)));
+        if gender.is_some() {
+            ctx.metric_add_by(n_gender, 1);
         }
-        self.store.merge(profile);
+        if age.is_some() {
+            ctx.metric_add_by(n_age, 1);
+        }
+        if location.is_some() {
+            ctx.metric_add_by(n_location, 1);
+        }
+        self.store.merge_observed(Observation {
+            user,
+            gender,
+            age,
+            location,
+            sentiment: tuple.get_f64("sentiment").unwrap_or(0.0),
+            sources: &[self.service.as_str()],
+        });
         ctx.submit(0, tuple);
     }
 
@@ -237,6 +300,7 @@ impl Operator for SocialQuery {
 /// the configured attribute, then a final punctuation.
 pub struct AttributeAggregator {
     attribute: String,
+    schema: Arc<Schema>,
     store: ProfileStoreHandle,
     done: bool,
 }
@@ -254,12 +318,16 @@ impl Operator for AttributeAggregator {
         for (value, (sum, n)) in sentiment_by_attribute(&self.store, &self.attribute) {
             ctx.submit(
                 0,
-                Tuple::new()
-                    .with("attribute", self.attribute.as_str())
-                    .with("value", value.as_str())
-                    .with("avg_sentiment", sum / n as f64)
-                    .with("count", n as i64)
-                    .with("ts", Value::Timestamp(ctx.now().as_millis())),
+                Tuple::from_schema(
+                    &self.schema,
+                    vec![
+                        Value::Str(self.attribute.clone()),
+                        Value::Str(value),
+                        Value::Float(sum / n as f64),
+                        Value::Int(n as i64),
+                        Value::Timestamp(ctx.now().as_millis()),
+                    ],
+                ),
             );
         }
         ctx.metric_set("nProfilesSegmented", 1);
@@ -335,6 +403,7 @@ pub fn register_ops(r: &mut OperatorRegistry, stores: &SharedStores) {
             .unwrap_or(100_000) as u64;
         Ok(Box::new(SocialStreamReader {
             source,
+            schema: Schema::new(&["user", "source", "sentiment", "ts"]),
             rate,
             credit: 0.0,
             rng: SimRng::new(seed),
@@ -354,6 +423,8 @@ pub fn register_ops(r: &mut OperatorRegistry, stores: &SharedStores) {
             service,
             store: store.clone(),
             rng: SimRng::new(seed),
+            counters: None,
+            location: String::new(),
             p_gender: op
                 .params
                 .get("p_gender")
@@ -387,6 +458,7 @@ pub fn register_ops(r: &mut OperatorRegistry, stores: &SharedStores) {
         }
         Ok(Box::new(AttributeAggregator {
             attribute,
+            schema: Schema::new(&["attribute", "value", "avg_sentiment", "count", "ts"]),
             store: store.clone(),
             done: false,
         }))
@@ -942,6 +1014,108 @@ mod tests {
         assert_eq!(store.count_with_attribute("gender"), 1);
         assert_eq!(store.count_with_attribute("location"), 0);
         assert_eq!(store.count_with_attribute("bogus"), 0);
+
+        // The borrowed-field merge is the same merge: a known user is
+        // updated in place, a new one is keyed on first sight, attributes
+        // it does not bring are kept, a known source is not listed twice.
+        store.merge_observed(Observation {
+            user: "alice",
+            gender: Some("m"),
+            age: None,
+            location: Some("loc7"),
+            sentiment: -0.9,
+            sources: &["facebook", "blogs"],
+        });
+        store.merge_observed(Observation {
+            user: "aaron",
+            gender: None,
+            age: None,
+            location: None,
+            sentiment: -0.1,
+            sources: &["blogs"],
+        });
+        assert_eq!(
+            store.snapshot(),
+            vec![
+                Profile {
+                    user: "aaron".into(),
+                    sentiment: -0.1,
+                    sources: vec!["blogs".into()],
+                    ..Default::default()
+                },
+                Profile {
+                    user: "alice".into(),
+                    gender: Some("m".into()),
+                    age: Some(30),
+                    location: Some("loc7".into()),
+                    sentiment: -0.9,
+                    sources: vec!["twitter".into(), "facebook".into(), "blogs".into()],
+                },
+            ]
+        );
+    }
+
+    /// The merge as it was before it borrowed its fields, over a plain map.
+    fn merge_owned(store: &mut BTreeMap<String, Profile>, p: Profile) {
+        let entry = store.entry(p.user.clone()).or_default();
+        entry.user = p.user;
+        if p.gender.is_some() {
+            entry.gender = p.gender;
+        }
+        if p.age.is_some() {
+            entry.age = p.age;
+        }
+        if p.location.is_some() {
+            entry.location = p.location;
+        }
+        entry.sentiment = p.sentiment;
+        for s in p.sources {
+            if !entry.sources.contains(&s) {
+                entry.sources.push(s);
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_merge_builds_the_store_the_owned_merge_did() {
+        let store = ProfileStoreHandle::default();
+        let mut reference = BTreeMap::new();
+        let mut rng = SimRng::new(0x5eed);
+        let services = ["twitter", "blogs", "facebook"];
+        for _ in 0..600 {
+            // ~200 users over 600 sightings: most merges hit a known user.
+            let p = Profile {
+                user: format!("u{}", rng.gen_range(0, 200)),
+                gender: rng
+                    .gen_bool(0.6)
+                    .then(|| if rng.gen_bool(0.5) { "f" } else { "m" }.to_string()),
+                age: rng.gen_bool(0.4).then(|| rng.gen_range(13, 80) as i64),
+                location: rng
+                    .gen_bool(0.3)
+                    .then(|| format!("loc{}", rng.gen_range(0, 50))),
+                sentiment: -rng.next_f64(),
+                sources: vec![services[rng.gen_range(0, 3) as usize].to_string()],
+            };
+            merge_owned(&mut reference, p.clone());
+            if rng.gen_bool(0.5) {
+                store.merge(p);
+            } else {
+                store.merge_observed(Observation {
+                    user: &p.user,
+                    gender: p.gender.as_deref(),
+                    age: p.age,
+                    location: p.location.as_deref(),
+                    sentiment: p.sentiment,
+                    sources: &[p.sources[0].as_str()],
+                });
+            }
+        }
+        // Same profiles, same (user) order, whether scanned or snapshotted.
+        let expect: Vec<Profile> = reference.into_values().collect();
+        assert_eq!(store.snapshot(), expect);
+        let mut scanned = Vec::new();
+        store.for_each(|p| scanned.push(p.clone()));
+        assert_eq!(scanned, expect);
     }
 
     #[test]

@@ -11,13 +11,15 @@
 
 use orca::{OrcaCtx, OrcaStartContext, Orchestrator, PeFailureContext, PeFailureScope};
 use sps_engine::{
-    EngineError, OpCtx, Operator, OperatorRegistry, StateBlob, StateReader, StateWriter, Tuple,
+    EngineError, OpCtx, Operator, OperatorRegistry, Schema, StateBlob, StateReader, StateWriter,
+    Tuple,
 };
 use sps_model::compiler::{compile, CompileOptions};
 use sps_model::logical::{AppModelBuilder, CompositeGraphBuilder, OperatorInvocation};
 use sps_model::{Adl, Value};
 use sps_runtime::{JobId, PeId};
 use sps_sim::{SimRng, SimTime};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Workload: deterministic market tick source
@@ -34,6 +36,7 @@ pub struct TickSource {
     credit: f64,
     next_symbol: usize,
     rng: SimRng,
+    schema: Arc<Schema>,
 }
 
 impl TickSource {
@@ -52,6 +55,7 @@ impl TickSource {
             credit: 0.0,
             next_symbol: 0,
             rng: SimRng::new(seed),
+            schema: Schema::new(&["sym", "price", "ts"]),
         }
     }
 }
@@ -67,10 +71,14 @@ impl Operator for TickSource {
             self.next_symbol = self.next_symbol.wrapping_add(1);
             // Geometric-ish random walk, floored away from zero.
             self.prices[s] = (self.prices[s] + self.rng.next_gaussian() * 0.5).max(1.0);
-            let t = Tuple::new()
-                .with("sym", self.symbols[s].as_str())
-                .with("price", self.prices[s])
-                .with("ts", Value::Timestamp(ctx.now().as_millis()));
+            let t = Tuple::from_schema(
+                &self.schema,
+                vec![
+                    Value::Str(self.symbols[s].clone()),
+                    Value::Float(self.prices[s]),
+                    Value::Timestamp(ctx.now().as_millis()),
+                ],
+            );
             ctx.submit(0, t);
         }
     }

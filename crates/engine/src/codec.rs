@@ -15,16 +15,27 @@
 //! batch frame (tag 3): u32 tuple count, then that many tuple frames
 //! ```
 //!
-//! The preferred entry point is [`TupleCodec`], which owns a reusable
-//! scratch buffer so hot paths (transport, checkpoint writers) amortize
-//! allocations without threading a `BytesMut` by hand. The free functions
-//! below remain as thin wrappers over the same frame writers.
+//! The wire carries every tuple's names; memory does not. Decoding checks
+//! each name's bytes against a *carried* [`Schema`] — the one the previous
+//! tuple decoded to — and on a match the new tuple shares it, so the names
+//! of a steady stream are allocated once. A [`PortDecoder`] keeps that
+//! schema across frames (one per PE input port, for the PE's lifetime); the
+//! free `decode*` functions carry it for the length of one call. A schema
+//! built from wire names stands alone: no memo leads to it, so it dies with
+//! the decoder's carry and the tuples that share it, and a corrupt or
+//! hostile frame cannot grow a cache.
+//!
+//! The preferred encode entry point is [`TupleCodec`], which owns a
+//! reusable scratch buffer so hot paths (transport, checkpoint writers)
+//! amortize allocations without threading a `BytesMut` by hand. The free
+//! functions below remain as thin wrappers over the same frame writers.
 
 use crate::error::EngineError;
 use crate::op::{Punct, StreamItem, TupleBatch};
-use crate::tuple::{Name, Tuple};
+use crate::tuple::{Name, Schema, Tuple};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sps_model::Value;
+use std::sync::Arc;
 
 const TAG_TUPLE: u8 = 0;
 const TAG_WINDOW_PUNCT: u8 = 1;
@@ -145,7 +156,7 @@ impl TupleCodec {
 
 fn encode_tuple(t: &Tuple, buf: &mut BytesMut) {
     buf.put_u16_le(t.len() as u16);
-    for (name, value) in t.attrs() {
+    for (name, value) in t.iter() {
         buf.put_u16_le(name.len() as u16);
         buf.put_slice(name.as_bytes());
         encode_value(value, buf);
@@ -205,15 +216,43 @@ pub fn split_batch_payload(payload: Bytes, skip: usize) -> Result<Bytes, EngineE
     Ok(buf.freeze())
 }
 
+/// The schema the last tuple decoded to. The next tuple's names are checked
+/// against it, byte for byte, and share it on a match.
+type Carry = Option<Arc<Schema>>;
+
+/// Decoder for one PE input port. A stream keeps its shape from frame to
+/// frame, so the port keeps the schema of the last tuple it decoded and the
+/// names of a steady stream are allocated once per port, not once per
+/// frame. What a frame decodes to never depends on the carry — it is
+/// exactly what [`decode_frame`] returns.
+#[derive(Debug, Default)]
+pub struct PortDecoder {
+    carry: Carry,
+}
+
+impl PortDecoder {
+    pub fn new() -> Self {
+        PortDecoder::default()
+    }
+
+    /// Decodes a transport payload: a single item frame or a batch frame.
+    pub fn decode_frame(&mut self, buf: &[u8]) -> Result<Decoded, EngineError> {
+        decode_frame_carrying(buf, &mut self.carry)
+    }
+}
+
 /// Decodes a stream item from a buffer produced by [`encode`].
 pub fn decode(buf: Bytes) -> Result<StreamItem, EngineError> {
-    let mut cur: &[u8] = &buf;
+    decode_item(&buf, &mut None)
+}
+
+fn decode_item(mut cur: &[u8], carry: &mut Carry) -> Result<StreamItem, EngineError> {
     if cur.is_empty() {
         return Err(EngineError::Codec("empty buffer".into()));
     }
     match cur.get_u8() {
         TAG_TUPLE => {
-            let t = decode_tuple(&mut cur, None)?;
+            let t = decode_tuple(&mut cur, carry)?;
             if !cur.is_empty() {
                 return Err(EngineError::Codec("trailing bytes after tuple".into()));
             }
@@ -227,21 +266,22 @@ pub fn decode(buf: Bytes) -> Result<StreamItem, EngineError> {
 
 /// Decodes a batch frame produced by [`encode_batch_into`].
 pub fn decode_batch(buf: Bytes) -> Result<TupleBatch, EngineError> {
-    let mut cur: &[u8] = &buf;
+    decode_batch_frame(&buf, &mut None)
+}
+
+fn decode_batch_frame(mut cur: &[u8], carry: &mut Carry) -> Result<TupleBatch, EngineError> {
     if cur.is_empty() || cur.get_u8() != TAG_BATCH {
         return Err(EngineError::Codec("not a batch frame".into()));
     }
-    let batch = decode_batch_body(&mut cur)?;
+    let batch = decode_batch_body(&mut cur, carry)?;
     if !cur.is_empty() {
         return Err(EngineError::Codec("trailing bytes after batch".into()));
     }
     Ok(batch)
 }
 
-/// Decodes the tuples of a batch frame, carrying the schema along: the
-/// tuples of one run almost always share their attribute names, so each
-/// tuple reuses the previous one's [`Name`]s instead of allocating its own.
-fn decode_batch_body(buf: &mut &[u8]) -> Result<TupleBatch, EngineError> {
+/// Decodes the tuples of a batch frame (the tag already consumed).
+fn decode_batch_body(buf: &mut &[u8], carry: &mut Carry) -> Result<TupleBatch, EngineError> {
     if buf.len() < 4 {
         return Err(EngineError::Codec("truncated batch header".into()));
     }
@@ -254,18 +294,21 @@ fn decode_batch_body(buf: &mut &[u8]) -> Result<TupleBatch, EngineError> {
         if buf.is_empty() || buf.get_u8() != TAG_TUPLE {
             return Err(EngineError::Codec("batch frame holds a non-tuple".into()));
         }
-        let tuple = decode_tuple(buf, batch.as_slice().last())?;
-        batch.push(tuple);
+        batch.push(decode_tuple(buf, carry)?);
     }
     Ok(batch)
 }
 
 /// Decodes a transport payload that may be either a single item frame or a
-/// batch frame — what [`crate::pe::PeRuntime::receive`] sees on the wire.
+/// batch frame, carrying no schema in from earlier frames.
 pub fn decode_frame(buf: Bytes) -> Result<Decoded, EngineError> {
+    decode_frame_carrying(&buf, &mut None)
+}
+
+fn decode_frame_carrying(buf: &[u8], carry: &mut Carry) -> Result<Decoded, EngineError> {
     match buf.first() {
-        Some(&TAG_BATCH) => Ok(Decoded::Batch(decode_batch(buf)?)),
-        _ => Ok(Decoded::Item(decode(buf)?)),
+        Some(&TAG_BATCH) => Ok(Decoded::Batch(decode_batch_frame(buf, carry)?)),
+        _ => Ok(Decoded::Item(decode_item(buf, carry)?)),
     }
 }
 
@@ -303,13 +346,14 @@ pub fn encode_queue<'a>(items: impl IntoIterator<Item = &'a StreamItem>) -> Byte
 pub fn decode_queue(buf: Bytes) -> Result<Vec<StreamItem>, EngineError> {
     let mut cur: &[u8] = &buf;
     let mut items = Vec::new();
+    let carry = &mut None;
     while !cur.is_empty() {
         match cur.get_u8() {
-            TAG_TUPLE => items.push(StreamItem::Tuple(decode_tuple(&mut cur, None)?)),
+            TAG_TUPLE => items.push(StreamItem::Tuple(decode_tuple(&mut cur, carry)?)),
             TAG_WINDOW_PUNCT => items.push(StreamItem::Punct(Punct::Window)),
             TAG_FINAL_PUNCT => items.push(StreamItem::Punct(Punct::Final)),
             TAG_BATCH => {
-                let batch = decode_batch_body(&mut cur)?;
+                let batch = decode_batch_body(&mut cur, carry)?;
                 items.extend(batch.into_iter().map(StreamItem::Tuple));
             }
             tag => return Err(EngineError::Codec(format!("unknown queue tag {tag}"))),
@@ -334,44 +378,59 @@ fn truncated(need: usize, have: usize) -> EngineError {
     EngineError::Codec(format!("truncated: need {need} bytes, have {have}"))
 }
 
-/// Decodes one tuple body. `carried` is the previous tuple of the same batch
-/// frame, if any: a name whose bytes equal the carried tuple's name at the
-/// same position shares that allocation.
-fn decode_tuple(buf: &mut &[u8], carried: Option<&Tuple>) -> Result<Tuple, EngineError> {
+/// Decodes one tuple body (the tag already consumed) and leaves its schema
+/// in `carry`.
+///
+/// While every name so far is the carried schema's name at that position,
+/// nothing is allocated for names and the carried schema's uniqueness
+/// covers this tuple too. At the first name that differs the tuple leaves
+/// the carried schema: it takes (shared) copies of the names matched so
+/// far, and from there each name is validated, allocated and checked
+/// against the ones before it. A frame that repeats a name decodes as
+/// `Tuple::set` would build it: first position, last value.
+fn decode_tuple(buf: &mut &[u8], carry: &mut Carry) -> Result<Tuple, EngineError> {
     let count = take(buf, 2)?.get_u16_le() as usize;
-    let schema = carried.map_or(&[][..], Tuple::attrs);
+    let carried: &[Name] = carry.as_deref().map_or(&[], Schema::names);
     // An attribute is at least four bytes on the wire, so a corrupt count
     // cannot reserve more than the buffer could hold.
-    let mut attrs: Vec<(Name, Value)> = Vec::with_capacity(count.min(buf.len() / 4));
-    // While every name so far was the carried one at its position, the
-    // carried tuple's uniqueness covers this one too; after the first
-    // mismatch each name is checked against the ones before it.
-    let mut on_schema = true;
+    let mut values: Vec<Value> = Vec::with_capacity(count.min(buf.len() / 4));
+    // `Some` once the tuple has left the carried schema.
+    let mut own_names: Option<Vec<Name>> = None;
     for i in 0..count {
         let name_len = take(buf, 2)?.get_u16_le() as usize;
         let name_bytes = take(buf, name_len)?;
-        let name = match schema.get(i) {
-            Some((carried, _)) if carried.as_bytes() == name_bytes => Name::clone(carried),
-            _ => {
-                on_schema = false;
-                Name::from(
-                    std::str::from_utf8(name_bytes)
-                        .map_err(|_| EngineError::Codec("attribute name is not utf-8".into()))?,
-                )
-            }
-        };
+        if own_names.is_none() && carried.get(i).is_some_and(|c| c.as_bytes() == name_bytes) {
+            values.push(decode_value(buf)?);
+            continue;
+        }
+        let names = own_names.get_or_insert_with(|| {
+            let mut names = Vec::with_capacity(values.capacity());
+            names.extend_from_slice(&carried[..i]);
+            names
+        });
+        let name = std::str::from_utf8(name_bytes)
+            .map_err(|_| EngineError::Codec("attribute name is not utf-8".into()))?;
         let value = decode_value(buf)?;
-        if !on_schema {
-            // A frame that repeats a name: the later value replaces the
-            // earlier attribute in place, as `Tuple::set` would.
-            if let Some(slot) = attrs.iter_mut().find(|(n, _)| *n == name) {
-                slot.1 = value;
-                continue;
+        match names.iter().position(|n| &**n == name) {
+            Some(idx) => values[idx] = value,
+            None => {
+                names.push(Name::from(name));
+                values.push(value);
             }
         }
-        attrs.push((name, value));
     }
-    Ok(Tuple::from_unique_attrs(attrs))
+    let schema = match own_names {
+        Some(names) => Schema::from_unique_names(names),
+        None => match &*carry {
+            // The steady state: the carried schema, whole.
+            Some(schema) if schema.len() == count => return Ok(Tuple::from_schema(schema, values)),
+            // A shorter tuple: its names are a prefix of the carried ones.
+            _ => Schema::from_unique_names(carried[..count].to_vec()),
+        },
+    };
+    let tuple = Tuple::from_schema(&schema, values);
+    *carry = Some(schema);
+    Ok(tuple)
 }
 
 fn decode_value(buf: &mut &[u8]) -> Result<Value, EngineError> {

@@ -33,4 +33,4 @@ pub use metrics::{MetricId, MetricKey, MetricStore};
 pub use op::{OpCtx, Operator, Punct, StreamItem};
 pub use pe::{PeOutput, PeRuntime, RemoteDelivery};
 pub use registry::OperatorRegistry;
-pub use tuple::{Name, Tuple};
+pub use tuple::{Name, Schema, Tuple};

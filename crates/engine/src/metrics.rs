@@ -255,15 +255,21 @@ impl MetricStore {
         rows
     }
 
+    /// [`MetricStore::resolve`] for an operator-level metric, from borrowed
+    /// names: nothing is allocated once the store knows the key.
+    pub fn op_resolve(&mut self, op: &str, metric: &str) -> MetricId {
+        MetricId(self.slot_of(KeyRef::Operator(op, metric)))
+    }
+
     /// Convenience accessors used by operator contexts.
     pub fn op_add(&mut self, op: &str, metric: &str, delta: i64) {
-        let slot = self.slot_of(KeyRef::Operator(op, metric));
-        self.add_by(MetricId(slot), delta);
+        let id = self.op_resolve(op, metric);
+        self.add_by(id, delta);
     }
 
     pub fn op_set(&mut self, op: &str, metric: &str, value: i64) {
-        let slot = self.slot_of(KeyRef::Operator(op, metric));
-        self.set_by(MetricId(slot), value);
+        let id = self.op_resolve(op, metric);
+        self.set_by(id, value);
     }
 
     pub fn op_get(&self, op: &str, metric: &str) -> Option<i64> {
@@ -375,6 +381,18 @@ mod tests {
         m.add_by(id, 3);
         assert_eq!(m.op_get("k", "m"), Some(3));
         assert_eq!(m.len(), 1);
+
+        // Resolving by borrowed names finds the same row, and a new key
+        // resolved that way is just as absent until its first update.
+        assert_eq!(m.op_resolve("k", "m"), id);
+        let custom = m.op_resolve("k", "nCustom");
+        assert_eq!(m.op_resolve("k", "nCustom"), custom);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.op_get("k", "nCustom"), None);
+        assert!(m.iter().all(|(k, _)| k.metric_name() != "nCustom"));
+        m.set_by(custom, 4);
+        assert_eq!(m.op_get("k", "nCustom"), Some(4));
+        assert_eq!(m.snapshot().len(), 2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
 use crate::error::EngineError;
-use crate::metrics::MetricStore;
+use crate::metrics::{MetricId, MetricStore};
 use crate::tuple::Tuple;
 use sps_sim::{SimDuration, SimRng, SimTime};
 
@@ -194,6 +194,24 @@ impl<'a> OpCtx<'a> {
     /// Sets a custom metric of this operator to an absolute value.
     pub fn metric_set(&mut self, metric: &str, value: i64) {
         self.metrics.op_set(self.op_name, metric, value);
+    }
+
+    /// Resolves one of this operator's custom metrics to a handle for
+    /// [`OpCtx::metric_add_by`] / [`OpCtx::metric_set_by`], which update it
+    /// without a lookup by name. An operator instance resolves a handle
+    /// once and keeps it: it stays valid for the instance's lifetime,
+    /// checkpoint restores included. Resolving creates nothing — the metric
+    /// exists from its first update.
+    pub fn metric_id(&mut self, metric: &str) -> MetricId {
+        self.metrics.op_resolve(self.op_name, metric)
+    }
+
+    pub fn metric_add_by(&mut self, id: MetricId, delta: i64) {
+        self.metrics.add_by(id, delta);
+    }
+
+    pub fn metric_set_by(&mut self, id: MetricId, value: i64) {
+        self.metrics.set_by(id, value);
     }
 
     /// Reads back one of this operator's metrics.
@@ -428,6 +446,30 @@ mod tests {
     }
 
     #[test]
+    fn metric_handles_update_the_named_metric_and_create_it_lazily() {
+        let (_, metrics) = with_ctx(|ctx| {
+            ctx.metric_add("nKnown", 1);
+            let known = ctx.metric_id("nKnown");
+            let fresh = ctx.metric_id("nFresh");
+            let unused = ctx.metric_id("nUnused");
+            assert_ne!(fresh, unused);
+            // Resolved, never updated: not there yet.
+            assert_eq!(ctx.metric_get("nFresh"), None);
+            ctx.metric_add_by(known, 4);
+            ctx.metric_add_by(fresh, 2);
+            ctx.metric_set_by(fresh, 9);
+            assert_eq!(ctx.metric_get("nKnown"), Some(5));
+            assert_eq!(ctx.metric_get("nFresh"), Some(9));
+            assert_eq!(ctx.metric_get("nUnused"), None);
+        });
+        assert_eq!(metrics.len(), 2);
+        assert!(metrics
+            .snapshot()
+            .iter()
+            .all(|(k, _)| k.metric_name() != "nUnused"));
+    }
+
+    #[test]
     fn fault_channel() {
         let (fault, _) = with_ctx(|ctx| {
             assert!(ctx.take_fault().is_none());
@@ -552,7 +594,7 @@ mod tests {
         assert_eq!(b.as_slice().len(), 2);
         let names: Vec<&str> = (&b)
             .into_iter()
-            .flat_map(|t| t.attrs().iter().map(|(n, _)| &**n))
+            .flat_map(|t| t.iter().map(|(n, _)| &**n))
             .collect();
         assert_eq!(names, ["a", "b"]);
     }

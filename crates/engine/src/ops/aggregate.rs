@@ -3,13 +3,14 @@
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
 use crate::op::{OpCtx, Operator, Punct, TupleBatch};
 use crate::ops::{opt_str, req_f64, req_str};
-use crate::tuple::Tuple;
+use crate::tuple::{Schema, Tuple};
 use crate::window::SlidingTimeWindow;
 use crate::EngineError;
 use sps_model::value::ParamMap;
 use sps_model::Value;
 use sps_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Maintains a sliding time window per group and periodically emits
 /// `{group, count, min, max, avg, stddev, upper, lower, full, ts}` — the
@@ -28,6 +29,8 @@ pub struct Aggregate {
     window: SimDuration,
     period: SimDuration,
     bollinger_k: f64,
+    /// The output shape, shared by every emitted row.
+    schema: Arc<Schema>,
     groups: BTreeMap<String, SlidingTimeWindow<f64>>,
     last_emit: Option<SimTime>,
     got_final: bool,
@@ -52,6 +55,9 @@ impl Aggregate {
                 .get("bollinger_k")
                 .and_then(Value::as_f64)
                 .unwrap_or(2.0),
+            schema: Schema::new(&[
+                "group", "count", "min", "max", "avg", "stddev", "upper", "lower", "full", "ts",
+            ]),
             groups: BTreeMap::new(),
             last_emit: None,
             got_final: false,
@@ -65,17 +71,21 @@ impl Aggregate {
             let Some(a) = window.aggregates() else {
                 continue;
             };
-            let t = Tuple::new()
-                .with("group", group.as_str())
-                .with("count", a.count as i64)
-                .with("min", a.min)
-                .with("max", a.max)
-                .with("avg", a.avg)
-                .with("stddev", a.stddev)
-                .with("upper", a.avg + self.bollinger_k * a.stddev)
-                .with("lower", a.avg - self.bollinger_k * a.stddev)
-                .with("full", window.is_full(now))
-                .with("ts", Value::Timestamp(now.as_millis()));
+            let t = Tuple::from_schema(
+                &self.schema,
+                vec![
+                    Value::Str(group.clone()),
+                    Value::Int(a.count as i64),
+                    Value::Float(a.min),
+                    Value::Float(a.max),
+                    Value::Float(a.avg),
+                    Value::Float(a.stddev),
+                    Value::Float(a.avg + self.bollinger_k * a.stddev),
+                    Value::Float(a.avg - self.bollinger_k * a.stddev),
+                    Value::Bool(window.is_full(now)),
+                    Value::Timestamp(now.as_millis()),
+                ],
+            );
             ctx.submit(0, t);
         }
     }

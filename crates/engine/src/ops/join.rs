@@ -66,11 +66,10 @@ impl Join {
         } else {
             (stored, probe)
         };
-        let mut out = Tuple::new();
-        for (name, value) in left.attrs() {
-            out.set(name, value.clone());
-        }
-        for (name, value) in right.attrs() {
+        // Start from the left row, so the output's schema hangs off the
+        // left stream's and is found again for every later match.
+        let mut out = left.clone();
+        for (name, value) in right.iter() {
             if **name == *self.key {
                 continue; // equal by definition
             }

@@ -3,10 +3,11 @@
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
 use crate::op::{OpCtx, Operator, Punct};
 use crate::ops::{opt_f64, opt_i64, opt_str};
-use crate::tuple::Tuple;
+use crate::tuple::{Schema, Tuple};
 use crate::EngineError;
 use sps_model::value::ParamMap;
 use sps_model::Value;
+use std::sync::Arc;
 
 /// Produces `rate` tuples per second of the form
 /// `{seq: int, ts: timestamp [, payload: str]}`, emitting a final
@@ -20,6 +21,8 @@ pub struct Beacon {
     rate: f64,
     limit: Option<i64>,
     payload: Option<String>,
+    /// The output shape, `payload` included when configured.
+    schema: Arc<Schema>,
     seq: i64,
     /// Fractional tuple accumulator (rate × quantum may be < 1).
     credit: f64,
@@ -35,10 +38,15 @@ impl Beacon {
                 message: "rate must be non-negative".into(),
             });
         }
+        let payload = opt_str(params, "payload").map(str::to_string);
         Ok(Beacon {
             rate,
             limit: opt_i64(params, op, "limit")?,
-            payload: opt_str(params, "payload").map(str::to_string),
+            schema: match payload {
+                Some(_) => Schema::new(&["seq", "ts", "payload"]),
+                None => Schema::new(&["seq", "ts"]),
+            },
+            payload,
             seq: 0,
             credit: 0.0,
             done: false,
@@ -65,13 +73,13 @@ impl Operator for Beacon {
                 }
             }
             self.credit -= 1.0;
-            let mut t = Tuple::new()
-                .with("seq", self.seq)
-                .with("ts", Value::Timestamp(ctx.now().as_millis()));
+            let mut values = Vec::with_capacity(self.schema.len());
+            values.push(Value::Int(self.seq));
+            values.push(Value::Timestamp(ctx.now().as_millis()));
             if let Some(p) = &self.payload {
-                t.set("payload", p.as_str());
+                values.push(Value::Str(p.clone()));
             }
-            ctx.submit(0, t);
+            ctx.submit(0, Tuple::from_schema(&self.schema, values));
             self.seq += 1;
         }
         if let Some(limit) = self.limit {

@@ -15,7 +15,7 @@
 //!   produces the orchestrator's PE-failure event (§4.2).
 
 use crate::ckpt::{OpCheckpoint, PeCheckpoint, CKPT_FORMAT_VERSION};
-use crate::codec::{self, TupleCodec};
+use crate::codec::{self, PortDecoder, TupleCodec};
 use crate::error::EngineError;
 use crate::metrics::{builtin, MetricId, MetricKey, MetricStore};
 use crate::op::{OpCtx, Operator, Punct, StreamItem, TupleBatch};
@@ -122,6 +122,9 @@ struct OpSlot {
     /// Input queues, one per port (at least one, so Import pseudo-sources
     /// can receive broker injections).
     queues: Vec<VecDeque<StreamItem>>,
+    /// Per-input-port wire decoders: each remembers its stream's schema
+    /// from one delivery to the next.
+    decoders: Vec<PortDecoder>,
     /// Per-input-port final-punctuation tracking, maintained by the
     /// container so the default [`Operator::on_punct`] can coalesce finals
     /// of multi-input operators correctly.
@@ -200,6 +203,7 @@ impl PeRuntime {
                 outputs: op.outputs,
                 cost,
                 queues: (0..inputs).map(|_| VecDeque::new()).collect(),
+                decoders: (0..inputs).map(|_| PortDecoder::new()).collect(),
                 finals_seen: vec![false; inputs],
                 local_routes: vec![Vec::new(); op.outputs],
                 remote_routes: vec![Vec::new(); op.outputs],
@@ -311,7 +315,16 @@ impl PeRuntime {
     /// a whole batch frame (the tuples land on the port queue in batch
     /// order, exactly as per-item deliveries would).
     pub fn receive(&mut self, delivery: &RemoteDelivery) -> Result<(), EngineError> {
-        match codec::decode_frame(delivery.payload.clone())? {
+        let decoded = match self.op_index.get(&*delivery.dest.op) {
+            Some(&slot) => {
+                let decoders = &mut self.slots[slot].decoders;
+                let port = delivery.dest.port.min(decoders.len() - 1);
+                decoders[port].decode_frame(&delivery.payload)?
+            }
+            // Misaddressed: reported below, after any decode error.
+            None => codec::decode_frame(delivery.payload.clone())?,
+        };
+        match decoded {
             codec::Decoded::Item(item) => {
                 if let StreamItem::Tuple(t) = &item {
                     self.metrics
@@ -957,6 +970,117 @@ mod tests {
             10_000,
         );
         assert_eq!(pe1.tap("snk").unwrap().len(), 3);
+
+        // The input port keeps its stream's schema from one delivery to the
+        // next: a later quantum's tuples share the first quantum's names.
+        let out0 = pe0.step(
+            SimTime::from_millis(100),
+            SimDuration::from_millis(100),
+            10_000,
+        );
+        assert!(!out0.remote.is_empty());
+        for d in &out0.remote {
+            pe1.receive(d).unwrap();
+        }
+        pe1.step(
+            SimTime::from_millis(200),
+            SimDuration::from_millis(100),
+            10_000,
+        );
+        let tap = pe1.tap("snk").unwrap();
+        assert!(tap.len() > 3);
+        assert!(tap.iter().all(|t| Arc::ptr_eq(t.schema(), tap[0].schema())));
+
+        // A corrupt payload is a codec error, a misaddressed one an
+        // addressing error — and a corrupt misaddressed one is corrupt.
+        let mut lost = out0.remote[0].clone();
+        lost.dest.op = "nowhere".into();
+        assert!(matches!(
+            pe1.receive(&lost),
+            Err(EngineError::BadParam { .. })
+        ));
+        lost.payload = lost.payload.slice(0..lost.payload.len() - 1);
+        assert!(matches!(pe1.receive(&lost), Err(EngineError::Codec(_))));
+        let mut cut = out0.remote[0].clone();
+        cut.payload = cut.payload.slice(0..cut.payload.len() - 1);
+        assert!(matches!(pe1.receive(&cut), Err(EngineError::Codec(_))));
+    }
+
+    /// Counts its tuples under a custom metric, through a handle it
+    /// resolves on the first one.
+    struct HandleCounter {
+        seen: Option<MetricId>,
+    }
+
+    impl Operator for HandleCounter {
+        fn on_tuple(&mut self, _port: usize, _tuple: Tuple, ctx: &mut OpCtx) {
+            let id = *self.seen.get_or_insert_with(|| ctx.metric_id("nSeen"));
+            ctx.metric_add_by(id, 1);
+        }
+    }
+
+    #[test]
+    fn metric_handles_stay_valid_across_restore() {
+        let operators = vec![op("cnt", "HandleCounter", 0, 1, 0, ParamMap::new())];
+        let adl = Adl {
+            app_name: "Count".into(),
+            pes: vec![AdlPe {
+                index: 0,
+                operators: vec!["cnt".into()],
+                host_pool: None,
+                host_exlocate: None,
+            }],
+            streams: vec![],
+            operators,
+            imports: vec![],
+            exports: vec![],
+            host_pools: vec![],
+        };
+        let mut registry = registry();
+        registry.register("HandleCounter", |_| {
+            Ok(Box::new(HandleCounter { seen: None }))
+        });
+        let mut pe = PeRuntime::build(&adl, 0, &registry, SimRng::new(1)).unwrap();
+        let q = SimDuration::from_millis(100);
+        let feed = |pe: &mut PeRuntime| {
+            pe.inject("cnt", 0, StreamItem::Tuple(Tuple::new()))
+                .unwrap();
+            pe.step(SimTime::ZERO, q, 100);
+        };
+        let seen = |pe: &PeRuntime| pe.metrics().op_get("cnt", "nSeen");
+        let listed = |pe: &PeRuntime| {
+            pe.metrics()
+                .snapshot()
+                .iter()
+                .any(|(k, _)| k.metric_name() == "nSeen")
+        };
+
+        // Before the first tuple the metric does not exist.
+        let before_first = pe.checkpoint(SimTime::ZERO);
+        assert_eq!(seen(&pe), None);
+        feed(&mut pe);
+        assert_eq!(seen(&pe), Some(1));
+        let at_one = pe.checkpoint(SimTime::ZERO);
+        feed(&mut pe);
+        assert_eq!(seen(&pe), Some(2));
+
+        // Restoring rolls the value back; the operator's handle, resolved
+        // before the restore, still names the same metric.
+        pe.restore(&at_one).unwrap();
+        assert_eq!(seen(&pe), Some(1));
+        feed(&mut pe);
+        assert_eq!(seen(&pe), Some(2));
+
+        // Rolled back to before its first update, the metric is absent
+        // again — to `get`, `iter` and `snapshot` — until the held handle
+        // updates it.
+        pe.restore(&before_first).unwrap();
+        assert_eq!(seen(&pe), None);
+        assert!(!listed(&pe));
+        assert!(pe.metrics().iter().all(|(k, _)| k.metric_name() != "nSeen"));
+        feed(&mut pe);
+        assert_eq!(seen(&pe), Some(1));
+        assert!(listed(&pe));
     }
 
     #[test]

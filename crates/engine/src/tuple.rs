@@ -1,40 +1,180 @@
-//! Stream tuples: ordered named attribute lists.
+//! Stream tuples: a row of values under a shared schema.
+//!
+//! SPL streams declare their attribute names once per stream, and so does
+//! this representation: a [`Tuple`] is `Arc<Row { schema, values }>`, where
+//! the [`Schema`] — an ordered list of unique [`Name`]s — is shared by every
+//! tuple of that shape. Whoever produces a shape owns its schema: a source
+//! resolves one at construction and builds rows with
+//! [`Tuple::from_schema`]; the decoder keeps one per input port. A tuple
+//! costs its row and its values, never its names.
 //!
 //! Attribute counts are small (a handful per stream), so lookup is a linear
-//! scan over an inline vector — faster in practice than hashing for these
+//! scan over the schema's names — faster in practice than hashing for these
 //! sizes and trivially deterministic.
 //!
-//! The attribute list is shared copy-on-write: `clone` is a refcount bump,
-//! and `set`/`remove` copy the list only when another clone still holds it
-//! (`Arc::make_mut`). A tuple fanned out to several consumers — local
-//! routes, importing jobs, upstream-backup buffers, sink retention, window
-//! stores — is therefore one allocation until somebody mutates their copy.
+//! The row is shared copy-on-write: `clone` is a refcount bump, and
+//! `set`/`remove` copy the row only when another clone still holds it
+//! (`Arc::make_mut`). Setting a name the schema does not have moves the row
+//! to a *child* schema, found through a memoised parent→child link on the
+//! schema instance, so an operator adding one attribute to every tuple of a
+//! stream pays a lookup per tuple, not a new name list.
+//!
+//! Nothing here is process-global. Memo links hang off schema instances, and
+//! an instance lives exactly as long as something holds it: an operator, a
+//! port decoder, a tuple, or the parent that memoised it. `Tuple::new()`
+//! chains start from a per-thread empty schema, so simulated worlds on
+//! different worker threads never share a lock or a refcount cache line.
 
 use sps_model::Value;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// An attribute name. Shared, so copying a tuple's schema (into a clone
-/// that is being mutated, or across the tuples of one decoded batch) never
+/// An attribute name. Shared, so deriving one schema from another never
 /// re-allocates the name strings.
 pub type Name = Arc<str>;
 
+/// Most one-name extensions a schema memoises. Names come from operator
+/// parameters, so real fan-out is one or two; the bound keeps an operator
+/// that derives attribute names from data from growing a memo without
+/// limit — past it, extensions are built fresh each time.
+const MAX_MEMOISED_EXTENSIONS: usize = 16;
+
+/// An ordered list of unique attribute names, shared by the tuples of one
+/// shape.
+pub struct Schema {
+    names: Box<[Name]>,
+    /// Schemas reached from this one by appending one name (the key is the
+    /// child's last name).
+    extensions: Mutex<Vec<Arc<Schema>>>,
+}
+
+impl Schema {
+    /// A schema with the given names, in order. Panics if a name repeats —
+    /// the names are the program's own, so a duplicate is a bug.
+    pub fn new(names: &[&str]) -> Arc<Schema> {
+        for (i, name) in names.iter().enumerate() {
+            assert!(
+                !names[..i].contains(name),
+                "schema repeats attribute name '{name}'"
+            );
+        }
+        Schema::from_unique_names(names.iter().map(|&n| Name::from(n)).collect())
+    }
+
+    /// Wraps a name list the caller guarantees to be duplicate-free (the
+    /// decoder checks while it builds the list). The schema stands alone:
+    /// no memo leads to it.
+    pub(crate) fn from_unique_names(names: Vec<Name>) -> Arc<Schema> {
+        Arc::new(Schema {
+            names: names.into(),
+            extensions: Mutex::new(Vec::new()),
+        })
+    }
+
+    pub fn names(&self) -> &[Name] {
+        &self.names
+    }
+
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// Position of `name`, if the schema has it.
+    #[inline]
+    fn position(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| &**n == name)
+    }
+
+    /// This schema plus `name` (which it must not already have) at the end.
+    /// The link is memoised on `self`, so asking again returns the same
+    /// instance for as long as `self` lives.
+    fn extended(&self, name: &str) -> Arc<Schema> {
+        debug_assert!(self.position(name).is_none(), "extending by a held name");
+        // The only update under the lock is a `push`, which leaves the list
+        // valid at every step, so a poisoned lock is still good to use.
+        let mut extensions = self
+            .extensions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(child) = extensions
+            .iter()
+            .find(|child| child.names.last().is_some_and(|last| &**last == name))
+        {
+            return Arc::clone(child);
+        }
+        let mut names = Vec::with_capacity(self.names.len() + 1);
+        names.extend_from_slice(&self.names);
+        names.push(Name::from(name));
+        let child = Schema::from_unique_names(names);
+        if extensions.len() < MAX_MEMOISED_EXTENSIONS {
+            extensions.push(Arc::clone(&child));
+        }
+        child
+    }
+
+    /// This schema minus the name at `idx`, as a stand-alone schema.
+    fn without(&self, idx: usize) -> Arc<Schema> {
+        let mut names = Vec::with_capacity(self.names.len() - 1);
+        names.extend_from_slice(&self.names[..idx]);
+        names.extend_from_slice(&self.names[idx + 1..]);
+        Schema::from_unique_names(names)
+    }
+}
+
+impl fmt::Debug for Schema {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.names.iter()).finish()
+    }
+}
+
+thread_local! {
+    /// Where this thread's `Tuple::new()` chains start.
+    static EMPTY_SCHEMA: Arc<Schema> = Schema::from_unique_names(Vec::new());
+}
+
+#[derive(Clone)]
+struct Row {
+    schema: Arc<Schema>,
+    /// One value per schema name, in schema order.
+    values: Vec<Value>,
+}
+
 /// A stream data item: ordered `(name, value)` attributes with unique names.
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Clone)]
 pub struct Tuple {
-    attrs: Arc<Vec<(Name, Value)>>,
+    row: Arc<Row>,
+}
+
+impl Default for Tuple {
+    fn default() -> Self {
+        Tuple::new()
+    }
 }
 
 impl Tuple {
     pub fn new() -> Self {
-        Tuple::default()
+        Tuple::from_schema(&EMPTY_SCHEMA.with(Arc::clone), Vec::new())
     }
 
-    /// Wraps an attribute list whose names the caller guarantees to be
-    /// unique (the decoder checks while it builds the list).
-    pub(crate) fn from_unique_attrs(attrs: Vec<(Name, Value)>) -> Self {
+    /// A row of `schema`: one value per name, in the schema's order. Panics
+    /// on a count mismatch (a bug in the producing operator).
+    pub fn from_schema(schema: &Arc<Schema>, values: Vec<Value>) -> Self {
+        assert_eq!(
+            schema.len(),
+            values.len(),
+            "row has {} values for a schema of {} names",
+            values.len(),
+            schema.len()
+        );
         Tuple {
-            attrs: Arc::new(attrs),
+            row: Arc::new(Row {
+                schema: Arc::clone(schema),
+                values,
+            }),
         }
     }
 
@@ -47,19 +187,21 @@ impl Tuple {
 
     pub fn set(&mut self, name: &str, value: impl Into<Value>) {
         let value = value.into();
-        let attrs = Arc::make_mut(&mut self.attrs);
-        if let Some(slot) = attrs.iter_mut().find(|(n, _)| &**n == name) {
-            slot.1 = value;
-        } else {
-            attrs.push((Name::from(name), value));
+        let row = Arc::make_mut(&mut self.row);
+        match row.schema.position(name) {
+            Some(idx) => row.values[idx] = value,
+            None => {
+                row.schema = row.schema.extended(name);
+                row.values.push(value);
+            }
         }
     }
 
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.attrs
-            .iter()
-            .find(|(n, _)| &**n == name)
-            .map(|(_, v)| v)
+        self.row
+            .schema
+            .position(name)
+            .map(|idx| &self.row.values[idx])
     }
 
     pub fn get_int(&self, name: &str) -> Option<i64> {
@@ -79,27 +221,34 @@ impl Tuple {
     }
 
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        let idx = self.attrs.iter().position(|(n, _)| &**n == name)?;
-        Some(Arc::make_mut(&mut self.attrs).remove(idx).1)
+        let idx = self.row.schema.position(name)?;
+        let row = Arc::make_mut(&mut self.row);
+        row.schema = row.schema.without(idx);
+        Some(row.values.remove(idx))
     }
 
     pub fn len(&self) -> usize {
-        self.attrs.len()
+        self.row.values.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
+        self.row.values.is_empty()
     }
 
-    pub fn attrs(&self) -> &[(Name, Value)] {
-        &self.attrs
+    /// The shape this tuple shares with the others of its stream.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.row.schema
+    }
+
+    /// The attributes in order, as `(name, value)` pairs.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Name, &Value)> {
+        self.row.schema.names.iter().zip(&self.row.values)
     }
 
     /// Approximate wire size in bytes — drives the `nTupleBytesProcessed`
     /// built-in PE metric.
     pub fn approx_bytes(&self) -> usize {
-        self.attrs
-            .iter()
+        self.iter()
             .map(|(n, v)| {
                 n.len()
                     + 3
@@ -115,10 +264,37 @@ impl Tuple {
     }
 }
 
+/// Equality is by content: the same names in the same order with equal
+/// values, however each side came by its schema.
+impl PartialEq for Tuple {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.row, &*other.row);
+        (Arc::ptr_eq(&a.schema, &b.schema) || a.schema.names == b.schema.names)
+            && a.values == b.values
+    }
+}
+
+/// Renders as the attribute list the tuple stands for —
+/// `Tuple { attrs: [("seq", Int(0)), ..] }` — whatever the representation
+/// underneath: the harness folds this text into every scenario digest.
+impl fmt::Debug for Tuple {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Attrs<'a>(&'a Tuple);
+        impl fmt::Debug for Attrs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("Tuple")
+            .field("attrs", &Attrs(self))
+            .finish()
+    }
+}
+
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (n, v)) in self.attrs.iter().enumerate() {
+        for (i, (n, v)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -168,6 +344,7 @@ mod tests {
         assert_eq!(t.remove("a"), Some(Value::Int(1)));
         assert_eq!(t.remove("a"), None);
         assert_eq!(t.len(), 1);
+        assert_eq!(t, Tuple::new().with("b", 2i64));
     }
 
     #[test]
@@ -196,5 +373,117 @@ mod tests {
         .collect();
         assert_eq!(t.get_bool("b"), Some(true));
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn from_schema_rows_equal_built_ones() {
+        let schema = Schema::new(&["seq", "ts"]);
+        let row = Tuple::from_schema(&schema, vec![Value::Int(3), Value::Timestamp(9)]);
+        let built = Tuple::new()
+            .with("seq", 3i64)
+            .with("ts", Value::Timestamp(9));
+        assert_eq!(row, built);
+        assert!(!Arc::ptr_eq(row.schema(), built.schema()));
+        assert_eq!(row.approx_bytes(), built.approx_bytes());
+        let names: Vec<&str> = row.iter().map(|(n, _)| &**n).collect();
+        assert_eq!(names, ["seq", "ts"]);
+        // Same names in another order are another tuple.
+        let swapped = Tuple::new()
+            .with("ts", Value::Timestamp(9))
+            .with("seq", 3i64);
+        assert_ne!(row, swapped);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats attribute name")]
+    fn schema_rejects_a_repeated_name() {
+        Schema::new(&["a", "b", "a"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "values for a schema")]
+    fn from_schema_rejects_a_short_row() {
+        Tuple::from_schema(&Schema::new(&["a", "b"]), vec![Value::Int(1)]);
+    }
+
+    #[test]
+    fn setting_a_new_name_follows_the_memoised_link() {
+        let schema = Schema::new(&["seq"]);
+        let mut a = Tuple::from_schema(&schema, vec![Value::Int(1)]);
+        let mut b = Tuple::from_schema(&schema, vec![Value::Int(2)]);
+        a.set("v", 10i64);
+        b.set("v", 20i64);
+        // Both rows moved to the one child schema; the parent is untouched.
+        assert!(Arc::ptr_eq(a.schema(), b.schema()));
+        assert!(Arc::ptr_eq(a.schema(), &schema.extended("v")));
+        assert_eq!(schema.len(), 1);
+        // Overwriting keeps the schema.
+        let before = Arc::clone(a.schema());
+        a.set("v", 11i64);
+        assert!(Arc::ptr_eq(a.schema(), &before));
+        // A different name is a different child.
+        let mut c = Tuple::from_schema(&schema, vec![Value::Int(3)]);
+        c.set("w", 1i64);
+        assert!(!Arc::ptr_eq(c.schema(), a.schema()));
+    }
+
+    #[test]
+    fn extension_memo_is_bounded() {
+        let schema = Schema::new(&["k"]);
+        let first = schema.extended("n0");
+        for i in 0..4 * MAX_MEMOISED_EXTENSIONS {
+            let child = schema.extended(&format!("n{i}"));
+            assert_eq!(&**child.names().last().unwrap(), format!("n{i}"));
+        }
+        assert!(schema.extensions.lock().unwrap().len() <= MAX_MEMOISED_EXTENSIONS);
+        // Memoised links stay; names past the bound get fresh schemas.
+        assert!(Arc::ptr_eq(&first, &schema.extended("n0")));
+        let late = format!("n{}", 4 * MAX_MEMOISED_EXTENSIONS - 1);
+        assert!(!Arc::ptr_eq(
+            &schema.extended(&late),
+            &schema.extended(&late)
+        ));
+    }
+
+    #[test]
+    fn a_schema_dies_with_its_last_holder() {
+        let schema = Schema::new(&["a"]);
+        let child = Arc::downgrade(&schema.extended("b"));
+        // Held by the parent's memo, by nothing else.
+        assert!(child.upgrade().is_some());
+        drop(schema);
+        assert!(child.upgrade().is_none());
+    }
+
+    /// `render_artifacts_to` folds `{:?}` of every retained tuple into the
+    /// scenario digests, so the rendering is pinned to what the derived
+    /// `Debug` of the old `Tuple { attrs: Arc<Vec<(Name, Value)>> }` printed.
+    #[test]
+    fn debug_rendering_is_pinned() {
+        let empty = Tuple::new();
+        let one = Tuple::new().with("seq", 7i64);
+        let six = Tuple::new()
+            .with("i", -7i64)
+            .with("f", 2.75)
+            .with("s", "hi")
+            .with("b", true)
+            .with("ts", Value::Timestamp(123))
+            .with(
+                "l",
+                Value::List(vec![Value::Int(1), Value::Str("x".into())]),
+            );
+        let pinned = [
+            (&empty, "Tuple { attrs: [] }", "Tuple {\n    attrs: [],\n}"),
+            (&one, "Tuple { attrs: [(\"seq\", Int(7))] }", "Tuple {\n    attrs: [\n        (\n            \"seq\",\n            Int(\n                7,\n            ),\n        ),\n    ],\n}"),
+            (&six, "Tuple { attrs: [(\"i\", Int(-7)), (\"f\", Float(2.75)), (\"s\", Str(\"hi\")), (\"b\", Bool(true)), (\"ts\", Timestamp(123)), (\"l\", List([Int(1), Str(\"x\")]))] }", "Tuple {\n    attrs: [\n        (\n            \"i\",\n            Int(\n                -7,\n            ),\n        ),\n        (\n            \"f\",\n            Float(\n                2.75,\n            ),\n        ),\n        (\n            \"s\",\n            Str(\n                \"hi\",\n            ),\n        ),\n        (\n            \"b\",\n            Bool(\n                true,\n            ),\n        ),\n        (\n            \"ts\",\n            Timestamp(\n                123,\n            ),\n        ),\n        (\n            \"l\",\n            List(\n                [\n                    Int(\n                        1,\n                    ),\n                    Str(\n                        \"x\",\n                    ),\n                ],\n            ),\n        ),\n    ],\n}"),
+        ];
+        for (t, compact, pretty) in pinned {
+            assert_eq!(format!("{t:?}"), compact);
+            assert_eq!(format!("{t:#?}"), pretty);
+        }
+        // The schema a row came by does not show.
+        let row = Tuple::from_schema(&Schema::new(&["seq"]), vec![Value::Int(7)]);
+        assert_eq!(format!("{row:?}"), format!("{one:?}"));
+        assert_eq!(format!("{row:#?}"), format!("{one:#?}"));
     }
 }

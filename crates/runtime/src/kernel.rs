@@ -1396,8 +1396,8 @@ impl Kernel {
                 // The run straddles the high-water mark: its first `dup`
                 // tuples already went through pre-crash. Deliver only the
                 // tail, so the receiver sees each tuple exactly once.
-                match sps_engine::codec::split_batch_payload(delivery.payload.clone(), dup as usize)
-                {
+                let whole = std::mem::take(&mut delivery.payload);
+                match sps_engine::codec::split_batch_payload(whole, dup as usize) {
                     Ok(payload) => {
                         delivery.payload = payload;
                         delivery.items -= dup as u32;
