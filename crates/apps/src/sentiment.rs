@@ -24,13 +24,14 @@ use orca::{
 };
 use parking_lot::Mutex;
 use sps_engine::{
-    EngineError, OpCtx, Operator, OperatorRegistry, Schema, StateBlob, StateReader, StateWriter,
-    Tuple,
+    EngineError, MetricId, OpCtx, Operator, OperatorRegistry, Schema, StateBlob, StateReader,
+    StateWriter, Tuple,
 };
 use sps_model::compiler::{compile, CompileOptions};
 use sps_model::logical::{AppModelBuilder, CompositeGraphBuilder, OperatorInvocation};
 use sps_model::{Adl, Value};
 use sps_sim::{SimDuration, SimRng, SimTime};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -257,6 +258,9 @@ pub struct CauseCorrelator {
     /// (timestamp, known?) ring for windowed metric accounting.
     window: VecDeque<(SimTime, bool)>,
     window_span: SimDuration,
+    /// Handles of `nKnownCauses`, `nUnknownCauses` and `modelVersion`,
+    /// resolved at the first refresh.
+    gauges: OnceCell<[MetricId; 3]>,
 }
 
 impl CauseCorrelator {
@@ -268,6 +272,7 @@ impl CauseCorrelator {
             loaded,
             window: VecDeque::new(),
             window_span: SimDuration::from_millis((window_secs * 1000.0) as u64),
+            gauges: OnceCell::new(),
         }
     }
 
@@ -281,9 +286,12 @@ impl CauseCorrelator {
         }
         let known = self.window.iter().filter(|(_, k)| *k).count() as i64;
         let unknown = self.window.len() as i64 - known;
-        ctx.metric_set("nKnownCauses", known);
-        ctx.metric_set("nUnknownCauses", unknown);
-        ctx.metric_set("modelVersion", self.loaded.version as i64);
+        let [n_known, n_unknown, version] = *self.gauges.get_or_init(|| {
+            ["nKnownCauses", "nUnknownCauses", "modelVersion"].map(|m| ctx.metric_id(m))
+        });
+        ctx.metric_set_by(n_known, known);
+        ctx.metric_set_by(n_unknown, unknown);
+        ctx.metric_set_by(version, self.loaded.version as i64);
     }
 }
 
@@ -354,6 +362,8 @@ pub struct EmbeddedDetector {
     span: SimDuration,
     last_trigger: Option<SimTime>,
     holdoff: SimDuration,
+    /// Handle of `nTriggers`, resolved at the first trigger.
+    triggers: OnceCell<MetricId>,
 }
 
 impl Operator for EmbeddedDetector {
@@ -377,7 +387,8 @@ impl Operator for EmbeddedDetector {
             .is_some_and(|t| now.since(t) < self.holdoff);
         if unknown_n > known_n && !held_off && self.window.len() >= 20 {
             self.last_trigger = Some(now);
-            ctx.metric_add("nTriggers", 1);
+            let id = *self.triggers.get_or_init(|| ctx.metric_id("nTriggers"));
+            ctx.metric_add_by(id, 1);
             ctx.submit(0, Tuple::new().with("trigger", true));
         }
     }
@@ -415,13 +426,16 @@ pub struct EmbeddedActuator {
     archive: TweetArchiveHandle,
     latency: SimDuration,
     pending_done_at: Option<SimTime>,
+    /// Handle of `nJobsLaunched`, resolved at the first launch.
+    launched: OnceCell<MetricId>,
 }
 
 impl Operator for EmbeddedActuator {
     fn on_tuple(&mut self, _port: usize, _t: Tuple, ctx: &mut OpCtx) {
         if self.pending_done_at.is_none() {
             self.pending_done_at = Some(ctx.now() + self.latency);
-            ctx.metric_add("nJobsLaunched", 1);
+            let id = *self.launched.get_or_init(|| ctx.metric_id("nJobsLaunched"));
+            ctx.metric_add_by(id, 1);
         }
     }
 
@@ -481,6 +495,7 @@ pub fn register_ops(r: &mut OperatorRegistry, stores: &SharedStores) {
             span: SimDuration::from_millis((span * 1000.0) as u64),
             last_trigger: None,
             holdoff: SimDuration::from_millis((holdoff * 1000.0) as u64),
+            triggers: OnceCell::new(),
         }))
     });
     let model = stores.cause_model.clone();
@@ -496,6 +511,7 @@ pub fn register_ops(r: &mut OperatorRegistry, stores: &SharedStores) {
             archive: archive.clone(),
             latency: SimDuration::from_millis((latency * 1000.0) as u64),
             pending_done_at: None,
+            launched: OnceCell::new(),
         }))
     });
 }
@@ -783,6 +799,77 @@ mod tests {
             .unwrap()
             .logic::<SentimentOrca>()
             .unwrap()
+    }
+
+    /// The correlator's three gauges go through handles it resolves at its
+    /// first refresh: absent before that, and the same handles keep
+    /// updating the same metrics after the PE is restored.
+    #[test]
+    fn correlator_gauges_are_lazy_and_survive_restore() {
+        use sps_engine::{PeRuntime, StreamItem};
+        use sps_model::adl::{AdlOperator, AdlPe};
+
+        let adl = Adl {
+            app_name: "Cor".into(),
+            pes: vec![AdlPe {
+                index: 0,
+                operators: vec!["cor".into()],
+                host_pool: None,
+                host_exlocate: None,
+            }],
+            operators: vec![AdlOperator {
+                name: "cor".into(),
+                kind: "CauseCorrelator".into(),
+                pe: 0,
+                composite_path: vec![],
+                params: Default::default(),
+                inputs: 1,
+                outputs: 1,
+                custom_metrics: vec![],
+                restartable: true,
+                checkpointable: true,
+            }],
+            streams: vec![],
+            imports: vec![],
+            exports: vec![],
+            host_pools: vec![],
+        };
+        let stores = SharedStores::new();
+        let mut pe = PeRuntime::build(&adl, 0, &crate::registry(&stores), SimRng::new(1)).unwrap();
+        let q = SimDuration::from_millis(100);
+        let feed = |pe: &mut PeRuntime, tweets: usize| {
+            for _ in 0..tweets {
+                let tweet = Tuple::new().with("cause", "flash");
+                pe.inject("cor", 0, StreamItem::Tuple(tweet)).unwrap();
+            }
+            pe.step(SimTime::from_millis(100), q, 100);
+        };
+        let gauge = |pe: &PeRuntime, m: &str| pe.metrics().op_get("cor", m);
+        let in_window =
+            |pe: &PeRuntime| Some(gauge(pe, "nKnownCauses")? + gauge(pe, "nUnknownCauses")?);
+        let gauges = ["nKnownCauses", "nUnknownCauses", "modelVersion"];
+
+        // Nothing refreshed yet: none of the three exists.
+        let before_first = pe.checkpoint(SimTime::ZERO);
+        assert!(gauges.iter().all(|m| gauge(&pe, m).is_none()));
+        feed(&mut pe, 1);
+        assert!(gauges.iter().all(|m| gauge(&pe, m).is_some()));
+        assert_eq!(in_window(&pe), Some(1));
+        let at_one = pe.checkpoint(SimTime::ZERO);
+        feed(&mut pe, 2);
+        assert_eq!(in_window(&pe), Some(3));
+
+        // Rolled back, the handles resolved before the restore set the
+        // same three metrics.
+        pe.restore(&at_one).unwrap();
+        assert_eq!(in_window(&pe), Some(1));
+        feed(&mut pe, 1);
+        assert_eq!(in_window(&pe), Some(2));
+
+        pe.restore(&before_first).unwrap();
+        assert!(gauges.iter().all(|m| gauge(&pe, m).is_none()));
+        feed(&mut pe, 0);
+        assert_eq!(in_window(&pe), Some(0));
     }
 
     #[test]

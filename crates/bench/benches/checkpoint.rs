@@ -53,11 +53,13 @@ fn sample_checkpoint(ops: usize, tuples_per_op: usize) -> PeCheckpoint {
         pe_index: 0,
         taken_at: SimTime::from_secs(60),
         ops: (0..ops)
-            .map(|o| OpCheckpoint {
-                name: format!("op{o}"),
-                kind: "Aggregate".to_string(),
-                finals_seen: vec![false],
-                blob: Some(encode_window(tuples_per_op)),
+            .map(|o| {
+                Arc::new(OpCheckpoint {
+                    name: format!("op{o}").into(),
+                    kind: "Aggregate".into(),
+                    finals_seen: vec![false],
+                    blob: Some(encode_window(tuples_per_op)),
+                })
             })
             .collect(),
         queues: (0..ops).map(|_| vec![bytes::Bytes::new()]).collect(),

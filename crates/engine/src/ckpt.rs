@@ -16,6 +16,14 @@
 //! checkpoint into a fresh container and re-checkpointing it must reproduce
 //! the identical digest.
 //!
+//! Canonical bytes are also the *dirty rule* of incremental snapshots: an
+//! operator changed since the previous snapshot iff its blob's bytes did.
+//! Nothing hashes a blob. A [`PeCheckpoint`] holds its operator entries
+//! behind `Arc`s, and [`crate::pe::PeRuntime::checkpoint`] hands the previous
+//! entry out again while an operator's bytes stay the same, so an unchanged
+//! operator costs one byte compare in the PE and a pointer compare in the
+//! store, and allocates nothing.
+//!
 //! [`Operator::checkpoint`]: crate::op::Operator::checkpoint
 
 use crate::error::EngineError;
@@ -24,6 +32,7 @@ use crate::tuple::Tuple;
 use crate::{codec, op::StreamItem};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sps_sim::{fnv1a, SimDuration, SimRng, SimTime, FNV_OFFSET};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Checkpoint wire-format version; bumped on incompatible layout changes.
@@ -34,36 +43,18 @@ use std::sync::Arc;
 /// restore revives in-flight tuples instead of dropping them.
 pub const CKPT_FORMAT_VERSION: u32 = 2;
 
-/// Opaque serialized operator state, tagged with a content digest computed
-/// once at [`StateWriter::finish`] time. The digest gives the checkpoint
-/// store an O(1) dirty check when building incremental (delta) snapshots:
-/// an operator whose blob digest is unchanged since the previous snapshot
-/// need not be re-stored.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Opaque serialized operator state. A blob is its bytes and nothing else:
+/// two blobs are equal iff their bytes are (length first, then a compare
+/// that leaves at the first differing byte), which is the whole dirty check
+/// of an incremental snapshot.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StateBlob {
     bytes: Bytes,
-    digest: u64,
-}
-
-impl Default for StateBlob {
-    fn default() -> Self {
-        StateBlob::from_bytes(Bytes::new())
-    }
 }
 
 impl StateBlob {
-    fn from_bytes(bytes: Bytes) -> Self {
-        let digest = fnv1a(FNV_OFFSET, &bytes);
-        StateBlob { bytes, digest }
-    }
-
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// FNV-1a over the serialized bytes, fixed at construction.
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 
     pub fn len(&self) -> usize {
@@ -75,14 +66,38 @@ impl StateBlob {
     }
 }
 
+thread_local! {
+    /// Capacity the next [`StateWriter`] on this thread starts with; see
+    /// [`with_capacity_hint`].
+    static CAPACITY_HINT: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Runs `f` — one [`Operator::checkpoint`] call — with the first
+/// [`StateWriter`] it creates sized for `prev_len` bytes plus an eighth, so a
+/// blob about as long as the operator's previous one is written without
+/// growing the buffer on the way. [`Operator::checkpoint`] takes no
+/// arguments, which is why the size travels beside the call instead of
+/// through it; it decides capacity only, never a byte of the blob.
+///
+/// [`Operator::checkpoint`]: crate::op::Operator::checkpoint
+pub(crate) fn with_capacity_hint<R>(prev_len: usize, f: impl FnOnce() -> R) -> R {
+    CAPACITY_HINT.set(prev_len + prev_len / 8);
+    let out = f();
+    CAPACITY_HINT.set(0);
+    out
+}
+
 /// Canonical little-endian writer for operator state.
-#[derive(Default)]
 pub struct StateWriter {
     buf: BytesMut,
-    /// Owned tuple codec: its internal scratch is reused across tuples, so a
-    /// snapshot of a window with thousands of tuples allocates the encode
-    /// buffer once instead of once per tuple.
-    codec: codec::TupleCodec,
+}
+
+impl Default for StateWriter {
+    fn default() -> Self {
+        StateWriter {
+            buf: BytesMut::with_capacity(CAPACITY_HINT.take()),
+        }
+    }
 }
 
 impl StateWriter {
@@ -91,7 +106,9 @@ impl StateWriter {
     }
 
     pub fn finish(self) -> StateBlob {
-        StateBlob::from_bytes(self.buf.freeze())
+        StateBlob {
+            bytes: self.buf.freeze(),
+        }
     }
 
     pub fn put_u8(&mut self, v: u8) {
@@ -153,12 +170,13 @@ impl StateWriter {
     /// Serializes a tuple with the inter-PE wire codec.
     pub fn put_tuple(&mut self, t: &Tuple) {
         // Reuse the full stream-item encoding (tag + tuple body) so blobs
-        // and transport share one definition of a tuple's bytes — borrowed,
-        // through the codec's own scratch: no tuple clone, no per-call
-        // buffer threading.
-        let frame = self.codec.tuple_frame(t);
-        self.buf.put_u32_le(frame.len() as u32);
-        self.buf.put_slice(frame);
+        // and transport share one definition of a tuple's bytes — written
+        // straight into the blob, the length prefix filled in afterwards.
+        let at = self.buf.len();
+        self.buf.put_u32_le(0);
+        codec::encode_tuple_item(t, &mut self.buf);
+        let frame_len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&frame_len.to_le_bytes());
     }
 }
 
@@ -166,12 +184,16 @@ impl StateWriter {
 /// truncated or malformed input (a bad blob must never panic the runtime).
 pub struct StateReader {
     buf: Bytes,
+    /// Schema carry across this blob's tuples: a restored window of N
+    /// same-shape tuples shares one schema, as a port's deliveries do.
+    tuples: codec::PortDecoder,
 }
 
 impl StateReader {
     pub fn new(blob: &StateBlob) -> Self {
         StateReader {
             buf: blob.bytes.clone(),
+            tuples: codec::PortDecoder::new(),
         }
     }
 
@@ -259,8 +281,9 @@ impl StateReader {
     pub fn get_tuple(&mut self) -> Result<Tuple, EngineError> {
         let len = self.get_u32()? as usize;
         self.need(len)?;
-        let bytes = self.buf.copy_to_bytes(len);
-        match codec::decode(bytes)? {
+        let item = self.tuples.decode_item(&self.buf[..len])?;
+        self.buf.advance(len);
+        match item {
             StreamItem::Tuple(t) => Ok(t),
             other => Err(EngineError::Checkpoint(format!(
                 "expected tuple in state blob, found {other:?}"
@@ -269,13 +292,15 @@ impl StateReader {
     }
 }
 
-/// Checkpoint of one operator slot inside a PE container.
+/// Checkpoint of one operator slot inside a PE container. Immutable once
+/// built: snapshots, the store's chains and the PE itself share one entry
+/// behind an `Arc` for as long as the operator does not change.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpCheckpoint {
     /// Operator instance name (ADL identity; restore matches on it).
-    pub name: String,
+    pub name: Arc<str>,
     /// Operator kind (a kind change means the blob is meaningless).
-    pub kind: String,
+    pub kind: Arc<str>,
     /// Container-side per-input-port final-punctuation tracking.
     pub finals_seen: Vec<bool>,
     /// Serialized operator state; `None` for stateless operators.
@@ -295,7 +320,9 @@ pub struct PeCheckpoint {
     pub pe_index: usize,
     /// Simulation time the snapshot was taken.
     pub taken_at: SimTime,
-    pub ops: Vec<OpCheckpoint>,
+    /// One entry per operator slot, in container order. An entry that is
+    /// the same `Arc` as in an earlier snapshot is an unchanged operator.
+    pub ops: Vec<Arc<OpCheckpoint>>,
     /// Input queues at snapshot time: `[op slot][input port]` → one blob per
     /// port in wire encoding at batch granularity (runs of consecutive
     /// tuples coalesced into batch frames, punctuation as bare item frames —
@@ -435,7 +462,9 @@ mod tests {
         w.put_str("abcdef");
         let blob = w.finish();
         // Cut the blob short: every accessor must error, never panic.
-        let cut = StateBlob::from_bytes(blob.bytes.slice(0..blob.len() - 2));
+        let cut = StateBlob {
+            bytes: blob.bytes.slice(0..blob.len() - 2),
+        };
         let mut r = StateReader::new(&cut);
         assert!(r.get_str().is_err());
         let mut r2 = StateReader::new(&StateBlob::default());
@@ -450,18 +479,18 @@ mod tests {
             pe_index: 2,
             taken_at: SimTime::from_secs(9),
             ops: vec![
-                OpCheckpoint {
+                Arc::new(OpCheckpoint {
                     name: "src".into(),
                     kind: "Beacon".into(),
                     finals_seen: vec![false],
                     blob: Some(w.finish()),
-                },
-                OpCheckpoint {
+                }),
+                Arc::new(OpCheckpoint {
                     name: "flt".into(),
                     kind: "Filter".into(),
                     finals_seen: vec![true],
                     blob: None,
-                },
+                }),
             ],
             queues: vec![vec![Bytes::new()], vec![Bytes::from_static(b"abcd")]],
             metrics: vec![(Arc::new(MetricKey::Operator("src".into(), "n".into())), 3)],
@@ -476,7 +505,7 @@ mod tests {
         assert_eq!(a.digest(), b.digest(), "taken_at must not affect digest");
 
         let mut c = a.clone();
-        c.ops[0].blob = None; // a lossy restore drops exactly this
+        Arc::make_mut(&mut c.ops[0]).blob = None; // a lossy restore drops exactly this
         assert_ne!(a.digest(), c.digest(), "dropped blob must change digest");
 
         let mut d = a.clone();
@@ -484,7 +513,7 @@ mod tests {
         assert_ne!(a.digest(), d.digest());
 
         let mut e = a.clone();
-        e.ops[1].finals_seen[0] = false;
+        Arc::make_mut(&mut e.ops[1]).finals_seen[0] = false;
         assert_ne!(a.digest(), e.digest());
 
         let mut f = a.clone();
@@ -500,18 +529,84 @@ mod tests {
         assert_eq!(c.state_bytes(), 12);
     }
 
+    fn blob_of(v: i64, tail: &[u8]) -> StateBlob {
+        let mut w = StateWriter::new();
+        w.put_i64(v);
+        for &b in tail {
+            w.put_u8(b);
+        }
+        w.finish()
+    }
+
     #[test]
-    fn blob_digest_tracks_content() {
+    fn blob_equality_is_content_equality() {
+        // Two writers, two allocations, the same bytes: clean.
+        assert_eq!(blob_of(5, b"tail"), blob_of(5, b"tail"));
+        // One byte changed at equal length — first, middle or last: dirty.
+        assert_ne!(blob_of(5, b"tail"), blob_of(6, b"tail"));
+        assert_ne!(blob_of(5, b"tail"), blob_of(5, b"tall"));
+        assert_ne!(blob_of(5, b"tail"), blob_of(5, b"taiL"));
+        // A prefix is not its extension.
+        assert_ne!(blob_of(5, b"tail"), blob_of(5, b"tails"));
+        assert_eq!(StateBlob::default(), StateWriter::new().finish());
+        // Absent state and empty state are different things.
+        assert_ne!(None, Some(StateBlob::default()));
+    }
+
+    #[test]
+    fn capacity_hint_sizes_one_writer_and_never_changes_bytes() {
+        let plain = blob_of(7, b"abc");
+        let hinted = with_capacity_hint(4096, || {
+            let first = StateWriter::new();
+            assert!(first.buf.capacity() >= 4096);
+            // Only the first writer of the call takes the hint.
+            assert!(StateWriter::new().buf.capacity() < 4096);
+            drop(first);
+            blob_of(7, b"abc")
+        });
+        assert_eq!(plain, hinted);
+        // Nothing lingers for a writer created outside the scope.
+        with_capacity_hint(4096, || ());
+        assert!(StateWriter::new().buf.capacity() < 4096);
+    }
+
+    #[test]
+    fn reader_shares_one_schema_across_a_blob() {
         let mut w = StateWriter::new();
-        w.put_i64(5);
-        let a = w.finish();
-        let mut w = StateWriter::new();
-        w.put_i64(5);
-        let b = w.finish();
-        assert_eq!(a.digest(), b.digest());
-        let mut w = StateWriter::new();
-        w.put_i64(6);
-        assert_ne!(a.digest(), w.finish().digest());
-        assert_eq!(StateBlob::default().digest(), FNV_OFFSET);
+        w.put_u32(3);
+        for i in 0..3i64 {
+            w.put_tuple(&Tuple::new().with("a", i).with("s", "x"));
+        }
+        // A shape change mid-blob, then the first shape again.
+        w.put_tuple(&Tuple::new().with("a", 9i64).with("z", 1.5));
+        w.put_tuple(&Tuple::new().with("a", 10i64).with("s", "y"));
+        let blob = w.finish();
+
+        let mut r = StateReader::new(&blob);
+        assert_eq!(r.get_u32().unwrap(), 3);
+        let same: Vec<Tuple> = (0..3).map(|_| r.get_tuple().unwrap()).collect();
+        assert!(Arc::ptr_eq(same[0].schema(), same[1].schema()));
+        assert!(Arc::ptr_eq(same[1].schema(), same[2].schema()));
+        let changed = r.get_tuple().unwrap();
+        let back = r.get_tuple().unwrap();
+        assert!(r.is_exhausted());
+        // What a tuple decodes to never depends on the carry.
+        assert_eq!(changed, Tuple::new().with("a", 9i64).with("z", 1.5));
+        assert_eq!(back, Tuple::new().with("a", 10i64).with("s", "y"));
+        for (i, t) in same.iter().enumerate() {
+            assert_eq!(*t, Tuple::new().with("a", i as i64).with("s", "x"));
+        }
+
+        // Every strict prefix of the blob fails somewhere, never panics.
+        for cut in 0..blob.len() {
+            let cut = StateBlob {
+                bytes: blob.bytes.slice(0..cut),
+            };
+            let mut r = StateReader::new(&cut);
+            let read = r
+                .get_u32()
+                .and_then(|_| (0..5).try_for_each(|_| r.get_tuple().map(drop)));
+            assert!(read.is_err());
+        }
     }
 }

@@ -142,16 +142,6 @@ impl TupleCodec {
         debug_assert_eq!(written, count, "encode_tuple_run count mismatch");
         Bytes::from(&self.scratch[..])
     }
-
-    /// Encodes a borrowed tuple's item frame and returns it as a borrowed
-    /// slice, valid until the next call. Callers that need to length-prefix
-    /// or embed the frame (checkpoint writers) copy from this slice instead
-    /// of managing their own scratch.
-    pub fn tuple_frame(&mut self, t: &Tuple) -> &[u8] {
-        self.scratch.clear();
-        encode_tuple_item(t, &mut self.scratch);
-        &self.scratch
-    }
 }
 
 fn encode_tuple(t: &Tuple, buf: &mut BytesMut) {
@@ -238,6 +228,11 @@ impl PortDecoder {
     /// Decodes a transport payload: a single item frame or a batch frame.
     pub fn decode_frame(&mut self, buf: &[u8]) -> Result<Decoded, EngineError> {
         decode_frame_carrying(buf, &mut self.carry)
+    }
+
+    /// Decodes a single item frame, exactly as [`decode`] does.
+    pub fn decode_item(&mut self, buf: &[u8]) -> Result<StreamItem, EngineError> {
+        decode_item(buf, &mut self.carry)
     }
 }
 
@@ -661,10 +656,6 @@ mod tests {
         let mut codec = TupleCodec::new();
         let item = StreamItem::Tuple(Tuple::new().with("x", 9i64).with("s", "str"));
         assert_eq!(codec.encode_item(&item), encode(&item));
-        let t = Tuple::new().with("y", 4i64);
-        let mut scratch = BytesMut::new();
-        encode_tuple_item(&t, &mut scratch);
-        assert_eq!(codec.tuple_frame(&t), &scratch[..]);
         let tuples = vec![Tuple::new().with("a", 1i64), Tuple::new().with("b", 2i64)];
         let mut buf = BytesMut::new();
         encode_batch_into(&tuples, &mut buf);

@@ -2,12 +2,14 @@
 //! PassThrough (Export), Import.
 
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
+use crate::metrics::MetricId;
 use crate::op::{OpCtx, Operator, TupleBatch};
 use crate::ops::{opt_i64, req_f64};
 use crate::tuple::Tuple;
 use crate::EngineError;
 use sps_model::value::ParamMap;
 use sps_sim::SimTime;
+use std::cell::OnceCell;
 
 /// Drops tuples above a maximum rate (simple load shedder). Dropped tuples
 /// increment the built-in `nTuplesDropped` metric.
@@ -17,6 +19,8 @@ pub struct Throttle {
     max_rate: f64,
     window_start: Option<SimTime>,
     forwarded_in_window: f64,
+    /// Handle of `nTuplesDropped`, resolved at the first drop.
+    dropped: OnceCell<MetricId>,
 }
 
 impl Throttle {
@@ -32,7 +36,15 @@ impl Throttle {
             max_rate,
             window_start: None,
             forwarded_in_window: 0.0,
+            dropped: OnceCell::new(),
         })
+    }
+
+    fn count_dropped(&self, n: i64, ctx: &mut OpCtx) {
+        let id = *self
+            .dropped
+            .get_or_init(|| ctx.metric_id(crate::metrics::builtin::N_TUPLES_DROPPED));
+        ctx.metric_add_by(id, n);
     }
 }
 
@@ -52,7 +64,7 @@ impl Operator for Throttle {
             self.forwarded_in_window += 1.0;
             ctx.submit(0, tuple);
         } else {
-            ctx.metric_add(crate::metrics::builtin::N_TUPLES_DROPPED, 1);
+            self.count_dropped(1, ctx);
         }
     }
 
@@ -80,7 +92,7 @@ impl Operator for Throttle {
             }
         }
         if dropped > 0 {
-            ctx.metric_add(crate::metrics::builtin::N_TUPLES_DROPPED, dropped);
+            self.count_dropped(dropped, ctx);
         }
     }
 

@@ -2,12 +2,14 @@
 
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
 use crate::expr::Expr;
+use crate::metrics::MetricId;
 use crate::op::{FinalPunctTracker, OpCtx, Operator, Punct, TupleBatch};
 use crate::ops::{opt_i64, opt_str, req_str};
 use crate::tuple::Tuple;
 use crate::EngineError;
 use sps_model::value::ParamMap;
 use sps_model::Value;
+use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -19,6 +21,9 @@ use std::hash::{Hash, Hasher};
 /// Parameters: `predicate` (str expression, required).
 pub struct Filter {
     predicate: Expr,
+    /// Handle of `nDiscarded`, resolved at the first discard. Written once
+    /// and the same after a restore, so a Filter still has no state.
+    discarded: OnceCell<MetricId>,
 }
 
 impl Filter {
@@ -26,6 +31,7 @@ impl Filter {
         let src = req_str(params, op, "predicate")?;
         Ok(Filter {
             predicate: Expr::parse(src)?,
+            discarded: OnceCell::new(),
         })
     }
 }
@@ -34,7 +40,10 @@ impl Operator for Filter {
     fn on_tuple(&mut self, _port: usize, tuple: Tuple, ctx: &mut OpCtx) {
         match self.predicate.eval_bool(&tuple) {
             Ok(true) => ctx.submit(0, tuple),
-            Ok(false) => ctx.metric_add("nDiscarded", 1),
+            Ok(false) => {
+                let id = *self.discarded.get_or_init(|| ctx.metric_id("nDiscarded"));
+                ctx.metric_add_by(id, 1);
+            }
             Err(e) => ctx.raise_fault(format!("predicate failed: {e}")),
         }
     }
@@ -261,6 +270,8 @@ pub struct DeDup {
     window: usize,
     seen: HashSet<String>,
     order: VecDeque<String>,
+    /// Handle of `nDuplicates`, resolved at the first duplicate.
+    duplicates: OnceCell<MetricId>,
 }
 
 impl DeDup {
@@ -277,6 +288,7 @@ impl DeDup {
             window: window as usize,
             seen: HashSet::new(),
             order: VecDeque::new(),
+            duplicates: OnceCell::new(),
         })
     }
 }
@@ -289,7 +301,8 @@ impl Operator for DeDup {
         };
         let rendered = v.render();
         if self.seen.contains(&rendered) {
-            ctx.metric_add("nDuplicates", 1);
+            let id = *self.duplicates.get_or_init(|| ctx.metric_id("nDuplicates"));
+            ctx.metric_add_by(id, 1);
             return;
         }
         self.seen.insert(rendered.clone());

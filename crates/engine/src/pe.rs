@@ -14,7 +14,7 @@
 //!   analogue): processing stops and the runtime is told, which ultimately
 //!   produces the orchestrator's PE-failure event (§4.2).
 
-use crate::ckpt::{OpCheckpoint, PeCheckpoint, CKPT_FORMAT_VERSION};
+use crate::ckpt::{self, OpCheckpoint, PeCheckpoint, StateBlob, CKPT_FORMAT_VERSION};
 use crate::codec::{self, PortDecoder, TupleCodec};
 use crate::error::EngineError;
 use crate::metrics::{builtin, MetricId, MetricKey, MetricStore};
@@ -24,6 +24,7 @@ use crate::tuple::Tuple;
 use bytes::Bytes;
 use sps_model::adl::Adl;
 use sps_sim::{SimDuration, SimRng, SimTime};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -115,7 +116,7 @@ impl SlotMetrics {
 
 struct OpSlot {
     name: Arc<str>,
-    kind: String,
+    kind: Arc<str>,
     op: Box<dyn Operator>,
     outputs: usize,
     cost: u32,
@@ -138,6 +139,38 @@ struct OpSlot {
     /// Round-robin cursor over input ports.
     next_port: usize,
     metrics: SlotMetrics,
+    /// The entry the last [`PeRuntime::checkpoint`] produced (or
+    /// [`PeRuntime::restore`] applied). Handed out again for as long as the
+    /// operator's bytes and final tracking stay what it recorded.
+    last_ckpt: RefCell<Option<Arc<OpCheckpoint>>>,
+}
+
+impl OpSlot {
+    /// This operator's checkpoint entry. The one full compare of a snapshot
+    /// happens here, new bytes against the previous entry's: on a match the
+    /// previous entry goes out again, so whoever holds the earlier snapshot
+    /// recognises an unchanged operator by pointer.
+    fn checkpoint(&self) -> Arc<OpCheckpoint> {
+        let mut last = self.last_ckpt.borrow_mut();
+        let prev_len = last
+            .as_ref()
+            .and_then(|prev| prev.blob.as_ref())
+            .map_or(0, StateBlob::len);
+        let blob = ckpt::with_capacity_hint(prev_len, || self.op.checkpoint());
+        if let Some(prev) = &*last {
+            if prev.blob == blob && prev.finals_seen == self.finals_seen {
+                return Arc::clone(prev);
+            }
+        }
+        let entry = Arc::new(OpCheckpoint {
+            name: Arc::clone(&self.name),
+            kind: Arc::clone(&self.kind),
+            finals_seen: self.finals_seen.clone(),
+            blob,
+        });
+        *last = Some(Arc::clone(&entry));
+        entry
+    }
 }
 
 /// The PE container.
@@ -198,7 +231,7 @@ impl PeRuntime {
             let inputs = op.inputs.max(1);
             op_index.insert(Arc::clone(&name), slots.len());
             slots.push(OpSlot {
-                kind: op.kind.clone(),
+                kind: Arc::from(op.kind.as_str()),
                 op: instance,
                 outputs: op.outputs,
                 cost,
@@ -211,6 +244,7 @@ impl PeRuntime {
                 next_port: 0,
                 metrics: SlotMetrics::resolve(&mut metrics, &name, inputs, op.outputs),
                 name,
+                last_ckpt: RefCell::new(None),
             });
         }
         for stream in &adl.streams {
@@ -696,21 +730,17 @@ impl PeRuntime {
     /// tuples in flight *inside* the container at snapshot time survive a
     /// restore; tuples delivered after the snapshot are replayed from the
     /// sender-side upstream-backup buffers instead.
+    ///
+    /// An operator whose serialized bytes equal those of the previous call
+    /// contributes the previous call's entry (the same `Arc`), so a snapshot
+    /// allocates for the operators that changed, the queues and the metric
+    /// table — not for the ones that did not.
     pub fn checkpoint(&self, now: SimTime) -> PeCheckpoint {
         PeCheckpoint {
             format_version: CKPT_FORMAT_VERSION,
             pe_index: self.pe_index,
             taken_at: now,
-            ops: self
-                .slots
-                .iter()
-                .map(|slot| OpCheckpoint {
-                    name: slot.name.to_string(),
-                    kind: slot.kind.clone(),
-                    finals_seen: slot.finals_seen.clone(),
-                    blob: slot.op.checkpoint(),
-                })
-                .collect(),
+            ops: self.slots.iter().map(OpSlot::checkpoint).collect(),
             queues: self
                 .slots
                 .iter()
@@ -756,7 +786,7 @@ impl PeRuntime {
         }
         let mut restored = 0;
         for (slot, op_ckpt) in self.slots.iter_mut().zip(&ckpt.ops) {
-            if *slot.name != *op_ckpt.name || slot.kind != op_ckpt.kind {
+            if slot.name != op_ckpt.name || slot.kind != op_ckpt.kind {
                 return Err(EngineError::Checkpoint(format!(
                     "checkpoint operator {}({}) does not match container slot {}({})",
                     op_ckpt.name, op_ckpt.kind, slot.name, slot.kind
@@ -774,6 +804,9 @@ impl PeRuntime {
                 slot.op.restore(blob)?;
                 restored += 1;
             }
+            // The revived operator is this entry: its next checkpoint is
+            // compared against (and, unchanged, *is*) the stored one.
+            *slot.last_ckpt.get_mut() = Some(Arc::clone(op_ckpt));
         }
         // Repopulate the input queues from the captured wire encodings, so
         // tuples that were in flight inside the container at snapshot time
@@ -1019,9 +1052,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn metric_handles_stay_valid_across_restore() {
-        let operators = vec![op("cnt", "HandleCounter", 0, 1, 0, ParamMap::new())];
+    fn single_op_pe(kind: &str, params: ParamMap, registry: &OperatorRegistry) -> PeRuntime {
+        let operators = vec![op("cnt", kind, 0, 1, 1, params)];
         let adl = Adl {
             app_name: "Count".into(),
             pes: vec![AdlPe {
@@ -1036,23 +1068,25 @@ mod tests {
             exports: vec![],
             host_pools: vec![],
         };
-        let mut registry = registry();
-        registry.register("HandleCounter", |_| {
-            Ok(Box::new(HandleCounter { seen: None }))
-        });
-        let mut pe = PeRuntime::build(&adl, 0, &registry, SimRng::new(1)).unwrap();
+        PeRuntime::build(&adl, 0, registry, SimRng::new(1)).unwrap()
+    }
+
+    /// `pe`'s operator `cnt` counts every `tuple` it is fed under `metric`,
+    /// through a handle it resolves at the first one: the metric must not
+    /// exist before that, and the handle must outlive restores.
+    fn assert_lazy_handle_survives_restore(mut pe: PeRuntime, metric: &str, tuple: Tuple) {
         let q = SimDuration::from_millis(100);
         let feed = |pe: &mut PeRuntime| {
-            pe.inject("cnt", 0, StreamItem::Tuple(Tuple::new()))
+            pe.inject("cnt", 0, StreamItem::Tuple(tuple.clone()))
                 .unwrap();
             pe.step(SimTime::ZERO, q, 100);
         };
-        let seen = |pe: &PeRuntime| pe.metrics().op_get("cnt", "nSeen");
+        let seen = |pe: &PeRuntime| pe.metrics().op_get("cnt", metric);
         let listed = |pe: &PeRuntime| {
             pe.metrics()
                 .snapshot()
                 .iter()
-                .any(|(k, _)| k.metric_name() == "nSeen")
+                .any(|(k, _)| k.metric_name() == metric)
         };
 
         // Before the first tuple the metric does not exist.
@@ -1077,10 +1111,30 @@ mod tests {
         pe.restore(&before_first).unwrap();
         assert_eq!(seen(&pe), None);
         assert!(!listed(&pe));
-        assert!(pe.metrics().iter().all(|(k, _)| k.metric_name() != "nSeen"));
+        assert!(pe.metrics().iter().all(|(k, _)| k.metric_name() != metric));
         feed(&mut pe);
         assert_eq!(seen(&pe), Some(1));
         assert!(listed(&pe));
+    }
+
+    #[test]
+    fn metric_handles_stay_valid_across_restore() {
+        let mut registry = registry();
+        registry.register("HandleCounter", |_| {
+            Ok(Box::new(HandleCounter { seen: None }))
+        });
+        assert_lazy_handle_survives_restore(
+            single_op_pe("HandleCounter", ParamMap::new(), &registry),
+            "nSeen",
+            Tuple::new(),
+        );
+        // A built-in that keeps its custom metric the same way: a Filter
+        // whose predicate discards every tuple it is fed.
+        assert_lazy_handle_survives_restore(
+            single_op_pe("Filter", p(&[("predicate", "v > 100".into())]), &registry),
+            "nDiscarded",
+            Tuple::new().with("v", 1i64),
+        );
     }
 
     #[test]
@@ -1255,7 +1309,14 @@ mod tests {
         let mut revived = PeRuntime::build(&adl, 0, &registry(), SimRng::new(99)).unwrap();
         let restored = revived.restore(&ckpt).unwrap();
         assert_eq!(restored, ckpt.stateful_ops());
-        assert_eq!(revived.tap("snk").unwrap(), tap_before);
+        let tap_revived = revived.tap("snk").unwrap();
+        assert_eq!(tap_revived, tap_before);
+        // The sink's ring came back out of one blob: its same-shape tuples
+        // share one schema instead of carrying one each.
+        assert!(tap_revived.len() > 1);
+        for t in &tap_revived {
+            assert!(Arc::ptr_eq(t.schema(), tap_revived[0].schema()));
+        }
         assert_eq!(
             revived.metrics().op_get("flt", builtin::N_TUPLES_PROCESSED),
             pe.metrics().op_get("flt", builtin::N_TUPLES_PROCESSED)
@@ -1264,6 +1325,12 @@ mod tests {
         // reproduces the original digest (how the runtime verifies restores).
         let again = revived.checkpoint(SimTime::from_secs(60));
         assert_eq!(again.digest(), ckpt.digest());
+        // More than equal: every unchanged operator contributes the very
+        // entry it was restored from, so a store holding `ckpt` sees a
+        // clean operator by pointer.
+        for (stored, retaken) in ckpt.ops.iter().zip(&again.ops) {
+            assert!(Arc::ptr_eq(stored, retaken));
+        }
 
         // The revived beacon continues the sequence instead of rewinding to
         // zero: the next emitted seq picks up where the checkpoint left off.
@@ -1272,6 +1339,45 @@ mod tests {
         let tap_after = revived.tap("snk").unwrap();
         let next_seq = tap_after[tap_before.len()].get_int("seq").unwrap();
         assert!(next_seq > last_seq, "{next_seq} vs {last_seq}");
+    }
+
+    #[test]
+    fn unchanged_operators_keep_their_checkpoint_entry() {
+        let adl = pipeline_adl();
+        let mut pe = PeRuntime::build(&adl, 0, &registry(), SimRng::new(1)).unwrap();
+        let q = SimDuration::from_millis(100);
+        pe.step(SimTime::from_millis(100), q, 10_000);
+        let first = pe.checkpoint(SimTime::from_millis(100));
+        // Nothing ran in between: every entry is handed out again.
+        let idle = pe.checkpoint(SimTime::from_millis(150));
+        assert_eq!(idle.digest(), first.digest());
+        for (a, b) in first.ops.iter().zip(&idle.ops) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+        // A quantum later the stateful operators moved and carry new
+        // entries; the stateless filter still carries its first one. Names
+        // and kinds are shared with the container either way.
+        pe.step(SimTime::from_millis(200), q, 10_000);
+        let second = pe.checkpoint(SimTime::from_millis(200));
+        assert_ne!(second.digest(), first.digest());
+        for (a, b) in first.ops.iter().zip(&second.ops) {
+            assert_eq!(Arc::ptr_eq(a, b), a.blob == b.blob, "{}", a.name);
+            assert!(Arc::ptr_eq(&a.name, &b.name) && Arc::ptr_eq(&a.kind, &b.kind));
+        }
+        assert!(first
+            .ops
+            .iter()
+            .zip(&second.ops)
+            .any(|(a, b)| a.blob != b.blob));
+        assert!(first.ops.iter().any(|a| a.blob.is_none()));
+        // A moved final-punctuation flag alone makes a new entry too.
+        pe.inject("flt", 0, StreamItem::Punct(Punct::Final))
+            .unwrap();
+        pe.step(SimTime::from_millis(300), q, 10_000);
+        let third = pe.checkpoint(SimTime::from_millis(300));
+        let flt = |c: &PeCheckpoint| Arc::clone(c.ops.iter().find(|o| &*o.name == "flt").unwrap());
+        assert_eq!(flt(&second).blob, flt(&third).blob);
+        assert_ne!(flt(&second).finals_seen, flt(&third).finals_seen);
     }
 
     #[test]
@@ -1291,11 +1397,11 @@ mod tests {
         assert!(target.restore(&bad).is_err());
         // Renamed operator (ADL shape change).
         let mut bad = good.clone();
-        bad.ops[1].name = "ghost".into();
+        Arc::make_mut(&mut bad.ops[1]).name = "ghost".into();
         assert!(target.restore(&bad).is_err());
         // Changed kind under the same name.
         let mut bad = good.clone();
-        bad.ops[0].kind = "Sink".into();
+        Arc::make_mut(&mut bad.ops[0]).kind = "Sink".into();
         assert!(target.restore(&bad).is_err());
         // Dropped operator entry.
         let mut bad = good.clone();

@@ -14,7 +14,14 @@
 //! Since checkpoint format v2 snapshots also capture the PE's input queues,
 //! and the store keeps each slot as an *incremental chain*: a full base
 //! snapshot plus per-interval deltas that re-store only the operators whose
-//! state blob actually changed (dirty tracking via [`StateBlob`] digests).
+//! checkpoint entry actually changed. The dirty rule is equality: same
+//! name, kind and final tracking, and a [`StateBlob`] of the same bytes.
+//! Nothing is hashed. Entries are shared `Arc`s, and a PE hands its previous
+//! entry out again while the operator's bytes stay the same, so the test is a
+//! pointer compare for an unchanged operator and a byte compare that leaves
+//! at the first difference otherwise; `base`, the deltas, the cached head
+//! and sealed generations all point at one copy of an entry.
+//!
 //! A chain holds at most [`CheckpointPolicy::full_every`] snapshots — one
 //! full base plus `full_every - 1` deltas; the save that would stack one
 //! more delta instead compacts the chain back into a fresh full base,
@@ -43,8 +50,7 @@
 
 use crate::broker::ChannelKey;
 use crate::ids::JobId;
-use bytes::Bytes;
-use sps_engine::{OpCheckpoint, PeCheckpoint};
+use sps_engine::{PeCheckpoint, StateBlob};
 use sps_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -192,41 +198,23 @@ impl CheckpointPolicy {
     }
 }
 
-/// An incremental snapshot: only the operators whose state blob changed
-/// since the previous snapshot in the chain, plus the (always-changing)
-/// input queues and metric table.
+/// An incremental snapshot: only the operators whose checkpoint entry
+/// changed since the previous snapshot in the chain, plus the
+/// (always-changing) input queues and metric table. It is kept as a
+/// reference to the snapshot it was cut from and a mask of the operators it
+/// re-stores — nothing is copied out of the snapshot, and only the masked
+/// entries, the queues and the metrics are ever read back through it.
 #[derive(Clone, Debug)]
 pub struct PeDelta {
-    pub taken_at: SimTime,
-    /// Per operator slot: `Some` when dirty since the previous snapshot.
-    pub ops: Vec<Option<OpCheckpoint>>,
-    /// Input queues at snapshot time (same layout as [`PeCheckpoint`]: one
-    /// batch-granular blob per port).
-    pub queues: Vec<Vec<Bytes>>,
-    pub metrics: Vec<(Arc<sps_engine::MetricKey>, i64)>,
+    snap: Arc<PeCheckpoint>,
+    /// Per operator slot: dirty since the previous snapshot.
+    dirty: Vec<bool>,
 }
 
 impl PeDelta {
-    /// Serialized bytes this delta contributes to the chain.
-    fn state_bytes(&self) -> usize {
-        let blobs: usize = self
-            .ops
-            .iter()
-            .flatten()
-            .filter_map(|o| o.blob.as_ref().map(|b| b.len()))
-            .sum();
-        let queues: usize = self
-            .queues
-            .iter()
-            .flat_map(|op| op.iter())
-            .map(Bytes::len)
-            .sum();
-        blobs + queues
-    }
-
     /// Operators re-stored by this delta.
     pub fn dirty_ops(&self) -> usize {
-        self.ops.iter().flatten().count()
+        self.dirty.iter().filter(|&&d| d).count()
     }
 }
 
@@ -234,46 +222,45 @@ impl PeDelta {
 /// (finite budgets only): the fallback a restore reaches for when its newer
 /// generations are unusable, and the first thing eviction reclaims.
 struct SealedGen {
-    ckpt: PeCheckpoint,
+    ckpt: Arc<PeCheckpoint>,
     sender_pos: Vec<(ChannelKey, u64)>,
-}
-
-impl SealedGen {
-    fn state_bytes(&self) -> usize {
-        self.ckpt.state_bytes()
-    }
+    /// `ckpt.state_bytes()`, counted once when the generation is sealed.
+    bytes: usize,
 }
 
 /// One PE slot's recovery chain plus its replay bookkeeping.
 struct Slot {
-    /// Full snapshot anchoring the chain.
-    base: PeCheckpoint,
+    /// Full snapshot anchoring the chain (the head it was committed as).
+    base: Arc<PeCheckpoint>,
     /// Incremental snapshots applied on top of `base`, oldest first.
     deltas: Vec<PeDelta>,
-    /// Cached materialization of `base` + `deltas` — what restores use.
-    /// Not counted in `state_bytes` (it is a cache, not stored state).
-    head: PeCheckpoint,
+    /// The newest committed snapshot, which is what `base` + `deltas`
+    /// materialize to and what restores use. Not counted in `state_bytes`
+    /// (it is a cache, not stored state).
+    head: Arc<PeCheckpoint>,
     /// Sender-side upstream-backup channel positions at snapshot time.
     sender_pos: Vec<(ChannelKey, u64)>,
     /// Older generations sealed off by compaction, oldest first (empty
     /// under an unbounded budget).
     sealed: Vec<SealedGen>,
+    /// Serialized bytes of the live chain — `base` plus every delta, what a
+    /// head restore reads — kept as snapshots land instead of re-walked.
+    chain_bytes: usize,
 }
 
 impl Slot {
-    /// Serialized bytes of the live chain (what a head restore reads).
-    fn chain_bytes(&self) -> usize {
-        self.base.state_bytes() + self.deltas.iter().map(PeDelta::state_bytes).sum::<usize>()
+    /// `chain_bytes`, counted again from the chain (the debug cross-check).
+    fn recount_chain(&self) -> usize {
+        let deltas = self
+            .deltas
+            .iter()
+            .map(|d| delta_bytes(&d.snap, d.dirty.iter().copied()));
+        self.base.state_bytes() + deltas.sum::<usize>()
     }
 
     /// Everything the slot stores: live chain plus sealed generations.
     fn stored_bytes(&self) -> usize {
-        self.chain_bytes()
-            + self
-                .sealed
-                .iter()
-                .map(SealedGen::state_bytes)
-                .sum::<usize>()
+        self.chain_bytes + self.sealed.iter().map(|gen| gen.bytes).sum::<usize>()
     }
 }
 
@@ -284,10 +271,6 @@ struct PendingWrite {
     ckpt: PeCheckpoint,
     sender_pos: Vec<(ChannelKey, u64)>,
     quanta_now: u64,
-    commit_at: SimTime,
-    /// Issue-order tiebreak so equal `commit_at` writes commit
-    /// deterministically in issue order.
-    seq: u64,
 }
 
 /// One durable commit reported by [`CheckpointStore::poll_commits`]. The
@@ -304,7 +287,7 @@ pub struct CommittedSave {
 /// One restorable generation of a slot, newest-first by `generations_back`
 /// (0 = live chain head, 1 = newest sealed generation, …).
 pub struct RestoreCandidate {
-    pub ckpt: PeCheckpoint,
+    pub ckpt: Arc<PeCheckpoint>,
     pub sender_pos: Vec<(ChannelKey, u64)>,
     /// Bytes a restore reads back (the whole live chain for generation 0,
     /// the sealed snapshot itself otherwise) — drives restore latency.
@@ -319,8 +302,10 @@ pub struct CheckpointStore {
     full_every: usize,
     /// Simulated latency/budget model (default: instant and unbounded).
     storage: StorageModel,
-    /// Saves issued but not yet committed, in issue order.
-    pending: Vec<PendingWrite>,
+    /// Saves issued but not yet committed, keyed by `(commit time, issue
+    /// sequence)`: the order they commit in, with equal commit times
+    /// falling back to issue order.
+    pending: BTreeMap<(SimTime, u64), PendingWrite>,
     next_seq: u64,
     /// Global quantum index of each slot's newest snapshot *issue* (or
     /// restore), for the per-PE cadence skip. Store-level so an in-flight
@@ -368,7 +353,7 @@ impl CheckpointStore {
             slots: BTreeMap::new(),
             full_every: (policy.full_every.max(1)) as usize,
             storage: policy.storage,
-            pending: Vec::new(),
+            pending: BTreeMap::new(),
             next_seq: 0,
             cadence: BTreeMap::new(),
             evicted: BTreeMap::new(),
@@ -417,7 +402,7 @@ impl CheckpointStore {
                     if slot.deltas.len() + 1 < self.full_every
                         && delta_compatible(&slot.head, &ckpt) =>
                 {
-                    diff(&slot.head, &ckpt).state_bytes()
+                    delta_bytes(&ckpt, dirty_ops(&slot.head, &ckpt))
                 }
                 _ => ckpt.state_bytes(),
             }
@@ -427,15 +412,16 @@ impl CheckpointStore {
         self.issued += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.push(PendingWrite {
-            job,
-            adl_index,
-            ckpt,
-            sender_pos,
-            quanta_now,
-            commit_at,
-            seq,
-        });
+        self.pending.insert(
+            (commit_at, seq),
+            PendingWrite {
+                job,
+                adl_index,
+                ckpt,
+                sender_pos,
+                quanta_now,
+            },
+        );
         commit_at
     }
 
@@ -452,19 +438,12 @@ impl CheckpointStore {
         if self.pending.is_empty() {
             return Vec::new();
         }
-        let mut due = Vec::new();
-        let mut rest = Vec::new();
-        for w in self.pending.drain(..) {
-            if w.commit_at <= now {
-                due.push(w);
-            } else {
-                rest.push(w);
+        let mut out = Vec::new();
+        while let Some(first) = self.pending.first_entry() {
+            if first.key().0 > now {
+                break;
             }
-        }
-        self.pending = rest;
-        due.sort_by_key(|w| (w.commit_at, w.seq));
-        let mut out = Vec::with_capacity(due.len());
-        for w in due {
+            let w = first.remove();
             let taken_at = w.ckpt.taken_at;
             let accepted = self.save(w.job, w.adl_index, w.ckpt, w.sender_pos, w.quanta_now);
             out.push(CommittedSave {
@@ -486,7 +465,7 @@ impl CheckpointStore {
     /// Whether a save for this PE slot is issued but not yet committed.
     pub fn write_in_flight(&self, job: JobId, adl_index: usize) -> bool {
         self.pending
-            .iter()
+            .values()
             .any(|w| w.job == job && w.adl_index == adl_index)
     }
 
@@ -496,7 +475,7 @@ impl CheckpointStore {
     pub fn abort_inflight(&mut self, job: JobId, adl_index: usize) -> usize {
         let before = self.pending.len();
         self.pending
-            .retain(|w| !(w.job == job && w.adl_index == adl_index));
+            .retain(|_, w| !(w.job == job && w.adl_index == adl_index));
         let aborted = before - self.pending.len();
         self.aborted += aborted as u64;
         aborted
@@ -524,45 +503,63 @@ impl CheckpointStore {
                     self.stale_rejected += 1;
                     return false;
                 }
-                self.bytes -= slot.stored_bytes();
                 // The chain holds at most `full_every` snapshots (base +
                 // full_every - 1 deltas): once this save would stack one
                 // more delta — or the shape changed — compact to a fresh
                 // full base instead.
                 let chain_full = slot.deltas.len() + 1 >= self.full_every;
                 if chain_full || !delta_compatible(&slot.head, &ckpt) {
+                    let ckpt = Arc::new(ckpt);
+                    let old_head = std::mem::replace(&mut slot.head, Arc::clone(&ckpt));
                     if self.storage.budget_bytes > 0 {
                         // Finite budget: seal the outgoing head as an older
                         // generation for restore fallback (it is also first
                         // in line for eviction).
+                        let bytes = old_head.state_bytes();
+                        self.bytes += bytes;
                         slot.sealed.push(SealedGen {
-                            ckpt: slot.head.clone(),
+                            ckpt: old_head,
                             sender_pos: std::mem::take(&mut slot.sender_pos),
+                            bytes,
                         });
                     }
-                    slot.base = ckpt.clone();
+                    let full_bytes = ckpt.state_bytes();
+                    self.bytes = self.bytes - slot.chain_bytes + full_bytes;
+                    slot.chain_bytes = full_bytes;
+                    slot.base = ckpt;
                     slot.deltas.clear();
                     self.fulls_saved += 1;
                     self.compactions += 1;
                 } else {
-                    slot.deltas.push(diff(&slot.head, &ckpt));
+                    let dirty: Vec<bool> = dirty_ops(&slot.head, &ckpt).collect();
+                    let bytes = delta_bytes(&ckpt, dirty.iter().copied());
+                    self.bytes += bytes;
+                    slot.chain_bytes += bytes;
+                    slot.head = Arc::new(ckpt);
+                    slot.deltas.push(PeDelta {
+                        snap: Arc::clone(&slot.head),
+                        dirty,
+                    });
                     self.deltas_saved += 1;
                 }
-                slot.head = ckpt;
                 slot.sender_pos = sender_pos;
-                self.bytes += slot.stored_bytes();
             }
             None => {
-                let slot = Slot {
-                    head: ckpt.clone(),
-                    base: ckpt,
-                    deltas: Vec::new(),
-                    sender_pos,
-                    sealed: Vec::new(),
-                };
-                self.bytes += slot.stored_bytes();
+                let ckpt = Arc::new(ckpt);
+                let chain_bytes = ckpt.state_bytes();
+                self.bytes += chain_bytes;
                 self.fulls_saved += 1;
-                self.slots.insert((job, adl_index), slot);
+                self.slots.insert(
+                    (job, adl_index),
+                    Slot {
+                        head: Arc::clone(&ckpt),
+                        base: ckpt,
+                        deltas: Vec::new(),
+                        sender_pos,
+                        sealed: Vec::new(),
+                        chain_bytes,
+                    },
+                );
             }
         }
         self.cadence.insert((job, adl_index), quanta_now);
@@ -571,7 +568,13 @@ impl CheckpointStore {
         debug_assert_eq!(
             self.bytes,
             self.slots.values().map(Slot::stored_bytes).sum::<usize>(),
-            "running byte counter out of sync with the chains"
+            "running byte counter out of sync with the slots"
+        );
+        debug_assert!(
+            self.slots
+                .values()
+                .all(|slot| slot.chain_bytes == slot.recount_chain()),
+            "a slot's byte count is out of sync with its chain"
         );
         debug_assert_eq!(
             self.materialize(job, adl_index).map(|c| c.digest()),
@@ -613,7 +616,7 @@ impl CheckpointStore {
                 Some((_, key, Victim::Sealed)) => {
                     let slot = self.slots.get_mut(&key).expect("victim slot exists");
                     let gen = slot.sealed.remove(0);
-                    self.bytes -= gen.state_bytes();
+                    self.bytes -= gen.bytes;
                     self.evictions += 1;
                 }
                 Some((_, key, Victim::Chain)) => {
@@ -632,7 +635,7 @@ impl CheckpointStore {
     /// Newest committed snapshot for a PE slot, if any (the chain's cached
     /// head). In-flight writes are invisible here until they commit.
     pub fn latest(&self, job: JobId, adl_index: usize) -> Option<&PeCheckpoint> {
-        self.slots.get(&(job, adl_index)).map(|s| &s.head)
+        self.slots.get(&(job, adl_index)).map(|s| &*s.head)
     }
 
     /// Restorable generations of a slot: the live chain head plus any
@@ -656,17 +659,17 @@ impl CheckpointStore {
         let slot = self.slots.get(&(job, adl_index))?;
         if generations_back == 0 {
             return Some(RestoreCandidate {
-                ckpt: slot.head.clone(),
+                ckpt: Arc::clone(&slot.head),
                 sender_pos: slot.sender_pos.clone(),
-                read_bytes: slot.chain_bytes(),
+                read_bytes: slot.chain_bytes,
             });
         }
         let idx = slot.sealed.len().checked_sub(generations_back)?;
         let gen = &slot.sealed[idx];
         Some(RestoreCandidate {
-            ckpt: gen.ckpt.clone(),
+            ckpt: Arc::clone(&gen.ckpt),
             sender_pos: gen.sender_pos.clone(),
-            read_bytes: gen.state_bytes(),
+            read_bytes: gen.bytes,
         })
     }
 
@@ -682,25 +685,33 @@ impl CheckpointStore {
     /// the chain itself (and is what a cold-start recovery would run).
     pub fn materialize(&self, job: JobId, adl_index: usize) -> Option<PeCheckpoint> {
         let slot = self.slots.get(&(job, adl_index))?;
-        let mut cur = slot.base.clone();
+        let mut cur = PeCheckpoint::clone(&slot.base);
         for delta in &slot.deltas {
-            cur.taken_at = delta.taken_at;
-            for (op, dirty) in cur.ops.iter_mut().zip(&delta.ops) {
-                if let Some(new_op) = dirty {
-                    *op = new_op.clone();
-                }
+            for ((op, new_op), _) in cur
+                .ops
+                .iter_mut()
+                .zip(&delta.snap.ops)
+                .zip(&delta.dirty)
+                .filter(|(_, &dirty)| dirty)
+            {
+                *op = Arc::clone(new_op);
             }
-            cur.queues = delta.queues.clone();
-            cur.metrics = delta.metrics.clone();
+        }
+        // Queues and metrics are re-stored whole by every delta, so only
+        // the newest one's survive the replay.
+        if let Some(newest) = slot.deltas.last() {
+            cur.taken_at = newest.snap.taken_at;
+            cur.queues = newest.snap.queues.clone();
+            cur.metrics = newest.snap.metrics.clone();
         }
         Some(cur)
     }
 
-    /// Number of deltas stacked on a slot's base snapshot.
-    pub fn chain_deltas(&self, job: JobId, adl_index: usize) -> usize {
+    /// The deltas stacked on a slot's base snapshot, oldest first.
+    pub fn deltas(&self, job: JobId, adl_index: usize) -> &[PeDelta] {
         self.slots
             .get(&(job, adl_index))
-            .map_or(0, |s| s.deltas.len())
+            .map_or(&[], |s| s.deltas.as_slice())
     }
 
     /// Sender-side channel positions recorded with a slot's newest snapshot.
@@ -747,7 +758,7 @@ impl CheckpointStore {
             }
         });
         self.bytes -= removed;
-        self.pending.retain(|w| w.job != job);
+        self.pending.retain(|_, w| w.job != job);
         self.cadence.retain(|(j, _), _| *j != job);
         self.evicted.retain(|(j, _), _| *j != job);
     }
@@ -846,41 +857,41 @@ fn delta_compatible(head: &PeCheckpoint, next: &PeCheckpoint) -> bool {
             .all(|(a, b)| a.name == b.name && a.kind == b.kind)
 }
 
-/// Builds the incremental snapshot taking `head` to `next`. An operator is
-/// dirty when any part of its checkpoint changed — the [`StateBlob`] digest
-/// comparison short-circuits the common clean case without a byte compare.
-///
-/// [`StateBlob`]: sps_engine::StateBlob
-fn diff(head: &PeCheckpoint, next: &PeCheckpoint) -> PeDelta {
-    PeDelta {
-        taken_at: next.taken_at,
-        ops: head
-            .ops
-            .iter()
-            .zip(&next.ops)
-            .map(|(old, new)| {
-                let clean = match (&old.blob, &new.blob) {
-                    (Some(a), Some(b)) => a.digest() == b.digest() && old == new,
-                    (None, None) => old == new,
-                    _ => false,
-                };
-                if clean {
-                    None
-                } else {
-                    Some(new.clone())
-                }
-            })
-            .collect(),
-        queues: next.queues.clone(),
-        metrics: next.metrics.clone(),
-    }
+/// Which operators of `next` a delta on top of `head` re-stores. The dirty
+/// rule: an operator is clean iff its entry equals the head's — name, kind,
+/// final tracking and blob bytes. An entry the PE handed out again is the
+/// same `Arc` and never reaches the byte compare; one it rebuilt differs
+/// from its predecessor, and the compare (length first) leaves at the first
+/// differing byte.
+fn dirty_ops<'a>(
+    head: &'a PeCheckpoint,
+    next: &'a PeCheckpoint,
+) -> impl Iterator<Item = bool> + 'a {
+    head.ops
+        .iter()
+        .zip(&next.ops)
+        .map(|(old, new)| !(Arc::ptr_eq(old, new) || old == new))
+}
+
+/// Serialized bytes a delta re-storing the `dirty` operators of `snap`
+/// writes, and contributes to its chain: their blobs plus every queue.
+fn delta_bytes(snap: &PeCheckpoint, dirty: impl Iterator<Item = bool>) -> usize {
+    let blobs: usize = snap
+        .ops
+        .iter()
+        .zip(dirty)
+        .filter(|(_, dirty)| *dirty)
+        .map(|(op, _)| op.blob.as_ref().map_or(0, StateBlob::len))
+        .sum();
+    blobs + snap.queue_bytes()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use sps_engine::ckpt::CKPT_FORMAT_VERSION;
-    use sps_engine::StateWriter;
+    use sps_engine::{OpCheckpoint, StateWriter};
 
     fn blob(v: i64) -> sps_engine::StateBlob {
         let mut w = StateWriter::new();
@@ -894,18 +905,18 @@ mod tests {
             pe_index: 0,
             taken_at: SimTime::from_secs(at),
             ops: vec![
-                OpCheckpoint {
+                Arc::new(OpCheckpoint {
                     name: "agg".into(),
                     kind: "Aggregate".into(),
                     finals_seen: vec![false],
                     blob: Some(blob(state)),
-                },
-                OpCheckpoint {
+                }),
+                Arc::new(OpCheckpoint {
                     name: "snk".into(),
                     kind: "Sink".into(),
                     finals_seen: vec![false],
                     blob: None,
-                },
+                }),
             ],
             queues: vec![vec![Bytes::from(queued.concat())], vec![Bytes::new()]],
             metrics: vec![],
@@ -975,7 +986,7 @@ mod tests {
         // Unchanged operator state: the delta re-stores only the queues.
         save(&mut s, 1, 0, ckpt_with(2, 10, &[b"bb", b"cc"]));
         assert_eq!((s.fulls_saved(), s.deltas_saved()), (1, 1));
-        assert_eq!(s.chain_deltas(JobId(1), 0), 1);
+        assert_eq!(s.deltas(JobId(1), 0).len(), 1);
         assert_eq!(
             s.state_bytes(),
             (8 + 2) + 4,
@@ -988,7 +999,7 @@ mod tests {
         // The chain now holds full_every=3 snapshots (base + 2 deltas): the
         // fourth save compacts instead of stacking a third delta.
         save(&mut s, 1, 0, ckpt_with(4, 40, &[]));
-        assert_eq!(s.chain_deltas(JobId(1), 0), 0);
+        assert_eq!(s.deltas(JobId(1), 0).len(), 0);
         assert_eq!(s.compactions(), 1);
         assert_eq!(s.fulls_saved(), 2);
         assert_eq!(s.state_bytes(), 8);
@@ -1003,7 +1014,79 @@ mod tests {
         assert_eq!((s.fulls_saved(), s.compactions()), (2, 1));
         save(&mut s, 1, 0, ckpt_with(7, 70, &[]));
         assert_eq!((s.fulls_saved(), s.compactions()), (3, 2));
-        assert_eq!(s.chain_deltas(JobId(1), 0), 0);
+        assert_eq!(s.deltas(JobId(1), 0).len(), 0);
+    }
+
+    #[test]
+    fn dirty_rule_is_byte_equality() {
+        let mut s = CheckpointStore::with_full_every(8);
+        let dirty = |s: &CheckpointStore| -> Vec<usize> {
+            s.deltas(JobId(1), 0)
+                .iter()
+                .map(PeDelta::dirty_ops)
+                .collect()
+        };
+        save(&mut s, 1, 0, ckpt_with(1, 10, &[]));
+        // The same bytes from a separate writer, behind separate `Arc`s:
+        // clean, and the delta stores no blob.
+        save(&mut s, 1, 0, ckpt_with(2, 10, &[]));
+        assert_eq!(dirty(&s), [0]);
+        assert_eq!(s.state_bytes(), 8);
+        // One byte changed at equal length: dirty.
+        save(&mut s, 1, 0, ckpt_with(3, 11, &[]));
+        assert_eq!(dirty(&s), [0, 1]);
+        assert_eq!(s.state_bytes(), 16);
+        // The very entries of the head again: clean by pointer.
+        let mut shared = ckpt_with(4, 0, &[]);
+        shared.ops = s.latest(JobId(1), 0).unwrap().ops.clone();
+        save(&mut s, 1, 0, shared);
+        assert_eq!(dirty(&s), [0, 1, 0]);
+        // A blob appearing where there was none is dirty, and so is its
+        // disappearing again — even an empty one.
+        let mut appeared = ckpt_with(5, 11, &[]);
+        Arc::make_mut(&mut appeared.ops[1]).blob = Some(StateWriter::new().finish());
+        save(&mut s, 1, 0, appeared);
+        assert_eq!(dirty(&s), [0, 1, 0, 1]);
+        save(&mut s, 1, 0, ckpt_with(6, 11, &[]));
+        assert_eq!(dirty(&s), [0, 1, 0, 1, 1]);
+        assert_eq!(s.state_bytes(), 16, "an empty blob weighs nothing");
+        // Final tracking is part of the entry.
+        let mut finals = ckpt_with(7, 11, &[]);
+        Arc::make_mut(&mut finals.ops[1]).finals_seen[0] = true;
+        save(&mut s, 1, 0, finals);
+        assert_eq!(dirty(&s), [0, 1, 0, 1, 1, 1]);
+        assert_eq!((s.fulls_saved(), s.deltas_saved()), (1, 6));
+        assert_eq!(
+            s.materialize(JobId(1), 0).unwrap().digest(),
+            s.latest(JobId(1), 0).unwrap().digest()
+        );
+    }
+
+    #[test]
+    fn write_size_is_the_delta_it_would_store() {
+        // One byte per millisecond: latency reads as bytes.
+        let mut s = CheckpointStore::for_policy(
+            &CheckpointPolicy::default()
+                .full_every(3)
+                .storage(StorageModel::default().with_write(0, 1)),
+        );
+        let none = BTreeSet::new();
+        let mut now = SimTime::from_secs(1);
+        let mut write = |s: &mut CheckpointStore, c: PeCheckpoint| {
+            let commit_at = s.begin_save(JobId(1), 0, c, vec![], 0, now);
+            let bytes = commit_at.since(now).as_millis();
+            now = commit_at;
+            assert_eq!(s.poll_commits(now, &none).len(), 1);
+            bytes
+        };
+        // First save: the full snapshot. Then a clean operator pays for its
+        // queues only, a dirty one for its blob as well.
+        assert_eq!(write(&mut s, ckpt_with(1, 10, &[b"aa"])), 8 + 2);
+        assert_eq!(write(&mut s, ckpt_with(2, 10, &[b"bbb"])), 3);
+        assert_eq!(write(&mut s, ckpt_with(3, 30, &[b"c"])), 8 + 1);
+        // The chain is full: the next write is a full base, clean or not.
+        assert_eq!(write(&mut s, ckpt_with(4, 30, &[])), 8);
+        assert_eq!((s.fulls_saved(), s.deltas_saved()), (2, 2));
     }
 
     #[test]
@@ -1014,7 +1097,7 @@ mod tests {
         save(&mut s, 1, 0, ckpt_with(3, 30, &[]));
         assert_eq!(s.deltas_saved(), 0);
         assert_eq!(s.fulls_saved(), 3);
-        assert_eq!(s.chain_deltas(JobId(1), 0), 0);
+        assert_eq!(s.deltas(JobId(1), 0).len(), 0);
         assert_eq!(
             s.latest(JobId(1), 0).unwrap().ops[0].blob.as_ref().unwrap(),
             &blob(30)
@@ -1028,7 +1111,7 @@ mod tests {
         for at in 2..6 {
             save(&mut s, 1, 0, ckpt_with(at, at as i64 * 10, &[b"zz"]));
         }
-        assert_eq!(s.chain_deltas(JobId(1), 0), 4);
+        assert_eq!(s.deltas(JobId(1), 0).len(), 4);
         let materialized = s.materialize(JobId(1), 0).unwrap();
         let head = s.latest(JobId(1), 0).unwrap();
         assert_eq!(&materialized, head);

@@ -26,6 +26,9 @@ pub struct PeProcess {
     pub job: JobId,
     /// Index of this PE within its job's ADL.
     pub adl_index: usize,
+    /// Whether every operator fused into this PE opted into checkpointing
+    /// — a property of the ADL, resolved when the process is spawned.
+    pub checkpointable: bool,
     pub status: PeStatus,
     pub started_at: SimTime,
     /// When a `Starting` process becomes `Up`.
@@ -184,6 +187,7 @@ mod tests {
             pe_id: PeId(pe),
             job: JobId(1),
             adl_index: 0,
+            checkpointable: true,
             status: PeStatus::Up,
             started_at: SimTime::ZERO,
             up_at: SimTime::ZERO,

@@ -366,6 +366,7 @@ impl Kernel {
                         pe_id,
                         job,
                         adl_index: pe_def.index,
+                        checkpointable: pe_is_checkpointable(&adl, pe_def.index),
                         status: PeStatus::Up,
                         started_at: self.now,
                         up_at: self.now,
@@ -555,6 +556,7 @@ impl Kernel {
                 RuntimeError::PlacementFailed(format!("no host available to restart PE {pe}"))
             })?,
         };
+        let checkpointable = pe_is_checkpointable(&adl, adl_index);
         let new_pe = self.sam.alloc_pe_id();
         let pe_rng = self.rng.fork(new_pe.0);
         let mut runtime = PeRuntime::build(&adl, adl_index, &self.registry, pe_rng.clone())?;
@@ -572,7 +574,7 @@ impl Kernel {
             RestoreOutcome::Fresh {
                 reason: FreshReason::Disabled,
             }
-        } else if !pe_is_checkpointable(&adl, adl_index) {
+        } else if !checkpointable {
             RestoreOutcome::Fresh {
                 reason: FreshReason::NotCheckpointable,
             }
@@ -591,13 +593,13 @@ impl Kernel {
                 // Only this test-only path pays for a second checkpoint
                 // clone.
                 let degraded = self.config.checkpoint.lossy_restore.then(|| {
-                    let mut c = stored.clone();
+                    let mut c = PeCheckpoint::clone(&stored);
                     if let Some(op) = c.ops.iter_mut().rev().find(|o| o.blob.is_some()) {
-                        op.blob = None;
+                        Arc::make_mut(op).blob = None;
                     }
                     c
                 });
-                match runtime.restore(degraded.as_ref().unwrap_or(&stored)) {
+                match runtime.restore(degraded.as_ref().unwrap_or(&*stored)) {
                     Ok(ops_restored) => {
                         // Self-verify: a faithful restore re-serializes to
                         // the stored digest (taken_at is excluded from the
@@ -719,6 +721,7 @@ impl Kernel {
                     pe_id: new_pe,
                     job,
                     adl_index,
+                    checkpointable,
                     status: PeStatus::Starting,
                     started_at: self.now,
                     // Restores pay the storage read latency on top of the
@@ -1130,12 +1133,7 @@ impl Kernel {
                 continue;
             }
             for proc in host.processes.values() {
-                if proc.status == PeStatus::Up
-                    && self
-                        .sam
-                        .job(proc.job)
-                        .is_some_and(|info| pe_is_checkpointable(&info.adl, proc.adl_index))
-                {
+                if proc.status == PeStatus::Up && proc.checkpointable {
                     protected.insert((proc.job, proc.adl_index));
                 }
             }
@@ -1277,47 +1275,43 @@ impl Kernel {
             let quanta_elapsed = self.now.as_millis() / self.config.quantum.as_millis();
             if quanta_elapsed.is_multiple_of(self.config.checkpoint.every_quanta as u64) {
                 let half_period = (self.config.checkpoint.every_quanta / 2) as u64;
-                let mut snaps: Vec<(JobId, usize, PeCheckpoint)> = Vec::new();
+                let ub = self.upstream_backup_enabled();
                 for host in self.cluster.hosts() {
                     if !host.up {
                         continue;
                     }
                     for proc in host.processes.values() {
-                        if proc.status != PeStatus::Up {
+                        if proc.status != PeStatus::Up || !proc.checkpointable {
                             continue;
                         }
-                        let eligible = self
-                            .sam
-                            .job(proc.job)
-                            .is_some_and(|info| pe_is_checkpointable(&info.adl, proc.adl_index));
-                        if !eligible {
-                            continue;
-                        }
+                        let (job, adl_index) = (proc.job, proc.adl_index);
                         // Per-PE cadence: a slot captured (or restored) less
                         // than half a period ago skips this boundary — a PE
                         // revived just before the tick would otherwise be
                         // re-snapshotted immediately for no recovery gain.
                         if self
                             .ckpt
-                            .quanta_since_snapshot(proc.job, proc.adl_index, quanta_elapsed)
+                            .quanta_since_snapshot(job, adl_index, quanta_elapsed)
                             .is_some_and(|since| since < half_period)
                         {
                             continue;
                         }
-                        snaps.push((proc.job, proc.adl_index, proc.runtime.checkpoint(now)));
+                        let sender_pos = if ub {
+                            self.backup.sender_snapshot(job, adl_index)
+                        } else {
+                            Vec::new()
+                        };
+                        // Issue only: the snapshot becomes durable — and acks
+                        // the upstream-backup gap — at commit time below.
+                        self.ckpt.begin_save(
+                            job,
+                            adl_index,
+                            proc.runtime.checkpoint(now),
+                            sender_pos,
+                            quanta_elapsed,
+                            now,
+                        );
                     }
-                }
-                let ub = self.upstream_backup_enabled();
-                for (job, adl_index, ckpt) in snaps {
-                    let sender_pos = if ub {
-                        self.backup.sender_snapshot(job, adl_index)
-                    } else {
-                        Vec::new()
-                    };
-                    // Issue only: the snapshot becomes durable — and acks
-                    // the upstream-backup gap — at commit time below.
-                    self.ckpt
-                        .begin_save(job, adl_index, ckpt, sender_pos, quanta_elapsed, now);
                 }
             }
             // Commit every in-flight write whose latency elapsed (with the
@@ -1377,7 +1371,6 @@ impl Kernel {
         let Some(&target_pe) = info.pe_ids.get(to_adl) else {
             return;
         };
-        let checkpointable = pe_is_checkpointable(&info.adl, to_adl);
         let ub = self.upstream_backup_enabled();
         let mut delivery = delivery;
         if ub {
@@ -1411,19 +1404,20 @@ impl Kernel {
             }
         }
         let now = self.now;
-        if ub && checkpointable {
+        let Some(proc) = self.cluster.process_mut(target_pe) else {
+            return;
+        };
+        if ub && proc.checkpointable {
             self.backup
                 .buffer((job, to_adl), now, BackupItem::Remote(delivery.clone()));
         }
-        if let Some(proc) = self.cluster.process_mut(target_pe) {
-            if proc.status == PeStatus::Up {
-                if let Err(e) = proc.runtime.receive(&delivery) {
-                    self.trace
-                        .push(now, "transport", format!("delivery failed: {e}"));
-                }
+        // A down receiver misses the delivery — but when buffered above,
+        // its restored incarnation replays it.
+        if proc.status == PeStatus::Up {
+            if let Err(e) = proc.runtime.receive(&delivery) {
+                self.trace
+                    .push(now, "transport", format!("delivery failed: {e}"));
             }
-            // A down receiver misses the delivery exactly as before — but
-            // when buffered above, its restored incarnation replays it.
         }
     }
 
@@ -1445,7 +1439,9 @@ impl Kernel {
             let Some(&target_pe) = info.pe_ids.get(to_adl) else {
                 continue;
             };
-            let checkpointable = pe_is_checkpointable(&info.adl, to_adl);
+            let Some(proc) = self.cluster.process_mut(target_pe) else {
+                continue;
+            };
             if ub {
                 let key = ChannelKey::Export {
                     from_job: job,
@@ -1459,7 +1455,7 @@ impl Kernel {
                     continue;
                 }
             }
-            if ub && checkpointable {
+            if ub && proc.checkpointable {
                 self.backup.buffer(
                     (target_job, to_adl),
                     now,
@@ -1469,10 +1465,8 @@ impl Kernel {
                     },
                 );
             }
-            if let Some(proc) = self.cluster.process_mut(target_pe) {
-                if proc.status == PeStatus::Up {
-                    let _ = proc.runtime.inject(import_op, 0, item.item.clone());
-                }
+            if proc.status == PeStatus::Up {
+                let _ = proc.runtime.inject(import_op, 0, item.item.clone());
             }
         }
     }

@@ -1,20 +1,30 @@
-//! Property tests for [`sps_runtime::CheckpointStore`] eviction under a
-//! finite storage budget:
+//! Property tests for [`sps_runtime::CheckpointStore`].
+//!
+//! Eviction under a finite storage budget:
 //!
 //! 1. eviction never leaves a protected (`Up`, checkpointable) slot without
 //!    a restorable chain, for any save sequence and any budget,
 //! 2. after every save + budget pass, either stored bytes fit the budget or
 //!    everything still stored belongs to protected live chains (the only
 //!    state eviction refuses to reclaim),
-//! 3. the running `state_bytes()` counter always equals the sum of the
-//!    surviving chains, and every restore generation the store advertises
-//!    actually materializes.
+//! 3. every restore generation the store advertises actually materializes.
+//!
+//! The chains themselves, in every build profile (the store's own checks
+//! are `debug_assert`s): for arbitrary snapshot sequences — operators
+//! handed out again, rebuilt equal, changed at equal length, resized, blobs
+//! appearing and vanishing, shape changes, stale `taken_at`, finite and
+//! unbounded budgets, `full_every` 1/3/8 — each chain replays to its head,
+//! and the running byte counter, the delta/full counts, every delta's dirty
+//! operators and every write size are those of a naive model that owns
+//! plain copies and compares them byte by byte.
 
 use proptest::prelude::*;
 use sps_engine::ckpt::{OpCheckpoint, PeCheckpoint, CKPT_FORMAT_VERSION};
 use sps_engine::StateWriter;
 use sps_runtime::{CheckpointPolicy, CheckpointStore, JobId, StorageModel};
+use sps_sim::SimTime;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A checkpoint whose serialized size grows with `weight` (the state blob
 /// carries `weight` i64 words), so save sequences exercise uneven chains.
@@ -26,13 +36,13 @@ fn ckpt(at_secs: u64, weight: usize) -> PeCheckpoint {
     PeCheckpoint {
         format_version: CKPT_FORMAT_VERSION,
         pe_index: 0,
-        taken_at: sps_sim::SimTime::from_secs(at_secs),
-        ops: vec![OpCheckpoint {
+        taken_at: SimTime::from_secs(at_secs),
+        ops: vec![Arc::new(OpCheckpoint {
             name: "agg".into(),
             kind: "Aggregate".into(),
             finals_seen: vec![false],
             blob: Some(w.finish()),
-        }],
+        })],
         queues: vec![vec![bytes::Bytes::new()]],
         metrics: vec![],
     }
@@ -140,5 +150,367 @@ proptest! {
             prop_assert!(store.latest(job, adl).is_some());
         }
         prop_assert_eq!(store.evictions(), 0);
+    }
+}
+
+// ---- the chains against a naive model ------------------------------------
+
+/// What the model remembers of one operator entry: plain owned data,
+/// compared field by field and byte by byte.
+#[derive(Clone, Debug, PartialEq)]
+struct ModelOp {
+    name: String,
+    kind: String,
+    finals: Vec<bool>,
+    blob: Option<Vec<u8>>,
+}
+
+impl ModelOp {
+    fn of(op: &OpCheckpoint) -> Self {
+        ModelOp {
+            name: op.name.to_string(),
+            kind: op.kind.to_string(),
+            finals: op.finals_seen.clone(),
+            blob: op.blob.as_ref().map(|b| b.bytes().to_vec()),
+        }
+    }
+
+    fn blob_len(&self) -> usize {
+        self.blob.as_ref().map_or(0, Vec::len)
+    }
+}
+
+#[derive(Clone, Debug)]
+struct ModelSnap {
+    at: u64,
+    ops: Vec<ModelOp>,
+    queue_bytes: usize,
+}
+
+impl ModelSnap {
+    fn of(c: &PeCheckpoint) -> Self {
+        ModelSnap {
+            at: c.taken_at.as_millis(),
+            ops: c.ops.iter().map(|op| ModelOp::of(op)).collect(),
+            queue_bytes: c.queues.iter().flatten().map(|q| q.len()).sum(),
+        }
+    }
+
+    fn full_bytes(&self) -> usize {
+        self.ops.iter().map(ModelOp::blob_len).sum::<usize>() + self.queue_bytes
+    }
+
+    fn compatible(&self, next: &ModelSnap) -> bool {
+        self.ops.len() == next.ops.len()
+            && self
+                .ops
+                .iter()
+                .zip(&next.ops)
+                .all(|(a, b)| a.name == b.name && a.kind == b.kind)
+    }
+
+    /// Operators of `next` that differ from this snapshot's, by deep compare.
+    fn dirty<'a>(&self, next: &'a ModelSnap) -> Vec<&'a ModelOp> {
+        self.ops
+            .iter()
+            .zip(&next.ops)
+            .filter(|(old, new)| old != new)
+            .map(|(_, new)| new)
+            .collect()
+    }
+}
+
+/// One slot of the model store: the head, the chain's byte count, how many
+/// operators each delta re-stored, and the sealed generations' sizes.
+struct ModelSlot {
+    head: ModelSnap,
+    chain_bytes: usize,
+    delta_dirty: Vec<usize>,
+    sealed: Vec<usize>,
+}
+
+#[derive(Default)]
+struct Model {
+    slots: std::collections::BTreeMap<(JobId, usize), ModelSlot>,
+    saved: u64,
+    deltas_saved: u64,
+    fulls_saved: u64,
+    stale_rejected: u64,
+}
+
+impl Model {
+    /// Bytes a save of `next` would write if issued now.
+    fn write_bytes(&self, key: (JobId, usize), next: &ModelSnap, full_every: usize) -> usize {
+        match self.slots.get(&key) {
+            Some(slot) if slot.delta_dirty.len() + 1 < full_every && slot.head.compatible(next) => {
+                slot.head
+                    .dirty(next)
+                    .iter()
+                    .map(|op| op.blob_len())
+                    .sum::<usize>()
+                    + next.queue_bytes
+            }
+            _ => next.full_bytes(),
+        }
+    }
+
+    fn commit(
+        &mut self,
+        key: (JobId, usize),
+        next: ModelSnap,
+        full_every: usize,
+        seals: bool,
+    ) -> bool {
+        let Some(slot) = self.slots.get_mut(&key) else {
+            self.slots.insert(
+                key,
+                ModelSlot {
+                    chain_bytes: next.full_bytes(),
+                    head: next,
+                    delta_dirty: Vec::new(),
+                    sealed: Vec::new(),
+                },
+            );
+            self.fulls_saved += 1;
+            self.saved += 1;
+            return true;
+        };
+        if next.at < slot.head.at {
+            self.stale_rejected += 1;
+            return false;
+        }
+        if slot.delta_dirty.len() + 1 >= full_every || !slot.head.compatible(&next) {
+            if seals {
+                slot.sealed.push(slot.head.full_bytes());
+            }
+            slot.chain_bytes = next.full_bytes();
+            slot.delta_dirty.clear();
+            self.fulls_saved += 1;
+        } else {
+            let dirty = slot.head.dirty(&next);
+            slot.chain_bytes +=
+                dirty.iter().map(|op| op.blob_len()).sum::<usize>() + next.queue_bytes;
+            slot.delta_dirty.push(dirty.len());
+            self.deltas_saved += 1;
+        }
+        slot.head = next;
+        self.saved += 1;
+        true
+    }
+
+    fn state_bytes(&self) -> usize {
+        self.slots
+            .values()
+            .map(|s| s.chain_bytes + s.sealed.iter().sum::<usize>())
+            .sum()
+    }
+}
+
+/// What one step does to one operator of the slot's previous snapshot.
+#[derive(Clone, Copy, Debug)]
+enum Touch {
+    /// The previous entry again — the same `Arc`, as a PE hands it out.
+    Same,
+    /// Equal content from a fresh writer behind a fresh `Arc`.
+    Rebuilt,
+    /// One byte changed, length kept.
+    FlipByte(usize),
+    /// A byte appended.
+    Grow,
+    /// `None` <-> `Some`.
+    ToggleBlob,
+    /// The container's final tracking moved.
+    FlipFinal,
+}
+
+fn touch(code: usize) -> Touch {
+    match code {
+        0..=3 => Touch::Same,
+        4..=5 => Touch::Rebuilt,
+        6..=8 => Touch::FlipByte(code),
+        9 => Touch::Grow,
+        10 => Touch::ToggleBlob,
+        _ => Touch::FlipFinal,
+    }
+}
+
+fn blob_from(bytes: &[u8]) -> sps_engine::StateBlob {
+    let mut w = StateWriter::new();
+    for &b in bytes {
+        w.put_u8(b);
+    }
+    w.finish()
+}
+
+fn touched(prev: &Arc<OpCheckpoint>, how: Touch) -> Arc<OpCheckpoint> {
+    let mut bytes = prev.blob.as_ref().map(|b| b.bytes().to_vec());
+    let mut finals = prev.finals_seen.clone();
+    match how {
+        Touch::Same => return Arc::clone(prev),
+        Touch::Rebuilt => {}
+        Touch::FlipByte(at) => match &mut bytes {
+            Some(b) if !b.is_empty() => {
+                let at = at * 7 % b.len();
+                b[at] ^= 0x5a;
+            }
+            other => *other = Some(vec![1]),
+        },
+        Touch::Grow => bytes.get_or_insert_with(Vec::new).push(0xee),
+        Touch::ToggleBlob => {
+            bytes = match bytes {
+                Some(_) => None,
+                None => Some(vec![3; 24]),
+            }
+        }
+        Touch::FlipFinal => finals[0] = !finals[0],
+    }
+    Arc::new(OpCheckpoint {
+        name: Arc::clone(&prev.name),
+        kind: Arc::clone(&prev.kind),
+        finals_seen: finals,
+        blob: bytes.as_deref().map(blob_from),
+    })
+}
+
+fn first_ops() -> Vec<Arc<OpCheckpoint>> {
+    [
+        ("src", "Beacon", 12),
+        ("agg", "Aggregate", 40),
+        ("snk", "Sink", 0),
+    ]
+    .into_iter()
+    .map(|(name, kind, len)| {
+        Arc::new(OpCheckpoint {
+            name: name.into(),
+            kind: kind.into(),
+            finals_seen: vec![false],
+            blob: (len > 0).then(|| blob_from(&vec![7; len])),
+        })
+    })
+    .collect()
+}
+
+/// One scripted snapshot: slot, what happens to each of its three
+/// operators, shape change (0 = rename an operator), clock step (0 = a
+/// stale `taken_at`), queued bytes.
+type Step = (usize, [usize; 3], usize, u64, usize);
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec(
+        (
+            0usize..3,
+            prop::array::uniform3(0usize..12),
+            0usize..24,
+            0u64..8,
+            0usize..6,
+        ),
+        1..60,
+    )
+}
+
+proptest! {
+    /// Whatever the snapshots share, rebuild or change, the store's chains,
+    /// counters and write sizes are those of a model that owns plain copies
+    /// and compares them byte by byte — and every chain replays to its head.
+    #[test]
+    fn chains_match_a_naive_model(
+        steps in arb_steps(),
+        full_every in 0usize..3,
+        budget in 0usize..3,
+        protected_mask in 0usize..8,
+    ) {
+        let full_every = [1u32, 3, 8][full_every];
+        // Unbounded, tight enough to evict live chains, and roomy enough to
+        // keep sealed generations around.
+        let budget = [0usize, 150, 600][budget];
+        // One byte per sim-millisecond: a write's latency is its size.
+        let mut store = CheckpointStore::for_policy(
+            &CheckpointPolicy::default()
+                .full_every(full_every)
+                .storage(StorageModel::default().with_write(0, 1).with_budget(budget)),
+        );
+        let protected: BTreeSet<(JobId, usize)> = (0..3)
+            .filter(|s| protected_mask & (1 << s) != 0)
+            .map(slot_key)
+            .collect();
+        let full_every = full_every as usize;
+        let mut model = Model::default();
+        // Per slot: the entries of the last snapshot taken (the PE's side).
+        let mut last_ops: Vec<Vec<Arc<OpCheckpoint>>> = vec![first_ops(); 3];
+        let mut taken_at = [10u64; 3];
+        let mut now = SimTime::from_millis(1);
+
+        for (tick, &(slot, touches, shape, clock, queued)) in steps.iter().enumerate() {
+            let key = slot_key(slot);
+            let mut ops: Vec<_> = last_ops[slot]
+                .iter()
+                .zip(touches)
+                .map(|(prev, code)| touched(prev, touch(code)))
+                .collect();
+            if shape == 0 {
+                let renamed = OpCheckpoint {
+                    name: format!("agg{tick}").into(),
+                    ..OpCheckpoint::clone(&ops[1])
+                };
+                ops[1] = Arc::new(renamed);
+            }
+            last_ops[slot] = ops.clone();
+            taken_at[slot] = match clock {
+                0 => taken_at[slot].saturating_sub(3),
+                step => taken_at[slot] + step,
+            };
+            let snap = PeCheckpoint {
+                format_version: CKPT_FORMAT_VERSION,
+                pe_index: key.1,
+                taken_at: SimTime::from_millis(taken_at[slot]),
+                ops,
+                queues: vec![vec![bytes::Bytes::from(vec![9u8; queued])], vec![], vec![]],
+                metrics: vec![],
+            };
+            let expected = ModelSnap::of(&snap);
+
+            let write_bytes = model.write_bytes(key, &expected, full_every);
+            let commit_at = store.begin_save(key.0, key.1, snap, vec![], tick as u64, now);
+            prop_assert_eq!(
+                commit_at.since(now).as_millis(),
+                write_bytes as u64,
+                "write size of step {}", tick
+            );
+            now = commit_at;
+            let commits = store.poll_commits(now, &protected);
+            prop_assert_eq!(commits.len(), 1);
+            let accepted = model.commit(key, expected, full_every, budget > 0);
+            prop_assert_eq!(commits[0].accepted, accepted);
+
+            // Eviction policy has its own property above; here the model
+            // follows what the store evicted and checks the arithmetic.
+            model.slots.retain(|&(job, adl), slot| {
+                let generations = store.restore_candidates(job, adl);
+                if generations == 0 {
+                    return false;
+                }
+                let evicted = slot.sealed.len().saturating_sub(generations - 1);
+                slot.sealed.drain(..evicted);
+                true
+            });
+
+            prop_assert_eq!(store.state_bytes(), model.state_bytes());
+            prop_assert_eq!(store.saved(), model.saved);
+            prop_assert_eq!(store.deltas_saved(), model.deltas_saved);
+            prop_assert_eq!(store.fulls_saved(), model.fulls_saved);
+            prop_assert_eq!(store.stale_rejected(), model.stale_rejected);
+            for (&(job, adl), slot) in &model.slots {
+                let dirty: Vec<usize> =
+                    store.deltas(job, adl).iter().map(|d| d.dirty_ops()).collect();
+                prop_assert_eq!(&dirty, &slot.delta_dirty);
+                let head = store.latest(job, adl).expect("model slot is stored");
+                let replayed = store.materialize(job, adl).expect("chain replays");
+                prop_assert_eq!(replayed.digest(), head.digest());
+                prop_assert_eq!(&replayed, head);
+                prop_assert_eq!(head.taken_at.as_millis(), slot.head.at);
+                let read = store.restore_candidate(job, adl, 0).expect("head restores");
+                prop_assert_eq!(read.read_bytes, slot.chain_bytes);
+            }
+        }
     }
 }
