@@ -19,6 +19,25 @@
 //! *new* profiles with some attribute appeared since the last C3 launch,
 //! and contracts it by cancelling the C3 job when the sink's
 //! `nFinalPunctsProcessed` built-in metric fires.
+//!
+//! # The store's layout
+//!
+//! Every C2 tuple probes the store and every C3 job scans it, so the store
+//! ([`ProfileStoreHandle`]) keeps a profile where the probe lands: the map
+//! key holds a user name of up to 22 bytes in place, and the value is a
+//! 64-byte entry with `gender` and `location` (up to 14 bytes each) in
+//! place, `age`, `sentiment`, and up to seven sources as one-byte ids, in
+//! first-seen order, into a per-store table of source names. Nothing on
+//! that path is behind a pointer, and nothing is freed one profile at a
+//! time when a world is dropped. What does not fit falls back to the heap
+//! and stays there: a longer user name becomes a boxed key, and a profile
+//! with a longer value, an eighth source, or a source the 256-name table
+//! has no id left for becomes an owned [`Profile`]. Keys order as `str`
+//! orders — by the name's bytes, never by the zero-padded array, so `"a"`
+//! and `"a\0"` stay two users — and every scan visits profiles in that
+//! order, which is what keeps the aggregator's per-group float sums
+//! bit-for-bit what they were over a `BTreeMap<String, Profile>`. Inline
+//! bytes are read back through checked `from_utf8`; there is no `unsafe`.
 
 use crate::SharedStores;
 use orca::{
@@ -37,6 +56,7 @@ use sps_model::logical::{
 };
 use sps_model::{Adl, Value};
 use sps_sim::{SimDuration, SimRng, SimTime};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 use std::sync::Arc;
@@ -59,8 +79,16 @@ pub struct Profile {
 /// Shared deduplicating data store: "C3 applications do not see duplicate
 /// profiles because they read directly from the data store, which has no
 /// duplicate profile entry" (§5.3).
+///
+/// Clones of a handle share one store. Inside, a profile is a fixed-size
+/// entry next to its key in the nodes of an ordered map (see the module
+/// docs), so the per-tuple merge and the C3 scans follow no pointer of their
+/// own and allocate nothing; [`Profile`] values are built only on the way
+/// out, by [`snapshot`](Self::snapshot) and [`for_each`](Self::for_each).
+/// The store is out-of-band state (the paper's external data store): no
+/// checkpoint covers it, and a restarted C2 job merges into what is there.
 #[derive(Clone, Default)]
-pub struct ProfileStoreHandle(Arc<Mutex<BTreeMap<String, Profile>>>);
+pub struct ProfileStoreHandle(Arc<Mutex<ProfileStore>>);
 
 /// One sighting of a user, its strings borrowed from wherever they were
 /// found: what [`ProfileStoreHandle::merge_observed`] folds into the store
@@ -75,6 +103,234 @@ pub struct Observation<'a> {
     pub sources: &'a [&'a str],
 }
 
+/// User names up to this many bytes live inside their map key.
+const USER_INLINE: usize = 22;
+/// `gender` / `location` values up to this many bytes live inside the entry.
+const ATTR_INLINE: usize = 14;
+/// Distinct sources an entry lists before it spills.
+const SOURCES_INLINE: usize = 7;
+
+/// A string of at most `N` bytes, held in place.
+#[derive(Clone, Copy)]
+struct Inline<const N: usize> {
+    len: u8,
+    /// Only `bytes[..len]` is content; the rest is padding and is never
+    /// compared or read back.
+    bytes: [u8; N],
+}
+
+impl<const N: usize> Inline<N> {
+    /// `None` when `s` is longer than `N` bytes.
+    fn new(s: &str) -> Option<Self> {
+        let len = u8::try_from(s.len()).ok()?;
+        let mut bytes = [0; N];
+        bytes.get_mut(..s.len())?.copy_from_slice(s.as_bytes());
+        Some(Inline { len, bytes })
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("inline bytes are a whole str")
+    }
+}
+
+/// Map key: the user name, ordered exactly as `str` orders (bytewise over
+/// the name, never over the padded array) and probed by `&[u8]`.
+enum UserKey {
+    Inline(Inline<USER_INLINE>),
+    Heap(Box<str>),
+}
+
+impl UserKey {
+    fn new(user: &str) -> Self {
+        match Inline::new(user) {
+            Some(inline) => UserKey::Inline(inline),
+            None => UserKey::Heap(user.into()),
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            UserKey::Inline(inline) => inline.as_bytes(),
+            UserKey::Heap(user) => user.as_bytes(),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            UserKey::Inline(inline) => inline.as_str(),
+            UserKey::Heap(user) => user,
+        }
+    }
+}
+
+impl std::borrow::Borrow<[u8]> for UserKey {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl PartialEq for UserKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for UserKey {}
+
+impl PartialOrd for UserKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for UserKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+/// Names of the sources seen by one store; an [`Entry`] lists its sources
+/// as indices into this table.
+#[derive(Default)]
+struct SourceNames(Vec<Box<str>>);
+
+impl SourceNames {
+    /// The id of `name`, entering it on first sight; `None` once every id
+    /// is taken by another name.
+    fn intern(&mut self, name: &str) -> Option<u8> {
+        let id = match self.0.iter().position(|held| &**held == name) {
+            Some(id) => id,
+            None if self.0.len() <= usize::from(u8::MAX) => {
+                self.0.push(name.into());
+                self.0.len() - 1
+            }
+            None => return None,
+        };
+        u8::try_from(id).ok()
+    }
+
+    fn name(&self, id: u8) -> &str {
+        &self.0[usize::from(id)]
+    }
+}
+
+/// A profile that owns no heap memory: short attribute values in place,
+/// sources as first-seen-ordered ids into the store's [`SourceNames`].
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    gender: Option<Inline<ATTR_INLINE>>,
+    age: Option<i64>,
+    location: Option<Inline<ATTR_INLINE>>,
+    sentiment: f64,
+    n_sources: u8,
+    sources: [u8; SOURCES_INLINE],
+}
+
+impl Entry {
+    /// This entry with `seen` folded in, or `None` when the result does not
+    /// fit one: a value longer than [`ATTR_INLINE`], an eighth source, or a
+    /// source name the table has no id left for.
+    fn merged(mut self, seen: &Observation<'_>, names: &mut SourceNames) -> Option<Entry> {
+        if let Some(gender) = seen.gender {
+            self.gender = Some(Inline::new(gender)?);
+        }
+        if seen.age.is_some() {
+            self.age = seen.age;
+        }
+        if let Some(location) = seen.location {
+            self.location = Some(Inline::new(location)?);
+        }
+        self.sentiment = seen.sentiment;
+        for &source in seen.sources {
+            let id = names.intern(source)?;
+            let listed = usize::from(self.n_sources);
+            if !self.sources[..listed].contains(&id) {
+                *self.sources.get_mut(listed)? = id;
+                self.n_sources += 1;
+            }
+        }
+        Some(self)
+    }
+
+    fn to_profile(self, user: &str, names: &SourceNames) -> Profile {
+        Profile {
+            user: user.to_string(),
+            gender: self.gender.map(|gender| gender.as_str().to_string()),
+            age: self.age,
+            location: self.location.map(|location| location.as_str().to_string()),
+            sentiment: self.sentiment,
+            sources: self.sources[..usize::from(self.n_sources)]
+                .iter()
+                .map(|&id| names.name(id).to_string())
+                .collect(),
+        }
+    }
+}
+
+/// What the map holds per user: an [`Entry`], or — once some value outgrew
+/// it — the owned profile, for good.
+enum Slot {
+    Flat(Entry),
+    Spilled(Box<Profile>),
+}
+
+impl Slot {
+    fn merge(&mut self, seen: &Observation<'_>, names: &mut SourceNames) {
+        match self {
+            Slot::Flat(entry) => match entry.merged(seen, names) {
+                Some(merged) => *entry = merged,
+                None => {
+                    let mut profile = entry.to_profile(seen.user, names);
+                    merge_into(&mut profile, seen);
+                    *self = Slot::Spilled(Box::new(profile));
+                }
+            },
+            Slot::Spilled(profile) => merge_into(profile, seen),
+        }
+    }
+
+    fn gender(&self) -> Option<&str> {
+        match self {
+            Slot::Flat(entry) => entry.gender.as_ref().map(Inline::as_str),
+            Slot::Spilled(profile) => profile.gender.as_deref(),
+        }
+    }
+
+    fn age(&self) -> Option<i64> {
+        match self {
+            Slot::Flat(entry) => entry.age,
+            Slot::Spilled(profile) => profile.age,
+        }
+    }
+
+    fn location(&self) -> Option<&str> {
+        match self {
+            Slot::Flat(entry) => entry.location.as_ref().map(Inline::as_str),
+            Slot::Spilled(profile) => profile.location.as_deref(),
+        }
+    }
+
+    fn sentiment(&self) -> f64 {
+        match self {
+            Slot::Flat(entry) => entry.sentiment,
+            Slot::Spilled(profile) => profile.sentiment,
+        }
+    }
+
+    fn has_attribute(&self, attribute: &str) -> bool {
+        match attribute {
+            "gender" => self.gender().is_some(),
+            "age" => self.age().is_some(),
+            "location" => self.location().is_some(),
+            _ => false,
+        }
+    }
+}
+
 /// Overwrites an optional string attribute, reusing its allocation.
 fn assign(slot: &mut Option<String>, value: &str) {
     match slot {
@@ -83,6 +339,42 @@ fn assign(slot: &mut Option<String>, value: &str) {
             held.push_str(value);
         }
         None => *slot = Some(value.to_string()),
+    }
+}
+
+/// The merge rule, on an owned profile: attributes `seen` brings overwrite,
+/// the others are kept, sources accumulate in first-seen order.
+fn merge_into(profile: &mut Profile, seen: &Observation<'_>) {
+    if let Some(gender) = seen.gender {
+        assign(&mut profile.gender, gender);
+    }
+    if seen.age.is_some() {
+        profile.age = seen.age;
+    }
+    if let Some(location) = seen.location {
+        assign(&mut profile.location, location);
+    }
+    profile.sentiment = seen.sentiment;
+    for &source in seen.sources {
+        if !profile.sources.iter().any(|held| held == source) {
+            profile.sources.push(source.to_string());
+        }
+    }
+}
+
+#[derive(Default)]
+struct ProfileStore {
+    profiles: BTreeMap<UserKey, Slot>,
+    source_names: SourceNames,
+}
+
+impl ProfileStore {
+    /// Every profile in user order, built on the way out unless it spilled.
+    fn profiles(&self) -> impl Iterator<Item = Cow<'_, Profile>> {
+        self.profiles.iter().map(|(user, slot)| match slot {
+            Slot::Flat(entry) => Cow::Owned(entry.to_profile(user.as_str(), &self.source_names)),
+            Slot::Spilled(profile) => Cow::Borrowed(&**profile),
+        })
     }
 }
 
@@ -101,70 +393,47 @@ impl ProfileStoreHandle {
     }
 
     /// [`ProfileStoreHandle::merge`] from borrowed fields. The user is
-    /// looked up by `&str`; a key is allocated only on first sight.
+    /// looked up by its bytes; a key is built only on first sight, and
+    /// nothing is allocated while names and values fit their inline room.
     pub fn merge_observed(&self, seen: Observation<'_>) {
         let mut store = self.0.lock();
-        let entry = match store.get_mut(seen.user) {
-            Some(entry) => entry,
-            None => store
-                .entry(seen.user.to_string())
-                .or_insert_with(|| Profile {
-                    user: seen.user.to_string(),
-                    ..Default::default()
-                }),
+        let ProfileStore {
+            profiles,
+            source_names,
+        } = &mut *store;
+        let slot = match profiles.get_mut(seen.user.as_bytes()) {
+            Some(slot) => slot,
+            None => profiles
+                .entry(UserKey::new(seen.user))
+                .or_insert(Slot::Flat(Entry::default())),
         };
-        if let Some(gender) = seen.gender {
-            assign(&mut entry.gender, gender);
-        }
-        if seen.age.is_some() {
-            entry.age = seen.age;
-        }
-        if let Some(location) = seen.location {
-            assign(&mut entry.location, location);
-        }
-        entry.sentiment = seen.sentiment;
-        for &source in seen.sources {
-            if !entry.sources.iter().any(|held| held == source) {
-                entry.sources.push(source.to_string());
-            }
-        }
+        slot.merge(&seen, source_names);
     }
 
     pub fn len(&self) -> usize {
-        self.0.lock().len()
+        self.0.lock().profiles.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.lock().is_empty()
+        self.0.lock().profiles.is_empty()
     }
 
     /// Snapshot of all profiles, in user order (tests and figures).
     pub fn snapshot(&self) -> Vec<Profile> {
-        self.0.lock().values().cloned().collect()
+        self.0.lock().profiles().map(Cow::into_owned).collect()
     }
 
-    /// Visits every profile in user order, in place and under the store's
-    /// lock (what a C3 job scans) — `f` must not call back into the store.
-    pub fn for_each(&self, f: impl FnMut(&Profile)) {
-        self.0.lock().values().for_each(f);
+    /// Visits every profile in user order, under the store's lock — `f`
+    /// must not call back into the store.
+    pub fn for_each(&self, mut f: impl FnMut(&Profile)) {
+        self.0.lock().profiles().for_each(|profile| f(&profile));
     }
 
     /// Profiles that have the given attribute.
     pub fn count_with_attribute(&self, attribute: &str) -> usize {
-        self.0
-            .lock()
-            .values()
-            .filter(|p| has_attribute(p, attribute))
-            .count()
-    }
-}
-
-fn has_attribute(p: &Profile, attribute: &str) -> bool {
-    match attribute {
-        "gender" => p.gender.is_some(),
-        "age" => p.age.is_some(),
-        "location" => p.location.is_some(),
-        _ => false,
+        let store = self.0.lock();
+        let profiles = store.profiles.values();
+        profiles.filter(|p| p.has_attribute(attribute)).count()
     }
 }
 
@@ -349,19 +618,20 @@ impl Operator for AttributeAggregator {
 }
 
 /// Sentiment sum and profile count per value of `attribute` over the
-/// deduplicated store, scanned in place; profiles without the attribute are
-/// skipped. A key is allocated only when its group is first seen.
+/// deduplicated store, scanned in place and in user order (so each sum adds
+/// in that order); profiles without the attribute are skipped. A key is
+/// allocated only when its group is first seen.
 fn sentiment_by_attribute(
     store: &ProfileStoreHandle,
     attribute: &str,
 ) -> BTreeMap<String, (f64, usize)> {
     let mut groups: BTreeMap<String, (f64, usize)> = BTreeMap::new();
     let mut decade = String::new();
-    store.for_each(|p| {
+    for profile in store.0.lock().profiles.values() {
         let key = match attribute {
-            "gender" => p.gender.as_deref(),
-            "location" => p.location.as_deref(),
-            "age" => p.age.map(|age| {
+            "gender" => profile.gender(),
+            "location" => profile.location(),
+            "age" => profile.age().map(|age| {
                 decade.clear();
                 write!(decade, "{}s", (age / 10) * 10).expect("writing to a String");
                 decade.as_str()
@@ -369,15 +639,15 @@ fn sentiment_by_attribute(
             _ => unreachable!("validated at construction"),
         };
         let Some(key) = key else {
-            return;
+            continue;
         };
         let slot = match groups.get_mut(key) {
             Some(slot) => slot,
             None => groups.entry(key.to_string()).or_insert((0.0, 0)),
         };
-        slot.0 += p.sentiment;
+        slot.0 += profile.sentiment();
         slot.1 += 1;
-    });
+    }
     groups
 }
 
@@ -554,8 +824,9 @@ pub struct CompositionEvent {
 /// The dynamic-composition orchestrator.
 pub struct CompositionOrca {
     threshold: i64,
-    /// Latest cumulative per-(app, metric) values.
-    latest: BTreeMap<(String, String), i64>,
+    /// Latest cumulative value per C2 application (row, as in `C2_APPS`)
+    /// and attribute metric (column, as in `ATTRIBUTES`).
+    latest: [[i64; ATTRIBUTES.len()]; C2_APPS.len()],
     /// Aggregate value at the last C3 launch, per attribute.
     last_spawn: BTreeMap<String, i64>,
     /// Running C3 config per attribute (one segmentation at a time).
@@ -582,7 +853,7 @@ impl CompositionOrca {
     pub fn new(threshold: i64) -> Self {
         CompositionOrca {
             threshold,
-            latest: BTreeMap::new(),
+            latest: [[0; ATTRIBUTES.len()]; C2_APPS.len()],
             last_spawn: BTreeMap::new(),
             active_c3: BTreeMap::new(),
             next_c3: 0,
@@ -592,20 +863,18 @@ impl CompositionOrca {
         }
     }
 
-    /// Sum of a metric across all C2 applications.
-    fn aggregate(&self, metric: &str) -> i64 {
-        C2_APPS
-            .iter()
-            .filter_map(|(app, _)| self.latest.get(&(app.to_string(), metric.to_string())))
-            .sum()
+    /// Sum of an attribute's metric (a column of `latest`) across all C2
+    /// applications.
+    fn aggregate(&self, attribute: usize) -> i64 {
+        self.latest.iter().map(|app| app[attribute]).sum()
     }
 
     fn maybe_spawn_c3(&mut self, ctx: &mut OrcaCtx<'_>) {
-        for (attr, metric) in ATTRIBUTES {
+        for (column, (attr, _)) in ATTRIBUTES.into_iter().enumerate() {
             if self.active_c3.contains_key(attr) {
                 continue;
             }
-            let total = self.aggregate(metric);
+            let total = self.aggregate(column);
             let baseline = self.last_spawn.get(attr).copied().unwrap_or(0);
             if total - baseline < self.threshold {
                 continue;
@@ -694,8 +963,13 @@ impl Orchestrator for CompositionOrca {
             }
             return;
         }
-        self.latest
-            .insert((e.app_name.clone(), e.metric.clone()), e.value);
+        let app = C2_APPS.iter().position(|(app, _)| *app == e.app_name);
+        let attribute = ATTRIBUTES
+            .iter()
+            .position(|(_, metric)| *metric == e.metric);
+        if let (Some(app), Some(attribute)) = (app, attribute) {
+            self.latest[app][attribute] = e.value;
+        }
         self.maybe_spawn_c3(ctx);
     }
 
@@ -760,12 +1034,24 @@ mod tests {
             .unwrap()
     }
 
-    /// What the aggregator emitted before it scanned the store in place:
-    /// the grouping over a cloned `snapshot()`, owned keys throughout.
-    fn tuples_by_snapshot(store: &ProfileStoreHandle, attribute: &str, now: SimTime) -> Vec<Tuple> {
+    fn has_attribute(p: &Profile, attribute: &str) -> bool {
+        match attribute {
+            "gender" => p.gender.is_some(),
+            "age" => p.age.is_some(),
+            "location" => p.location.is_some(),
+            _ => false,
+        }
+    }
+
+    /// The grouping as it was before the aggregator scanned the store in
+    /// place: over owned profiles in the order given, owned keys throughout.
+    fn groups_of<'a>(
+        profiles: impl IntoIterator<Item = &'a Profile>,
+        attribute: &str,
+    ) -> BTreeMap<String, (f64, usize)> {
         let mut groups: BTreeMap<String, (f64, usize)> = BTreeMap::new();
-        for p in store.snapshot() {
-            if !has_attribute(&p, attribute) {
+        for p in profiles {
+            if !has_attribute(p, attribute) {
                 continue;
             }
             let key = match attribute {
@@ -779,6 +1065,11 @@ mod tests {
             slot.1 += 1;
         }
         groups
+    }
+
+    /// What the aggregator emits, from [`groups_of`] a cloned `snapshot()`.
+    fn tuples_by_snapshot(store: &ProfileStoreHandle, attribute: &str, now: SimTime) -> Vec<Tuple> {
+        groups_of(&store.snapshot(), attribute)
             .into_iter()
             .map(|(value, (sum, n))| {
                 Tuple::new()
@@ -1076,46 +1367,197 @@ mod tests {
         }
     }
 
+    /// Strings around an inline capacity of `cap` bytes: empty, one byte,
+    /// one under, exactly at and one past it, multi-byte characters ending
+    /// at and straddling it, `cap`-long common prefixes, and NULs (which
+    /// the zero padding of an inline array must never be taken for).
+    fn edge_strings(cap: usize) -> Vec<String> {
+        let x = |n: usize| "x".repeat(n);
+        vec![
+            String::new(),
+            "a".into(),
+            "\0".into(),
+            "a\0".into(),
+            "a\0\0".into(),
+            "a\0b".into(),
+            x(cap - 1),
+            x(cap),
+            x(cap + 1),
+            x(cap - 1) + "\0",
+            x(cap) + "\0",
+            x(cap - 2) + "é",
+            x(cap - 1) + "é",
+            x(cap - 3) + "中",
+            x(cap - 1) + "中",
+            x(cap - 2) + "🦀",
+            x(cap) + "y",
+            x(cap) + "z",
+            x(3 * cap),
+        ]
+    }
+
+    /// Everything the store lets a caller see equals the model's, user
+    /// order included; float sums compared by bit pattern.
+    fn assert_store_is(store: &ProfileStoreHandle, model: &BTreeMap<String, Profile>) {
+        let expect: Vec<&Profile> = model.values().collect();
+        assert_eq!(store.snapshot().iter().collect::<Vec<_>>(), expect);
+        let mut scanned = Vec::new();
+        store.for_each(|p| scanned.push(p.clone()));
+        assert_eq!(scanned.iter().collect::<Vec<_>>(), expect);
+        assert_eq!(store.len(), model.len());
+        assert_eq!(store.is_empty(), model.is_empty());
+        assert_eq!(store.count_with_attribute("bogus"), 0);
+        for (attribute, _) in ATTRIBUTES {
+            assert_eq!(
+                store.count_with_attribute(attribute),
+                expect
+                    .iter()
+                    .filter(|p| has_attribute(p, attribute))
+                    .count(),
+                "{attribute}"
+            );
+            let bits = |groups: BTreeMap<String, (f64, usize)>| -> Vec<(String, u64, usize)> {
+                let flat = groups.into_iter();
+                flat.map(|(key, (sum, n))| (key, sum.to_bits(), n))
+                    .collect()
+            };
+            assert_eq!(
+                bits(sentiment_by_attribute(store, attribute)),
+                bits(groups_of(expect.iter().copied(), attribute)),
+                "{attribute}"
+            );
+        }
+    }
+
     #[test]
     fn borrowed_merge_builds_the_store_the_owned_merge_did() {
         let store = ProfileStoreHandle::default();
-        let mut reference = BTreeMap::new();
+        let mut model = BTreeMap::new();
         let mut rng = SimRng::new(0x5eed);
-        let services = ["twitter", "blogs", "facebook"];
-        for _ in 0..600 {
-            // ~200 users over 600 sightings: most merges hit a known user.
-            let p = Profile {
-                user: format!("u{}", rng.gen_range(0, 200)),
-                gender: rng
-                    .gen_bool(0.6)
-                    .then(|| if rng.gen_bool(0.5) { "f" } else { "m" }.to_string()),
-                age: rng.gen_bool(0.4).then(|| rng.gen_range(13, 80) as i64),
-                location: rng
-                    .gen_bool(0.3)
-                    .then(|| format!("loc{}", rng.gen_range(0, 50))),
-                sentiment: -rng.next_f64(),
-                sources: vec![services[rng.gen_range(0, 3) as usize].to_string()],
+        fn pick(rng: &mut SimRng, pool: &[String]) -> String {
+            pool[rng.gen_range(0, pool.len() as u64) as usize].clone()
+        }
+
+        let mut users = edge_strings(USER_INLINE);
+        users.extend((0..160).map(|n| format!("u{n}")));
+        let values = edge_strings(ATTR_INLINE);
+        let short_values: Vec<String> = values
+            .iter()
+            .filter(|value| value.len() <= ATTR_INLINE)
+            .cloned()
+            .collect();
+        // As many sources as one entry lists, and more names than ids.
+        let few_sources: Vec<String> = (0..SOURCES_INLINE).map(|n| format!("svc{n}")).collect();
+        let mut many_sources = few_sources.clone();
+        many_sources.extend((0..600).map(|n| format!("feed{n}")));
+
+        // The first profile lists exactly as many sources as an entry
+        // holds, which also gives those names their ids before the table
+        // fills up.
+        let first = Profile {
+            user: users[0].clone(),
+            sources: few_sources.clone(),
+            ..Default::default()
+        };
+        merge_owned(&mut model, first.clone());
+        store.merge(first);
+        assert_store_is(&store, &model);
+
+        for _ in 0..2500 {
+            let at = rng.gen_range(0, users.len() as u64) as usize;
+            // A third of the users only ever get what an entry can hold
+            // and stay entries to the end; a third outgrow it by their
+            // sources alone (an eighth one, or a name the full table has no
+            // id for); the rest get long values as well.
+            let (values, sources) = match at % 3 {
+                0 => (&short_values, &few_sources),
+                1 => (&short_values, &many_sources),
+                _ => (&values, &many_sources),
             };
-            merge_owned(&mut reference, p.clone());
+            let p = Profile {
+                user: users[at].clone(),
+                gender: rng.gen_bool(0.5).then(|| pick(&mut rng, values)),
+                age: rng.gen_bool(0.4).then(|| rng.gen_range(0, 130) as i64 - 5),
+                location: rng.gen_bool(0.5).then(|| pick(&mut rng, values)),
+                sentiment: if rng.gen_bool(0.1) {
+                    -0.0
+                } else {
+                    -rng.next_f64()
+                },
+                sources: (0..rng.gen_range(0, 4))
+                    .map(|_| pick(&mut rng, sources))
+                    .collect(),
+            };
+            merge_owned(&mut model, p.clone());
             if rng.gen_bool(0.5) {
                 store.merge(p);
             } else {
+                let sources: Vec<&str> = p.sources.iter().map(String::as_str).collect();
                 store.merge_observed(Observation {
                     user: &p.user,
                     gender: p.gender.as_deref(),
                     age: p.age,
                     location: p.location.as_deref(),
                     sentiment: p.sentiment,
-                    sources: &[p.sources[0].as_str()],
+                    sources: &sources,
                 });
             }
+            assert_store_is(&store, &model);
         }
-        // Same profiles, same (user) order, whether scanned or snapshotted.
-        let expect: Vec<Profile> = reference.into_values().collect();
-        assert_eq!(store.snapshot(), expect);
-        let mut scanned = Vec::new();
-        store.for_each(|p| scanned.push(p.clone()));
-        assert_eq!(scanned, expect);
+
+        // The run went where it was meant to: keys and entries of both
+        // kinds, an entry filled to its last source, the id table full and
+        // more names than it holds in use.
+        let inner = store.0.lock();
+        let keys = |heap: bool| {
+            let keys = inner.profiles.keys();
+            keys.filter(|key| matches!(key, UserKey::Heap(_)) == heap)
+                .count()
+        };
+        assert!(keys(false) > 100 && keys(true) > 5);
+        let entries = || {
+            inner.profiles.values().filter_map(|slot| match slot {
+                Slot::Flat(entry) => Some(entry),
+                Slot::Spilled(_) => None,
+            })
+        };
+        assert!(entries().count() > 30 && entries().count() + 60 < inner.profiles.len());
+        assert!(entries().any(|entry| usize::from(entry.n_sources) == SOURCES_INLINE));
+        assert_eq!(inner.source_names.0.len(), usize::from(u8::MAX) + 1);
+        let mut names: Vec<&String> = model.values().flat_map(|p| &p.sources).collect();
+        names.sort();
+        names.dedup();
+        assert!(names.len() > inner.source_names.0.len());
+        let most = model.values().map(|p| p.sources.len()).max();
+        assert!(most > Some(2 * SOURCES_INLINE));
+    }
+
+    #[test]
+    fn clones_share_a_store_and_new_stores_share_nothing() {
+        let seen = |user| Observation {
+            user,
+            gender: None,
+            age: Some(30),
+            location: None,
+            sentiment: -0.5,
+            sources: &["blogs"],
+        };
+        let stores = SharedStores::new();
+        let clone = stores.profile_store.clone();
+        clone.merge_observed(seen("alice"));
+        stores.profile_store.merge_observed(seen("bob"));
+        assert_eq!(clone.len(), 2);
+        assert_eq!(stores.profile_store.snapshot(), clone.snapshot());
+        assert_eq!(stores.clone().profile_store.count_with_attribute("age"), 2);
+
+        assert!(SharedStores::new().profile_store.is_empty());
+        assert!(ProfileStoreHandle::default().is_empty());
+    }
+
+    #[test]
+    fn an_entry_is_one_cache_line() {
+        assert!(std::mem::size_of::<Slot>() <= 64);
+        assert!(std::mem::size_of::<UserKey>() <= 24);
     }
 
     #[test]

@@ -34,6 +34,8 @@ pub struct Aggregate {
     groups: BTreeMap<String, SlidingTimeWindow<f64>>,
     last_emit: Option<SimTime>,
     got_final: bool,
+    /// Scratch for the rendered group key of the tuple in hand.
+    key: String,
 }
 
 impl Aggregate {
@@ -61,7 +63,30 @@ impl Aggregate {
             groups: BTreeMap::new(),
             last_emit: None,
             got_final: false,
+            key: String::new(),
         })
+    }
+
+    /// Pushes `v` into the window of the group `tuple` belongs to; a key is
+    /// allocated only when the group is first seen. `Err` names a missing
+    /// `group_by` attribute.
+    fn push_grouped(&mut self, tuple: &Tuple, now: SimTime, v: f64) -> Result<(), String> {
+        self.key.clear();
+        if let Some(attr) = &self.group_by {
+            match tuple.get(attr) {
+                Some(val) => val.render_into(&mut self.key),
+                None => return Err(format!("group_by attribute '{attr}' missing")),
+            }
+        }
+        let window = match self.groups.get_mut(self.key.as_str()) {
+            Some(window) => window,
+            None => self
+                .groups
+                .entry(self.key.clone())
+                .or_insert_with(|| SlidingTimeWindow::new(self.window)),
+        };
+        window.push(now, v);
+        Ok(())
     }
 
     fn emit_all(&mut self, ctx: &mut OpCtx) {
@@ -100,21 +125,9 @@ impl Operator for Aggregate {
             ));
             return;
         };
-        let group = match &self.group_by {
-            None => String::new(),
-            Some(attr) => match tuple.get(attr) {
-                Some(val) => val.render(),
-                None => {
-                    ctx.raise_fault(format!("group_by attribute '{attr}' missing"));
-                    return;
-                }
-            },
-        };
-        let window_span = self.window;
-        self.groups
-            .entry(group)
-            .or_insert_with(|| SlidingTimeWindow::new(window_span))
-            .push(ctx.now(), v);
+        if let Err(fault) = self.push_grouped(&tuple, ctx.now(), v) {
+            ctx.raise_fault(fault);
+        }
     }
 
     // Batched ingest. Ungrouped aggregation resolves the group window once
@@ -142,7 +155,7 @@ impl Operator for Aggregate {
                     window.push(now, v);
                 }
             }
-            Some(attr) => {
+            Some(_) => {
                 for tuple in batch {
                     let Some(v) = tuple.get_f64(&self.value_attr) else {
                         ctx.raise_fault(format!(
@@ -151,17 +164,10 @@ impl Operator for Aggregate {
                         ));
                         return;
                     };
-                    let group = match tuple.get(attr) {
-                        Some(val) => val.render(),
-                        None => {
-                            ctx.raise_fault(format!("group_by attribute '{attr}' missing"));
-                            return;
-                        }
-                    };
-                    self.groups
-                        .entry(group)
-                        .or_insert_with(|| SlidingTimeWindow::new(span))
-                        .push(now, v);
+                    if let Err(fault) = self.push_grouped(&tuple, now, v) {
+                        ctx.raise_fault(fault);
+                        return;
+                    }
                 }
             }
         }
@@ -287,6 +293,35 @@ mod tests {
         assert_eq!(out[0].1.get_str("group"), Some("s:A"));
         assert_eq!(out[0].1.get_f64("avg"), Some(1.0));
         assert_eq!(out[1].1.get_f64("avg"), Some(100.0));
+    }
+
+    #[test]
+    fn group_keys_are_the_rendered_value() {
+        let mut params = base_params();
+        params.push(("group_by", Value::Str("k".into())));
+        let mut a = agg(&params);
+        let mut h = Harness::new(1);
+        let keys = [
+            Value::Str("a[1]\\b".into()),
+            Value::Int(7),
+            Value::Str(String::new()),
+            Value::Str("a[1]\\b".into()),
+        ];
+        for (i, key) in keys.iter().enumerate() {
+            let t = Tuple::new().with("k", key.clone()).with("price", i as f64);
+            h.tuple(&mut a, 0, t);
+        }
+        let out = Harness::tuples_only(h.tick(&mut a));
+        let groups: Vec<(&str, i64)> = out
+            .iter()
+            .map(|(_, t)| (t.get_str("group").unwrap(), t.get_int("count").unwrap()))
+            .collect();
+        // One group per distinct value, named as `Value::render` names it
+        // (escapes included), the repeated key counted in its first window.
+        assert_eq!(groups, [("i:7", 1), ("s:", 1), ("s:a\\l1\\r\\\\b", 2)]);
+        for key in &keys {
+            assert!(groups.iter().any(|(group, _)| *group == key.render()));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Type of a tuple attribute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -122,20 +122,38 @@ impl Value {
 
     /// Canonical single-line rendering used in ADL attributes and traces.
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Appends the [`render`](Self::render) form to `out`, so a caller that
+    /// renders per tuple can keep one buffer.
+    pub fn render_into(&self, out: &mut String) {
         match self {
-            Value::Int(v) => format!("i:{v}"),
-            Value::Float(v) => {
-                // `{:?}` keeps round-trippable precision for f64.
-                format!("f:{v:?}")
+            Value::Int(v) => write!(out, "i:{v}"),
+            // `{:?}` keeps round-trippable precision for f64.
+            Value::Float(v) => write!(out, "f:{v:?}"),
+            Value::Str(s) => {
+                out.push_str("s:");
+                escape_str_into(s, out);
+                Ok(())
             }
-            Value::Str(s) => format!("s:{}", escape_str(s)),
-            Value::Bool(b) => format!("b:{b}"),
-            Value::Timestamp(t) => format!("t:{t}"),
+            Value::Bool(b) => write!(out, "b:{b}"),
+            Value::Timestamp(t) => write!(out, "t:{t}"),
             Value::List(items) => {
-                let inner: Vec<String> = items.iter().map(|v| v.render()).collect();
-                format!("l:[{}]", inner.join("\u{1f}"))
+                out.push_str("l:[");
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push('\u{1f}');
+                    }
+                    item.render_into(out);
+                }
+                out.push(']');
+                Ok(())
             }
         }
+        .expect("writing to a String");
     }
 
     /// Parses the `render` form.
@@ -167,18 +185,20 @@ impl Value {
 /// Escapes the characters that the list renderer treats structurally, so a
 /// bracket-depth scan over a rendered list never mistakes string content for
 /// structure.
-fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\u{1f}' => out.push_str("\\u"),
-            '[' => out.push_str("\\l"),
-            ']' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+fn escape_str_into(s: &str, out: &mut String) {
+    let mut rest = s;
+    while let Some(at) = rest.find(['\\', '\u{1f}', '[', ']']) {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'\\' => "\\\\",
+            0x1f => "\\u",
+            b'[' => "\\l",
+            _ => "\\r",
+        });
+        // All four are one byte long.
+        rest = &rest[at + 1..];
     }
-    out
+    out.push_str(rest);
 }
 
 fn unescape_str(s: &str) -> Option<String> {

@@ -29,12 +29,68 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
+/// Values whose strings are dense in the four characters `render` escapes
+/// (`\\`, U+001F, `[`, `]`), nested up to three lists deep.
+fn arb_escaping_value() -> impl Strategy<Value = Value> {
+    let leaf = prop_oneof![
+        any::<i64>().prop_map(Value::Int),
+        any::<f64>().prop_map(Value::Float),
+        "[ab:é中\\\\\\x1f\\[\\]]{0,12}".prop_map(Value::Str),
+        any::<bool>().prop_map(Value::Bool),
+        any::<u64>().prop_map(Value::Timestamp),
+    ];
+    leaf.prop_recursive(3, 16, 4, |inner| {
+        prop::collection::vec(inner, 0..4).prop_map(Value::List)
+    })
+}
+
+/// `Value::render` as it was when every value and every escape built its
+/// own `String`: the reference `render_into` must reproduce byte for byte.
+fn render_by_format(v: &Value) -> String {
+    match v {
+        Value::Int(v) => format!("i:{v}"),
+        Value::Float(v) => format!("f:{v:?}"),
+        Value::Str(s) => {
+            let mut escaped = String::new();
+            for c in s.chars() {
+                match c {
+                    '\\' => escaped.push_str("\\\\"),
+                    '\u{1f}' => escaped.push_str("\\u"),
+                    '[' => escaped.push_str("\\l"),
+                    ']' => escaped.push_str("\\r"),
+                    c => escaped.push(c),
+                }
+            }
+            format!("s:{escaped}")
+        }
+        Value::Bool(b) => format!("b:{b}"),
+        Value::Timestamp(t) => format!("t:{t}"),
+        Value::List(items) => {
+            let inner: Vec<String> = items.iter().map(render_by_format).collect();
+            format!("l:[{}]", inner.join("\u{1f}"))
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn value_render_parse_roundtrip(v in arb_value()) {
         let rendered = v.render();
         let parsed = Value::parse(&rendered);
         prop_assert_eq!(parsed, Some(v));
+    }
+
+    #[test]
+    fn render_into_appends_what_render_by_format_built(
+        v in arb_escaping_value(),
+        held in "[a-z\\[]{0,6}",
+    ) {
+        let expect = render_by_format(&v);
+        prop_assert_eq!(v.render(), expect.clone());
+        // A reused buffer: what it already holds stays, the rendering follows.
+        let mut out = held.clone();
+        v.render_into(&mut out);
+        prop_assert_eq!(out, held + &expect);
     }
 
     #[test]

@@ -1222,7 +1222,7 @@ impl Kernel {
 
         // Step all live PEs.
         let mut deliveries: Vec<(JobId, usize, sps_engine::RemoteDelivery)> = Vec::new();
-        let mut exported: Vec<(JobId, usize, ExportedItem)> = Vec::new();
+        let mut exported: Vec<(JobId, usize, Vec<ExportedItem>)> = Vec::new();
         let mut crashes: Vec<(PeId, String)> = Vec::new();
         let (now, quantum, budget) = (self.now, self.config.quantum, self.config.pe_budget);
         for host in self.cluster.hosts_mut() {
@@ -1237,8 +1237,8 @@ impl Kernel {
                 for d in out.remote {
                     deliveries.push((proc.job, proc.adl_index, d));
                 }
-                for e in out.exported {
-                    exported.push((proc.job, proc.adl_index, e));
+                if !out.exported.is_empty() {
+                    exported.push((proc.job, proc.adl_index, out.exported));
                 }
                 if let Some(msg) = out.crashed {
                     proc.status = PeStatus::Crashed;
@@ -1253,8 +1253,8 @@ impl Kernel {
         }
 
         // Cross-job import/export routing.
-        for (job, from_adl, item) in exported {
-            self.transport_export(job, from_adl, item);
+        for (job, from_adl, items) in exported {
+            self.transport_export(job, from_adl, &items);
         }
 
         // Crash notifications (SRM detects, SAM routes to the orchestrator).
@@ -1421,52 +1421,58 @@ impl Kernel {
         }
     }
 
-    /// Routes one exported item to every matching importer, with the same
-    /// upstream-backup suppression/buffering as [`Self::transport_remote`]
-    /// (each `(exporter, importer)` pair is its own channel).
-    fn transport_export(&mut self, job: JobId, from_adl: usize, item: ExportedItem) {
+    /// Routes what one PE exported during a step to every matching
+    /// importer, with the same upstream-backup suppression/buffering as
+    /// [`Self::transport_remote`] (each `(exporter, importer)` pair is its own
+    /// channel). A run of consecutive items from one exported port resolves
+    /// each importer once and hands it the whole run: an importer still sees
+    /// its items in emission order, and nothing orders one importer's
+    /// channel against another's.
+    fn transport_export(&mut self, job: JobId, from_adl: usize, items: &[ExportedItem]) {
         let ub = self.upstream_backup_enabled();
         let now = self.now;
-        for (target_job, import_op) in self.broker.route(job, &item.op, item.port) {
-            let target_job = *target_job;
-            let Some(info) = self.sam.job(target_job) else {
-                continue;
-            };
-            let Some(op) = info.adl.operator(import_op) else {
-                continue;
-            };
-            let to_adl = op.pe;
-            let Some(&target_pe) = info.pe_ids.get(to_adl) else {
-                continue;
-            };
-            let Some(proc) = self.cluster.process_mut(target_pe) else {
-                continue;
-            };
-            if ub {
-                let key = ChannelKey::Export {
+        for run in items.chunk_by(|a, b| a.port == b.port && a.op == b.op) {
+            let (op, port) = (&run[0].op, run[0].port);
+            for (target_job, import_op) in self.broker.route(job, op, port) {
+                let target_job = *target_job;
+                let Some(info) = self.sam.job(target_job) else {
+                    continue;
+                };
+                let Some(to_adl) = info.adl.operator(import_op).map(|op| op.pe) else {
+                    continue;
+                };
+                let Some(&target_pe) = info.pe_ids.get(to_adl) else {
+                    continue;
+                };
+                let Some(proc) = self.cluster.process_mut(target_pe) else {
+                    continue;
+                };
+                let key = ub.then(|| ChannelKey::Export {
                     from_job: job,
                     from: from_adl,
-                    op: Arc::clone(&item.op),
-                    port: item.port,
+                    op: Arc::clone(op),
+                    port,
                     to_job: target_job,
                     to_op: Arc::clone(import_op),
-                };
-                if self.backup.advance(&key) {
-                    continue;
+                });
+                for item in run {
+                    if key.as_ref().is_some_and(|key| self.backup.advance(key)) {
+                        continue;
+                    }
+                    if ub && proc.checkpointable {
+                        self.backup.buffer(
+                            (target_job, to_adl),
+                            now,
+                            BackupItem::Import {
+                                op: Arc::clone(import_op),
+                                item: item.item.clone(),
+                            },
+                        );
+                    }
+                    if proc.status == PeStatus::Up {
+                        let _ = proc.runtime.inject(import_op, 0, item.item.clone());
+                    }
                 }
-            }
-            if ub && proc.checkpointable {
-                self.backup.buffer(
-                    (target_job, to_adl),
-                    now,
-                    BackupItem::Import {
-                        op: Arc::clone(import_op),
-                        item: item.item.clone(),
-                    },
-                );
-            }
-            if proc.status == PeStatus::Up {
-                let _ = proc.runtime.inject(import_op, 0, item.item.clone());
             }
         }
     }
@@ -1562,9 +1568,7 @@ impl Kernel {
             for d in out.remote {
                 self.transport_remote(job, adl_index, d);
             }
-            for e in out.exported {
-                self.transport_export(job, adl_index, e);
-            }
+            self.transport_export(job, adl_index, &out.exported);
         }
         if let Some(msg) = crashed {
             self.trace

@@ -1,0 +1,89 @@
+//! Heap requests per quantum, pinned.
+//!
+//! The simulator is deterministic, so the number of times a scenario asks
+//! the allocator for memory is an exact count, not a measurement: the same
+//! seed gives the same number on every run. This binary installs a counting
+//! global allocator (the one place in the repository that needs `unsafe`,
+//! and a test binary so that no product code links it), runs the `social`
+//! and `trend` scenarios fault-free and holds each to a recorded ceiling of
+//! requests per quantum — a per-tuple path that starts allocating again
+//! fails here instead of waiting for someone to profile it.
+
+use orca_harness::{by_name, Built, Janitor, WorldPolicy};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Requests made by this thread. Per thread, because the test harness
+    /// runs tests side by side; a world is stepped by the thread that built
+    /// it.
+    static REQUESTS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is handed to `System` with the arguments it came with,
+// so `System`'s guarantees are this allocator's. The counter is a
+// const-initialised thread-local `Cell<u64>`: it has no destructor and no
+// lazy initialiser, so touching it never allocates, and `try_with` covers a
+// thread that is already tearing its locals down.
+unsafe impl GlobalAlloc for Counting {
+    // `alloc_zeroed` and `realloc` are the trait's defaults, which come
+    // through here: each request for memory is counted once.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations on `layout` are passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, that is from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap requests made while a built world of `scenario` runs fault-free
+/// through warm-up, fault window and settle, and the quanta that took.
+fn requests_over_a_run(scenario: &str, seed: u64) -> (u64, u64) {
+    let scenario = by_name(scenario).expect("a registered scenario");
+    let Built { mut world, .. } = (scenario.build)(seed, WorldPolicy::default());
+    if scenario.janitor {
+        world.add_controller(Box::new(Janitor::default()));
+    }
+    let span = scenario.warmup + scenario.fault_window + scenario.settle;
+    let quanta = span.as_millis() / world.kernel.config.quantum.as_millis();
+    let before = REQUESTS.get();
+    world.run_for(span);
+    (REQUESTS.get() - before, quanta)
+}
+
+/// `(scenario, requests per quantum it may make)`, seed 7: what this tree
+/// makes (436.7 and 65.2, the same in debug and release builds), rounded
+/// up. Lower them when a change earns it. Before the profile store held its
+/// entries in place and `Aggregate` kept one group-key buffer, the same runs
+/// made 528.7 (`social`) and 83.0 (`trend`).
+const CEILINGS: [(&str, u64); 2] = [("social", 437), ("trend", 66)];
+
+#[test]
+fn heap_requests_repeat_exactly_and_stay_under_their_ceiling() {
+    for (scenario, ceiling) in CEILINGS {
+        let (requests, quanta) = requests_over_a_run(scenario, 7);
+        assert_eq!(
+            requests_over_a_run(scenario, 7),
+            (requests, quanta),
+            "{scenario}: a second run of the same seed"
+        );
+        let per_quantum = requests as f64 / quanta as f64;
+        println!(
+            "{scenario}: {requests} requests over {quanta} quanta, {per_quantum:.1} a quantum"
+        );
+        assert!(
+            requests <= ceiling * quanta,
+            "{scenario}: {per_quantum:.1} heap requests a quantum, recorded ceiling {ceiling}"
+        );
+    }
+}
