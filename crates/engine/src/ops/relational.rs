@@ -1,18 +1,18 @@
 //! Relational-style operators: Filter, Functor, Split, Merge, DeDup.
 
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
-use crate::expr::Expr;
+use crate::expr::{BoundExpr, Expr, Scalar};
 use crate::metrics::MetricId;
 use crate::op::{FinalPunctTracker, OpCtx, Operator, Punct, TupleBatch};
 use crate::ops::{opt_i64, opt_str, req_str};
-use crate::tuple::Tuple;
+use crate::tuple::{Schema, Tuple};
 use crate::EngineError;
 use sps_model::value::ParamMap;
-use sps_model::Value;
 use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Forwards tuples matching a predicate; maintains the custom metric
 /// `nDiscarded` (the paper's example of an operator-specific custom metric,
@@ -20,7 +20,7 @@ use std::hash::{Hash, Hasher};
 ///
 /// Parameters: `predicate` (str expression, required).
 pub struct Filter {
-    predicate: Expr,
+    predicate: BoundExpr,
     /// Handle of `nDiscarded`, resolved at the first discard. Written once
     /// and the same after a restore, so a Filter still has no state.
     discarded: OnceCell<MetricId>,
@@ -30,7 +30,7 @@ impl Filter {
     pub fn from_params(op: &str, params: &ParamMap) -> Result<Self, EngineError> {
         let src = req_str(params, op, "predicate")?;
         Ok(Filter {
-            predicate: Expr::parse(src)?,
+            predicate: BoundExpr::parse(src)?,
             discarded: OnceCell::new(),
         })
     }
@@ -38,7 +38,11 @@ impl Filter {
 
 impl Operator for Filter {
     fn on_tuple(&mut self, _port: usize, tuple: Tuple, ctx: &mut OpCtx) {
-        match self.predicate.eval_bool(&tuple) {
+        let keep = match self.predicate.eval_scalar(&tuple) {
+            Some(Scalar::Bool(keep)) => Ok(keep),
+            _ => self.predicate.expr().eval_bool(&tuple),
+        };
+        match keep {
             Ok(true) => ctx.submit(0, tuple),
             Ok(false) => {
                 let id = *self.discarded.get_or_init(|| ctx.metric_id("nDiscarded"));
@@ -57,8 +61,101 @@ impl Operator for Filter {
 /// - `project` (str, optional): comma-separated attributes to keep (applied
 ///   after assignments).
 pub struct Functor {
-    assignments: Vec<(String, Expr)>,
+    assignments: Vec<(String, BoundExpr)>,
     project: Option<Vec<String>>,
+    layout: LayoutCache,
+}
+
+/// What a Functor does to the rows of one input schema: where each
+/// assignment's value goes, and what `project` keeps of the result.
+struct Layout {
+    input: Arc<Schema>,
+    /// One per assignment, in order.
+    targets: Vec<Target>,
+    project: Option<Projection>,
+}
+
+enum Target {
+    /// The name is in the schema already: overwrite in place.
+    Slot(usize),
+    /// A new name: the row moves to this child schema (the one `Tuple::set`
+    /// would find through the parent's memo) and grows by one value.
+    Append(Arc<Schema>),
+}
+
+struct Projection {
+    /// The kept names the assigned row has, in `project` order.
+    schema: Arc<Schema>,
+    /// Where each of them sits in the assigned row.
+    sources: Vec<usize>,
+}
+
+/// The layout for the input schema last seen. A cache — a pure function of
+/// (parameters, schema), rebuilt when the stream changes shape and on the
+/// first tuple after a restore — so a Functor still has no state.
+#[derive(Default)]
+struct LayoutCache(Option<Layout>);
+
+impl LayoutCache {
+    fn get(
+        &mut self,
+        input: &Arc<Schema>,
+        assignments: &[(String, BoundExpr)],
+        project: Option<&[String]>,
+    ) -> &Layout {
+        let fresh = |layout: &Layout| Arc::ptr_eq(&layout.input, input);
+        if !self.0.as_ref().is_some_and(fresh) {
+            self.0 = Some(Layout::resolve(input, assignments, project));
+        }
+        self.0.as_ref().expect("resolved above")
+    }
+}
+
+impl Layout {
+    #[cold]
+    fn resolve(
+        input: &Arc<Schema>,
+        assignments: &[(String, BoundExpr)],
+        project: Option<&[String]>,
+    ) -> Layout {
+        let mut schema = Arc::clone(input);
+        let targets = assignments
+            .iter()
+            .map(|(attr, _)| match schema.position(attr) {
+                Some(slot) => Target::Slot(slot),
+                None => {
+                    schema = schema.extended(attr);
+                    Target::Append(Arc::clone(&schema))
+                }
+            })
+            .collect();
+        let project = project.map(|keep| {
+            // The schema a `Tuple::new()` + `set` chain over the kept
+            // values arrives at, so every projection of these names on this
+            // thread shares it.
+            let mut kept = Schema::empty();
+            let mut sources = Vec::new();
+            for name in keep {
+                // A kept name the row lacks is skipped, one repeated is
+                // kept once.
+                if let Some(slot) = schema.position(name) {
+                    if kept.position(name).is_none() {
+                        kept = kept.extended(name);
+                        sources.push(slot);
+                    }
+                }
+            }
+            Projection {
+                schema: kept,
+                sources,
+            }
+        });
+        Layout {
+            input: Arc::clone(input),
+            targets,
+            project,
+        }
+    }
 }
 
 impl Functor {
@@ -70,7 +167,7 @@ impl Functor {
                     op: op.to_string(),
                     message: format!("assignment '{key}' must be a string expression"),
                 })?;
-                assignments.push((attr.to_string(), Expr::parse(src)?));
+                assignments.push((attr.to_string(), BoundExpr::parse(src)?));
             }
         }
         let project = opt_str(params, "project").map(|s| {
@@ -82,27 +179,37 @@ impl Functor {
         Ok(Functor {
             assignments,
             project,
+            layout: LayoutCache::default(),
         })
     }
 }
 
 impl Operator for Functor {
     fn on_tuple(&mut self, _port: usize, mut tuple: Tuple, ctx: &mut OpCtx) {
-        for (attr, expr) in &self.assignments {
+        let layout = self
+            .layout
+            .get(tuple.schema(), &self.assignments, self.project.as_deref());
+        for ((attr, expr), target) in self.assignments.iter_mut().zip(&layout.targets) {
             match expr.eval(&tuple) {
-                Ok(v) => tuple.set(attr, v),
+                Ok(v) => match target {
+                    Target::Slot(slot) => tuple.set_at(*slot, v),
+                    Target::Append(child) => tuple.push_as(child, v),
+                },
                 Err(e) => {
                     ctx.raise_fault(format!("assignment to '{attr}' failed: {e}"));
                     return;
                 }
             }
         }
-        let out = match &self.project {
+        let out = match &layout.project {
             None => tuple,
-            Some(keep) => keep
-                .iter()
-                .filter_map(|k| tuple.get(k).map(|v| (k.clone(), v.clone())))
-                .collect(),
+            Some(keep) => {
+                let values = tuple.values();
+                Tuple::from_schema(
+                    &keep.schema,
+                    keep.sources.iter().map(|&i| values[i].clone()).collect(),
+                )
+            }
         };
         ctx.submit(0, out);
     }
@@ -120,14 +227,18 @@ pub struct Split {
 
 enum SplitMode {
     RoundRobin,
-    Hash(String),
+    /// The key attribute, as the expression that reads it.
+    Hash(BoundExpr),
 }
 
 impl Split {
     pub fn from_params(op: &str, params: &ParamMap) -> Result<Self, EngineError> {
         let mode = match opt_str(params, "mode").unwrap_or("roundrobin") {
             "roundrobin" => SplitMode::RoundRobin,
-            "hash" => SplitMode::Hash(req_str(params, op, "key")?.to_string()),
+            // Any attribute name is a key, whether or not it would parse.
+            "hash" => SplitMode::Hash(BoundExpr::new(Expr::Attr(
+                req_str(params, op, "key")?.to_string(),
+            ))),
             other => {
                 return Err(EngineError::BadParam {
                     op: op.to_string(),
@@ -139,30 +250,40 @@ impl Split {
     }
 }
 
+/// The output port, of `n`, that the tuple's key hashes to; raises the
+/// fault and returns `None` when the key is missing or a list.
+fn hash_port(key: &mut BoundExpr, tuple: &Tuple, n: usize, ctx: &mut OpCtx) -> Option<usize> {
+    let mut hasher = DefaultHasher::new();
+    match key.eval_scalar(tuple) {
+        Some(Scalar::Str(s)) => s.hash(&mut hasher),
+        Some(Scalar::Int(i)) => i.hash(&mut hasher),
+        Some(Scalar::Timestamp(t)) => t.hash(&mut hasher),
+        Some(Scalar::Bool(b)) => b.hash(&mut hasher),
+        Some(Scalar::Float(f)) => f.to_bits().hash(&mut hasher),
+        None => {
+            let Expr::Attr(key) = key.expr() else {
+                unreachable!("a split key is an attribute");
+            };
+            ctx.raise_fault(format!("split key '{key}' missing or unhashable"));
+            return None;
+        }
+    }
+    Some((hasher.finish() % n as u64) as usize)
+}
+
 impl Operator for Split {
     fn on_tuple(&mut self, _port: usize, tuple: Tuple, ctx: &mut OpCtx) {
         let n = ctx.num_outputs().max(1);
-        let port = match &self.mode {
+        let port = match &mut self.mode {
             SplitMode::RoundRobin => {
                 let p = self.next % n;
                 self.next = self.next.wrapping_add(1);
                 p
             }
-            SplitMode::Hash(key) => {
-                let mut hasher = DefaultHasher::new();
-                match tuple.get(key) {
-                    Some(Value::Str(s)) => s.hash(&mut hasher),
-                    Some(Value::Int(i)) => i.hash(&mut hasher),
-                    Some(Value::Timestamp(t)) => t.hash(&mut hasher),
-                    Some(Value::Bool(b)) => b.hash(&mut hasher),
-                    Some(Value::Float(f)) => f.to_bits().hash(&mut hasher),
-                    Some(Value::List(_)) | None => {
-                        ctx.raise_fault(format!("split key '{key}' missing or unhashable"));
-                        return;
-                    }
-                }
-                (hasher.finish() % n as u64) as usize
-            }
+            SplitMode::Hash(key) => match hash_port(key, &tuple, n, ctx) {
+                Some(p) => p,
+                None => return,
+            },
         };
         ctx.submit(port, tuple);
     }
@@ -172,7 +293,7 @@ impl Operator for Split {
     // exactly where the per-tuple fallback would crash the PE.
     fn on_batch(&mut self, _port: usize, batch: TupleBatch, ctx: &mut OpCtx) {
         let n = ctx.num_outputs().max(1);
-        match &self.mode {
+        match &mut self.mode {
             SplitMode::RoundRobin => {
                 for tuple in batch {
                     let p = self.next % n;
@@ -182,19 +303,10 @@ impl Operator for Split {
             }
             SplitMode::Hash(key) => {
                 for tuple in batch {
-                    let mut hasher = DefaultHasher::new();
-                    match tuple.get(key) {
-                        Some(Value::Str(s)) => s.hash(&mut hasher),
-                        Some(Value::Int(i)) => i.hash(&mut hasher),
-                        Some(Value::Timestamp(t)) => t.hash(&mut hasher),
-                        Some(Value::Bool(b)) => b.hash(&mut hasher),
-                        Some(Value::Float(f)) => f.to_bits().hash(&mut hasher),
-                        Some(Value::List(_)) | None => {
-                            ctx.raise_fault(format!("split key '{key}' missing or unhashable"));
-                            return;
-                        }
-                    }
-                    ctx.submit((hasher.finish() % n as u64) as usize, tuple);
+                    let Some(p) = hash_port(key, &tuple, n, ctx) else {
+                        return;
+                    };
+                    ctx.submit(p, tuple);
                 }
             }
         }
@@ -343,6 +455,7 @@ mod tests {
     use super::*;
     use crate::op::StreamItem;
     use crate::ops::testutil::Harness;
+    use sps_model::Value;
 
     fn params(pairs: &[(&str, &str)]) -> ParamMap {
         pairs

@@ -1197,6 +1197,42 @@ mod tests {
             .is_ok());
     }
 
+    /// `i64::MIN / -1`, `i64::MIN % -1` and `-i64::MIN` used to panic —
+    /// the process, not the PE, and the negation in debug builds only. They
+    /// wrap, like the other integer operators.
+    #[test]
+    fn integer_overflow_in_a_functor_is_a_value_not_a_panic() {
+        const MIN: &str = "(0 - 9223372036854775807 - 1)";
+        let mut adl = pipeline_adl();
+        adl.operators[1] = op(
+            "flt",
+            "Functor",
+            0,
+            1,
+            1,
+            p(&[
+                ("set:q", format!("{MIN} / -1").as_str().into()),
+                ("set:r", format!("{MIN} % -1").as_str().into()),
+                ("set:n", format!("-{MIN}").as_str().into()),
+                (
+                    "set:seq",
+                    format!("{MIN} / (seq - seq - 1)").as_str().into(),
+                ),
+            ]),
+        );
+        let mut pe = PeRuntime::build(&adl, 0, &registry(), SimRng::new(1)).unwrap();
+        let out = pe.step(SimTime::ZERO, SimDuration::from_millis(100), 10_000);
+        assert_eq!(out.crashed, None);
+        let tap = pe.tap("snk").unwrap();
+        assert!(!tap.is_empty());
+        for t in &tap {
+            assert_eq!(t.get_int("q"), Some(i64::MIN));
+            assert_eq!(t.get_int("r"), Some(0));
+            assert_eq!(t.get_int("n"), Some(i64::MIN));
+            assert_eq!(t.get_int("seq"), Some(i64::MIN));
+        }
+    }
+
     #[test]
     fn exported_ports_are_captured() {
         let mut adl = pipeline_adl();

@@ -71,6 +71,12 @@ impl Schema {
         })
     }
 
+    /// This thread's empty schema: where `Tuple::new()` chains start, and
+    /// through its memo where any chain of the same names arrives again.
+    pub(crate) fn empty() -> Arc<Schema> {
+        EMPTY_SCHEMA.with(Arc::clone)
+    }
+
     pub fn names(&self) -> &[Name] {
         &self.names
     }
@@ -85,14 +91,14 @@ impl Schema {
 
     /// Position of `name`, if the schema has it.
     #[inline]
-    fn position(&self, name: &str) -> Option<usize> {
+    pub(crate) fn position(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| &**n == name)
     }
 
     /// This schema plus `name` (which it must not already have) at the end.
     /// The link is memoised on `self`, so asking again returns the same
     /// instance for as long as `self` lives.
-    fn extended(&self, name: &str) -> Arc<Schema> {
+    pub(crate) fn extended(&self, name: &str) -> Arc<Schema> {
         debug_assert!(self.position(name).is_none(), "extending by a held name");
         // The only update under the lock is a `push`, which leaves the list
         // valid at every step, so a poisoned lock is still good to use.
@@ -157,7 +163,7 @@ impl Default for Tuple {
 
 impl Tuple {
     pub fn new() -> Self {
-        Tuple::from_schema(&EMPTY_SCHEMA.with(Arc::clone), Vec::new())
+        Tuple::from_schema(&Schema::empty(), Vec::new())
     }
 
     /// A row of `schema`: one value per name, in the schema's order. Panics
@@ -197,11 +203,35 @@ impl Tuple {
         }
     }
 
+    /// Overwrites the value at `idx`, a position in this tuple's schema.
+    /// For an operator that resolved the position when it first saw the
+    /// schema; panics when the schema has no such position.
+    pub(crate) fn set_at(&mut self, idx: usize, value: Value) {
+        Arc::make_mut(&mut self.row).values[idx] = value;
+    }
+
+    /// Appends `value` under the last name of `child`, which must be what
+    /// [`Schema::extended`] made of this tuple's schema: what `set` does
+    /// with a new name, for an operator that looked the child up once.
+    pub(crate) fn push_as(&mut self, child: &Arc<Schema>, value: Value) {
+        let row = Arc::make_mut(&mut self.row);
+        assert_eq!(child.len(), row.values.len() + 1, "not a one-name child");
+        debug_assert_eq!(child.names[..row.values.len()], row.schema.names[..]);
+        row.schema = Arc::clone(child);
+        row.values.push(value);
+    }
+
     pub fn get(&self, name: &str) -> Option<&Value> {
         self.row
             .schema
             .position(name)
             .map(|idx| &self.row.values[idx])
+    }
+
+    /// The values in schema order: `values()[i]` belongs to
+    /// `schema().names()[i]`.
+    pub fn values(&self) -> &[Value] {
+        &self.row.values
     }
 
     pub fn get_int(&self, name: &str) -> Option<i64> {

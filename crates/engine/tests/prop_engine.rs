@@ -1,18 +1,27 @@
 //! Property tests: tuple codec round-trips (item frames, batch frames, and
 //! a port decoder carrying its schema across frames), schema-shared
 //! copy-on-write tuples against an owned-list model, expression-parser
-//! robustness, and window invariants.
+//! robustness, the bound expression evaluator against `Expr::eval` (over
+//! generated ASTs, and through `Filter`/`Functor`/`Split` in a PE against
+//! naive reference operators), and window invariants.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use sps_engine::codec::{
     decode, decode_batch, decode_frame, encode, Decoded, PortDecoder, TupleCodec,
 };
-use sps_engine::expr::Expr;
+use sps_engine::expr::{BinaryOp, BoundExpr, Expr, Scalar, UnaryOp};
 use sps_engine::window::{SlidingTimeWindow, TumblingCountWindow};
-use sps_engine::{Punct, Schema, StreamItem, Tuple};
+use sps_engine::{
+    EngineError, OpCtx, Operator, OperatorRegistry, PeCheckpoint, PeRuntime, Punct, Schema,
+    StateBlob, StateWriter, StreamItem, Tuple,
+};
+use sps_model::adl::{Adl, AdlOperator, AdlPe, AdlStream};
+use sps_model::value::ParamMap;
 use sps_model::Value;
-use sps_sim::{SimDuration, SimTime};
+use sps_sim::{SimDuration, SimRng, SimTime};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Weak};
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -194,6 +203,750 @@ fn matches_model(t: &Tuple, model: &[(String, Value)]) -> bool {
         && t.iter()
             .zip(model)
             .all(|((n, v), (mn, mv))| **n == **mn && v == mv)
+}
+
+// ---------------------------------------------------------------------------
+// Bound expressions against `Expr::eval`
+// ---------------------------------------------------------------------------
+
+/// Attributes an expression may read. `ghost` is in no tuple; `v` only once
+/// a Functor has assigned it.
+const EXPR_ATTRS: [&str; 6] = ["a", "b", "c", "d", "v", "ghost"];
+
+const BINARY_OPS: [BinaryOp; 13] = [
+    BinaryOp::Or,
+    BinaryOp::And,
+    BinaryOp::Eq,
+    BinaryOp::Ne,
+    BinaryOp::Lt,
+    BinaryOp::Le,
+    BinaryOp::Gt,
+    BinaryOp::Ge,
+    BinaryOp::Add,
+    BinaryOp::Sub,
+    BinaryOp::Mul,
+    BinaryOp::Div,
+    BinaryOp::Mod,
+];
+
+const STRS: [&str; 4] = ["", "a", "b", "iphone"];
+
+/// A value of kind `kind` (0 int, 1 float, 2 timestamp, 3 string, 4 bool,
+/// 5 list), the values arithmetic and comparison turn on drawn often: zero,
+/// minus one, the integer extremes, NaN, both float zeros, and timestamps
+/// past 2^53 that differ as integers and not as floats.
+fn arb_value_of(kind: usize) -> BoxedStrategy<Value> {
+    const INTS: [i64; 7] = [i64::MIN, i64::MAX, -1, 0, 1, 2, 7];
+    const FLOATS: [f64; 8] = [
+        f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.0,
+        -1.5,
+        7.0,
+    ];
+    const STAMPS: [u64; 7] = [0, 1, 7, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
+    match kind {
+        0 => prop_oneof![
+            any::<i64>().prop_map(Value::Int),
+            (0..INTS.len()).prop_map(|i| Value::Int(INTS[i])),
+        ]
+        .boxed(),
+        1 => prop_oneof![
+            any::<f64>().prop_map(Value::Float),
+            (0..FLOATS.len()).prop_map(|i| Value::Float(FLOATS[i])),
+        ]
+        .boxed(),
+        2 => prop_oneof![
+            1 => any::<u64>().prop_map(Value::Timestamp),
+            3 => (0..STAMPS.len()).prop_map(|i| Value::Timestamp(STAMPS[i])),
+        ]
+        .boxed(),
+        3 => (0..STRS.len())
+            .prop_map(|i| Value::Str(STRS[i].into()))
+            .boxed(),
+        4 => any::<bool>().prop_map(Value::Bool).boxed(),
+        _ => prop::collection::vec((0i64..2).prop_map(Value::Int), 0..3)
+            .prop_map(Value::List)
+            .boxed(),
+    }
+}
+
+/// A value of any kind.
+fn arb_expr_value() -> BoxedStrategy<Value> {
+    (0..6usize).prop_flat_map(arb_value_of).boxed()
+}
+
+fn attr(i: usize) -> Expr {
+    Expr::Attr(EXPR_ATTRS[i].into())
+}
+
+fn binary(op: BinaryOp, l: Expr, r: Expr) -> Expr {
+    Expr::Binary(op, Box::new(l), Box::new(r))
+}
+
+/// A binary operator: the logical, comparison and arithmetic ones in equal
+/// shares.
+fn arb_binary_op() -> BoxedStrategy<BinaryOp> {
+    prop_oneof![0..2usize, 2..8usize, 8..BINARY_OPS.len()]
+        .prop_map(|op| BINARY_OPS[op])
+        .boxed()
+}
+
+/// Any AST over `literals` and [`EXPR_ATTRS`]: every operator over every
+/// operand, typed or not, so most of them are errors somewhere. One binary
+/// node in five has the same expression on both sides — equal operands are
+/// where `<` and `<=` part, and random ones almost never are.
+fn arb_wild_expr(literals: BoxedStrategy<Value>) -> BoxedStrategy<Expr> {
+    let leaf = prop_oneof![
+        literals.prop_map(Expr::Literal),
+        (0..EXPR_ATTRS.len()).prop_map(attr),
+    ]
+    .boxed();
+    let branch = |inner: BoxedStrategy<Expr>| {
+        prop_oneof![
+            1 => (any::<bool>(), inner.clone()).prop_map(|(not, e)| {
+                Expr::Unary(if not { UnaryOp::Not } else { UnaryOp::Neg }, Box::new(e))
+            }),
+            1 => (arb_binary_op(), inner.clone()).prop_map(|(op, e)| binary(op, e.clone(), e)),
+            4 => (arb_binary_op(), inner.clone(), inner).prop_map(|(op, l, r)| binary(op, l, r)),
+        ]
+    };
+    // A branch at the root: a lone leaf exercises nothing.
+    branch(leaf.prop_recursive(2, 8, 2, branch)).boxed()
+}
+
+/// A stream whose shape changes under the evaluator: three shapes (name
+/// lists over `a`..`d`, in any order), and per tuple which shape it has,
+/// whether it arrives under the `Arc` that shape had last time or under a
+/// fresh one of the same names, and its values. A `tame` stream is one
+/// typed expressions mostly evaluate on: two of its shapes have all four
+/// names and carry seven tuples in eight, and fifteen values in sixteen have
+/// the kind their name usually has (`a`, `b` ints, `c` a float, `d` a
+/// string). Otherwise any names, any kinds.
+fn arb_stream(tame: bool) -> impl Strategy<Value = Vec<Tuple>> {
+    let value = |name: usize| -> BoxedStrategy<Value> {
+        let usual = match name {
+            0 | 1 => (-3i64..8).prop_map(Value::Int).boxed(),
+            2 => (-2.0f64..2.0).prop_map(Value::Float).boxed(),
+            _ => (0..STRS.len())
+                .prop_map(|i| Value::Str(STRS[i].into()))
+                .boxed(),
+        };
+        if tame {
+            prop_oneof![15 => usual, 1 => arb_expr_value()].boxed()
+        } else {
+            arb_expr_value()
+        }
+    };
+    // Half of the untamed rows are of one kind throughout: operators are
+    // defined on like operands, and four independent kinds rarely agree.
+    let row = if tame {
+        (value(0), value(1), value(2), value(3)).boxed()
+    } else {
+        let of = arb_value_of;
+        prop_oneof![
+            (value(0), value(1), value(2), value(3)),
+            (0..6usize).prop_flat_map(move |k| (of(k), of(k), of(k), of(k))),
+        ]
+        .boxed()
+    };
+    let some_names = || prop::collection::vec(0..4usize, 0..6);
+    // Four distinct names in a drawn order: sorted by drawn keys.
+    let all_names = || {
+        prop::collection::vec(any::<u32>(), 4).prop_map(|keys| {
+            let mut names: Vec<usize> = (0..4).collect();
+            names.sort_by_key(|&n| (keys[n], n));
+            names
+        })
+    };
+    let shapes = if tame {
+        (
+            all_names().boxed(),
+            all_names().boxed(),
+            some_names().boxed(),
+        )
+    } else {
+        (
+            some_names().boxed(),
+            some_names().boxed(),
+            some_names().boxed(),
+        )
+    };
+    let shape_of_step = if tame {
+        (0..8usize)
+            .prop_map(|i| [0, 0, 0, 0, 1, 1, 1, 2][i])
+            .boxed()
+    } else {
+        (0..3usize).boxed()
+    };
+    let step = (shape_of_step, any::<bool>(), row);
+    (shapes, prop::collection::vec(step, 1..12)).prop_map(|(shapes, steps)| {
+        let shapes: Vec<Vec<usize>> = [shapes.0, shapes.1, shapes.2]
+            .into_iter()
+            .map(|names| {
+                let mut unique = Vec::new();
+                for n in names {
+                    if !unique.contains(&n) {
+                        unique.push(n);
+                    }
+                }
+                unique
+            })
+            .collect();
+        let resolve = |shape: &[usize]| {
+            Schema::new(&shape.iter().map(|&n| EXPR_ATTRS[n]).collect::<Vec<_>>())
+        };
+        let mut schemas: Vec<Arc<Schema>> = shapes.iter().map(|s| resolve(s)).collect();
+        steps
+            .into_iter()
+            .map(|(shape, fresh_arc, (a, b, c, d))| {
+                if fresh_arc {
+                    schemas[shape] = resolve(&shapes[shape]);
+                }
+                let by_name = [a, b, c, d];
+                let values = shapes[shape].iter().map(|&n| by_name[n].clone()).collect();
+                Tuple::from_schema(&schemas[shape], values)
+            })
+            .collect()
+    })
+}
+
+/// `Ok` values equal bit for bit (so NaN equals NaN and the zeros differ;
+/// the generated lists hold ints only), errors by their text.
+fn same_outcome(a: &Result<Value, EngineError>, b: &Result<Value, EngineError>) -> bool {
+    match (a, b) {
+        (Ok(Value::Float(a)), Ok(Value::Float(b))) => a.to_bits() == b.to_bits(),
+        (Ok(a), Ok(b)) => a == b,
+        (Err(a), Err(b)) => a.to_string() == b.to_string(),
+        _ => false,
+    }
+}
+
+/// Whether evaluation can meet something the fast path has no scalar for:
+/// a list, or `+` (which may concatenate).
+fn may_defer_a_value(e: &Expr) -> bool {
+    match e {
+        Expr::Literal(v) => matches!(v, Value::List(_)),
+        Expr::Attr(_) => false,
+        Expr::Unary(_, inner) => may_defer_a_value(inner),
+        Expr::Binary(op, l, r) => {
+            *op == BinaryOp::Add || may_defer_a_value(l) || may_defer_a_value(r)
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Filter / Functor / Split in a PE against naive reference operators
+// ---------------------------------------------------------------------------
+
+/// Literals that have a source form the lexer reads back exactly.
+fn arb_source_literal() -> BoxedStrategy<Value> {
+    const FLOATS: [f64; 4] = [0.0, 0.5, 2.0, 100.25];
+    prop_oneof![
+        (0i64..4).prop_map(Value::Int),
+        Just(Value::Int(i64::MAX)),
+        (0..FLOATS.len()).prop_map(|i| Value::Float(FLOATS[i])),
+        (0..STRS.len()).prop_map(|i| Value::Str(STRS[i].into())),
+        any::<bool>().prop_map(Value::Bool),
+    ]
+    .boxed()
+}
+
+/// A numeric expression over the attributes that are usually numbers.
+fn arb_num_expr(depth: u32) -> BoxedStrategy<Expr> {
+    let leaf = prop_oneof![
+        9 => (0..3usize).prop_map(attr),
+        1 => Just(attr(4)),
+        3 => (0i64..4).prop_map(|i| Expr::Literal(Value::Int(i))),
+        2 => Just(Expr::Literal(Value::Float(0.5))),
+    ]
+    .boxed();
+    if depth == 0 {
+        return leaf;
+    }
+    let sub = arb_num_expr(depth - 1);
+    prop_oneof![
+        2 => leaf,
+        4 => (8..BINARY_OPS.len(), sub.clone(), sub.clone())
+            .prop_map(|(op, l, r)| binary(BINARY_OPS[op], l, r)),
+        1 => sub.prop_map(|e| Expr::Unary(UnaryOp::Neg, Box::new(e))),
+    ]
+    .boxed()
+}
+
+/// A predicate: comparisons of numbers and of strings, combined.
+fn arb_bool_expr(depth: u32) -> BoxedStrategy<Expr> {
+    let string = prop_oneof![
+        Just(attr(3)),
+        (0..STRS.len()).prop_map(|i| Expr::Literal(Value::Str(STRS[i].into()))),
+    ]
+    .boxed();
+    let comparison = prop_oneof![
+        3 => (2..8usize, arb_num_expr(depth), arb_num_expr(depth))
+            .prop_map(|(op, l, r)| binary(BINARY_OPS[op], l, r)),
+        1 => (2..8usize, arb_num_expr(depth))
+            .prop_map(|(op, e)| binary(BINARY_OPS[op], e.clone(), e)),
+        1 => (2..8usize, string.clone(), string)
+            .prop_map(|(op, l, r)| binary(BINARY_OPS[op], l, r)),
+    ]
+    .boxed();
+    if depth == 0 {
+        return comparison;
+    }
+    let sub = arb_bool_expr(depth - 1);
+    prop_oneof![
+        3 => comparison,
+        2 => (0..2usize, sub.clone(), sub.clone())
+            .prop_map(|(op, l, r)| binary(BINARY_OPS[op], l, r)),
+        1 => sub.prop_map(|e| Expr::Unary(UnaryOp::Not, Box::new(e))),
+    ]
+    .boxed()
+}
+
+/// The source text of an AST built over [`arb_source_literal`], fully
+/// parenthesised so it parses back to the same tree.
+fn source(e: &Expr) -> String {
+    match e {
+        Expr::Literal(Value::Str(s)) => format!("\"{s}\""),
+        Expr::Literal(Value::Float(f)) => format!("{f:?}"),
+        Expr::Literal(Value::Int(i)) => i.to_string(),
+        Expr::Literal(Value::Bool(b)) => b.to_string(),
+        Expr::Literal(other) => panic!("{other:?} has no source form"),
+        Expr::Attr(name) => name.clone(),
+        Expr::Unary(UnaryOp::Not, inner) => format!("!({})", source(inner)),
+        Expr::Unary(UnaryOp::Neg, inner) => format!("-({})", source(inner)),
+        Expr::Binary(op, l, r) => {
+            let symbol = [
+                "||", "&&", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", "%",
+            ][BINARY_OPS.iter().position(|o| o == op).unwrap()];
+            format!("({}) {symbol} ({})", source(l), source(r))
+        }
+    }
+}
+
+/// Filter as it was before expressions were bound: `Expr::eval` by name.
+struct NaiveFilter(Expr);
+
+impl Operator for NaiveFilter {
+    fn on_tuple(&mut self, _port: usize, tuple: Tuple, ctx: &mut OpCtx) {
+        match self.0.eval_bool(&tuple) {
+            Ok(true) => ctx.submit(0, tuple),
+            Ok(false) => ctx.metric_add("nDiscarded", 1),
+            Err(e) => ctx.raise_fault(format!("predicate failed: {e}")),
+        }
+    }
+}
+
+/// Functor on `Expr::eval` and `Tuple::set`, projecting through a fresh
+/// `Tuple::new()` chain.
+struct NaiveFunctor {
+    assignments: Vec<(String, Expr)>,
+    project: Option<Vec<String>>,
+}
+
+impl Operator for NaiveFunctor {
+    fn on_tuple(&mut self, _port: usize, mut tuple: Tuple, ctx: &mut OpCtx) {
+        for (attr, expr) in &self.assignments {
+            match expr.eval(&tuple) {
+                Ok(v) => tuple.set(attr, v),
+                Err(e) => {
+                    ctx.raise_fault(format!("assignment to '{attr}' failed: {e}"));
+                    return;
+                }
+            }
+        }
+        let out = match &self.project {
+            None => tuple,
+            Some(keep) => keep
+                .iter()
+                .filter_map(|k| tuple.get(k).map(|v| (k.clone(), v.clone())))
+                .collect(),
+        };
+        ctx.submit(0, out);
+    }
+}
+
+/// Split in hash mode, the key looked up by name per tuple.
+struct NaiveHashSplit(String);
+
+impl Operator for NaiveHashSplit {
+    fn on_tuple(&mut self, _port: usize, tuple: Tuple, ctx: &mut OpCtx) {
+        let mut hasher = DefaultHasher::new();
+        match tuple.get(&self.0) {
+            Some(Value::Str(s)) => s.hash(&mut hasher),
+            Some(Value::Int(i)) => i.hash(&mut hasher),
+            Some(Value::Timestamp(t)) => t.hash(&mut hasher),
+            Some(Value::Bool(b)) => b.hash(&mut hasher),
+            Some(Value::Float(f)) => f.to_bits().hash(&mut hasher),
+            Some(Value::List(_)) | None => {
+                ctx.raise_fault(format!("split key '{}' missing or unhashable", self.0));
+                return;
+            }
+        }
+        let n = ctx.num_outputs().max(1) as u64;
+        ctx.submit((hasher.finish() % n) as usize, tuple);
+    }
+
+    // Split's blob is its round-robin cursor, which hash mode leaves at 0.
+    fn checkpoint(&self) -> Option<StateBlob> {
+        let mut w = StateWriter::new();
+        w.put_u64(0);
+        Some(w.finish())
+    }
+
+    fn restore(&mut self, _blob: &StateBlob) -> Result<(), EngineError> {
+        Ok(())
+    }
+}
+
+/// The built-ins, with the three kinds under test replaced by the naive
+/// operators — under the same kind names, so checkpoints compare as they
+/// are.
+fn naive_registry() -> OperatorRegistry {
+    let str_param = |op: &AdlOperator, key: &str| op.params[key].as_str().unwrap().to_string();
+    let mut registry = OperatorRegistry::with_builtins();
+    registry.register("Filter", move |op| {
+        Ok(Box::new(NaiveFilter(Expr::parse(&str_param(
+            op,
+            "predicate",
+        ))?)))
+    });
+    registry.register("Functor", move |op| {
+        let mut assignments = Vec::new();
+        for (key, value) in &op.params {
+            if let Some(attr) = key.strip_prefix("set:") {
+                assignments.push((attr.to_string(), Expr::parse(value.as_str().unwrap())?));
+            }
+        }
+        let project = op.params.get("project").map(|names| {
+            let names = names.as_str().unwrap().split(',');
+            names
+                .map(|n| n.trim().to_string())
+                .filter(|n| !n.is_empty())
+                .collect()
+        });
+        Ok(Box::new(NaiveFunctor {
+            assignments,
+            project,
+        }))
+    });
+    registry.register("Split", move |op| {
+        Ok(Box::new(NaiveHashSplit(str_param(op, "key"))))
+    });
+    registry
+}
+
+/// PE 0 holds `op` (the operator under test) and one sink per output port;
+/// each port also feeds a sink in PE 1, which is never built: what `op`
+/// emits ahead of a fault dies in the local sinks' queues with the PE, but
+/// has left for PE 1 already, as bytes.
+fn differential_adl(kind: &str, params: ParamMap, outputs: usize) -> Adl {
+    let operator = |name: String, kind: &str, pe, inputs, outputs, params| AdlOperator {
+        name,
+        kind: kind.into(),
+        composite_path: vec![],
+        params,
+        inputs,
+        outputs,
+        custom_metrics: vec![],
+        pe,
+        restartable: true,
+        checkpointable: true,
+    };
+    let keep: ParamMap = [("keep".to_string(), Value::Int(1024))].into();
+    let mut operators = vec![operator("op".into(), kind, 0, 1, outputs, params)];
+    let mut streams = Vec::new();
+    for port in 0..outputs {
+        for (pe, sink) in [(0, format!("snk{port}")), (1, format!("far{port}"))] {
+            streams.push(AdlStream {
+                from_op: "op".into(),
+                from_port: port,
+                to_op: sink.clone(),
+                to_port: 0,
+            });
+            operators.push(operator(sink, "Sink", pe, 1, 0, keep.clone()));
+        }
+    }
+    Adl {
+        app_name: "Differential".into(),
+        pes: (0..2)
+            .map(|pe| AdlPe {
+                index: pe,
+                operators: operators
+                    .iter()
+                    .filter(|o| o.pe == pe)
+                    .map(|o| o.name.clone())
+                    .collect(),
+                host_pool: None,
+                host_exlocate: None,
+            })
+            .collect(),
+        streams,
+        operators,
+        imports: vec![],
+        exports: vec![],
+        host_pools: vec![],
+    }
+}
+
+/// What one quantum of the PE under test shows from outside.
+#[derive(Debug, PartialEq)]
+struct Quantum {
+    /// Every remote delivery: destination, tuple count, wire bytes.
+    remote: Vec<(String, u32, Vec<u8>)>,
+    crashed: Option<String>,
+    /// `Debug` text of what each local sink holds.
+    taps: Vec<Vec<String>>,
+    discarded: Option<i64>,
+    /// Operator state, queues and metrics; the sinks' blobs are their
+    /// tuples in wire encoding.
+    checkpoint: PeCheckpoint,
+}
+
+const QUANTUM: SimDuration = SimDuration::from_millis(100);
+
+/// Feeds `pe` one chunk per quantum, `first` being the index of the first.
+fn drive(pe: &mut PeRuntime, outputs: usize, chunks: &[Vec<Tuple>], first: usize) -> Vec<Quantum> {
+    let mut quanta = Vec::new();
+    for (i, chunk) in chunks.iter().enumerate() {
+        for tuple in chunk {
+            pe.inject("op", 0, StreamItem::Tuple(tuple.clone()))
+                .unwrap();
+        }
+        let now = SimTime::from_millis(100 * (first + i) as u64);
+        let out = pe.step(now, QUANTUM, 10_000);
+        quanta.push(Quantum {
+            remote: out
+                .remote
+                .iter()
+                .map(|d| (d.dest.op.to_string(), d.items, d.payload.to_vec()))
+                .collect(),
+            crashed: out.crashed,
+            taps: (0..outputs)
+                .map(|port| {
+                    let tap = pe.tap(&format!("snk{port}")).unwrap();
+                    tap.iter().map(|t| format!("{t:?}")).collect()
+                })
+                .collect(),
+            discarded: pe.metrics().op_get("op", "nDiscarded"),
+            checkpoint: pe.checkpoint(now),
+        });
+    }
+    quanta
+}
+
+/// For each tuple a sink holds, the first tuple of that sink whose schema
+/// it shares (by `Arc`).
+fn schema_sharing(pe: &PeRuntime, outputs: usize) -> Vec<Vec<usize>> {
+    (0..outputs)
+        .map(|port| {
+            let tap = pe.tap(&format!("snk{port}")).unwrap();
+            tap.iter()
+                .map(|t| {
+                    tap.iter()
+                        .position(|u| Arc::ptr_eq(u.schema(), t.schema()))
+                        .unwrap()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs `chunks` through the built-in `kind` and through its naive
+/// reference, in whichever mode `SPS_BATCH` puts this process: the same
+/// bytes out, taps, discards, fault and checkpoints quantum by quantum, and
+/// the same schema sharing in the sinks. Then restores the checkpoint taken
+/// after chunk `cut` — into a fresh PE, as a restart does, and into the PE
+/// that ran on — and expects the uninterrupted run's remaining quanta again.
+fn assert_same_as_naive(kind: &str, params: ParamMap, chunks: &[Vec<Tuple>], cut: usize) {
+    let outputs = if kind == "Split" { 2 } else { 1 };
+    let adl = differential_adl(kind, params.clone(), outputs);
+    let build =
+        |registry: &OperatorRegistry| PeRuntime::build(&adl, 0, registry, SimRng::new(1)).unwrap();
+    let builtins = OperatorRegistry::with_builtins();
+    let mut bound = build(&builtins);
+    let quanta = drive(&mut bound, outputs, chunks, 0);
+    let mut naive = build(&naive_registry());
+    assert_eq!(
+        quanta,
+        drive(&mut naive, outputs, chunks, 0),
+        "{kind} {params:?}"
+    );
+    assert_eq!(
+        schema_sharing(&bound, outputs),
+        schema_sharing(&naive, outputs)
+    );
+
+    let cut = cut % chunks.len();
+    if quanta[..=cut].iter().any(|q| q.crashed.is_some()) {
+        return;
+    }
+    let mut restarted = build(&builtins);
+    restarted.restore(&quanta[cut].checkpoint).unwrap();
+    let rest = &chunks[cut + 1..];
+    assert_eq!(
+        drive(&mut restarted, outputs, rest, cut + 1),
+        quanta[cut + 1..]
+    );
+    if !bound.is_crashed() {
+        bound.restore(&quanta[cut].checkpoint).unwrap();
+        assert_eq!(drive(&mut bound, outputs, rest, cut + 1), quanta[cut + 1..]);
+    }
+}
+
+fn str_params(pairs: &[(&str, &str)]) -> ParamMap {
+    pairs
+        .iter()
+        .map(|(k, v)| (k.to_string(), Value::Str(v.to_string())))
+        .collect()
+}
+
+/// The stream the pinned cases below run on: `{a, b, c, d}` rows, the same
+/// shape under a second `Arc` mid-chunk, then a shape without `b`.
+fn pinned_chunks() -> Vec<Vec<Tuple>> {
+    let row = |schema: &Arc<Schema>, a: i64| {
+        let values = vec![
+            Value::Int(a),
+            Value::Int(a % 3),
+            Value::Float(0.5 * a as f64),
+            Value::Str(STRS[a as usize % STRS.len()].into()),
+        ];
+        Tuple::from_schema(schema, values)
+    };
+    let first = Schema::new(&["a", "b", "c", "d"]);
+    let second = Schema::new(&["a", "b", "c", "d"]);
+    let short = |a: i64| Tuple::new().with("d", "iphone").with("a", a);
+    vec![
+        (0..6).map(|a| row(&first, a)).collect(),
+        vec![
+            row(&first, 6),
+            row(&second, 7),
+            row(&second, 8),
+            row(&first, 9),
+        ],
+        vec![row(&second, 10), short(11), short(12), row(&first, 13)],
+    ]
+}
+
+/// The cases the issue names, one by one, whatever the generator draws.
+#[test]
+fn operator_differential_on_pinned_cases() {
+    let cases: [(&str, &[(&str, &str)]); 13] = [
+        ("Filter", &[("predicate", "a % 2 == 0 && d != \"iphone\"")]),
+        // Discards, then faults where `b` is missing: the chunk's earlier
+        // tuples are out, its later ones lost.
+        ("Filter", &[("predicate", "b > 0")]),
+        ("Filter", &[("predicate", "a")]),
+        // A new name; overwrites, the first reading its own target and the
+        // second the first's result; a new name read by the next
+        // assignment; a target read before anything has set it (a fault).
+        ("Functor", &[("set:v", "a * 2")]),
+        ("Functor", &[("set:a", "a + 1"), ("set:c", "c * a")]),
+        ("Functor", &[("set:v", "a"), ("set:w", "v + v")]),
+        ("Functor", &[("set:v", "v + 1")]),
+        ("Functor", &[("set:s", "d + \"!\""), ("set:q", "a / b")]),
+        // `project`: reordered, with a name no row has, one only some rows
+        // have, a repeat, and a name an assignment has just added.
+        ("Functor", &[("project", "d, ghost, a, d")]),
+        ("Functor", &[("set:v", "a - 1"), ("project", " v , b ,a")]),
+        ("Functor", &[("project", "ghost")]),
+        ("Split", &[("mode", "hash"), ("key", "d")]),
+        ("Split", &[("mode", "hash"), ("key", "b")]),
+    ];
+    let chunks = pinned_chunks();
+    for (kind, params) in cases {
+        for cut in 0..chunks.len() {
+            assert_same_as_naive(kind, str_params(params), &chunks, cut);
+        }
+    }
+    // A key of every kind, several values each, the list (a fault) last.
+    let keys = (0..24)
+        .map(|i| match i % 6 {
+            _ if i == 23 => Value::List(vec![]),
+            0 => Value::Int(i - 9),
+            1 => Value::Float(0.25 * i as f64),
+            2 => Value::Timestamp(1000 * i as u64),
+            3 => Value::Str(format!("k{i}")),
+            4 => Value::Bool(i % 4 == 0),
+            _ => Value::Timestamp(u64::MAX - i as u64),
+        })
+        .map(|k| Tuple::new().with("k", k))
+        .collect::<Vec<_>>();
+    let chunks: Vec<Vec<Tuple>> = keys.chunks(8).map(<[Tuple]>::to_vec).collect();
+    let cases: [(&str, &[(&str, &str)]); 3] = [
+        ("Split", &[("mode", "hash"), ("key", "k")]),
+        ("Functor", &[("set:v", "k"), ("set:k", "v == k")]),
+        ("Filter", &[("predicate", "k <= k && k == k")]),
+    ];
+    for (kind, params) in cases {
+        assert_same_as_naive(kind, str_params(params), &chunks, 1);
+    }
+}
+
+/// `SPS_BATCH` is read once per process, so the per-tuple dispatch gets a
+/// process of its own: this test binary again, the two differentials only.
+#[test]
+fn operator_differentials_hold_with_batching_off() {
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .arg("operator_differential_")
+        .env("SPS_BATCH", "off")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // Green, and not because the filter matched nothing.
+    assert!(
+        out.status.success() && !stdout.contains(" 0 passed"),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// One operator under test with generated parameters.
+fn arb_operator() -> impl Strategy<Value = (&'static str, ParamMap)> {
+    // Mostly typed, so streams get somewhere; wild ones fault early and
+    // compare fault strings.
+    let expr = |typed: BoxedStrategy<Expr>| {
+        prop_oneof![3 => typed, 1 => arb_wild_expr(arb_source_literal())].prop_map(|e| {
+            let src = source(&e);
+            assert_eq!(Expr::parse(&src).as_ref(), Ok(&e), "{src}");
+            Value::Str(src)
+        })
+    };
+    let any_typed = prop_oneof![arb_num_expr(2), arb_bool_expr(1), Just(attr(3))].boxed();
+    // Targets: the stream's own names and two new ones.
+    const TARGETS: [&str; 6] = ["a", "b", "c", "d", "v", "w"];
+    let assignments = prop::collection::vec((0..TARGETS.len(), expr(any_typed)), 0..4);
+    let project = prop::option::of(prop::collection::vec(
+        (0..EXPR_ATTRS.len()).prop_map(|i| EXPR_ATTRS[i]),
+        0..5,
+    ));
+    prop_oneof![
+        expr(arb_bool_expr(2)).prop_map(|predicate| {
+            (
+                "Filter",
+                ParamMap::from([("predicate".to_string(), predicate)]),
+            )
+        }),
+        (assignments, project).prop_map(|(assignments, project)| {
+            let mut params: ParamMap = assignments
+                .into_iter()
+                .map(|(target, src)| (format!("set:{}", TARGETS[target]), src))
+                .collect();
+            if let Some(keep) = project {
+                params.insert("project".into(), Value::Str(keep.join(", ")));
+            }
+            ("Functor", params)
+        }),
+        prop_oneof![4 => 0..4usize, 1 => 4..EXPR_ATTRS.len()].prop_map(|key| {
+            (
+                "Split",
+                str_params(&[("mode", "hash"), ("key", EXPR_ATTRS[key])]),
+            )
+        }),
+    ]
 }
 
 #[test]
@@ -499,6 +1252,49 @@ proptest! {
             let r2 = e.eval(&t);
             prop_assert_eq!(r1, r2);
         }
+    }
+
+    /// The fast path decides or defers, never disagrees — on every operator
+    /// over every value kind, across a stream that changes shape under one
+    /// binding. Where nothing can be a list or a concatenation it must
+    /// decide whenever `Expr::eval` has a value: deferring everything would
+    /// pass the rest of this test.
+    #[test]
+    fn bound_expr_agrees_with_eval_on_generated_asts(
+        expr in prop_oneof![
+            2 => arb_wild_expr(arb_expr_value()),
+            1 => arb_num_expr(2),
+            1 => arb_bool_expr(2),
+        ],
+        stream in prop_oneof![3 => arb_stream(false), 1 => arb_stream(true)],
+    ) {
+        let mut bound = BoundExpr::new(expr.clone());
+        for tuple in &stream {
+            let want = expr.eval(tuple);
+            let fast = bound.eval_scalar(tuple).map(Scalar::to_value);
+            if let Some(v) = &fast {
+                prop_assert!(same_outcome(&Ok(v.clone()), &want), "{fast:?} vs {want:?}");
+            } else if want.is_ok() {
+                let has_list = tuple.iter().any(|(_, v)| matches!(v, Value::List(_)));
+                prop_assert!(
+                    has_list || may_defer_a_value(&expr),
+                    "deferred {want:?} on {tuple:?}"
+                );
+            }
+            let full = bound.eval(tuple);
+            prop_assert!(same_outcome(&full, &want), "{full:?} vs {want:?}");
+        }
+    }
+
+    #[test]
+    fn operator_differential_on_generated_operators(
+        (kind, params) in arb_operator(),
+        stream in arb_stream(true),
+        chunk_len in 1usize..6,
+        cut in 0usize..12,
+    ) {
+        let chunks: Vec<Vec<Tuple>> = stream.chunks(chunk_len).map(<[Tuple]>::to_vec).collect();
+        assert_same_as_naive(kind, params, &chunks, cut);
     }
 
     #[test]
