@@ -3,33 +3,33 @@
 //! ```text
 //! cargo run --release -p orca_bench --bin campaign -- --plans 200 --seed 7
 //! cargo run --release -p orca_bench --bin campaign -- --app trend --plans 50
-//! cargo run --release -p orca_bench --bin campaign -- --plans 100 --jobs 8
+//! cargo run --release -p orca_bench --bin campaign -- --plans 100 --jobs 8 --timing
 //! cargo run --release -p orca_bench --bin campaign -- --broken-oracle convergence
 //! cargo run --release -p orca_bench --bin campaign -- --checkpoint-interval 10
 //! cargo run --release -p orca_bench --bin campaign -- --checkpoint-interval 10 --lossy-restore
 //! cargo run --release -p orca_bench --bin campaign -- \
-//!     --checkpoint-interval 10 --timing --bench-json BENCH_campaign.json
-//! HARNESS_APP=trend HARNESS_SEED=123 HARNESS_PLAN=6500:kp:0:1 \
-//!     cargo run --release -p orca_bench --bin campaign -- --replay
+//!     --replay 6500:kp:0:1 --app trend --seed 123 --checkpoint-interval 10
 //! ```
 //!
-//! `--jobs N` (default: `HARNESS_JOBS`, else 1) shards plan evaluation and
-//! failure shrinking across N worker threads; the report is folded in
-//! plan-index order, so stdout is byte-identical for any `--jobs` value.
+//! A run is described by flags and by nothing else: no environment variable
+//! is read. `--replay PLAN --app A --seed S` executes one encoded plan
+//! instead of generating `--plans` of them, under the same policy flags,
+//! parsed and validated by the same code as a campaign command line. Every
+//! failing plan's `reproduce:` line is such a command (see
+//! `orca_harness::reproducer_line`), so running it as printed replays the
+//! shrunk plan under the policy of the campaign that found it.
+//!
+//! `--jobs N` (default 1) shards plan evaluation and failure shrinking
+//! across N worker threads; the report is folded in plan-index order, so
+//! stdout is byte-identical for any `--jobs` value.
 //!
 //! `--checkpoint-interval N` enables PE checkpointing every N scheduling
-//! quanta and activates the `StatePreservation` oracle; reproducer lines
-//! then carry `HARNESS_CKPT=N` (and `HARNESS_LOSSY=1` under
-//! `--lossy-restore`, `HARNESS_UB=1` under `--upstream-backup on`,
-//! `HARNESS_CKPT_LAT=MS` under `--ckpt-write-latency`,
-//! `HARNESS_CKPT_BUDGET=BYTES` under `--ckpt-budget`) so replays run under
-//! the same policy. `--ckpt-write-latency MS` adds a fixed per-snapshot
-//! write latency (commits — and upstream-backup trims — land that much sim
-//! time after the snapshot is taken); `--ckpt-budget BYTES` bounds total
-//! checkpoint storage, turning on sealed-generation retention and eviction.
-//! During `--replay`, policy knobs may come from the environment capture or
-//! from flags, but where both specify a knob they must agree —
-//! contradictions are rejected with an error naming both sides.
+//! quanta and activates the `StatePreservation` oracle. `--lossy-restore`
+//! is that oracle's shrinking demo. `--ckpt-write-latency MS` adds a fixed
+//! per-snapshot write latency (commits — and upstream-backup trims — land
+//! that much sim time after the snapshot is taken); `--ckpt-budget BYTES`
+//! bounds total checkpoint storage, turning on sealed-generation retention
+//! and eviction. All of these need an interval.
 //!
 //! `--upstream-backup on` additionally buffers in-flight deliveries at the
 //! sender and replays the post-checkpoint gap into restored PEs, making
@@ -38,13 +38,15 @@
 //! structurally-exact taps. Transport counters (buffered / replayed /
 //! suppressed / trimmed / peak) join the report and the `--timing` line.
 //!
+//! `--control-faults on` adds orchestrator crashes, SAM restarts and SAM↔HC
+//! partitions to the generated mix and the control-plane oracle to the set;
+//! `--metastore memory|replicated` picks the store, which when unspecified
+//! is replicated exactly when control faults are on.
+//!
 //! Fault-free baselines are memoized process-wide in a `BaselineCache`
 //! keyed by `(scenario, seed, horizon floor, checkpoint policy)`; the
-//! determinism replay, the shrink walk, repeated campaigns, and `--replay`
-//! all hit entries instead of re-simulating baseline worlds (`--replay`
-//! computes its baseline exactly once; the in-replay determinism re-run is
-//! a cache hit). `--baseline-cache off` recomputes at every point of use —
-//! the comparison arm `--bench-json` measures. The cache cannot change any
+//! determinism replay, the shrink walk and `--replay` all hit entries
+//! instead of re-simulating baseline worlds. The cache cannot change any
 //! report: entries are pure functions of their key.
 //!
 //! Stdout is bit-identical across runs with the same arguments (timings go
@@ -53,213 +55,129 @@
 //! baseline cache hit/miss lines to stdout — deliberately opt-in, so the
 //! default stream stays byte-stable (wall-clock and, under `--jobs > 1`,
 //! counter interleavings are nondeterministic).
-//!
-//! `--bench-json PATH` runs each app's campaign three times — cache
-//! disabled, cold cache, warm cache (repeat on the same cache) — asserts
-//! the three reports are byte-identical, and writes per-app wall-clock,
-//! plans/sec, hit rates, and the warm-vs-off speedup as a JSON artifact
-//! (the CI perf-trajectory record).
 
 use orca_harness::{
     default_oracles, evaluate, run_campaign_cached, scenario, BaselineCache, BaselineSource,
     CampaignConfig, CampaignReport, CheckpointPolicy, FaultPlan, MetastoreKind, Scenario,
-    StorageModel, WorldPolicy,
+    StorageModel,
 };
 use std::process::ExitCode;
 use std::time::Instant;
 
+const USAGE: &str = "usage: campaign [--plans N] [--seed S] [--app NAME] [--jobs N] [--timing] \
+     [--broken-oracle convergence] [--checkpoint-interval QUANTA] [--lossy-restore] \
+     [--upstream-backup on|off] [--ckpt-write-latency MS] [--ckpt-budget BYTES] \
+     [--control-faults on|off] [--metastore memory|replicated] \
+     [--replay PLAN --app NAME --seed S]";
+
+#[derive(Debug)]
 struct Args {
-    plans: usize,
-    seed: u64,
+    /// Seed, policy, oracles and parallelism, validated. Under `--replay`,
+    /// `seed` is the plan's own seed and `plans` is unused.
+    cfg: CampaignConfig,
     app: Option<String>,
-    broken_convergence: bool,
-    check_determinism: bool,
-    replay: bool,
-    /// `Some` only when `--checkpoint-interval` was given on the command
-    /// line — `--replay` must distinguish "not specified" from an explicit
-    /// value to detect contradictions with `HARNESS_CKPT`.
-    checkpoint_interval: Option<u32>,
-    lossy_restore: bool,
-    upstream_backup: Option<bool>,
-    ckpt_write_latency: Option<u64>,
-    ckpt_budget: Option<usize>,
-    control_faults: Option<bool>,
-    metastore: Option<MetastoreKind>,
-    jobs: usize,
+    /// `--replay`: execute this plan instead of generating `cfg.plans`.
+    replay: Option<FaultPlan>,
     timing: bool,
-    baseline_cache: bool,
-    bench_json: Option<String>,
 }
 
-impl Args {
-    /// The checkpoint interval in effect for campaign (non-replay) runs.
-    fn interval(&self) -> u32 {
-        self.checkpoint_interval.unwrap_or(0)
-    }
+fn parse<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    raw.parse().map_err(|e| format!("bad {flag} `{raw}`: {e}"))
+}
 
-    /// Whether campaign (non-replay) runs inject control-plane faults.
-    fn control(&self) -> bool {
-        self.control_faults == Some(true)
-    }
-
-    /// The metastore in effect for campaign (non-replay) runs: an explicit
-    /// `--metastore` wins; otherwise control-fault campaigns default to the
-    /// replicated store (recovery should exercise log replay) and everything
-    /// else stays on the zero-cost in-memory store.
-    fn metastore_kind(&self) -> MetastoreKind {
-        match self.metastore {
-            Some(kind) => kind,
-            None if self.control() => MetastoreKind::Replicated,
-            None => MetastoreKind::Memory,
-        }
+fn on_off(flag: &str, raw: &str) -> Result<bool, String> {
+    match raw {
+        "on" => Ok(true),
+        "off" => Ok(false),
+        other => Err(format!("{flag} {other}: expected on|off")),
     }
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        plans: 50,
-        seed: 7,
-        app: None,
-        broken_convergence: false,
-        check_determinism: true,
-        replay: false,
-        checkpoint_interval: None,
-        lossy_restore: false,
-        upstream_backup: None,
-        ckpt_write_latency: None,
-        ckpt_budget: None,
-        control_faults: None,
-        metastore: None,
-        jobs: 0,
-        timing: false,
-        baseline_cache: true,
-        bench_json: None,
-    };
-    let mut jobs: Option<usize> = None;
-    let mut it = std::env::args().skip(1);
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut cfg = CampaignConfig::default();
+    let (mut plans, mut seed, mut app, mut replay) = (None, None, None, None);
+    let mut timing = false;
+    let (mut interval, mut lossy, mut ub, mut write_latency, mut budget) = (0, false, false, 0, 0);
+    let mut metastore = None;
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match arg.as_str() {
-            "--plans" => args.plans = value("--plans")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--jobs" => jobs = Some(value("--jobs")?.parse().map_err(|e| format!("{e}"))?),
-            "--timing" => args.timing = true,
-            "--app" => args.app = Some(value("--app")?),
-            "--baseline-cache" => {
-                args.baseline_cache = match value("--baseline-cache")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--baseline-cache {other}: expected on|off")),
-                };
-            }
-            "--bench-json" => args.bench_json = Some(value("--bench-json")?),
-            "--broken-oracle" => {
-                let which = value("--broken-oracle")?;
-                if which != "convergence" {
-                    return Err(format!("unknown oracle `{which}` (try: convergence)"));
-                }
-                args.broken_convergence = true;
-            }
-            "--checkpoint-interval" => {
-                args.checkpoint_interval = Some(
-                    value("--checkpoint-interval")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                );
-            }
-            "--lossy-restore" => args.lossy_restore = true,
-            "--upstream-backup" => {
-                args.upstream_backup = Some(match value("--upstream-backup")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--upstream-backup {other}: expected on|off")),
-                });
-            }
-            "--ckpt-write-latency" => {
-                args.ckpt_write_latency = Some(
-                    value("--ckpt-write-latency")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                );
-            }
-            "--ckpt-budget" => {
-                args.ckpt_budget = Some(
-                    value("--ckpt-budget")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                );
-            }
-            "--control-faults" => {
-                args.control_faults = Some(match value("--control-faults")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--control-faults {other}: expected on|off")),
-                });
-            }
-            "--metastore" => {
-                args.metastore = Some(
-                    value("--metastore")?
-                        .parse()
-                        .map_err(|e| format!("bad --metastore: {e}"))?,
-                );
-            }
-            "--no-determinism" => args.check_determinism = false,
-            "--replay" => args.replay = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: campaign [--plans N] [--seed S] [--app NAME] [--jobs N] \
-                     [--broken-oracle convergence] [--checkpoint-interval QUANTA] \
-                     [--lossy-restore] [--upstream-backup on|off] \
-                     [--ckpt-write-latency MS] [--ckpt-budget BYTES] \
-                     [--control-faults on|off] [--metastore memory|replicated] \
-                     [--no-determinism] [--timing] [--baseline-cache on|off] \
-                     [--bench-json PATH] [--replay]"
-                        .to_string(),
-                )
-            }
+        let flag = arg.as_str();
+        let mut value = || it.next().ok_or_else(|| format!("{flag} requires a value"));
+        match flag {
+            "--plans" => plans = Some(parse(flag, &value()?)?),
+            "--seed" => seed = Some(parse(flag, &value()?)?),
+            "--app" => app = Some(value()?),
+            "--jobs" => cfg.jobs = parse(flag, &value()?)?,
+            "--timing" => timing = true,
+            "--broken-oracle" => match value()?.as_str() {
+                "convergence" => cfg.broken_convergence = true,
+                other => return Err(format!("unknown oracle `{other}` (try: convergence)")),
+            },
+            "--checkpoint-interval" => interval = parse(flag, &value()?)?,
+            "--lossy-restore" => lossy = true,
+            "--upstream-backup" => ub = on_off(flag, &value()?)?,
+            "--ckpt-write-latency" => write_latency = parse(flag, &value()?)?,
+            "--ckpt-budget" => budget = parse(flag, &value()?)?,
+            "--control-faults" => cfg.control_faults = on_off(flag, &value()?)?,
+            "--metastore" => metastore = Some(parse(flag, &value()?)?),
+            "--replay" => replay = Some(FaultPlan::decode(&value()?)?),
+            "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    // Replay defers these dependency checks to policy resolution, where the
-    // interval may arrive through `HARNESS_CKPT` instead of a flag.
-    if !args.replay {
-        if args.lossy_restore && args.interval() == 0 {
-            return Err("--lossy-restore requires --checkpoint-interval".to_string());
-        }
-        if args.upstream_backup == Some(true) && args.interval() == 0 {
-            return Err("--upstream-backup on requires --checkpoint-interval".to_string());
-        }
-        if args.ckpt_write_latency.unwrap_or(0) != 0 && args.interval() == 0 {
-            return Err("--ckpt-write-latency requires --checkpoint-interval".to_string());
-        }
-        if args.ckpt_budget.unwrap_or(0) != 0 && args.interval() == 0 {
-            return Err("--ckpt-budget requires --checkpoint-interval".to_string());
+    if interval == 0 {
+        // A zero latency or budget is the default and asks for nothing.
+        for (on, flag) in [
+            (lossy, "--lossy-restore"),
+            (ub, "--upstream-backup on"),
+            (write_latency != 0, "--ckpt-write-latency"),
+            (budget != 0, "--ckpt-budget"),
+        ] {
+            if on {
+                return Err(format!("{flag} requires --checkpoint-interval"));
+            }
         }
     }
-    if args.bench_json.is_some() && !args.baseline_cache {
-        // The bench mode owns its cache arms (off, cold, warm); silently
-        // ignoring the flag would make a measurement run lie.
-        return Err("--bench-json runs its own cache-off/cold/warm arms; \
-                    drop --baseline-cache off"
-            .to_string());
+    if replay.is_some() {
+        // The default seed is a campaign's master seed; a plan's own seed
+        // is one of its draws, so falling back to it would replay the plan
+        // against a different world than the one it failed in.
+        if app.is_none() || seed.is_none() {
+            return Err("--replay needs --app and --seed (the `seed=` of the FAIL line)".into());
+        }
+        if plans.is_some() {
+            return Err("--replay runs the one plan it names; drop --plans".into());
+        }
     }
-    // `HARNESS_JOBS` supplies the default so reproducer stanzas and CI job
-    // environments can set parallelism without editing the command line; an
-    // explicit `--jobs` wins, and only then is the env var consulted (a
-    // malformed value must not sink a command that overrode it anyway).
-    args.jobs = match jobs {
-        Some(n) => n,
-        None => match std::env::var("HARNESS_JOBS") {
-            Ok(v) => v
-                .parse::<usize>()
-                .map_err(|e| format!("bad HARNESS_JOBS: {e}"))?,
-            Err(_) => 1,
-        },
-    };
-    if args.jobs == 0 {
-        return Err("--jobs / HARNESS_JOBS must be >= 1".to_string());
+    if cfg.jobs == 0 {
+        return Err("--jobs must be >= 1".into());
     }
-    Ok(args)
+    cfg.plans = plans.unwrap_or(cfg.plans);
+    cfg.seed = seed.unwrap_or(cfg.seed);
+    cfg.checkpoint = CheckpointPolicy::every(interval)
+        .lossy(lossy)
+        .upstream_backup(ub)
+        .storage(
+            StorageModel::default()
+                .with_write(write_latency, 0)
+                .with_budget(budget),
+        );
+    // Control-fault runs default to the replicated store (recovery should
+    // exercise log replay); everything else stays on the zero-cost one.
+    cfg.metastore = metastore.unwrap_or(if cfg.control_faults {
+        MetastoreKind::Replicated
+    } else {
+        MetastoreKind::Memory
+    });
+    Ok(Args {
+        cfg,
+        app,
+        replay,
+        timing,
+    })
 }
 
 fn scenarios_for(app: &Option<String>) -> Result<Vec<Scenario>, String> {
@@ -271,268 +189,47 @@ fn scenarios_for(app: &Option<String>) -> Result<Vec<Scenario>, String> {
     }
 }
 
-fn campaign_config(args: &Args) -> CampaignConfig {
-    CampaignConfig {
-        plans: args.plans,
-        seed: args.seed,
-        check_determinism: args.check_determinism,
-        broken_convergence: args.broken_convergence,
-        checkpoint: CheckpointPolicy::every(args.interval())
-            .lossy(args.lossy_restore)
-            .upstream_backup(args.upstream_backup == Some(true))
-            .storage(
-                StorageModel::default()
-                    .with_write(args.ckpt_write_latency.unwrap_or(0), 0)
-                    .with_budget(args.ckpt_budget.unwrap_or(0)),
-            ),
-        metastore: args.metastore_kind(),
-        control_faults: args.control(),
-        jobs: args.jobs,
-        ..Default::default()
-    }
-}
-
-fn cache_for(args: &Args) -> BaselineCache {
-    if args.baseline_cache {
-        BaselineCache::new()
-    } else {
-        BaselineCache::disabled()
-    }
-}
-
-/// One side's view of the replay checkpoint policy — either the `HARNESS_*`
-/// environment capture or the explicit command-line flags. `None` means
-/// "that side did not specify the knob".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct PolicySpec {
-    interval: Option<u32>,
-    lossy: Option<bool>,
-    ub: Option<bool>,
-    write_latency: Option<u64>,
-    budget: Option<usize>,
-    ctrl: Option<bool>,
-    metastore: Option<MetastoreKind>,
-}
-
-/// Strictly parses one `HARNESS_*` env var, erroring on malformed values
-/// instead of silently treating them as unset.
-fn env_parse<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String>
-where
-    T::Err: std::fmt::Display,
-{
-    match std::env::var(name) {
-        Ok(v) => v.parse().map(Some).map_err(|e| format!("bad {name}: {e}")),
-        Err(_) => Ok(None),
-    }
-}
-
-/// Strict boolean env var: exactly `"0"` or `"1"`.
-fn env_bool(name: &str) -> Result<Option<bool>, String> {
-    match std::env::var(name) {
-        Ok(v) => match v.as_str() {
-            "1" => Ok(Some(true)),
-            "0" => Ok(Some(false)),
-            other => Err(format!("bad {name}: `{other}` (expected 0 or 1)")),
-        },
-        Err(_) => Ok(None),
-    }
-}
-
-fn env_spec() -> Result<PolicySpec, String> {
-    Ok(PolicySpec {
-        interval: env_parse("HARNESS_CKPT")?,
-        lossy: env_bool("HARNESS_LOSSY")?,
-        ub: env_bool("HARNESS_UB")?,
-        write_latency: env_parse("HARNESS_CKPT_LAT")?,
-        budget: env_parse("HARNESS_CKPT_BUDGET")?,
-        ctrl: env_bool("HARNESS_CTRL")?,
-        metastore: env_parse("HARNESS_META")?,
-    })
-}
-
-fn flags_spec(args: &Args) -> PolicySpec {
-    PolicySpec {
-        interval: args.checkpoint_interval,
-        // The flag can only assert "on"; absence is "unspecified", so a
-        // reproducer's `HARNESS_LOSSY=1` never conflicts with a bare replay.
-        lossy: args.lossy_restore.then_some(true),
-        ub: args.upstream_backup,
-        write_latency: args.ckpt_write_latency,
-        budget: args.ckpt_budget,
-        ctrl: args.control_faults,
-        metastore: args.metastore,
-    }
-}
-
-/// One knob of [`resolve_policy`]: when both the environment and the flags
-/// specify it, they must agree — a replay that silently preferred one side
-/// would reproduce a different policy than the operator asked for.
-fn pick<T: Copy + PartialEq + std::fmt::Display>(
-    env_name: &str,
-    flag_name: &str,
-    env: Option<T>,
-    flag: Option<T>,
-    default: T,
-) -> Result<T, String> {
-    match (env, flag) {
-        (Some(e), Some(f)) if e != f => Err(format!(
-            "{env_name}={e} contradicts {flag_name} {f}; drop one side"
-        )),
-        (Some(e), _) => Ok(e),
-        (None, Some(f)) => Ok(f),
-        (None, None) => Ok(default),
-    }
-}
-
-/// Merges the environment capture and the command-line flags into one
-/// checkpoint policy, rejecting contradictions and dependent knobs whose
-/// resolved interval leaves checkpointing disabled.
-fn resolve_policy(env: PolicySpec, flags: PolicySpec) -> Result<CheckpointPolicy, String> {
-    let interval = pick(
-        "HARNESS_CKPT",
-        "--checkpoint-interval",
-        env.interval,
-        flags.interval,
-        0,
-    )?;
-    let lossy = pick(
-        "HARNESS_LOSSY",
-        "--lossy-restore",
-        env.lossy,
-        flags.lossy,
-        false,
-    )?;
-    let ub = pick("HARNESS_UB", "--upstream-backup", env.ub, flags.ub, false)?;
-    let write_latency = pick(
-        "HARNESS_CKPT_LAT",
-        "--ckpt-write-latency",
-        env.write_latency,
-        flags.write_latency,
-        0,
-    )?;
-    let budget = pick(
-        "HARNESS_CKPT_BUDGET",
-        "--ckpt-budget",
-        env.budget,
-        flags.budget,
-        0,
-    )?;
-    if interval == 0 {
-        let needs = [
-            (lossy, "lossy restore (HARNESS_LOSSY / --lossy-restore)"),
-            (ub, "upstream backup (HARNESS_UB / --upstream-backup)"),
-            (
-                write_latency != 0,
-                "write latency (HARNESS_CKPT_LAT / --ckpt-write-latency)",
-            ),
-            (
-                budget != 0,
-                "a storage budget (HARNESS_CKPT_BUDGET / --ckpt-budget)",
-            ),
-        ];
-        for (on, what) in needs {
-            if on {
-                return Err(format!(
-                    "{what} requires a checkpoint interval \
-                     (HARNESS_CKPT / --checkpoint-interval)"
-                ));
-            }
-        }
-    }
-    Ok(CheckpointPolicy::every(interval)
-        .lossy(lossy)
-        .upstream_backup(ub)
-        .storage(
-            StorageModel::default()
-                .with_write(write_latency, 0)
-                .with_budget(budget),
-        ))
-}
-
-/// Merges the control-plane knobs the same way: contradictions rejected,
-/// and — mirroring the campaign default — an unspecified metastore falls
-/// back to replicated exactly when control faults are on.
-fn resolve_control(env: PolicySpec, flags: PolicySpec) -> Result<(bool, MetastoreKind), String> {
-    let ctrl = pick(
-        "HARNESS_CTRL",
-        "--control-faults",
-        env.ctrl,
-        flags.ctrl,
-        false,
-    )?;
-    let metastore = pick(
-        "HARNESS_META",
-        "--metastore",
-        env.metastore,
-        flags.metastore,
-        if ctrl {
-            MetastoreKind::Replicated
-        } else {
-            MetastoreKind::Memory
-        },
-    )?;
-    Ok((ctrl, metastore))
-}
-
-/// Replays one plan from `HARNESS_APP` / `HARNESS_SEED` / `HARNESS_PLAN`
-/// (plus optional `HARNESS_CKPT` / `HARNESS_LOSSY` / `HARNESS_UB` /
-/// `HARNESS_CKPT_LAT` / `HARNESS_CKPT_BUDGET` policy capture). Environment
-/// and flags may each specify policy knobs, but where both do they must
-/// agree — contradictions are rejected rather than silently resolved.
-fn replay(args: &Args) -> Result<ExitCode, String> {
-    let app = std::env::var("HARNESS_APP")
-        .ok()
-        .or_else(|| args.app.clone())
-        .ok_or("replay needs HARNESS_APP or --app")?;
-    let seed: u64 = std::env::var("HARNESS_SEED")
-        .map_err(|_| "replay needs HARNESS_SEED")?
-        .parse()
-        .map_err(|e| format!("bad HARNESS_SEED: {e}"))?;
-    let plan = FaultPlan::decode(
-        &std::env::var("HARNESS_PLAN").map_err(|_| "replay needs HARNESS_PLAN")?,
-    )?;
-    let env = env_spec()?;
-    let flags = flags_spec(args);
-    let opts = resolve_policy(env, flags)?;
-    let (ctrl, metastore) = resolve_control(env, flags)?;
-    let sc = scenario::by_name(&app).ok_or_else(|| format!("unknown app `{app}`"))?;
-    let oracles = default_oracles(args.broken_convergence, opts.enabled(), ctrl);
+/// `--replay`: one plan, every oracle of the campaign that printed it.
+fn replay(cfg: &CampaignConfig, sc: &Scenario, plan: &FaultPlan) -> ExitCode {
+    let policy = cfg.policy();
+    let oracles = default_oracles(
+        cfg.broken_convergence,
+        policy.checkpoint.enabled(),
+        cfg.control_faults,
+    );
     // The baseline is fetched through the cache at the point of use: one
     // computation for the whole replay (the determinism re-run hits the
     // entry the first run populated).
-    let cache = cache_for(args);
+    let cache = BaselineCache::new();
     let (digest, violations) = evaluate(
-        &sc,
-        seed,
-        &plan,
+        sc,
+        cfg.seed,
+        plan,
         &oracles,
-        args.check_determinism,
-        WorldPolicy {
-            checkpoint: opts,
-            metastore,
-        },
+        cfg.check_determinism,
+        policy,
         BaselineSource::new(&cache, plan.horizon()),
     );
     println!(
         "replay app={} seed={} ckpt={} plan={} digest={:016x}",
         sc.name,
-        seed,
-        opts.every_quanta,
+        cfg.seed,
+        policy.checkpoint.every_quanta,
         plan.encode(),
         digest
     );
     if violations.is_empty() {
         println!("all oracles passed");
-        Ok(ExitCode::SUCCESS)
+        ExitCode::SUCCESS
     } else {
         for v in &violations {
             println!("oracle {} violated: {}", v.oracle, v.message);
         }
-        Ok(ExitCode::FAILURE)
+        ExitCode::FAILURE
     }
 }
 
-fn print_report(args: &Args, report: &CampaignReport) {
+fn print_report(cfg: &CampaignConfig, report: &CampaignReport) {
     // Note: the campaign line carries no jobs= field on purpose — the
     // report is independent of --jobs, and the stdout of a --jobs 8 run
     // must diff clean against a --jobs 1 run.
@@ -540,8 +237,8 @@ fn print_report(args: &Args, report: &CampaignReport) {
         "campaign app={} plans={} seed={} ckpt={} digest={:016x} failures={}",
         report.scenario,
         report.plans_run,
-        args.seed,
-        args.interval(),
+        cfg.seed,
+        cfg.checkpoint.every_quanta,
         report.digest,
         report.plans_failed
     );
@@ -585,13 +282,8 @@ fn print_report(args: &Args, report: &CampaignReport) {
             println!("    oracle {}: {}", v.oracle, v.message);
         }
         println!(
-            "  reproduce: {} cargo run --release -p orca_bench --bin campaign -- --replay{}",
-            f.reproducer,
-            if args.broken_convergence {
-                " --broken-oracle convergence"
-            } else {
-                ""
-            }
+            "  reproduce: cargo run --release -p orca_bench --bin campaign -- {}",
+            f.reproducer
         );
     }
     if report.failures_truncated > 0 {
@@ -603,142 +295,52 @@ fn print_report(args: &Args, report: &CampaignReport) {
     }
 }
 
-/// One timed campaign over `sc` against `cache`, returning the report, the
-/// wall-clock, and this run's baseline-counter deltas.
-fn timed_run(
-    sc: &Scenario,
-    cfg: &CampaignConfig,
-    cache: &BaselineCache,
-) -> (CampaignReport, f64, orca_harness::CacheStats) {
-    let before = cache.stats();
-    // sslint: allow(ambient-authority, wall-clock timing is printed only under --timing and never reaches default stdout)
-    let start = Instant::now();
-    let report = run_campaign_cached(sc, cfg, cache);
-    let wall = start.elapsed().as_secs_f64();
-    (report, wall, cache.stats().since(before))
-}
-
-fn timing_line(
-    app: &str,
-    jobs: usize,
-    phase: &str,
-    wall: f64,
-    plans: usize,
-    stats: orca_harness::CacheStats,
-    ub: orca_harness::UbStats,
-) -> String {
-    format!(
-        "timing app={app} jobs={jobs} phase={phase} wall_s={wall:.2} plans_per_sec={:.2} \
-         baseline_hits={} baseline_misses={} baseline_hit_rate={:.2} \
-         ub_buffered={} ub_replayed={} ub_suppressed={} ub_trimmed={} ub_peak={}",
-        plans as f64 / wall.max(f64::EPSILON),
-        stats.hits,
-        stats.misses,
-        stats.hit_rate(),
-        ub.buffered,
-        ub.replayed,
-        ub.suppressed,
-        ub.trimmed,
-        ub.peak_buffered,
-    )
-}
-
-/// `--bench-json`: per app, measure cache-off vs cold-cache vs warm-cache
-/// (second campaign on the same cache — the repeated-campaign / replay
-/// regime the memo exists for), enforce byte-identical reports across all
-/// three arms, and record the numbers as a JSON artifact.
-fn bench(args: &Args, scenarios: &[Scenario], path: &str) -> Result<ExitCode, String> {
-    let cfg = campaign_config(args);
-    let mut failed = false;
-    let mut entries = Vec::new();
-    for sc in scenarios {
-        eprintln!("[{}] bench: cache off…", sc.name);
-        let off_cache = BaselineCache::disabled();
-        let (report_off, wall_off, stats_off) = timed_run(sc, &cfg, &off_cache);
-        eprintln!("[{}] bench: cache cold…", sc.name);
-        let cache = BaselineCache::new();
-        let (report_cold, wall_cold, stats_cold) = timed_run(sc, &cfg, &cache);
-        eprintln!("[{}] bench: cache warm…", sc.name);
-        let (report_warm, wall_warm, stats_warm) = timed_run(sc, &cfg, &cache);
-
-        // The cache guarantee, enforced at measurement time: all three arms
-        // produce byte-identical reports.
-        let rendered = report_off.render();
-        if rendered != report_cold.render() || rendered != report_warm.render() {
-            return Err(format!(
-                "[{}] campaign report depends on the baseline cache — refusing to bench",
-                sc.name
-            ));
-        }
-        print_report(args, &report_off);
-        if args.timing {
-            println!(
-                "{}",
-                timing_line(
-                    sc.name,
-                    args.jobs,
-                    "cache_off",
-                    wall_off,
-                    cfg.plans,
-                    stats_off,
-                    report_off.ub
-                )
-            );
-            println!(
-                "{}",
-                timing_line(
-                    sc.name,
-                    args.jobs,
-                    "cache_cold",
-                    wall_cold,
-                    cfg.plans,
-                    stats_cold,
-                    report_cold.ub
-                )
-            );
-            println!(
-                "{}",
-                timing_line(
-                    sc.name,
-                    args.jobs,
-                    "cache_warm",
-                    wall_warm,
-                    cfg.plans,
-                    stats_warm,
-                    report_warm.ub
-                )
-            );
-        }
-        failed |= report_off.plans_failed > 0;
-        entries.push(format!(
-            "    {{\n      \"app\": \"{}\",\n      \"wall_s_cache_off\": {:.3},\n      \
-             \"wall_s_cache_cold\": {:.3},\n      \"wall_s_cache_warm\": {:.3},\n      \
-             \"speedup_warm_vs_off\": {:.2},\n      \"plans_per_sec_warm\": {:.2},\n      \
-             \"baseline_hits_warm\": {},\n      \"baseline_misses_warm\": {},\n      \
-             \"baseline_hit_rate_warm\": {:.3}\n    }}",
-            sc.name,
-            wall_off,
-            wall_cold,
-            wall_warm,
-            wall_off / wall_warm.max(f64::EPSILON),
-            cfg.plans as f64 / wall_warm.max(f64::EPSILON),
-            stats_warm.hits,
-            stats_warm.misses,
-            stats_warm.hit_rate(),
-        ));
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let scenarios = scenarios_for(&args.app)?;
+    let cfg = &args.cfg;
+    if let Some(plan) = &args.replay {
+        // `parse_args` insisted on `--app`: this is the one scenario.
+        return Ok(replay(cfg, &scenarios[0], plan));
     }
-    let json = format!(
-        "{{\n  \"plans\": {},\n  \"seed\": {},\n  \"jobs\": {},\n  \
-         \"checkpoint_interval\": {},\n  \"determinism_replay\": {},\n  \"apps\": [\n{}\n  ]\n}}\n",
-        args.plans,
-        args.seed,
-        args.jobs,
-        args.interval(),
-        args.check_determinism,
-        entries.join(",\n")
-    );
-    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("bench results written to {path}");
+    // One cache for the whole invocation: multi-app campaigns keep per-app
+    // entries apart by key, and any repeated evaluation (determinism
+    // replays, shrink walks) hits instead of re-simulating.
+    let cache = BaselineCache::new();
+    let mut failed = false;
+    for sc in &scenarios {
+        let before = cache.stats();
+        // sslint: allow(ambient-authority, wall-clock timing is printed only under --timing and never reaches default stdout)
+        let start = Instant::now();
+        let report = run_campaign_cached(sc, cfg, &cache);
+        let wall = start.elapsed().as_secs_f64();
+        eprintln!("[{}] {} plans in {:.1}s", sc.name, report.plans_run, wall);
+        print_report(cfg, &report);
+        if args.timing {
+            // Wall-clock is nondeterministic, hence flag-gated (see module
+            // docs). plans/sec is the CI matrix's throughput headline; the
+            // baseline hit/miss counters expose whether memoization is
+            // actually engaging (hits ≈ misses under the determinism
+            // replay).
+            let stats = cache.stats().since(before);
+            println!(
+                "timing app={} jobs={} phase=campaign wall_s={wall:.2} plans_per_sec={:.2} \
+                 baseline_hits={} baseline_misses={} baseline_hit_rate={:.2} \
+                 ub_buffered={} ub_replayed={} ub_suppressed={} ub_trimmed={} ub_peak={}",
+                sc.name,
+                cfg.jobs,
+                report.plans_run as f64 / wall.max(f64::EPSILON),
+                stats.hits,
+                stats.misses,
+                stats.hit_rate(),
+                report.ub.buffered,
+                report.ub.replayed,
+                report.ub.suppressed,
+                report.ub.trimmed,
+                report.ub.peak_buffered,
+            );
+        }
+        failed |= report.plans_failed > 0;
+    }
     Ok(if failed {
         ExitCode::FAILURE
     } else {
@@ -747,73 +349,12 @@ fn bench(args: &Args, scenarios: &[Scenario], path: &str) -> Result<ExitCode, St
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match parse_args(std::env::args().skip(1)).and_then(|args| run(&args)) {
+        Ok(code) => code,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    if args.replay {
-        return match replay(&args) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let scenarios = match scenarios_for(&args.app) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(path) = &args.bench_json {
-        return match bench(&args, &scenarios, path) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let cfg = campaign_config(&args);
-    // One cache for the whole invocation: multi-app campaigns keep per-app
-    // entries apart by key, and any repeated evaluation (determinism
-    // replays, shrink walks) hits instead of re-simulating.
-    let cache = cache_for(&args);
-    let mut failed = false;
-    for sc in &scenarios {
-        let (report, wall, stats) = timed_run(sc, &cfg, &cache);
-        eprintln!("[{}] {} plans in {:.1}s", sc.name, report.plans_run, wall);
-        print_report(&args, &report);
-        if args.timing {
-            // Wall-clock is nondeterministic, hence flag-gated (see module
-            // docs). plans/sec is the CI matrix's throughput headline; the
-            // baseline hit/miss counters expose whether memoization is
-            // actually engaging (hits ≈ misses under the determinism
-            // replay, all-hits on a warm cache).
-            println!(
-                "{}",
-                timing_line(
-                    sc.name,
-                    args.jobs,
-                    "campaign",
-                    wall,
-                    report.plans_run,
-                    stats,
-                    report.ub
-                )
-            );
-        }
-        failed |= report.plans_failed > 0;
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }
 
@@ -822,177 +363,121 @@ mod tests {
     use super::*;
     use orca_harness::reproducer_line;
 
-    /// Parses the `KEY=VAL` environment prefix of a reproducer line the way
-    /// a shell + [`env_spec`] would, without mutating process env vars
-    /// (tests share a process).
-    fn spec_from_line(line: &str) -> PolicySpec {
-        let mut spec = PolicySpec::default();
-        for tok in line.split_whitespace() {
-            let Some((k, v)) = tok.split_once('=') else {
-                continue;
-            };
-            match k {
-                "HARNESS_CKPT" => spec.interval = Some(v.parse().unwrap()),
-                "HARNESS_LOSSY" => spec.lossy = Some(v == "1"),
-                "HARNESS_UB" => spec.ub = Some(v == "1"),
-                "HARNESS_CKPT_LAT" => spec.write_latency = Some(v.parse().unwrap()),
-                "HARNESS_CKPT_BUDGET" => spec.budget = Some(v.parse().unwrap()),
-                "HARNESS_CTRL" => spec.ctrl = Some(v == "1"),
-                "HARNESS_META" => spec.metastore = Some(v.parse().unwrap()),
-                _ => {}
-            }
-        }
-        spec
+    fn parse_line(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from))
     }
 
+    /// What `print_report` prints after `--` is what the campaign ran under,
+    /// read back by the parser every command line goes through.
     #[test]
-    fn reproducer_line_round_trips_through_replay_resolution() {
+    fn reproducer_line_round_trips_through_parse_args() {
         let sc = scenario::by_name("trend").unwrap();
-        let plan = FaultPlan::default();
-        for opts in [
+        let plan = FaultPlan::decode("1000:co,2000:rs,3000:ps:1500,6500:kp:0:1").unwrap();
+        let stored = StorageModel::default()
+            .with_write(250, 0)
+            .with_budget(16_384);
+        let mut lines = std::collections::BTreeSet::new();
+        for checkpoint in [
+            CheckpointPolicy::default(),
             CheckpointPolicy::every(10),
             CheckpointPolicy::every(10).lossy(true),
             CheckpointPolicy::every(5).upstream_backup(true),
-            CheckpointPolicy::every(10).storage(
-                StorageModel::default()
-                    .with_write(250, 0)
-                    .with_budget(16_384),
+            CheckpointPolicy::every(10).storage(stored),
+        ] {
+            for control_faults in [false, true] {
+                for metastore in [MetastoreKind::Memory, MetastoreKind::Replicated] {
+                    for broken_convergence in [false, true] {
+                        let cfg = CampaignConfig {
+                            checkpoint,
+                            metastore,
+                            control_faults,
+                            broken_convergence,
+                            ..CampaignConfig::default()
+                        };
+                        let line = reproducer_line(&sc, 123, &plan, &cfg);
+                        let args = parse_line(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+                        assert_eq!(args.app.as_deref(), Some("trend"), "`{line}`");
+                        assert_eq!(args.replay.as_ref(), Some(&plan), "`{line}`");
+                        assert_eq!(args.cfg.seed, 123, "`{line}`");
+                        assert_eq!(args.cfg.policy(), cfg.policy(), "`{line}`");
+                        assert_eq!(args.cfg.control_faults, control_faults, "`{line}`");
+                        assert_eq!(args.cfg.broken_convergence, broken_convergence, "`{line}`");
+                        assert!(args.cfg.check_determinism, "`{line}`");
+                        lines.insert(line);
+                    }
+                }
+            }
+        }
+        assert_eq!(lines.len(), 40, "two settings printed the same line");
+        // The empty plan has an encoding, too.
+        let line = reproducer_line(&sc, 9, &FaultPlan::default(), &CampaignConfig::default());
+        assert_eq!(
+            parse_line(&line).unwrap().replay,
+            Some(FaultPlan::default())
+        );
+    }
+
+    #[test]
+    fn an_unspecified_metastore_follows_the_control_faults() {
+        for (line, want) in [
+            ("", MetastoreKind::Memory),
+            ("--control-faults off", MetastoreKind::Memory),
+            ("--control-faults on", MetastoreKind::Replicated),
+            (
+                "--control-faults on --metastore memory",
+                MetastoreKind::Memory,
+            ),
+            ("--metastore replicated", MetastoreKind::Replicated),
+            (
+                "--replay 1000:co --app live --seed 3 --control-faults on",
+                MetastoreKind::Replicated,
             ),
         ] {
-            let line = reproducer_line(&sc, 123, &plan, WorldPolicy::checkpointed(opts), false);
-            let resolved = resolve_policy(spec_from_line(&line), PolicySpec::default())
-                .expect("captured policy must resolve");
-            assert_eq!(resolved, opts, "round-trip mismatch for line `{line}`");
+            assert_eq!(parse_line(line).unwrap().cfg.metastore, want, "`{line}`");
         }
-    }
-
-    #[test]
-    fn control_capture_round_trips_through_replay_resolution() {
-        let sc = scenario::by_name("trend").unwrap();
-        let plan = FaultPlan::decode("1000:co,2000:rs,3000:ps:1500").unwrap();
-        for (policy, ctrl) in [
-            (
-                WorldPolicy {
-                    checkpoint: CheckpointPolicy::default(),
-                    metastore: MetastoreKind::Replicated,
-                },
-                true,
-            ),
-            (
-                WorldPolicy {
-                    checkpoint: CheckpointPolicy::every(10),
-                    metastore: MetastoreKind::Memory,
-                },
-                true,
-            ),
-            (
-                WorldPolicy {
-                    checkpoint: CheckpointPolicy::default(),
-                    metastore: MetastoreKind::Replicated,
-                },
-                false,
-            ),
-        ] {
-            let line = reproducer_line(&sc, 123, &plan, policy, ctrl);
-            let spec = spec_from_line(&line);
-            let (got_ctrl, got_meta) =
-                resolve_control(spec, PolicySpec::default()).expect("must resolve");
-            assert_eq!(got_ctrl, ctrl, "line `{line}`");
-            assert_eq!(got_meta, policy.metastore, "line `{line}`");
-            assert!(line.contains(&format!("HARNESS_PLAN={}", plan.encode())));
-        }
-        // The campaign's "control faults default to the replicated store"
-        // rule holds on replay when neither side pins the metastore.
-        let ctrl_only = PolicySpec {
-            ctrl: Some(true),
-            ..PolicySpec::default()
-        };
-        assert_eq!(
-            resolve_control(ctrl_only, PolicySpec::default()).unwrap(),
-            (true, MetastoreKind::Replicated)
-        );
-        assert_eq!(
-            resolve_control(PolicySpec::default(), PolicySpec::default()).unwrap(),
-            (false, MetastoreKind::Memory)
-        );
-        // Contradictions are rejected, naming both sides.
-        let env = PolicySpec {
-            metastore: Some(MetastoreKind::Memory),
-            ..PolicySpec::default()
-        };
-        let flags = PolicySpec {
-            metastore: Some(MetastoreKind::Replicated),
-            ..PolicySpec::default()
-        };
-        let err = resolve_control(env, flags).unwrap_err();
-        assert!(err.contains("HARNESS_META=memory"), "got: {err}");
-        assert!(err.contains("--metastore replicated"), "got: {err}");
-    }
-
-    #[test]
-    fn contradictory_env_and_flags_are_rejected() {
-        let env = PolicySpec {
-            interval: Some(10),
-            ..PolicySpec::default()
-        };
-        let flags = PolicySpec {
-            interval: Some(20),
-            ..PolicySpec::default()
-        };
-        let err = resolve_policy(env, flags).unwrap_err();
-        assert!(err.contains("HARNESS_CKPT=10"), "got: {err}");
-        assert!(err.contains("--checkpoint-interval 20"), "got: {err}");
-
-        let env = PolicySpec {
-            interval: Some(10),
-            budget: Some(1_024),
-            ..PolicySpec::default()
-        };
-        let flags = PolicySpec {
-            budget: Some(2_048),
-            ..PolicySpec::default()
-        };
-        let err = resolve_policy(env, flags).unwrap_err();
-        assert!(err.contains("HARNESS_CKPT_BUDGET"), "got: {err}");
-    }
-
-    #[test]
-    fn agreeing_env_and_flags_resolve() {
-        let spec = PolicySpec {
-            interval: Some(10),
-            ub: Some(true),
-            ..PolicySpec::default()
-        };
-        let opts = resolve_policy(spec, spec).unwrap();
-        assert_eq!(opts.every_quanta, 10);
-        assert!(opts.upstream_backup);
     }
 
     #[test]
     fn storage_knobs_require_an_interval() {
-        for spec in [
-            PolicySpec {
-                write_latency: Some(5),
-                ..PolicySpec::default()
-            },
-            PolicySpec {
-                budget: Some(4_096),
-                ..PolicySpec::default()
-            },
-            PolicySpec {
-                lossy: Some(true),
-                ..PolicySpec::default()
-            },
-        ] {
-            let err = resolve_policy(spec, PolicySpec::default()).unwrap_err();
-            assert!(err.contains("requires a checkpoint interval"), "got: {err}");
+        for prefix in ["", "--replay 6500:kp:0:1 --app trend --seed 123 "] {
+            for (knob, names) in [
+                ("--lossy-restore", "--lossy-restore"),
+                ("--upstream-backup on", "--upstream-backup on"),
+                ("--ckpt-write-latency 5", "--ckpt-write-latency"),
+                ("--ckpt-budget 4096", "--ckpt-budget"),
+            ] {
+                let err = parse_line(&format!("{prefix}{knob}")).unwrap_err();
+                assert_eq!(err, format!("{names} requires --checkpoint-interval"));
+                let err = parse_line(&format!("{prefix}{knob} --checkpoint-interval 0"));
+                assert!(err.is_err(), "`{prefix}{knob}` with interval 0");
+                let ok = parse_line(&format!("{prefix}--checkpoint-interval 10 {knob}"));
+                assert!(ok.unwrap().cfg.checkpoint.enabled());
+            }
+            // Zero-valued knobs are no-ops and must not demand an interval.
+            let zeros = "--upstream-backup off --ckpt-write-latency 0 --ckpt-budget 0";
+            let args = parse_line(&format!("{prefix}{zeros}")).unwrap();
+            assert_eq!(args.cfg.checkpoint, CheckpointPolicy::default());
         }
-        // Zero-valued knobs are no-ops and must not demand an interval.
-        let spec = PolicySpec {
-            write_latency: Some(0),
-            budget: Some(0),
-            ..PolicySpec::default()
-        };
-        assert!(resolve_policy(spec, PolicySpec::default()).is_ok());
+    }
+
+    #[test]
+    fn replay_names_its_app_and_seed_and_takes_no_plan_count() {
+        for line in [
+            "--replay 6500:kp:0:1",
+            "--replay 6500:kp:0:1 --app trend",
+            "--replay 6500:kp:0:1 --seed 123",
+            "--replay 6500:kp:0:1 --app trend --seed 123 --plans 1",
+            "--replay --app trend --seed 123",
+            "--replay",
+        ] {
+            assert!(parse_line(line).is_err(), "`{line}` was accepted");
+        }
+        let args = parse_line("--replay 6500:kp:0:1 --app trend --seed 123").unwrap();
+        assert_eq!(args.replay.unwrap().encode(), "6500:kp:0:1");
+        // Outside a replay all three have defaults.
+        let args = parse_line("").unwrap();
+        assert!(args.replay.is_none() && args.app.is_none());
+        assert_eq!((args.cfg.plans, args.cfg.seed, args.cfg.jobs), (50, 7, 1));
+        assert!(parse_line("--jobs 0").is_err());
     }
 }

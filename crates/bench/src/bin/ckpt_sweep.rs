@@ -33,16 +33,22 @@ use orca_harness::{
 use sps_sim::SimRng;
 use std::process::ExitCode;
 
+/// The storage cost every grid point runs under, before its budget; the
+/// JSON header records it.
+const STORAGE: StorageModel = StorageModel {
+    write_op_ms: 5,
+    write_bytes_per_ms: 64,
+    restore_op_ms: 5,
+    restore_bytes_per_ms: 64,
+    budget_bytes: 0,
+};
+
 struct Args {
     apps: Vec<String>,
     intervals: Vec<u32>,
     budgets: Vec<usize>,
     plans: usize,
     seed: u64,
-    write_op_ms: u64,
-    write_bytes_per_ms: u64,
-    restore_op_ms: u64,
-    restore_bytes_per_ms: u64,
     json: Option<String>,
 }
 
@@ -66,10 +72,6 @@ fn parse_args() -> Result<Args, String> {
         budgets: vec![0, 16_384],
         plans: 6,
         seed: 7,
-        write_op_ms: 5,
-        write_bytes_per_ms: 64,
-        restore_op_ms: 5,
-        restore_bytes_per_ms: 64,
         json: None,
     };
     let mut it = std::env::args().skip(1);
@@ -81,32 +83,11 @@ fn parse_args() -> Result<Args, String> {
             "--budgets" => args.budgets = parse_list("--budgets", &value("--budgets")?)?,
             "--plans" => args.plans = value("--plans")?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--write-op-ms" => {
-                args.write_op_ms = value("--write-op-ms")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--write-bytes-per-ms" => {
-                args.write_bytes_per_ms = value("--write-bytes-per-ms")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--restore-op-ms" => {
-                args.restore_op_ms = value("--restore-op-ms")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--restore-bytes-per-ms" => {
-                args.restore_bytes_per_ms = value("--restore-bytes-per-ms")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
             "--json" => args.json = Some(value("--json")?),
             "--help" | "-h" => {
                 return Err(
                     "usage: ckpt_sweep [--apps A,B] [--intervals N,..] [--budgets B,..] \
-                     [--plans N] [--seed S] [--write-op-ms MS] [--write-bytes-per-ms B] \
-                     [--restore-op-ms MS] [--restore-bytes-per-ms B] [--json PATH]"
+                     [--plans N] [--seed S] [--json PATH]"
                         .to_string(),
                 )
             }
@@ -157,12 +138,7 @@ impl Point {
 
 fn run_point(app: &str, interval: u32, budget: usize, args: &Args) -> Result<Point, String> {
     let sc = scenario::by_name(app).ok_or_else(|| format!("unknown app `{app}`"))?;
-    let opts = CheckpointPolicy::every(interval).storage(
-        StorageModel::default()
-            .with_write(args.write_op_ms, args.write_bytes_per_ms)
-            .with_restore(args.restore_op_ms, args.restore_bytes_per_ms)
-            .with_budget(budget),
-    );
+    let opts = CheckpointPolicy::every(interval).storage(STORAGE.with_budget(budget));
     let mut point = Point::default();
     for plan_seed in plan_seeds(args.seed, args.plans) {
         let plan = FaultPlan::generate(&mut SimRng::new(plan_seed), &sc.plan_spec());
@@ -246,10 +222,10 @@ fn main() -> ExitCode {
              \"restore_bytes_per_ms\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
             args.seed,
             args.plans,
-            args.write_op_ms,
-            args.write_bytes_per_ms,
-            args.restore_op_ms,
-            args.restore_bytes_per_ms,
+            STORAGE.write_op_ms,
+            STORAGE.write_bytes_per_ms,
+            STORAGE.restore_op_ms,
+            STORAGE.restore_bytes_per_ms,
             rows.join(",\n")
         );
         if let Err(e) = std::fs::write(path, json) {

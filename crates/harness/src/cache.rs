@@ -4,8 +4,8 @@
 //! fault-free run of the same seed. That baseline is a deterministic replay
 //! artifact: it depends only on `(scenario name, seed, horizon floor,
 //! checkpoint policy)` and on nothing about the faulted plan itself, so it
-//! can be memoized by a canonical fingerprint of those inputs — the same way
-//! deterministic-execution systems cache replay artifacts by input hash.
+//! can be memoized under a key holding exactly those inputs — the same way
+//! deterministic-execution systems cache replay artifacts by their inputs.
 //! One [`BaselineCache`] serves all three baseline consumers:
 //!
 //! 1. phase-1 plan evaluation ([`crate::runner::run_plan`], including the
@@ -25,7 +25,7 @@ use crate::oracle::BaselineSummary;
 use crate::runner::compute_baseline;
 use crate::scenario::{Scenario, WorldPolicy};
 use sps_runtime::{MetastoreKind, StorageModel};
-use sps_sim::{fnv1a, SimTime, FNV_OFFSET};
+use sps_sim::SimTime;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -97,36 +97,9 @@ impl BaselineKey {
             metastore: policy.metastore,
         }
     }
-
-    /// Canonical 64-bit FNV-1a fingerprint of the key (logging and
-    /// observability; the map itself is keyed on the full struct so hash
-    /// collisions can never alias two baselines).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.scenario.as_bytes());
-        h = fnv1a(h, &[0xFF]);
-        h = fnv1a(h, &self.seed.to_le_bytes());
-        match self.horizon_floor_ms {
-            None => h = fnv1a(h, &[0]),
-            Some(ms) => {
-                h = fnv1a(h, &[1]);
-                h = fnv1a(h, &ms.to_le_bytes());
-            }
-        }
-        h = fnv1a(h, &self.every_quanta.to_le_bytes());
-        h = fnv1a(h, &[self.lossy_restore as u8]);
-        h = fnv1a(h, &[self.upstream_backup as u8]);
-        h = fnv1a(h, &self.full_every.to_le_bytes());
-        h = fnv1a(h, &self.storage.write_op_ms.to_le_bytes());
-        h = fnv1a(h, &self.storage.write_bytes_per_ms.to_le_bytes());
-        h = fnv1a(h, &self.storage.restore_op_ms.to_le_bytes());
-        h = fnv1a(h, &self.storage.restore_bytes_per_ms.to_le_bytes());
-        h = fnv1a(h, &(self.storage.budget_bytes as u64).to_le_bytes());
-        fnv1a(h, self.metastore.as_str().as_bytes())
-    }
 }
 
-/// Hit/miss counters at one point in time (`--timing` surfacing and the
-/// bench harness's hit-rate accounting).
+/// Hit/miss counters at one point in time (what `campaign --timing` prints).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
@@ -172,8 +145,8 @@ struct Inner {
 /// bounded with least-recently-used eviction so unbounded campaigns cannot
 /// grow the memo without limit — an evicted entry is simply recomputed on
 /// the next lookup, with no effect on any report. A disabled cache
-/// ([`BaselineCache::disabled`]) recomputes at every point of use, which is
-/// what the `--baseline-cache off` comparison arm measures.
+/// ([`BaselineCache::disabled`]) recomputes at every point of use — the
+/// reference arm of the cache on ≡ off ≡ warm identity suite.
 pub struct BaselineCache {
     /// `None` disables memoization entirely.
     inner: Option<Mutex<Inner>>,
@@ -403,91 +376,6 @@ mod tests {
         assert_eq!(computes, 3);
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 3 });
-    }
-
-    #[test]
-    fn fingerprint_separates_every_component() {
-        let base = key(7);
-        let mut seen = std::collections::BTreeSet::new();
-        assert!(seen.insert(base.fingerprint()));
-        for variant in [
-            BaselineKey {
-                scenario: "live",
-                ..base.clone()
-            },
-            BaselineKey {
-                seed: 8,
-                ..base.clone()
-            },
-            BaselineKey {
-                horizon_floor_ms: Some(9_001),
-                ..base.clone()
-            },
-            BaselineKey {
-                horizon_floor_ms: None,
-                ..base.clone()
-            },
-            BaselineKey {
-                every_quanta: 11,
-                ..base.clone()
-            },
-            BaselineKey {
-                lossy_restore: true,
-                ..base.clone()
-            },
-            BaselineKey {
-                upstream_backup: true,
-                ..base.clone()
-            },
-            BaselineKey {
-                full_every: 4,
-                ..base.clone()
-            },
-            BaselineKey {
-                storage: StorageModel {
-                    write_op_ms: 5,
-                    ..StorageModel::default()
-                },
-                ..base.clone()
-            },
-            BaselineKey {
-                storage: StorageModel {
-                    write_bytes_per_ms: 64,
-                    ..StorageModel::default()
-                },
-                ..base.clone()
-            },
-            BaselineKey {
-                storage: StorageModel {
-                    restore_op_ms: 5,
-                    ..StorageModel::default()
-                },
-                ..base.clone()
-            },
-            BaselineKey {
-                storage: StorageModel {
-                    restore_bytes_per_ms: 64,
-                    ..StorageModel::default()
-                },
-                ..base.clone()
-            },
-            BaselineKey {
-                storage: StorageModel {
-                    budget_bytes: 16_384,
-                    ..StorageModel::default()
-                },
-                ..base.clone()
-            },
-            BaselineKey {
-                metastore: MetastoreKind::Replicated,
-                ..base.clone()
-            },
-        ] {
-            assert!(
-                seen.insert(variant.fingerprint()),
-                "fingerprint collision for {variant:?}"
-            );
-        }
     }
 
     #[test]

@@ -13,22 +13,23 @@
 //! [`StatePreservationOracle`] additionally requires every stateful-PE
 //! recovery to revive verified operator state, compared against a
 //! fault-free baseline run of the same seed. Failing schedules are greedily
-//! [`shrink`]ed to a 1-minimal reproducer and reported as a one-line
-//! `HARNESS_SEED=… [HARNESS_CKPT=…] HARNESS_PLAN=…` environment stanza.
+//! [`shrink`]ed to a 1-minimal reproducer and reported as the `campaign`
+//! argv that replays it ([`reproducer_line`]: `--replay PLAN --app A --seed
+//! S` plus the run's policy flags).
 //! Campaigns shard plan evaluation (and the shrinking of distinct failures)
-//! across a worker [`pool`] (`CampaignConfig::jobs` / `--jobs` /
-//! `HARNESS_JOBS`); per-plan seeds are a pure function of `(campaign_seed,
-//! plan_index)` and results fold in plan-index order, so every report is
-//! bit-identical at any parallelism. Fault-free baselines are memoized in a
-//! [`BaselineCache`] keyed by `(scenario, seed, horizon floor, checkpoint
-//! policy)` — a deterministic replay artifact cached by its input
-//! fingerprint — shared by plan evaluation, the shrink walk, and `--replay`.
+//! across a worker [`pool`] (`CampaignConfig::jobs` / `--jobs`); per-plan
+//! seeds are a pure function of `(campaign_seed, plan_index)` and results
+//! fold in plan-index order, so every report is bit-identical at any
+//! parallelism. Fault-free baselines are memoized in a [`BaselineCache`]
+//! keyed by `(scenario, seed, horizon floor, checkpoint policy)` — a
+//! deterministic replay artifact cached under its inputs — shared by plan
+//! evaluation, the shrink walk, and `--replay`.
 //!
 //! Replay a failing plan locally with the `campaign` binary:
 //!
 //! ```text
-//! HARNESS_APP=trend HARNESS_SEED=123 HARNESS_PLAN=6500:kp:0:1 \
-//!     cargo run -p orca_bench --bin campaign -- --replay
+//! cargo run -p orca_bench --bin campaign -- \
+//!     --replay 6500:kp:0:1 --app trend --seed 123
 //! ```
 
 pub mod cache;

@@ -6,7 +6,7 @@
 //! change on every restart and job sets change under dynamic composition.
 //! The same plan therefore stays meaningful across apps and across the very
 //! perturbations it causes, and a plan round-trips through a compact string
-//! encoding (`HARNESS_PLAN=…`) for one-line reproducers.
+//! encoding (`--replay …`) for one-line reproducers.
 
 use sps_sim::{SimDuration, SimRng, SimTime};
 use std::fmt;

@@ -41,10 +41,10 @@ pub struct CampaignConfig {
     /// SAM↔HC partition) in the generated plan mix and add the
     /// control-plane recovery oracle (`--control-faults`).
     pub control_faults: bool,
-    /// Worker threads for plan evaluation and failure shrinking (`--jobs` /
-    /// `HARNESS_JOBS`). Plans are sharded across workers and the report is
-    /// folded in plan-index order, so every `CampaignReport` field is
-    /// bit-identical for `jobs = 1` and `jobs = N`. `0` is treated as `1`.
+    /// Worker threads for plan evaluation and failure shrinking (`--jobs`).
+    /// Plans are sharded across workers and the report is folded in
+    /// plan-index order, so every `CampaignReport` field is bit-identical
+    /// for `jobs = 1` and `jobs = N`. `0` is treated as `1`.
     pub jobs: usize,
 }
 
@@ -96,9 +96,7 @@ pub struct CampaignFailure {
     pub original: FaultPlan,
     pub shrunk: FaultPlan,
     pub violations: Vec<Violation>,
-    /// One-line environment reproducer (`HARNESS_APP=… HARNESS_SEED=…
-    /// [HARNESS_CKPT=… [HARNESS_LOSSY=1] [HARNESS_UB=1]
-    /// [HARNESS_CKPT_LAT=…] [HARNESS_CKPT_BUDGET=…]] HARNESS_PLAN=…`).
+    /// The `campaign` argv that replays `shrunk` ([`reproducer_line`]).
     pub reproducer: String,
 }
 
@@ -130,9 +128,8 @@ pub struct CampaignReport {
 impl CampaignReport {
     /// Renders every observable report field, so equality on the rendering
     /// is a byte-identity check over the whole report. This is the one
-    /// canonical rendering — the `campaign` binary's `--bench-json`
-    /// cross-arm assertion and the systest identity suites all compare it,
-    /// so a future report field rendered here is covered by every identity
+    /// canonical rendering — the systest identity suites all compare it, so
+    /// a future report field rendered here is covered by every identity
     /// check at once.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -434,54 +431,50 @@ pub fn evaluate(
     (outcome.digest, violations)
 }
 
-/// Renders the one-line environment reproducer for a failing plan,
-/// capturing the checkpoint policy, metastore backing, and control-fault
-/// regime so replays run under the same configuration.
+/// Renders the `campaign` argv that replays one plan of a campaign run
+/// under `cfg`: `--replay PLAN --app A --seed S`, then the flags the campaign
+/// itself was given for the checkpoint policy, the control-fault regime, the
+/// metastore and the broken-oracle demo. The binary parses and validates
+/// this through the same code as a campaign command line; the metastore is
+/// always spelled out, so the line does not depend on the binary's default.
 pub fn reproducer_line(
     scenario: &Scenario,
     plan_seed: u64,
     plan: &FaultPlan,
-    policy: WorldPolicy,
-    control_faults: bool,
+    cfg: &CampaignConfig,
 ) -> String {
-    let opts = policy.checkpoint;
-    let mut line = format!("HARNESS_APP={} HARNESS_SEED={plan_seed}", scenario.name);
+    let opts = cfg.checkpoint;
+    let mut line = format!(
+        "--replay {} --app {} --seed {plan_seed}",
+        plan.encode(),
+        scenario.name
+    );
     if opts.enabled() {
-        line.push_str(&format!(" HARNESS_CKPT={}", opts.every_quanta));
+        line.push_str(&format!(" --checkpoint-interval {}", opts.every_quanta));
     }
     if opts.lossy_restore {
-        line.push_str(" HARNESS_LOSSY=1");
+        line.push_str(" --lossy-restore");
     }
     if opts.upstream_backup {
-        line.push_str(" HARNESS_UB=1");
+        line.push_str(" --upstream-backup on");
     }
-    // Storage-model knobs the campaign binary exposes; omitted at their
-    // zero defaults so pre-storage reproducer lines are reproduced verbatim.
+    // The two storage-model knobs the binary exposes.
     if opts.storage.write_op_ms != 0 {
-        line.push_str(&format!(" HARNESS_CKPT_LAT={}", opts.storage.write_op_ms));
-    }
-    if opts.storage.budget_bytes != 0 {
         line.push_str(&format!(
-            " HARNESS_CKPT_BUDGET={}",
-            opts.storage.budget_bytes
+            " --ckpt-write-latency {}",
+            opts.storage.write_op_ms
         ));
     }
-    // Control-plane knobs, omitted at their defaults so pre-control
-    // reproducer lines are reproduced verbatim. The metastore default is
-    // what replay resolution would pick for this line: replicated when
-    // control faults are on, memory otherwise.
-    if control_faults {
-        line.push_str(" HARNESS_CTRL=1");
+    if opts.storage.budget_bytes != 0 {
+        line.push_str(&format!(" --ckpt-budget {}", opts.storage.budget_bytes));
     }
-    let replay_default = if control_faults {
-        MetastoreKind::Replicated
-    } else {
-        MetastoreKind::Memory
-    };
-    if policy.metastore != replay_default {
-        line.push_str(&format!(" HARNESS_META={}", policy.metastore.as_str()));
+    if cfg.control_faults {
+        line.push_str(" --control-faults on");
     }
-    line.push_str(&format!(" HARNESS_PLAN={}", plan.encode()));
+    line.push_str(&format!(" --metastore {}", cfg.metastore.as_str()));
+    if cfg.broken_convergence {
+        line.push_str(" --broken-oracle convergence");
+    }
     line
 }
 

@@ -320,7 +320,7 @@ pub fn all() -> Vec<Scenario> {
     vec![live(), sentiment(), social(), trend()]
 }
 
-/// Scenario by name (`--app` / `HARNESS_APP` resolution).
+/// Scenario by name (`--app` resolution).
 pub fn by_name(name: &str) -> Option<Scenario> {
     all().into_iter().find(|s| s.name == name)
 }

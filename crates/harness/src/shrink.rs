@@ -95,13 +95,7 @@ pub(crate) fn shrink_failures(
             // floor-keyed baseline entry phase 1 computed.
             BaselineSource::new(cache, eval.plan.horizon()),
         );
-        let reproducer = reproducer_line(
-            scenario,
-            eval.plan_seed,
-            &shrunk,
-            policy,
-            cfg.control_faults,
-        );
+        let reproducer = reproducer_line(scenario, eval.plan_seed, &shrunk, cfg);
         CampaignFailure {
             plan_seed: eval.plan_seed,
             original: eval.plan.clone(),

@@ -11,18 +11,14 @@
 //! - [`Scheduler`]: a stable-ordered pending-event queue generic over the
 //!   event payload type (the runtime crate defines the payload),
 //! - [`SimRng`]: a small, fast, seedable RNG (SplitMix64 / xoshiro256**),
-//! - [`stats`]: streaming statistics and fixed-bound histograms used by the
-//!   benchmark harnesses,
 //! - [`trace`]: a bounded in-memory trace ring used for debugging runs.
 
 pub mod rng;
 pub mod scheduler;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
 pub use rng::SimRng;
 pub use scheduler::{ScheduledEvent, Scheduler, TicketId};
-pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{fnv1a, DigestWriter, TraceEntry, TraceRing, FNV_OFFSET};

@@ -191,13 +191,14 @@ fn broken_oracle_shrinks_to_a_minimal_reproducible_plan() {
     }
 
     // The one-line reproducer carries everything needed for replay.
-    assert!(f.reproducer.contains("HARNESS_APP=trend"));
-    assert!(f
-        .reproducer
-        .contains(&format!("HARNESS_SEED={}", f.plan_seed)));
-    assert!(f
-        .reproducer
-        .contains(&format!("HARNESS_PLAN={}", f.shrunk.encode())));
+    assert_eq!(
+        f.reproducer,
+        format!(
+            "--replay {} --app trend --seed {} --metastore memory --broken-oracle convergence",
+            f.shrunk.encode(),
+            f.plan_seed
+        )
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -370,14 +371,9 @@ fn lossy_restore_is_caught_and_shrinks_to_minimal_reproducer() {
     // The reproducer captures the checkpoint policy.
     assert_eq!(
         f.reproducer,
-        reproducer_line(
-            &sc,
-            f.plan_seed,
-            &f.shrunk,
-            WorldPolicy::checkpointed(opts),
-            false
-        )
+        reproducer_line(&sc, f.plan_seed, &f.shrunk, &config)
     );
-    assert!(f.reproducer.contains("HARNESS_CKPT=10"));
-    assert!(f.reproducer.contains("HARNESS_LOSSY=1"));
+    assert!(f
+        .reproducer
+        .contains(" --checkpoint-interval 10 --lossy-restore "));
 }

@@ -122,9 +122,9 @@ fn storage_model_reports_are_byte_identical_across_jobs() {
 /// value and never asks whether a later restart of the same slot started
 /// from nothing. The runtime did what the storage model says; the check
 /// needs to stop at the slot's next fresh restart.
-/// `HARNESS_APP=trend HARNESS_SEED=16362195719958910532 HARNESS_CKPT=5
-/// HARNESS_CKPT_LAT=250 HARNESS_CKPT_BUDGET=4096
-/// HARNESS_PLAN=15798:kp:4:5,16809:kp:7:2 campaign --replay`
+/// `campaign --replay 15798:kp:4:5,16809:kp:7:2 --app trend
+/// --seed 16362195719958910532 --checkpoint-interval 5
+/// --ckpt-write-latency 250 --ckpt-budget 4096`
 #[test]
 #[ignore = "state oracle false positive: restore, then eviction and a fresh restart of the same slot"]
 fn restore_then_evicted_restart_of_one_slot_passes_the_state_oracle() {
