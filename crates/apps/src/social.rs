@@ -1121,15 +1121,15 @@ mod tests {
                 sps_engine::PeRuntime::build(&adl, pe_index, &registry, SimRng::new(1)).unwrap();
             let out = pe.step(now, SimDuration::from_millis(100), 1_000_000);
 
-            // The sink is in another PE: read the tuples off the wire.
-            use sps_engine::codec::{decode_frame, Decoded};
+            // The sink is in another PE: read the tuples off the frames.
+            use sps_engine::codec::Frame;
             let mut emitted: Vec<Tuple> = Vec::new();
             let mut finals = 0;
-            for delivery in &out.remote {
-                match decode_frame(delivery.payload.clone()).unwrap() {
-                    Decoded::Batch(batch) => emitted.extend(batch),
-                    Decoded::Item(sps_engine::StreamItem::Tuple(t)) => emitted.push(t),
-                    Decoded::Item(sps_engine::StreamItem::Punct(p)) => {
+            for delivery in out.remote {
+                match delivery.frame {
+                    Frame::Batch(batch) => emitted.extend(batch),
+                    Frame::Item(sps_engine::StreamItem::Tuple(t)) => emitted.push(t),
+                    Frame::Item(sps_engine::StreamItem::Punct(p)) => {
                         assert_eq!(p, Punct::Final);
                         finals += 1;
                     }

@@ -1,9 +1,14 @@
-//! Binary tuple codec for inter-PE transport.
+//! Binary tuple codec: the wire format, wherever bytes are stored or sized.
 //!
-//! PEs are separate operating-system processes in System S, so tuples
-//! crossing a PE boundary are serialized. The simulated runtime preserves
-//! this: crossing a PE boundary costs an encode/decode round-trip (measured
-//! by the `tuple_codec` bench and the fusion ablation).
+//! PEs are separate operating-system processes in System S, so a tuple
+//! crossing a PE boundary is serialized there. The simulator's PEs share one
+//! address space and nothing reads a transport payload, so the transport
+//! moves [`Frame`]s — the tuples themselves — and the codec keeps the jobs
+//! where bytes matter: operator state blobs (`StateWriter::put_tuple`),
+//! checkpoint-v2 queue captures ([`encode_queue`] / [`decode_queue`]) and
+//! the pinned wire format (`tests/golden_bytes.rs`). A frame and its
+//! encoding stay interchangeable — `decode_frame(encode(frame)) == frame`
+//! is a property test over everything a PE emits.
 //!
 //! Wire format (little-endian):
 //! ```text
@@ -19,16 +24,11 @@
 //! each name's bytes against a *carried* [`Schema`] — the one the previous
 //! tuple decoded to — and on a match the new tuple shares it, so the names
 //! of a steady stream are allocated once. A [`PortDecoder`] keeps that
-//! schema across frames (one per PE input port, for the PE's lifetime); the
+//! schema across frames (one per state blob being restored); the
 //! free `decode*` functions carry it for the length of one call. A schema
 //! built from wire names stands alone: no memo leads to it, so it dies with
 //! the decoder's carry and the tuples that share it, and a corrupt or
 //! hostile frame cannot grow a cache.
-//!
-//! The preferred encode entry point is [`TupleCodec`], which owns a
-//! reusable scratch buffer so hot paths (transport, checkpoint writers)
-//! amortize allocations without threading a `BytesMut` by hand. The free
-//! functions below remain as thin wrappers over the same frame writers.
 
 use crate::error::EngineError;
 use crate::op::{Punct, StreamItem, TupleBatch};
@@ -76,9 +76,8 @@ pub fn encode_tuple_item(t: &Tuple, buf: &mut BytesMut) {
     encode_tuple(t, buf);
 }
 
-/// Appends a batch frame — `TAG_BATCH`, a tuple count, then each tuple's
-/// ordinary item frame — so a whole per-quantum run of tuples crosses a PE
-/// boundary as one payload instead of one payload per tuple.
+/// Appends a batch frame: `TAG_BATCH`, a tuple count, then each tuple's
+/// ordinary item frame.
 pub fn encode_batch_into(tuples: &[Tuple], buf: &mut BytesMut) {
     buf.put_u8(TAG_BATCH);
     buf.put_u32_le(tuples.len() as u32);
@@ -87,18 +86,38 @@ pub fn encode_batch_into(tuples: &[Tuple], buf: &mut BytesMut) {
     }
 }
 
-/// A decoded transport frame: either a single stream item or a batch of
-/// consecutive tuples (one input-port run from one quantum).
+/// What one transport frame holds: a single stream item, or a batch of
+/// consecutive tuples (one output-port run from one quantum). This is what
+/// crosses a PE boundary, and what [`decode_frame`] reads back from a
+/// frame's wire encoding.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Decoded {
+pub enum Frame {
     Item(StreamItem),
     Batch(TupleBatch),
 }
 
-/// A stateful codec owning its scratch buffer. This is the primary encode
-/// API: one instance per transport/checkpoint call site amortizes a single
-/// allocation across every encode it performs, replacing the hand-threaded
-/// `BytesMut` scratch the free functions require.
+impl Frame {
+    /// Tuples (or punctuations) in the frame: 1 for an item, the run length
+    /// for a batch.
+    pub fn items(&self) -> usize {
+        match self {
+            Frame::Item(_) => 1,
+            Frame::Batch(batch) => batch.len(),
+        }
+    }
+
+    /// Sum of the per-tuple size estimates (punctuation counts nothing).
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            Frame::Item(StreamItem::Tuple(t)) => t.approx_bytes(),
+            Frame::Item(StreamItem::Punct(_)) => 0,
+            Frame::Batch(batch) => batch.approx_bytes(),
+        }
+    }
+}
+
+/// Batch-frame encoder owning a reusable scratch buffer, so a call site
+/// that encodes many batches allocates each payload and nothing else.
 #[derive(Debug, Default)]
 pub struct TupleCodec {
     scratch: BytesMut,
@@ -111,35 +130,10 @@ impl TupleCodec {
         }
     }
 
-    /// Encodes one stream item into a standalone payload.
-    pub fn encode_item(&mut self, item: &StreamItem) -> Bytes {
-        self.scratch.clear();
-        encode_into(item, &mut self.scratch);
-        Bytes::from(&self.scratch[..])
-    }
-
     /// Encodes a run of tuples into a standalone batch payload.
     pub fn encode_batch(&mut self, tuples: &[Tuple]) -> Bytes {
-        self.encode_tuple_run(tuples.len(), tuples.iter())
-    }
-
-    /// Batch-payload variant over borrowed tuples scattered in another
-    /// structure (the PE's emission list), avoiding an intermediate `Vec`.
-    /// `count` must equal the iterator's length.
-    pub fn encode_tuple_run<'a>(
-        &mut self,
-        count: usize,
-        tuples: impl Iterator<Item = &'a Tuple>,
-    ) -> Bytes {
         self.scratch.clear();
-        self.scratch.put_u8(TAG_BATCH);
-        self.scratch.put_u32_le(count as u32);
-        let mut written = 0usize;
-        for t in tuples {
-            encode_tuple_item(t, &mut self.scratch);
-            written += 1;
-        }
-        debug_assert_eq!(written, count, "encode_tuple_run count mismatch");
+        encode_batch_into(tuples, &mut self.scratch);
         Bytes::from(&self.scratch[..])
     }
 }
@@ -186,35 +180,16 @@ fn encode_value(value: &Value, buf: &mut BytesMut) {
     }
 }
 
-/// Drops the first `skip` tuples of a batch payload and re-encodes the
-/// remainder as a fresh batch frame. Upstream backup uses this when a
-/// replayed run straddles a channel's high-water mark — re-execution after
-/// restore batches the same tuple sequence at different boundaries, so the
-/// payload's prefix duplicates traffic already delivered while its tail is
-/// new. `skip` must be less than the batch length.
-pub fn split_batch_payload(payload: Bytes, skip: usize) -> Result<Bytes, EngineError> {
-    let batch = decode_batch(payload)?;
-    if skip >= batch.len() {
-        return Err(EngineError::Codec(format!(
-            "split skip {skip} covers whole batch of {}",
-            batch.len()
-        )));
-    }
-    let rest: Vec<Tuple> = batch.into_iter().skip(skip).collect();
-    let mut buf = BytesMut::with_capacity(64 * rest.len());
-    encode_batch_into(&rest, &mut buf);
-    Ok(buf.freeze())
-}
-
 /// The schema the last tuple decoded to. The next tuple's names are checked
 /// against it, byte for byte, and share it on a match.
 type Carry = Option<Arc<Schema>>;
 
-/// Decoder for one PE input port. A stream keeps its shape from frame to
-/// frame, so the port keeps the schema of the last tuple it decoded and the
-/// names of a steady stream are allocated once per port, not once per
-/// frame. What a frame decodes to never depends on the carry — it is
-/// exactly what [`decode_frame`] returns.
+/// Decoder for one stream's frames, in order — today the tuples of a state
+/// blob being restored. A stream keeps its shape from frame to frame, so
+/// the decoder keeps the schema of the last tuple it decoded and the names
+/// of a steady stream are allocated once, not once per frame. What a frame
+/// decodes to never depends on the carry — it is exactly what
+/// [`decode_frame`] returns.
 #[derive(Debug, Default)]
 pub struct PortDecoder {
     carry: Carry,
@@ -225,8 +200,8 @@ impl PortDecoder {
         PortDecoder::default()
     }
 
-    /// Decodes a transport payload: a single item frame or a batch frame.
-    pub fn decode_frame(&mut self, buf: &[u8]) -> Result<Decoded, EngineError> {
+    /// Decodes one frame: a single item or a batch.
+    pub fn decode_frame(&mut self, buf: &[u8]) -> Result<Frame, EngineError> {
         decode_frame_carrying(buf, &mut self.carry)
     }
 
@@ -294,16 +269,16 @@ fn decode_batch_body(buf: &mut &[u8], carry: &mut Carry) -> Result<TupleBatch, E
     Ok(batch)
 }
 
-/// Decodes a transport payload that may be either a single item frame or a
-/// batch frame, carrying no schema in from earlier frames.
-pub fn decode_frame(buf: Bytes) -> Result<Decoded, EngineError> {
+/// Decodes a frame's wire encoding — a single item frame or a batch frame
+/// — carrying no schema in from earlier frames.
+pub fn decode_frame(buf: Bytes) -> Result<Frame, EngineError> {
     decode_frame_carrying(&buf, &mut None)
 }
 
-fn decode_frame_carrying(buf: &[u8], carry: &mut Carry) -> Result<Decoded, EngineError> {
+fn decode_frame_carrying(buf: &[u8], carry: &mut Carry) -> Result<Frame, EngineError> {
     match buf.first() {
-        Some(&TAG_BATCH) => Ok(Decoded::Batch(decode_batch_frame(buf, carry)?)),
-        _ => Ok(Decoded::Item(decode_item(buf, carry)?)),
+        Some(&TAG_BATCH) => Ok(Frame::Batch(decode_batch_frame(buf, carry)?)),
+        _ => Ok(Frame::Item(decode_item(buf, carry)?)),
     }
 }
 
@@ -602,11 +577,11 @@ mod tests {
         // decode_frame dispatches on the leading tag.
         assert_eq!(
             decode_frame(payload).unwrap(),
-            Decoded::Batch(tuples.clone().into())
+            Frame::Batch(tuples.clone().into())
         );
         assert_eq!(
             decode_frame(encode(&StreamItem::Punct(Punct::Final))).unwrap(),
-            Decoded::Item(StreamItem::Punct(Punct::Final))
+            Frame::Item(StreamItem::Punct(Punct::Final))
         );
     }
 
@@ -654,12 +629,14 @@ mod tests {
     #[test]
     fn tuple_codec_matches_free_functions() {
         let mut codec = TupleCodec::new();
-        let item = StreamItem::Tuple(Tuple::new().with("x", 9i64).with("s", "str"));
-        assert_eq!(codec.encode_item(&item), encode(&item));
-        let tuples = vec![Tuple::new().with("a", 1i64), Tuple::new().with("b", 2i64)];
-        let mut buf = BytesMut::new();
-        encode_batch_into(&tuples, &mut buf);
-        assert_eq!(codec.encode_batch(&tuples), buf.freeze());
+        let tuples = [Tuple::new().with("a", 1i64), Tuple::new().with("b", 2i64)];
+        // The scratch is reused: the shorter second batch carries nothing
+        // over from the first.
+        for run in [&tuples[..], &tuples[..1]] {
+            let mut buf = BytesMut::new();
+            encode_batch_into(run, &mut buf);
+            assert_eq!(codec.encode_batch(run), buf.freeze());
+        }
     }
 
     #[test]

@@ -67,6 +67,11 @@ impl TupleBatch {
     pub fn as_slice(&self) -> &[Tuple] {
         &self.items
     }
+
+    /// Drops the first `n` tuples (all of them when there are fewer).
+    pub fn drop_front(&mut self, n: usize) {
+        self.items.drain(..n.min(self.items.len()));
+    }
 }
 
 impl From<Vec<Tuple>> for TupleBatch {

@@ -3,9 +3,14 @@
 //! A PE hosts one or more fused operators and corresponds to an
 //! operating-system process in System S (§2.1). The container:
 //!
-//! - routes tuples between fused operators **in memory** and serializes
-//!   tuples crossing PE boundaries (returned as [`RemoteDelivery`] items for
-//!   the runtime transport to deliver),
+//! - routes tuples between fused operators **in memory** and hands tuples
+//!   crossing PE boundaries to the runtime transport as [`RemoteDelivery`]
+//!   frames — the tuples themselves, not an encoding: the simulator's PEs
+//!   share an address space and nothing reads the bytes, so a remote hop
+//!   shares rows exactly as a fused hop does (a receiver that writes copies
+//!   first) and what makes it remote is the transport's quantum of latency,
+//!   its upstream-backup bookkeeping and the loss of input at a dead
+//!   receiver,
 //! - maintains built-in metrics and hosts custom metrics,
 //! - executes with a bounded per-quantum *budget*, so an overloaded PE
 //!   accumulates input-queue backlog (visible as the `queueSize` metric the
@@ -15,13 +20,12 @@
 //!   produces the orchestrator's PE-failure event (§4.2).
 
 use crate::ckpt::{self, OpCheckpoint, PeCheckpoint, StateBlob, CKPT_FORMAT_VERSION};
-use crate::codec::{self, PortDecoder, TupleCodec};
+use crate::codec::{self, Frame};
 use crate::error::EngineError;
 use crate::metrics::{builtin, MetricId, MetricKey, MetricStore};
 use crate::op::{OpCtx, Operator, Punct, StreamItem, TupleBatch};
 use crate::registry::OperatorRegistry;
 use crate::tuple::Tuple;
-use bytes::Bytes;
 use sps_model::adl::Adl;
 use sps_sim::{SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
@@ -38,16 +42,21 @@ pub struct RemoteDest {
     pub port: usize,
 }
 
-/// A serialized payload bound for another PE: either a single item frame or
-/// a batch frame holding a run of consecutive tuples from one quantum.
+/// A frame bound for another PE: a single item, or a batch holding a run of
+/// consecutive tuples from one quantum. The frame holds the emitted tuples
+/// themselves (cloning a delivery copies pointers, not rows).
 #[derive(Clone, Debug)]
 pub struct RemoteDelivery {
     pub dest: RemoteDest,
-    pub payload: Bytes,
-    /// Tuples (or punctuations) carried by `payload` — 1 for item frames,
-    /// the run length for batch frames. Transport counters (upstream-backup
+    pub frame: Frame,
+}
+
+impl RemoteDelivery {
+    /// Tuples (or punctuations) carried. Transport counters (upstream-backup
     /// buffered/replayed/suppressed totals) stay tuple-granular through this.
-    pub items: u32,
+    pub fn items(&self) -> usize {
+        self.frame.items()
+    }
 }
 
 /// An item emitted on an exported output port, to be routed across jobs by
@@ -123,9 +132,6 @@ struct OpSlot {
     /// Input queues, one per port (at least one, so Import pseudo-sources
     /// can receive broker injections).
     queues: Vec<VecDeque<StreamItem>>,
-    /// Per-input-port wire decoders: each remembers its stream's schema
-    /// from one delivery to the next.
-    decoders: Vec<PortDecoder>,
     /// Per-input-port final-punctuation tracking, maintained by the
     /// container so the default [`Operator::on_punct`] can coalesce finals
     /// of multi-input operators correctly.
@@ -183,8 +189,6 @@ pub struct PeRuntime {
     bytes_processed: MetricId,
     rng: SimRng,
     crashed: Option<String>,
-    /// Reusable encode scratch for the remote transport path.
-    codec: TupleCodec,
     /// Reusable list of local deliveries gathered by `route`.
     local_scratch: Vec<(usize, usize, StreamItem)>,
 }
@@ -196,9 +200,24 @@ enum PoppedRun {
     Punct(usize, Punct),
 }
 
+/// The frame a run of emitted items leaves in: a lone item as it is, a longer
+/// run (tuples only) as a batch.
+fn frame_of(mut run: impl ExactSizeIterator<Item = StreamItem>) -> Frame {
+    if run.len() == 1 {
+        return Frame::Item(run.next().expect("one item left"));
+    }
+    let tuples: Vec<Tuple> = run
+        .map(|item| match item {
+            StreamItem::Tuple(t) => t,
+            StreamItem::Punct(_) => unreachable!("runs hold only tuples"),
+        })
+        .collect();
+    Frame::Batch(tuples.into())
+}
+
 /// Whether batched delivery is on. `SPS_BATCH=off|0|false` forces the
 /// per-tuple reference path — single-item runs dispatched through
-/// `on_tuple`, one transport payload per tuple — which the batching
+/// `on_tuple`, one transport frame per tuple — which the batching
 /// systest diffs against to prove the batched data path is
 /// observationally identical. Read once per process.
 fn batching_enabled() -> bool {
@@ -236,7 +255,6 @@ impl PeRuntime {
                 outputs: op.outputs,
                 cost,
                 queues: (0..inputs).map(|_| VecDeque::new()).collect(),
-                decoders: (0..inputs).map(|_| PortDecoder::new()).collect(),
                 finals_seen: vec![false; inputs],
                 local_routes: vec![Vec::new(); op.outputs],
                 remote_routes: vec![Vec::new(); op.outputs],
@@ -284,7 +302,6 @@ impl PeRuntime {
             bytes_processed,
             rng,
             crashed: None,
-            codec: TupleCodec::new(),
             local_scratch: Vec::new(),
         })
     }
@@ -311,8 +328,8 @@ impl PeRuntime {
         self.slots[slot].op.tap()
     }
 
-    /// Injects an item into an operator's input queue (remote deliveries and
-    /// broker import routing).
+    /// Injects an item into an operator's input queue (broker import
+    /// routing).
     pub fn inject(
         &mut self,
         op_name: &str,
@@ -345,37 +362,27 @@ impl PeRuntime {
         Ok(&mut queues[port])
     }
 
-    /// Decodes and injects a serialized remote delivery — one item frame or
-    /// a whole batch frame (the tuples land on the port queue in batch
-    /// order, exactly as per-item deliveries would).
-    pub fn receive(&mut self, delivery: &RemoteDelivery) -> Result<(), EngineError> {
-        let decoded = match self.op_index.get(&*delivery.dest.op) {
-            Some(&slot) => {
-                let decoders = &mut self.slots[slot].decoders;
-                let port = delivery.dest.port.min(decoders.len() - 1);
-                decoders[port].decode_frame(&delivery.payload)?
-            }
-            // Misaddressed: reported below, after any decode error.
-            None => codec::decode_frame(delivery.payload.clone())?,
-        };
-        match decoded {
-            codec::Decoded::Item(item) => {
-                if let StreamItem::Tuple(t) = &item {
-                    self.metrics
-                        .add_by(self.bytes_processed, t.approx_bytes() as i64);
-                }
-                self.inject(&delivery.dest.op, delivery.dest.port, item)
-            }
-            codec::Decoded::Batch(batch) => {
-                self.metrics
-                    .add_by(self.bytes_processed, batch.approx_bytes() as i64);
-                if self.crashed.is_none() {
-                    self.input_queue(&delivery.dest.op, delivery.dest.port)?
-                        .extend(batch.into_iter().map(StreamItem::Tuple));
-                }
-                Ok(())
-            }
+    /// Takes a remote delivery — one item or a whole batch (the tuples land
+    /// on the port queue in batch order, exactly as per-item deliveries
+    /// would). Its bytes are counted whatever becomes of it; a dead process
+    /// then loses it silently, a live one reports a misaddressed delivery.
+    pub fn receive(&mut self, delivery: RemoteDelivery) -> Result<(), EngineError> {
+        let RemoteDelivery { dest, frame } = delivery;
+        // Punctuation is not counted at all, not counted as zero: a metric
+        // exists from its first update.
+        if !matches!(frame, Frame::Item(StreamItem::Punct(_))) {
+            self.metrics
+                .add_by(self.bytes_processed, frame.approx_bytes() as i64);
         }
+        if self.crashed.is_some() {
+            return Ok(());
+        }
+        let queue = self.input_queue(&dest.op, dest.port)?;
+        match frame {
+            Frame::Item(item) => queue.push_back(item),
+            Frame::Batch(batch) => queue.extend(batch.into_iter().map(StreamItem::Tuple)),
+        }
+        Ok(())
     }
 
     /// Runs one scheduling quantum: source ticks, then queue draining up to
@@ -627,11 +634,12 @@ impl PeRuntime {
     }
 
     /// Routes items emitted by `slot_idx` to local queues, the remote
-    /// outbox, and the export outbox. Runs of consecutive tuples on one
-    /// output port are serialized as a single batch payload per remote
-    /// channel; local queues and the (cross-job) export path stay per-item,
-    /// preserving emission order exactly. Each item is moved into its last
-    /// consumer; the others get (pointer) copies.
+    /// outbox, and the export outbox. A run of consecutive tuples on one
+    /// output port leaves as a single batch frame per remote channel; local
+    /// queues and the (cross-job) export path stay per-item, preserving
+    /// emission order exactly. Each item is moved into its last consumer —
+    /// the last remote destination when nothing in this PE and no export
+    /// takes it too; the others get (pointer) copies.
     fn route(&mut self, slot_idx: usize, emitted: Vec<(usize, StreamItem)>, out: &mut PeOutput) {
         if emitted.is_empty() {
             return;
@@ -653,7 +661,6 @@ impl PeRuntime {
                     .take_while(|(p, it)| *p == port && matches!(it, StreamItem::Tuple(_)))
                     .count();
             }
-            let run = &items.as_slice()[..len];
             if let StreamItem::Tuple(_) = first {
                 self.metrics.add_by(slot.metrics.submitted, len as i64);
                 match slot.metrics.out_ports.get(port) {
@@ -673,24 +680,25 @@ impl PeRuntime {
             let exported = slot.exported_ports.get(port).copied().unwrap_or(false);
             let local_routes = slot.local_routes.get(port).map_or(&[][..], Vec::as_slice);
             let remote_routes = slot.remote_routes.get(port).map_or(&[][..], Vec::as_slice);
-            if !remote_routes.is_empty() {
-                let payload = if len > 1 {
-                    self.codec.encode_tuple_run(
-                        len,
-                        run.iter().map(|(_, it)| match it {
-                            StreamItem::Tuple(t) => t,
-                            StreamItem::Punct(_) => unreachable!("runs hold only tuples"),
-                        }),
-                    )
+            let stays = exported || !local_routes.is_empty();
+            if let Some((last_dest, other_dests)) = remote_routes.split_last() {
+                let frame = if stays {
+                    frame_of(items.as_slice()[..len].iter().map(|(_, item)| item.clone()))
                 } else {
-                    self.codec.encode_item(first)
+                    frame_of(items.by_ref().take(len).map(|(_, item)| item))
                 };
-                for dest in remote_routes {
+                for dest in other_dests {
                     out.remote.push(RemoteDelivery {
                         dest: dest.clone(),
-                        payload: payload.clone(),
-                        items: len as u32,
+                        frame: frame.clone(),
                     });
+                }
+                out.remote.push(RemoteDelivery {
+                    dest: last_dest.clone(),
+                    frame,
+                });
+                if !stays {
+                    continue;
                 }
             }
             let export = |item| ExportedItem {
@@ -971,7 +979,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_pe_streams_are_serialized() {
+    fn cross_pe_streams_share_the_senders_rows() {
         let mut adl = pipeline_adl();
         // Move sink to PE 1.
         adl.operators[2].pe = 1;
@@ -985,16 +993,20 @@ mod tests {
         let mut pe0 = PeRuntime::build(&adl, 0, &registry(), SimRng::new(1)).unwrap();
         let mut pe1 = PeRuntime::build(&adl, 1, &registry(), SimRng::new(2)).unwrap();
         let out0 = pe0.step(SimTime::ZERO, SimDuration::from_millis(100), 10_000);
-        // Consecutive same-port tuples coalesce into batch payloads, so the
+        // Consecutive same-port tuples coalesce into batch frames, so the
         // delivery count is below the tuple count but the item total matches.
-        let items: u32 = out0.remote.iter().map(|d| d.items).sum();
+        let items: usize = out0.remote.iter().map(RemoteDelivery::items).sum();
         assert_eq!(items, 3);
         assert!(out0.remote.len() <= 3);
         assert!(out0
             .remote
             .iter()
             .all(|d| d.dest.pe == 1 && &*d.dest.op == "snk"));
-        for d in &out0.remote {
+        let Frame::Batch(sent) = &out0.remote[0].frame else {
+            panic!("a run of tuples leaves as a batch");
+        };
+        let senders_schema = Arc::clone(sent.as_slice()[0].schema());
+        for d in out0.remote {
             pe1.receive(d).unwrap();
         }
         pe1.step(
@@ -1004,15 +1016,16 @@ mod tests {
         );
         assert_eq!(pe1.tap("snk").unwrap().len(), 3);
 
-        // The input port keeps its stream's schema from one delivery to the
-        // next: a later quantum's tuples share the first quantum's names.
+        // Nothing was decoded: a later quantum's tuples, like the first's,
+        // are the sender's rows under the sender's schema.
         let out0 = pe0.step(
             SimTime::from_millis(100),
             SimDuration::from_millis(100),
             10_000,
         );
         assert!(!out0.remote.is_empty());
-        for d in &out0.remote {
+        let mut lost = out0.remote[0].clone();
+        for d in out0.remote {
             pe1.receive(d).unwrap();
         }
         pe1.step(
@@ -1022,21 +1035,93 @@ mod tests {
         );
         let tap = pe1.tap("snk").unwrap();
         assert!(tap.len() > 3);
-        assert!(tap.iter().all(|t| Arc::ptr_eq(t.schema(), tap[0].schema())));
+        assert!(tap.iter().all(|t| Arc::ptr_eq(t.schema(), &senders_schema)));
 
-        // A corrupt payload is a codec error, a misaddressed one an
-        // addressing error — and a corrupt misaddressed one is corrupt.
-        let mut lost = out0.remote[0].clone();
+        // A misaddressed delivery is an addressing error. (A corrupt one
+        // has no representation: the frame is the tuples.)
         lost.dest.op = "nowhere".into();
         assert!(matches!(
-            pe1.receive(&lost),
+            pe1.receive(lost),
             Err(EngineError::BadParam { .. })
         ));
-        lost.payload = lost.payload.slice(0..lost.payload.len() - 1);
-        assert!(matches!(pe1.receive(&lost), Err(EngineError::Codec(_))));
-        let mut cut = out0.remote[0].clone();
-        cut.payload = cut.payload.slice(0..cut.payload.len() - 1);
-        assert!(matches!(pe1.receive(&cut), Err(EngineError::Codec(_))));
+    }
+
+    /// One emission fanned out to a local sink and two remote PEs is one
+    /// row held three times; the receiver that writes it copies it first.
+    #[test]
+    fn a_row_fanned_out_across_pes_is_copied_by_the_receiver_that_writes_it() {
+        let operators = vec![
+            op("src", "Beacon", 0, 0, 1, p(&[("rate", Value::Float(50.0))])),
+            op("near", "Sink", 0, 1, 0, ParamMap::new()),
+            op(
+                "bump",
+                "Functor",
+                1,
+                1,
+                1,
+                p(&[("set:seq", "seq + 100".into())]),
+            ),
+            op("bumped", "Sink", 1, 1, 0, ParamMap::new()),
+            op("far", "Sink", 2, 1, 0, ParamMap::new()),
+        ];
+        let stream = |from: &str, to: &str| AdlStream {
+            from_op: from.into(),
+            from_port: 0,
+            to_op: to.into(),
+            to_port: 0,
+        };
+        let adl = Adl {
+            app_name: "FanOut".into(),
+            pes: (0..3)
+                .map(|index| AdlPe {
+                    index,
+                    operators: operators
+                        .iter()
+                        .filter(|o| o.pe == index)
+                        .map(|o| o.name.clone())
+                        .collect(),
+                    host_pool: None,
+                    host_exlocate: None,
+                })
+                .collect(),
+            streams: vec![
+                stream("src", "near"),
+                stream("src", "bump"),
+                stream("src", "far"),
+                stream("bump", "bumped"),
+            ],
+            operators,
+            imports: vec![],
+            exports: vec![],
+            host_pools: vec![],
+        };
+        let mut pes: Vec<PeRuntime> = (0..3)
+            .map(|pe| PeRuntime::build(&adl, pe, &registry(), SimRng::new(1)).unwrap())
+            .collect();
+        let q = SimDuration::from_millis(100);
+        let out = pes[0].step(SimTime::ZERO, q, 10_000);
+        assert_eq!(out.remote.len(), 2, "one frame per remote destination");
+        for d in out.remote {
+            assert_eq!(d.items(), 5);
+            let to = d.dest.pe;
+            pes[to].receive(d).unwrap();
+            pes[to].step(SimTime::from_millis(100), q, 10_000);
+        }
+        let near = pes[0].tap("near").unwrap();
+        let bumped = pes[1].tap("bumped").unwrap();
+        let far = pes[2].tap("far").unwrap();
+        let seqs =
+            |tap: &[Tuple]| -> Vec<i64> { tap.iter().map(|t| t.get_int("seq").unwrap()).collect() };
+        assert_eq!(seqs(&near), [0, 1, 2, 3, 4]);
+        assert_eq!(seqs(&far), [0, 1, 2, 3, 4]);
+        assert_eq!(seqs(&bumped), [100, 101, 102, 103, 104]);
+        for ((near, far), bumped) in near.iter().zip(&far).zip(&bumped) {
+            // The untouched holders still share the emitted row...
+            assert!(std::ptr::eq(near.values(), far.values()));
+            // ...and the writer holds its own, under the shared schema.
+            assert!(!std::ptr::eq(near.values(), bumped.values()));
+            assert!(Arc::ptr_eq(near.schema(), bumped.schema()));
+        }
     }
 
     /// Counts its tuples under a custom metric, through a handle it

@@ -5,8 +5,8 @@
 //! the [`Schema`] — an ordered list of unique [`Name`]s — is shared by every
 //! tuple of that shape. Whoever produces a shape owns its schema: a source
 //! resolves one at construction and builds rows with
-//! [`Tuple::from_schema`]; the decoder keeps one per input port. A tuple
-//! costs its row and its values, never its names.
+//! [`Tuple::from_schema`]; a decoder carries one across the tuples of the
+//! blob it restores. A tuple costs its row and its values, never its names.
 //!
 //! Attribute counts are small (a handful per stream), so lookup is a linear
 //! scan over the schema's names — faster in practice than hashing for these

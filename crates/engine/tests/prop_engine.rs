@@ -1,5 +1,6 @@
-//! Property tests: tuple codec round-trips (item frames, batch frames, and
-//! a port decoder carrying its schema across frames), schema-shared
+//! Property tests: tuple codec round-trips (item frames, batch frames, a
+//! port decoder carrying its schema across frames, and every frame a PE
+//! hands the transport — which no longer encodes it), schema-shared
 //! copy-on-write tuples against an owned-list model, expression-parser
 //! robustness, the bound expression evaluator against `Expr::eval` (over
 //! generated ASTs, and through `Filter`/`Functor`/`Split` in a PE against
@@ -8,7 +9,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use sps_engine::codec::{
-    decode, decode_batch, decode_frame, encode, Decoded, PortDecoder, TupleCodec,
+    decode, decode_batch, decode_frame, encode, Frame, PortDecoder, TupleCodec,
 };
 use sps_engine::expr::{BinaryOp, BoundExpr, Expr, Scalar, UnaryOp};
 use sps_engine::window::{SlidingTimeWindow, TumblingCountWindow};
@@ -642,7 +643,7 @@ fn naive_registry() -> OperatorRegistry {
 /// PE 0 holds `op` (the operator under test) and one sink per output port;
 /// each port also feeds a sink in PE 1, which is never built: what `op`
 /// emits ahead of a fault dies in the local sinks' queues with the PE, but
-/// has left for PE 1 already, as bytes.
+/// has left for PE 1 already, as frames.
 fn differential_adl(kind: &str, params: ParamMap, outputs: usize) -> Adl {
     let operator = |name: String, kind: &str, pe, inputs, outputs, params| AdlOperator {
         name,
@@ -695,8 +696,10 @@ fn differential_adl(kind: &str, params: ParamMap, outputs: usize) -> Adl {
 /// What one quantum of the PE under test shows from outside.
 #[derive(Debug, PartialEq)]
 struct Quantum {
-    /// Every remote delivery: destination, tuple count, wire bytes.
-    remote: Vec<(String, u32, Vec<u8>)>,
+    /// Every remote delivery: destination, tuple count, and the frame in
+    /// wire encoding — bytes tell NaN payloads and attribute orders apart
+    /// where `==` on tuples does not.
+    remote: Vec<(String, usize, Bytes)>,
     crashed: Option<String>,
     /// `Debug` text of what each local sink holds.
     taps: Vec<Vec<String>>,
@@ -707,6 +710,15 @@ struct Quantum {
 }
 
 const QUANTUM: SimDuration = SimDuration::from_millis(100);
+
+/// A frame in wire encoding: what the transport carried while it still
+/// serialized, and what a checkpointed queue holds for the same run.
+fn wire_bytes(frame: &Frame) -> Bytes {
+    match frame {
+        Frame::Item(item) => encode(item),
+        Frame::Batch(batch) => TupleCodec::new().encode_batch(batch.as_slice()),
+    }
+}
 
 /// Feeds `pe` one chunk per quantum, `first` being the index of the first.
 fn drive(pe: &mut PeRuntime, outputs: usize, chunks: &[Vec<Tuple>], first: usize) -> Vec<Quantum> {
@@ -722,7 +734,7 @@ fn drive(pe: &mut PeRuntime, outputs: usize, chunks: &[Vec<Tuple>], first: usize
             remote: out
                 .remote
                 .iter()
-                .map(|d| (d.dest.op.to_string(), d.items, d.payload.to_vec()))
+                .map(|d| (d.dest.op.to_string(), d.items(), wire_bytes(&d.frame)))
                 .collect(),
             crashed: out.crashed,
             taps: (0..outputs)
@@ -887,11 +899,12 @@ fn operator_differential_on_pinned_cases() {
 }
 
 /// `SPS_BATCH` is read once per process, so the per-tuple dispatch gets a
-/// process of its own: this test binary again, the two differentials only.
+/// process of its own: this test binary again, the two differentials and
+/// the frame round-trip only.
 #[test]
 fn operator_differentials_hold_with_batching_off() {
     let out = std::process::Command::new(std::env::current_exe().unwrap())
-        .arg("operator_differential_")
+        .args(["operator_differential_", "remote_frames_"])
         .env("SPS_BATCH", "off")
         .output()
         .unwrap();
@@ -1007,9 +1020,9 @@ fn port_decoder_carries_its_schema_across_frames() {
         let carried = port.decode_frame(&bytes).unwrap();
         assert_eq!(carried, decode_frame(bytes).unwrap());
         match carried {
-            Decoded::Batch(batch) => decoded.extend(batch),
-            Decoded::Item(StreamItem::Tuple(t)) => decoded.push(t),
-            Decoded::Item(StreamItem::Punct(_)) => {}
+            Frame::Batch(batch) => decoded.extend(batch),
+            Frame::Item(StreamItem::Tuple(t)) => decoded.push(t),
+            Frame::Item(StreamItem::Punct(_)) => {}
         }
     }
     let expect = [
@@ -1062,7 +1075,7 @@ fn fresh_wire_names_leave_no_schema_behind() {
                 .with(&format!("y{i}"), 0i64);
             3
         ];
-        let Decoded::Batch(batch) = port.decode_frame(&codec.encode_batch(&tuples)).unwrap() else {
+        let Frame::Batch(batch) = port.decode_frame(&codec.encode_batch(&tuples)).unwrap() else {
             panic!("a batch frame decodes to a batch");
         };
         assert_eq!(batch.as_slice(), &tuples[..]);
@@ -1198,16 +1211,16 @@ proptest! {
             let carried = port.decode_frame(&bytes).unwrap();
             prop_assert_eq!(&carried, &decode_frame(bytes.clone()).unwrap());
             match (frame, &carried) {
-                (WireFrame::Batch(batch), Decoded::Batch(decoded)) => {
+                (WireFrame::Batch(batch), Frame::Batch(decoded)) => {
                     let expect: Vec<Tuple> = batch.iter().map(|a| tuple_of(a)).collect();
                     prop_assert_eq!(decoded.as_slice(), &expect[..]);
                     prop_assert_eq!(decoded, &decode_batch(bytes).unwrap());
                 }
-                (WireFrame::Item(attrs), Decoded::Item(item)) => {
+                (WireFrame::Item(attrs), Frame::Item(item)) => {
                     prop_assert_eq!(item, &StreamItem::Tuple(tuple_of(attrs)));
                     prop_assert_eq!(item, &decode(bytes).unwrap());
                 }
-                (WireFrame::Punct(_), Decoded::Item(StreamItem::Punct(_))) => {}
+                (WireFrame::Punct(_), Frame::Item(StreamItem::Punct(_))) => {}
                 other => prop_assert!(false, "frame kind changed in decoding: {other:?}"),
             }
         }
@@ -1295,6 +1308,39 @@ proptest! {
     ) {
         let chunks: Vec<Vec<Tuple>> = stream.chunks(chunk_len).map(<[Tuple]>::to_vec).collect();
         assert_same_as_naive(kind, params, &chunks, cut);
+    }
+
+    /// The transport hands frames over as they are, so nothing on the data
+    /// path checks any more that a frame is what its encoding says: this
+    /// does, for every frame a PE emits. `==` on tuples is by content and
+    /// NaN equals nothing, itself included: a frame holding one differs from
+    /// its own copy as well, and the bytes cover that case.
+    #[test]
+    fn remote_frames_round_trip_through_the_wire_codec(
+        (kind, params) in arb_operator(),
+        stream in arb_stream(true),
+        chunk_len in 1usize..6,
+    ) {
+        let outputs = if kind == "Split" { 2 } else { 1 };
+        let adl = differential_adl(kind, params, outputs);
+        let registry = OperatorRegistry::with_builtins();
+        let mut pe = PeRuntime::build(&adl, 0, &registry, SimRng::new(1)).unwrap();
+        for (i, chunk) in stream.chunks(chunk_len).enumerate() {
+            for tuple in chunk {
+                pe.inject("op", 0, StreamItem::Tuple(tuple.clone())).unwrap();
+            }
+            let out = pe.step(SimTime::from_millis(100 * i as u64), QUANTUM, 10_000);
+            for delivery in &out.remote {
+                let frame = &delivery.frame;
+                let bytes = wire_bytes(frame);
+                let back = decode_frame(bytes.clone()).unwrap();
+                prop_assert_eq!(&back == frame, &frame.clone() == frame, "{:?}", frame);
+                prop_assert_eq!(format!("{back:?}"), format!("{frame:?}"));
+                prop_assert_eq!(back.approx_bytes(), frame.approx_bytes());
+                prop_assert_eq!(back.items(), delivery.items());
+                prop_assert_eq!(wire_bytes(&back), bytes);
+            }
+        }
     }
 
     #[test]

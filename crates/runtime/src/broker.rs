@@ -190,21 +190,22 @@ impl ChannelKey {
 /// One buffered delivery, replayable into a restored receiver.
 #[derive(Clone, Debug)]
 pub enum BackupItem {
-    /// An intra-job delivery in wire encoding (replayed via `receive`, so
-    /// byte-accounting metrics match the original delivery). The payload may
-    /// be a whole batch frame carrying a run of tuples.
+    /// An intra-job delivery as it was delivered (replayed via `receive`, so
+    /// byte-accounting metrics match the original delivery): the frame —
+    /// possibly a whole batch — shares its rows with the receiver's queue
+    /// and whoever else holds them, so buffering costs pointers, not copies.
     Remote(RemoteDelivery),
     /// A cross-job import (replayed via `inject` on the importing operator).
     Import { op: Arc<str>, item: StreamItem },
 }
 
 impl BackupItem {
-    /// Tuples (or punctuations) this delivery carries. Batched remote
-    /// payloads count every tuple, keeping the upstream-backup counters
+    /// Tuples (or punctuations) this delivery carries. A batch frame
+    /// counts every tuple, keeping the upstream-backup counters
     /// tuple-granular regardless of how the transport frames them.
     pub fn items(&self) -> u64 {
         match self {
-            BackupItem::Remote(d) => d.items as u64,
+            BackupItem::Remote(d) => d.items() as u64,
             BackupItem::Import { .. } => 1,
         }
     }
@@ -294,11 +295,19 @@ impl UpstreamBackup {
     /// different boundaries than the crashed incarnation did. The caller
     /// must drop exactly the duplicated prefix and deliver the tail.
     pub fn advance_n(&mut self, key: &ChannelKey, n: u64) -> u64 {
-        let pos = self.pos.entry(key.clone()).or_insert(0);
+        // Look up before `entry`: a key (two `Arc<str>`) is cloned only for
+        // a channel's first emission.
+        let pos = match self.pos.get_mut(key) {
+            Some(pos) => pos,
+            None => self.pos.entry(key.clone()).or_insert(0),
+        };
         let before = *pos;
         *pos += n;
         let after = *pos;
-        let hwm = self.hwm.entry(key.clone()).or_insert(0);
+        let hwm = match self.hwm.get_mut(key) {
+            Some(hwm) => hwm,
+            None => self.hwm.entry(key.clone()).or_insert(0),
+        };
         let dup = if after <= *hwm {
             n
         } else {
@@ -332,18 +341,18 @@ impl UpstreamBackup {
     /// Acks every buffered delivery at or before `upto` for a receiver
     /// slot: the checkpoint taken at `upto` captured their effects.
     pub fn trim(&mut self, slot: (JobId, usize), upto: SimTime) {
-        if let Some(buf) = self.buffers.get_mut(&slot) {
-            let removed: u64 = buf
-                .iter()
-                .filter(|e| e.delivered_at <= upto)
-                .map(|e| e.item.items())
-                .sum();
-            buf.retain(|e| e.delivered_at > upto);
-            self.stats.trimmed += removed;
-            self.current -= removed;
-            if buf.is_empty() {
-                self.buffers.remove(&slot);
-            }
+        let Some(buf) = self.buffers.get_mut(&slot) else {
+            return;
+        };
+        // `buffer` appends at the kernel's clock, so the acked entries are
+        // a prefix.
+        debug_assert!(buf.is_sorted_by_key(|e| e.delivered_at));
+        let acked = buf.partition_point(|e| e.delivered_at <= upto);
+        let removed: u64 = buf.drain(..acked).map(|e| e.item.items()).sum();
+        self.stats.trimmed += removed;
+        self.current -= removed;
+        if buf.is_empty() {
+            self.buffers.remove(&slot);
         }
     }
 

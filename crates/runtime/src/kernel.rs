@@ -15,6 +15,7 @@ use crate::ids::{JobId, OrcaId, PeId};
 use crate::metastore::MetastoreKind;
 use crate::sam::{CrashReason, JobInfo, JobStatus, OrcaNotification, Sam};
 use crate::srm::Srm;
+use sps_engine::codec::Frame;
 use sps_engine::metrics::builtin;
 use sps_engine::pe::ExportedItem;
 use sps_engine::{
@@ -1362,7 +1363,7 @@ impl Kernel {
         &mut self,
         job: JobId,
         from_adl: usize,
-        delivery: sps_engine::RemoteDelivery,
+        mut delivery: sps_engine::RemoteDelivery,
     ) {
         let Some(info) = self.sam.job(job) else {
             return;
@@ -1372,7 +1373,6 @@ impl Kernel {
             return;
         };
         let ub = self.upstream_backup_enabled();
-        let mut delivery = delivery;
         if ub {
             let key = ChannelKey::Intra {
                 job,
@@ -1381,26 +1381,17 @@ impl Kernel {
                 op: delivery.dest.op.clone(),
                 port: delivery.dest.port,
             };
-            let dup = self.backup.advance_n(&key, delivery.items as u64);
-            if dup == delivery.items as u64 {
+            let items = delivery.items() as u64;
+            let dup = self.backup.advance_n(&key, items);
+            if dup == items {
                 return; // replay duplicate: this delivery already went through
             }
-            if dup > 0 {
-                // The run straddles the high-water mark: its first `dup`
-                // tuples already went through pre-crash. Deliver only the
-                // tail, so the receiver sees each tuple exactly once.
-                let whole = std::mem::take(&mut delivery.payload);
-                match sps_engine::codec::split_batch_payload(whole, dup as usize) {
-                    Ok(payload) => {
-                        delivery.payload = payload;
-                        delivery.items -= dup as u32;
-                    }
-                    Err(e) => {
-                        self.trace
-                            .push(self.now, "transport", format!("replay split failed: {e}"));
-                        return;
-                    }
-                }
+            // A run can straddle the high-water mark: its first `dup`
+            // tuples already went through pre-crash (`0 < dup < items`, so
+            // only a batch does). Deliver only the tail, so the receiver
+            // sees each tuple exactly once.
+            if let Frame::Batch(batch) = &mut delivery.frame {
+                batch.drop_front(dup as usize);
             }
         }
         let now = self.now;
@@ -1414,7 +1405,7 @@ impl Kernel {
         // A down receiver misses the delivery — but when buffered above,
         // its restored incarnation replays it.
         if proc.status == PeStatus::Up {
-            if let Err(e) = proc.runtime.receive(&delivery) {
+            if let Err(e) = proc.runtime.receive(delivery) {
                 self.trace
                     .push(now, "transport", format!("delivery failed: {e}"));
             }
@@ -1527,10 +1518,10 @@ impl Kernel {
             };
             // Entries at or before the snapshot are already part of the
             // restored state (the commit trims them, but be defensive).
-            let mut idx = entries
-                .iter()
-                .take_while(|e| e.delivered_at <= from)
-                .count();
+            let mut entries = entries
+                .into_iter()
+                .skip_while(|e| e.delivered_at <= from)
+                .peekable();
             let mut g = from + quantum;
             while g < now && crashed.is_none() {
                 let out = proc.runtime.step(g, quantum, budget);
@@ -1539,17 +1530,16 @@ impl Kernel {
                     proc.status = PeStatus::Crashed;
                 }
                 outs.push(out);
-                while idx < entries.len() && entries[idx].delivered_at <= g {
-                    match &entries[idx].item {
+                while let Some(entry) = entries.next_if(|e| e.delivered_at <= g) {
+                    injected += entry.item.items();
+                    match entry.item {
                         BackupItem::Remote(d) => {
                             let _ = proc.runtime.receive(d);
                         }
                         BackupItem::Import { op, item } => {
-                            let _ = proc.runtime.inject(op, 0, item.clone());
+                            let _ = proc.runtime.inject(&op, 0, item);
                         }
                     }
-                    injected += entries[idx].item.items();
-                    idx += 1;
                 }
                 g += quantum;
             }
@@ -2421,6 +2411,63 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(seqs(&k, job), seqs(&twin, twin_job));
+    }
+
+    /// Re-execution after a restore batches the same tuple sequence at other
+    /// boundaries than the crashed incarnation did, so a replayed run can
+    /// begin below a channel's high-water mark and end above it: exactly
+    /// its tail is delivered (and buffered), exactly its prefix counted as
+    /// suppressed.
+    #[test]
+    fn replayed_run_straddling_the_high_water_mark_delivers_only_its_tail() {
+        let policy = crate::ckpt::CheckpointPolicy::every(1000).upstream_backup(true);
+        let mut k = storage_kernel(3, policy);
+        // An idle source: the only traffic is what the test sends.
+        let job = k.submit_job(pipeline_adl("P", 0.0), None).unwrap();
+        run(&mut k, 5);
+        let run_of = |seqs: std::ops::Range<i64>| sps_engine::RemoteDelivery {
+            dest: sps_engine::pe::RemoteDest {
+                pe: 2,
+                op: "snk".into(),
+                port: 0,
+            },
+            frame: Frame::Batch(
+                seqs.map(|seq| Tuple::new().with("seq", seq))
+                    .collect::<Vec<_>>()
+                    .into(),
+            ),
+        };
+        // flt (slot 1) sends seq 0..5; it is then restored to a snapshot
+        // taken when it had sent three, and its re-execution emits seq 3..8
+        // as one run.
+        k.transport_remote(job, 1, run_of(0..5));
+        let sent = k.backup.sender_snapshot(job, 1);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].1, 5);
+        k.backup.rollback_sender(job, 1, &[(sent[0].0.clone(), 3)]);
+        k.transport_remote(job, 1, run_of(3..8));
+        assert_eq!(k.ub_stats().suppressed, 2);
+        assert_eq!(k.ub_stats().buffered, 5 + 3);
+        // A run wholly below the mark is suppressed whole, and not buffered.
+        k.backup.rollback_sender(job, 1, &[(sent[0].0.clone(), 3)]);
+        k.transport_remote(job, 1, run_of(3..8));
+        assert_eq!(k.ub_stats().suppressed, 2 + 5);
+        assert_eq!(k.ub_stats().buffered, 5 + 3);
+        run(&mut k, 1);
+        let seqs: Vec<i64> = k
+            .tap(job, "snk")
+            .unwrap()
+            .iter()
+            .map(|t| t.get_int("seq").unwrap())
+            .collect();
+        assert_eq!(seqs, (0..8).collect::<Vec<_>>());
+        let buffered: Vec<u64> = k
+            .backup
+            .replay_entries((job, 2))
+            .iter()
+            .map(|e| e.item.items())
+            .collect();
+        assert_eq!(buffered, [5, 3]);
     }
 
     /// Regression (SRM hygiene): every path that retires or crashes a PE
