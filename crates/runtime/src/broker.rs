@@ -16,7 +16,7 @@
 //! at-most-once recovery into exactly-once.
 
 use crate::ids::JobId;
-use sps_engine::{RemoteDelivery, StreamItem};
+use sps_engine::{EngineError, PeRuntime, RemoteDelivery, StreamItem};
 use sps_model::logical::{ExportSpec, ImportSpec};
 use sps_sim::SimTime;
 use std::collections::BTreeMap;
@@ -132,13 +132,6 @@ impl Broker {
             .map(Vec::len)
             .sum()
     }
-
-    /// Does any *other running* job import from the given job? Used by the
-    /// orchestrator's starvation check on cancellation (§4.4).
-    pub fn has_dependents(&self, job: JobId) -> bool {
-        // Only exports with at least one importer are in the table.
-        self.routes.keys().any(|(export_job, _)| *export_job == job)
-    }
 }
 
 // ---- upstream backup -------------------------------------------------------
@@ -207,6 +200,15 @@ impl BackupItem {
         match self {
             BackupItem::Remote(d) => d.items() as u64,
             BackupItem::Import { .. } => 1,
+        }
+    }
+
+    /// Hands the delivery to the receiving container, the way it first
+    /// arrived: `receive` for a remote frame, `inject` for an import.
+    pub fn deliver_to(self, runtime: &mut PeRuntime) -> Result<(), EngineError> {
+        match self {
+            BackupItem::Remote(d) => runtime.receive(d),
+            BackupItem::Import { op, item } => runtime.inject(&op, 0, item),
         }
     }
 }
@@ -449,8 +451,6 @@ mod tests {
         assert_eq!(b.num_connections(), 1);
         assert_eq!(b.route(JobId(1), "out", 0), &[(JobId(2), "in".into())]);
         assert!(b.route(JobId(1), "out", 1).is_empty());
-        assert!(b.has_dependents(JobId(1)));
-        assert!(!b.has_dependents(JobId(2)));
     }
 
     #[test]
@@ -527,7 +527,6 @@ mod tests {
         assert_eq!(b.num_connections(), 1);
         b.unregister_job(JobId(2));
         assert_eq!(b.num_connections(), 0);
-        assert!(!b.has_dependents(JobId(1)));
     }
 
     #[test]

@@ -565,23 +565,23 @@ impl CheckpointStore {
         self.cadence.insert((job, adl_index), quanta_now);
         self.saved += 1;
         self.peak_bytes = self.peak_bytes.max(self.bytes);
-        debug_assert_eq!(
-            self.bytes,
-            self.slots.values().map(Slot::stored_bytes).sum::<usize>(),
-            "running byte counter out of sync with the slots"
-        );
         debug_assert!(
-            self.slots
-                .values()
-                .all(|slot| slot.chain_bytes == slot.recount_chain()),
-            "a slot's byte count is out of sync with its chain"
-        );
-        debug_assert_eq!(
-            self.materialize(job, adl_index).map(|c| c.digest()),
-            self.latest(job, adl_index).map(|c| c.digest()),
-            "delta chain does not materialize back to its head"
+            self.consistent(job, adl_index),
+            "byte counters or delta chain out of sync with the stored slots"
         );
         true
+    }
+
+    /// The store's redundant bookkeeping agrees with what it stores: the
+    /// running byte counters with a recount, and the just-saved slot's
+    /// delta chain with its cached head.
+    fn consistent(&self, job: JobId, adl_index: usize) -> bool {
+        let recount = self.slots.values().map(Slot::stored_bytes).sum::<usize>();
+        let chains = |slot: &Slot| slot.chain_bytes == slot.recount_chain();
+        let chain = self.materialize(job, adl_index).map(|c| c.digest());
+        self.bytes == recount
+            && self.slots.values().all(chains)
+            && chain == self.latest(job, adl_index).map(|c| c.digest())
     }
 
     /// Evicts oldest-first until stored bytes fit the budget (no-op when

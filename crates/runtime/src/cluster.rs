@@ -71,18 +71,32 @@ impl Host {
     pub fn has_tag(&self, tag: &str) -> bool {
         self.tags.iter().any(|t| t == tag)
     }
+
+    /// Crashes every live process and returns the victims in `PeId` order —
+    /// what a host failure, or SAM declaring the host dead, does to it.
+    /// `Starting` processes die too: a PE whose restart was in flight would
+    /// otherwise sit `Starting` forever with nobody notified.
+    pub fn crash_live(&mut self) -> Vec<PeId> {
+        self.processes
+            .values_mut()
+            .filter(|p| matches!(p.status, PeStatus::Up | PeStatus::Starting))
+            .map(|p| {
+                p.status = PeStatus::Crashed;
+                p.pe_id
+            })
+            .collect()
+    }
 }
 
 /// The set of hosts available to the runtime.
+#[derive(Default)]
 pub struct Cluster {
     hosts: BTreeMap<String, Host>,
 }
 
 impl Cluster {
     pub fn new() -> Self {
-        Cluster {
-            hosts: BTreeMap::new(),
-        }
+        Self::default()
     }
 
     /// Convenience: a cluster of `n` identical hosts named `host0..`.
@@ -118,10 +132,6 @@ impl Cluster {
         self.hosts.keys().map(String::as_str).collect()
     }
 
-    pub fn num_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// Locates the host running a given PE.
     pub fn host_of_pe(&self, pe: PeId) -> Option<&str> {
         self.hosts
@@ -141,6 +151,42 @@ impl Cluster {
         self.hosts.values().find_map(|h| h.processes.get(&pe))
     }
 
+    fn on_up_hosts_mut(&mut self) -> impl Iterator<Item = &mut PeProcess> {
+        self.hosts
+            .values_mut()
+            .filter(|h| h.up)
+            .flat_map(|h| h.processes.values_mut())
+    }
+
+    /// The live walk: every `Up` process on an up host, hosts in name order
+    /// and each host's processes in `PeId` order. Every per-quantum phase
+    /// (step, checkpoint issue, eviction protection, metrics push) visits
+    /// PEs in this order, and every trace digest depends on it.
+    pub fn live(&self) -> impl Iterator<Item = &PeProcess> {
+        self.hosts
+            .values()
+            .filter(|h| h.up)
+            .flat_map(|h| h.processes.values())
+            .filter(|p| p.status == PeStatus::Up)
+    }
+
+    pub fn live_mut(&mut self) -> impl Iterator<Item = &mut PeProcess> {
+        self.on_up_hosts_mut().filter(|p| p.status == PeStatus::Up)
+    }
+
+    /// Promotes every `Starting` process whose spawn latency has elapsed to
+    /// `Up` (same walk order) and returns `(PE, job, ADL index)` of each.
+    /// Processes on a down host are not promoted.
+    pub fn promote_due(&mut self, now: SimTime) -> Vec<(PeId, JobId, usize)> {
+        self.on_up_hosts_mut()
+            .filter(|p| p.status == PeStatus::Starting && now >= p.up_at)
+            .map(|p| {
+                p.status = PeStatus::Up;
+                (p.pe_id, p.job, p.adl_index)
+            })
+            .collect()
+    }
+
     /// Removes a process (job cancellation).
     pub fn remove_process(&mut self, pe: PeId) -> Option<PeProcess> {
         for h in self.hosts.values_mut() {
@@ -149,12 +195,6 @@ impl Cluster {
             }
         }
         None
-    }
-}
-
-impl Default for Cluster {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -204,7 +244,6 @@ mod tests {
     #[test]
     fn with_hosts_names_sequentially() {
         let c = Cluster::with_hosts(3);
-        assert_eq!(c.num_hosts(), 3);
         assert_eq!(c.host_names(), vec!["host0", "host1", "host2"]);
         assert!(c.host("host1").unwrap().up);
     }
@@ -236,5 +275,52 @@ mod tests {
         assert_eq!(removed.pe_id, PeId(7));
         assert!(c.process(PeId(7)).is_none());
         assert!(c.remove_process(PeId(7)).is_none());
+    }
+
+    /// The order every per-quantum phase visits PEs in, and therefore every
+    /// trace digest depends on: hosts by name, each host's processes by
+    /// `PeId`, skipping down hosts and every process that is not `Up`.
+    #[test]
+    fn live_walk_is_host_name_then_pe_id_over_up_processes_on_up_hosts() {
+        let mut c = Cluster::new();
+        // Added out of name order; PE ids interleave across hosts.
+        for name in ["hostB", "hostC", "hostA"] {
+            c.add_host(Host::new(name, &[]));
+        }
+        let place = |c: &mut Cluster, host: &str, pe: u64, status: PeStatus| {
+            let mut p = proc(pe);
+            p.status = status;
+            p.up_at = SimTime::from_millis(pe * 100);
+            c.host_mut(host).unwrap().processes.insert(PeId(pe), p);
+        };
+        place(&mut c, "hostB", 9, PeStatus::Up);
+        place(&mut c, "hostB", 2, PeStatus::Up);
+        place(&mut c, "hostB", 5, PeStatus::Crashed);
+        place(&mut c, "hostA", 7, PeStatus::Up);
+        place(&mut c, "hostA", 3, PeStatus::Starting);
+        place(&mut c, "hostA", 4, PeStatus::Stopped);
+        place(&mut c, "hostA", 1, PeStatus::Up);
+        place(&mut c, "hostC", 6, PeStatus::Up);
+        place(&mut c, "hostC", 8, PeStatus::Starting);
+        c.host_mut("hostC").unwrap().up = false;
+
+        let live = |c: &Cluster| c.live().map(|p| p.pe_id.0).collect::<Vec<_>>();
+        assert_eq!(live(&c), [1, 7, 2, 9]);
+        let live_mut: Vec<u64> = c.live_mut().map(|p| p.pe_id.0).collect();
+        assert_eq!(live_mut, live(&c));
+
+        // Promotion walks the same way: PE 3 is due, PE 8 sits on a down host.
+        assert!(c.promote_due(SimTime::from_millis(299)).is_empty());
+        let promoted = c.promote_due(SimTime::from_millis(900));
+        assert_eq!(promoted, [(PeId(3), JobId(1), 0)]);
+        assert_eq!(live(&c), [1, 3, 7, 2, 9]);
+
+        // A host failure takes the live and the spawning, in `PeId` order.
+        c.host_mut("hostC").unwrap().up = true;
+        assert_eq!(
+            c.host_mut("hostC").unwrap().crash_live(),
+            [PeId(6), PeId(8)]
+        );
+        assert_eq!(live(&c), [1, 3, 7, 2, 9]);
     }
 }

@@ -144,10 +144,6 @@ impl Sam {
         rec
     }
 
-    pub fn metastore_kind(&self) -> MetastoreKind {
-        self.store.kind()
-    }
-
     pub fn metastore_stats(&self) -> MetaStats {
         self.store.stats()
     }
@@ -270,11 +266,6 @@ impl Sam {
 
     pub fn job(&self, id: JobId) -> Option<&JobInfo> {
         self.tables().jobs.get(&id)
-    }
-
-    /// Updates a job's lifecycle status through the op log.
-    pub fn set_job_status(&mut self, id: JobId, status: JobStatus) {
-        self.store.apply(MetaOp::SetJobStatus(id, status));
     }
 
     pub fn jobs(&self) -> impl Iterator<Item = &JobInfo> {
@@ -402,8 +393,6 @@ mod tests {
         assert_eq!(sam.job(id).unwrap().app_name, "A");
         assert_eq!(sam.pe_lookup(pe), Some((id, 0)));
         assert_eq!(sam.running_jobs(), vec![id]);
-        sam.set_job_status(id, JobStatus::Cancelled);
-        assert!(sam.running_jobs().is_empty());
         let removed = sam.remove_job(id).unwrap();
         assert_eq!(removed.id, id);
         assert!(sam.job(id).is_none());

@@ -53,10 +53,6 @@ impl Srm {
         self.host_status.get(host).copied()
     }
 
-    pub fn hosts_up(&self) -> usize {
-        self.host_status.values().filter(|&&u| u).count()
-    }
-
     /// An HC pushes the metric snapshot of one local PE.
     pub fn push_pe_metrics(
         &mut self,
@@ -123,11 +119,9 @@ mod tests {
         let mut srm = Srm::new();
         srm.set_host_status("h1", true);
         srm.set_host_status("h2", true);
-        assert_eq!(srm.hosts_up(), 2);
         srm.set_host_status("h1", false);
         assert_eq!(srm.host_up("h1"), Some(false));
         assert_eq!(srm.host_up("ghost"), None);
-        assert_eq!(srm.hosts_up(), 1);
     }
 
     #[test]
