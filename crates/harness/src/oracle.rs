@@ -184,7 +184,8 @@ impl Oracle for NotificationOracle {
 /// 3. **Metric continuity** — monotone per-operator counters
 ///    (`nTuplesProcessed`) recorded in each restored checkpoint never run
 ///    backwards afterwards: recovered state persists instead of being
-///    quietly re-zeroed.
+///    quietly re-zeroed. A later fresh restart of the same slot (2a has
+///    already judged its reason) ends the record's claim.
 /// 4. **Fault-free comparison** — against the baseline run of the same
 ///    seed: every stable job's tap that produced output without faults
 ///    still holds state (nonzero counter) in the faulted run, and never
@@ -270,9 +271,20 @@ impl Oracle for StatePreservationOracle {
             }
         }
 
-        // 3: restored monotone counters never go backwards.
-        for rec in kernel.restart_log() {
+        // 3: restored monotone counters never go backwards — until the
+        // slot's next *fresh* restart. A later incarnation that legitimately
+        // came back with nothing (its chain evicted by the storage budget)
+        // counts from zero again, and the record's claim ends there.
+        let log = kernel.restart_log();
+        for (i, rec) in log.iter().enumerate() {
             if !rec.restore.restored() || kernel.sam.job(rec.job).is_none() {
+                continue;
+            }
+            let reset_since = log[i + 1..].iter().any(|later| {
+                (later.job, later.adl_index) == (rec.job, rec.adl_index)
+                    && !later.restore.restored()
+            });
+            if reset_since {
                 continue;
             }
             for (op, at_ckpt) in &rec.restored_op_counts {

@@ -109,24 +109,21 @@ fn storage_model_reports_are_byte_identical_across_jobs() {
     assert_eq!(run(1), run(4), "storage-model report depends on --jobs");
 }
 
-/// Open, and not ROADMAP recovery hole (2) — upstream backup is off here.
-/// `campaign --app trend --plans 100 --seed 7 --checkpoint-interval 5
-/// --ckpt-budget 4096 --ckpt-write-latency 250` fails one plan; shrunk, it
-/// is the two kills below. The first (t = 15.9 s) restores job2's `graph`
-/// PE from its 15.5 s snapshot, `nTuplesProcessed` 45. The second (17.0 s)
-/// hits the replacement after the 4 KiB budget evicted that slot's chain, so
-/// it comes back fresh — `FreshReason::Evicted`, which the state oracle
-/// itself calls legitimate — and counts 39 tuples by the end. The oracle's
-/// monotone-counter check then holds the *first* restart's 45 against the
-/// final 39: it reads every restored record against the operator's last
-/// value and never asks whether a later restart of the same slot started
-/// from nothing. The runtime did what the storage model says; the check
-/// needs to stop at the slot's next fresh restart.
+/// Regression for a state-oracle false positive (upstream backup is off
+/// here, so this is not ROADMAP recovery hole (2)). `campaign --app trend
+/// --plans 100 --seed 7 --checkpoint-interval 5 --ckpt-budget 4096
+/// --ckpt-write-latency 250` used to fail one plan; shrunk, it is the two
+/// kills below. The first (t = 15.9 s) restores job2's `graph` PE from its
+/// 15.5 s snapshot, `nTuplesProcessed` 45. The second (17.0 s) hits the
+/// replacement after the 4 KiB budget evicted that slot's chain, so it comes
+/// back fresh — `FreshReason::Evicted`, which the state oracle itself calls
+/// legitimate — and counts 39 tuples by the end. The monotone-counter check
+/// must not hold the *first* restart's 45 against that 39: a restored
+/// record's claim ends at the slot's next fresh restart.
 /// `campaign --replay 15798:kp:4:5,16809:kp:7:2 --app trend
 /// --seed 16362195719958910532 --checkpoint-interval 5
 /// --ckpt-write-latency 250 --ckpt-budget 4096`
 #[test]
-#[ignore = "state oracle false positive: restore, then eviction and a fresh restart of the same slot"]
 fn restore_then_evicted_restart_of_one_slot_passes_the_state_oracle() {
     let plan = FaultPlan::decode("15798:kp:4:5,16809:kp:7:2").unwrap();
     let storage = StorageModel::default().with_write(250, 0).with_budget(4096);
