@@ -399,12 +399,41 @@ pub fn run_plan(
 }
 
 /// Runs a plan and, when requested, replays it to enforce the determinism
-/// oracle. Returns all violations (oracle + determinism).
+/// oracle. Returns the *primary* run's outcome — its counters are one
+/// execution's; the replay's are dropped — with the determinism violation,
+/// if any, appended to its violations.
 ///
 /// Both executions fetch their baseline through `baseline.cache`: the
 /// primary run misses (at most once per key process-wide) and the
-/// determinism replay hits the same entry, so enabling the replay no longer
-/// doubles baseline cost.
+/// determinism replay hits the same entry, so enabling the replay does not
+/// double baseline cost.
+fn run_plan_checked(
+    scenario: &Scenario,
+    seed: u64,
+    plan: &FaultPlan,
+    oracles: &[Box<dyn Oracle>],
+    check_determinism: bool,
+    policy: WorldPolicy,
+    baseline: BaselineSource<'_>,
+) -> PlanOutcome {
+    let mut outcome = run_plan(scenario, seed, plan, oracles, policy, baseline);
+    if check_determinism {
+        let replay = run_plan(scenario, seed, plan, oracles, policy, baseline);
+        if replay.digest != outcome.digest {
+            outcome.violations.push(Violation {
+                oracle: "determinism",
+                message: format!(
+                    "trace digests diverged for identical seed/plan: {:#018x} vs {:#018x}",
+                    outcome.digest, replay.digest
+                ),
+            });
+        }
+    }
+    outcome
+}
+
+/// [`run_plan`] plus the determinism replay when requested: the run digest
+/// and all violations (oracle + determinism).
 pub fn evaluate(
     scenario: &Scenario,
     seed: u64,
@@ -414,21 +443,16 @@ pub fn evaluate(
     policy: WorldPolicy,
     baseline: BaselineSource<'_>,
 ) -> (u64, Vec<Violation>) {
-    let outcome = run_plan(scenario, seed, plan, oracles, policy, baseline);
-    let mut violations = outcome.violations;
-    if check_determinism {
-        let replay = run_plan(scenario, seed, plan, oracles, policy, baseline);
-        if replay.digest != outcome.digest {
-            violations.push(Violation {
-                oracle: "determinism",
-                message: format!(
-                    "trace digests diverged for identical seed/plan: {:#018x} vs {:#018x}",
-                    outcome.digest, replay.digest
-                ),
-            });
-        }
-    }
-    (outcome.digest, violations)
+    let outcome = run_plan_checked(
+        scenario,
+        seed,
+        plan,
+        oracles,
+        check_determinism,
+        policy,
+        baseline,
+    );
+    (outcome.digest, outcome.violations)
 }
 
 /// Renders the `campaign` argv that replays one plan of a campaign run
@@ -530,33 +554,22 @@ fn evaluate_plan(
     // populates instead of re-simulating the baseline world.
     let floor = plan.horizon();
     let baseline = BaselineSource::new(cache, floor);
-    // Inlined [`evaluate`] so the primary run's upstream-backup and
-    // control-plane counters can be kept (the determinism replay would
-    // double them).
-    let outcome = run_plan(scenario, plan_seed, &plan, &oracles, policy, baseline);
-    let digest = outcome.digest;
-    let ub = outcome.ub;
-    let control = outcome.control;
-    let mut violations = outcome.violations;
-    if cfg.check_determinism {
-        let replay = run_plan(scenario, plan_seed, &plan, &oracles, policy, baseline);
-        if replay.digest != digest {
-            violations.push(Violation {
-                oracle: "determinism",
-                message: format!(
-                    "trace digests diverged for identical seed/plan: {:#018x} vs {:#018x}",
-                    digest, replay.digest
-                ),
-            });
-        }
-    }
+    let outcome = run_plan_checked(
+        scenario,
+        plan_seed,
+        &plan,
+        &oracles,
+        cfg.check_determinism,
+        policy,
+        baseline,
+    );
     PlanEval {
         plan_seed,
         plan,
-        digest,
-        violations,
-        ub,
-        control,
+        digest: outcome.digest,
+        violations: outcome.violations,
+        ub: outcome.ub,
+        control: outcome.control,
     }
 }
 

@@ -565,10 +565,7 @@ impl CheckpointStore {
         self.cadence.insert((job, adl_index), quanta_now);
         self.saved += 1;
         self.peak_bytes = self.peak_bytes.max(self.bytes);
-        debug_assert!(
-            self.consistent(job, adl_index),
-            "byte counters or delta chain out of sync with the stored slots"
-        );
+        debug_assert!(self.consistent(job, adl_index));
         true
     }
 

@@ -2,7 +2,6 @@
 //! commit what the storage model has finished writing.
 
 use super::Kernel;
-use crate::ids::JobId;
 use std::collections::BTreeSet;
 
 impl Kernel {
@@ -58,11 +57,16 @@ impl Kernel {
         if !self.ckpt.has_pending() {
             return;
         }
-        let protected = if self.ckpt.storage().budget_bytes > 0 {
-            self.protected_slots()
-        } else {
-            BTreeSet::new()
-        };
+        // PE slots whose live chain budget eviction must never reclaim:
+        // every `Up`, checkpointable PE (any of them may need to restore at
+        // any moment). Slots of crashed PEs are deliberately *not* protected
+        // — losing a dead PE's chain to the budget is exactly the recovery
+        // cost the storage model exists to expose.
+        let mut protected = BTreeSet::new();
+        if self.ckpt.storage().budget_bytes > 0 {
+            let live = self.cluster.live().filter(|p| p.checkpointable);
+            protected.extend(live.map(|p| (p.job, p.adl_index)));
+        }
         for commit in self.ckpt.poll_commits(self.now, &protected) {
             if commit.accepted {
                 // The commit lands in the metastore's checkpoint index too,
@@ -75,18 +79,5 @@ impl Kernel {
                     .ack((commit.job, commit.adl_index), commit.taken_at);
             }
         }
-    }
-
-    /// PE slots whose live checkpoint chain budget eviction must never
-    /// reclaim: every `Up`, checkpointable PE (any of them may need to
-    /// restore at any moment). Slots of crashed PEs are deliberately *not*
-    /// protected — losing a dead PE's chain to the budget is exactly the
-    /// recovery cost the storage model exists to expose.
-    fn protected_slots(&self) -> BTreeSet<(JobId, usize)> {
-        self.cluster
-            .live()
-            .filter(|p| p.checkpointable)
-            .map(|p| (p.job, p.adl_index))
-            .collect()
     }
 }

@@ -214,9 +214,6 @@ impl Kernel {
             .ok_or(RuntimeError::UnknownJob(job))?;
         for pe in &info.pe_ids {
             self.cluster.remove_process(*pe);
-            // Belt and braces next to `forget_job` below: every retired PE
-            // drops its SRM snapshot on the path that retires it.
-            self.srm.forget_pe(job, *pe);
         }
         self.broker.unregister_job(job);
         self.srm.forget_job(job);

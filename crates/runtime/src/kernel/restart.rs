@@ -230,17 +230,16 @@ impl Kernel {
             .restarted(pe, new_pe, (job, adl_index), from.as_ref())
         {
             // The revived PE equals its snapshot; an immediate periodic
-            // re-snapshot would be pure overhead (satellite cadence fix).
+            // re-snapshot would be pure overhead.
             let quanta_now = self.now.as_millis() / self.config.quantum.as_millis();
             self.ckpt.mark_snapshot_quantum(job, adl_index, quanta_now);
         }
 
         // Reading the chain back from storage costs sim-time, paid on top
         // of the spawn delay: replay begins only once it has been read.
-        let restore_ms = from.as_ref().map_or(0, |c| {
-            let read = self.ckpt.storage().restore_latency(c.read_bytes);
-            read.as_millis()
-        });
+        let storage = self.ckpt.storage();
+        let read = from.as_ref().map(|c| storage.restore_latency(c.read_bytes));
+        let restore_ms = read.map_or(0, |latency| latency.as_millis());
         let up_at = self.now + self.config.restart_delay + SimDuration::from_millis(restore_ms);
         self.swap_process(pe, job, old_host.as_deref(), &host, pool);
         let slot = (job, &adl, adl_index);
@@ -323,23 +322,14 @@ impl Kernel {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::sink_adl;
     use super::*;
     use crate::{CheckpointPolicy, StorageModel};
     use sps_engine::{OperatorRegistry, StreamItem, Tuple};
     use sps_model::adl::Adl;
-    use sps_model::compiler::{compile, CompileOptions};
-    use sps_model::logical::{AppModelBuilder, CompositeGraphBuilder, OperatorInvocation};
     use sps_sim::SimRng;
 
     const SLOT: (JobId, usize) = (JobId(1), 0);
-
-    /// A one-PE app whose only operator, a sink, keeps what it is sent.
-    fn sink_adl() -> Adl {
-        let mut m = CompositeGraphBuilder::main();
-        m.operator("snk", OperatorInvocation::new("Sink").sink());
-        let model = AppModelBuilder::new("S").build(m.build().unwrap()).unwrap();
-        compile(&model, CompileOptions::default()).unwrap()
-    }
 
     /// What `restore_slot` needs and a kernel would otherwise supply: a
     /// store, a blank container for the slot and the means to build another.

@@ -49,6 +49,15 @@ fn backup(kernel: &mut Kernel) -> &mut UpstreamBackup {
     kernel.transport.backup.as_mut().expect("backup is on")
 }
 
+/// A one-PE app whose only operator, a sink, keeps what it is sent — the
+/// fixture of the `restore_slot` and `Transport` unit tests.
+pub(super) fn sink_adl() -> Adl {
+    let mut m = CompositeGraphBuilder::main();
+    m.operator("snk", OperatorInvocation::new("Sink").sink());
+    let model = AppModelBuilder::new("S").build(m.build().unwrap()).unwrap();
+    compile(&model, CompileOptions::default()).unwrap()
+}
+
 fn run(kernel: &mut Kernel, quanta: usize) {
     for _ in 0..quanta {
         kernel.quantum();

@@ -13,9 +13,8 @@
 # lines first: `grep -v '^  reproduce:'`). Cells: 4 apps x --jobs 1/8 x
 # plain / --checkpoint-interval 10 / + --upstream-backup on, then per app
 # SPS_BATCH=off, --control-faults on, --metastore replicated, and two
-# finite-budget checkpoint stores. The finite-budget cells report failing
-# plans (a known `state` oracle false positive, see ROADMAP), so a cell may
-# exit 1; anything else, or an empty report, stops the script.
+# finite-budget checkpoint stores. Every cell must exit 0: a failing plan
+# anywhere stops the script, and its `reproduce:` line is in the cell's file.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -30,8 +29,8 @@ cell() { # name, then campaign flags; environment passes through
   local name=$1 status=0
   shift
   "$bin" --plans 100 --seed 7 "$@" >"$out/$name.out" 2>/dev/null || status=$?
-  if [ "$status" -gt 1 ] || ! grep -q '^campaign ' "$out/$name.out"; then
-    echo "cell $name: exit $status, no usable report" >&2
+  if [ "$status" -ne 0 ] || ! grep -q '^campaign ' "$out/$name.out"; then
+    echo "cell $name: exit $status (see $out/$name.out)" >&2
     exit 1
   fi
 }
