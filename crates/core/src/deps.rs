@@ -190,6 +190,21 @@ impl DependencyManager {
             .collect()
     }
 
+    /// `id` and everything it (transitively) depends on.
+    fn upstream_closure(&self, id: &str) -> BTreeSet<String> {
+        let mut closure = BTreeSet::new();
+        let mut stack = vec![id.to_string()];
+        while let Some(node) = stack.pop() {
+            if !closure.insert(node.clone()) {
+                continue;
+            }
+            for (dep, _) in self.dependencies_of(&node) {
+                stack.push(dep.to_string());
+            }
+        }
+        closure
+    }
+
     /// Direct dependents of a config.
     fn dependents_of(&self, id: &str) -> Vec<&str> {
         self.edges
@@ -220,16 +235,7 @@ impl DependencyManager {
         }
 
         // Snapshot: the closure of `id` over dependency edges.
-        let mut needed = BTreeSet::new();
-        let mut stack = vec![id.to_string()];
-        while let Some(node) = stack.pop() {
-            if !needed.insert(node.clone()) {
-                continue;
-            }
-            for (dep, _) in self.dependencies_of(&node) {
-                stack.push(dep.to_string());
-            }
-        }
+        let needed = self.upstream_closure(id);
 
         // Resurrection: reusing an app enqueued for cancellation removes it
         // from the queue, avoiding an unnecessary restart.
@@ -307,26 +313,12 @@ impl DependencyManager {
     /// Drops pending submissions that (transitively) depend on a config
     /// whose submission failed.
     pub fn abandon_dependents_of(&mut self, failed: &str) -> Vec<String> {
-        let doomed: Vec<bool> = self
-            .pending_submissions
-            .iter()
-            .map(|(_, c)| c == failed || self.edges_path(c, failed))
-            .collect();
-        let mut abandoned = Vec::new();
-        let mut kept = Vec::with_capacity(self.pending_submissions.len());
-        for (entry, doomed) in self.pending_submissions.drain(..).zip(doomed) {
-            if doomed {
-                abandoned.push(entry.1);
-            } else {
-                kept.push(entry);
-            }
-        }
+        let pending = std::mem::take(&mut self.pending_submissions);
+        let (abandoned, kept): (Vec<_>, Vec<_>) = pending
+            .into_iter()
+            .partition(|(_, c)| c == failed || self.depends_on(c, failed));
         self.pending_submissions = kept;
-        abandoned
-    }
-
-    fn edges_path(&self, from: &str, to: &str) -> bool {
-        self.depends_on(from, to)
+        abandoned.into_iter().map(|(_, c)| c).collect()
     }
 
     // ---- cancellation ------------------------------------------------------
@@ -360,37 +352,31 @@ impl DependencyManager {
 
         // Fixpoint GC sweep over upstream apps: an app is collectable when
         // it is running, garbage collectable, not explicitly submitted, and
-        // no running app outside the doomed set depends on it.
-        let mut doomed: BTreeSet<String> = BTreeSet::new();
-        doomed.insert(id.to_string());
+        // no running app outside the doomed set depends on it. Every doomed
+        // app feeds `id`, so "feeds the doomed set" is "`id` transitively
+        // depends on it": the candidates are `id`'s upstream closure,
+        // computed once.
+        let upstream = self.upstream_closure(id);
+        let mut doomed = BTreeSet::from([id.to_string()]);
         loop {
-            let mut grew = false;
-            let running: Vec<String> = self.running.keys().cloned().collect();
-            for c in &running {
-                if doomed.contains(c) {
-                    continue;
-                }
-                // Must feed the doomed set (directly or transitively feed the
-                // cancelled app) to be a GC candidate at all.
-                let feeds_doomed = doomed.iter().any(|d| self.depends_on(d, c));
-                if !feeds_doomed {
-                    continue;
-                }
-                let cfg = &self.configs[c];
-                if !cfg.garbage_collectable || self.explicit.contains(c) {
+            let before = doomed.len();
+            for c in &upstream {
+                if doomed.contains(c)
+                    || !self.running.contains_key(c)
+                    || !self.configs[c].garbage_collectable
+                    || self.explicit.contains(c)
+                {
                     continue;
                 }
                 let used_elsewhere = self
                     .dependents_of(c)
                     .into_iter()
                     .any(|d| self.running.contains_key(d) && !doomed.contains(d));
-                if used_elsewhere {
-                    continue;
+                if !used_elsewhere {
+                    doomed.insert(c.clone());
                 }
-                doomed.insert(c.clone());
-                grew = true;
             }
-            if !grew {
+            if doomed.len() == before {
                 break;
             }
         }

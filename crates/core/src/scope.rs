@@ -276,6 +276,61 @@ impl EventScope {
     }
 }
 
+/// What is being held against the registered subscopes: a borrowed
+/// description of one observation, one variant per [`EventScope`] kind, its
+/// fields in the order that kind's `matches` takes them.
+#[derive(Clone, Copy)]
+pub(crate) enum Subject<'a> {
+    /// `(application, its graph, operator instance, metric)`.
+    OperatorMetric(&'a str, &'a GraphStore, &'a str, &'a str),
+    /// `(application, operator instance, port, metric)`.
+    OperatorPortMetric(&'a str, &'a str, usize, &'a str),
+    /// `(application, metric)`.
+    PeMetric(&'a str, &'a str),
+    /// `(application, crash-reason class)`.
+    PeFailure(&'a str, &'a str),
+    /// `(application, configuration id)`.
+    JobEvent(&'a str, Option<&'a str>),
+    /// `(event name)`.
+    UserEvent(&'a str),
+}
+
+/// The ORCA service's event scope: its registered subscopes, in
+/// registration order.
+#[derive(Default)]
+pub(crate) struct ScopeSet(Vec<EventScope>);
+
+impl ScopeSet {
+    pub(crate) fn register(&mut self, scope: EventScope) {
+        self.0.push(scope);
+    }
+
+    /// Keys of every registered subscope the subject matches, in
+    /// registration order; empty means the event is out of scope. This is
+    /// the one place scopes are matched. It is a linear scan whose static
+    /// side (the filters) is fixed per operator instance, which is what a
+    /// compiled lookup table would replace. Nothing is allocated until a
+    /// subscope matches.
+    pub(crate) fn matching(&self, subject: Subject<'_>) -> Vec<String> {
+        use {EventScope as E, Subject as S};
+        let matches = |scope: &&EventScope| match (*scope, subject) {
+            (E::OperatorMetric(s), S::OperatorMetric(app, graph, op, metric)) => {
+                s.matches(app, graph, op, metric)
+            }
+            (E::OperatorPortMetric(s), S::OperatorPortMetric(app, op, port, metric)) => {
+                s.matches(app, op, port, metric)
+            }
+            (E::PeMetric(s), S::PeMetric(app, metric)) => s.matches(app, metric),
+            (E::PeFailure(s), S::PeFailure(app, reason_class)) => s.matches(app, reason_class),
+            (E::JobEvent(s), S::JobEvent(app, config_id)) => s.matches(app, config_id),
+            (E::UserEvent(s), S::UserEvent(name)) => s.matches(name),
+            _ => false,
+        };
+        let hits = self.0.iter().filter(matches);
+        hits.map(|s| s.key().to_string()).collect()
+    }
+}
+
 impl From<OperatorMetricScope> for EventScope {
     fn from(s: OperatorMetricScope) -> Self {
         EventScope::OperatorMetric(s)
@@ -479,5 +534,106 @@ mod tests {
         ];
         let keys: Vec<&str> = scopes.iter().map(|s| s.key()).collect();
         assert_eq!(keys, vec!["a", "b", "c", "d", "e", "f"]);
+    }
+
+    #[test]
+    fn scope_set_matches_every_kind_in_registration_order() {
+        let g = figure2_graph();
+        // A filtering subscope of each kind, then an unconstrained one of
+        // each kind in the opposite order: every subject below overlaps two
+        // registrations that are not adjacent.
+        let op = OperatorMetricScope::new("op-split").add_operator_type("Split");
+        let port = OperatorPortMetricScope::new("port-1").add_port(1);
+        let pe = PeMetricScope::new("pe-cpu").add_metric("cpu");
+        let fail = PeFailureScope::new("fail-host").add_reason("hostFailure");
+        let job = JobEventScope::new("job-r0").add_config("replica0");
+        let user = UserEventScope::new("user-go").add_name("go");
+        let mut set = ScopeSet::default();
+        set.register(op.clone().into());
+        set.register(port.clone().into());
+        set.register(pe.clone().into());
+        set.register(fail.clone().into());
+        set.register(job.clone().into());
+        set.register(user.clone().into());
+        set.register(UserEventScope::new("user-any").into());
+        set.register(JobEventScope::new("job-any").into());
+        set.register(PeFailureScope::new("fail-any").into());
+        set.register(PeMetricScope::new("pe-any").into());
+        set.register(OperatorPortMetricScope::new("port-any").into());
+        set.register(OperatorMetricScope::new("op-any").into());
+
+        // (subject, the filtering subscope's own verdict, the two keys)
+        let rows = [
+            (
+                Subject::OperatorMetric("A", &g, "c1.op3", "m"),
+                op.matches("A", &g, "c1.op3", "m"),
+                ["op-split", "op-any"],
+            ),
+            (
+                Subject::OperatorMetric("A", &g, "op1", "m"),
+                op.matches("A", &g, "op1", "m"),
+                ["op-split", "op-any"],
+            ),
+            (
+                Subject::OperatorPortMetric("A", "x", 1, "m"),
+                port.matches("A", "x", 1, "m"),
+                ["port-1", "port-any"],
+            ),
+            (
+                Subject::OperatorPortMetric("A", "x", 0, "m"),
+                port.matches("A", "x", 0, "m"),
+                ["port-1", "port-any"],
+            ),
+            (
+                Subject::PeMetric("A", "cpu"),
+                pe.matches("A", "cpu"),
+                ["pe-cpu", "pe-any"],
+            ),
+            (
+                Subject::PeMetric("A", "mem"),
+                pe.matches("A", "mem"),
+                ["pe-cpu", "pe-any"],
+            ),
+            (
+                Subject::PeFailure("A", "hostFailure"),
+                fail.matches("A", "hostFailure"),
+                ["fail-host", "fail-any"],
+            ),
+            (
+                Subject::PeFailure("A", "killed"),
+                fail.matches("A", "killed"),
+                ["fail-host", "fail-any"],
+            ),
+            (
+                Subject::JobEvent("A", Some("replica0")),
+                job.matches("A", Some("replica0")),
+                ["job-r0", "job-any"],
+            ),
+            (
+                Subject::JobEvent("A", None),
+                job.matches("A", None),
+                ["job-r0", "job-any"],
+            ),
+            (
+                Subject::UserEvent("go"),
+                user.matches("go"),
+                ["user-go", "user-any"],
+            ),
+            (
+                Subject::UserEvent("stop"),
+                user.matches("stop"),
+                ["user-go", "user-any"],
+            ),
+        ];
+        for (i, (subject, filtered_in, keys)) in rows.into_iter().enumerate() {
+            // Rows alternate: the filtering subscope accepts, then rejects.
+            assert_eq!(filtered_in, i % 2 == 0, "row {i}");
+            let expected = if filtered_in { &keys[..] } else { &keys[1..] };
+            assert_eq!(set.matching(subject), expected, "row {i}");
+        }
+        // An operator the graph lacks is in no operator-metric subscope, not
+        // even the unconstrained one.
+        let ghost = Subject::OperatorMetric("A", &g, "ghost", "m");
+        assert!(set.matching(ghost).is_empty());
     }
 }

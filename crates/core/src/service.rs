@@ -3,24 +3,32 @@
 //!
 //! The service runs as a [`Controller`] of the simulated runtime world
 //! (standing in for the separate orchestrator process SAM forks in System
-//! S). Each quantum it:
+//! S). `OrcaService::on_quantum` is the order of these steps and nothing
+//! else; each quantum it:
 //!
-//! 1. delivers the start callback (first quantum only),
-//! 2. converts SAM failure notifications into PE-failure events,
-//! 3. converts injected user events,
-//! 4. fires due timers,
-//! 5. advances the dependency manager (ordered submissions / GC
-//!    cancellations),
-//! 6. polls SRM for metrics when the poll period elapsed (default 15 s,
-//!    changeable at runtime — §4.2),
+//! 1. delivers the start callback, first quantum only (`deliver_start`),
+//! 2. converts SAM failure notifications into PE-failure events
+//!    (`pull_failures`),
+//! 3. converts injected user events (`pull_user_events`),
+//! 4. fires due timers (`fire_timers`),
+//! 5. advances the dependency manager: ordered submissions, GC
+//!    cancellations (`advance_dependencies`),
+//! 6. polls SRM for metrics when the poll period elapsed, default 15 s,
+//!    changeable at runtime — §4.2 (`poll_metrics`),
 //! 7. drains the event queue, dispatching to the ORCA logic one event at a
-//!    time.
+//!    time (`drain_queue`).
+//!
+//! Every decision on the way has one owner: which subscopes an observation
+//! matches is `ScopeSet::matching`, a metric event is built by
+//! `MetricSource::event`, a job starts in `ServiceCore::submit` and ends in
+//! `ServiceCore::cancel`, and the `Journal` ties actuations to the event
+//! being delivered.
 
 use crate::deps::{AppConfig, DependencyManager};
 use crate::error::OrcaError;
 use crate::event::*;
 use crate::orchestrator::Orchestrator;
-use crate::scope::EventScope;
+use crate::scope::{EventScope, ScopeSet, Subject};
 use sps_engine::{MetricKey, StreamItem, Tuple};
 use sps_model::adl::Adl;
 use sps_model::value::ParamMap;
@@ -105,6 +113,18 @@ struct JobRecord {
     config_id: Option<String>,
 }
 
+impl JobRecord {
+    /// The context of this job's submission or cancellation event.
+    fn into_event(self, job: JobId, at: SimTime) -> JobEventContext {
+        JobEventContext {
+            job,
+            app_name: self.app_name,
+            config_id: self.config_id,
+            at,
+        }
+    }
+}
+
 /// Delivery/bookkeeping counters (observability + benches).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
@@ -130,12 +150,135 @@ pub struct JournalEntry {
     pub actuations: Vec<String>,
 }
 
+/// The journal: one entry per delivered event, newest last, capped at
+/// [`JOURNAL_CAP`]. The last entry is *open* while its event's handler runs.
+#[derive(Default)]
+struct Journal {
+    entries: Vec<JournalEntry>,
+    next_txn: u64,
+    open: bool,
+}
+
+impl Journal {
+    /// Opens a transaction for an event about to be delivered.
+    fn open(&mut self, at: SimTime, event: String) {
+        self.next_txn += 1;
+        self.entries.push(JournalEntry {
+            txn: self.next_txn,
+            at,
+            event,
+            actuations: Vec::new(),
+        });
+        if self.entries.len() > JOURNAL_CAP {
+            self.entries.remove(0);
+        }
+        self.open = true;
+    }
+
+    /// Ties an actuation to the open transaction. Outside event handling
+    /// (the start callback, GC cancellations, config-driven submissions)
+    /// nothing is open and nothing is recorded.
+    fn record(&mut self, actuation: String) {
+        if let (true, Some(entry)) = (self.open, self.entries.last_mut()) {
+            entry.actuations.push(actuation);
+        }
+    }
+
+    fn close(&mut self) {
+        self.open = false;
+    }
+}
+
+/// One managed job as a metric poll round sees it: everything a metric
+/// event's context takes besides the observation itself.
+struct MetricSource<'a> {
+    job: JobId,
+    app_name: &'a str,
+    graph: &'a GraphStore,
+    /// PE ids by ADL PE index (empty when SAM no longer knows the job).
+    pe_ids: &'a [PeId],
+    epoch: u64,
+    collected_at: SimTime,
+}
+
+impl MetricSource<'_> {
+    /// The observation as the scopes see it.
+    fn subject<'s>(&'s self, key: &'s MetricKey) -> Subject<'s> {
+        match key {
+            MetricKey::Operator(op, metric) => {
+                Subject::OperatorMetric(self.app_name, self.graph, op, metric)
+            }
+            MetricKey::OperatorPort(op, port, metric) => {
+                Subject::OperatorPortMetric(self.app_name, op, *port, metric)
+            }
+            MetricKey::Pe(_, metric) => Subject::PeMetric(self.app_name, metric),
+        }
+    }
+
+    /// The event for an observation that matched `keys`; `None` when it
+    /// names an operator the graph does not have.
+    fn event(&self, key: &MetricKey, value: i64, keys: Vec<String>) -> Option<QueuedEvent> {
+        let app_name = self.app_name.to_string();
+        let pe_at = |adl_index: usize| self.pe_ids.get(adl_index).copied().unwrap_or(PeId(0));
+        let (op_name, port, metric) = match key {
+            MetricKey::Operator(op, metric) => (op, None, metric.clone()),
+            MetricKey::OperatorPort(op, port, metric) => (op, Some(*port), metric.clone()),
+            MetricKey::Pe(adl_index, metric) => {
+                let context = PeMetricContext {
+                    job: self.job,
+                    app_name,
+                    pe: pe_at(*adl_index),
+                    adl_index: *adl_index,
+                    metric: metric.clone(),
+                    value,
+                    epoch: self.epoch,
+                    collected_at: self.collected_at,
+                };
+                return Some(QueuedEvent::PeMetric(context, keys));
+            }
+        };
+        let op = self.graph.operator(op_name)?;
+        let (instance_name, operator_kind, pe) = (op_name.clone(), op.kind.clone(), pe_at(op.pe));
+        Some(match port {
+            None => QueuedEvent::OperatorMetric(
+                OperatorMetricContext {
+                    job: self.job,
+                    app_name,
+                    instance_name,
+                    operator_kind,
+                    metric,
+                    value,
+                    epoch: self.epoch,
+                    pe,
+                    collected_at: self.collected_at,
+                },
+                keys,
+            ),
+            Some(port) => QueuedEvent::OperatorPortMetric(
+                OperatorPortMetricContext {
+                    job: self.job,
+                    app_name,
+                    instance_name,
+                    operator_kind,
+                    port,
+                    metric,
+                    value,
+                    epoch: self.epoch,
+                    pe,
+                    collected_at: self.collected_at,
+                },
+                keys,
+            ),
+        })
+    }
+}
+
 /// Internal state shared between the service loop and handler contexts.
 pub(crate) struct ServiceCore {
     orca_id: OrcaId,
     name: String,
     apps: BTreeMap<String, ManagedApp>,
-    scopes: Vec<EventScope>,
+    scopes: ScopeSet,
     queue: VecDeque<QueuedEvent>,
     deps: DependencyManager,
     jobs: BTreeMap<JobId, JobRecord>,
@@ -149,24 +292,14 @@ pub(crate) struct ServiceCore {
     status: BTreeMap<String, String>,
     exclusive_uniquifier: u64,
     stats: ServiceStats,
-    next_txn: u64,
-    current_txn: Option<u64>,
-    journal: Vec<JournalEntry>,
+    journal: Journal,
 }
 
 impl ServiceCore {
     /// Enqueues a job lifecycle event if any JobEvent scope matches.
     fn enqueue_job_event(&mut self, submitted: bool, ctx: JobEventContext) {
-        let keys: Vec<String> = self
-            .scopes
-            .iter()
-            .filter_map(|s| match s {
-                EventScope::JobEvent(js) if js.matches(&ctx.app_name, ctx.config_id.as_deref()) => {
-                    Some(js.key.clone())
-                }
-                _ => None,
-            })
-            .collect();
+        let subject = Subject::JobEvent(&ctx.app_name, ctx.config_id.as_deref());
+        let keys = self.scopes.matching(subject);
         if keys.is_empty() {
             return;
         }
@@ -231,14 +364,43 @@ impl ServiceCore {
         self.jobs.get(&job).ok_or(OrcaError::NotManaged(job))
     }
 
-    /// Associates an actuation description with the transaction of the
-    /// event being handled (no-op outside event handling).
-    fn record_actuation(&mut self, description: String) {
-        if let Some(txn) = self.current_txn {
-            if let Some(entry) = self.journal.iter_mut().rev().find(|e| e.txn == txn) {
-                entry.actuations.push(description);
-            }
+    /// The one submission: kernel call → `jobs` table → dependency manager →
+    /// job event → journal. `config_id` is the application configuration the
+    /// dependency manager is starting, `None` for a direct submission.
+    fn submit(
+        &mut self,
+        kernel: &mut Kernel,
+        adl: Adl,
+        app_name: &str,
+        config_id: Option<&str>,
+    ) -> Result<JobId, RuntimeError> {
+        let job = kernel.submit_job(adl, Some(self.orca_id))?;
+        let at = kernel.now();
+        let record = JobRecord {
+            app_name: app_name.to_string(),
+            config_id: config_id.map(str::to_string),
+        };
+        self.jobs.insert(job, record.clone());
+        if let Some(cfg) = config_id {
+            self.deps.mark_submitted(cfg, job, at);
         }
+        self.enqueue_job_event(true, record.into_event(job, at));
+        self.journal.record(format!("submit({app_name}) -> {job}"));
+        Ok(job)
+    }
+
+    /// The one cancellation, in the same order: kernel call → `jobs` table →
+    /// dependency manager → job event → journal.
+    fn cancel(&mut self, kernel: &mut Kernel, job: JobId) -> Result<(), OrcaError> {
+        self.require_managed(job)?;
+        kernel.cancel_job(job).map_err(OrcaError::Runtime)?;
+        let record = self.jobs.remove(&job).expect("managed, checked above");
+        if let Some(cfg) = &record.config_id {
+            self.deps.mark_cancelled(cfg);
+        }
+        self.enqueue_job_event(false, record.into_event(job, kernel.now()));
+        self.journal.record(format!("cancel({job})"));
+        Ok(())
     }
 }
 
@@ -265,7 +427,7 @@ impl<'a> OrcaCtx<'a> {
 
     /// Registers a subscope with the ORCA service event scope.
     pub fn register_event_scope(&mut self, scope: impl Into<EventScope>) {
-        self.core.scopes.push(scope.into());
+        self.core.scopes.register(scope.into());
     }
 
     /// Changes the SRM metric poll period (§4.2: "developers can change it
@@ -317,7 +479,9 @@ impl<'a> OrcaCtx<'a> {
     /// owned by this orchestrator.
     pub fn submit_app(&mut self, app_name: &str) -> Result<JobId, OrcaError> {
         let adl = self.core.prepare_adl(app_name, None)?;
-        self.do_submit(adl, app_name, None)
+        self.core
+            .submit(self.kernel, adl, app_name, None)
+            .map_err(OrcaError::Runtime)
     }
 
     /// Submits a managed application with its host pools rewritten to be
@@ -327,64 +491,22 @@ impl<'a> OrcaCtx<'a> {
         self.core.exclusive_uniquifier += 1;
         let tag = format!("{app_name}#{}", self.core.exclusive_uniquifier);
         adl.make_host_pools_exclusive(&tag);
-        self.do_submit(adl, app_name, None)
-    }
-
-    fn do_submit(
-        &mut self,
-        adl: Adl,
-        app_name: &str,
-        config_id: Option<String>,
-    ) -> Result<JobId, OrcaError> {
-        let job = self
-            .kernel
-            .submit_job(adl, Some(self.core.orca_id))
-            .map_err(OrcaError::Runtime)?;
         self.core
-            .record_actuation(format!("submit({app_name}) -> {job}"));
-        self.core.jobs.insert(
-            job,
-            JobRecord {
-                app_name: app_name.to_string(),
-                config_id: config_id.clone(),
-            },
-        );
-        if let Some(cfg) = &config_id {
-            self.core.deps.mark_submitted(cfg, job, self.kernel.now());
-        }
-        let at = self.kernel.now();
-        self.core.enqueue_job_event(
-            true,
-            JobEventContext {
-                job,
-                app_name: app_name.to_string(),
-                config_id,
-                at,
-            },
-        );
-        Ok(job)
+            .submit(self.kernel, adl, app_name, None)
+            .map_err(OrcaError::Runtime)
     }
 
     /// Cancels a job started through this ORCA service.
     pub fn cancel_job(&mut self, job: JobId) -> Result<(), OrcaError> {
-        let rec = self.core.require_managed(job)?.clone();
-        self.kernel.cancel_job(job).map_err(OrcaError::Runtime)?;
-        self.core.record_actuation(format!("cancel({job})"));
-        self.core.jobs.remove(&job);
-        if let Some(cfg) = &rec.config_id {
-            self.core.deps.mark_cancelled(cfg);
-        }
-        let at = self.kernel.now();
-        self.core.enqueue_job_event(
-            false,
-            JobEventContext {
-                job,
-                app_name: rec.app_name,
-                config_id: rec.config_id,
-                at,
-            },
-        );
-        Ok(())
+        self.core.cancel(self.kernel, job)
+    }
+
+    /// Checks that a PE exists and belongs to a job this service manages.
+    fn require_managed_pe(&self, pe: PeId) -> Result<(), OrcaError> {
+        let Some((job, _)) = self.kernel.sam.pe_lookup(pe) else {
+            return Err(OrcaError::Runtime(RuntimeError::UnknownPe(pe)));
+        };
+        self.core.require_managed(job).map(|_| ())
     }
 
     /// Restarts a PE of a managed job. Operator state is recovered from the
@@ -392,32 +514,23 @@ impl<'a> OrcaCtx<'a> {
     /// and comes back fresh otherwise (see [`Kernel::restart_pe`]). Returns
     /// the replacement PE id.
     pub fn restart_pe(&mut self, pe: PeId) -> Result<PeId, OrcaError> {
-        let (job, _) = self
-            .kernel
-            .sam
-            .pe_lookup(pe)
-            .ok_or(OrcaError::Runtime(RuntimeError::UnknownPe(pe)))?;
-        self.core.require_managed(job)?;
+        self.require_managed_pe(pe)?;
         let new_pe = self.kernel.restart_pe(pe).map_err(OrcaError::Runtime)?;
         let how = match self.kernel.restart_log().last() {
             Some(rec) if rec.new_pe == new_pe && rec.restore.restored() => "restored",
             _ => "fresh",
         };
         self.core
-            .record_actuation(format!("restart({pe}) -> {new_pe} [{how}]"));
+            .journal
+            .record(format!("restart({pe}) -> {new_pe} [{how}]"));
         Ok(new_pe)
     }
 
     /// Stops a PE of a managed job.
     pub fn stop_pe(&mut self, pe: PeId) -> Result<(), OrcaError> {
-        let (job, _) = self
-            .kernel
-            .sam
-            .pe_lookup(pe)
-            .ok_or(OrcaError::Runtime(RuntimeError::UnknownPe(pe)))?;
-        self.core.require_managed(job)?;
+        self.require_managed_pe(pe)?;
         self.kernel.stop_pe(pe).map_err(OrcaError::Runtime)?;
-        self.core.record_actuation(format!("stop({pe})"));
+        self.core.journal.record(format!("stop({pe})"));
         Ok(())
     }
 
@@ -494,25 +607,11 @@ impl<'a> OrcaCtx<'a> {
     /// garbage collection of unused upstream applications.
     pub fn request_cancel(&mut self, config_id: &str) -> Result<(), OrcaError> {
         let now = self.kernel.now();
-        let plan = self.core.deps.request_cancel(config_id, now)?;
-        // The target is cancelled immediately.
-        if let Some(job) = self.core.jobs.iter().find_map(|(j, r)| {
-            (r.config_id.as_deref() == Some(plan.immediate.as_str())).then_some(*j)
-        }) {
-            let rec = self.core.jobs.remove(&job).expect("record exists");
-            self.kernel.cancel_job(job).map_err(OrcaError::Runtime)?;
-            let at = self.kernel.now();
-            self.core.enqueue_job_event(
-                false,
-                JobEventContext {
-                    job,
-                    app_name: rec.app_name,
-                    config_id: rec.config_id,
-                    at,
-                },
-            );
-        }
-        Ok(())
+        let job = self.core.deps.job_of(config_id);
+        self.core.deps.request_cancel(config_id, now)?;
+        // The target is cancelled immediately; its now-unused upstream waits
+        // in the dependency manager's GC queue.
+        job.map_or(Ok(()), |job| self.core.cancel(self.kernel, job))
     }
 
     /// Job currently running a configuration.
@@ -538,32 +637,24 @@ impl<'a> OrcaCtx<'a> {
 
     // ---- graph inspection by PE (§4.2 inspection queries) ------------------
 
+    /// Graph and ADL PE index behind a PE id of a managed job.
+    fn graph_of_pe(&self, pe: PeId) -> Option<(&GraphStore, usize)> {
+        let (job, adl_index) = self.kernel.sam.pe_lookup(pe)?;
+        Some((self.graph_of_job(job)?, adl_index))
+    }
+
     /// "Which stream operators reside in PE with id x?"
     pub fn operators_in_pe(&self, pe: PeId) -> Vec<String> {
-        let Some((job, adl_index)) = self.kernel.sam.pe_lookup(pe) else {
-            return Vec::new();
-        };
-        let Some(graph) = self.graph_of_job(job) else {
-            return Vec::new();
-        };
-        graph
-            .operators_in_pe(adl_index)
-            .into_iter()
-            .map(|o| o.name.clone())
-            .collect()
+        let ops = self.graph_of_pe(pe).map(|(g, i)| g.operators_in_pe(i));
+        ops.into_iter().flatten().map(|o| o.name.clone()).collect()
     }
 
     /// "Which composites reside in PE with id x?"
     pub fn composites_in_pe(&self, pe: PeId) -> Vec<String> {
-        let Some((job, adl_index)) = self.kernel.sam.pe_lookup(pe) else {
-            return Vec::new();
-        };
-        let Some(graph) = self.graph_of_job(job) else {
-            return Vec::new();
-        };
-        graph
-            .composites_in_pe(adl_index)
+        let composites = self.graph_of_pe(pe).map(|(g, i)| g.composites_in_pe(i));
+        composites
             .into_iter()
+            .flatten()
             .map(|c| c.path.clone())
             .collect()
     }
@@ -647,7 +738,7 @@ impl OrcaService {
                 orca_id,
                 name: descriptor.name,
                 apps,
-                scopes: Vec::new(),
+                scopes: ScopeSet::default(),
                 queue: VecDeque::new(),
                 deps: DependencyManager::new(),
                 jobs: BTreeMap::new(),
@@ -661,9 +752,7 @@ impl OrcaService {
                 status: BTreeMap::new(),
                 exclusive_uniquifier: 0,
                 stats: ServiceStats::default(),
-                next_txn: 0,
-                current_txn: None,
-                journal: Vec::new(),
+                journal: Journal::default(),
             },
             logic,
             started: false,
@@ -733,13 +822,30 @@ impl OrcaService {
     /// event, carrying its transaction id and the actuations the handler
     /// performed — sufficient to audit or replay adaptation decisions.
     pub fn journal(&self) -> &[JournalEntry] {
-        &self.core.journal
+        &self.core.journal.entries
     }
 
-    // ---- event generation ---------------------------------------------------
+    // ---- the steps of a quantum, in order ------------------------------------
+
+    fn deliver_start(&mut self, kernel: &mut Kernel) {
+        if self.started {
+            return;
+        }
+        self.started = true;
+        let start = OrcaStartContext {
+            orca_id: self.core.orca_id,
+            now: kernel.now(),
+        };
+        let mut ctx = OrcaCtx {
+            kernel,
+            core: &mut self.core,
+        };
+        self.logic.on_start(&mut ctx, &start);
+    }
 
     fn pull_failures(&mut self, kernel: &mut Kernel) {
-        for n in kernel.sam.drain_notifications(self.core.orca_id) {
+        let core = &mut self.core;
+        for n in kernel.sam.drain_notifications(core.orca_id) {
             let OrcaNotification::PeFailure {
                 job,
                 pe,
@@ -747,63 +853,41 @@ impl OrcaService {
                 reason,
                 detected_at,
             } = n;
-            self.core.stats.failures_seen += 1;
-            let Some(rec) = self.core.jobs.get(&job) else {
+            core.stats.failures_seen += 1;
+            let Some(rec) = core.jobs.get(&job) else {
                 continue;
             };
-            let app_name = rec.app_name.clone();
-            let keys: Vec<String> = self
-                .core
-                .scopes
-                .iter()
-                .filter_map(|s| match s {
-                    EventScope::PeFailure(fs) if fs.matches(&app_name, reason.class()) => {
-                        Some(fs.key.clone())
-                    }
-                    _ => None,
-                })
-                .collect();
+            let subject = Subject::PeFailure(&rec.app_name, reason.class());
+            let keys = core.scopes.matching(subject);
             if keys.is_empty() {
                 continue;
             }
-            let epoch = self.core.failure_epoch(reason.class(), detected_at);
-            self.core.queue.push_back(QueuedEvent::PeFailure(
-                PeFailureContext {
-                    job,
-                    app_name,
-                    pe,
-                    adl_index,
-                    reason,
-                    detected_at,
-                    epoch,
-                },
-                keys,
-            ));
+            let context = PeFailureContext {
+                job,
+                app_name: rec.app_name.clone(),
+                pe,
+                adl_index,
+                epoch: core.failure_epoch(reason.class(), detected_at),
+                reason,
+                detected_at,
+            };
+            core.queue.push_back(QueuedEvent::PeFailure(context, keys));
         }
     }
 
     fn pull_user_events(&mut self, kernel: &Kernel) {
-        while let Some((name, payload)) = self.core.pending_user_events.pop_front() {
-            let keys: Vec<String> = self
-                .core
-                .scopes
-                .iter()
-                .filter_map(|s| match s {
-                    EventScope::UserEvent(us) if us.matches(&name) => Some(us.key.clone()),
-                    _ => None,
-                })
-                .collect();
+        let core = &mut self.core;
+        while let Some((name, payload)) = core.pending_user_events.pop_front() {
+            let keys = core.scopes.matching(Subject::UserEvent(&name));
             if keys.is_empty() {
                 continue;
             }
-            self.core.queue.push_back(QueuedEvent::User(
-                UserEventContext {
-                    name,
-                    payload,
-                    at: kernel.now(),
-                },
-                keys,
-            ));
+            let context = UserEventContext {
+                name,
+                payload,
+                at: kernel.now(),
+            };
+            core.queue.push_back(QueuedEvent::User(context, keys));
         }
     }
 
@@ -822,72 +906,31 @@ impl OrcaService {
 
     fn advance_dependencies(&mut self, kernel: &mut Kernel) {
         let now = kernel.now();
+        let core = &mut self.core;
         // Ordered submissions.
-        for config_id in self.core.deps.due_submissions(now) {
-            let cfg = self
-                .core
+        for config_id in core.deps.due_submissions(now) {
+            let cfg = core
                 .deps
                 .config(&config_id)
                 .expect("pending config exists")
                 .clone();
-            match self.core.prepare_adl(&cfg.app_name, Some(&cfg)) {
-                Ok(adl) => match kernel.submit_job(adl, Some(self.core.orca_id)) {
-                    Ok(job) => {
-                        self.core.jobs.insert(
-                            job,
-                            JobRecord {
-                                app_name: cfg.app_name.clone(),
-                                config_id: Some(config_id.clone()),
-                            },
-                        );
-                        self.core.deps.mark_submitted(&config_id, job, now);
-                        self.core.enqueue_job_event(
-                            true,
-                            JobEventContext {
-                                job,
-                                app_name: cfg.app_name.clone(),
-                                config_id: Some(config_id.clone()),
-                                at: now,
-                            },
-                        );
-                    }
-                    Err(e) => {
-                        kernel.trace.push(
-                            now,
-                            "orca",
-                            format!("submission of config '{config_id}' failed: {e}"),
-                        );
-                        self.core.deps.abandon_dependents_of(&config_id);
-                    }
-                },
-                Err(e) => {
-                    kernel.trace.push(
-                        now,
-                        "orca",
-                        format!("ADL preparation for '{config_id}' failed: {e}"),
-                    );
-                    self.core.deps.abandon_dependents_of(&config_id);
-                }
+            let outcome = match core.prepare_adl(&cfg.app_name, Some(&cfg)) {
+                Ok(adl) => core
+                    .submit(kernel, adl, &cfg.app_name, Some(&config_id))
+                    .map_err(|e| format!("submission of config '{config_id}' failed: {e}")),
+                Err(e) => Err(format!("ADL preparation for '{config_id}' failed: {e}")),
+            };
+            if let Err(why) = outcome {
+                kernel.trace.push(now, "orca", why);
+                core.deps.abandon_dependents_of(&config_id);
             }
         }
         // Garbage-collection cancellations.
-        for config_id in self.core.deps.due_cancellations(now) {
-            let Some(job) = self.core.deps.job_of(&config_id) else {
+        for config_id in core.deps.due_cancellations(now) {
+            let Some(job) = core.deps.job_of(&config_id) else {
                 continue;
             };
-            if kernel.cancel_job(job).is_ok() {
-                let rec = self.core.jobs.remove(&job);
-                self.core.deps.mark_cancelled(&config_id);
-                let app_name = rec.map(|r| r.app_name).unwrap_or_default();
-                self.core.enqueue_job_event(
-                    false,
-                    JobEventContext {
-                        job,
-                        app_name,
-                        config_id: Some(config_id.clone()),
-                        at: now,
-                    },
-                );
+            if core.cancel(kernel, job).is_ok() {
                 kernel.trace.push(
                     now,
                     "orca",
@@ -899,146 +942,41 @@ impl OrcaService {
 
     fn poll_metrics(&mut self, kernel: &Kernel) {
         let now = kernel.now();
-        let due = match self.core.last_poll {
-            None => true,
-            Some(last) => now.since(last) >= self.core.poll_period,
-        };
-        if !due {
+        let core = &mut self.core;
+        let since_last = core.last_poll.map(|last| now.since(last));
+        if since_last.is_some_and(|elapsed| elapsed < core.poll_period) {
             return;
         }
-        self.core.last_poll = Some(now);
-        self.core.stats.polls += 1;
-        let jobs: Vec<JobId> = self.core.jobs.keys().copied().collect();
+        core.last_poll = Some(now);
+        core.stats.polls += 1;
+        let jobs: Vec<JobId> = core.jobs.keys().copied().collect();
         if jobs.is_empty() {
             return;
         }
         // One epoch per SRM query round (§4.2).
-        self.core.metric_epoch += 1;
-        let epoch = self.core.metric_epoch;
-        let snapshots = kernel.srm.query_jobs(&jobs);
-        for (job, snapshot) in snapshots {
-            let rec = &self.core.jobs[&job];
-            let app_name = rec.app_name.clone();
-            let Some(app) = self.core.apps.get(&app_name) else {
+        core.metric_epoch += 1;
+        for (job, snapshot) in kernel.srm.query_jobs(&jobs) {
+            let app_name = &core.jobs[&job].app_name;
+            let Some(app) = core.apps.get(app_name) else {
                 continue;
             };
-            let graph = &app.graph;
-            let job_info = kernel.sam.job(job);
+            let source = MetricSource {
+                job,
+                app_name,
+                graph: &app.graph,
+                pe_ids: kernel.sam.job(job).map_or(&[], |info| &info.pe_ids),
+                epoch: core.metric_epoch,
+                collected_at: snapshot.collected_at,
+            };
             for (key, value) in &snapshot.values {
-                self.core.stats.metric_observations_seen += 1;
-                match key.as_ref() {
-                    MetricKey::Operator(op_name, metric) => {
-                        let keys: Vec<String> = self
-                            .core
-                            .scopes
-                            .iter()
-                            .filter_map(|s| match s {
-                                EventScope::OperatorMetric(ms)
-                                    if ms.matches(&app_name, graph, op_name, metric) =>
-                                {
-                                    Some(ms.key.clone())
-                                }
-                                _ => None,
-                            })
-                            .collect();
-                        if keys.is_empty() {
-                            continue;
-                        }
-                        let Some(op) = graph.operator(op_name) else {
-                            continue;
-                        };
-                        let pe = job_info
-                            .and_then(|ji| ji.pe_ids.get(op.pe).copied())
-                            .unwrap_or(PeId(0));
-                        self.core.stats.metric_events_matched += 1;
-                        self.core.queue.push_back(QueuedEvent::OperatorMetric(
-                            OperatorMetricContext {
-                                job,
-                                app_name: app_name.clone(),
-                                instance_name: op_name.clone(),
-                                operator_kind: op.kind.clone(),
-                                metric: metric.clone(),
-                                value: *value,
-                                epoch,
-                                pe,
-                                collected_at: snapshot.collected_at,
-                            },
-                            keys,
-                        ));
-                    }
-                    MetricKey::OperatorPort(op_name, port, metric) => {
-                        let keys: Vec<String> = self
-                            .core
-                            .scopes
-                            .iter()
-                            .filter_map(|s| match s {
-                                EventScope::OperatorPortMetric(ps)
-                                    if ps.matches(&app_name, op_name, *port, metric) =>
-                                {
-                                    Some(ps.key.clone())
-                                }
-                                _ => None,
-                            })
-                            .collect();
-                        if keys.is_empty() {
-                            continue;
-                        }
-                        let Some(op) = graph.operator(op_name) else {
-                            continue;
-                        };
-                        let pe = job_info
-                            .and_then(|ji| ji.pe_ids.get(op.pe).copied())
-                            .unwrap_or(PeId(0));
-                        self.core.stats.metric_events_matched += 1;
-                        self.core.queue.push_back(QueuedEvent::OperatorPortMetric(
-                            OperatorPortMetricContext {
-                                job,
-                                app_name: app_name.clone(),
-                                instance_name: op_name.clone(),
-                                operator_kind: op.kind.clone(),
-                                port: *port,
-                                metric: metric.clone(),
-                                value: *value,
-                                epoch,
-                                pe,
-                                collected_at: snapshot.collected_at,
-                            },
-                            keys,
-                        ));
-                    }
-                    MetricKey::Pe(adl_index, metric) => {
-                        let keys: Vec<String> = self
-                            .core
-                            .scopes
-                            .iter()
-                            .filter_map(|s| match s {
-                                EventScope::PeMetric(ps) if ps.matches(&app_name, metric) => {
-                                    Some(ps.key.clone())
-                                }
-                                _ => None,
-                            })
-                            .collect();
-                        if keys.is_empty() {
-                            continue;
-                        }
-                        let pe = job_info
-                            .and_then(|ji| ji.pe_ids.get(*adl_index).copied())
-                            .unwrap_or(PeId(0));
-                        self.core.stats.metric_events_matched += 1;
-                        self.core.queue.push_back(QueuedEvent::PeMetric(
-                            PeMetricContext {
-                                job,
-                                app_name: app_name.clone(),
-                                pe,
-                                adl_index: *adl_index,
-                                metric: metric.clone(),
-                                value: *value,
-                                epoch,
-                                collected_at: snapshot.collected_at,
-                            },
-                            keys,
-                        ));
-                    }
+                core.stats.metric_observations_seen += 1;
+                let keys = core.scopes.matching(source.subject(key));
+                if keys.is_empty() {
+                    continue;
+                }
+                if let Some(event) = source.event(key, *value, keys) {
+                    core.stats.metric_events_matched += 1;
+                    core.queue.push_back(event);
                 }
             }
         }
@@ -1048,20 +986,9 @@ impl OrcaService {
         let mut delivered = 0;
         while let Some(event) = self.core.queue.pop_front() {
             self.core.stats.events_delivered += 1;
-            // Open a transaction for this delivery (§7 extension): the
-            // journal ties every actuation to the event that caused it.
-            self.core.next_txn += 1;
-            let txn = self.core.next_txn;
-            self.core.current_txn = Some(txn);
-            self.core.journal.push(JournalEntry {
-                txn,
-                at: kernel.now(),
-                event: describe_event(&event),
-                actuations: Vec::new(),
-            });
-            if self.core.journal.len() > JOURNAL_CAP {
-                self.core.journal.remove(0);
-            }
+            // One transaction per delivery (§7 extension): the journal ties
+            // every actuation to the event that caused it.
+            self.core.journal.open(kernel.now(), describe_event(&event));
             let mut ctx = OrcaCtx {
                 kernel,
                 core: &mut self.core,
@@ -1084,7 +1011,7 @@ impl OrcaService {
                 QueuedEvent::Timer(c) => self.logic.on_timer(&mut ctx, c),
                 QueuedEvent::User(c, keys) => self.logic.on_user_event(&mut ctx, c, keys),
             }
-            self.core.current_txn = None;
+            self.core.journal.close();
             delivered += 1;
             if delivered >= MAX_EVENTS_PER_QUANTUM {
                 kernel.trace.push(
@@ -1107,18 +1034,7 @@ impl Controller for OrcaService {
         if kernel.orca_is_down(self.core.orca_id) {
             return;
         }
-        if !self.started {
-            self.started = true;
-            let start = OrcaStartContext {
-                orca_id: self.core.orca_id,
-                now: kernel.now(),
-            };
-            let mut ctx = OrcaCtx {
-                kernel,
-                core: &mut self.core,
-            };
-            self.logic.on_start(&mut ctx, &start);
-        }
+        self.deliver_start(kernel);
         self.pull_failures(kernel);
         self.pull_user_events(kernel);
         self.fire_timers(kernel);
@@ -1241,6 +1157,10 @@ mod tests {
     }
 
     fn world_with(recorder: Recorder, apps: Vec<Adl>) -> (World, usize) {
+        world_with_logic(Box::new(recorder), apps)
+    }
+
+    fn world_with_logic(logic: Box<dyn Orchestrator>, apps: Vec<Adl>) -> (World, usize) {
         let kernel = Kernel::new(
             Cluster::with_hosts(3),
             sps_engine::OperatorRegistry::with_builtins(),
@@ -1251,7 +1171,7 @@ mod tests {
         for adl in apps {
             desc = desc.app(adl);
         }
-        let service = OrcaService::submit(&mut world.kernel, desc, Box::new(recorder));
+        let service = OrcaService::submit(&mut world.kernel, desc, logic);
         let idx = world.add_controller(Box::new(service));
         (world, idx)
     }
@@ -1594,5 +1514,80 @@ mod tests {
             svc.logic::<BadSubmit>().unwrap().err,
             Some(OrcaError::UnknownApp(_))
         ));
+    }
+
+    /// Starts config `b` (which depends on `a`) on start, and cancels the
+    /// config a user event names from inside that event's handler.
+    #[derive(Default)]
+    struct ConfigLogic {
+        submitted: Vec<Option<String>>,
+        cancel_result: Option<Result<(), OrcaError>>,
+    }
+
+    impl Orchestrator for ConfigLogic {
+        fn on_start(&mut self, ctx: &mut OrcaCtx<'_>, _s: &OrcaStartContext) {
+            ctx.register_event_scope(JobEventScope::new("jobs"));
+            ctx.register_event_scope(UserEventScope::new("user"));
+            ctx.create_app_config(AppConfig::new("a", "A")).unwrap();
+            ctx.create_app_config(AppConfig::new("b", "B")).unwrap();
+            // A positive uptime, so `b` is still pending when `a` is submitted.
+            ctx.register_dependency("b", "a", SimDuration::from_millis(300))
+                .unwrap();
+            ctx.request_start("b").unwrap();
+        }
+
+        fn on_job_submitted(&mut self, _ctx: &mut OrcaCtx<'_>, e: &JobEventContext, _s: &[String]) {
+            self.submitted.push(e.config_id.clone());
+        }
+
+        fn on_user_event(&mut self, ctx: &mut OrcaCtx<'_>, e: &UserEventContext, _s: &[String]) {
+            self.cancel_result = Some(ctx.request_cancel(&e.name));
+        }
+    }
+
+    #[test]
+    fn request_cancel_journals_its_actuation_under_the_handlers_transaction() {
+        let (mut world, idx) = world_with_logic(
+            Box::<ConfigLogic>::default(),
+            vec![pipeline_adl("A"), pipeline_adl("B")],
+        );
+        world.run_for(SimDuration::from_secs(1));
+        let svc = world.controller_mut::<OrcaService>(idx).unwrap();
+        assert_eq!(svc.managed_jobs().len(), 2);
+        svc.inject_user_event("b", ParamMap::new());
+        let job = world.kernel.sam.running_jobs()[1];
+        world.run_for(SimDuration::from_secs(1));
+
+        let svc = world.controller::<OrcaService>(idx).unwrap();
+        assert_eq!(
+            svc.logic::<ConfigLogic>().unwrap().cancel_result,
+            Some(Ok(()))
+        );
+        // The handler's cancellation is tied to the user event's transaction…
+        let entry = svc.journal().iter().find(|e| e.event == "userEvent b");
+        assert_eq!(entry.unwrap().actuations, [format!("cancel({job})")]);
+        // …while the GC cancellation of the now-unused `a` ran outside any
+        // transaction: both jobs are gone, no other entry carries a cancel.
+        assert!(svc.managed_jobs().is_empty());
+        let cancels = svc.journal().iter().flat_map(|e| &e.actuations);
+        assert_eq!(cancels.filter(|a| a.starts_with("cancel(")).count(), 1);
+    }
+
+    #[test]
+    fn rejected_config_submission_is_traced_and_abandons_its_dependents() {
+        // `A` names an operator kind the registry lacks: SAM rejects it.
+        let mut bad = pipeline_adl("A");
+        bad.operators[1].kind = "NoSuchKind".into();
+        let (mut world, idx) =
+            world_with_logic(Box::<ConfigLogic>::default(), vec![bad, pipeline_adl("B")]);
+        world.run_for(SimDuration::from_secs(1));
+        let failures = world.kernel.trace.find("submission of config 'a' failed");
+        assert_eq!(failures.len(), 1, "{}", world.kernel.trace.dump());
+        // `b` was abandoned with it: nothing runs, no JobSubmitted was queued.
+        let svc = world.controller::<OrcaService>(idx).unwrap();
+        assert!(svc.managed_jobs().is_empty());
+        assert!(world.kernel.sam.running_jobs().is_empty());
+        assert!(svc.logic::<ConfigLogic>().unwrap().submitted.is_empty());
+        assert_eq!(svc.stats().events_delivered, 0);
     }
 }

@@ -4,7 +4,9 @@
 //!    paper's recursive SQL selects, over random composite hierarchies;
 //! 2. dependency-manager invariants: planned due times honour every uptime
 //!    requirement; cycles are always rejected; GC never collects an
-//!    application that still feeds a running one.
+//!    application that still feeds a running one; a cancellation plan is the
+//!    one the reference fixpoint (the sweep as it was before the upstream
+//!    closure was computed once) arrives at.
 
 use orca::sqlbase::Tables;
 use orca::{AppConfig, DependencyManager, OperatorMetricScope};
@@ -14,7 +16,7 @@ use sps_model::value::ParamMap;
 use sps_model::GraphStore;
 use sps_runtime::JobId;
 use sps_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 // ---------------------------------------------------------------------------
 // Scope ≡ SQL over random hierarchies
@@ -182,6 +184,76 @@ fn build_manager(spec: &DagSpec) -> DependencyManager {
     m
 }
 
+/// Starts every sink (a config nobody depends on) explicitly and drives the
+/// planned submissions to completion: every config of the DAG ends up
+/// running. Returns the manager and the sinks.
+fn run_everything(spec: &DagSpec) -> (DependencyManager, Vec<usize>) {
+    let mut m = build_manager(spec);
+    let sinks: Vec<usize> = (0..spec.n)
+        .filter(|i| !spec.edges.iter().any(|(_, b, _)| b == i))
+        .collect();
+    for &s in &sinks {
+        m.request_start(&format!("c{s}"), SimTime::ZERO).unwrap();
+    }
+    let mut job = 0u64;
+    // Chained uptimes can add up to (n-1) × max_uptime; drive far enough
+    // that everything planned actually submits.
+    for t in 0..=500u64 {
+        for c in m.due_submissions(SimTime::from_secs(t)) {
+            job += 1;
+            m.mark_submitted(&c, JobId(job), SimTime::from_secs(t));
+        }
+    }
+    assert_eq!(m.running_configs().len(), spec.n);
+    (m, sinks)
+}
+
+/// The GC sweep of `request_cancel(id)` as it was written before the
+/// upstream closure was computed once, over the spec instead of the manager:
+/// each fixpoint round asks of every running config whether it feeds the
+/// doomed set, by a path search from each doomed config. `running` and
+/// `explicit` are the manager's state once `id` itself is gone. Returns the
+/// configs queued for GC.
+fn reference_gc_sweep(
+    spec: &DagSpec,
+    running: &BTreeSet<usize>,
+    explicit: &BTreeSet<usize>,
+    id: usize,
+) -> BTreeSet<usize> {
+    fn depends_on(spec: &DagSpec, from: usize, to: usize) -> bool {
+        from == to
+            || spec
+                .edges
+                .iter()
+                .any(|&(a, b, _)| a == from && depends_on(spec, b, to))
+    }
+    let mut doomed = BTreeSet::from([id]);
+    loop {
+        let mut grew = false;
+        for &c in running {
+            if doomed.contains(&c) || !doomed.iter().any(|&d| depends_on(spec, d, c)) {
+                continue;
+            }
+            if !spec.gc[c] || explicit.contains(&c) {
+                continue;
+            }
+            let used_elsewhere = spec
+                .edges
+                .iter()
+                .any(|&(a, b, _)| b == c && running.contains(&a) && !doomed.contains(&a));
+            if !used_elsewhere {
+                doomed.insert(c);
+                grew = true;
+            }
+        }
+        if !grew {
+            break;
+        }
+    }
+    doomed.remove(&id);
+    doomed
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -240,29 +312,7 @@ proptest! {
 
     #[test]
     fn gc_never_collects_apps_feeding_running_ones(spec in arb_dag()) {
-        let mut m = build_manager(&spec);
-        // Start everything (every config explicitly — then clear explicit
-        // marks by cancelling/restarting is complex; instead start only the
-        // sinks: configs nobody depends on).
-        let has_dependent: Vec<bool> = (0..spec.n)
-            .map(|i| spec.edges.iter().any(|(_, b, _)| *b == i))
-            .collect();
-        let sinks: Vec<usize> = (0..spec.n).filter(|i| !has_dependent[*i]).collect();
-        for &s in &sinks {
-            // Ignore AlreadyRunning when a sink is also a dependency of
-            // another sink's closure (can't happen: sinks have no
-            // dependents) — but it may already be planned.
-            let _ = m.request_start(&format!("c{s}"), SimTime::ZERO);
-        }
-        let mut job = 0u64;
-        // Chained uptimes can add up to (n-1) × max_uptime; drive far enough
-        // that everything planned actually submits.
-        for t in 0..=500u64 {
-            for c in m.due_submissions(SimTime::from_secs(t)) {
-                job += 1;
-                m.mark_submitted(&c, JobId(job), SimTime::from_secs(t));
-            }
-        }
+        let (mut m, sinks) = run_everything(&spec);
         // Cancel the first sink (it has no dependents, so this succeeds).
         if let Some(&s) = sinks.first() {
             let plan = m.request_cancel(&format!("c{s}"), SimTime::from_secs(600)).unwrap();
@@ -285,6 +335,33 @@ proptest! {
                 // And GC'd configs are collectable.
                 prop_assert!(spec.gc[qi], "{q} is marked non-collectable");
             }
+        }
+    }
+
+    #[test]
+    fn cancel_plan_equals_the_reference_fixpoint(spec in arb_dag(), first in 0usize..10) {
+        let (mut m, sinks) = run_everything(&spec);
+        let mut explicit: BTreeSet<usize> = sinks.iter().copied().collect();
+        let now = SimTime::from_secs(600);
+        // Cancel every sink, starting anywhere: a sink has no dependents, so
+        // none of these starves, and from the second on the sweep runs over
+        // configs an earlier plan already queued (queued, they still run).
+        for k in 0..sinks.len() {
+            let s = sinks[(first + k) % sinks.len()];
+            let mut running: BTreeSet<usize> = m
+                .running_configs()
+                .iter()
+                .map(|c| c[1..].parse().unwrap())
+                .collect();
+            running.remove(&s);
+            explicit.remove(&s);
+            let expected: Vec<(SimTime, String)> = reference_gc_sweep(&spec, &running, &explicit, s)
+                .into_iter()
+                .map(|c| (now + SimDuration::from_secs(1), format!("c{c}")))
+                .collect();
+            let plan = m.request_cancel(&format!("c{s}"), now).unwrap();
+            prop_assert_eq!(plan.immediate, format!("c{s}"));
+            prop_assert_eq!(plan.queued, expected);
         }
     }
 }
