@@ -326,8 +326,11 @@ impl ScopeSet {
             (E::UserEvent(s), S::UserEvent(name)) => s.matches(name),
             _ => false,
         };
-        let hits = self.0.iter().filter(matches);
-        hits.map(|s| s.key().to_string()).collect()
+        self.0
+            .iter()
+            .filter(matches)
+            .map(|s| s.key().to_string())
+            .collect()
     }
 }
 
