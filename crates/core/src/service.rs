@@ -218,15 +218,15 @@ impl MetricSource<'_> {
     /// The event for an observation that matched `keys`; `None` when it
     /// names an operator the graph does not have.
     fn event(&self, key: &MetricKey, value: i64, keys: Vec<String>) -> Option<QueuedEvent> {
-        let app_name = self.app_name.to_string();
+        let app_name = || self.app_name.to_string();
         let pe_at = |adl_index: usize| self.pe_ids.get(adl_index).copied().unwrap_or(PeId(0));
         let (op_name, port, metric) = match key {
-            MetricKey::Operator(op, metric) => (op, None, metric.clone()),
-            MetricKey::OperatorPort(op, port, metric) => (op, Some(*port), metric.clone()),
+            MetricKey::Operator(op, metric) => (op, None, metric),
+            MetricKey::OperatorPort(op, port, metric) => (op, Some(*port), metric),
             MetricKey::Pe(adl_index, metric) => {
                 let context = PeMetricContext {
                     job: self.job,
-                    app_name,
+                    app_name: app_name(),
                     pe: pe_at(*adl_index),
                     adl_index: *adl_index,
                     metric: metric.clone(),
@@ -239,11 +239,12 @@ impl MetricSource<'_> {
         };
         let op = self.graph.operator(op_name)?;
         let (instance_name, operator_kind, pe) = (op_name.clone(), op.kind.clone(), pe_at(op.pe));
+        let metric = metric.clone();
         Some(match port {
             None => QueuedEvent::OperatorMetric(
                 OperatorMetricContext {
                     job: self.job,
-                    app_name,
+                    app_name: app_name(),
                     instance_name,
                     operator_kind,
                     metric,
@@ -257,7 +258,7 @@ impl MetricSource<'_> {
             Some(port) => QueuedEvent::OperatorPortMetric(
                 OperatorPortMetricContext {
                     job: self.job,
-                    app_name,
+                    app_name: app_name(),
                     instance_name,
                     operator_kind,
                     port,
