@@ -5,6 +5,7 @@ use crate::error::EngineError;
 use crate::metrics::{MetricId, MetricStore};
 use crate::tuple::Tuple;
 use sps_sim::{SimDuration, SimRng, SimTime};
+use std::collections::VecDeque;
 
 /// Stream punctuation marks (§2.1/§5.3). `Final` indicates an operator will
 /// never produce tuples again; its generation and forwarding is managed by
@@ -308,9 +309,10 @@ pub trait Operator {
         1
     }
 
-    /// Observable contents for sink-like operators (`None` otherwise). The
-    /// PE container surfaces this via [`crate::pe::PeRuntime::tap`].
-    fn tap(&self) -> Option<Vec<Tuple>> {
+    /// Observable contents for sink-like operators (`None` otherwise),
+    /// oldest first, lent: a reader that keeps them clones. The PE container
+    /// surfaces this via [`crate::pe::PeRuntime::tap`].
+    fn tap(&self) -> Option<&VecDeque<Tuple>> {
         None
     }
 

@@ -75,8 +75,8 @@ impl Operator for Sink {
         // Terminal: nothing to forward.
     }
 
-    fn tap(&self) -> Option<Vec<Tuple>> {
-        Some(self.recent.iter().cloned().collect())
+    fn tap(&self) -> Option<&VecDeque<Tuple>> {
+        Some(&self.recent)
     }
 
     fn checkpoint(&self) -> Option<StateBlob> {

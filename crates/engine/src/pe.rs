@@ -322,8 +322,8 @@ impl PeRuntime {
         &self.metrics
     }
 
-    /// Observable contents of a sink-like operator.
-    pub fn tap(&self, op_name: &str) -> Option<Vec<Tuple>> {
+    /// Observable contents of a sink-like operator, lent.
+    pub fn tap(&self, op_name: &str) -> Option<&VecDeque<Tuple>> {
         let &slot = self.op_index.get(op_name)?;
         self.slots[slot].op.tap()
     }
@@ -1110,12 +1110,13 @@ mod tests {
         let near = pes[0].tap("near").unwrap();
         let bumped = pes[1].tap("bumped").unwrap();
         let far = pes[2].tap("far").unwrap();
-        let seqs =
-            |tap: &[Tuple]| -> Vec<i64> { tap.iter().map(|t| t.get_int("seq").unwrap()).collect() };
-        assert_eq!(seqs(&near), [0, 1, 2, 3, 4]);
-        assert_eq!(seqs(&far), [0, 1, 2, 3, 4]);
-        assert_eq!(seqs(&bumped), [100, 101, 102, 103, 104]);
-        for ((near, far), bumped) in near.iter().zip(&far).zip(&bumped) {
+        let seqs = |tap: &VecDeque<Tuple>| -> Vec<i64> {
+            tap.iter().map(|t| t.get_int("seq").unwrap()).collect()
+        };
+        assert_eq!(seqs(near), [0, 1, 2, 3, 4]);
+        assert_eq!(seqs(far), [0, 1, 2, 3, 4]);
+        assert_eq!(seqs(bumped), [100, 101, 102, 103, 104]);
+        for ((near, far), bumped) in near.iter().zip(far).zip(bumped) {
             // The untouched holders still share the emitted row...
             assert!(std::ptr::eq(near.values(), far.values()));
             // ...and the writer holds its own, under the shared schema.
@@ -1310,7 +1311,7 @@ mod tests {
         assert_eq!(out.crashed, None);
         let tap = pe.tap("snk").unwrap();
         assert!(!tap.is_empty());
-        for t in &tap {
+        for t in tap {
             assert_eq!(t.get_int("q"), Some(i64::MIN));
             assert_eq!(t.get_int("r"), Some(0));
             assert_eq!(t.get_int("n"), Some(i64::MIN));
@@ -1435,7 +1436,7 @@ mod tests {
         // The sink's ring came back out of one blob: its same-shape tuples
         // share one schema instead of carrying one each.
         assert!(tap_revived.len() > 1);
-        for t in &tap_revived {
+        for t in tap_revived {
             assert!(Arc::ptr_eq(t.schema(), tap_revived[0].schema()));
         }
         assert_eq!(
@@ -1455,7 +1456,7 @@ mod tests {
 
         // The revived beacon continues the sequence instead of rewinding to
         // zero: the next emitted seq picks up where the checkpoint left off.
-        let last_seq = tap_before.last().unwrap().get_int("seq").unwrap();
+        let last_seq = tap_before.back().unwrap().get_int("seq").unwrap();
         revived.step(SimTime::from_millis(600), q, 10_000);
         let tap_after = revived.tap("snk").unwrap();
         let next_seq = tap_after[tap_before.len()].get_int("seq").unwrap();

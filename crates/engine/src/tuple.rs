@@ -485,9 +485,10 @@ mod tests {
         assert!(child.upgrade().is_none());
     }
 
-    /// `render_artifacts_to` folds `{:?}` of every retained tuple into the
-    /// scenario digests, so the rendering is pinned to what the derived
-    /// `Debug` of the old `Tuple { attrs: Arc<Vec<(Name, Value)>> }` printed.
+    /// `render_artifacts` prints `{:?}` of every retained tuple — the text
+    /// the determinism suite compares and a failing plan is read by — so the
+    /// rendering is pinned to what the derived `Debug` of the old
+    /// `Tuple { attrs: Arc<Vec<(Name, Value)>> }` printed.
     #[test]
     fn debug_rendering_is_pinned() {
         let empty = Tuple::new();

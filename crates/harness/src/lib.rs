@@ -32,6 +32,7 @@
 //!     --replay 6500:kp:0:1 --app trend --seed 123
 //! ```
 
+pub mod artifacts;
 pub mod cache;
 pub mod inject;
 pub mod oracle;
@@ -41,6 +42,7 @@ pub mod runner;
 pub mod scenario;
 pub mod shrink;
 
+pub use artifacts::{render_artifacts, render_artifacts_to, ArtifactSink};
 pub use cache::{BaselineCache, BaselineKey, CacheStats, DEFAULT_BASELINE_CAPACITY};
 pub use inject::{FaultInjector, Janitor};
 pub use oracle::{
@@ -50,9 +52,9 @@ pub use oracle::{
 pub use plan::{FaultAction, FaultEvent, FaultPlan, PlanSpec};
 pub use pool::indexed_pool;
 pub use runner::{
-    compute_baseline, evaluate, plan_seeds, quiescent, render_artifacts, render_artifacts_to,
-    reproducer_line, run_campaign, run_campaign_cached, run_plan, settled_world, BaselineSource,
-    CampaignConfig, CampaignFailure, CampaignReport, PlanOutcome,
+    compute_baseline, evaluate, plan_seeds, quiescent, reproducer_line, run_campaign,
+    run_campaign_cached, run_plan, settled_world, BaselineSource, CampaignConfig, CampaignFailure,
+    CampaignReport, PlanOutcome,
 };
 pub use scenario::{by_name, Built, Scenario, WorldPolicy};
 pub use shrink::shrink;

@@ -2,6 +2,7 @@
 //! checks the oracle set after each, verifies trace determinism by replay,
 //! and shrinks failing schedules to minimal reproducers.
 
+use crate::artifacts::render_artifacts_to;
 use crate::cache::BaselineCache;
 use crate::inject::{FaultInjector, Janitor};
 use crate::oracle::{default_oracles, BaselineSummary, Oracle, OracleCtx, Violation};
@@ -203,37 +204,6 @@ pub fn quiescent(world: &World, orca_idx: Option<usize>) -> bool {
     }
 }
 
-/// Renders the application-visible artifacts — SRM snapshots plus the sink
-/// taps of every running job — into any `fmt::Write` sink. The campaign
-/// determinism digest streams this straight into a [`DigestWriter`]
-/// (no intermediate `String`), while tests and the determinism suite render
-/// to a `String` via [`render_artifacts`]; both go through this one
-/// function, so the digested bytes and the rendered bytes cannot silently
-/// diverge in coverage.
-pub fn render_artifacts_to<W: std::fmt::Write>(
-    world: &World,
-    taps: &[&str],
-    out: &mut W,
-) -> std::fmt::Result {
-    let jobs = world.kernel.sam.running_jobs();
-    writeln!(out, "{:?}", world.kernel.srm.query_jobs(&jobs))?;
-    for &job in &jobs {
-        for tap in taps {
-            if let Some(tuples) = world.kernel.tap(job, tap) {
-                writeln!(out, "{job:?}.{tap}: {tuples:?}")?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// [`render_artifacts_to`] into a fresh `String`.
-pub fn render_artifacts(world: &World, taps: &[&str]) -> String {
-    let mut out = String::new();
-    render_artifacts_to(world, taps, &mut out).expect("String sink never fails");
-    out
-}
-
 /// Builds a world, drives warmup → fault window → settle, and returns the
 /// settled world plus the ORCA controller index and the first quiescent
 /// settle quantum. Shared by [`run_plan`] and [`compute_baseline`] so the
@@ -363,8 +333,8 @@ pub fn run_plan(
     // The run digest covers the kernel trace *and* the application-visible
     // state (SRM snapshots, sink taps), so the determinism replay catches
     // nondeterministic operator state even when the lifecycle trace agrees.
-    // Artifacts are streamed into the digest rather than rendered to an
-    // intermediate `String` — byte-equivalent, allocation-free.
+    // The artifacts are folded as the typed values they are, read where
+    // they live: nothing is rendered, copied or allocated.
     let mut w = DigestWriter::new(fnv1a(
         FNV_OFFSET,
         &world.kernel.trace.digest().to_le_bytes(),

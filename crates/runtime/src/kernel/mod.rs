@@ -227,8 +227,13 @@ impl Kernel {
         self.ckpt.latest(job, adl_index).map(|c| c.taken_at)
     }
 
-    /// Contents of a sink-like operator.
+    /// Contents of a sink-like operator, oldest first.
     pub fn tap(&self, job: JobId, op_name: &str) -> Option<Vec<Tuple>> {
+        Some(self.tap_ref(job, op_name)?.iter().cloned().collect())
+    }
+
+    /// [`Kernel::tap`] without the copy: the operator's own ring, lent.
+    pub fn tap_ref(&self, job: JobId, op_name: &str) -> Option<&VecDeque<Tuple>> {
         self.process_of_op(job, op_name)?.runtime.tap(op_name)
     }
 

@@ -43,5 +43,5 @@ pub use metastore::{
     MetastoreKind, ReplicatedMetastore,
 };
 pub use sam::{CrashReason, JobInfo, JobStatus, OrcaNotification, Sam};
-pub use srm::{MetricSnapshot, Srm};
+pub use srm::{JobMetrics, MetricSnapshot, Srm};
 pub use world::{Controller, World};

@@ -273,12 +273,14 @@ impl Sam {
     }
 
     pub fn running_jobs(&self) -> Vec<JobId> {
-        self.tables()
-            .jobs
-            .values()
-            .filter(|j| j.status == JobStatus::Running)
+        self.running().collect()
+    }
+
+    /// [`Sam::running_jobs`] (id order) without the `Vec`.
+    pub fn running(&self) -> impl Iterator<Item = JobId> + Clone + '_ {
+        let jobs = self.tables().jobs.values();
+        jobs.filter(|j| j.status == JobStatus::Running)
             .map(|j| j.id)
-            .collect()
     }
 
     /// Resolves a PE id to its `(job, ADL PE index)`.

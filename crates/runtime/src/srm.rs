@@ -11,6 +11,7 @@ use crate::ids::{JobId, PeId};
 use sps_engine::MetricKey;
 use sps_sim::SimTime;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 /// Latest metric values collected for one job.
@@ -27,6 +28,47 @@ pub struct MetricSnapshot {
 
 /// One PE's snapshot: collection time plus metric rows.
 type PeSnapshot = (SimTime, Vec<(Arc<MetricKey>, i64)>);
+
+/// One job's merged snapshot read in place: what a [`MetricSnapshot`] holds,
+/// without copying the per-PE vectors. Prints (`{:?}`) as the
+/// `MetricSnapshot` it stands for.
+#[derive(Clone, Copy)]
+pub struct JobMetrics<'a>(&'a BTreeMap<PeId, PeSnapshot>);
+
+impl<'a> JobMetrics<'a> {
+    /// Time of the most recent HC push contributing to this job's rows.
+    pub fn collected_at(self) -> SimTime {
+        let pushes = self.0.values().map(|(at, _)| *at);
+        pushes.max().unwrap_or_default()
+    }
+
+    /// Every metric row, PE by PE in `PeId` order.
+    pub fn rows(self) -> impl Iterator<Item = &'a (Arc<MetricKey>, i64)> + Clone {
+        self.0.values().flat_map(|(_, values)| values)
+    }
+
+    pub fn to_snapshot(self) -> MetricSnapshot {
+        MetricSnapshot {
+            collected_at: self.collected_at(),
+            values: self.rows().cloned().collect(),
+        }
+    }
+}
+
+impl fmt::Debug for JobMetrics<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Rows<'a>(JobMetrics<'a>);
+        impl fmt::Debug for Rows<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.rows()).finish()
+            }
+        }
+        f.debug_struct("MetricSnapshot")
+            .field("collected_at", &self.collected_at())
+            .field("values", &Rows(*self))
+            .finish()
+    }
+}
 
 /// The SRM daemon state.
 #[derive(Default)]
@@ -90,19 +132,15 @@ impl Srm {
     /// set of jobs. "SRM's response contains all metrics associated with a
     /// set of jobs" (§4.2).
     pub fn query_jobs(&self, jobs: &[JobId]) -> BTreeMap<JobId, MetricSnapshot> {
-        let mut out = BTreeMap::new();
-        for &job in jobs {
-            let Some(per_pe) = self.metrics.get(&job) else {
-                continue;
-            };
-            let mut snap = MetricSnapshot::default();
-            for (at, values) in per_pe.values() {
-                snap.collected_at = snap.collected_at.max(*at);
-                snap.values.extend(values.iter().cloned());
-            }
-            out.insert(job, snap);
-        }
-        out
+        jobs.iter()
+            .filter_map(|&job| Some((job, self.job_metrics(job)?.to_snapshot())))
+            .collect()
+    }
+
+    /// One job's rows lent rather than copied (`None` until an HC has
+    /// pushed for the job): the read [`Srm::query_jobs`] copies from.
+    pub fn job_metrics(&self, job: JobId) -> Option<JobMetrics<'_>> {
+        self.metrics.get(&job).map(JobMetrics)
     }
 }
 
@@ -172,6 +210,33 @@ mod tests {
         let snap = &result[&JobId(1)];
         assert_eq!(snap.values, vec![(key("a", "m"), 9)]);
         assert_eq!(snap.collected_at, SimTime::from_secs(6));
+    }
+
+    #[test]
+    fn the_lent_view_is_the_snapshot() {
+        let mut srm = Srm::new();
+        let pe_key = Arc::new(MetricKey::Pe(1, "m".into()));
+        let port_key = Arc::new(MetricKey::OperatorPort("b".into(), 2, "m".into()));
+        srm.push_pe_metrics(
+            JobId(1),
+            PeId(11),
+            SimTime::from_secs(3),
+            vec![(pe_key, -7)],
+        );
+        srm.push_pe_metrics(
+            JobId(1),
+            PeId(10),
+            SimTime::from_secs(4),
+            vec![(key("a", "m"), 5), (port_key, 6)],
+        );
+        let view = srm.job_metrics(JobId(1)).unwrap();
+        let snap = &srm.query_jobs(&[JobId(1)])[&JobId(1)];
+        assert_eq!(view.collected_at(), snap.collected_at);
+        assert_eq!(view.rows().cloned().collect::<Vec<_>>(), snap.values);
+        assert_eq!(view.rows().count(), 3);
+        assert_eq!(format!("{view:?}"), format!("{snap:?}"));
+        assert_eq!(format!("{view:#?}"), format!("{snap:#?}"));
+        assert!(srm.job_metrics(JobId(2)).is_none());
     }
 
     #[test]

@@ -12,23 +12,34 @@ use std::collections::VecDeque;
 /// FNV-1a 64-bit offset basis (digest seed value).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Folds `bytes` into an FNV-1a 64-bit hash state. Shared by
-/// [`TraceRing::digest`] and the fault-campaign run digests, so every
-/// bit-identity check in the workspace uses one hash definition.
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Folds `bytes` into an FNV-1a 64-bit hash state, one byte a step: the
+/// hash of [`TraceRing::digest`], of the checkpoint and metastore digests,
+/// and of every chaining of one digest into another (trace digest into run
+/// digest, run digests into a campaign's). The one other mixing function in
+/// the workspace is [`DigestWriter::word`], for typed values.
 pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// Streams FNV-1a over everything written through `fmt::Write`, so callers
-/// can digest a rendering (artifacts, reports) without materializing the
-/// intermediate `String`. Digesting chunk-by-chunk is byte-equivalent to
-/// hashing the concatenated rendering, because FNV-1a folds one byte at a
-/// time with no per-call framing.
+/// A hash state with two ways in.
+///
+/// Text: everything written through `fmt::Write` goes through [`fnv1a`], so
+/// a rendering is digested without materializing the `String` — chunk by
+/// chunk is byte-equivalent to hashing the concatenation, because FNV-1a
+/// folds one byte at a time with no per-call framing.
+///
+/// Typed values: [`DigestWriter::word`] folds 64 bits a step and
+/// [`DigestWriter::bytes`] a length-prefixed byte string, with no formatter
+/// in between. The caller frames: a count before a sequence, a tag before a
+/// variant, `f64` as `to_bits()`. Each step is a bijection of the state for
+/// a given word and of the word for a given state, so two streams that
+/// differ in one word cannot digest equal.
 #[derive(Clone, Debug)]
 pub struct DigestWriter {
     h: u64,
@@ -43,6 +54,30 @@ impl DigestWriter {
     /// Current hash state.
     pub fn digest(&self) -> u64 {
         self.h
+    }
+
+    /// Folds one word: FNV-1a's xor-then-multiply on 64 bits at once, then
+    /// a shift-xor so the high bits the multiply filled reach the low ones.
+    pub fn word(&mut self, w: u64) {
+        let h = (self.h ^ w).wrapping_mul(FNV_PRIME);
+        self.h = h ^ (h >> 29);
+    }
+
+    /// Folds a byte string: its length, then its bytes as little-endian
+    /// words, the last one zero-padded. The length goes first, so adjacent
+    /// strings cannot trade bytes and a trailing NUL is not padding.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.word(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(last));
+        }
     }
 }
 
@@ -238,6 +273,42 @@ mod tests {
         let whole = fnv1a(fnv1a(FNV_OFFSET, b"prefix"), rendered.as_bytes());
         assert_eq!(w.digest(), whole);
         assert_eq!(DigestWriter::default().digest(), FNV_OFFSET);
+    }
+
+    #[test]
+    fn typed_fold_is_framed_and_chunked() {
+        fn strings(parts: &[&[u8]]) -> u64 {
+            let mut w = DigestWriter::default();
+            parts.iter().for_each(|p| w.bytes(p));
+            w.digest()
+        }
+        fn words(ws: &[u64]) -> u64 {
+            let mut w = DigestWriter::default();
+            ws.iter().for_each(|&x| w.word(x));
+            w.digest()
+        }
+        // Adjacent strings do not trade bytes, a NUL is not padding, and
+        // every length across two chunk boundaries digests differently.
+        assert_ne!(strings(&[b"ab", b"c"]), strings(&[b"a", b"bc"]));
+        assert_ne!(strings(&[b"a"]), strings(&[b"a\0"]));
+        let lens: Vec<u64> = (0..=17)
+            .map(|n| strings(&[&b"abcdefghijklmnopq"[..n]]))
+            .collect();
+        for (n, a) in lens.iter().enumerate() {
+            assert!(lens[n + 1..].iter().all(|b| a != b), "length {n} collides");
+        }
+        // One word changed changes the state, wherever it sits; so does
+        // one zero word more.
+        let base = [1, 2, 3, 4];
+        for at in 0..base.len() {
+            let mut one_off = base;
+            one_off[at] += 1;
+            assert_ne!(words(&base), words(&one_off));
+        }
+        assert_ne!(words(&[0]), words(&[]));
+        assert_ne!(words(&[7, 0]), words(&[7]));
+        // An empty string is its length word and nothing else.
+        assert_eq!(strings(&[b""]), words(&[0]));
     }
 
     #[test]

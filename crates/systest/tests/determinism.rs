@@ -142,8 +142,9 @@ fn run_app_scenario_opts(
 
     let trace = world.kernel.trace.dump();
     let digest = world.kernel.trace.digest();
-    // Same rendering the campaign determinism digest folds in, so this
-    // suite's coverage tracks the campaign oracle's exactly.
+    // The text form of the walk the campaign's run digest folds as values
+    // (one walk, two sinks), so this suite's coverage tracks the campaign
+    // oracle's exactly.
     let outputs = orca_harness::render_artifacts(&world, sc.taps);
     (trace, digest, outputs)
 }
