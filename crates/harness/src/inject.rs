@@ -156,6 +156,12 @@ pub struct Janitor {
 
 impl Controller for Janitor {
     fn on_quantum(&mut self, kernel: &mut Kernel) {
+        // A quiet quantum — nearly all of them — costs one counter read.
+        if kernel.cluster.crashed() == 0 {
+            return;
+        }
+        // Job × PE order: restart order assigns the new PE ids, and those
+        // are in the trace.
         let mut crashed: Vec<PeId> = Vec::new();
         for job in kernel.sam.running_jobs() {
             let Some(info) = kernel.sam.job(job) else {

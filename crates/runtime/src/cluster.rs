@@ -72,11 +72,9 @@ impl Host {
         self.tags.iter().any(|t| t == tag)
     }
 
-    /// Crashes every live process and returns the victims in `PeId` order —
-    /// what a host failure, or SAM declaring the host dead, does to it.
-    /// `Starting` processes die too: a PE whose restart was in flight would
-    /// otherwise sit `Starting` forever with nobody notified.
-    pub fn crash_live(&mut self) -> Vec<PeId> {
+    /// [`Cluster::crash_host`]'s walk; only the cluster may call it, because
+    /// the cluster counts what it crashes.
+    fn crash_live(&mut self) -> Vec<PeId> {
         self.processes
             .values_mut()
             .filter(|p| matches!(p.status, PeStatus::Up | PeStatus::Starting))
@@ -92,6 +90,11 @@ impl Host {
 #[derive(Default)]
 pub struct Cluster {
     hosts: BTreeMap<String, Host>,
+    /// How many processes are `Crashed`. A process becomes `Crashed` only
+    /// through [`Cluster::crash`] and [`Cluster::crash_host`] and stops
+    /// being one only by [`Cluster::remove_process`] (its slot restarted,
+    /// its job cancelled), so a quiet cluster is known without a scan.
+    crashed: usize,
 }
 
 impl Cluster {
@@ -151,6 +154,41 @@ impl Cluster {
         self.hosts.values().find_map(|h| h.processes.get(&pe))
     }
 
+    /// Marks a process `Crashed` (no-op for an unknown or already crashed
+    /// one). The only way, with [`Cluster::crash_host`], that a process
+    /// gets there.
+    pub fn crash(&mut self, pe: PeId) {
+        if let Some(p) = self.process_mut(pe) {
+            if p.status != PeStatus::Crashed {
+                p.status = PeStatus::Crashed;
+                self.crashed += 1;
+            }
+        }
+    }
+
+    /// Crashes every live process of a host and returns the victims in
+    /// `PeId` order — what a host failure, or SAM declaring the host dead,
+    /// does to it. `Starting` processes die too: a PE whose restart was in
+    /// flight would otherwise sit `Starting` forever with nobody notified.
+    pub fn crash_host(&mut self, name: &str) -> Vec<PeId> {
+        let victims = self.hosts.get_mut(name).map(Host::crash_live);
+        let victims = victims.unwrap_or_default();
+        self.crashed += victims.len();
+        victims
+    }
+
+    /// Number of `Crashed` processes, without looking at any. Debug builds
+    /// hold the count to a scan.
+    pub fn crashed(&self) -> usize {
+        let processes = self.hosts.values().flat_map(|h| h.processes.values());
+        debug_assert_eq!(
+            self.crashed,
+            processes.filter(|p| p.status == PeStatus::Crashed).count(),
+            "a process changed to or from Crashed behind the cluster's back"
+        );
+        self.crashed
+    }
+
     fn on_up_hosts_mut(&mut self) -> impl Iterator<Item = &mut PeProcess> {
         self.hosts
             .values_mut()
@@ -187,14 +225,14 @@ impl Cluster {
             .collect()
     }
 
-    /// Removes a process (job cancellation).
+    /// Removes a process (job cancellation, restart of its slot).
     pub fn remove_process(&mut self, pe: PeId) -> Option<PeProcess> {
-        for h in self.hosts.values_mut() {
-            if let Some(p) = h.processes.remove(&pe) {
-                return Some(p);
-            }
+        let hosts = &mut self.hosts;
+        let removed = hosts.values_mut().find_map(|h| h.processes.remove(&pe))?;
+        if removed.status == PeStatus::Crashed {
+            self.crashed -= 1;
         }
-        None
+        Some(removed)
     }
 }
 
@@ -317,10 +355,30 @@ mod tests {
 
         // A host failure takes the live and the spawning, in `PeId` order.
         c.host_mut("hostC").unwrap().up = true;
-        assert_eq!(
-            c.host_mut("hostC").unwrap().crash_live(),
-            [PeId(6), PeId(8)]
-        );
+        assert_eq!(c.crash_host("hostC"), [PeId(6), PeId(8)]);
         assert_eq!(live(&c), [1, 3, 7, 2, 9]);
+    }
+
+    #[test]
+    fn crashed_count_follows_crashes_and_removals() {
+        let mut c = Cluster::with_hosts(2);
+        for (host, pe) in [("host0", 1), ("host0", 2), ("host1", 3)] {
+            let processes = &mut c.host_mut(host).unwrap().processes;
+            processes.insert(PeId(pe), proc(pe));
+        }
+        assert_eq!(c.crashed(), 0);
+        c.crash(PeId(1));
+        c.crash(PeId(1)); // already crashed
+        c.crash(PeId(99)); // unknown
+        assert_eq!(c.crashed(), 1);
+        assert_eq!(c.process(PeId(1)).unwrap().status, PeStatus::Crashed);
+        // A host failure counts its live victims only.
+        assert_eq!(c.crash_host("host0"), [PeId(2)]);
+        assert!(c.crash_host("ghost").is_empty());
+        assert_eq!(c.crashed(), 2);
+        // Removing a crashed process uncounts it; removing a live one does not.
+        c.remove_process(PeId(1));
+        c.remove_process(PeId(3));
+        assert_eq!(c.crashed(), 1);
     }
 }

@@ -168,10 +168,10 @@ impl Kernel {
     /// control-plane oracle.
     fn declare_host_dead(&mut self, host_name: &str) {
         self.sam.clear_heartbeat(host_name);
-        let Some(host) = self.cluster.host_mut(host_name) else {
+        if self.cluster.host(host_name).is_none() {
             return;
-        };
-        let victims = host.crash_live();
+        }
+        let victims = self.cluster.crash_host(host_name);
         self.control.stats.false_declarations += 1;
         self.note(
             "sam",

@@ -51,12 +51,12 @@ impl Kernel {
     pub fn kill_pe(&mut self, pe: PeId) -> Result<(), RuntimeError> {
         let proc = self
             .cluster
-            .process_mut(pe)
+            .process(pe)
             .ok_or(RuntimeError::UnknownPe(pe))?;
         if !matches!(proc.status, PeStatus::Up | PeStatus::Starting) {
             return Err(RuntimeError::BadPeState(pe, "up or starting"));
         }
-        proc.status = PeStatus::Crashed;
+        self.cluster.crash(pe);
         self.note("hc", format!("PE {pe} killed"));
         self.notify_pe_failure(pe, CrashReason::Killed);
         Ok(())
@@ -69,7 +69,7 @@ impl Kernel {
             .host_mut(host_name)
             .ok_or_else(|| RuntimeError::Invalid(format!("unknown host {host_name}")))?;
         host.up = false;
-        let victims = host.crash_live();
+        let victims = self.cluster.crash_host(host_name);
         self.srm.set_host_status(host_name, false);
         // A down host sends no heartbeats; forget its last one so the
         // liveness deadline never "detects" a failure SAM already handled.

@@ -300,9 +300,11 @@ impl Kernel {
                 out.exported.push((proc.job, proc.adl_index, step.exported));
             }
             if let Some(msg) = step.crashed {
-                proc.status = PeStatus::Crashed;
                 out.crashes.push((proc.pe_id, msg));
             }
+        }
+        for (pe, _) in &out.crashes {
+            self.cluster.crash(*pe);
         }
         out
     }

@@ -276,7 +276,6 @@ impl Kernel {
             let mut out = proc.runtime.step(g, quantum, budget);
             if let Some(msg) = out.crashed.take() {
                 crashed = Some(msg);
-                proc.status = PeStatus::Crashed;
             }
             outs.push(out);
             while let Some(entry) = entries.next_if(|e| e.delivered_at <= g) {
@@ -284,6 +283,9 @@ impl Kernel {
                 let _ = entry.item.deliver_to(&mut proc.runtime);
             }
             g += quantum;
+        }
+        if crashed.is_some() {
+            self.cluster.crash(pe);
         }
         if let Some(backup) = &mut self.transport.backup {
             backup.count_replayed(injected);
