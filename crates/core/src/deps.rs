@@ -287,16 +287,18 @@ impl DependencyManager {
         Ok(plan)
     }
 
-    /// Pops submissions whose due time has arrived.
+    /// Pops the next submission whose due time has arrived. One at a time,
+    /// so that when the caller fails it, [`Self::abandon_dependents_of`]
+    /// still finds the dependents that came due with it — an uptime of zero
+    /// makes a dependent due in the same instant as its dependency.
+    pub fn next_due_submission(&mut self, now: SimTime) -> Option<String> {
+        let (due, _) = self.pending_submissions.first()?;
+        (*due <= now).then(|| self.pending_submissions.remove(0).1)
+    }
+
+    /// Pops every submission whose due time has arrived.
     pub fn due_submissions(&mut self, now: SimTime) -> Vec<String> {
-        let mut out = Vec::new();
-        while let Some((t, _)) = self.pending_submissions.first() {
-            if *t > now {
-                break;
-            }
-            out.push(self.pending_submissions.remove(0).1);
-        }
-        out
+        std::iter::from_fn(|| self.next_due_submission(now)).collect()
     }
 
     /// Records a successful submission.

@@ -909,7 +909,7 @@ impl OrcaService {
         let now = kernel.now();
         let core = &mut self.core;
         // Ordered submissions.
-        for config_id in core.deps.due_submissions(now) {
+        while let Some(config_id) = core.deps.next_due_submission(now) {
             let cfg = core
                 .deps
                 .config(&config_id)
@@ -923,7 +923,10 @@ impl OrcaService {
             };
             if let Err(why) = outcome {
                 kernel.trace.push(now, "orca", why);
-                core.deps.abandon_dependents_of(&config_id);
+                for dependent in core.deps.abandon_dependents_of(&config_id) {
+                    let why = format!("config '{dependent}' abandoned: it needs '{config_id}'");
+                    kernel.trace.push(now, "orca", why);
+                }
             }
         }
         // Garbage-collection cancellations.
@@ -1517,10 +1520,12 @@ mod tests {
         ));
     }
 
-    /// Starts config `b` (which depends on `a`) on start, and cancels the
-    /// config a user event names from inside that event's handler.
+    /// Starts config `b` (which depends on `a`, `uptime` after it) on start,
+    /// and cancels the config a user event names from inside that event's
+    /// handler.
     #[derive(Default)]
     struct ConfigLogic {
+        uptime: SimDuration,
         submitted: Vec<Option<String>>,
         cancel_result: Option<Result<(), OrcaError>>,
     }
@@ -1531,9 +1536,7 @@ mod tests {
             ctx.register_event_scope(UserEventScope::new("user"));
             ctx.create_app_config(AppConfig::new("a", "A")).unwrap();
             ctx.create_app_config(AppConfig::new("b", "B")).unwrap();
-            // A positive uptime, so `b` is still pending when `a` is submitted.
-            ctx.register_dependency("b", "a", SimDuration::from_millis(300))
-                .unwrap();
+            ctx.register_dependency("b", "a", self.uptime).unwrap();
             ctx.request_start("b").unwrap();
         }
 
@@ -1579,16 +1582,26 @@ mod tests {
         // `A` names an operator kind the registry lacks: SAM rejects it.
         let mut bad = pipeline_adl("A");
         bad.operators[1].kind = "NoSuchKind".into();
-        let (mut world, idx) =
-            world_with_logic(Box::<ConfigLogic>::default(), vec![bad, pipeline_adl("B")]);
-        world.run_for(SimDuration::from_secs(1));
-        let failures = world.kernel.trace.find("submission of config 'a' failed");
-        assert_eq!(failures.len(), 1, "{}", world.kernel.trace.dump());
-        // `b` was abandoned with it: nothing runs, no JobSubmitted was queued.
-        let svc = world.controller::<OrcaService>(idx).unwrap();
-        assert!(svc.managed_jobs().is_empty());
-        assert!(world.kernel.sam.running_jobs().is_empty());
-        assert!(svc.logic::<ConfigLogic>().unwrap().submitted.is_empty());
-        assert_eq!(svc.stats().events_delivered, 0);
+        // With an uptime, `b` is still pending when `a` fails; with none it
+        // came due in the same instant and is next in line.
+        for uptime in [SimDuration::from_millis(300), SimDuration::ZERO] {
+            let logic = Box::new(ConfigLogic {
+                uptime,
+                ..ConfigLogic::default()
+            });
+            let (mut world, idx) = world_with_logic(logic, vec![bad.clone(), pipeline_adl("B")]);
+            world.run_for(SimDuration::from_secs(1));
+            let trace = &world.kernel.trace;
+            let failures = trace.find("submission of config 'a' failed");
+            assert_eq!(failures.len(), 1, "{}", trace.dump());
+            // `b` was abandoned with it: nothing runs, no JobSubmitted was queued.
+            let abandoned = trace.find("config 'b' abandoned: it needs 'a'");
+            assert_eq!(abandoned.len(), 1, "{}", trace.dump());
+            let svc = world.controller::<OrcaService>(idx).unwrap();
+            assert!(svc.managed_jobs().is_empty(), "uptime {uptime:?}");
+            assert!(world.kernel.sam.running_jobs().is_empty());
+            assert!(svc.logic::<ConfigLogic>().unwrap().submitted.is_empty());
+            assert_eq!(svc.stats().events_delivered, 0);
+        }
     }
 }
