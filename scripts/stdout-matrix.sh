@@ -9,11 +9,22 @@
 #
 #   diff -r <parent-out> <change-out>
 #
-# (when the change touches what a `reproduce:` line looks like, filter those
-# lines first: `grep -v '^  reproduce:'`). Cells: 4 apps x --jobs 1/8 x
-# plain / --checkpoint-interval 10 / + --upstream-backup on, then per app
-# SPS_BATCH=off, --control-faults on, --metastore replicated, and two
-# finite-budget checkpoint stores. Every cell must exit 0: a failing plan
+# Two filters, for the two kinds of change that mean to move one field and
+# nothing else. A change to what a `reproduce:` line looks like: drop those
+# lines first (`grep -v '^  reproduce:'`). A change to how the run digest is
+# folded (PR 23 re-based it from `Debug` text to typed values): mask the
+# digests on both directories, then compare —
+#
+#   sed -i -E 's/digest=[0-9a-f]{16}/digest=X/' <parent-out>/*.out <change-out>/*.out
+#   diff -r <parent-out> <change-out>
+#
+# — so plan counts, failure counts, violations, shrunk plans, `reproduce:`
+# lines and the upstream-backup and control-plane counters must still agree
+# byte for byte.
+#
+# Cells: 4 apps x --jobs 1/8 x plain / --checkpoint-interval 10 /
+# + --upstream-backup on, then per app SPS_BATCH=off, --control-faults on,
+# --metastore replicated, and two finite-budget checkpoint stores. Every cell must exit 0: a failing plan
 # anywhere stops the script, and its `reproduce:` line is in the cell's file.
 set -euo pipefail
 
