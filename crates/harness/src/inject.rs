@@ -163,7 +163,7 @@ impl Controller for Janitor {
         // Job × PE order: restart order assigns the new PE ids, and those
         // are in the trace.
         let mut crashed: Vec<PeId> = Vec::new();
-        for job in kernel.sam.running_jobs() {
+        for job in kernel.sam.running() {
             let Some(info) = kernel.sam.job(job) else {
                 continue;
             };

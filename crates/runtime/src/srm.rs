@@ -229,11 +229,13 @@ mod tests {
             SimTime::from_secs(4),
             vec![(key("a", "m"), 5), (port_key, 6)],
         );
+        // The newest push dates it; rows come PE by PE in `PeId` order.
         let view = srm.job_metrics(JobId(1)).unwrap();
-        let snap = &srm.query_jobs(&[JobId(1)])[&JobId(1)];
-        assert_eq!(view.collected_at(), snap.collected_at);
-        assert_eq!(view.rows().cloned().collect::<Vec<_>>(), snap.values);
-        assert_eq!(view.rows().count(), 3);
+        assert_eq!(view.collected_at(), SimTime::from_secs(4));
+        let values: Vec<i64> = view.rows().map(|(_, v)| *v).collect();
+        assert_eq!(values, [5, 6, -7]);
+        // It prints as the owned snapshot's derived `Debug` does.
+        let snap = view.to_snapshot();
         assert_eq!(format!("{view:?}"), format!("{snap:?}"));
         assert_eq!(format!("{view:#?}"), format!("{snap:#?}"));
         assert!(srm.job_metrics(JobId(2)).is_none());
