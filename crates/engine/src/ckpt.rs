@@ -24,6 +24,15 @@
 //! operator costs one byte compare in the PE and a pointer compare in the
 //! store, and allocates nothing.
 //!
+//! The compare does not make the encode free, and for a ring operator the
+//! encode was most of it. So a [`crate::ops::Sink`] re-encodes only what
+//! arrived since its last blob: it copies the records of the tuples still
+//! in its ring from that blob, and with nothing new it returns that blob
+//! itself, whose compare then stops at the pointer. The bytes are the full
+//! encoding's either way, so the dirty rule does not change. A restore never
+//! seeds that memo: the re-checkpoint that verifies a restore encodes the
+//! restored state, not the blob it was restored from.
+//!
 //! [`Operator::checkpoint`]: crate::op::Operator::checkpoint
 
 use crate::error::EngineError;
@@ -44,13 +53,22 @@ use std::sync::Arc;
 pub const CKPT_FORMAT_VERSION: u32 = 2;
 
 /// Opaque serialized operator state. A blob is its bytes and nothing else:
-/// two blobs are equal iff their bytes are (length first, then a compare
-/// that leaves at the first differing byte), which is the whole dirty check
-/// of an incremental snapshot.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// two blobs are equal iff their bytes are, which is the whole dirty check
+/// of an incremental snapshot. The compare stops early both ways: at the
+/// pointer and length, when an operator hands its previous blob back, and
+/// at the first differing byte.
+#[derive(Clone, Debug, Default)]
 pub struct StateBlob {
     bytes: Bytes,
 }
+
+impl PartialEq for StateBlob {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.bytes(), other.bytes()) || self.bytes == other.bytes
+    }
+}
+
+impl Eq for StateBlob {}
 
 impl StateBlob {
     pub fn bytes(&self) -> &[u8] {
@@ -165,6 +183,12 @@ impl StateWriter {
                 f(self, inner);
             }
         }
+    }
+
+    /// Appends bytes an earlier writer produced, as they are: no length
+    /// prefix, no re-encoding.
+    pub(crate) fn put_slice(&mut self, bytes: &[u8]) {
+        self.buf.put_slice(bytes);
     }
 
     /// Serializes a tuple with the inter-PE wire codec.
@@ -542,6 +566,9 @@ mod tests {
     fn blob_equality_is_content_equality() {
         // Two writers, two allocations, the same bytes: clean.
         assert_eq!(blob_of(5, b"tail"), blob_of(5, b"tail"));
+        // One allocation handed out twice: clean at the pointer.
+        let shared = blob_of(5, b"tail");
+        assert_eq!(shared.clone(), shared);
         // One byte changed at equal length — first, middle or last: dirty.
         assert_ne!(blob_of(5, b"tail"), blob_of(6, b"tail"));
         assert_ne!(blob_of(5, b"tail"), blob_of(5, b"tall"));

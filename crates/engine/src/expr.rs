@@ -517,162 +517,129 @@ enum Token {
     Percent,
 }
 
+type Chars<'a> = std::iter::Peekable<std::str::Chars<'a>>;
+
 fn tokenize(src: &str) -> Result<Vec<Token>, EngineError> {
     let mut tokens = Vec::new();
     let mut chars = src.chars().peekable();
     while let Some(&c) = chars.peek() {
-        match c {
+        let token = match c {
             ' ' | '\t' | '\n' | '\r' => {
                 chars.next();
+                continue;
             }
-            '(' => {
-                chars.next();
-                tokens.push(Token::LParen);
-            }
-            ')' => {
-                chars.next();
-                tokens.push(Token::RParen);
-            }
-            '+' => {
-                chars.next();
-                tokens.push(Token::Plus);
-            }
-            '-' => {
-                chars.next();
-                tokens.push(Token::Minus);
-            }
-            '*' => {
-                chars.next();
-                tokens.push(Token::Star);
-            }
-            '/' => {
-                chars.next();
-                tokens.push(Token::Slash);
-            }
-            '%' => {
-                chars.next();
-                tokens.push(Token::Percent);
-            }
-            '!' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    tokens.push(Token::Op(BinaryOp::Ne));
-                } else {
-                    tokens.push(Token::Bang);
-                }
-            }
-            '=' => {
-                chars.next();
-                if chars.next() == Some('=') {
-                    tokens.push(Token::Op(BinaryOp::Eq));
-                } else {
-                    return Err(EngineError::Expr("single '=' (use '==')".into()));
-                }
-            }
-            '<' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    tokens.push(Token::Op(BinaryOp::Le));
-                } else {
-                    tokens.push(Token::Op(BinaryOp::Lt));
-                }
-            }
-            '>' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    tokens.push(Token::Op(BinaryOp::Ge));
-                } else {
-                    tokens.push(Token::Op(BinaryOp::Gt));
-                }
-            }
-            '&' => {
-                chars.next();
-                if chars.next() == Some('&') {
-                    tokens.push(Token::Op(BinaryOp::And));
-                } else {
-                    return Err(EngineError::Expr("single '&' (use '&&')".into()));
-                }
-            }
-            '|' => {
-                chars.next();
-                if chars.next() == Some('|') {
-                    tokens.push(Token::Op(BinaryOp::Or));
-                } else {
-                    return Err(EngineError::Expr("single '|' (use '||')".into()));
-                }
-            }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some('\\') => match chars.next() {
-                            Some('"') => s.push('"'),
-                            Some('\\') => s.push('\\'),
-                            Some('n') => s.push('\n'),
-                            other => {
-                                return Err(EngineError::Expr(format!(
-                                    "bad escape {other:?} in string literal"
-                                )))
-                            }
-                        },
-                        Some(c) => s.push(c),
-                        None => {
-                            return Err(EngineError::Expr("unterminated string literal".into()))
-                        }
-                    }
-                }
-                tokens.push(Token::Str(s));
-            }
-            c if c.is_ascii_digit() => {
-                let mut text = String::new();
-                let mut is_float = false;
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() {
-                        text.push(c);
-                        chars.next();
-                    } else if c == '.' && !is_float {
-                        is_float = true;
-                        text.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                if is_float {
-                    tokens.push(Token::Float(text.parse().map_err(|_| {
-                        EngineError::Expr(format!("bad float literal '{text}'"))
-                    })?));
-                } else {
-                    tokens.push(Token::Int(text.parse().map_err(|_| {
-                        EngineError::Expr(format!("bad int literal '{text}'"))
-                    })?));
-                }
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let mut ident = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_alphanumeric() || c == '_' {
-                        ident.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(match ident.as_str() {
-                    "true" => Token::True,
-                    "false" => Token::False,
-                    _ => Token::Ident(ident),
-                });
-            }
-            other => return Err(EngineError::Expr(format!("unexpected character '{other}'"))),
-        }
+            '"' => string_literal(&mut chars)?,
+            c if c.is_ascii_digit() => number(&mut chars)?,
+            c if c.is_alphabetic() || c == '_' => word(&mut chars),
+            _ => punctuation(&mut chars)?,
+        };
+        tokens.push(token);
     }
     Ok(tokens)
+}
+
+/// An operator or a parenthesis: one character, or two for `!=`, `<=`,
+/// `>=`, `==`, `&&` and `||`.
+fn punctuation(chars: &mut Chars<'_>) -> Result<Token, EngineError> {
+    let c = chars.next().expect("peeked");
+    Ok(match c {
+        '(' => Token::LParen,
+        ')' => Token::RParen,
+        '+' => Token::Plus,
+        '-' => Token::Minus,
+        '*' => Token::Star,
+        '/' => Token::Slash,
+        '%' => Token::Percent,
+        '!' => or_equals(chars, Token::Bang, BinaryOp::Ne),
+        '<' => or_equals(chars, Token::Op(BinaryOp::Lt), BinaryOp::Le),
+        '>' => or_equals(chars, Token::Op(BinaryOp::Gt), BinaryOp::Ge),
+        '=' => doubled(chars, c, BinaryOp::Eq)?,
+        '&' => doubled(chars, c, BinaryOp::And)?,
+        '|' => doubled(chars, c, BinaryOp::Or)?,
+        other => return Err(EngineError::Expr(format!("unexpected character '{other}'"))),
+    })
+}
+
+/// `plain`, or `with_equals` when an `=` follows.
+fn or_equals(chars: &mut Chars<'_>, plain: Token, with_equals: BinaryOp) -> Token {
+    match chars.next_if_eq(&'=') {
+        Some(_) => Token::Op(with_equals),
+        None => plain,
+    }
+}
+
+/// An operator written as its character twice; the character alone is an
+/// error.
+fn doubled(chars: &mut Chars<'_>, c: char, op: BinaryOp) -> Result<Token, EngineError> {
+    if chars.next() == Some(c) {
+        Ok(Token::Op(op))
+    } else {
+        Err(EngineError::Expr(format!("single '{c}' (use '{c}{c}')")))
+    }
+}
+
+/// A double-quoted string with `\"`, `\\` and `\n` escapes.
+fn string_literal(chars: &mut Chars<'_>) -> Result<Token, EngineError> {
+    chars.next();
+    let mut s = String::new();
+    loop {
+        match chars.next() {
+            Some('"') => return Ok(Token::Str(s)),
+            Some('\\') => match chars.next() {
+                Some('"') => s.push('"'),
+                Some('\\') => s.push('\\'),
+                Some('n') => s.push('\n'),
+                other => {
+                    return Err(EngineError::Expr(format!(
+                        "bad escape {other:?} in string literal"
+                    )))
+                }
+            },
+            Some(c) => s.push(c),
+            None => return Err(EngineError::Expr("unterminated string literal".into())),
+        }
+    }
+}
+
+/// Digits, with at most one `.` among them: an int, or a float if the dot
+/// is there.
+fn number(chars: &mut Chars<'_>) -> Result<Token, EngineError> {
+    let mut text = String::new();
+    let mut is_float = false;
+    while let Some(&c) = chars.peek() {
+        if c.is_ascii_digit() {
+            text.push(c);
+            chars.next();
+        } else if c == '.' && !is_float {
+            is_float = true;
+            text.push(c);
+            chars.next();
+        } else {
+            break;
+        }
+    }
+    if is_float {
+        Ok(Token::Float(text.parse().map_err(|_| {
+            EngineError::Expr(format!("bad float literal '{text}'"))
+        })?))
+    } else {
+        Ok(Token::Int(text.parse().map_err(|_| {
+            EngineError::Expr(format!("bad int literal '{text}'"))
+        })?))
+    }
+}
+
+/// An identifier, or the literal `true` / `false`.
+fn word(chars: &mut Chars<'_>) -> Token {
+    let mut ident = String::new();
+    while let Some(c) = chars.next_if(|&c| c.is_alphanumeric() || c == '_') {
+        ident.push(c);
+    }
+    match ident.as_str() {
+        "true" => Token::True,
+        "false" => Token::False,
+        _ => Token::Ident(ident),
+    }
 }
 
 struct ExprParser {

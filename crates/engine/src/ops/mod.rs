@@ -120,6 +120,17 @@ pub(crate) mod testutil {
             ctx.take_emitted()
         }
 
+        pub fn batch(
+            &mut self,
+            op: &mut dyn Operator,
+            port: usize,
+            tuples: Vec<Tuple>,
+        ) -> Vec<(usize, StreamItem)> {
+            let mut ctx = self.ctx();
+            op.on_batch(port, tuples.into(), &mut ctx);
+            ctx.take_emitted()
+        }
+
         pub fn punct(
             &mut self,
             op: &mut dyn Operator,

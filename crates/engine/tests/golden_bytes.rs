@@ -153,3 +153,22 @@ fn checkpoint_of_a_fixed_pe_is_pinned() {
     assert_eq!(again.digest(), ckpt.digest());
     assert_eq!(again.metrics, ckpt.metrics);
 }
+
+/// The same PE snapshotted after every quantum: each sink blob is then
+/// built from the one before it, and the last must still be the pinned one.
+#[test]
+fn checkpointing_every_quantum_ends_at_the_pinned_bytes() {
+    let adl = two_operator_adl();
+    let registry = OperatorRegistry::with_builtins();
+    let mut pe = PeRuntime::build(&adl, 0, &registry, SimRng::new(7)).unwrap();
+    let quantum = SimDuration::from_millis(100);
+    for q in 1..=20u64 {
+        pe.step(SimTime::from_millis(q * 100), quantum, 3);
+        pe.checkpoint(SimTime::from_millis(q * 100));
+    }
+    let ckpt = pe.checkpoint(SimTime::from_millis(2000));
+    assert_eq!(
+        (ckpt.digest(), ckpt.state_bytes(), ckpt.queue_bytes()),
+        (1921745153951691752, 5282, 2005)
+    );
+}

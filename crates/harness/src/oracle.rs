@@ -10,7 +10,7 @@
 
 use orca::OrcaService;
 use sps_engine::metrics::builtin;
-use sps_runtime::{CheckpointPolicy, FreshReason, JobId, PeStatus, RestoreOutcome, World};
+use sps_runtime::{CheckpointPolicy, FreshReason, JobId, Kernel, PeStatus, RestoreOutcome, World};
 use std::collections::BTreeMap;
 
 /// Stateful artifacts of the fault-free run of the same seed, computed by
@@ -207,154 +207,169 @@ impl Oracle for StatePreservationOracle {
             return Ok(());
         }
         let kernel = &ctx.world.kernel;
-
-        // 1 + 2a: every restart either restored faithfully or had a
-        // legitimate reason to come back fresh.
-        for rec in kernel.restart_log() {
-            match &rec.restore {
-                RestoreOutcome::Restored {
-                    verified: false, ..
-                } => {
-                    return Err(format!(
-                        "PE {} (job {}, slot {}) was restored unfaithfully: \
-                         re-checkpoint digest differs (operator state lost)",
-                        rec.new_pe, rec.job, rec.adl_index
-                    ));
-                }
-                RestoreOutcome::Fresh {
-                    reason: FreshReason::Incompatible,
-                } => {
-                    return Err(format!(
-                        "PE {} (job {}, slot {}) rejected its checkpoint as \
-                         incompatible although the ADL never changed",
-                        rec.new_pe, rec.job, rec.adl_index
-                    ));
-                }
-                // `FreshReason::Evicted` is deliberately NOT a violation:
-                // losing a dead PE's chain to a finite storage budget is
-                // legitimate (modelled) behavior, not a recovery bug.
-                _ => {}
-            }
+        restores_were_faithful(kernel)?;
+        snapshots_cover_running_jobs(kernel, &ctx.opts)?;
+        restored_counters_hold(kernel)?;
+        match ctx.baseline {
+            Some(baseline) => taps_match_the_baseline(ctx, baseline),
+            None => Ok(()),
         }
-
-        // 2b: the policy is live — snapshots exist for every checkpointable
-        // Up PE of a running job. Jobs composed in the final moments of the
-        // run (dynamic C3 launches) may not have crossed a snapshot
-        // boundary yet, so allow two checkpoint periods of grace.
-        if kernel.ckpt.saved() == 0 {
-            return Err("checkpointing enabled but no snapshot was ever taken".into());
-        }
-        let ckpt_period = sps_sim::SimDuration::from_millis(
-            kernel.config.quantum.as_millis() * 2 * ctx.opts.every_quanta as u64,
-        );
-        for job in kernel.sam.running_jobs() {
-            let Some(info) = kernel.sam.job(job) else {
-                continue;
-            };
-            if kernel.now().since(info.submitted_at) < ckpt_period {
-                continue;
-            }
-            for (adl_index, &pe) in info.pe_ids.iter().enumerate() {
-                // A write still in flight counts as coverage: under a slow
-                // storage model the commit may land after settle, which is
-                // latency, not a hole in the snapshot cadence.
-                if kernel.pe_status(pe) == Some(PeStatus::Up)
-                    && kernel.pe_checkpointable(job, adl_index)
-                    && kernel.ckpt.latest(job, adl_index).is_none()
-                    && !kernel.ckpt.write_in_flight(job, adl_index)
-                {
-                    return Err(format!(
-                        "job {job} slot {adl_index} is Up and checkpointable \
-                         but holds no snapshot after settle"
-                    ));
-                }
-            }
-        }
-
-        // 3: restored monotone counters never go backwards — until the
-        // slot's next *fresh* restart. A later incarnation that legitimately
-        // came back with nothing (its chain evicted by the storage budget)
-        // counts from zero again, and the record's claim ends there.
-        let log = kernel.restart_log();
-        for (i, rec) in log.iter().enumerate() {
-            if !rec.restore.restored() || kernel.sam.job(rec.job).is_none() {
-                continue;
-            }
-            let reset_since = log[i + 1..].iter().any(|later| {
-                (later.job, later.adl_index) == (rec.job, rec.adl_index)
-                    && !later.restore.restored()
-            });
-            if reset_since {
-                continue;
-            }
-            for (op, at_ckpt) in &rec.restored_op_counts {
-                let now = kernel
-                    .op_metric(rec.job, op, builtin::N_TUPLES_PROCESSED)
-                    .unwrap_or(0);
-                if now < *at_ckpt {
-                    return Err(format!(
-                        "operator {op} of job {} went backwards after restore: \
-                         {now} < {at_ckpt} recorded in the checkpoint",
-                        rec.job
-                    ));
-                }
-            }
-        }
-
-        // 4: compare recovered taps against the fault-free run.
-        let Some(baseline) = ctx.baseline else {
-            return Ok(());
-        };
-        for ((job, tap), &base_count) in &baseline.taps {
-            let Some(info) = kernel.sam.job(*job) else {
-                continue; // job gone (e.g. cancelled mid-plan): nothing to hold
-            };
-            if baseline.apps.get(job) != Some(&info.app_name) {
-                continue; // different job under a recycled id
-            }
-            let faulted = kernel
-                .op_metric(*job, tap, builtin::N_TUPLES_PROCESSED)
-                .unwrap_or(0);
-            if base_count > 0 && faulted == 0 {
-                return Err(format!(
-                    "stateful tap {job}.{tap} lost all state under faults \
-                     (fault-free run processed {base_count} tuples)"
-                ));
-            }
-            // Exactly-once: with upstream backup on, a fully checkpointable
-            // job's structurally-exact taps must match the fault-free count
-            // bit for bit — the replayed gap closes the loss window and the
-            // high-water marks suppress every duplicate.
-            let exact = ctx.opts.upstream_backup
-                && ctx.exact_taps.contains(&tap.as_str())
-                && kernel.job_checkpointable(*job);
-            if exact {
-                if faulted != base_count {
-                    return Err(format!(
-                        "exactly-once violated: tap {job}.{tap} processed \
-                         {faulted} tuples under faults vs. {base_count} \
-                         fault-free (upstream backup promised equality)"
-                    ));
-                }
-                continue;
-            }
-            // Restart-timing slack: a restored periodic operator may emit
-            // once immediately on revival, and a restored *exporter* of
-            // another job can rewind and re-deliver a sliver of stream to
-            // this tap — bound both per restart, across the whole world
-            // (cross-job import/export means any restart can touch any tap).
-            let restarts = kernel.restart_log().len() as i64;
-            let slack = 2 * restarts + 8;
-            if faulted > base_count + slack {
-                return Err(format!(
-                    "tap {job}.{tap} processed {faulted} tuples under faults, \
-                     exceeding the fault-free {base_count} (+{slack} slack): \
-                     restores are fabricating history"
-                ));
-            }
-        }
-        Ok(())
     }
+}
+
+/// Check 1 + 2a: every restart either restored faithfully or had a
+/// legitimate reason to come back fresh.
+fn restores_were_faithful(kernel: &Kernel) -> Result<(), String> {
+    for rec in kernel.restart_log() {
+        match &rec.restore {
+            RestoreOutcome::Restored {
+                verified: false, ..
+            } => {
+                return Err(format!(
+                    "PE {} (job {}, slot {}) was restored unfaithfully: \
+                     re-checkpoint digest differs (operator state lost)",
+                    rec.new_pe, rec.job, rec.adl_index
+                ));
+            }
+            RestoreOutcome::Fresh {
+                reason: FreshReason::Incompatible,
+            } => {
+                return Err(format!(
+                    "PE {} (job {}, slot {}) rejected its checkpoint as \
+                     incompatible although the ADL never changed",
+                    rec.new_pe, rec.job, rec.adl_index
+                ));
+            }
+            // `FreshReason::Evicted` is deliberately NOT a violation:
+            // losing a dead PE's chain to a finite storage budget is
+            // legitimate (modelled) behavior, not a recovery bug.
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// Check 2b: the policy is live — snapshots exist for every checkpointable
+/// Up PE of a running job. Jobs composed in the final moments of the run
+/// (dynamic C3 launches) may not have crossed a snapshot boundary yet, so
+/// allow two checkpoint periods of grace.
+fn snapshots_cover_running_jobs(kernel: &Kernel, opts: &CheckpointPolicy) -> Result<(), String> {
+    if kernel.ckpt.saved() == 0 {
+        return Err("checkpointing enabled but no snapshot was ever taken".into());
+    }
+    let ckpt_period = sps_sim::SimDuration::from_millis(
+        kernel.config.quantum.as_millis() * 2 * opts.every_quanta as u64,
+    );
+    for job in kernel.sam.running_jobs() {
+        let Some(info) = kernel.sam.job(job) else {
+            continue;
+        };
+        if kernel.now().since(info.submitted_at) < ckpt_period {
+            continue;
+        }
+        for (adl_index, &pe) in info.pe_ids.iter().enumerate() {
+            // A write still in flight counts as coverage: under a slow
+            // storage model the commit may land after settle, which is
+            // latency, not a hole in the snapshot cadence.
+            if kernel.pe_status(pe) == Some(PeStatus::Up)
+                && kernel.pe_checkpointable(job, adl_index)
+                && kernel.ckpt.latest(job, adl_index).is_none()
+                && !kernel.ckpt.write_in_flight(job, adl_index)
+            {
+                return Err(format!(
+                    "job {job} slot {adl_index} is Up and checkpointable \
+                     but holds no snapshot after settle"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Check 3: restored monotone counters never go backwards — until the
+/// slot's next *fresh* restart. A later incarnation that legitimately came
+/// back with nothing (its chain evicted by the storage budget) counts from
+/// zero again, and the record's claim ends there.
+fn restored_counters_hold(kernel: &Kernel) -> Result<(), String> {
+    let log = kernel.restart_log();
+    for (i, rec) in log.iter().enumerate() {
+        if !rec.restore.restored() || kernel.sam.job(rec.job).is_none() {
+            continue;
+        }
+        let reset_since = log[i + 1..].iter().any(|later| {
+            (later.job, later.adl_index) == (rec.job, rec.adl_index) && !later.restore.restored()
+        });
+        if reset_since {
+            continue;
+        }
+        for (op, at_ckpt) in &rec.restored_op_counts {
+            let now = kernel
+                .op_metric(rec.job, op, builtin::N_TUPLES_PROCESSED)
+                .unwrap_or(0);
+            if now < *at_ckpt {
+                return Err(format!(
+                    "operator {op} of job {} went backwards after restore: \
+                     {now} < {at_ckpt} recorded in the checkpoint",
+                    rec.job
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Check 4: recovered taps against the fault-free run.
+fn taps_match_the_baseline(ctx: &OracleCtx<'_>, baseline: &BaselineSummary) -> Result<(), String> {
+    let kernel = &ctx.world.kernel;
+    for ((job, tap), &base_count) in &baseline.taps {
+        let Some(info) = kernel.sam.job(*job) else {
+            continue; // job gone (e.g. cancelled mid-plan): nothing to hold
+        };
+        if baseline.apps.get(job) != Some(&info.app_name) {
+            continue; // different job under a recycled id
+        }
+        let faulted = kernel
+            .op_metric(*job, tap, builtin::N_TUPLES_PROCESSED)
+            .unwrap_or(0);
+        if base_count > 0 && faulted == 0 {
+            return Err(format!(
+                "stateful tap {job}.{tap} lost all state under faults \
+                 (fault-free run processed {base_count} tuples)"
+            ));
+        }
+        // Exactly-once: with upstream backup on, a fully checkpointable
+        // job's structurally-exact taps must match the fault-free count
+        // bit for bit — the replayed gap closes the loss window and the
+        // high-water marks suppress every duplicate.
+        let exact = ctx.opts.upstream_backup
+            && ctx.exact_taps.contains(&tap.as_str())
+            && kernel.job_checkpointable(*job);
+        if exact {
+            if faulted != base_count {
+                return Err(format!(
+                    "exactly-once violated: tap {job}.{tap} processed \
+                     {faulted} tuples under faults vs. {base_count} \
+                     fault-free (upstream backup promised equality)"
+                ));
+            }
+            continue;
+        }
+        // Restart-timing slack: a restored periodic operator may emit
+        // once immediately on revival, and a restored *exporter* of
+        // another job can rewind and re-deliver a sliver of stream to
+        // this tap — bound both per restart, across the whole world
+        // (cross-job import/export means any restart can touch any tap).
+        let restarts = kernel.restart_log().len() as i64;
+        let slack = 2 * restarts + 8;
+        if faulted > base_count + slack {
+            return Err(format!(
+                "tap {job}.{tap} processed {faulted} tuples under faults, \
+                 exceeding the fault-free {base_count} (+{slack} slack): \
+                 restores are fabricating history"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Control-plane recovery (active when the campaign injects control faults):

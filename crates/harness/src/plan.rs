@@ -113,6 +113,47 @@ fn hosts_down_at(events: &[FaultEvent], t: SimTime) -> Vec<u8> {
 const JOB_SLOTS: u64 = 8;
 const PE_SLOTS: u64 = 6;
 
+/// A plain PE kill at `t` on a drawn job and PE slot.
+fn kill_pe(rng: &mut SimRng, events: &mut Vec<FaultEvent>, t: u64) {
+    events.push(FaultEvent {
+        at: SimTime::from_millis(t),
+        action: FaultAction::KillPe {
+            job_slot: rng.gen_range(0, JOB_SLOTS) as u8,
+            pe_slot: rng.gen_range(0, PE_SLOTS) as u8,
+        },
+    });
+}
+
+/// A host kill at `t`, usually paired with a revive before `end`. Once
+/// `max_hosts_down` hosts are down it degrades to a PE kill, so the incident
+/// count is preserved.
+fn kill_host(rng: &mut SimRng, spec: &PlanSpec, events: &mut Vec<FaultEvent>, t: u64, end: u64) {
+    let at = SimTime::from_millis(t);
+    let down = hosts_down_at(events, at);
+    let up: Vec<u8> = (0..spec.hosts as u8)
+        .filter(|h| !down.contains(h))
+        .collect();
+    if down.len() >= spec.max_hosts_down || up.is_empty() {
+        kill_pe(rng, events, t);
+        return;
+    }
+    let host_slot = up[rng.gen_range(0, up.len() as u64) as usize];
+    events.push(FaultEvent {
+        at,
+        action: FaultAction::KillHost { host_slot },
+    });
+    if spec.revive_all || rng.gen_bool(0.7) {
+        let lo = spec.restart_delay.as_millis().max(100);
+        let revive_at = (t + lo + rng.gen_range(0, lo + 1))
+            .min(end - 1)
+            .max(t + 100);
+        events.push(FaultEvent {
+            at: SimTime::from_millis(revive_at),
+            action: FaultAction::ReviveHost { host_slot },
+        });
+    }
+}
+
 impl FaultPlan {
     /// Samples a plan from `rng` under `spec`. Incident mix: plain PE
     /// kills, host kill (+revive), simultaneous-kill cascades, and kills
@@ -125,15 +166,6 @@ impl FaultPlan {
         times.sort_unstable();
 
         let mut events: Vec<FaultEvent> = Vec::new();
-        let kill_pe = |rng: &mut SimRng, events: &mut Vec<FaultEvent>, t: u64| {
-            events.push(FaultEvent {
-                at: SimTime::from_millis(t),
-                action: FaultAction::KillPe {
-                    job_slot: rng.gen_range(0, JOB_SLOTS) as u8,
-                    pe_slot: rng.gen_range(0, PE_SLOTS) as u8,
-                },
-            });
-        };
         // With control faults off, the weight vector (and therefore the
         // whole draw sequence) is byte-identical to pre-control-fault plans.
         let weights: &[f64] = if spec.control_faults {
@@ -146,34 +178,7 @@ impl FaultPlan {
                 // Plain PE kill.
                 0 => kill_pe(rng, &mut events, t),
                 // Host kill, usually paired with a revive.
-                1 => {
-                    let at = SimTime::from_millis(t);
-                    let down = hosts_down_at(&events, at);
-                    let up: Vec<u8> = (0..spec.hosts as u8)
-                        .filter(|h| !down.contains(h))
-                        .collect();
-                    if down.len() >= spec.max_hosts_down || up.is_empty() {
-                        // Concurrency budget exhausted: degrade to a PE kill
-                        // so the incident count is preserved.
-                        kill_pe(rng, &mut events, t);
-                        continue;
-                    }
-                    let host_slot = up[rng.gen_range(0, up.len() as u64) as usize];
-                    events.push(FaultEvent {
-                        at,
-                        action: FaultAction::KillHost { host_slot },
-                    });
-                    if spec.revive_all || rng.gen_bool(0.7) {
-                        let lo = spec.restart_delay.as_millis().max(100);
-                        let revive_at = (t + lo + rng.gen_range(0, lo + 1))
-                            .min(end - 1)
-                            .max(t + 100);
-                        events.push(FaultEvent {
-                            at: SimTime::from_millis(revive_at),
-                            action: FaultAction::ReviveHost { host_slot },
-                        });
-                    }
-                }
+                1 => kill_host(rng, spec, &mut events, t, end),
                 // Cascade: several PEs die in the same instant (one physical
                 // event as seen by the failure-epoch correlator).
                 2 => {
