@@ -102,7 +102,7 @@ pub struct DependencyManager {
     submit_times: BTreeMap<String, SimTime>,
     /// Configs exempt from GC because the logic submitted them explicitly.
     explicit: BTreeSet<String>,
-    /// Planned future submissions, `(due, config)`, kept sorted.
+    /// Planned future submissions, `(due, config)`, in submission order.
     pending_submissions: Vec<(SimTime, String)>,
     /// GC queue, `(due, config)`, kept sorted.
     cancel_queue: Vec<CancelEntry>,
@@ -280,11 +280,29 @@ impl DependencyManager {
             })
             .map(|(c, t)| (t, c))
             .collect();
-        plan.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        self.pending_submissions.extend(plan.iter().cloned());
-        self.pending_submissions
-            .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        self.sort_submissions(&mut plan);
+        let mut pending = std::mem::take(&mut self.pending_submissions);
+        pending.extend(plan.iter().cloned());
+        self.sort_submissions(&mut pending);
+        self.pending_submissions = pending;
         Ok(plan)
+    }
+
+    /// Orders submissions by due time, then by [`Self::rank`], then by id:
+    /// an uptime of zero makes a dependent due in the same instant as its
+    /// dependency, and the dependency still goes first.
+    fn sort_submissions(&self, submissions: &mut [(SimTime, String)]) {
+        submissions.sort_by_cached_key(|(t, c)| (*t, self.rank(c), c.clone()));
+    }
+
+    /// Topological rank: 0 for a config that depends on nothing, else one
+    /// more than its highest-ranked dependency.
+    fn rank(&self, id: &str) -> usize {
+        self.dependencies_of(id)
+            .into_iter()
+            .map(|(d, _)| 1 + self.rank(d))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Pops the next submission whose due time has arrived. One at a time,
@@ -579,6 +597,22 @@ mod tests {
         assert_eq!(due["a"], at(100));
         assert_eq!(due["b"], at(105));
         assert_eq!(due["c"], at(115));
+    }
+
+    #[test]
+    fn same_instant_submissions_follow_dependencies_not_names() {
+        let mut m = DependencyManager::new();
+        for id in ["a", "m", "z"] {
+            m.register_config(AppConfig::new(id, id)).unwrap();
+        }
+        // a → m → z, every uptime zero: all three come due at once, and
+        // the names sort the other way round.
+        m.register_dependency("a", "m", secs(0)).unwrap();
+        m.register_dependency("m", "z", secs(0)).unwrap();
+        let plan = m.request_start("a", at(0)).unwrap();
+        let names: Vec<&str> = plan.iter().map(|(_, c)| c.as_str()).collect();
+        assert_eq!(names, vec!["z", "m", "a"]);
+        assert_eq!(m.due_submissions(at(0)), vec!["z", "m", "a"]);
     }
 
     #[test]

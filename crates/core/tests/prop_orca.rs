@@ -6,7 +6,8 @@
 //!    requirement; cycles are always rejected; GC never collects an
 //!    application that still feeds a running one; a cancellation plan is the
 //!    one the reference fixpoint (the sweep as it was before the upstream
-//!    closure was computed once) arrives at.
+//!    closure was computed once) arrives at; every submission follows its
+//!    dependencies, same-instant ones included.
 
 use orca::sqlbase::Tables;
 use orca::{AppConfig, DependencyManager, OperatorMetricScope};
@@ -163,10 +164,15 @@ fn arb_dag() -> impl Strategy<Value = DagSpec> {
 }
 
 fn build_manager(spec: &DagSpec) -> DependencyManager {
+    build_named(spec, &|i| format!("c{i}"))
+}
+
+/// The manager of `spec` with config `i` registered as `name(i)`.
+fn build_named(spec: &DagSpec, name: &dyn Fn(usize) -> String) -> DependencyManager {
     let mut m = DependencyManager::new();
     for i in 0..spec.n {
-        let mut cfg = AppConfig::new(&format!("c{i}"), &format!("App{i}"))
-            .gc_timeout(SimDuration::from_secs(1));
+        let mut cfg =
+            AppConfig::new(&name(i), &format!("App{i}")).gc_timeout(SimDuration::from_secs(1));
         if !spec.gc[i] {
             cfg = cfg.not_garbage_collectable();
         }
@@ -174,12 +180,8 @@ fn build_manager(spec: &DagSpec) -> DependencyManager {
     }
     for (a, b, up) in &spec.edges {
         // Duplicate edges are fine; cycles impossible by construction.
-        m.register_dependency(
-            &format!("c{a}"),
-            &format!("c{b}"),
-            SimDuration::from_secs(*up),
-        )
-        .unwrap();
+        m.register_dependency(&name(*a), &name(*b), SimDuration::from_secs(*up))
+            .unwrap();
     }
     m
 }
@@ -362,6 +364,46 @@ proptest! {
             let plan = m.request_cancel(&format!("c{s}"), now).unwrap();
             prop_assert_eq!(plan.immediate, format!("c{s}"));
             prop_assert_eq!(plan.queued, expected);
+        }
+    }
+
+    /// Every submission follows its dependencies (§4.4), also when both
+    /// come due in the same instant. `arb_dag` numbers a dependency below
+    /// its dependents, so its names sort in dependency order; here configs
+    /// are renamed through a drawn permutation, and uptimes are 0 or 1 s,
+    /// so half the edges tie.
+    #[test]
+    fn every_submission_follows_its_dependencies(
+        spec in arb_dag(),
+        keys in prop::collection::vec(any::<u32>(), 10),
+    ) {
+        let mut spec = spec;
+        for edge in &mut spec.edges {
+            edge.2 /= 25;
+        }
+        let mut order: Vec<usize> = (0..spec.n).collect();
+        order.sort_by_key(|&i| (keys[i], i));
+        let name = |i: usize| format!("c{}", order.iter().position(|&o| o == i).unwrap());
+        let mut m = build_named(&spec, &name);
+        for sink in (0..spec.n).filter(|i| !spec.edges.iter().any(|(_, b, _)| b == i)) {
+            m.request_start(&name(sink), SimTime::ZERO).unwrap();
+        }
+        let mut submitted: Vec<String> = Vec::new();
+        for t in 0..=20u64 {
+            for c in m.due_submissions(SimTime::from_secs(t)) {
+                m.mark_submitted(&c, JobId(submitted.len() as u64 + 1), SimTime::from_secs(t));
+                submitted.push(c);
+            }
+        }
+        prop_assert_eq!(submitted.len(), spec.n);
+        let at = |i: usize| submitted.iter().position(|c| *c == name(i)).unwrap();
+        for &(dependent, dependency, _) in &spec.edges {
+            prop_assert!(
+                at(dependency) < at(dependent),
+                "{} submitted before its dependency {}: {submitted:?}",
+                name(dependent),
+                name(dependency)
+            );
         }
     }
 }
