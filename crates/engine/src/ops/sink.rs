@@ -100,7 +100,8 @@ impl Sink {
         let records = &memo.blob.bytes()[HEADER_LEN..];
         let mut at = 0;
         for _ in 0..memo.records - kept {
-            let len = u32::from_le_bytes(records[at..at + 4].try_into().unwrap());
+            let prefix = records[at..at + 4].try_into().expect("a 4-byte length prefix");
+            let len = u32::from_le_bytes(prefix);
             at += 4 + len as usize;
         }
         let mut w = self.header();
