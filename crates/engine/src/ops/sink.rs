@@ -100,7 +100,9 @@ impl Sink {
         let records = &memo.blob.bytes()[HEADER_LEN..];
         let mut at = 0;
         for _ in 0..memo.records - kept {
-            let prefix = records[at..at + 4].try_into().expect("a 4-byte length prefix");
+            let prefix = records[at..at + 4]
+                .try_into()
+                .expect("a 4-byte length prefix");
             let len = u32::from_le_bytes(prefix);
             at += 4 + len as usize;
         }
