@@ -189,8 +189,6 @@ pub struct PeRuntime {
     bytes_processed: MetricId,
     rng: SimRng,
     crashed: Option<String>,
-    /// Reusable list of local deliveries gathered by `route`.
-    local_scratch: Vec<(usize, usize, StreamItem)>,
 }
 
 /// One scheduling decision from the drain loop: a run of consecutive tuples
@@ -213,6 +211,24 @@ fn frame_of(mut run: impl ExactSizeIterator<Item = StreamItem>) -> Frame {
         })
         .collect();
     Frame::Batch(tuples.into())
+}
+
+/// Sends a run to every remote destination of its port, one frame each; the
+/// last destination gets the frame built from `run`, the others copies.
+fn send_remote(
+    dests: &[RemoteDest],
+    run: impl ExactSizeIterator<Item = StreamItem>,
+    out: &mut PeOutput,
+) {
+    if let Some((last_dest, other_dests)) = dests.split_last() {
+        let frame = frame_of(run);
+        for dest in other_dests {
+            let (dest, frame) = (dest.clone(), frame.clone());
+            out.remote.push(RemoteDelivery { dest, frame });
+        }
+        let dest = last_dest.clone();
+        out.remote.push(RemoteDelivery { dest, frame });
+    }
 }
 
 /// Whether batched delivery is on. `SPS_BATCH=off|0|false` forces the
@@ -302,7 +318,6 @@ impl PeRuntime {
             bytes_processed,
             rng,
             crashed: None,
-            local_scratch: Vec::new(),
         })
     }
 
@@ -634,98 +649,105 @@ impl PeRuntime {
     }
 
     /// Routes items emitted by `slot_idx` to local queues, the remote
-    /// outbox, and the export outbox. A run of consecutive tuples on one
-    /// output port leaves as a single batch frame per remote channel; local
-    /// queues and the (cross-job) export path stay per-item, preserving
-    /// emission order exactly. Each item is moved into its last consumer —
-    /// the last remote destination when nothing in this PE and no export
-    /// takes it too; the others get (pointer) copies.
+    /// outbox, and the export outbox, in emission order. A run of
+    /// consecutive tuples on one output port leaves as a single batch frame
+    /// per remote channel, and is extended onto a local queue whole when
+    /// that queue is the port's only local destination and the port is not
+    /// exported. A run bound for several local queues goes item by item,
+    /// because two of those queues may be one ([`Self::deliver_local`]).
+    /// Each item is moved into its last consumer — the last remote
+    /// destination when nothing in this PE and no export takes it too; the
+    /// others get (pointer) copies.
     fn route(&mut self, slot_idx: usize, emitted: Vec<(usize, StreamItem)>, out: &mut PeOutput) {
-        if emitted.is_empty() {
-            return;
-        }
-        // Gather local destinations first (immutable pass over the route
-        // tables), then apply (mutable pass) to keep the borrow checker
-        // happy with self-loops.
-        let mut local = std::mem::take(&mut self.local_scratch);
-        let slot = &self.slots[slot_idx];
+        // Lent out for the call, so a run can go straight into any queue of
+        // this PE, the emitter's own included.
+        let local_routes = std::mem::take(&mut self.slots[slot_idx].local_routes);
         let mut items = emitted.into_iter();
-        while let Some((port, first)) = items.as_slice().first() {
-            let port = *port;
+        while let Some(&(port, ref first)) = items.as_slice().first() {
+            let tuples = matches!(first, StreamItem::Tuple(_));
             // Extend the run while consecutive emissions are tuples on
             // the same port; puncts and port switches end it.
             let mut len = 1;
-            if matches!(first, StreamItem::Tuple(_)) && batching_enabled() {
+            if tuples && batching_enabled() {
                 len += items.as_slice()[1..]
                     .iter()
                     .take_while(|(p, it)| *p == port && matches!(it, StreamItem::Tuple(_)))
                     .count();
             }
-            if let StreamItem::Tuple(_) = first {
-                self.metrics.add_by(slot.metrics.submitted, len as i64);
-                match slot.metrics.out_ports.get(port) {
-                    Some(&submitted) => self.metrics.add_by(submitted, len as i64),
-                    // A submission on a port the operator does not have is
-                    // counted, then dropped below.
-                    None => self.metrics.add(
-                        MetricKey::OperatorPort(
-                            slot.name.to_string(),
-                            port,
-                            builtin::N_TUPLES_SUBMITTED.into(),
-                        ),
-                        len as i64,
-                    ),
-                }
+            if tuples {
+                self.count_submitted(slot_idx, port, len);
             }
-            let exported = slot.exported_ports.get(port).copied().unwrap_or(false);
-            let local_routes = slot.local_routes.get(port).map_or(&[][..], Vec::as_slice);
-            let remote_routes = slot.remote_routes.get(port).map_or(&[][..], Vec::as_slice);
-            let stays = exported || !local_routes.is_empty();
-            if let Some((last_dest, other_dests)) = remote_routes.split_last() {
-                let frame = if stays {
-                    frame_of(items.as_slice()[..len].iter().map(|(_, item)| item.clone()))
-                } else {
-                    frame_of(items.by_ref().take(len).map(|(_, item)| item))
-                };
-                for dest in other_dests {
-                    out.remote.push(RemoteDelivery {
-                        dest: dest.clone(),
-                        frame: frame.clone(),
-                    });
-                }
-                out.remote.push(RemoteDelivery {
-                    dest: last_dest.clone(),
-                    frame,
-                });
-                if !stays {
-                    continue;
-                }
+            let slot = &self.slots[slot_idx];
+            let exported = slot.exported_ports.get(port) == Some(&true);
+            let exporter = exported.then(|| Arc::clone(&slot.name));
+            let local = local_routes.get(port).map_or(&[][..], Vec::as_slice);
+            let remote = slot.remote_routes.get(port).map_or(&[][..], Vec::as_slice);
+            // Bound for other PEs only: the last frame takes the items.
+            if !exported && local.is_empty() && !remote.is_empty() {
+                send_remote(remote, items.by_ref().take(len).map(|(_, item)| item), out);
+                continue;
             }
-            let export = |item| ExportedItem {
-                op: Arc::clone(&slot.name),
-                port,
-                item,
-            };
-            for (_, item) in items.by_ref().take(len) {
-                match local_routes.split_last() {
-                    Some((&(last_slot, last_port), others)) => {
-                        if exported {
-                            out.exported.push(export(item.clone()));
-                        }
-                        for &(to_slot, to_port) in others {
-                            local.push((to_slot, to_port, item.clone()));
-                        }
-                        local.push((last_slot, last_port, item));
+            let copies = items.as_slice()[..len].iter().map(|(_, item)| item.clone());
+            send_remote(remote, copies, out);
+            let run = items.by_ref().take(len).map(|(_, item)| item);
+            self.deliver_local(local, port, exporter, run, out);
+        }
+        self.slots[slot_idx].local_routes = local_routes;
+    }
+
+    /// Counts a run of `len` tuples submitted on `port`. A submission on a
+    /// port the operator does not have is counted, then dropped by `route`.
+    fn count_submitted(&mut self, slot_idx: usize, port: usize, len: usize) {
+        let slot = &self.slots[slot_idx];
+        self.metrics.add_by(slot.metrics.submitted, len as i64);
+        match slot.metrics.out_ports.get(port) {
+            Some(&submitted) => self.metrics.add_by(submitted, len as i64),
+            None => self.metrics.add(
+                MetricKey::OperatorPort(
+                    slot.name.to_string(),
+                    port,
+                    builtin::N_TUPLES_SUBMITTED.into(),
+                ),
+                len as i64,
+            ),
+        }
+    }
+
+    /// Hands a run to this PE's queues `dests` and, when `exporter` names
+    /// the emitting operator, to the export outbox. A run with one local
+    /// destination and no export is extended onto that queue whole, as
+    /// `receive` extends a queue from a batch. Otherwise each item reaches
+    /// every destination before the next item does: the ADL allows two
+    /// identical streams, so two destinations may be one queue, and one
+    /// `extend` per destination would turn its `a a b b` into `a b a b`.
+    fn deliver_local(
+        &mut self,
+        dests: &[(usize, usize)],
+        port: usize,
+        exporter: Option<Arc<str>>,
+        run: impl Iterator<Item = StreamItem>,
+        out: &mut PeOutput,
+    ) {
+        if let (&[(to_slot, to_port)], None) = (dests, &exporter) {
+            self.slots[to_slot].queues[to_port].extend(run);
+            return;
+        }
+        let export = |op, item| ExportedItem { op, port, item };
+        for item in run {
+            match (dests.split_last(), &exporter) {
+                (Some((&(last_slot, last_port), others)), exporter) => {
+                    if let Some(op) = exporter {
+                        out.exported.push(export(Arc::clone(op), item.clone()));
                     }
-                    None if exported => out.exported.push(export(item)),
-                    None => {}
+                    for &(to_slot, to_port) in others {
+                        self.slots[to_slot].queues[to_port].push_back(item.clone());
+                    }
+                    self.slots[last_slot].queues[last_port].push_back(item);
                 }
+                (None, Some(op)) => out.exported.push(export(Arc::clone(op), item)),
+                (None, None) => {}
             }
         }
-        for (to_slot, to_port, item) in local.drain(..) {
-            self.slots[to_slot].queues[to_port].push_back(item);
-        }
-        self.local_scratch = local;
     }
 
     // ---- checkpoint / restore ----------------------------------------------

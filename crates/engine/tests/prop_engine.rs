@@ -4,20 +4,24 @@
 //! copy-on-write tuples against an owned-list model, expression-parser
 //! robustness, the bound expression evaluator against `Expr::eval` (over
 //! generated ASTs, and through `Filter`/`Functor`/`Split` in a PE against
-//! naive reference operators), and window invariants.
+//! naive reference operators), a PE's routing of emitted items against a
+//! per-item reference over generated route tables, a fused chain against
+//! the same chain one PE per operator, and window invariants.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use sps_engine::codec::{
-    decode, decode_batch, decode_frame, encode, Frame, PortDecoder, TupleCodec,
+    decode, decode_batch, decode_frame, encode, encode_queue, Frame, PortDecoder, TupleCodec,
 };
 use sps_engine::expr::{BinaryOp, BoundExpr, Expr, Scalar, UnaryOp};
+use sps_engine::metrics::builtin::N_TUPLES_SUBMITTED;
 use sps_engine::window::{SlidingTimeWindow, TumblingCountWindow};
 use sps_engine::{
-    EngineError, OpCtx, Operator, OperatorRegistry, PeCheckpoint, PeRuntime, Punct, Schema,
-    StateBlob, StateWriter, StreamItem, Tuple,
+    EngineError, MetricKey, OpCtx, Operator, OperatorRegistry, PeCheckpoint, PeRuntime, Punct,
+    Schema, StateBlob, StateWriter, StreamItem, Tuple,
 };
-use sps_model::adl::{Adl, AdlOperator, AdlPe, AdlStream};
+use sps_model::adl::{Adl, AdlExport, AdlOperator, AdlPe, AdlStream};
+use sps_model::logical::ExportSpec;
 use sps_model::value::ParamMap;
 use sps_model::Value;
 use sps_sim::{SimDuration, SimRng, SimTime};
@@ -640,13 +644,16 @@ fn naive_registry() -> OperatorRegistry {
     registry
 }
 
-/// PE 0 holds `op` (the operator under test) and one sink per output port;
-/// each port also feeds a sink in PE 1, which is never built: what `op`
-/// emits ahead of a fault dies in the local sinks' queues with the PE, but
-/// has left for PE 1 already, as frames.
-fn differential_adl(kind: &str, params: ParamMap, outputs: usize) -> Adl {
-    let operator = |name: String, kind: &str, pe, inputs, outputs, params| AdlOperator {
-        name,
+fn adl_operator(
+    name: &str,
+    kind: &str,
+    pe: usize,
+    inputs: usize,
+    outputs: usize,
+    params: ParamMap,
+) -> AdlOperator {
+    AdlOperator {
+        name: name.into(),
         kind: kind.into(),
         composite_path: vec![],
         params,
@@ -656,24 +663,24 @@ fn differential_adl(kind: &str, params: ParamMap, outputs: usize) -> Adl {
         pe,
         restartable: true,
         checkpointable: true,
-    };
-    let keep: ParamMap = [("keep".to_string(), Value::Int(1024))].into();
-    let mut operators = vec![operator("op".into(), kind, 0, 1, outputs, params)];
-    let mut streams = Vec::new();
-    for port in 0..outputs {
-        for (pe, sink) in [(0, format!("snk{port}")), (1, format!("far{port}"))] {
-            streams.push(AdlStream {
-                from_op: "op".into(),
-                from_port: port,
-                to_op: sink.clone(),
-                to_port: 0,
-            });
-            operators.push(operator(sink, "Sink", pe, 1, 0, keep.clone()));
-        }
     }
+}
+
+fn adl_stream(from_op: &str, from_port: usize, to_op: &str, to_port: usize) -> AdlStream {
+    AdlStream {
+        from_op: from_op.into(),
+        from_port,
+        to_op: to_op.into(),
+        to_port,
+    }
+}
+
+/// An application whose PEs are the ones its operators name.
+fn adl_of(app_name: &str, operators: Vec<AdlOperator>, streams: Vec<AdlStream>) -> Adl {
+    let pes = operators.iter().map(|o| o.pe + 1).max().unwrap_or(0);
     Adl {
-        app_name: "Differential".into(),
-        pes: (0..2)
+        app_name: app_name.into(),
+        pes: (0..pes)
             .map(|pe| AdlPe {
                 index: pe,
                 operators: operators
@@ -691,6 +698,23 @@ fn differential_adl(kind: &str, params: ParamMap, outputs: usize) -> Adl {
         exports: vec![],
         host_pools: vec![],
     }
+}
+
+/// PE 0 holds `op` (the operator under test) and one sink per output port;
+/// each port also feeds a sink in PE 1, which is never built: what `op`
+/// emits ahead of a fault dies in the local sinks' queues with the PE, but
+/// has left for PE 1 already, as frames.
+fn differential_adl(kind: &str, params: ParamMap, outputs: usize) -> Adl {
+    let keep: ParamMap = [("keep".to_string(), Value::Int(1024))].into();
+    let mut operators = vec![adl_operator("op", kind, 0, 1, outputs, params)];
+    let mut streams = Vec::new();
+    for port in 0..outputs {
+        for (pe, sink) in [(0, format!("snk{port}")), (1, format!("far{port}"))] {
+            streams.push(adl_stream("op", port, &sink, 0));
+            operators.push(adl_operator(&sink, "Sink", pe, 1, 0, keep.clone()));
+        }
+    }
+    adl_of("Differential", operators, streams)
 }
 
 /// What one quantum of the PE under test shows from outside.
@@ -899,12 +923,18 @@ fn operator_differential_on_pinned_cases() {
 }
 
 /// `SPS_BATCH` is read once per process, so the per-tuple dispatch gets a
-/// process of its own: this test binary again, the two differentials and
-/// the frame round-trip only.
+/// process of its own: this test binary again, the two differentials, the
+/// frame round-trip, `route` against its reference and fused against
+/// unfused only.
 #[test]
 fn operator_differentials_hold_with_batching_off() {
     let out = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["operator_differential_", "remote_frames_"])
+        .args([
+            "operator_differential_",
+            "remote_frames_",
+            "route_matches_",
+            "fused_pipeline_",
+        ])
         .env("SPS_BATCH", "off")
         .output()
         .unwrap();
@@ -1105,6 +1135,272 @@ fn fresh_wire_names_leave_no_schema_behind() {
         .unwrap()
         .iter()
         .all(|schema| schema.upgrade().is_none()));
+}
+
+// ---------------------------------------------------------------------------
+// `route` against a per-item reference, and fused against unfused
+// ---------------------------------------------------------------------------
+
+/// Whether this process runs the batched data path (`SPS_BATCH` as the
+/// engine reads it).
+fn batching_on() -> bool {
+    !matches!(
+        std::env::var("SPS_BATCH").as_deref(),
+        Ok("off") | Ok("0") | Ok("false")
+    )
+}
+
+/// Submits, on its `n`th tick, the `n`th part of the script it was built
+/// with, and nothing once the script is out.
+struct Scripted {
+    parts: Vec<Vec<(usize, StreamItem)>>,
+    ticks: usize,
+}
+
+impl Operator for Scripted {
+    fn on_tuple(&mut self, _port: usize, _tuple: Tuple, _ctx: &mut OpCtx) {}
+
+    fn on_tick(&mut self, ctx: &mut OpCtx) {
+        for (port, item) in self.parts.get(self.ticks).into_iter().flatten() {
+            match item {
+                StreamItem::Tuple(t) => ctx.submit(*port, t.clone()),
+                StreamItem::Punct(p) => ctx.submit_punct(*port, *p),
+            }
+        }
+        self.ticks += 1;
+    }
+}
+
+/// Input ports a route may name in the emitter's own PE: `src`'s own (a
+/// self-loop) and those of two downstream slots. Slot `i / 2`, port `i % 2`.
+const LOCAL_DESTS: [(&str, usize); 6] = [
+    ("src", 0),
+    ("src", 1),
+    ("d0", 0),
+    ("d0", 1),
+    ("d1", 0),
+    ("d1", 1),
+];
+
+/// Input ports in another PE, which is never built.
+const REMOTE_DESTS: [(&str, usize); 4] = [("r0", 0), ("r0", 1), ("r1", 0), ("r1", 1)];
+
+/// Where one output port of `src` goes: streams to `LOCAL_DESTS` and to
+/// `REMOTE_DESTS` (by index, in ADL order), and whether it is exported.
+#[derive(Clone, Debug)]
+struct PortRoutes {
+    local: Vec<usize>,
+    remote: Vec<usize>,
+    exported: bool,
+}
+
+/// 0–3 local destinations — often two identical streams, which the ADL
+/// allows — 0–2 remote ones, and an export flag.
+fn arb_port_routes() -> impl Strategy<Value = PortRoutes> {
+    let local = (
+        prop::collection::vec(0..LOCAL_DESTS.len(), 0..3),
+        prop::option::of(0..3usize),
+    )
+        .prop_map(|(mut local, repeat)| {
+            if let (Some(i), false) = (repeat, local.is_empty()) {
+                local.push(local[i % local.len()]);
+            }
+            local
+        });
+    let remote = prop::collection::vec(0..REMOTE_DESTS.len(), 0..3);
+    (local, remote, any::<bool>()).prop_map(|(local, remote, exported)| PortRoutes {
+        local,
+        remote,
+        exported,
+    })
+}
+
+/// One tick's emissions: stretches on one port each, of tuples of mixed
+/// shapes and both kinds of punctuation.
+fn arb_emissions(outputs: usize) -> impl Strategy<Value = Vec<(usize, StreamItem)>> {
+    let item = prop_oneof![
+        6 => arb_wire_attrs().prop_map(|attrs| StreamItem::Tuple(tuple_of(&attrs))),
+        1 => Just(StreamItem::Punct(Punct::Final)),
+        1 => Just(StreamItem::Punct(Punct::Window)),
+    ];
+    let stretch = (0..outputs, prop::collection::vec(item, 1..5));
+    prop::collection::vec(stretch, 0..6).prop_map(|stretches| {
+        stretches
+            .into_iter()
+            .flat_map(|(port, items)| items.into_iter().map(move |item| (port, item)))
+            .collect()
+    })
+}
+
+/// `src` (scripted, two input ports, one output port per route table) with
+/// `d0`, `d1` in PE 0 and `r0`, `r1` in PE 1.
+fn route_adl(routes: &[PortRoutes]) -> Adl {
+    let none = ParamMap::new;
+    let mut operators = vec![adl_operator("src", "Scripted", 0, 2, routes.len(), none())];
+    for (name, pe) in [("d0", 0), ("d1", 0), ("r0", 1), ("r1", 1)] {
+        operators.push(adl_operator(name, "Sink", pe, 2, 0, none()));
+    }
+    let mut streams = Vec::new();
+    for (port, table) in routes.iter().enumerate() {
+        let dests = table.local.iter().map(|&i| LOCAL_DESTS[i]);
+        let dests = dests.chain(table.remote.iter().map(|&i| REMOTE_DESTS[i]));
+        streams.extend(dests.map(|(op, to_port)| adl_stream("src", port, op, to_port)));
+    }
+    let mut adl = adl_of("Route", operators, streams);
+    for (port, table) in routes.iter().enumerate() {
+        if table.exported {
+            let spec = ExportSpec::by_id("scripted");
+            adl.exports.push(AdlExport {
+                op: "src".into(),
+                port,
+                spec,
+            });
+        }
+    }
+    adl
+}
+
+/// What `route` must make of `src`'s emissions, worked out one item at a
+/// time: every item goes to each local destination of its port in table
+/// order, and to the export outbox if the port is exported.
+struct RouteModel {
+    /// Per slot of PE 0 (`src`, `d0`, `d1`), per input port.
+    queues: [[Vec<StreamItem>; 2]; 3],
+    /// Tuples submitted per output port so far.
+    submitted: Vec<i64>,
+}
+
+/// The remote and export outboxes of one quantum: destination operator,
+/// port and frame in wire bytes; exporting port and item in wire bytes.
+type Outboxes = (Vec<(String, usize, Bytes)>, Vec<(usize, Bytes)>);
+
+impl RouteModel {
+    fn route(&mut self, routes: &[PortRoutes], emitted: &[(usize, StreamItem)]) -> Outboxes {
+        let mut exported = Vec::new();
+        for (port, item) in emitted {
+            let table = &routes[*port];
+            for &i in &table.local {
+                self.queues[i / 2][i % 2].push(item.clone());
+            }
+            if table.exported {
+                exported.push((*port, encode(item)));
+            }
+            if let StreamItem::Tuple(_) = item {
+                self.submitted[*port] += 1;
+            }
+        }
+        // A remote channel carries one frame per run: consecutive tuples on
+        // one port (one tuple with batching off), or one punctuation.
+        let mut remote = Vec::new();
+        let mut rest = emitted;
+        let tuple = |item: &StreamItem| match item {
+            StreamItem::Tuple(t) => Some(t.clone()),
+            StreamItem::Punct(_) => None,
+        };
+        while let Some((port, first)) = rest.first() {
+            let mut len = 1;
+            if tuple(first).is_some() && batching_on() {
+                let more = rest[1..]
+                    .iter()
+                    .take_while(|(p, it)| p == port && tuple(it).is_some());
+                len += more.count();
+            }
+            let (run, tail) = rest.split_at(len);
+            let frame = match run {
+                [(_, item)] => encode(item),
+                _ => {
+                    let tuples: Vec<Tuple> = run.iter().filter_map(|(_, it)| tuple(it)).collect();
+                    TupleCodec::new().encode_batch(&tuples)
+                }
+            };
+            for &i in &routes[*port].remote {
+                let (op, to_port) = REMOTE_DESTS[i];
+                remote.push((op.to_string(), to_port, frame.clone()));
+            }
+            rest = tail;
+        }
+        (remote, exported)
+    }
+}
+
+/// `(n > 0).then_some(n)`: a metric exists from its first update.
+fn counted(n: i64) -> Option<i64> {
+    (n > 0).then_some(n)
+}
+
+/// `Beacon → 8 × Functor(v = seq * 2) → Sink`, in one PE or in ten.
+fn functor_chain_adl(fused: bool) -> Adl {
+    let pe = |i: usize| if fused { 0 } else { i };
+    let rate = [("rate".to_string(), Value::Float(500.0))].into();
+    let keep = [("keep".to_string(), Value::Int(4096))].into();
+    let mut operators = vec![adl_operator("src", "Beacon", 0, 0, 1, rate)];
+    for i in 1..=8 {
+        let (name, params) = (format!("f{i}"), str_params(&[("set:v", "seq * 2")]));
+        operators.push(adl_operator(&name, "Functor", pe(i), 1, 1, params));
+    }
+    operators.push(adl_operator("snk", "Sink", pe(9), 1, 0, keep));
+    let streams: Vec<AdlStream> = operators
+        .windows(2)
+        .map(|w| adl_stream(&w[0].name, 0, &w[1].name, 0))
+        .collect();
+    adl_of("Chain", operators, streams)
+}
+
+/// The only guard on the fused path's order used to be `datapath`'s
+/// `v == seq * 2` check and its sink count. Here a fused chain's sink holds,
+/// tuple for tuple, what the same chain's sink holds with every operator in
+/// a PE of its own — hand-stepped, one quantum per hop — once the unfused
+/// chain has caught up its nine hops.
+#[test]
+fn fused_pipeline_delivers_what_an_unfused_one_delivers() {
+    const QUANTA: usize = 12;
+    const HOPS: usize = 9;
+    let registry = OperatorRegistry::with_builtins();
+    let build = |adl: &Adl| -> Vec<PeRuntime> {
+        let pes = 0..adl.pes.len();
+        pes.map(|pe| PeRuntime::build(adl, pe, &registry, SimRng::new(1)).unwrap())
+            .collect()
+    };
+    let tap = |pe: &PeRuntime| -> Vec<String> {
+        let tap = pe.tap("snk").unwrap();
+        tap.iter().map(|t| format!("{t:?}")).collect()
+    };
+    let (mut fused, mut unfused) = (
+        build(&functor_chain_adl(true)),
+        build(&functor_chain_adl(false)),
+    );
+    assert_eq!((fused.len(), unfused.len()), (1, 10));
+    let mut fused_taps = Vec::new();
+    for q in 0..QUANTA + HOPS {
+        let now = SimTime::from_millis(100 * q as u64);
+        if q < QUANTA {
+            let out = fused[0].step(now, QUANTUM, 1_000_000);
+            assert!(out.crashed.is_none() && out.remote.is_empty());
+            fused_taps.push(tap(&fused[0]));
+        }
+        // What a PE sends in one quantum is received before the next.
+        let mut sent = Vec::new();
+        for pe in &mut unfused {
+            let out = pe.step(now, QUANTUM, 1_000_000);
+            assert!(out.crashed.is_none());
+            sent.extend(out.remote);
+        }
+        for delivery in sent {
+            let to = delivery.dest.pe;
+            unfused[to].receive(delivery).unwrap();
+        }
+        if q >= HOPS {
+            assert_eq!(tap(&unfused[9]), fused_taps[q - HOPS], "quantum {q}");
+        }
+    }
+    // Not vacuous: every tuple the beacon emitted went through all eight
+    // functors, in order.
+    let sunk = fused[0].tap("snk").unwrap();
+    assert_eq!(sunk.len(), 50 * QUANTA);
+    for (seq, t) in sunk.iter().enumerate() {
+        assert_eq!(t.get_int("seq"), Some(seq as i64));
+        assert_eq!(t.get_int("v"), Some(2 * seq as i64));
+    }
 }
 
 proptest! {
@@ -1339,6 +1635,60 @@ proptest! {
                 prop_assert_eq!(back.approx_bytes(), frame.approx_bytes());
                 prop_assert_eq!(back.items(), delivery.items());
                 prop_assert_eq!(wire_bytes(&back), bytes);
+            }
+        }
+    }
+
+    /// `route` hands a run to a lone local queue whole and to anything else
+    /// item by item; from outside, both must be the per-item reference.
+    /// Generated route tables (duplicate streams, self-loops, remote
+    /// destinations and exports on one port) and emissions (runs, port
+    /// switches, punctuation); budget 0, so nothing downstream drains and
+    /// every queue shows what `route` put there. Two quanta, so a route
+    /// table the first call failed to give back shows in the second.
+    #[test]
+    fn route_matches_a_per_item_reference(
+        (routes, parts) in (1..4usize).prop_flat_map(|outputs| (
+            prop::collection::vec(arb_port_routes(), outputs),
+            prop::collection::vec(arb_emissions(outputs), 2),
+        )),
+    ) {
+        let mut registry = OperatorRegistry::with_builtins();
+        let script = parts.clone();
+        registry.register("Scripted", move |_| {
+            Ok(Box::new(Scripted { parts: script.clone(), ticks: 0 }))
+        });
+        let mut pe = PeRuntime::build(&route_adl(&routes), 0, &registry, SimRng::new(1)).unwrap();
+        let mut model = RouteModel {
+            queues: Default::default(),
+            submitted: vec![0; routes.len()],
+        };
+        for (i, emitted) in parts.iter().enumerate() {
+            let now = SimTime::from_millis(100 * i as u64);
+            let out = pe.step(now, QUANTUM, 0);
+            let (remote, exported) = model.route(&routes, emitted);
+            let queues = pe.checkpoint(now).queues;
+            for (slot, ports) in model.queues.iter().enumerate() {
+                for (port, items) in ports.iter().enumerate() {
+                    prop_assert_eq!(&queues[slot][port], &encode_queue(items), "{} {}", slot, port);
+                }
+            }
+            let sent: Vec<_> = out
+                .remote
+                .iter()
+                .map(|d| (d.dest.op.to_string(), d.dest.port, wire_bytes(&d.frame)))
+                .collect();
+            prop_assert_eq!(sent, remote);
+            prop_assert!(out.remote.iter().all(|d| d.dest.pe == 1));
+            prop_assert!(out.exported.iter().all(|e| &*e.op == "src"));
+            let exports: Vec<_> = out.exported.iter().map(|e| (e.port, encode(&e.item))).collect();
+            prop_assert_eq!(exports, exported);
+            let metrics = pe.metrics();
+            let total = model.submitted.iter().sum();
+            prop_assert_eq!(metrics.op_get("src", N_TUPLES_SUBMITTED), counted(total));
+            for (port, &n) in model.submitted.iter().enumerate() {
+                let key = MetricKey::OperatorPort("src".into(), port, N_TUPLES_SUBMITTED.into());
+                prop_assert_eq!(metrics.get(&key), counted(n), "port {}", port);
             }
         }
     }

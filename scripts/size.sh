@@ -37,9 +37,9 @@ fns=$(for f in $files; do
 done | sort -rn)
 
 echo "longest functions:"
-echo "$fns" | head
+head <<< "$fns"
 
-longest=$(echo "$fns" | head -1 | cut -d' ' -f1)
+longest=$(head -1 <<< "$fns" | cut -d' ' -f1)
 if [ "$max" -gt 0 ] && [ "${longest:-0}" -gt "$max" ]; then
   echo "a non-test function under $dir is $longest lines, over the bound of $max" >&2
   exit 1
