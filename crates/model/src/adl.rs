@@ -1,15 +1,15 @@
 //! The ADL: the flat application description produced by compilation.
 //!
-//! Mirrors the paper's XML ADL (§2.1): operator instances with their
+//! Mirrors the paper's ADL (§2.1): operator instances with their
 //! composite-containment relationship, PE partitioning, host placement
-//! constraints, stream edges, and import/export specs. The runtime (SAM)
-//! instantiates applications from it, and the ORCA service builds its
-//! in-memory stream-graph representation from it (§3).
+//! constraints, stream edges, and import/export specs. The ADL is the value
+//! [`compile`](crate::compile) returns: the runtime (SAM) instantiates
+//! applications from it, and the ORCA service builds its in-memory
+//! stream-graph representation from it (§3).
 
 use crate::error::ModelError;
 use crate::logical::{ExportSpec, HostPool, ImportSpec};
-use crate::value::{ParamMap, Value};
-use crate::xml::{self, XmlNode};
+use crate::value::ParamMap;
 use serde::{Deserialize, Serialize};
 
 /// One flattened operator instance.
@@ -128,285 +128,8 @@ impl Adl {
         }
     }
 
-    /// Serializes to the XML ADL document.
-    pub fn to_xml(&self) -> XmlNode {
-        let mut root = XmlNode::new("adl").attr("application", self.app_name.clone());
-
-        let mut ops = XmlNode::new("operators");
-        for op in &self.operators {
-            let mut node = XmlNode::new("operator")
-                .attr("name", op.name.clone())
-                .attr("kind", op.kind.clone())
-                .attr("inputs", op.inputs.to_string())
-                .attr("outputs", op.outputs.to_string())
-                .attr("pe", op.pe.to_string())
-                .attr("restartable", op.restartable.to_string())
-                .attr("checkpointable", op.checkpointable.to_string());
-            for (inst, ty) in &op.composite_path {
-                node = node.child(
-                    XmlNode::new("composite")
-                        .attr("instance", inst.clone())
-                        .attr("type", ty.clone()),
-                );
-            }
-            for (k, v) in &op.params {
-                node = node.child(
-                    XmlNode::new("param")
-                        .attr("name", k.clone())
-                        .attr("value", v.render()),
-                );
-            }
-            for m in &op.custom_metrics {
-                node = node.child(XmlNode::new("metric").attr("name", m.clone()));
-            }
-            ops = ops.child(node);
-        }
-        root = root.child(ops);
-
-        let mut pes = XmlNode::new("pes");
-        for pe in &self.pes {
-            let mut node = XmlNode::new("pe").attr("index", pe.index.to_string());
-            if let Some(p) = &pe.host_pool {
-                node = node.attr("hostPool", p.clone());
-            }
-            if let Some(x) = &pe.host_exlocate {
-                node = node.attr("hostExlocate", x.clone());
-            }
-            for op in &pe.operators {
-                node = node.child(XmlNode::new("operator").attr("name", op.clone()));
-            }
-            pes = pes.child(node);
-        }
-        root = root.child(pes);
-
-        let mut streams = XmlNode::new("streams");
-        for s in &self.streams {
-            streams = streams.child(
-                XmlNode::new("stream")
-                    .attr("fromOp", s.from_op.clone())
-                    .attr("fromPort", s.from_port.to_string())
-                    .attr("toOp", s.to_op.clone())
-                    .attr("toPort", s.to_port.to_string()),
-            );
-        }
-        root = root.child(streams);
-
-        let mut imports = XmlNode::new("imports");
-        for imp in &self.imports {
-            let mut node = XmlNode::new("import").attr("op", imp.op.clone());
-            if let Some(id) = &imp.spec.stream_id {
-                node = node.attr("streamId", id.clone());
-            }
-            if let Some(app) = &imp.spec.app_filter {
-                node = node.attr("appFilter", app.clone());
-            }
-            for (k, v) in &imp.spec.subscription {
-                node = node.child(
-                    XmlNode::new("subscribe")
-                        .attr("name", k.clone())
-                        .attr("value", v.render()),
-                );
-            }
-            imports = imports.child(node);
-        }
-        root = root.child(imports);
-
-        let mut exports = XmlNode::new("exports");
-        for exp in &self.exports {
-            let mut node = XmlNode::new("export")
-                .attr("op", exp.op.clone())
-                .attr("port", exp.port.to_string());
-            if let Some(id) = &exp.spec.stream_id {
-                node = node.attr("streamId", id.clone());
-            }
-            for (k, v) in &exp.spec.properties {
-                node = node.child(
-                    XmlNode::new("property")
-                        .attr("name", k.clone())
-                        .attr("value", v.render()),
-                );
-            }
-            exports = exports.child(node);
-        }
-        root = root.child(exports);
-
-        let mut pools = XmlNode::new("hostPools");
-        for p in &self.host_pools {
-            let mut node = XmlNode::new("hostPool")
-                .attr("name", p.name.clone())
-                .attr("exclusive", p.exclusive.to_string());
-            if let Some(tag) = &p.tag {
-                node = node.attr("tag", tag.clone());
-            }
-            for h in &p.hosts {
-                node = node.child(XmlNode::new("host").attr("name", h.clone()));
-            }
-            pools = pools.child(node);
-        }
-        root = root.child(pools);
-
-        root
-    }
-
-    /// Renders the XML document as a string.
-    pub fn to_xml_string(&self) -> String {
-        self.to_xml().to_string_pretty()
-    }
-
-    /// Parses an ADL back from its XML form.
-    pub fn from_xml_str(input: &str) -> Result<Adl, ModelError> {
-        let root = xml::parse(input)?;
-        Adl::from_xml(&root)
-    }
-
-    pub fn from_xml(root: &XmlNode) -> Result<Adl, ModelError> {
-        if root.name != "adl" {
-            return Err(ModelError::Parse(format!(
-                "expected <adl> root, found <{}>",
-                root.name
-            )));
-        }
-        let app_name = root.require_attr("application")?.to_string();
-
-        let parse_usize = |s: &str, what: &str| -> Result<usize, ModelError> {
-            s.parse()
-                .map_err(|_| ModelError::Parse(format!("bad {what}: '{s}'")))
-        };
-        let parse_bool = |s: &str, what: &str| -> Result<bool, ModelError> {
-            s.parse()
-                .map_err(|_| ModelError::Parse(format!("bad {what}: '{s}'")))
-        };
-        let parse_value = |s: &str| -> Result<Value, ModelError> {
-            Value::parse(s).ok_or_else(|| ModelError::Parse(format!("bad value: '{s}'")))
-        };
-
-        let mut operators = Vec::new();
-        for node in root.require_child("operators")?.children_named("operator") {
-            let mut composite_path = Vec::new();
-            for c in node.children_named("composite") {
-                composite_path.push((
-                    c.require_attr("instance")?.to_string(),
-                    c.require_attr("type")?.to_string(),
-                ));
-            }
-            let mut params = ParamMap::new();
-            for p in node.children_named("param") {
-                params.insert(
-                    p.require_attr("name")?.to_string(),
-                    parse_value(p.require_attr("value")?)?,
-                );
-            }
-            let custom_metrics = node
-                .children_named("metric")
-                .map(|m| m.require_attr("name").map(str::to_string))
-                .collect::<Result<Vec<_>, _>>()?;
-            operators.push(AdlOperator {
-                name: node.require_attr("name")?.to_string(),
-                kind: node.require_attr("kind")?.to_string(),
-                composite_path,
-                params,
-                inputs: parse_usize(node.require_attr("inputs")?, "inputs")?,
-                outputs: parse_usize(node.require_attr("outputs")?, "outputs")?,
-                custom_metrics,
-                pe: parse_usize(node.require_attr("pe")?, "pe")?,
-                restartable: parse_bool(node.require_attr("restartable")?, "restartable")?,
-                // Absent in pre-checkpointing documents: default on.
-                checkpointable: match node.get_attr("checkpointable") {
-                    None => true,
-                    Some(v) => parse_bool(v, "checkpointable")?,
-                },
-            });
-        }
-
-        let mut pes = Vec::new();
-        for node in root.require_child("pes")?.children_named("pe") {
-            pes.push(AdlPe {
-                index: parse_usize(node.require_attr("index")?, "pe index")?,
-                operators: node
-                    .children_named("operator")
-                    .map(|o| o.require_attr("name").map(str::to_string))
-                    .collect::<Result<Vec<_>, _>>()?,
-                host_pool: node.get_attr("hostPool").map(str::to_string),
-                host_exlocate: node.get_attr("hostExlocate").map(str::to_string),
-            });
-        }
-
-        let mut streams = Vec::new();
-        for node in root.require_child("streams")?.children_named("stream") {
-            streams.push(AdlStream {
-                from_op: node.require_attr("fromOp")?.to_string(),
-                from_port: parse_usize(node.require_attr("fromPort")?, "fromPort")?,
-                to_op: node.require_attr("toOp")?.to_string(),
-                to_port: parse_usize(node.require_attr("toPort")?, "toPort")?,
-            });
-        }
-
-        let mut imports = Vec::new();
-        for node in root.require_child("imports")?.children_named("import") {
-            let mut spec = ImportSpec {
-                stream_id: node.get_attr("streamId").map(str::to_string),
-                app_filter: node.get_attr("appFilter").map(str::to_string),
-                ..Default::default()
-            };
-            for s in node.children_named("subscribe") {
-                spec.subscription.insert(
-                    s.require_attr("name")?.to_string(),
-                    parse_value(s.require_attr("value")?)?,
-                );
-            }
-            imports.push(AdlImport {
-                op: node.require_attr("op")?.to_string(),
-                spec,
-            });
-        }
-
-        let mut exports = Vec::new();
-        for node in root.require_child("exports")?.children_named("export") {
-            let mut spec = ExportSpec {
-                stream_id: node.get_attr("streamId").map(str::to_string),
-                ..Default::default()
-            };
-            for p in node.children_named("property") {
-                spec.properties.insert(
-                    p.require_attr("name")?.to_string(),
-                    parse_value(p.require_attr("value")?)?,
-                );
-            }
-            exports.push(AdlExport {
-                op: node.require_attr("op")?.to_string(),
-                port: parse_usize(node.require_attr("port")?, "port")?,
-                spec,
-            });
-        }
-
-        let mut host_pools = Vec::new();
-        for node in root.require_child("hostPools")?.children_named("hostPool") {
-            host_pools.push(HostPool {
-                name: node.require_attr("name")?.to_string(),
-                hosts: node
-                    .children_named("host")
-                    .map(|h| h.require_attr("name").map(str::to_string))
-                    .collect::<Result<Vec<_>, _>>()?,
-                tag: node.get_attr("tag").map(str::to_string),
-                exclusive: parse_bool(node.require_attr("exclusive")?, "exclusive")?,
-            });
-        }
-
-        let adl = Adl {
-            app_name,
-            operators,
-            pes,
-            streams,
-            imports,
-            exports,
-            host_pools,
-        };
-        adl.validate()?;
-        Ok(adl)
-    }
-
-    /// Structural consistency checks (used after parsing and as a compiler
-    /// post-condition).
+    /// Structural consistency checks (a compiler post-condition, checked
+    /// again when the runtime accepts a job).
     pub fn validate(&self) -> Result<(), ModelError> {
         use std::collections::BTreeSet;
         let mut names = BTreeSet::new();
@@ -499,6 +222,7 @@ impl Adl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn sample_adl() -> Adl {
         Adl {
@@ -583,14 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn xml_roundtrip() {
-        let adl = sample_adl();
-        let s = adl.to_xml_string();
-        let parsed = Adl::from_xml_str(&s).unwrap();
-        assert_eq!(parsed, adl);
-    }
-
-    #[test]
     fn validate_accepts_sample() {
         assert!(sample_adl().validate().is_ok());
     }
@@ -652,16 +368,6 @@ mod tests {
         assert_eq!(adl.host_pools.len(), 1);
         assert!(adl.host_pools[0].exclusive);
         assert!(adl.pes.iter().all(|pe| pe.host_pool.is_some()));
-    }
-
-    #[test]
-    fn from_xml_rejects_wrong_root() {
-        assert!(Adl::from_xml_str("<notadl application=\"x\"/>").is_err());
-    }
-
-    #[test]
-    fn from_xml_rejects_missing_sections() {
-        assert!(Adl::from_xml_str("<adl application=\"x\"/>").is_err());
     }
 
     #[test]

@@ -61,6 +61,16 @@ struct Expander<'m> {
     streams: Vec<AdlStream>,
 }
 
+/// A composite body's node, resolved to its flat interface.
+enum Resolved {
+    Op {
+        name: String,
+        inputs: usize,
+        outputs: usize,
+    },
+    Comp(Expansion),
+}
+
 impl<'m> Expander<'m> {
     /// Expands `def`'s body with the given instance-name prefix and
     /// composite-containment chain, appending flat operators and streams.
@@ -70,18 +80,20 @@ impl<'m> Expander<'m> {
         prefix: &str,
         chain: &[(String, String)],
     ) -> Result<Expansion, ModelError> {
-        // First pass: create operators and recursively expand child
-        // composites, remembering each local node's flat interface.
-        enum Resolved {
-            Op {
-                name: String,
-                inputs: usize,
-                outputs: usize,
-            },
-            Comp(Expansion),
-        }
-        let mut local: BTreeMap<&str, Resolved> = BTreeMap::new();
+        let local = self.resolve_nodes(def, prefix, chain)?;
+        self.wire_streams(def, &local)?;
+        bind_boundary(def, &local)
+    }
 
+    /// First pass: creates operators and recursively expands child
+    /// composites, remembering each local node's flat interface.
+    fn resolve_nodes<'d>(
+        &mut self,
+        def: &'d CompositeDef,
+        prefix: &str,
+        chain: &[(String, String)],
+    ) -> Result<BTreeMap<&'d str, Resolved>, ModelError> {
+        let mut local = BTreeMap::new();
         for (name, node) in &def.nodes {
             let full = if prefix.is_empty() {
                 name.clone()
@@ -90,15 +102,12 @@ impl<'m> Expander<'m> {
             };
             match node {
                 NodeRef::Operator(inv) => {
-                    if let Some(import) = &inv.import {
-                        let _ = import; // validated below
-                        if inv.inputs != 0 {
-                            return Err(ModelError::Invalid(format!(
-                                "operator {full} declares an import but has {} input ports \
-                                 (imports are pseudo-sources)",
-                                inv.inputs
-                            )));
-                        }
+                    if inv.import.is_some() && inv.inputs != 0 {
+                        return Err(ModelError::Invalid(format!(
+                            "operator {full} declares an import but has {} input ports \
+                             (imports are pseudo-sources)",
+                            inv.inputs
+                        )));
                     }
                     for (port, _) in &inv.exports {
                         if *port >= inv.outputs {
@@ -142,8 +151,15 @@ impl<'m> Expander<'m> {
                 }
             }
         }
+        Ok(local)
+    }
 
-        // Second pass: wire local streams through composite boundaries.
+    /// Second pass: wires local streams through composite boundaries.
+    fn wire_streams(
+        &mut self,
+        def: &CompositeDef,
+        local: &BTreeMap<&str, Resolved>,
+    ) -> Result<(), ModelError> {
         for s in &def.streams {
             let sources: Vec<(String, usize)> = match &local[s.from_node.as_str()] {
                 Resolved::Op { name, outputs, .. } => {
@@ -201,54 +217,59 @@ impl<'m> Expander<'m> {
                 }
             }
         }
+        Ok(())
+    }
+}
 
-        // Third pass: resolve this composite's own boundary bindings.
-        let mut input_bindings = Vec::with_capacity(def.input_bindings.len());
-        for bindings in &def.input_bindings {
-            let mut flat = Vec::new();
-            for (node, port) in bindings {
-                match &local[node.as_str()] {
-                    Resolved::Op { name, inputs, .. } => {
-                        if *port >= *inputs {
-                            return Err(ModelError::BadPort(format!(
-                                "input binding {node}:{port}"
-                            )));
-                        }
-                        flat.push((name.clone(), *port));
-                    }
-                    Resolved::Comp(exp) => {
-                        let inner = exp.input_bindings.get(*port).ok_or_else(|| {
-                            ModelError::BadPort(format!("input binding {node}:{port}"))
-                        })?;
-                        flat.extend(inner.iter().cloned());
-                    }
-                }
-            }
-            input_bindings.push(flat);
-        }
-        let mut output_bindings = Vec::with_capacity(def.output_bindings.len());
-        for (node, port) in &def.output_bindings {
+/// Third pass: resolves a composite's own boundary bindings to flat
+/// endpoints.
+fn bind_boundary(
+    def: &CompositeDef,
+    local: &BTreeMap<&str, Resolved>,
+) -> Result<Expansion, ModelError> {
+    let mut input_bindings = Vec::with_capacity(def.input_bindings.len());
+    for bindings in &def.input_bindings {
+        let mut flat = Vec::new();
+        for (node, port) in bindings {
             match &local[node.as_str()] {
-                Resolved::Op { name, outputs, .. } => {
-                    if *port >= *outputs {
-                        return Err(ModelError::BadPort(format!("output binding {node}:{port}")));
+                Resolved::Op { name, inputs, .. } => {
+                    if *port >= *inputs {
+                        return Err(ModelError::BadPort(format!("input binding {node}:{port}")));
                     }
-                    output_bindings.push((name.clone(), *port));
+                    flat.push((name.clone(), *port));
                 }
                 Resolved::Comp(exp) => {
-                    let inner = exp.output_bindings.get(*port).ok_or_else(|| {
-                        ModelError::BadPort(format!("output binding {node}:{port}"))
+                    let inner = exp.input_bindings.get(*port).ok_or_else(|| {
+                        ModelError::BadPort(format!("input binding {node}:{port}"))
                     })?;
-                    output_bindings.push(inner.clone());
+                    flat.extend(inner.iter().cloned());
                 }
             }
         }
-
-        Ok(Expansion {
-            input_bindings,
-            output_bindings,
-        })
+        input_bindings.push(flat);
     }
+    let mut output_bindings = Vec::with_capacity(def.output_bindings.len());
+    for (node, port) in &def.output_bindings {
+        match &local[node.as_str()] {
+            Resolved::Op { name, outputs, .. } => {
+                if *port >= *outputs {
+                    return Err(ModelError::BadPort(format!("output binding {node}:{port}")));
+                }
+                output_bindings.push((name.clone(), *port));
+            }
+            Resolved::Comp(exp) => {
+                let inner = exp
+                    .output_bindings
+                    .get(*port)
+                    .ok_or_else(|| ModelError::BadPort(format!("output binding {node}:{port}")))?;
+                output_bindings.push(inner.clone());
+            }
+        }
+    }
+    Ok(Expansion {
+        input_bindings,
+        output_bindings,
+    })
 }
 
 /// Union-find over operator indices.
@@ -291,7 +312,24 @@ pub fn compile(model: &AppModel, options: CompileOptions) -> Result<Adl, ModelEr
     expander.expand(&model.main, "", &[])?;
     let Expander { ops, streams, .. } = expander;
 
-    // ---- Partition into PEs ----------------------------------------------
+    let groups = partition(&ops, &streams, options.fusion);
+    let mut group_of_op = vec![0usize; ops.len()];
+    for (pe_index, group) in groups.iter().enumerate() {
+        for &member in group {
+            group_of_op[member] = pe_index;
+        }
+    }
+    check_exlocation(&ops, &group_of_op)?;
+    let pes = lay_out_pes(&ops, &groups)?;
+    let adl = assemble(model, &ops, pes, streams, &group_of_op);
+    adl.validate()?;
+    Ok(adl)
+}
+
+/// Partitions the flat operators into PEs: colocation groups, widened by the
+/// fusion policy. Returns each PE's member indices, ascending, in PE order
+/// (a PE is numbered by its smallest member, so numbering is stable).
+fn partition(ops: &[FlatOp], streams: &[AdlStream], fusion: FusionPolicy) -> Vec<Vec<usize>> {
     let n = ops.len();
     let mut uf = UnionFind::new(n);
     let mut colocate_groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -306,7 +344,7 @@ pub fn compile(model: &AppModel, options: CompileOptions) -> Result<Adl, ModelEr
         }
     }
 
-    match options.fusion {
+    match fusion {
         FusionPolicy::Colocation => {}
         FusionPolicy::FuseAll => {
             for i in 1..n {
@@ -314,25 +352,19 @@ pub fn compile(model: &AppModel, options: CompileOptions) -> Result<Adl, ModelEr
             }
         }
         FusionPolicy::Target(target) => {
-            merge_to_target(&mut uf, &ops, &streams, target.max(1));
+            merge_to_target(&mut uf, ops, streams, target.max(1));
         }
     }
 
-    // Group id = root's smallest member index → stable PE numbering.
-    let mut group_of_op = vec![0usize; n];
     let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for i in 0..n {
-        let root = uf.find(i);
-        groups.entry(root).or_default().push(i);
+        groups.entry(uf.find(i)).or_default().push(i);
     }
-    let group_order: Vec<usize> = groups.keys().copied().collect();
-    for (pe_index, root) in group_order.iter().enumerate() {
-        for &member in &groups[root] {
-            group_of_op[member] = pe_index;
-        }
-    }
+    groups.into_values().collect()
+}
 
-    // ---- Validate exlocation ---------------------------------------------
+/// Operators sharing an exlocation tag must not share a PE.
+fn check_exlocation(ops: &[FlatOp], group_of_op: &[usize]) -> Result<(), ModelError> {
     let mut exlocate_seen: BTreeMap<(&str, usize), &str> = BTreeMap::new();
     for (i, op) in ops.iter().enumerate() {
         if let Some(tag) = &op.inv.exlocate {
@@ -346,11 +378,14 @@ pub fn compile(model: &AppModel, options: CompileOptions) -> Result<Adl, ModelEr
             }
         }
     }
+    Ok(())
+}
 
-    // ---- Per-PE placement attributes --------------------------------------
-    let mut pes = Vec::with_capacity(group_order.len());
-    for (pe_index, root) in group_order.iter().enumerate() {
-        let members = &groups[root];
+/// Builds each PE with the host pool and host-exlocation tag its members
+/// agree on.
+fn lay_out_pes(ops: &[FlatOp], groups: &[Vec<usize>]) -> Result<Vec<AdlPe>, ModelError> {
+    let mut pes = Vec::with_capacity(groups.len());
+    for (pe_index, members) in groups.iter().enumerate() {
         let mut host_pool: Option<String> = None;
         let mut host_exlocate: Option<String> = None;
         for &m in members {
@@ -385,9 +420,19 @@ pub fn compile(model: &AppModel, options: CompileOptions) -> Result<Adl, ModelEr
             host_exlocate,
         });
     }
+    Ok(pes)
+}
 
-    // ---- Assemble the ADL --------------------------------------------------
-    let mut adl_ops = Vec::with_capacity(n);
+/// Assembles the ADL: operators with their PE, and the imports and exports
+/// they declare.
+fn assemble(
+    model: &AppModel,
+    ops: &[FlatOp],
+    pes: Vec<AdlPe>,
+    streams: Vec<AdlStream>,
+    group_of_op: &[usize],
+) -> Adl {
+    let mut adl_ops = Vec::with_capacity(ops.len());
     let mut imports = Vec::new();
     let mut exports = Vec::new();
     for (i, op) in ops.iter().enumerate() {
@@ -417,8 +462,7 @@ pub fn compile(model: &AppModel, options: CompileOptions) -> Result<Adl, ModelEr
             checkpointable: op.inv.checkpointable,
         });
     }
-
-    let adl = Adl {
+    Adl {
         app_name: model.name.clone(),
         operators: adl_ops,
         pes,
@@ -426,9 +470,7 @@ pub fn compile(model: &AppModel, options: CompileOptions) -> Result<Adl, ModelEr
         imports,
         exports,
         host_pools: model.host_pools.clone(),
-    };
-    adl.validate()?;
-    Ok(adl)
+    }
 }
 
 /// Greedy pairwise merging of partition groups along stream edges until at
@@ -893,12 +935,5 @@ mod tests {
             to_op: "snk".into(),
             to_port: 0
         }));
-    }
-
-    #[test]
-    fn adl_roundtrips_through_xml_after_compile() {
-        let adl = compile(&figure2_model(), CompileOptions::default()).unwrap();
-        let parsed = Adl::from_xml_str(&adl.to_xml_string()).unwrap();
-        assert_eq!(parsed, adl);
     }
 }

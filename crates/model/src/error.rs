@@ -1,9 +1,9 @@
-//! Error type shared by model construction, compilation, and ADL parsing.
+//! Error type shared by model construction, compilation, and ADL validation.
 
 use std::fmt;
 
-/// Errors produced while building, compiling, serializing or parsing
-/// application models.
+/// Errors produced while building, compiling or validating application
+/// models.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
     /// A name (operator, composite, stream, host pool) was defined twice.
@@ -19,8 +19,6 @@ pub enum ModelError {
     ConstraintConflict(String),
     /// Not enough hosts to satisfy placement.
     PlacementFailure(String),
-    /// Malformed ADL document.
-    Parse(String),
     /// Anything else.
     Invalid(String),
 }
@@ -39,7 +37,6 @@ impl fmt::Display for ModelError {
             }
             ModelError::ConstraintConflict(m) => write!(f, "constraint conflict: {m}"),
             ModelError::PlacementFailure(m) => write!(f, "placement failure: {m}"),
-            ModelError::Parse(m) => write!(f, "ADL parse error: {m}"),
             ModelError::Invalid(m) => write!(f, "invalid model: {m}"),
         }
     }
@@ -60,6 +57,5 @@ mod tests {
         assert!(ModelError::RecursiveComposite("c".into())
             .to_string()
             .contains("instantiates itself"));
-        assert!(ModelError::Parse("eof".into()).to_string().contains("ADL"));
     }
 }

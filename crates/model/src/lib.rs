@@ -10,9 +10,11 @@
 //! - a **compiler** that expands composite instances, partitions operators
 //!   into processing elements (PEs) honoring colocation/exlocation
 //!   constraints, and assigns PEs to hosts ([`compiler`]),
-//! - the **ADL** — the XML application description produced by compilation and
-//!   consumed by the runtime (SAM) and by the orchestrator's in-memory graph
-//!   representation ([`adl`], [`xml`]),
+//! - the **ADL** — the application description [`compile`] returns, a value the
+//!   runtime (SAM) instantiates and the orchestrator builds its in-memory graph
+//!   representation from ([`adl`]), checked by [`Adl::validate`] for internal
+//!   consistency and by [`verify_graph`] for deployment soundness ([`verify`]),
+//! - dynamically typed attribute **values** and tuple schemas ([`value`]),
 //! - a queryable **graph store** with logical↔physical mapping and recursive
 //!   composite-containment queries ([`graph`]) — the substrate for both the
 //!   orchestrator's event-scope matching and its inspection API.
@@ -24,7 +26,6 @@ pub mod graph;
 pub mod logical;
 pub mod value;
 pub mod verify;
-pub mod xml;
 
 pub use adl::{Adl, AdlExport, AdlImport, AdlOperator, AdlPe, AdlStream};
 pub use compiler::{compile, CompileOptions, FusionPolicy};

@@ -36,22 +36,6 @@ impl fmt::Display for AttrType {
     }
 }
 
-impl AttrType {
-    /// Parses the textual form produced by `Display` (used by the ADL
-    /// parser).
-    pub fn parse(s: &str) -> Option<AttrType> {
-        Some(match s {
-            "int" => AttrType::Int,
-            "float" => AttrType::Float,
-            "str" => AttrType::Str,
-            "bool" => AttrType::Bool,
-            "timestamp" => AttrType::Timestamp,
-            "list" => AttrType::List,
-            _ => return None,
-        })
-    }
-}
-
 /// A dynamically typed attribute value.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Value {
@@ -120,7 +104,11 @@ impl Value {
         }
     }
 
-    /// Canonical single-line rendering used in ADL attributes and traces.
+    /// Canonical single-line rendering, read in two ways: `Tuple`'s
+    /// `Display` shows it, and `Aggregate` and `DeDup` key their per-group
+    /// and seen-before state by it. The keys make it a contract: two distinct
+    /// values must never share a rendering (`equal_renderings_imply_equal_values`
+    /// in `tests/prop_model.rs`), or their groups merge. Nothing parses it.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
@@ -155,36 +143,11 @@ impl Value {
         }
         .expect("writing to a String");
     }
-
-    /// Parses the `render` form.
-    pub fn parse(s: &str) -> Option<Value> {
-        let (tag, rest) = s.split_once(':')?;
-        Some(match tag {
-            "i" => Value::Int(rest.parse().ok()?),
-            "f" => Value::Float(rest.parse().ok()?),
-            "s" => Value::Str(unescape_str(rest)?),
-            "b" => Value::Bool(rest.parse().ok()?),
-            "t" => Value::Timestamp(rest.parse().ok()?),
-            "l" => {
-                let inner = rest.strip_prefix('[')?.strip_suffix(']')?;
-                if inner.is_empty() {
-                    Value::List(Vec::new())
-                } else {
-                    let items: Option<Vec<Value>> = split_top_level(inner)
-                        .into_iter()
-                        .map(Value::parse)
-                        .collect();
-                    Value::List(items?)
-                }
-            }
-            _ => return None,
-        })
-    }
 }
 
-/// Escapes the characters that the list renderer treats structurally, so a
-/// bracket-depth scan over a rendered list never mistakes string content for
-/// structure.
+/// Escapes the characters that the list renderer treats structurally, and
+/// the escape character itself, so string content never reads as a list's
+/// separator or brackets and [`Value::render`] stays injective.
 fn escape_str_into(s: &str, out: &mut String) {
     let mut rest = s;
     while let Some(at) = rest.find(['\\', '\u{1f}', '[', ']']) {
@@ -199,45 +162,6 @@ fn escape_str_into(s: &str, out: &mut String) {
         rest = &rest[at + 1..];
     }
     out.push_str(rest);
-}
-
-fn unescape_str(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('u') => out.push('\u{1f}'),
-            Some('l') => out.push('['),
-            Some('r') => out.push(']'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Splits a rendered list body on the separator, honouring nesting depth.
-fn split_top_level(inner: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in inner.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => depth = depth.saturating_sub(1),
-            '\u{1f}' if depth == 0 => {
-                out.push(&inner[start..i]);
-                start = i + c.len_utf8();
-            }
-            _ => {}
-        }
-    }
-    out.push(&inner[start..]);
-    out
 }
 
 impl From<i64> for Value {
@@ -349,48 +273,6 @@ mod tests {
         assert_eq!(Value::from("a"), Value::Str("a".into()));
         assert_eq!(Value::from(String::from("b")), Value::Str("b".into()));
         assert_eq!(Value::from(true), Value::Bool(true));
-    }
-
-    #[test]
-    fn render_parse_roundtrip() {
-        let values = vec![
-            Value::Int(-42),
-            Value::Float(3.25),
-            Value::Float(-0.1),
-            Value::Str("hello world: with colon".into()),
-            Value::Bool(false),
-            Value::Timestamp(123456),
-            Value::List(vec![Value::Int(1), Value::Str("a".into())]),
-            Value::List(vec![]),
-            Value::List(vec![Value::List(vec![Value::Bool(true)])]),
-        ];
-        for v in values {
-            let s = v.render();
-            assert_eq!(Value::parse(&s), Some(v.clone()), "roundtrip of {s}");
-        }
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert_eq!(Value::parse(""), None);
-        assert_eq!(Value::parse("x:1"), None);
-        assert_eq!(Value::parse("i:notanint"), None);
-        assert_eq!(Value::parse("l:nobrackets"), None);
-    }
-
-    #[test]
-    fn attr_type_roundtrip() {
-        for t in [
-            AttrType::Int,
-            AttrType::Float,
-            AttrType::Str,
-            AttrType::Bool,
-            AttrType::Timestamp,
-            AttrType::List,
-        ] {
-            assert_eq!(AttrType::parse(&t.to_string()), Some(t));
-        }
-        assert_eq!(AttrType::parse("nope"), None);
     }
 
     #[test]

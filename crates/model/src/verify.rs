@@ -97,90 +97,106 @@ pub struct VerifyOptions<'a> {
 /// (errors first is *not* guaranteed; order follows the graph).
 pub fn verify_graph(adl: &Adl, opts: &VerifyOptions) -> Vec<VerifyDiagnostic> {
     let mut out = Vec::new();
-    let n = adl.operators.len();
-    let index = |name: &str| adl.operators.iter().position(|o| o.name == name);
-
-    // ---- port validity + adjacency ------------------------------------
-    let mut incoming: Vec<Vec<BTreeSet<usize>>> = adl
-        .operators
-        .iter()
-        .map(|o| vec![BTreeSet::new(); o.inputs])
-        .collect();
-    let mut outgoing: Vec<Vec<BTreeSet<usize>>> = adl
-        .operators
-        .iter()
-        .map(|o| vec![BTreeSet::new(); o.outputs])
-        .collect();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for s in &adl.streams {
-        let subject = format!("{}:{}->{}:{}", s.from_op, s.from_port, s.to_op, s.to_port);
-        let (from, to) = (index(&s.from_op), index(&s.to_op));
-        let mut ok = true;
-        match from {
-            None => {
-                ok = false;
-                out.push(VerifyDiagnostic {
-                    severity: Severity::Error,
-                    check: checks::BAD_PORT,
-                    subject: subject.clone(),
-                    message: format!("stream source operator `{}` does not exist", s.from_op),
-                });
-            }
-            Some(i) if s.from_port >= adl.operators[i].outputs => {
-                ok = false;
-                out.push(VerifyDiagnostic {
-                    severity: Severity::Error,
-                    check: checks::BAD_PORT,
-                    subject: subject.clone(),
-                    message: format!(
-                        "output port {} out of range (operator has {} outputs)",
-                        s.from_port, adl.operators[i].outputs
-                    ),
-                });
-            }
-            _ => {}
-        }
-        match to {
-            None => {
-                ok = false;
-                out.push(VerifyDiagnostic {
-                    severity: Severity::Error,
-                    check: checks::BAD_PORT,
-                    subject: subject.clone(),
-                    message: format!("stream target operator `{}` does not exist", s.to_op),
-                });
-            }
-            Some(i) if s.to_port >= adl.operators[i].inputs => {
-                ok = false;
-                out.push(VerifyDiagnostic {
-                    severity: Severity::Error,
-                    check: checks::BAD_PORT,
-                    subject,
-                    message: format!(
-                        "input port {} out of range (operator has {} inputs)",
-                        s.to_port, adl.operators[i].inputs
-                    ),
-                });
-            }
-            _ => {}
-        }
-        if ok {
-            let (f, t) = (from.unwrap(), to.unwrap());
-            incoming[t][s.to_port].insert(f);
-            outgoing[f][s.from_port].insert(t);
-            edges.push((f, t));
+    let wiring = check_ports(adl, &mut out);
+    check_dangling_ports(adl, &wiring, &mut out);
+    check_reachability(adl, &wiring, &mut out);
+    check_cycle(adl, &wiring.edges, &mut out);
+    if let Some(oracle) = opts.statefulness {
+        let stateful: Vec<Option<bool>> = adl.operators.iter().map(oracle).collect();
+        check_checkpoint_intent(adl, &stateful, &mut out);
+        if opts.upstream_backup {
+            check_backup_consumers(adl, &mut out);
         }
     }
+    out
+}
 
-    // ---- dangling ports ----------------------------------------------
-    let has_import: Vec<bool> = adl
-        .operators
-        .iter()
-        .map(|o| adl.imports.iter().any(|i| i.op == o.name))
-        .collect();
+/// Position of the operator named `name` in [`Adl::operators`].
+fn index_of(adl: &Adl, name: &str) -> Option<usize> {
+    adl.operators.iter().position(|o| o.name == name)
+}
+
+/// The stream graph over operator indices, built from the streams whose
+/// endpoints exist and whose ports are in range, and the import-fed
+/// operators.
+struct Wiring {
+    /// Per operator, per input port: the operators feeding it.
+    incoming: Vec<Vec<BTreeSet<usize>>>,
+    /// Per operator, per output port: the operators it feeds.
+    outgoing: Vec<Vec<BTreeSet<usize>>>,
+    edges: Vec<(usize, usize)>,
+    /// Per operator: does an import subscription feed it?
+    has_import: Vec<bool>,
+}
+
+/// Port validity: reports every stream naming a missing operator or an
+/// out-of-range port, and wires the rest.
+fn check_ports(adl: &Adl, out: &mut Vec<VerifyDiagnostic>) -> Wiring {
+    let ports = |arity: fn(&AdlOperator) -> usize| -> Vec<Vec<BTreeSet<usize>>> {
+        adl.operators
+            .iter()
+            .map(|o| vec![BTreeSet::new(); arity(o)])
+            .collect()
+    };
+    let mut wiring = Wiring {
+        incoming: ports(|o| o.inputs),
+        outgoing: ports(|o| o.outputs),
+        edges: Vec::new(),
+        has_import: adl
+            .operators
+            .iter()
+            .map(|o| adl.imports.iter().any(|i| i.op == o.name))
+            .collect(),
+    };
+    for s in &adl.streams {
+        let (from, to) = (index_of(adl, &s.from_op), index_of(adl, &s.to_op));
+        let source_fault = match from {
+            None => Some(format!(
+                "stream source operator `{}` does not exist",
+                s.from_op
+            )),
+            Some(i) if s.from_port >= adl.operators[i].outputs => Some(format!(
+                "output port {} out of range (operator has {} outputs)",
+                s.from_port, adl.operators[i].outputs
+            )),
+            _ => None,
+        };
+        let target_fault = match to {
+            None => Some(format!(
+                "stream target operator `{}` does not exist",
+                s.to_op
+            )),
+            Some(i) if s.to_port >= adl.operators[i].inputs => Some(format!(
+                "input port {} out of range (operator has {} inputs)",
+                s.to_port, adl.operators[i].inputs
+            )),
+            _ => None,
+        };
+        if let (Some(f), Some(t), None, None) = (from, to, &source_fault, &target_fault) {
+            wiring.incoming[t][s.to_port].insert(f);
+            wiring.outgoing[f][s.from_port].insert(t);
+            wiring.edges.push((f, t));
+            continue;
+        }
+        let subject = format!("{}:{}->{}:{}", s.from_op, s.from_port, s.to_op, s.to_port);
+        for message in source_fault.into_iter().chain(target_fault) {
+            out.push(VerifyDiagnostic {
+                severity: Severity::Error,
+                check: checks::BAD_PORT,
+                subject: subject.clone(),
+                message,
+            });
+        }
+    }
+    wiring
+}
+
+/// Dangling ports: an input no stream or import feeds, an output that feeds
+/// no stream and is not exported.
+fn check_dangling_ports(adl: &Adl, wiring: &Wiring, out: &mut Vec<VerifyDiagnostic>) {
     for (i, op) in adl.operators.iter().enumerate() {
-        for (p, feeds) in incoming[i].iter().enumerate() {
-            if feeds.is_empty() && !has_import[i] {
+        for (p, feeds) in wiring.incoming[i].iter().enumerate() {
+            if feeds.is_empty() && !wiring.has_import[i] {
                 out.push(VerifyDiagnostic {
                     severity: Severity::Error,
                     check: checks::DANGLING_INPUT,
@@ -191,7 +207,7 @@ pub fn verify_graph(adl: &Adl, opts: &VerifyOptions) -> Vec<VerifyDiagnostic> {
                 });
             }
         }
-        for (p, feeds) in outgoing[i].iter().enumerate() {
+        for (p, feeds) in wiring.outgoing[i].iter().enumerate() {
             let exported = adl.exports.iter().any(|e| e.op == op.name && e.port == p);
             if feeds.is_empty() && !exported {
                 out.push(VerifyDiagnostic {
@@ -205,17 +221,21 @@ pub fn verify_graph(adl: &Adl, opts: &VerifyOptions) -> Vec<VerifyDiagnostic> {
             }
         }
     }
+}
 
-    // ---- reachability -------------------------------------------------
+/// Reachability: every operator must be downstream of a source (no inputs)
+/// or an import.
+fn check_reachability(adl: &Adl, wiring: &Wiring, out: &mut Vec<VerifyDiagnostic>) {
+    let n = adl.operators.len();
     let mut reached = vec![false; n];
     let mut stack: Vec<usize> = (0..n)
-        .filter(|&i| adl.operators[i].inputs == 0 || has_import[i])
+        .filter(|&i| adl.operators[i].inputs == 0 || wiring.has_import[i])
         .collect();
     for &s in &stack {
         reached[s] = true;
     }
     while let Some(i) = stack.pop() {
-        for ports in &outgoing[i] {
+        for ports in &wiring.outgoing[i] {
             for &j in ports {
                 if !reached[j] {
                     reached[j] = true;
@@ -236,9 +256,11 @@ pub fn verify_graph(adl: &Adl, opts: &VerifyOptions) -> Vec<VerifyDiagnostic> {
             });
         }
     }
+}
 
-    // ---- cycles (iterative DFS with colors) ---------------------------
-    if let Some(cycle) = find_cycle(n, &edges) {
+/// Cycles: reports one, named along its operators.
+fn check_cycle(adl: &Adl, edges: &[(usize, usize)], out: &mut Vec<VerifyDiagnostic>) {
+    if let Some(cycle) = find_cycle(adl.operators.len(), edges) {
         let names: Vec<&str> = cycle
             .iter()
             .map(|&i| adl.operators[i].name.as_str())
@@ -252,107 +274,108 @@ pub fn verify_graph(adl: &Adl, opts: &VerifyOptions) -> Vec<VerifyDiagnostic> {
                 .into(),
         });
     }
+}
 
-    // ---- checkpoint-intent checks -------------------------------------
-    if let Some(oracle) = opts.statefulness {
-        let stateful: Vec<Option<bool>> = adl.operators.iter().map(oracle).collect();
-
-        // Stateful operator that opted out: legal but deliberate.
-        for (i, op) in adl.operators.iter().enumerate() {
-            if stateful[i] == Some(true) && !op.checkpointable {
-                out.push(VerifyDiagnostic {
-                    severity: Severity::Warning,
-                    check: checks::CKPT_STATEFUL_OPTOUT,
-                    subject: op.name.clone(),
-                    message: "stateful operator is declared not_checkpointable(); its state is \
-                              lost on every restart — confirm this is intended"
-                        .into(),
-                });
-            }
-        }
-
-        // Checkpointable stateful operator fused with an opted-out one: the
-        // runtime checkpoints a PE only when *every* fused operator opted
-        // in, so this operator's declared-durable state is silently never
-        // saved.
-        for pe in &adl.pes {
-            let idxs: Vec<usize> = pe.operators.iter().filter_map(|n| index(n)).collect();
-            let pe_ckpt = idxs.iter().all(|&i| adl.operators[i].checkpointable);
-            if pe_ckpt {
-                continue;
-            }
-            for &i in &idxs {
-                if adl.operators[i].checkpointable && stateful[i] == Some(true) {
-                    out.push(VerifyDiagnostic {
-                        severity: Severity::Error,
-                        check: checks::CKPT_SHADOWED,
-                        subject: adl.operators[i].name.clone(),
-                        message: format!(
-                            "declared checkpointable, but PE {} contains a non-checkpointable \
-                             operator, so this state is never saved; un-fuse it or opt the \
-                             whole PE out explicitly",
-                            pe.index
-                        ),
-                    });
-                }
-            }
-        }
-
-        // A fully-checkpointable application with no state at all: the
-        // declaration is vacuous, and every checkpoint quantum is pure
-        // overhead. (Individual stateless operators legitimately default to
-        // checkpointable — they contribute empty state to a fused PE — so
-        // this check only fires when *nothing* in the app can be preserved.)
-        let all_ckpt = adl.operators.iter().all(|o| o.checkpointable);
-        let any_stateful = stateful.contains(&Some(true));
-        let any_unknown = stateful.iter().any(|s| s.is_none());
-        if all_ckpt && !any_stateful && !any_unknown && !adl.operators.is_empty() {
+/// Checkpoint intent: stateful operators that opted out, checkpointable state
+/// a fused opted-out operator shadows, and an application whose checkpoints
+/// preserve nothing. `stateful` is the oracle's answer per operator.
+fn check_checkpoint_intent(adl: &Adl, stateful: &[Option<bool>], out: &mut Vec<VerifyDiagnostic>) {
+    // Stateful operator that opted out: legal but deliberate.
+    for (i, op) in adl.operators.iter().enumerate() {
+        if stateful[i] == Some(true) && !op.checkpointable {
             out.push(VerifyDiagnostic {
-                severity: Severity::Error,
-                check: checks::CKPT_STATELESS,
-                subject: adl.app_name.clone(),
-                message: "every operator is declared checkpointable but none carries state; \
-                          checkpointing this application preserves nothing"
+                severity: Severity::Warning,
+                check: checks::CKPT_STATEFUL_OPTOUT,
+                subject: op.name.clone(),
+                message: "stateful operator is declared not_checkpointable(); its state is \
+                          lost on every restart — confirm this is intended"
                     .into(),
             });
         }
+    }
 
-        // Exactly-once precondition: upstream backup replays the
-        // post-checkpoint gap into *restored* consumers; a consumer PE that
-        // is never checkpointed always restarts fresh and the replayed gap
-        // has no snapshot to extend.
-        if opts.upstream_backup {
-            for s in &adl.streams {
-                let (Some(f), Some(t)) = (index(&s.from_op), index(&s.to_op)) else {
-                    continue;
-                };
-                let (fp, tp) = (adl.operators[f].pe, adl.operators[t].pe);
-                if fp == tp {
-                    continue;
-                }
-                let consumer_pe_ckpt = adl.pes[tp]
-                    .operators
-                    .iter()
-                    .filter_map(|n| index(n))
-                    .all(|i| adl.operators[i].checkpointable);
-                if !consumer_pe_ckpt {
-                    out.push(VerifyDiagnostic {
-                        severity: Severity::Error,
-                        check: checks::UB_CONSUMER,
-                        subject: format!("{}->{}", s.from_op, s.to_op),
-                        message: format!(
-                            "upstream backup requires a checkpointable consumer, but PE {tp} \
-                             (operator `{}`) is not checkpointable; gap replay would land in \
-                             fresh state",
-                            s.to_op
-                        ),
-                    });
-                }
+    // Checkpointable stateful operator fused with an opted-out one: the
+    // runtime checkpoints a PE only when *every* fused operator opted
+    // in, so this operator's declared-durable state is silently never
+    // saved.
+    for pe in &adl.pes {
+        let idxs: Vec<usize> = pe
+            .operators
+            .iter()
+            .filter_map(|n| index_of(adl, n))
+            .collect();
+        let pe_ckpt = idxs.iter().all(|&i| adl.operators[i].checkpointable);
+        if pe_ckpt {
+            continue;
+        }
+        for &i in &idxs {
+            if adl.operators[i].checkpointable && stateful[i] == Some(true) {
+                out.push(VerifyDiagnostic {
+                    severity: Severity::Error,
+                    check: checks::CKPT_SHADOWED,
+                    subject: adl.operators[i].name.clone(),
+                    message: format!(
+                        "declared checkpointable, but PE {} contains a non-checkpointable \
+                         operator, so this state is never saved; un-fuse it or opt the \
+                         whole PE out explicitly",
+                        pe.index
+                    ),
+                });
             }
         }
     }
 
-    out
+    // A fully-checkpointable application with no state at all: the
+    // declaration is vacuous, and every checkpoint quantum is pure
+    // overhead. (Individual stateless operators legitimately default to
+    // checkpointable — they contribute empty state to a fused PE — so
+    // this check only fires when *nothing* in the app can be preserved.)
+    let all_ckpt = adl.operators.iter().all(|o| o.checkpointable);
+    let any_stateful = stateful.contains(&Some(true));
+    let any_unknown = stateful.iter().any(|s| s.is_none());
+    if all_ckpt && !any_stateful && !any_unknown && !adl.operators.is_empty() {
+        out.push(VerifyDiagnostic {
+            severity: Severity::Error,
+            check: checks::CKPT_STATELESS,
+            subject: adl.app_name.clone(),
+            message: "every operator is declared checkpointable but none carries state; \
+                      checkpointing this application preserves nothing"
+                .into(),
+        });
+    }
+}
+
+/// Exactly-once precondition: upstream backup replays the post-checkpoint
+/// gap into *restored* consumers; a consumer PE that is never checkpointed
+/// always restarts fresh and the replayed gap has no snapshot to extend.
+fn check_backup_consumers(adl: &Adl, out: &mut Vec<VerifyDiagnostic>) {
+    for s in &adl.streams {
+        let (Some(f), Some(t)) = (index_of(adl, &s.from_op), index_of(adl, &s.to_op)) else {
+            continue;
+        };
+        let (fp, tp) = (adl.operators[f].pe, adl.operators[t].pe);
+        if fp == tp {
+            continue;
+        }
+        let consumer_pe_ckpt = adl.pes[tp]
+            .operators
+            .iter()
+            .filter_map(|n| index_of(adl, n))
+            .all(|i| adl.operators[i].checkpointable);
+        if !consumer_pe_ckpt {
+            out.push(VerifyDiagnostic {
+                severity: Severity::Error,
+                check: checks::UB_CONSUMER,
+                subject: format!("{}->{}", s.from_op, s.to_op),
+                message: format!(
+                    "upstream backup requires a checkpointable consumer, but PE {tp} \
+                     (operator `{}`) is not checkpointable; gap replay would land in \
+                     fresh state",
+                    s.to_op
+                ),
+            });
+        }
+    }
 }
 
 /// Convenience: true iff [`verify_graph`] produced no error-severity

@@ -154,14 +154,6 @@ proptest! {
     }
 
     #[test]
-    fn xml_roundtrip_after_compile(spec in arb_spec()) {
-        let model = build(&spec);
-        let adl = compile(&model, CompileOptions::default()).unwrap();
-        let restored = sps_model::Adl::from_xml_str(&adl.to_xml_string()).unwrap();
-        prop_assert_eq!(restored, adl);
-    }
-
-    #[test]
     fn graph_store_agrees_with_adl(spec in arb_spec()) {
         let model = build(&spec);
         let adl = compile(

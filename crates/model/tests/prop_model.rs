@@ -1,33 +1,16 @@
-//! Property tests: value/XML/ADL serialization round-trips and graph-store
-//! containment invariants over randomly generated structures.
+//! Property tests: `Value::render` (its bytes, and that distinct values never
+//! share a rendering) and graph-store containment invariants over randomly
+//! generated ADLs.
 
 use proptest::prelude::*;
 use sps_model::adl::{Adl, AdlExport, AdlImport, AdlOperator, AdlPe, AdlStream};
 use sps_model::logical::{ExportSpec, HostPool, ImportSpec};
 use sps_model::value::ParamMap;
-use sps_model::xml::{self, XmlNode};
 use sps_model::{GraphStore, Value};
 
 // ---------------------------------------------------------------------------
-// Value round-trips
+// Value renderings
 // ---------------------------------------------------------------------------
-
-fn arb_value() -> impl Strategy<Value = Value> {
-    let leaf = prop_oneof![
-        any::<i64>().prop_map(Value::Int),
-        // Finite floats only: NaN breaks PartialEq-based roundtrip checks.
-        any::<f64>()
-            .prop_filter("finite", |f| f.is_finite())
-            .prop_map(Value::Float),
-        // Strings without the list separator control character.
-        "[a-zA-Z0-9 _.:<>&\"'/-]{0,20}".prop_map(Value::Str),
-        any::<bool>().prop_map(Value::Bool),
-        any::<u64>().prop_map(Value::Timestamp),
-    ];
-    leaf.prop_recursive(3, 16, 4, |inner| {
-        prop::collection::vec(inner, 0..4).prop_map(Value::List)
-    })
-}
 
 /// Values whose strings are dense in the four characters `render` escapes
 /// (`\\`, U+001F, `[`, `]`), nested up to three lists deep.
@@ -74,13 +57,6 @@ fn render_by_format(v: &Value) -> String {
 
 proptest! {
     #[test]
-    fn value_render_parse_roundtrip(v in arb_value()) {
-        let rendered = v.render();
-        let parsed = Value::parse(&rendered);
-        prop_assert_eq!(parsed, Some(v));
-    }
-
-    #[test]
     fn render_into_appends_what_render_by_format_built(
         v in arb_escaping_value(),
         held in "[a-z\\[]{0,6}",
@@ -93,63 +69,73 @@ proptest! {
         prop_assert_eq!(out, held + &expect);
     }
 
+    /// `Aggregate` and `DeDup` key their state by the rendering, so two
+    /// values may share one only if they are the same value. `Debug` judges
+    /// sameness, not `==`: a NaN renders like any other NaN and must pass, and
+    /// a rendering that lost the sign of 0.0 must fail.
     #[test]
-    fn value_parse_never_panics(s in ".{0,40}") {
-        let _ = Value::parse(&s);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// XML round-trips
-// ---------------------------------------------------------------------------
-
-fn arb_xml() -> impl Strategy<Value = XmlNode> {
-    let name = "[a-zA-Z][a-zA-Z0-9_.-]{0,8}";
-    let attr_val = "[^\\x00-\\x08\\x0b-\\x1f]{0,16}"; // printable-ish incl. specials
-    let leaf = (name, prop::collection::vec((name, attr_val), 0..3)).prop_map(|(n, attrs)| {
-        let mut node = XmlNode::new(&n);
-        // Deduplicate attribute keys (XML requires uniqueness; our
-        // writer does not enforce it, so generate unique keys).
-        let mut seen = std::collections::BTreeSet::new();
-        for (k, v) in attrs {
-            if seen.insert(k.clone()) {
-                node = node.attr(&k, v);
+    fn equal_renderings_imply_equal_values(
+        random in (arb_escaping_value(), arb_escaping_value()),
+        layers in prop::collection::vec(
+            (
+                prop::collection::vec(arb_escaping_value(), 0..3),
+                prop::collection::vec(arb_escaping_value(), 0..3),
+            ),
+            0..3,
+        ),
+    ) {
+        let surround = |mut v: Value| {
+            for (before, after) in &layers {
+                let mut items = before.clone();
+                items.push(v);
+                items.extend(after.iter().cloned());
+                v = Value::List(items);
+            }
+            v
+        };
+        let near = near_collisions().into_iter().map(|(a, b)| (surround(a), surround(b)));
+        for (a, b) in near.chain([random]) {
+            if a.render() == b.render() {
+                prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
             }
         }
-        node
-    });
-    leaf.prop_recursive(3, 20, 3, |inner| {
-        (
-            "[a-zA-Z][a-zA-Z0-9]{0,6}",
-            prop::collection::vec(inner, 0..3),
-            "[a-zA-Z0-9 <>&'\"]{0,12}",
-        )
-            .prop_map(|(n, children, text)| {
-                let mut node = XmlNode::new(&n).with_text(text.trim());
-                for c in children {
-                    node = node.child(c);
-                }
-                node
-            })
-    })
+    }
 }
 
-proptest! {
-    #[test]
-    fn xml_write_parse_roundtrip(node in arb_xml()) {
-        let rendered = node.to_string_pretty();
-        let parsed = xml::parse(&rendered).unwrap();
-        prop_assert_eq!(parsed, node);
+/// Pairs of distinct values that would share a rendering if one escape were
+/// dropped or two escapes coincided: each escaped character against every
+/// other one and against the text of its own escape, a string against the
+/// value it spells, and lists whose separator or closing bracket falls in a
+/// different place. The property checks each pair at the same place in the
+/// same random lists.
+fn near_collisions() -> Vec<(Value, Value)> {
+    let s = |x: &str| Value::Str(x.to_string());
+    let l = Value::List;
+    let escaped = ["\\", "\u{1f}", "[", "]"];
+    let spelled = ["\\\\", "\\u", "\\l", "\\r"];
+    let mut pairs = Vec::new();
+    for (i, c) in escaped.iter().enumerate() {
+        for other in &escaped[i + 1..] {
+            pairs.push((s(c), s(other)));
+        }
+        pairs.push((s(c), s(spelled[i])));
     }
-
-    #[test]
-    fn xml_parse_never_panics(s in ".{0,80}") {
-        let _ = xml::parse(&s);
-    }
+    pairs.extend([
+        (s("i:1"), Value::Int(1)),
+        (s("l:[s:a]"), l(vec![s("a")])),
+        (l(vec![s("[s:a]")]), l(vec![l(vec![s("a")])])),
+        (l(vec![]), l(vec![s("")])),
+        (l(vec![s("a\u{1f}s:b")]), l(vec![s("a"), s("b")])),
+        (
+            l(vec![l(vec![s("a]"), s("b")])]),
+            l(vec![l(vec![s("a")]), s("b]")]),
+        ),
+    ]);
+    pairs
 }
 
 // ---------------------------------------------------------------------------
-// ADL round-trips + graph-store invariants
+// Graph-store invariants
 // ---------------------------------------------------------------------------
 
 /// Random flat ADL: operators spread over PEs, nested composite paths,
@@ -238,14 +224,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn adl_xml_roundtrip(adl in arb_adl()) {
-        prop_assert!(adl.validate().is_ok());
-        let restored = Adl::from_xml_str(&adl.to_xml_string()).unwrap();
-        prop_assert_eq!(restored, adl);
-    }
-
-    #[test]
     fn graph_store_partitions_operators_exactly_once(adl in arb_adl()) {
+        prop_assert!(adl.validate().is_ok());
         let g = GraphStore::from_adl(&adl);
         // Every operator appears in exactly one PE listing.
         let total: usize = (0..g.num_pes()).map(|pe| g.operators_in_pe(pe).len()).sum();

@@ -117,9 +117,6 @@ fn compiled_physical_layout_needs_disambiguation() {
         graph.enclosing_composite("c1.op3").unwrap().path,
         graph.enclosing_composite("c2.op3").unwrap().path
     );
-    // XML ADL round-trips through serialization at this scale too.
-    let restored = Adl::from_xml_str(&adl.to_xml_string()).unwrap();
-    assert_eq!(restored, adl);
 }
 
 #[test]
