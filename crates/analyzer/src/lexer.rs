@@ -50,6 +50,12 @@ pub struct Lexed {
     pub bad_allows: Vec<BadAllow>,
 }
 
+impl Lexed {
+    fn push(&mut self, kind: TokKind, text: String, line: u32) {
+        self.toks.push(Tok { kind, text, line });
+    }
+}
+
 /// Lexes one source file.
 pub fn lex(src: &str) -> Lexed {
     let bytes = src.as_bytes();
@@ -58,6 +64,7 @@ pub fn lex(src: &str) -> Lexed {
     let mut line = 1u32;
     while i < bytes.len() {
         let c = bytes[i];
+        let start = i;
         match c {
             b'\n' => {
                 line += 1;
@@ -65,140 +72,125 @@ pub fn lex(src: &str) -> Lexed {
             }
             b' ' | b'\t' | b'\r' => i += 1,
             b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                let start = i;
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
+                i = line_end(bytes, i);
                 parse_annotation(&src[start..i], line, &mut out);
             }
-            b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                // Nested block comments.
-                let mut depth = 1usize;
-                i += 2;
-                while i < bytes.len() && depth > 0 {
-                    if bytes[i] == b'\n' {
-                        line += 1;
-                        i += 1;
-                    } else if bytes[i] == b'/' && bytes.get(i + 1) == Some(&b'*') {
-                        depth += 1;
-                        i += 2;
-                    } else if bytes[i] == b'*' && bytes.get(i + 1) == Some(&b'/') {
-                        depth -= 1;
-                        i += 2;
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
+            b'/' if bytes.get(i + 1) == Some(&b'*') => i = skip_block_comment(bytes, i, &mut line),
             b'"' => {
                 i = lex_string(bytes, i, &mut line);
-                out.toks.push(Tok {
-                    kind: TokKind::Str,
-                    text: String::new(),
-                    line,
-                });
+                out.push(TokKind::Str, String::new(), line);
             }
             b'r' | b'b' if raw_string_start(bytes, i).is_some() => {
                 let (body_start, hashes) = raw_string_start(bytes, i).unwrap();
                 i = lex_raw_string(bytes, body_start, hashes, &mut line);
-                out.toks.push(Tok {
-                    kind: TokKind::Str,
-                    text: String::new(),
-                    line,
-                });
+                out.push(TokKind::Str, String::new(), line);
             }
+            // Lifetime: skip the tick, let the ident lex normally.
+            b'\'' if is_lifetime(bytes, i) => i += 1,
             b'\'' => {
-                // Lifetime (`'a`) or char literal (`'x'`, `'\n'`).
-                let mut j = i + 1;
-                if j < bytes.len() && (bytes[j].is_ascii_alphabetic() || bytes[j] == b'_') {
-                    let mut k = j;
-                    while k < bytes.len() && (bytes[k].is_ascii_alphanumeric() || bytes[k] == b'_')
-                    {
-                        k += 1;
-                    }
-                    if bytes.get(k) != Some(&b'\'') {
-                        // Lifetime: skip the tick, let the ident lex normally.
-                        i += 1;
-                        continue;
-                    }
-                }
-                // Char literal: consume to the closing quote.
-                while j < bytes.len() {
-                    match bytes[j] {
-                        b'\\' => j += 2,
-                        b'\'' => {
-                            j += 1;
-                            break;
-                        }
-                        b'\n' => {
-                            line += 1;
-                            j += 1;
-                        }
-                        _ => j += 1,
-                    }
-                }
-                out.toks.push(Tok {
-                    kind: TokKind::Char,
-                    text: String::new(),
-                    line,
-                });
-                i = j;
+                i = lex_char(bytes, i, &mut line);
+                out.push(TokKind::Char, String::new(), line);
             }
             _ if c.is_ascii_alphabetic() || c == b'_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                out.toks.push(Tok {
-                    kind: TokKind::Ident,
-                    text: src[start..i].to_string(),
-                    line,
-                });
+                i = word_end(bytes, i);
+                out.push(TokKind::Ident, src[start..i].to_string(), line);
             }
             _ if c.is_ascii_digit() => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                // Fractional part — but never swallow a `..` range operator.
-                if i < bytes.len()
-                    && bytes[i] == b'.'
-                    && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)
-                {
-                    i += 1;
-                    while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                    {
-                        i += 1;
-                    }
-                }
-                out.toks.push(Tok {
-                    kind: TokKind::Number,
-                    text: src[start..i].to_string(),
-                    line,
-                });
+                i = number_end(bytes, i);
+                out.push(TokKind::Number, src[start..i].to_string(), line);
             }
             _ => {
-                let rest = &src[i..];
-                if let Some(p) = MULTI_PUNCTS.iter().find(|p| rest.starts_with(**p)) {
-                    out.toks.push(Tok {
-                        kind: TokKind::Punct,
-                        text: p.to_string(),
-                        line,
-                    });
-                    i += p.len();
-                } else {
-                    let ch = rest.chars().next().expect("non-empty rest");
-                    out.toks.push(Tok {
-                        kind: TokKind::Punct,
-                        text: ch.to_string(),
-                        line,
-                    });
-                    i += ch.len_utf8();
-                }
+                let punct = punct_at(&src[i..]);
+                i += punct.len();
+                out.push(TokKind::Punct, punct.to_string(), line);
             }
         }
     }
     out
+}
+
+/// Index of the `\n` ending the line that `i` is on, or the end of input.
+fn line_end(bytes: &[u8], i: usize) -> usize {
+    let rest = bytes[i..].iter().position(|&b| b == b'\n');
+    rest.map_or(bytes.len(), |n| i + n)
+}
+
+/// Skips a (nested) block comment opening at `i`; returns the index just
+/// past its close.
+fn skip_block_comment(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
+    let mut depth = 1usize;
+    i += 2;
+    while i < bytes.len() && depth > 0 {
+        if bytes[i] == b'\n' {
+            *line += 1;
+            i += 1;
+        } else if bytes[i] == b'/' && bytes.get(i + 1) == Some(&b'*') {
+            depth += 1;
+            i += 2;
+        } else if bytes[i] == b'*' && bytes.get(i + 1) == Some(&b'/') {
+            depth -= 1;
+            i += 2;
+        } else {
+            i += 1;
+        }
+    }
+    i
+}
+
+/// Whether the tick at `i` starts a lifetime (`'a`) rather than a char
+/// literal (`'x'`, `'\n'`): a word follows it and no tick closes the word.
+fn is_lifetime(bytes: &[u8], i: usize) -> bool {
+    bytes
+        .get(i + 1)
+        .is_some_and(|&b| b.is_ascii_alphabetic() || b == b'_')
+        && bytes.get(word_end(bytes, i + 1)) != Some(&b'\'')
+}
+
+/// Lexes a char literal opening at `i`; returns the index just past the
+/// closing quote.
+fn lex_char(bytes: &[u8], i: usize, line: &mut u32) -> usize {
+    let mut j = i + 1;
+    while j < bytes.len() {
+        match bytes[j] {
+            b'\\' => j += 2,
+            b'\'' => return j + 1,
+            b'\n' => {
+                *line += 1;
+                j += 1;
+            }
+            _ => j += 1,
+        }
+    }
+    j
+}
+
+/// Index just past the run of identifier characters starting at `i`.
+fn word_end(bytes: &[u8], mut i: usize) -> usize {
+    while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+        i += 1;
+    }
+    i
+}
+
+/// Index just past the number starting at `i`, with its fractional part —
+/// but never swallowing a `..` range operator.
+fn number_end(bytes: &[u8], i: usize) -> usize {
+    let i = word_end(bytes, i);
+    if bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
+        word_end(bytes, i + 1)
+    } else {
+        i
+    }
+}
+
+/// The punctuation token at the start of `rest`: the longest multi-character
+/// operator it starts with, else its first character.
+fn punct_at(rest: &str) -> &str {
+    let len = match MULTI_PUNCTS.iter().find(|p| rest.starts_with(**p)) {
+        Some(p) => p.len(),
+        None => rest.chars().next().expect("non-empty rest").len_utf8(),
+    };
+    &rest[..len]
 }
 
 /// Multi-character operators, longest first so maximal munch holds.

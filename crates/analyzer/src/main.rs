@@ -13,95 +13,121 @@
 //! gate. `--paths` restricts the lint to explicit files/directories (used
 //! to lint the fixture corpus on purpose).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let mut deny = false;
-    let mut adl = false;
-    let mut lint = true;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut args = std::env::args().skip(1).peekable();
+const HELP: &str = "sslint [--deny] [--adl] [--adl-only] [--paths P...]\n\
+                    \n\
+                    --deny       exit non-zero on any finding or verifier error\n\
+                    --adl        also statically verify the campaign application graphs\n\
+                    --adl-only   skip the source lint, run only the graph verifier\n\
+                    --paths P..  lint these files/dirs instead of the workspace";
+
+/// What the command line asked for.
+struct Options {
+    deny: bool,
+    adl: bool,
+    lint: bool,
+    paths: Vec<PathBuf>,
+}
+
+/// The options, or the exit code of `--help` or of an unknown argument.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, ExitCode> {
+    let mut options = Options {
+        deny: false,
+        adl: false,
+        lint: true,
+        paths: Vec::new(),
+    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--deny" => deny = true,
-            "--adl" => adl = true,
+            "--deny" => options.deny = true,
+            "--adl" => options.adl = true,
             "--adl-only" => {
-                adl = true;
-                lint = false;
+                options.adl = true;
+                options.lint = false;
             }
-            "--paths" => {
-                for p in args.by_ref() {
-                    paths.push(PathBuf::from(p));
-                }
-            }
+            "--paths" => options.paths.extend(args.by_ref().map(PathBuf::from)),
             "--help" | "-h" => {
-                println!(
-                    "sslint [--deny] [--adl] [--adl-only] [--paths P...]\n\
-                     \n\
-                     --deny       exit non-zero on any finding or verifier error\n\
-                     --adl        also statically verify the campaign application graphs\n\
-                     --adl-only   skip the source lint, run only the graph verifier\n\
-                     --paths P..  lint these files/dirs instead of the workspace"
-                );
-                return ExitCode::SUCCESS;
+                println!("{HELP}");
+                return Err(ExitCode::SUCCESS);
             }
             other => {
                 eprintln!("sslint: unknown argument `{other}` (try --help)");
-                return ExitCode::from(2);
+                return Err(ExitCode::from(2));
             }
         }
     }
+    Ok(options)
+}
 
+/// Lints `paths` (the workspace's `crates/` when empty) and prints every
+/// finding and a summary; the number of findings, or the exit code of a
+/// failed scan.
+fn lint(base: &Path, paths: Vec<PathBuf>) -> Result<usize, ExitCode> {
+    let roots = if paths.is_empty() {
+        vec![base.join("crates")]
+    } else {
+        paths
+    };
+    match analyzer::scan_paths(base, &roots) {
+        Ok(diags) => {
+            for d in &diags {
+                println!("{}", d.render());
+            }
+            println!(
+                "sslint: lint summary: {} finding(s) across {} root(s)",
+                diags.len(),
+                roots.len()
+            );
+            Ok(diags.len())
+        }
+        Err(e) => {
+            eprintln!("sslint: scan failed: {e}");
+            Err(ExitCode::from(2))
+        }
+    }
+}
+
+/// Verifies the campaign application graphs and prints every verifier line
+/// and a summary; the number of errors.
+fn verify_adls() -> usize {
+    let reports = analyzer::adl::verify_campaign_apps();
+    let (mut errors, mut warnings) = (0, 0);
+    for r in &reports {
+        for line in &r.lines {
+            println!("sslint: adl {line}");
+        }
+        errors += r.errors;
+        warnings += r.warnings;
+    }
+    println!(
+        "sslint: adl summary: {} app(s), {} error(s), {} warning(s)",
+        reports.len(),
+        errors,
+        warnings
+    );
+    errors
+}
+
+fn main() -> ExitCode {
+    let options = match parse_args(std::env::args().skip(1)) {
+        Ok(options) => options,
+        Err(code) => return code,
+    };
     let cwd = std::env::current_dir().expect("cwd");
     let base = analyzer::workspace_root(&cwd).unwrap_or_else(|| cwd.clone());
     let mut failures = 0usize;
-
-    if lint {
-        let roots = if paths.is_empty() {
-            vec![base.join("crates")]
-        } else {
-            paths.clone()
-        };
-        match analyzer::scan_paths(&base, &roots) {
-            Ok(diags) => {
-                for d in &diags {
-                    println!("{}", d.render());
-                }
-                failures += diags.len();
-                println!(
-                    "sslint: lint summary: {} finding(s) across {} root(s)",
-                    diags.len(),
-                    roots.len()
-                );
-            }
-            Err(e) => {
-                eprintln!("sslint: scan failed: {e}");
-                return ExitCode::from(2);
-            }
+    if options.lint {
+        match lint(&base, options.paths) {
+            Ok(findings) => failures += findings,
+            Err(code) => return code,
         }
     }
-
-    if adl {
-        let reports = analyzer::adl::verify_campaign_apps();
-        let (mut errors, mut warnings) = (0, 0);
-        for r in &reports {
-            for line in &r.lines {
-                println!("sslint: adl {line}");
-            }
-            errors += r.errors;
-            warnings += r.warnings;
-        }
-        println!(
-            "sslint: adl summary: {} app(s), {} error(s), {} warning(s)",
-            reports.len(),
-            errors,
-            warnings
-        );
-        failures += errors;
+    if options.adl {
+        failures += verify_adls();
     }
-
-    if deny && failures > 0 {
+    if options.deny && failures > 0 {
         eprintln!("sslint: denying: {failures} blocking finding(s)");
         return ExitCode::FAILURE;
     }

@@ -23,21 +23,34 @@
 //! # The store's layout
 //!
 //! Every C2 tuple probes the store and every C3 job scans it, so the store
-//! ([`ProfileStoreHandle`]) keeps a profile where the probe lands: the map
-//! key holds a user name of up to 22 bytes in place, and the value is a
-//! 64-byte entry with `gender` and `location` (up to 14 bytes each) in
-//! place, `age`, `sentiment`, and up to seven sources as one-byte ids, in
-//! first-seen order, into a per-store table of source names. Nothing on
-//! that path is behind a pointer, and nothing is freed one profile at a
-//! time when a world is dropped. What does not fit falls back to the heap
-//! and stays there: a longer user name becomes a boxed key, and a profile
-//! with a longer value, an eighth source, or a source the 256-name table
-//! has no id left for becomes an owned [`Profile`]. Keys order as `str`
-//! orders — by the name's bytes, never by the zero-padded array, so `"a"`
-//! and `"a\0"` stay two users — and every scan visits profiles in that
-//! order, which is what keeps the aggregator's per-group float sums
-//! bit-for-bit what they were over a `BTreeMap<String, Profile>`. Inline
-//! bytes are read back through checked `from_utf8`; there is no `unsafe`.
+//! ([`ProfileStoreHandle`]) is three flat parts:
+//!
+//! - an append-only **arena** of `(key, slot)` pairs in first-sight order.
+//!   The key holds a user name of up to 22 bytes in place; the slot is a
+//!   64-byte entry with `gender` and `location` (up to 14 bytes each) in
+//!   place, `age`, `sentiment`, and up to seven sources as one-byte ids, in
+//!   first-seen order, into a per-store table of source names;
+//! - an **index** of `u32` arena positions, open addressing with linear
+//!   probing, at most half full, probed from the low bits of
+//!   [`DigestWriter::bytes`] of the name. A probe compares the name's bytes
+//!   with the key at the position it finds, so each key is stored once;
+//! - **`order`**, the arena positions in user order. Only an ordered read
+//!   (`snapshot`, `for_each`, the C3 scan) touches it: the positions added
+//!   since the previous ordered read are sorted among themselves and merged
+//!   into `order` in place from the back, so a read sorts what is new and
+//!   never the whole store again.
+//!
+//! Nothing on the probe's path is behind a pointer, and nothing is freed one
+//! profile at a time when a world is dropped. What does not fit falls back
+//! to the heap and stays there: a longer user name becomes a boxed key, and
+//! a profile with a longer value, an eighth source, or a source the 256-name
+//! table has no id left for becomes an owned [`Profile`]. Keys compare and
+//! order as `str` does — by the name's bytes, never by the zero-padded
+//! array, so `"a"` and `"a\0"` stay two users — and every ordered read
+//! visits profiles in that order, which is what keeps the aggregator's
+//! per-group float sums bit-for-bit what they were over a
+//! `BTreeMap<String, Profile>`. Inline bytes are read back through checked
+//! `from_utf8`; there is no `unsafe`.
 
 use crate::SharedStores;
 use orca::{
@@ -55,10 +68,11 @@ use sps_model::logical::{
     AppModelBuilder, CompositeGraphBuilder, ExportSpec, ImportSpec, OperatorInvocation,
 };
 use sps_model::{Adl, Value};
-use sps_sim::{SimDuration, SimRng, SimTime};
+use sps_sim::{DigestWriter, SimDuration, SimRng, SimTime};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -81,9 +95,10 @@ pub struct Profile {
 /// duplicate profile entry" (§5.3).
 ///
 /// Clones of a handle share one store. Inside, a profile is a fixed-size
-/// entry next to its key in the nodes of an ordered map (see the module
-/// docs), so the per-tuple merge and the C3 scans follow no pointer of their
-/// own and allocate nothing; [`Profile`] values are built only on the way
+/// entry next to its key in an arena found through a hashed index (see the
+/// module docs), so the per-tuple merge follows no pointer of its own and
+/// allocates nothing but room to grow, and the C3 scans read the entries in
+/// place; [`Profile`] values are built only on the way
 /// out, by [`snapshot`](Self::snapshot) and [`for_each`](Self::for_each).
 /// The store is out-of-band state (the paper's external data store): no
 /// checkpoint covers it, and a restarted C2 job merges into what is there.
@@ -103,7 +118,7 @@ pub struct Observation<'a> {
     pub sources: &'a [&'a str],
 }
 
-/// User names up to this many bytes live inside their map key.
+/// User names up to this many bytes live inside their key.
 const USER_INLINE: usize = 22;
 /// `gender` / `location` values up to this many bytes live inside the entry.
 const ATTR_INLINE: usize = 14;
@@ -137,8 +152,9 @@ impl<const N: usize> Inline<N> {
     }
 }
 
-/// Map key: the user name, ordered exactly as `str` orders (bytewise over
-/// the name, never over the padded array) and probed by `&[u8]`.
+/// Arena key: the user name, compared and ordered by [`UserKey::as_bytes`]
+/// exactly as `str` is (bytewise over the name, never over the padded
+/// array).
 enum UserKey {
     Inline(Inline<USER_INLINE>),
     Heap(Box<str>),
@@ -164,32 +180,6 @@ impl UserKey {
             UserKey::Inline(inline) => inline.as_str(),
             UserKey::Heap(user) => user,
         }
-    }
-}
-
-impl std::borrow::Borrow<[u8]> for UserKey {
-    fn borrow(&self) -> &[u8] {
-        self.as_bytes()
-    }
-}
-
-impl PartialEq for UserKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_bytes() == other.as_bytes()
-    }
-}
-
-impl Eq for UserKey {}
-
-impl PartialOrd for UserKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for UserKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_bytes().cmp(other.as_bytes())
     }
 }
 
@@ -271,7 +261,7 @@ impl Entry {
     }
 }
 
-/// What the map holds per user: an [`Entry`], or — once some value outgrew
+/// What the arena holds per user: an [`Entry`], or — once some value outgrew
 /// it — the owned profile, for good.
 enum Slot {
     Flat(Entry),
@@ -362,17 +352,117 @@ fn merge_into(profile: &mut Profile, seen: &Observation<'_>) {
     }
 }
 
+/// An index cell that holds no arena position.
+const VACANT: u32 = u32::MAX;
+
+/// The arena, its index and its user order (see the module docs).
 #[derive(Default)]
 struct ProfileStore {
-    profiles: BTreeMap<UserKey, Slot>,
+    /// Every user's key and slot, in first-sight order; a position never
+    /// changes.
+    arena: Vec<(UserKey, Slot)>,
+    /// Arena positions, or [`VACANT`], in a power-of-two number of cells at
+    /// least twice the arena's length (none before the first merge).
+    index: Vec<u32>,
+    /// Arena positions in user order as of the last ordered read; the
+    /// positions from `order.len()` on were added since.
+    order: Vec<u32>,
     source_names: SourceNames,
 }
 
+/// The cell where the probe for `name` starts, for an index of `mask + 1`
+/// cells: the low bits of the name's digest. Not the top bits: the
+/// multiply fills those from a word's low bytes only, so `"u12345"` and
+/// `"u12399"` would start in one cell, while `DigestWriter::word`'s final
+/// shift-xor brings every byte down into the low bits.
+fn home_cell(name: &[u8], mask: usize) -> usize {
+    let mut hash = DigestWriter::default();
+    hash.bytes(name);
+    hash.digest() as usize & mask
+}
+
 impl ProfileStore {
+    /// The arena position of `user`, appended on first sight.
+    fn position(&mut self, user: &str) -> usize {
+        if 2 * (self.arena.len() + 1) > self.index.len() {
+            self.grow_index();
+        }
+        let mask = self.index.len() - 1;
+        let mut cell = home_cell(user.as_bytes(), mask);
+        loop {
+            match self.index[cell] {
+                VACANT => break,
+                at if self.arena[at as usize].0.as_bytes() == user.as_bytes() => {
+                    return at as usize
+                }
+                _ => cell = (cell + 1) & mask,
+            }
+        }
+        // Every position is checked here once, so the `as u32` casts of
+        // positions elsewhere are lossless.
+        let at = self.arena.len();
+        self.index[cell] = u32::try_from(at)
+            .ok()
+            .filter(|&at| at != VACANT)
+            .expect("fewer than u32::MAX users");
+        self.arena
+            .push((UserKey::new(user), Slot::Flat(Entry::default())));
+        at
+    }
+
+    /// Doubles the index (64 cells at first) and enters every position again.
+    fn grow_index(&mut self) {
+        let mask = (2 * self.index.len()).max(64) - 1;
+        self.index = vec![VACANT; mask + 1];
+        for (at, (user, _)) in self.arena.iter().enumerate() {
+            let mut cell = home_cell(user.as_bytes(), mask);
+            while self.index[cell] != VACANT {
+                cell = (cell + 1) & mask;
+            }
+            self.index[cell] = at as u32;
+        }
+    }
+
+    /// Brings `order` up to date: the positions added since the last ordered
+    /// read are sorted among themselves, then merged into `order` in place
+    /// from the back, each step moving the greater of the two runs' last
+    /// elements into the last unfilled cell.
+    fn update_order(&mut self) {
+        let (arena, order) = (&self.arena, &mut self.order);
+        let mut kept = order.len();
+        if kept == arena.len() {
+            return;
+        }
+        let name = |at: u32| arena[at as usize].0.as_bytes();
+        let mut fresh: Vec<u32> = (kept..arena.len()).map(|at| at as u32).collect();
+        fresh.sort_unstable_by(|&a, &b| name(a).cmp(name(b)));
+        order.resize(arena.len(), VACANT);
+        for to in (0..order.len()).rev() {
+            let Some(&new) = fresh.last() else {
+                break;
+            };
+            if kept > 0 && name(order[kept - 1]) > name(new) {
+                kept -= 1;
+                order[to] = order[kept];
+            } else {
+                order[to] = new;
+                fresh.pop();
+            }
+        }
+    }
+
+    /// Every key and slot in user order as of the last
+    /// [`update_order`](Self::update_order).
+    fn in_order(&self) -> impl Iterator<Item = &(UserKey, Slot)> {
+        self.order.iter().map(|&at| &self.arena[at as usize])
+    }
+
     /// Every profile in user order, built on the way out unless it spilled.
-    fn profiles(&self) -> impl Iterator<Item = Cow<'_, Profile>> {
-        self.profiles.iter().map(|(user, slot)| match slot {
-            Slot::Flat(entry) => Cow::Owned(entry.to_profile(user.as_str(), &self.source_names)),
+    fn profiles(&mut self) -> impl Iterator<Item = Cow<'_, Profile>> {
+        self.update_order();
+        let store = &*self;
+        store.in_order().map(move |(user, slot)| match slot {
+            Slot::Flat(entry) => Cow::Owned(entry.to_profile(user.as_str(), &store.source_names)),
             Slot::Spilled(profile) => Cow::Borrowed(&**profile),
         })
     }
@@ -397,25 +487,21 @@ impl ProfileStoreHandle {
     /// nothing is allocated while names and values fit their inline room.
     pub fn merge_observed(&self, seen: Observation<'_>) {
         let mut store = self.0.lock();
+        let at = store.position(seen.user);
         let ProfileStore {
-            profiles,
+            arena,
             source_names,
+            ..
         } = &mut *store;
-        let slot = match profiles.get_mut(seen.user.as_bytes()) {
-            Some(slot) => slot,
-            None => profiles
-                .entry(UserKey::new(seen.user))
-                .or_insert(Slot::Flat(Entry::default())),
-        };
-        slot.merge(&seen, source_names);
+        arena[at].1.merge(&seen, source_names);
     }
 
     pub fn len(&self) -> usize {
-        self.0.lock().profiles.len()
+        self.0.lock().arena.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.lock().profiles.is_empty()
+        self.0.lock().arena.is_empty()
     }
 
     /// Snapshot of all profiles, in user order (tests and figures).
@@ -432,8 +518,8 @@ impl ProfileStoreHandle {
     /// Profiles that have the given attribute.
     pub fn count_with_attribute(&self, attribute: &str) -> usize {
         let store = self.0.lock();
-        let profiles = store.profiles.values();
-        profiles.filter(|p| p.has_attribute(attribute)).count()
+        let slots = store.arena.iter().map(|(_, slot)| slot);
+        slots.filter(|slot| slot.has_attribute(attribute)).count()
     }
 }
 
@@ -619,15 +705,19 @@ impl Operator for AttributeAggregator {
 
 /// Sentiment sum and profile count per value of `attribute` over the
 /// deduplicated store, scanned in place and in user order (so each sum adds
-/// in that order); profiles without the attribute are skipped. A key is
+/// in that order); profiles without the attribute are skipped. Groups are
+/// probed in a hash table and sorted once, on the way out; a key is
 /// allocated only when its group is first seen.
 fn sentiment_by_attribute(
     store: &ProfileStoreHandle,
     attribute: &str,
 ) -> BTreeMap<String, (f64, usize)> {
-    let mut groups: BTreeMap<String, (f64, usize)> = BTreeMap::new();
+    let mut groups: HashMap<String, (f64, usize), BuildHasherDefault<DigestWriter>> =
+        HashMap::default();
     let mut decade = String::new();
-    for profile in store.0.lock().profiles.values() {
+    let mut store = store.0.lock();
+    store.update_order();
+    for (_, profile) in store.in_order() {
         let key = match attribute {
             "gender" => profile.gender(),
             "location" => profile.location(),
@@ -648,7 +738,7 @@ fn sentiment_by_attribute(
         slot.0 += profile.sentiment();
         slot.1 += 1;
     }
-    groups
+    groups.into_iter().collect()
 }
 
 /// Registers the social operator kinds.
@@ -1396,34 +1486,30 @@ mod tests {
         ]
     }
 
+    /// Groups with each sum as its bit pattern (`==` on floats would let
+    /// -0.0 pass for 0.0).
+    fn bits(groups: BTreeMap<String, (f64, usize)>) -> Vec<(String, u64, usize)> {
+        let flat = groups.into_iter();
+        flat.map(|(key, (sum, n))| (key, sum.to_bits(), n))
+            .collect()
+    }
+
     /// Everything the store lets a caller see equals the model's, user
     /// order included; float sums compared by bit pattern.
     fn assert_store_is(store: &ProfileStoreHandle, model: &BTreeMap<String, Profile>) {
-        let expect: Vec<&Profile> = model.values().collect();
-        assert_eq!(store.snapshot().iter().collect::<Vec<_>>(), expect);
-        let mut scanned = Vec::new();
-        store.for_each(|p| scanned.push(p.clone()));
-        assert_eq!(scanned.iter().collect::<Vec<_>>(), expect);
+        for read in 0..READS {
+            ordered_read_is(store, model, read);
+        }
         assert_eq!(store.len(), model.len());
         assert_eq!(store.is_empty(), model.is_empty());
         assert_eq!(store.count_with_attribute("bogus"), 0);
         for (attribute, _) in ATTRIBUTES {
             assert_eq!(
                 store.count_with_attribute(attribute),
-                expect
-                    .iter()
+                model
+                    .values()
                     .filter(|p| has_attribute(p, attribute))
                     .count(),
-                "{attribute}"
-            );
-            let bits = |groups: BTreeMap<String, (f64, usize)>| -> Vec<(String, u64, usize)> {
-                let flat = groups.into_iter();
-                flat.map(|(key, (sum, n))| (key, sum.to_bits(), n))
-                    .collect()
-            };
-            assert_eq!(
-                bits(sentiment_by_attribute(store, attribute)),
-                bits(groups_of(expect.iter().copied(), attribute)),
                 "{attribute}"
             );
         }
@@ -1510,18 +1596,18 @@ mod tests {
         // more names than it holds in use.
         let inner = store.0.lock();
         let keys = |heap: bool| {
-            let keys = inner.profiles.keys();
+            let keys = inner.arena.iter().map(|(key, _)| key);
             keys.filter(|key| matches!(key, UserKey::Heap(_)) == heap)
                 .count()
         };
         assert!(keys(false) > 100 && keys(true) > 5);
         let entries = || {
-            inner.profiles.values().filter_map(|slot| match slot {
+            inner.arena.iter().filter_map(|(_, slot)| match slot {
                 Slot::Flat(entry) => Some(entry),
                 Slot::Spilled(_) => None,
             })
         };
-        assert!(entries().count() > 30 && entries().count() + 60 < inner.profiles.len());
+        assert!(entries().count() > 30 && entries().count() + 60 < inner.arena.len());
         assert!(entries().any(|entry| usize::from(entry.n_sources) == SOURCES_INLINE));
         assert_eq!(inner.source_names.0.len(), usize::from(u8::MAX) + 1);
         let mut names: Vec<&String> = model.values().flat_map(|p| &p.sources).collect();
@@ -1530,6 +1616,105 @@ mod tests {
         assert!(names.len() > inner.source_names.0.len());
         let most = model.values().map(|p| p.sources.len()).max();
         assert!(most > Some(2 * SOURCES_INLINE));
+    }
+
+    /// Kinds of ordered read: `snapshot`, `for_each`, and a C3 scan per
+    /// attribute.
+    const READS: u64 = 2 + ATTRIBUTES.len() as u64;
+
+    /// One ordered read of `store` — `snapshot`, `for_each`, or the C3 scan
+    /// of one attribute — checked against the model.
+    fn ordered_read_is(store: &ProfileStoreHandle, model: &BTreeMap<String, Profile>, read: u64) {
+        let expect: Vec<&Profile> = model.values().collect();
+        match read {
+            0 => assert_eq!(store.snapshot().iter().collect::<Vec<_>>(), expect),
+            1 => {
+                let mut scanned = Vec::new();
+                store.for_each(|p| scanned.push(p.clone()));
+                assert_eq!(scanned.iter().collect::<Vec<_>>(), expect);
+            }
+            _ => {
+                let (attribute, _) = ATTRIBUTES[read as usize - 2];
+                assert_eq!(
+                    bits(sentiment_by_attribute(store, attribute)),
+                    bits(groups_of(expect.iter().copied(), attribute)),
+                    "{attribute}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_reads_merge_bursts_of_first_sightings() {
+        let store = ProfileStoreHandle::default();
+        let mut model = BTreeMap::new();
+        let mut rng = SimRng::new(0x0bde);
+
+        // The edge names, then ≈ 2,000 generated ones in no particular
+        // order: short, NUL-bearing, and straddling the inline capacity
+        // with a capacity-long common prefix.
+        let mut users = edge_strings(USER_INLINE);
+        let long_stem = "x".repeat(USER_INLINE - 2);
+        let stems = ["u", "a\0", long_stem.as_str()];
+        for _ in 0..2000 {
+            let stem = stems[rng.gen_range(0, 3) as usize];
+            users.push(format!("{stem}{}", rng.gen_range(0, 1_000_000)));
+        }
+        // Merges take the pool's next unseen name three times in five and a
+        // name already drawn otherwise, so about half of the ≈ 4,000 are
+        // first sightings and a burst between reads is mostly new keys.
+        let (mut next_new, mut until_read) = (0, 0);
+        let mut bursts = Vec::new();
+        for _ in 0..4000 {
+            let at = if next_new < users.len() && (next_new == 0 || rng.gen_bool(0.6)) {
+                next_new += 1;
+                next_new - 1
+            } else {
+                rng.gen_range(0, next_new as u64) as usize
+            };
+            let p = Profile {
+                user: users[at].clone(),
+                gender: rng
+                    .gen_bool(0.5)
+                    .then(|| if rng.gen_bool(0.5) { "f" } else { "m" }.to_string()),
+                age: rng.gen_bool(0.5).then(|| rng.gen_range(5, 120) as i64),
+                location: rng
+                    .gen_bool(0.4)
+                    .then(|| format!("loc{}", rng.gen_range(0, 40))),
+                sentiment: -rng.next_f64(),
+                sources: vec!["blogs".into()],
+            };
+            merge_owned(&mut model, p.clone());
+            store.merge(p);
+
+            if until_read > 0 {
+                until_read -= 1;
+                continue;
+            }
+            until_read = rng.gen_range(0, 401);
+            let inner = store.0.lock();
+            bursts.push((inner.order.len(), inner.arena.len() - inner.order.len()));
+            drop(inner);
+            ordered_read_is(&store, &model, rng.gen_range(0, READS));
+            if rng.gen_bool(0.3) {
+                ordered_read_is(&store, &model, rng.gen_range(0, READS));
+            }
+            assert_store_is(&store, &model);
+        }
+
+        // Bursts of hundreds of new keys were merged into an order that
+        // already held hundreds, and heap and NUL-bearing keys were among
+        // them.
+        assert!(bursts.len() > 12);
+        assert!(bursts
+            .iter()
+            .any(|&(kept, fresh)| kept > 500 && fresh > 150));
+        let inner = store.0.lock();
+        let heap = |(key, _): &&(UserKey, Slot)| matches!(key, UserKey::Heap(_));
+        assert!(inner.arena.iter().filter(heap).count() > 300);
+        let nul = |(key, _): &&(UserKey, Slot)| key.as_bytes().contains(&0);
+        assert!(inner.arena.iter().filter(nul).count() > 300);
+        assert!(inner.arena.len() > 1900);
     }
 
     #[test]

@@ -18,7 +18,9 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// hash of [`TraceRing::digest`], of the checkpoint and metastore digests,
 /// and of every chaining of one digest into another (trace digest into run
 /// digest, run digests into a campaign's). The one other mixing function in
-/// the workspace is [`DigestWriter::word`], for typed values.
+/// the workspace is [`DigestWriter::word`], for typed values; through
+/// [`DigestWriter::bytes`] and the `Hasher` impl on it, it is also the hash
+/// of the social profile store's index and of its C3 scan's group table.
 pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
@@ -47,17 +49,20 @@ pub struct DigestWriter {
 
 impl DigestWriter {
     /// Starts a stream from an existing hash state (chain with [`fnv1a`]).
+    #[inline]
     pub fn new(h: u64) -> Self {
         DigestWriter { h }
     }
 
     /// Current hash state.
+    #[inline]
     pub fn digest(&self) -> u64 {
         self.h
     }
 
     /// Folds one word: FNV-1a's xor-then-multiply on 64 bits at once, then
     /// a shift-xor so the high bits the multiply filled reach the low ones.
+    #[inline]
     pub fn word(&mut self, w: u64) {
         let h = (self.h ^ w).wrapping_mul(FNV_PRIME);
         self.h = h ^ (h >> 29);
@@ -66,6 +71,7 @@ impl DigestWriter {
     /// Folds a byte string: its length, then its bytes as little-endian
     /// words, the last one zero-padded. The length goes first, so adjacent
     /// strings cannot trade bytes and a trailing NUL is not padding.
+    #[inline]
     pub fn bytes(&mut self, bytes: &[u8]) {
         self.word(bytes.len() as u64);
         let mut chunks = bytes.chunks_exact(8);
@@ -74,14 +80,15 @@ impl DigestWriter {
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {
-            let mut last = [0u8; 8];
-            last[..rest.len()].copy_from_slice(rest);
-            self.word(u64::from_le_bytes(last));
+            // The little-endian word of `rest` zero-padded, without a
+            // variable-length copy.
+            self.word(rest.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
         }
     }
 }
 
 impl Default for DigestWriter {
+    #[inline]
     fn default() -> Self {
         DigestWriter::new(FNV_OFFSET)
     }
@@ -91,6 +98,27 @@ impl std::fmt::Write for DigestWriter {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
         self.h = fnv1a(self.h, s.as_bytes());
         Ok(())
+    }
+}
+
+/// A hasher for in-memory tables (`BuildHasherDefault<DigestWriter>`):
+/// every `write` is one [`DigestWriter::bytes`] string, `finish` the state.
+/// A `u8` is one word, so the terminator `str`'s `Hash` appends costs one
+/// step.
+impl std::hash::Hasher for DigestWriter {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.digest()
     }
 }
 
@@ -309,6 +337,28 @@ mod tests {
         assert_ne!(words(&[7, 0]), words(&[7]));
         // An empty string is its length word and nothing else.
         assert_eq!(strings(&[b""]), words(&[0]));
+    }
+
+    #[test]
+    fn hasher_write_and_finish_are_bytes_and_digest() {
+        use std::hash::Hasher;
+        // Nothing, an empty string, a NUL, and strings on either side of a
+        // word boundary, one after another.
+        let parts: [&[&[u8]]; 5] = [
+            &[],
+            &[b""],
+            &[b"a\0"],
+            &[b"abcdefgh", b"i"],
+            &[b"bcdefghijklmnopq", b"\0", b"abcdefghijklmnopq"],
+        ];
+        for parts in parts {
+            let (mut hasher, mut writer) = (DigestWriter::default(), DigestWriter::default());
+            for part in parts {
+                hasher.write(part);
+                writer.bytes(part);
+            }
+            assert_eq!(hasher.finish(), writer.digest(), "{parts:?}");
+        }
     }
 
     #[test]
