@@ -44,9 +44,9 @@
 //! is replicated exactly when control faults are on.
 //!
 //! Fault-free baselines are memoized process-wide in a `BaselineCache`
-//! keyed by `(scenario, seed, horizon floor, checkpoint policy)`; the
-//! determinism replay, the shrink walk and `--replay` all hit entries
-//! instead of re-simulating baseline worlds. The cache cannot change any
+//! keyed by `(scenario, seed, horizon floor)` and built as the plain world
+//! whatever the checkpoint policy; the determinism replay, the shrink walk
+//! and `--replay` all hit entries instead of re-simulating baseline worlds. The cache cannot change any
 //! report: entries are pure functions of their key.
 //!
 //! Stdout is bit-identical across runs with the same arguments (timings go

@@ -2,10 +2,20 @@
 //!
 //! The `StatePreservation` oracle compares every checkpointed plan against a
 //! fault-free run of the same seed. That baseline is a deterministic replay
-//! artifact: it depends only on `(scenario name, seed, horizon floor,
-//! checkpoint policy)` and on nothing about the faulted plan itself, so it
-//! can be memoized under a key holding exactly those inputs — the same way
-//! deterministic-execution systems cache replay artifacts by their inputs.
+//! artifact: it depends only on `(scenario name, seed, horizon floor)` and
+//! on nothing about the faulted plan itself, so it can be memoized under a
+//! key holding exactly those inputs — the same way deterministic-execution
+//! systems cache replay artifacts by their inputs.
+//!
+//! The plan's durable policy is not among them. A fault-free world never
+//! restores, replays or recovers, so checkpoints, upstream backup, storage
+//! latency and budget, and the metastore backing leave its tap counts and
+//! app names where the plain world puts them;
+//! `a_fault_free_world_is_the_same_under_every_policy` checks that over a
+//! grid of policies. [`crate::runner::compute_baseline`] therefore builds
+//! every baseline as the plain world, and one entry serves every
+//! checkpointed policy of a seed.
+//!
 //! One [`BaselineCache`] serves all three baseline consumers:
 //!
 //! 1. phase-1 plan evaluation ([`crate::runner::run_plan`], including the
@@ -24,7 +34,6 @@
 use crate::oracle::BaselineSummary;
 use crate::runner::compute_baseline;
 use crate::scenario::{Scenario, WorldPolicy};
-use sps_runtime::{MetastoreKind, StorageModel};
 use sps_sim::SimTime;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,47 +63,23 @@ pub struct BaselineKey {
     /// the baseline run must match so both cover the same simulated span.
     /// `None` means the plan never outruns the nominal fault window.
     pub horizon_floor_ms: Option<u64>,
-    /// Checkpoint period in quanta (`RunOptions`); part of the key because
-    /// snapshotting perturbs execution.
-    pub every_quanta: u32,
-    /// Lossy-restore demo knob, captured for completeness (it only affects
-    /// restores, which a fault-free run never performs).
-    pub lossy_restore: bool,
-    /// Upstream backup, captured for completeness (buffering and replay only
-    /// engage around restarts, which a fault-free run never performs).
-    pub upstream_backup: bool,
-    /// Full-snapshot period of the incremental checkpoint chain: compaction
-    /// cadence changes `state_bytes`, which SRM snapshots carry into the
-    /// rendered artifacts a baseline summarizes.
-    pub full_every: u32,
-    /// Checkpoint storage cost model: write/restore latency defers commits
-    /// (shifting when trims and coverage land) and a finite budget changes
-    /// sealing/eviction, all of which perturb execution even fault-free.
-    pub storage: StorageModel,
-    /// Metastore backing, captured for completeness: it is required to be
-    /// execution-invisible fault-free (the differential identity gate), so
-    /// keying on it is belt-and-braces rather than load-bearing.
-    pub metastore: MetastoreKind,
 }
 
 impl BaselineKey {
+    /// The key of `scenario`'s baseline at `seed` and `horizon_floor`. The
+    /// policy is ignored: every baseline is the plain world (module doc).
+    /// It stays a parameter for the traced twin of `run_plan` in the `perf`
+    /// bench, which calls this with the plan's policy.
     pub fn new(
         scenario: &Scenario,
         seed: u64,
-        policy: WorldPolicy,
+        _policy: WorldPolicy,
         horizon_floor: Option<SimTime>,
     ) -> Self {
-        let opts = policy.checkpoint;
         BaselineKey {
             scenario: scenario.name,
             seed,
             horizon_floor_ms: horizon_floor.map(|t| t.as_millis()),
-            every_quanta: opts.every_quanta,
-            lossy_restore: opts.lossy_restore,
-            upstream_backup: opts.upstream_backup,
-            full_every: opts.full_every,
-            storage: opts.storage,
-            metastore: policy.metastore,
         }
     }
 }
@@ -215,7 +200,7 @@ impl BaselineCache {
         }
     }
 
-    /// The fault-free baseline for `(scenario, seed, policy, horizon_floor)`,
+    /// The fault-free baseline for `(scenario, seed, horizon_floor)`,
     /// memoized. A miss simulates the baseline world via
     /// [`compute_baseline`] *outside* the lock, so a slow baseline never
     /// serializes unrelated workers.
@@ -223,12 +208,11 @@ impl BaselineCache {
         &self,
         scenario: &Scenario,
         seed: u64,
-        policy: WorldPolicy,
         horizon_floor: Option<SimTime>,
     ) -> Arc<BaselineSummary> {
         self.get_or_insert_with(
-            BaselineKey::new(scenario, seed, policy, horizon_floor),
-            || compute_baseline(scenario, seed, policy, horizon_floor),
+            BaselineKey::new(scenario, seed, WorldPolicy::default(), horizon_floor),
+            || compute_baseline(scenario, seed, horizon_floor),
         )
     }
 
@@ -294,12 +278,6 @@ mod tests {
             scenario: "trend",
             seed,
             horizon_floor_ms: Some(9_000),
-            every_quanta: 10,
-            lossy_restore: false,
-            upstream_backup: false,
-            full_every: 8,
-            storage: StorageModel::default(),
-            metastore: MetastoreKind::Memory,
         }
     }
 
@@ -334,10 +312,32 @@ mod tests {
         let mut floor_differs = key(1);
         floor_differs.horizon_floor_ms = None;
         let c = cache.get_or_insert_with(floor_differs, || summary(3));
+        let mut scenario_differs = key(1);
+        scenario_differs.scenario = "live";
+        let d = cache.get_or_insert_with(scenario_differs, || summary(4));
         assert_ne!(a.taps, b.taps);
         assert_ne!(a.taps, c.taps);
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.stats().misses, 3);
+        assert_ne!(a.taps, d.taps);
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.stats().misses, 4);
+    }
+
+    #[test]
+    fn the_policy_does_not_enter_the_key() {
+        use sps_runtime::{CheckpointPolicy, MetastoreKind, StorageModel};
+        let trend = crate::scenario::trend();
+        let floor = Some(SimTime::from_secs(9));
+        let plain = BaselineKey::new(&trend, 7, WorldPolicy::default(), floor);
+        let durable = WorldPolicy {
+            checkpoint: CheckpointPolicy::every(5)
+                .upstream_backup(true)
+                .lossy(true)
+                .full_every(3)
+                .storage(StorageModel::default().with_write(250, 0).with_budget(4096)),
+            metastore: MetastoreKind::Replicated,
+        };
+        assert_eq!(BaselineKey::new(&trend, 7, durable, floor), plain);
+        assert_eq!(plain, key(7));
     }
 
     #[test]

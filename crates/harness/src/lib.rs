@@ -21,9 +21,10 @@
 //! seeds are a pure function of `(campaign_seed, plan_index)` and results
 //! fold in plan-index order, so every report is bit-identical at any
 //! parallelism. Fault-free baselines are memoized in a [`BaselineCache`]
-//! keyed by `(scenario, seed, horizon floor, checkpoint policy)` — a
-//! deterministic replay artifact cached under its inputs — shared by plan
-//! evaluation, the shrink walk, and `--replay`.
+//! keyed by `(scenario, seed, horizon floor)` — a deterministic replay
+//! artifact cached under its inputs, built as the plain world whatever the
+//! plan's policy — shared by plan evaluation, the shrink walk, and
+//! `--replay`.
 //!
 //! Replay a failing plan locally with the `campaign` binary:
 //!

@@ -8,20 +8,53 @@
 //! determinism (same seed ⇒ bit-identical `sim::trace`) is enforced by the
 //! runner itself, which replays every plan and compares digests.
 
+use crate::scenario::Scenario;
 use orca::OrcaService;
 use sps_engine::metrics::builtin;
 use sps_runtime::{CheckpointPolicy, FreshReason, JobId, Kernel, PeStatus, RestoreOutcome, World};
+use sps_sim::SimTime;
 use std::collections::BTreeMap;
 
 /// Stateful artifacts of the fault-free run of the same seed, computed by
 /// [`crate::runner::compute_baseline`]. Covers only jobs alive since before
 /// the fault window — dynamically composed jobs may legitimately differ.
-#[derive(Clone, Debug, Default)]
+///
+/// It holds tap counts and app names only, no SRM rows or checkpoint
+/// sizes, and a fault-free world's summary is the same under every durable
+/// policy (`a_fault_free_world_is_the_same_under_every_policy` checks it).
+/// That is why the baseline is built as the plain world.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BaselineSummary {
     /// `(job, tap op)` → cumulative `nTuplesProcessed` at settle end.
     pub taps: BTreeMap<(JobId, String), i64>,
     /// Application name per baseline job, for identity matching.
     pub apps: BTreeMap<JobId, String>,
+}
+
+impl BaselineSummary {
+    /// Summarizes a settled world of `scenario`: the tap counts and app name
+    /// of every job submitted before the fault window opened. Late-spawned
+    /// jobs (dynamic composition) may legitimately differ between runs.
+    pub fn of(scenario: &Scenario, world: &World) -> BaselineSummary {
+        let kernel = &world.kernel;
+        let stable_before = SimTime::ZERO + scenario.warmup;
+        let mut summary = BaselineSummary::default();
+        for job in kernel.sam.running_jobs() {
+            let Some(info) = kernel.sam.job(job) else {
+                continue;
+            };
+            if info.submitted_at > stable_before {
+                continue;
+            }
+            summary.apps.insert(job, info.app_name.clone());
+            for tap in scenario.taps {
+                if let Some(n) = kernel.op_metric(job, tap, builtin::N_TUPLES_PROCESSED) {
+                    summary.taps.insert((job, tap.to_string()), n);
+                }
+            }
+        }
+        summary
+    }
 }
 
 /// Everything an oracle may inspect after the settle phase.

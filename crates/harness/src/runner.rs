@@ -12,7 +12,6 @@ use crate::scenario::{Built, Scenario, WorldPolicy};
 use crate::shrink::shrink_failures;
 use orca::OrcaService;
 use rand::RngCore;
-use sps_engine::metrics::builtin;
 use sps_runtime::{CheckpointPolicy, ControlStats, MetastoreKind, PeStatus, UbStats, World};
 use sps_sim::{fnv1a, DigestWriter, SimRng, FNV_OFFSET};
 
@@ -208,7 +207,8 @@ pub fn quiescent(world: &World, orca_idx: Option<usize>) -> bool {
 /// settled world plus the ORCA controller index and the first quiescent
 /// settle quantum. Shared by [`run_plan`] and [`compute_baseline`] so the
 /// faulted run and its fault-free baseline are produced by the exact same
-/// machinery; public so sweep drivers (the `ckpt_sweep` bench) can reuse the
+/// schedule (the baseline under the plain policy, the run under its own);
+/// public so sweep drivers (the `ckpt_sweep` bench) can reuse the
 /// same warmup → fault window → settle schedule and mine the settled
 /// kernel's restart log.
 pub fn settled_world(
@@ -255,8 +255,15 @@ pub fn settled_world(
 }
 
 /// Runs the fault-free plan for `(scenario, seed)` and summarizes the
-/// stateful artifacts (per-job tap throughput of jobs present since warmup)
-/// the `StatePreservation` oracle compares faulted runs against.
+/// stateful artifacts ([`BaselineSummary::of`]: per-job tap throughput of
+/// jobs present since warmup) the `StatePreservation` oracle compares
+/// faulted runs against.
+///
+/// The world is the plain one (`WorldPolicy::default()`) whatever policy the
+/// faulted plan runs under: checkpoints, upstream backup, storage latency
+/// and the replicated metastore change nothing a fault-free run summarizes
+/// (`a_fault_free_world_is_the_same_under_every_policy`), and the plain
+/// world is the cheapest to simulate.
 ///
 /// `horizon` must be the horizon of the faulted plan the baseline will be
 /// compared against, so both runs cover the same simulated span (shrink
@@ -264,30 +271,11 @@ pub fn settled_world(
 pub fn compute_baseline(
     scenario: &Scenario,
     seed: u64,
-    policy: WorldPolicy,
     horizon: Option<sps_sim::SimTime>,
 ) -> BaselineSummary {
-    let (world, _, _) = settled_world(scenario, seed, &FaultPlan::default(), policy, horizon);
-    let kernel = &world.kernel;
-    let mut summary = BaselineSummary::default();
-    let stable_before = sps_sim::SimTime::ZERO + scenario.warmup;
-    for job in kernel.sam.running_jobs() {
-        let Some(info) = kernel.sam.job(job) else {
-            continue;
-        };
-        // Only jobs alive since before the fault window: late-spawned jobs
-        // (dynamic composition) may legitimately differ between runs.
-        if info.submitted_at > stable_before {
-            continue;
-        }
-        summary.apps.insert(job, info.app_name.clone());
-        for tap in scenario.taps {
-            if let Some(n) = kernel.op_metric(job, tap, builtin::N_TUPLES_PROCESSED) {
-                summary.taps.insert((job, tap.to_string()), n);
-            }
-        }
-    }
-    summary
+    let plain = WorldPolicy::default();
+    let (world, _, _) = settled_world(scenario, seed, &FaultPlan::default(), plain, horizon);
+    BaselineSummary::of(scenario, &world)
 }
 
 /// Where an execution gets its fault-free baseline: the shared memo plus
@@ -312,7 +300,7 @@ impl<'a> BaselineSource<'a> {
 ///
 /// When checkpointing is on, the fault-free baseline the state oracle
 /// compares against is fetched through `baseline` at the point of use,
-/// keyed by `(scenario, seed, baseline.floor, policy)`.
+/// keyed by `(scenario, seed, baseline.floor)`.
 pub fn run_plan(
     scenario: &Scenario,
     seed: u64,
@@ -326,7 +314,7 @@ pub fn run_plan(
     let baseline = policy.checkpoint.enabled().then(|| {
         baseline
             .cache
-            .get_or_compute(scenario, seed, policy, baseline.floor)
+            .get_or_compute(scenario, seed, baseline.floor)
     });
     let (world, orca_idx, quanta_to_quiesce) = settled_world(scenario, seed, plan, policy, None);
 
@@ -519,7 +507,7 @@ fn evaluate_plan(
         &scenario.plan_spec_with(cfg.control_faults),
     );
     // The state oracle compares against the fault-free run of the same
-    // seed, memoized by `(scenario, seed, horizon floor, opts)`: the
+    // seed, memoized by `(scenario, seed, horizon floor)`: the
     // determinism replay and the shrink phase hit the entry this fetch
     // populates instead of re-simulating the baseline world.
     let floor = plan.horizon();

@@ -5,11 +5,14 @@
 //! seed gives the same number on every run. This binary installs a counting
 //! global allocator (the one place in the repository that needs `unsafe`,
 //! and a test binary so that no product code links it), runs the four
-//! scenarios fault-free and holds each to a recorded ceiling of requests
+//! scenarios fault-free, under the plain policy and under the durable one,
+//! and holds each to a recorded ceiling of requests
 //! per quantum — a per-tuple path that starts allocating again
 //! fails here instead of waiting for someone to profile it.
 
-use orca_harness::{by_name, Built, Janitor, WorldPolicy};
+use orca_harness::{
+    by_name, Built, CheckpointPolicy, Janitor, MetastoreKind, StorageModel, WorldPolicy,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -47,10 +50,11 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Heap requests made while a built world of `scenario` runs fault-free
-/// through warm-up, fault window and settle, and the quanta that took.
-fn requests_over_a_run(scenario: &str, seed: u64) -> (u64, u64) {
+/// under `policy` through warm-up, fault window and settle, and the quanta
+/// that took.
+fn requests_over_a_run(scenario: &str, seed: u64, policy: WorldPolicy) -> (u64, u64) {
     let scenario = by_name(scenario).expect("a registered scenario");
-    let Built { mut world, .. } = (scenario.build)(seed, WorldPolicy::default());
+    let Built { mut world, .. } = (scenario.build)(seed, policy);
     if scenario.janitor {
         world.add_controller(Box::new(Janitor::default()));
     }
@@ -85,12 +89,44 @@ const CEILINGS: [(&str, u64); 4] = [
     ("live", 26),
 ];
 
-#[test]
-fn heap_requests_repeat_exactly_and_stay_under_their_ceiling() {
-    for (scenario, ceiling) in CEILINGS {
-        let (requests, quanta) = requests_over_a_run(scenario, 7);
+/// The same under the `campaign_durable` benchmark's policy: checkpoints
+/// every 10 quanta, upstream backup, 5 ms writes, the replicated metastore.
+/// This tree makes 161.4, 53.5, 43.5 and 36.0 in a release build, rounded
+/// up here. A fault-free run under this policy executes what the plain one
+/// does, so the surplus is the write side alone: snapshots, sink blobs, the
+/// backup's buffered deliveries and the metastore's op log. A debug build
+/// makes 174.9, 62.8, 47.7 and 42.1: its debug assertions run on the write
+/// side too (a `Sink` compares every blob with a full encode).
+const DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
+    [
+        ("social", 175),
+        ("trend", 63),
+        ("sentiment", 48),
+        ("live", 43),
+    ]
+} else {
+    [
+        ("social", 162),
+        ("trend", 54),
+        ("sentiment", 44),
+        ("live", 37),
+    ]
+};
+
+fn durable_policy() -> WorldPolicy {
+    WorldPolicy {
+        checkpoint: CheckpointPolicy::every(10)
+            .upstream_backup(true)
+            .storage(StorageModel::default().with_write(5, 0)),
+        metastore: MetastoreKind::Replicated,
+    }
+}
+
+fn check_ceilings(policy: WorldPolicy, ceilings: [(&str, u64); 4]) {
+    for (scenario, ceiling) in ceilings {
+        let (requests, quanta) = requests_over_a_run(scenario, 7, policy);
         assert_eq!(
-            requests_over_a_run(scenario, 7),
+            requests_over_a_run(scenario, 7, policy),
             (requests, quanta),
             "{scenario}: a second run of the same seed"
         );
@@ -103,4 +139,14 @@ fn heap_requests_repeat_exactly_and_stay_under_their_ceiling() {
             "{scenario}: {per_quantum:.1} heap requests a quantum, recorded ceiling {ceiling}"
         );
     }
+}
+
+#[test]
+fn heap_requests_repeat_exactly_and_stay_under_their_ceiling() {
+    check_ceilings(WorldPolicy::default(), CEILINGS);
+}
+
+#[test]
+fn durable_heap_requests_repeat_exactly_and_stay_under_their_ceiling() {
+    check_ceilings(durable_policy(), DURABLE_CEILINGS);
 }

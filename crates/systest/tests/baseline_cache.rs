@@ -6,7 +6,7 @@
 
 use orca_harness::{
     run_campaign_cached, scenario, BaselineCache, CacheStats, CampaignConfig, CampaignReport,
-    CheckpointPolicy,
+    CheckpointPolicy, MetastoreKind, StorageModel,
 };
 
 /// Canonical whole-report rendering (see `CampaignReport::render`).
@@ -86,6 +86,40 @@ fn warm_cache_reuses_every_baseline_across_repeated_campaigns() {
     assert_eq!(warm.misses, 0, "warm campaign recomputed a baseline");
     assert_eq!(warm.hits, 6, "2 lookups per plan (primary + replay)");
     assert_eq!(warm.hit_rate(), 1.0);
+}
+
+#[test]
+fn one_baseline_serves_every_checkpointed_policy() {
+    // A baseline is the plain world whatever the plan's policy, keyed by
+    // `(scenario, seed, floor)`: campaigns of one seed under other
+    // checkpointed policies find every baseline a `ckpt=10` campaign left,
+    // and report what they report on a fresh cache.
+    let sc = scenario::trend();
+    let cache = BaselineCache::new();
+    run_campaign_cached(&sc, &cfg(3, 1, 10), &cache);
+    let with = |checkpoint: CheckpointPolicy, metastore: MetastoreKind| CampaignConfig {
+        checkpoint,
+        metastore,
+        ..cfg(3, 1, 10)
+    };
+    let budget = StorageModel::default().with_write(250, 0).with_budget(4096);
+    for config in [
+        with(
+            CheckpointPolicy::every(10).upstream_backup(true),
+            MetastoreKind::Memory,
+        ),
+        with(
+            CheckpointPolicy::every(5).storage(budget),
+            MetastoreKind::Memory,
+        ),
+        with(CheckpointPolicy::every(10), MetastoreKind::Replicated),
+    ] {
+        let before = cache.stats();
+        let warm = render_of(run_campaign_cached(&sc, &config, &cache));
+        assert_eq!(cache.stats().since(before).misses, 0, "{config:?}");
+        let fresh = render_of(run_campaign_cached(&sc, &config, &BaselineCache::new()));
+        assert_eq!(warm, fresh, "{config:?}");
+    }
 }
 
 #[test]
