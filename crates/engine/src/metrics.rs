@@ -18,7 +18,12 @@ pub mod builtin {
     pub const QUEUE_SIZE: &str = "queueSize";
     /// Final punctuations processed by an operator (drives §5.3).
     pub const N_FINAL_PUNCTS_PROCESSED: &str = "nFinalPunctsProcessed";
-    /// Tuple bytes processed by a PE (PE-level metric).
+    /// Tuple bytes a PE has seen, by `Tuple::approx_bytes` (PE-level
+    /// metric). A PE adds a remote frame's bytes when the frame arrives,
+    /// and the same tuples' bytes again at every operator input they reach
+    /// inside the PE. So a one-operator PE counts each remote tuple twice,
+    /// a fused PE of k operators counts a tuple once per operator it enters,
+    /// and a PE whose only operator is a source never has the metric.
     pub const N_TUPLE_BYTES_PROCESSED: &str = "nTupleBytesProcessed";
     /// Tuples dropped by an operator (e.g. Throttle under overload).
     pub const N_TUPLES_DROPPED: &str = "nTuplesDropped";

@@ -1,10 +1,10 @@
 //! Stream tuples: a row of values under a shared schema.
 //!
 //! SPL streams declare their attribute names once per stream, and so does
-//! this representation: a [`Tuple`] is `Arc<Row { schema, values }>`, where
-//! the [`Schema`] — an ordered list of unique [`Name`]s — is shared by every
-//! tuple of that shape. Whoever produces a shape owns its schema: a source
-//! resolves one at construction and builds rows with
+//! this representation: a [`Tuple`] is `Arc<Row { schema, values, bytes }>`,
+//! where the [`Schema`] — an ordered list of unique [`Name`]s — is shared by
+//! every tuple of that shape. Whoever produces a shape owns its schema: a
+//! source resolves one at construction and builds rows with
 //! [`Tuple::from_schema`]; a decoder carries one across the tuples of the
 //! blob it restores. A tuple costs its row and its values, never its names.
 //!
@@ -18,6 +18,13 @@
 //! to a *child* schema, found through a memoised parent→child link on the
 //! schema instance, so an operator adding one attribute to every tuple of a
 //! stream pays a lookup per tuple, not a new name list.
+//!
+//! The row also carries its size, [`Tuple::approx_bytes`], which the
+//! `nTupleBytesProcessed` metric reads at every operator input. Every writer
+//! keeps it exact in O(1) — `from_schema` sums it once, a replaced value
+//! swaps its share for the new one's, a new name adds its attribute, a
+//! removed one takes it off — and in debug builds every read checks it
+//! against a walk of the attributes.
 //!
 //! Nothing here is process-global. Memo links hang off schema instances, and
 //! an instance lives exactly as long as something holds it: an operator, a
@@ -147,6 +154,42 @@ struct Row {
     schema: Arc<Schema>,
     /// One value per schema name, in schema order.
     values: Vec<Value>,
+    /// The row's [`Tuple::approx_bytes`], kept exact by every write.
+    bytes: usize,
+}
+
+/// What an attribute adds to [`Tuple::approx_bytes`]: its name, three
+/// bytes of framing, and its value's share.
+fn attr_bytes(name: &str, value: &Value) -> usize {
+    name.len() + 3 + value_bytes(value)
+}
+
+fn value_bytes(value: &Value) -> usize {
+    match value {
+        Value::Int(_) | Value::Float(_) | Value::Timestamp(_) => 8,
+        Value::Bool(_) => 1,
+        Value::Str(s) => s.len() + 4,
+        Value::List(l) => 4 + l.len() * 9,
+    }
+}
+
+/// A row's size walked from its attributes: two bytes of framing plus
+/// each attribute's share.
+fn walked_bytes(names: &[Name], values: &[Value]) -> usize {
+    2 + names
+        .iter()
+        .zip(values)
+        .map(|(n, v)| attr_bytes(n, v))
+        .sum::<usize>()
+}
+
+impl Row {
+    /// Overwrites the value at `idx`, moving the size from the old value's
+    /// share to the new one's.
+    fn replace(&mut self, idx: usize, value: Value) {
+        let old = std::mem::replace(&mut self.values[idx], value);
+        self.bytes = self.bytes - value_bytes(&old) + value_bytes(&self.values[idx]);
+    }
 }
 
 /// A stream data item: ordered `(name, value)` attributes with unique names.
@@ -176,10 +219,12 @@ impl Tuple {
             values.len(),
             schema.len()
         );
+        let bytes = walked_bytes(&schema.names, &values);
         Tuple {
             row: Arc::new(Row {
                 schema: Arc::clone(schema),
                 values,
+                bytes,
             }),
         }
     }
@@ -195,8 +240,9 @@ impl Tuple {
         let value = value.into();
         let row = Arc::make_mut(&mut self.row);
         match row.schema.position(name) {
-            Some(idx) => row.values[idx] = value,
+            Some(idx) => row.replace(idx, value),
             None => {
+                row.bytes += attr_bytes(name, &value);
                 row.schema = row.schema.extended(name);
                 row.values.push(value);
             }
@@ -207,7 +253,7 @@ impl Tuple {
     /// For an operator that resolved the position when it first saw the
     /// schema; panics when the schema has no such position.
     pub(crate) fn set_at(&mut self, idx: usize, value: Value) {
-        Arc::make_mut(&mut self.row).values[idx] = value;
+        Arc::make_mut(&mut self.row).replace(idx, value);
     }
 
     /// Appends `value` under the last name of `child`, which must be what
@@ -217,6 +263,7 @@ impl Tuple {
         let row = Arc::make_mut(&mut self.row);
         assert_eq!(child.len(), row.values.len() + 1, "not a one-name child");
         debug_assert_eq!(child.names[..row.values.len()], row.schema.names[..]);
+        row.bytes += attr_bytes(&child.names[row.values.len()], &value);
         row.schema = Arc::clone(child);
         row.values.push(value);
     }
@@ -253,8 +300,10 @@ impl Tuple {
     pub fn remove(&mut self, name: &str) -> Option<Value> {
         let idx = self.row.schema.position(name)?;
         let row = Arc::make_mut(&mut self.row);
+        let value = row.values.remove(idx);
+        row.bytes -= attr_bytes(&row.schema.names[idx], &value);
         row.schema = row.schema.without(idx);
-        Some(row.values.remove(idx))
+        Some(value)
     }
 
     pub fn len(&self) -> usize {
@@ -275,22 +324,22 @@ impl Tuple {
         self.row.schema.names.iter().zip(&self.row.values)
     }
 
-    /// Approximate wire size in bytes — drives the `nTupleBytesProcessed`
-    /// built-in PE metric.
+    /// Approximate wire size in bytes: two, plus per attribute its name's
+    /// length, three, and its value's share (8 for Int, Float and
+    /// Timestamp, 1 for Bool, length + 4 for Str, 4 + 9 per element for
+    /// List). The row carries it, so reading it is O(1).
+    ///
+    /// It feeds the `nTupleBytesProcessed` built-in PE metric, which a PE
+    /// adds to once when a remote frame arrives and again at every operator
+    /// input the tuple reaches inside the PE (see
+    /// [`N_TUPLE_BYTES_PROCESSED`](crate::metrics::builtin::N_TUPLE_BYTES_PROCESSED)).
     pub fn approx_bytes(&self) -> usize {
-        self.iter()
-            .map(|(n, v)| {
-                n.len()
-                    + 3
-                    + match v {
-                        Value::Int(_) | Value::Float(_) | Value::Timestamp(_) => 8,
-                        Value::Bool(_) => 1,
-                        Value::Str(s) => s.len() + 4,
-                        Value::List(l) => 4 + l.len() * 9,
-                    }
-            })
-            .sum::<usize>()
-            + 2
+        debug_assert_eq!(
+            self.row.bytes,
+            walked_bytes(&self.row.schema.names, &self.row.values),
+            "a row's cached size drifted from its attributes"
+        );
+        self.row.bytes
     }
 }
 
@@ -347,6 +396,12 @@ impl FromIterator<(String, Value)> for Tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_frame, encode, Frame, TupleCodec};
+    use crate::op::{Operator, StreamItem};
+    use crate::ops::testutil::Harness;
+    use crate::ops::Sink;
+    use proptest::prelude::*;
+    use sps_model::value::ParamMap;
 
     #[test]
     fn build_get_set() {
@@ -516,5 +571,184 @@ mod tests {
         let row = Tuple::from_schema(&Schema::new(&["seq"]), vec![Value::Int(7)]);
         assert_eq!(format!("{row:?}"), format!("{one:?}"));
         assert_eq!(format!("{row:#?}"), format!("{one:#?}"));
+    }
+
+    /// `approx_bytes`' formula restated over `iter()`, owing nothing to the
+    /// row's cached size or to the helpers that maintain it.
+    fn walked(t: &Tuple) -> usize {
+        t.iter()
+            .map(|(name, value)| {
+                name.len()
+                    + 3
+                    + match value {
+                        Value::Int(_) | Value::Float(_) | Value::Timestamp(_) => 8,
+                        Value::Bool(_) => 1,
+                        Value::Str(s) => s.len() + 4,
+                        Value::List(l) => 4 + 9 * l.len(),
+                    }
+            })
+            .sum::<usize>()
+            + 2
+    }
+
+    /// Names of different lengths, so a size that forgets a name shows.
+    const NAMES: [&str; 6] = ["a", "ab", "seq", "v", "payload", "x_long_name"];
+
+    fn arb_leaf() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            any::<i64>().prop_map(Value::Int),
+            (-1e6..1e6f64).prop_map(Value::Float),
+            "[a-z]{0,12}".prop_map(Value::Str),
+            any::<bool>().prop_map(Value::Bool),
+            any::<u64>().prop_map(Value::Timestamp),
+        ]
+    }
+
+    /// Every variant; `Str` and `List` of random length, empty included.
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            5 => arb_leaf(),
+            1 => prop::collection::vec(arb_leaf(), 0..6).prop_map(Value::List),
+        ]
+    }
+
+    /// One write to the pool of tuples. A `usize` target or position is
+    /// taken modulo what it indexes; a name is an index into `NAMES`.
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// A row of the first `values.len()` names, built whole.
+        FromSchema(Vec<Value>),
+        /// `with` (builder) or `set`, on a held or a new name.
+        Set(usize, usize, Value, bool),
+        SetAt(usize, usize, Value),
+        /// `push_as` through `Schema::extended`; a no-op on a held name.
+        PushAs(usize, usize, Value),
+        Remove(usize, usize),
+        Collect(Vec<(usize, Value)>),
+        /// A clone joins the pool; writes to either must not reach the other.
+        Clone(usize),
+        /// The pool through the codec, item by item and as one batch.
+        RoundTrip,
+        /// The pool into a sink, checkpointed, restored into another sink.
+        SinkRing,
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let name = 0..NAMES.len();
+        prop_oneof![
+            1 => prop::collection::vec(arb_value(), 0..=NAMES.len()).prop_map(Step::FromSchema),
+            4 => (any::<usize>(), name.clone(), arb_value(), any::<bool>())
+                .prop_map(|(t, n, v, builder)| Step::Set(t, n, v, builder)),
+            3 => (any::<usize>(), any::<usize>(), arb_value())
+                .prop_map(|(t, i, v)| Step::SetAt(t, i, v)),
+            3 => (any::<usize>(), name.clone(), arb_value())
+                .prop_map(|(t, n, v)| Step::PushAs(t, n, v)),
+            2 => (any::<usize>(), name.clone()).prop_map(|(t, n)| Step::Remove(t, n)),
+            1 => prop::collection::vec((name, arb_value()), 0..8).prop_map(Step::Collect),
+            2 => any::<usize>().prop_map(Step::Clone),
+            1 => Just(Step::RoundTrip),
+            1 => Just(Step::SinkRing),
+        ]
+    }
+
+    /// Every tuple read back from a codec or a sink sizes as its walk and as
+    /// the tuple it was made from.
+    fn check_copies<'a>(pool: &[Tuple], copies: impl Iterator<Item = &'a Tuple>) {
+        let copies: Vec<&Tuple> = copies.collect();
+        assert_eq!(copies.len(), pool.len());
+        for (copy, t) in copies.into_iter().zip(pool) {
+            assert_eq!(copy.approx_bytes(), walked(copy));
+            assert_eq!(copy.approx_bytes(), t.approx_bytes());
+        }
+    }
+
+    proptest! {
+        /// The size a row carries is, after every write, what walking its
+        /// attributes gives. In release builds, where `approx_bytes`' own
+        /// check is compiled out, this is the only check of the cache.
+        #[test]
+        fn row_size_is_the_attribute_walk(steps in prop::collection::vec(arb_step(), 0..40)) {
+            let mut pool = vec![Tuple::new()];
+            for step in steps {
+                let before: Vec<usize> = pool.iter().map(walked).collect();
+                let mut written = None;
+                match step {
+                    Step::FromSchema(values) => {
+                        let schema = Schema::new(&NAMES[..values.len()]);
+                        pool.push(Tuple::from_schema(&schema, values));
+                    }
+                    Step::Set(t, n, v, builder) => {
+                        let t = t % pool.len();
+                        if builder {
+                            pool[t] = pool[t].clone().with(NAMES[n], v);
+                        } else {
+                            pool[t].set(NAMES[n], v);
+                        }
+                        written = Some(t);
+                    }
+                    Step::SetAt(t, i, v) => {
+                        let t = t % pool.len();
+                        if !pool[t].is_empty() {
+                            let i = i % pool[t].len();
+                            pool[t].set_at(i, v);
+                            written = Some(t);
+                        }
+                    }
+                    Step::PushAs(t, n, v) => {
+                        let t = t % pool.len();
+                        if pool[t].get(NAMES[n]).is_none() {
+                            let child = pool[t].schema().extended(NAMES[n]);
+                            pool[t].push_as(&child, v);
+                            written = Some(t);
+                        }
+                    }
+                    Step::Remove(t, n) => {
+                        let t = t % pool.len();
+                        pool[t].remove(NAMES[n]);
+                        written = Some(t);
+                    }
+                    Step::Collect(attrs) => pool.push(
+                        attrs
+                            .into_iter()
+                            .map(|(n, v)| (NAMES[n].to_string(), v))
+                            .collect(),
+                    ),
+                    Step::Clone(t) => pool.push(pool[t % pool.len()].clone()),
+                    Step::RoundTrip => {
+                        let items: Vec<Tuple> = pool
+                            .iter()
+                            .map(|t| match decode_frame(encode(&StreamItem::Tuple(t.clone()))) {
+                                Ok(Frame::Item(StreamItem::Tuple(back))) => back,
+                                other => panic!("an item frame decoded as {other:?}"),
+                            })
+                            .collect();
+                        check_copies(&pool, items.iter());
+                        match decode_frame(TupleCodec::new().encode_batch(&pool)) {
+                            Ok(Frame::Batch(batch)) => check_copies(&pool, batch.iter()),
+                            other => panic!("a batch frame decoded as {other:?}"),
+                        }
+                    }
+                    Step::SinkRing => {
+                        let keep = Value::Int(pool.len() as i64);
+                        let params: ParamMap = [("keep".to_string(), keep)].into();
+                        let mut sink = Sink::from_params("s", &params).unwrap();
+                        Harness::new(0).batch(&mut sink, 0, pool.clone());
+                        let blob = sink.checkpoint().unwrap();
+                        let mut restored = Sink::from_params("s", &params).unwrap();
+                        restored.restore(&blob).unwrap();
+                        check_copies(&pool, restored.tap().unwrap().iter());
+                    }
+                }
+                for (i, t) in pool.iter().enumerate() {
+                    prop_assert_eq!(t.approx_bytes(), walked(t), "tuple {} of {:?}", i, t);
+                }
+                // Copy-on-write: a write reaches its own tuple and no clone.
+                for (i, size) in before.into_iter().enumerate() {
+                    if written != Some(i) {
+                        prop_assert_eq!(pool[i].approx_bytes(), size, "tuple {}", i);
+                    }
+                }
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@ use sps_engine::codec::{
     decode, decode_batch, decode_frame, encode, encode_queue, Frame, PortDecoder, TupleCodec,
 };
 use sps_engine::expr::{BinaryOp, BoundExpr, Expr, Scalar, UnaryOp};
-use sps_engine::metrics::builtin::N_TUPLES_SUBMITTED;
+use sps_engine::metrics::builtin::{N_TUPLES_SUBMITTED, N_TUPLE_BYTES_PROCESSED};
 use sps_engine::window::{SlidingTimeWindow, TumblingCountWindow};
 use sps_engine::{
     EngineError, MetricKey, OpCtx, Operator, OperatorRegistry, PeCheckpoint, PeRuntime, Punct,
@@ -1401,6 +1401,33 @@ fn fused_pipeline_delivers_what_an_unfused_one_delivers() {
         assert_eq!(t.get_int("seq"), Some(seq as i64));
         assert_eq!(t.get_int("v"), Some(2 * seq as i64));
     }
+    // The byte metric, which no workload digest covers: the fused PE counts
+    // each tuple at each of its nine operator inputs; an unfused PE counts
+    // a remote tuple on arrival and again at its one operator, and the
+    // source-only PE 0 never has the metric. PE 1's tuples do not carry
+    // `v` yet, and each later PE is one quantum further behind.
+    let bytes = |pe: &PeRuntime, idx: usize| pe.metrics().pe_get(idx, N_TUPLE_BYTES_PROCESSED);
+    assert_eq!(bytes(&fused[0], 0), Some(214_200));
+    let unfused_bytes: Vec<Option<i64>> = unfused
+        .iter()
+        .enumerate()
+        .map(|(i, pe)| bytes(pe, i))
+        .collect();
+    assert_eq!(
+        unfused_bytes,
+        [
+            None,
+            Some(59_450),
+            Some(79_950),
+            Some(75_850),
+            Some(71_750),
+            Some(67_650),
+            Some(63_550),
+            Some(59_450),
+            Some(55_350),
+            Some(51_250),
+        ]
+    );
 }
 
 proptest! {
