@@ -23,6 +23,7 @@ use orca::{
     TimerContext,
 };
 use parking_lot::Mutex;
+use sps_engine::ops::{opt_f64, opt_i64};
 use sps_engine::{
     EngineError, MetricId, OpCtx, Operator, OperatorRegistry, Schema, StateBlob, StateReader,
     StateWriter, Tuple,
@@ -153,12 +154,9 @@ impl TweetSource {
         op: &str,
         params: &sps_model::value::ParamMap,
     ) -> Result<Self, sps_engine::EngineError> {
-        let rate = params.get("rate").and_then(Value::as_f64).unwrap_or(20.0);
-        let drift = params
-            .get("drift_at_secs")
-            .and_then(Value::as_f64)
-            .unwrap_or(f64::MAX);
-        let seed = params.get("seed").and_then(Value::as_int).unwrap_or(1) as u64;
+        let rate = opt_f64(params, op, "rate")?.unwrap_or(20.0);
+        let drift = opt_f64(params, op, "drift_at_secs")?.unwrap_or(f64::MAX);
+        let seed = opt_i64(params, op, "seed")?.unwrap_or(1) as u64;
         if rate < 0.0 {
             return Err(sps_engine::EngineError::BadParam {
                 op: op.to_string(),
@@ -468,11 +466,7 @@ pub fn register_ops(r: &mut OperatorRegistry, stores: &SharedStores) {
     let model = stores.cause_model.clone();
     let archive = stores.tweet_archive.clone();
     r.register("CauseCorrelator", move |op| {
-        let window = op
-            .params
-            .get("window_secs")
-            .and_then(Value::as_f64)
-            .unwrap_or(60.0);
+        let window = opt_f64(&op.params, &op.name, "window_secs")?.unwrap_or(60.0);
         Ok(Box::new(CauseCorrelator::new(
             model.clone(),
             archive.clone(),
@@ -480,16 +474,8 @@ pub fn register_ops(r: &mut OperatorRegistry, stores: &SharedStores) {
         )))
     });
     r.register("EmbeddedDetector", |op| {
-        let span = op
-            .params
-            .get("window_secs")
-            .and_then(Value::as_f64)
-            .unwrap_or(60.0);
-        let holdoff = op
-            .params
-            .get("holdoff_secs")
-            .and_then(Value::as_f64)
-            .unwrap_or(600.0);
+        let span = opt_f64(&op.params, &op.name, "window_secs")?.unwrap_or(60.0);
+        let holdoff = opt_f64(&op.params, &op.name, "holdoff_secs")?.unwrap_or(600.0);
         Ok(Box::new(EmbeddedDetector {
             window: VecDeque::new(),
             span: SimDuration::from_millis((span * 1000.0) as u64),
@@ -501,11 +487,7 @@ pub fn register_ops(r: &mut OperatorRegistry, stores: &SharedStores) {
     let model = stores.cause_model.clone();
     let archive = stores.tweet_archive.clone();
     r.register("EmbeddedActuator", move |op| {
-        let latency = op
-            .params
-            .get("latency_secs")
-            .and_then(Value::as_f64)
-            .unwrap_or(30.0);
+        let latency = opt_f64(&op.params, &op.name, "latency_secs")?.unwrap_or(30.0);
         Ok(Box::new(EmbeddedActuator {
             model: model.clone(),
             archive: archive.clone(),

@@ -59,6 +59,7 @@ use orca::{
 };
 use parking_lot::Mutex;
 use sps_engine::metrics::builtin;
+use sps_engine::ops::{opt_f64, opt_i64, opt_str};
 use sps_engine::{
     EngineError, MetricId, OpCtx, Operator, OperatorRegistry, Punct, Schema, StateBlob,
     StateReader, StateWriter, Tuple,
@@ -744,23 +745,11 @@ fn sentiment_by_attribute(
 /// Registers the social operator kinds.
 pub fn register_ops(r: &mut OperatorRegistry, stores: &SharedStores) {
     r.register("SocialStreamReader", |op| {
-        let source = op
-            .params
-            .get("source")
-            .and_then(Value::as_str)
-            .unwrap_or("twitter")
-            .to_string();
-        let rate = op
-            .params
-            .get("rate")
-            .and_then(Value::as_f64)
-            .unwrap_or(50.0);
-        let seed = op.params.get("seed").and_then(Value::as_int).unwrap_or(11) as u64;
-        let user_space = op
-            .params
-            .get("user_space")
-            .and_then(Value::as_int)
-            .unwrap_or(100_000) as u64;
+        let (name, params) = (op.name.as_str(), &op.params);
+        let source = opt_str(params, "source").unwrap_or("twitter").to_string();
+        let rate = opt_f64(params, name, "rate")?.unwrap_or(50.0);
+        let seed = opt_i64(params, name, "seed")?.unwrap_or(11) as u64;
+        let user_space = opt_i64(params, name, "user_space")?.unwrap_or(100_000) as u64;
         Ok(Box::new(SocialStreamReader {
             source,
             schema: Schema::new(&["user", "source", "sentiment", "ts"]),
@@ -772,42 +761,23 @@ pub fn register_ops(r: &mut OperatorRegistry, stores: &SharedStores) {
     });
     let store = stores.profile_store.clone();
     r.register("SocialQuery", move |op| {
-        let service = op
-            .params
-            .get("service")
-            .and_then(Value::as_str)
-            .unwrap_or("facebook")
-            .to_string();
-        let seed = op.params.get("seed").and_then(Value::as_int).unwrap_or(13) as u64;
+        let (name, params) = (op.name.as_str(), &op.params);
+        let service = opt_str(params, "service").unwrap_or("facebook").to_string();
+        let seed = opt_i64(params, name, "seed")?.unwrap_or(13) as u64;
         Ok(Box::new(SocialQuery {
             service,
             store: store.clone(),
             rng: SimRng::new(seed),
             counters: None,
             location: String::new(),
-            p_gender: op
-                .params
-                .get("p_gender")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.6),
-            p_age: op
-                .params
-                .get("p_age")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.4),
-            p_location: op
-                .params
-                .get("p_location")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.3),
+            p_gender: opt_f64(params, name, "p_gender")?.unwrap_or(0.6),
+            p_age: opt_f64(params, name, "p_age")?.unwrap_or(0.4),
+            p_location: opt_f64(params, name, "p_location")?.unwrap_or(0.3),
         }))
     });
     let store = stores.profile_store.clone();
     r.register("AttributeAggregator", move |op| {
-        let attribute = op
-            .params
-            .get("attribute")
-            .and_then(Value::as_str)
+        let attribute = opt_str(&op.params, "attribute")
             .unwrap_or("gender")
             .to_string();
         if !["gender", "age", "location"].contains(&attribute.as_str()) {

@@ -10,6 +10,7 @@
 //! history → most likely full windows) before restarting the crashed PE.
 
 use orca::{OrcaCtx, OrcaStartContext, Orchestrator, PeFailureContext, PeFailureScope};
+use sps_engine::ops::{opt_f64, opt_i64};
 use sps_engine::{
     EngineError, OpCtx, Operator, OperatorRegistry, Schema, StateBlob, StateReader, StateWriter,
     Tuple,
@@ -40,15 +41,11 @@ pub struct TickSource {
 }
 
 impl TickSource {
-    fn from_params(params: &sps_model::value::ParamMap) -> Self {
-        let n = params
-            .get("symbols")
-            .and_then(Value::as_int)
-            .unwrap_or(4)
-            .max(1) as usize;
-        let rate = params.get("rate").and_then(Value::as_f64).unwrap_or(40.0);
-        let seed = params.get("seed").and_then(Value::as_int).unwrap_or(7) as u64;
-        TickSource {
+    fn from_params(op: &str, params: &sps_model::value::ParamMap) -> Result<Self, EngineError> {
+        let n = opt_i64(params, op, "symbols")?.unwrap_or(4).max(1) as usize;
+        let rate = opt_f64(params, op, "rate")?.unwrap_or(40.0);
+        let seed = opt_i64(params, op, "seed")?.unwrap_or(7) as u64;
+        Ok(TickSource {
             symbols: (0..n).map(|i| format!("SYM{i}")).collect(),
             prices: vec![100.0; n],
             rate,
@@ -56,7 +53,7 @@ impl TickSource {
             next_symbol: 0,
             rng: SimRng::new(seed),
             schema: Schema::new(&["sym", "price", "ts"]),
-        }
+        })
     }
 }
 
@@ -117,7 +114,7 @@ impl Operator for TickSource {
 /// Registers the trend operator kinds.
 pub fn register_ops(r: &mut OperatorRegistry) {
     r.register("TickSource", |op| {
-        Ok(Box::new(TickSource::from_params(&op.params)))
+        Ok(Box::new(TickSource::from_params(&op.name, &op.params)?))
     });
 }
 

@@ -6,7 +6,6 @@
 //! cargo run --release -p orca_bench --bin campaign -- --plans 100 --jobs 8 --timing
 //! cargo run --release -p orca_bench --bin campaign -- --broken-oracle convergence
 //! cargo run --release -p orca_bench --bin campaign -- --checkpoint-interval 10
-//! cargo run --release -p orca_bench --bin campaign -- --checkpoint-interval 10 --lossy-restore
 //! cargo run --release -p orca_bench --bin campaign -- \
 //!     --replay 6500:kp:0:1 --app trend --seed 123 --checkpoint-interval 10
 //! ```
@@ -24,12 +23,11 @@
 //! stdout is byte-identical for any `--jobs` value.
 //!
 //! `--checkpoint-interval N` enables PE checkpointing every N scheduling
-//! quanta and activates the `StatePreservation` oracle. `--lossy-restore`
-//! is that oracle's shrinking demo. `--ckpt-write-latency MS` adds a fixed
-//! per-snapshot write latency (commits — and upstream-backup trims — land
-//! that much sim time after the snapshot is taken); `--ckpt-budget BYTES`
-//! bounds total checkpoint storage, turning on sealed-generation retention
-//! and eviction. All of these need an interval.
+//! quanta and activates the `StatePreservation` oracle. `--ckpt-write-latency
+//! MS` adds a fixed per-snapshot write latency (commits — and upstream-backup
+//! trims — land that much sim time after the snapshot is taken);
+//! `--ckpt-budget BYTES` bounds total checkpoint storage, turning on
+//! sealed-generation retention and eviction. All of these need an interval.
 //!
 //! `--upstream-backup on` additionally buffers in-flight deliveries at the
 //! sender and replays the post-checkpoint gap into restored PEs, making
@@ -65,7 +63,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str = "usage: campaign [--plans N] [--seed S] [--app NAME] [--jobs N] [--timing] \
-     [--broken-oracle convergence] [--checkpoint-interval QUANTA] [--lossy-restore] \
+     [--broken-oracle convergence] [--checkpoint-interval QUANTA] \
      [--upstream-backup on|off] [--ckpt-write-latency MS] [--ckpt-budget BYTES] \
      [--control-faults on|off] [--metastore memory|replicated] \
      [--replay PLAN --app NAME --seed S]";
@@ -100,7 +98,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut cfg = CampaignConfig::default();
     let (mut plans, mut seed, mut app, mut replay) = (None, None, None, None);
     let mut timing = false;
-    let (mut interval, mut lossy, mut ub, mut write_latency, mut budget) = (0, false, false, 0, 0);
+    let (mut interval, mut ub, mut write_latency, mut budget) = (0, false, 0, 0);
     let mut metastore = None;
     let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
@@ -117,7 +115,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 other => return Err(format!("unknown oracle `{other}` (try: convergence)")),
             },
             "--checkpoint-interval" => interval = parse(flag, &value()?)?,
-            "--lossy-restore" => lossy = true,
             "--upstream-backup" => ub = on_off(flag, &value()?)?,
             "--ckpt-write-latency" => write_latency = parse(flag, &value()?)?,
             "--ckpt-budget" => budget = parse(flag, &value()?)?,
@@ -131,7 +128,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if interval == 0 {
         // A zero latency or budget is the default and asks for nothing.
         for (on, flag) in [
-            (lossy, "--lossy-restore"),
             (ub, "--upstream-backup on"),
             (write_latency != 0, "--ckpt-write-latency"),
             (budget != 0, "--ckpt-budget"),
@@ -158,7 +154,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     cfg.plans = plans.unwrap_or(cfg.plans);
     cfg.seed = seed.unwrap_or(cfg.seed);
     cfg.checkpoint = CheckpointPolicy::every(interval)
-        .lossy(lossy)
         .upstream_backup(ub)
         .storage(
             StorageModel::default()
@@ -380,7 +375,6 @@ mod tests {
         for checkpoint in [
             CheckpointPolicy::default(),
             CheckpointPolicy::every(10),
-            CheckpointPolicy::every(10).lossy(true),
             CheckpointPolicy::every(5).upstream_backup(true),
             CheckpointPolicy::every(10).storage(stored),
         ] {
@@ -408,7 +402,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(lines.len(), 40, "two settings printed the same line");
+        assert_eq!(lines.len(), 32, "two settings printed the same line");
         // The empty plan has an encoding, too.
         let line = reproducer_line(&sc, 9, &FaultPlan::default(), &CampaignConfig::default());
         assert_eq!(
@@ -441,7 +435,6 @@ mod tests {
     fn storage_knobs_require_an_interval() {
         for prefix in ["", "--replay 6500:kp:0:1 --app trend --seed 123 "] {
             for (knob, names) in [
-                ("--lossy-restore", "--lossy-restore"),
                 ("--upstream-backup on", "--upstream-backup on"),
                 ("--ckpt-write-latency 5", "--ckpt-write-latency"),
                 ("--ckpt-budget 4096", "--ckpt-budget"),
@@ -458,6 +451,8 @@ mod tests {
             let args = parse_line(&format!("{prefix}{zeros}")).unwrap();
             assert_eq!(args.cfg.checkpoint, CheckpointPolicy::default());
         }
+        let err = parse_line("--checkpoint-interval 10 --lossy-restore").unwrap_err();
+        assert_eq!(err, "unknown argument `--lossy-restore`");
     }
 
     #[test]

@@ -86,4 +86,5 @@ fn main() {
             "NOT recovered"
         }
     );
+    assert!(last.ratio < 1.0, "the application must have adapted");
 }

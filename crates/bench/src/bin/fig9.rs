@@ -127,5 +127,6 @@ fn main() {
         "both replicas should be full again at the end"
     );
     assert_eq!(logic.active, 1, "failover must have moved the active role");
+    assert_eq!(logic.failovers.len(), 1, "exactly one failover");
     println!("\nshape check passed: gap → incorrect (non-full) output → recovery after 600s");
 }

@@ -86,7 +86,6 @@ pub mod deps;
 pub mod error;
 pub mod event;
 pub mod orchestrator;
-pub mod rules;
 pub mod scope;
 pub mod service;
 pub mod sqlbase;
@@ -98,7 +97,6 @@ pub use event::{
     PeFailureContext, PeMetricContext, TimerContext, UserEventContext,
 };
 pub use orchestrator::Orchestrator;
-pub use rules::{Condition, FailureRule, MetricRule, RuleAction, RulePolicy};
 pub use scope::{
     EventScope, JobEventScope, OperatorMetricScope, OperatorPortMetricScope, PeFailureScope,
     PeMetricScope, UserEventScope,

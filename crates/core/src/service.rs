@@ -1577,6 +1577,42 @@ mod tests {
         assert_eq!(cancels.filter(|a| a.starts_with("cancel(")).count(), 1);
     }
 
+    /// Submits `A` on start and stops its source PE on any user event.
+    #[derive(Default)]
+    struct Shedder {
+        job: Option<JobId>,
+        stopped: Option<PeId>,
+    }
+
+    impl Orchestrator for Shedder {
+        fn on_start(&mut self, ctx: &mut OrcaCtx<'_>, _s: &OrcaStartContext) {
+            ctx.register_event_scope(UserEventScope::new("user"));
+            self.job = Some(ctx.submit_app("A").unwrap());
+        }
+
+        fn on_user_event(&mut self, ctx: &mut OrcaCtx<'_>, _e: &UserEventContext, _s: &[String]) {
+            let pe = ctx.pe_of_operator(self.job.unwrap(), "src").unwrap();
+            ctx.stop_pe(pe).unwrap();
+            self.stopped = Some(pe);
+        }
+    }
+
+    #[test]
+    fn stop_pe_stops_the_pe_under_the_handlers_transaction() {
+        let (mut world, idx) = world_with_logic(Box::<Shedder>::default(), vec![pipeline_adl("A")]);
+        world.run_for(SimDuration::from_secs(1));
+        let svc = world.controller_mut::<OrcaService>(idx).unwrap();
+        svc.inject_user_event("shed", ParamMap::new());
+        world.run_for(SimDuration::from_secs(1));
+
+        let svc = world.controller::<OrcaService>(idx).unwrap();
+        let pe = svc.logic::<Shedder>().unwrap().stopped.unwrap();
+        let status = world.kernel.pe_status(pe);
+        assert_eq!(status, Some(sps_runtime::PeStatus::Stopped));
+        let entry = svc.journal().iter().find(|e| e.event == "userEvent shed");
+        assert_eq!(entry.unwrap().actuations, [format!("stop({pe})")]);
+    }
+
     #[test]
     fn rejected_config_submission_is_traced_and_abandons_its_dependents() {
         // `A` names an operator kind the registry lacks: SAM rejects it.

@@ -38,11 +38,11 @@ pub(crate) fn req_str<'p>(
         })
 }
 
-pub(crate) fn opt_str<'p>(params: &'p ParamMap, key: &str) -> Option<&'p str> {
+pub fn opt_str<'p>(params: &'p ParamMap, key: &str) -> Option<&'p str> {
     params.get(key).and_then(Value::as_str)
 }
 
-pub(crate) fn opt_i64(params: &ParamMap, op: &str, key: &str) -> Result<Option<i64>, EngineError> {
+pub fn opt_i64(params: &ParamMap, op: &str, key: &str) -> Result<Option<i64>, EngineError> {
     match params.get(key) {
         None => Ok(None),
         Some(v) => v.as_int().map(Some).ok_or_else(|| EngineError::BadParam {
@@ -52,7 +52,7 @@ pub(crate) fn opt_i64(params: &ParamMap, op: &str, key: &str) -> Result<Option<i
     }
 }
 
-pub(crate) fn opt_f64(params: &ParamMap, op: &str, key: &str) -> Result<Option<f64>, EngineError> {
+pub fn opt_f64(params: &ParamMap, op: &str, key: &str) -> Result<Option<f64>, EngineError> {
     match params.get(key) {
         None => Ok(None),
         Some(v) => v.as_f64().map(Some).ok_or_else(|| EngineError::BadParam {

@@ -209,7 +209,7 @@ impl Oracle for NotificationOracle {
 /// 1. **Faithful restores** — every checkpoint restore self-verified
 ///    (re-checkpointing the revived container reproduced the stored
 ///    digest), so no operator's state was dropped or corrupted on the way
-///    back in. This is what catches a deliberately lossy restore.
+///    back in. This is what catches a restore that loses state.
 /// 2. **Restore coverage** — no restart of a checkpointable PE silently
 ///    rejected an existing snapshot as incompatible, and with the policy
 ///    enabled, snapshots were actually being taken (every checkpointable

@@ -30,8 +30,7 @@ pub struct CampaignConfig {
     pub max_failures: usize,
     /// Kernel checkpoint policy for every world the campaign builds. When
     /// enabled, the `StatePreservation` oracle joins the set and every plan
-    /// is compared against a fault-free baseline of the same seed; the
-    /// `lossy_restore` knob is the state-oracle shrinking demo.
+    /// is compared against a fault-free baseline of the same seed.
     pub checkpoint: CheckpointPolicy,
     /// Metastore backing for every world the campaign builds (`--metastore`).
     /// With control faults off this must be execution-invisible: campaign
@@ -433,9 +432,6 @@ pub fn reproducer_line(
     );
     if opts.enabled() {
         line.push_str(&format!(" --checkpoint-interval {}", opts.every_quanta));
-    }
-    if opts.lossy_restore {
-        line.push_str(" --lossy-restore");
     }
     if opts.upstream_backup {
         line.push_str(" --upstream-backup on");

@@ -23,19 +23,18 @@ use std::sync::OnceLock;
 /// Seeds each scenario draws from.
 const SEEDS: usize = 60;
 
-/// `every` ∈ {5, 10, 20, 40} × upstream backup × lossy restore ×
+/// `every` ∈ {5, 10, 20, 40} × upstream backup ×
 /// `full_every` ∈ {1, 3, 8} × storage ∈ {free, 5 ms writes, 250 ms writes
 /// and a 4 KiB budget, a 16 KiB budget} × metastore ∈ {memory, replicated}.
 fn arb_policy() -> impl Strategy<Value = WorldPolicy> {
     (
         0usize..4,
         any::<bool>(),
-        any::<bool>(),
         0usize..3,
         0usize..4,
         any::<bool>(),
     )
-        .prop_map(|(every, ub, lossy, full_every, storage, replicated)| {
+        .prop_map(|(every, ub, full_every, storage, replicated)| {
             let storage = [
                 StorageModel::default(),
                 StorageModel::default().with_write(5, 0),
@@ -45,7 +44,6 @@ fn arb_policy() -> impl Strategy<Value = WorldPolicy> {
             WorldPolicy {
                 checkpoint: CheckpointPolicy::every([5, 10, 20, 40][every])
                     .upstream_backup(ub)
-                    .lossy(lossy)
                     .full_every([1, 3, 8][full_every])
                     .storage(storage),
                 metastore: if replicated {

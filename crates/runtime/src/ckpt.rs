@@ -124,11 +124,6 @@ pub struct CheckpointPolicy {
     /// Snapshot period, in scheduling quanta; `0` disables checkpointing
     /// entirely (the seed behavior, and the paper's §5.2 setup).
     pub every_quanta: u32,
-    /// Fault-injection knob for the harness: deliberately drop the last
-    /// stateful operator's blob from every restore, so the campaign's
-    /// `StatePreservation` oracle (which self-verifies restores) has a
-    /// demonstrably detectable failure mode. Never enable outside tests.
-    pub lossy_restore: bool,
     /// Sender-side upstream backup: buffer every delivery to a
     /// checkpointable PE, trim on checkpoint commit, and replay the gap
     /// into restored PEs — exactly-once recovery instead of losing the
@@ -146,7 +141,6 @@ impl Default for CheckpointPolicy {
     fn default() -> Self {
         CheckpointPolicy {
             every_quanta: 0,
-            lossy_restore: false,
             upstream_backup: false,
             full_every: 8,
             storage: StorageModel::default(),
@@ -165,13 +159,6 @@ impl CheckpointPolicy {
 
     pub fn enabled(&self) -> bool {
         self.every_quanta > 0
-    }
-
-    /// Builder: drop the last stateful operator's blob on every restore
-    /// (harness fault-injection knob; never enable outside tests).
-    pub fn lossy(mut self, lossy: bool) -> Self {
-        self.lossy_restore = lossy;
-        self
     }
 
     /// Builder: sender-side upstream backup for exactly-once recovery.

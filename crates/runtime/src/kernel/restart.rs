@@ -9,7 +9,6 @@ use sps_engine::{EngineError, MetricKey, PeCheckpoint, PeRuntime};
 use sps_model::logical::HostPool;
 use sps_sim::{SimDuration, SimTime, TraceRing};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Why a restart came back with fresh operator state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,17 +94,14 @@ pub struct RestartRecord {
 /// is excluded from the digest). A generation the container rejects is
 /// discarded — partial restores corrupt state, so `runtime` is replaced by
 /// `rebuild()` — and the next-oldest sealed generation is tried; when none
-/// is left the container stays fresh and the reason says why. `lossy` is
-/// the harness's fault fixture: the last stateful operator's blob is
-/// silently lost on the way in, which the self-verification must notice.
-/// Returns the outcome and the generation restored from, if any, and
-/// counts one restore or one fallback in `store` per call.
+/// is left the container stays fresh and the reason says why. Returns the
+/// outcome and the generation restored from, if any, and counts one restore
+/// or one fallback in `store` per call.
 pub(super) fn restore_slot(
     store: &mut CheckpointStore,
     (job, adl_index): (JobId, usize),
     runtime: &mut PeRuntime,
     rebuild: impl Fn() -> Result<PeRuntime, EngineError>,
-    lossy: bool,
     now: SimTime,
     trace: &mut TraceRing,
 ) -> Result<(RestoreOutcome, Option<RestoreCandidate>), EngineError> {
@@ -120,15 +116,7 @@ pub(super) fn restore_slot(
         let cand = store
             .restore_candidate(job, adl_index, generations_back)
             .expect("generation index in range");
-        // Only this test-only path pays for a second checkpoint clone.
-        let degraded = lossy.then(|| {
-            let mut c = PeCheckpoint::clone(&cand.ckpt);
-            if let Some(op) = c.ops.iter_mut().rev().find(|o| o.blob.is_some()) {
-                Arc::make_mut(op).blob = None;
-            }
-            c
-        });
-        match runtime.restore(degraded.as_ref().unwrap_or(&*cand.ckpt)) {
+        match runtime.restore(&cand.ckpt) {
             Ok(ops_restored) => {
                 let digest = cand.ckpt.digest();
                 store.count_restore();
@@ -220,7 +208,6 @@ impl Kernel {
                 (job, adl_index),
                 &mut runtime,
                 build,
-                policy.lossy_restore,
                 self.now,
                 &mut self.trace,
             )?
@@ -322,7 +309,7 @@ impl Kernel {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::sink_adl;
+    use super::super::tests::{forgetful_registry, sink_adl};
     use super::*;
     use crate::{CheckpointPolicy, StorageModel};
     use sps_engine::{OperatorRegistry, StreamItem, Tuple};
@@ -381,10 +368,7 @@ mod tests {
             assert!(self.store.save(SLOT.0, SLOT.1, ckpt, Vec::new(), 0));
         }
 
-        fn restore(
-            &mut self,
-            lossy: bool,
-        ) -> (RestoreOutcome, Option<RestoreCandidate>, PeRuntime) {
+        fn restore(&mut self) -> (RestoreOutcome, Option<RestoreCandidate>, PeRuntime) {
             let mut runtime = self.blank();
             let rebuild = || PeRuntime::build(&self.adl, SLOT.1, &self.registry, SimRng::new(1));
             let now = SimTime::from_secs(1);
@@ -393,7 +377,6 @@ mod tests {
                 SLOT,
                 &mut runtime,
                 rebuild,
-                lossy,
                 now,
                 &mut self.trace,
             )
@@ -414,7 +397,7 @@ mod tests {
         f.save(f.unrestorable(2, 300));
         assert_eq!(f.store.restore_candidates(SLOT.0, SLOT.1), 3);
 
-        let (outcome, from, runtime) = f.restore(false);
+        let (outcome, from, runtime) = f.restore();
         match outcome {
             RestoreOutcome::Restored {
                 taken_at,
@@ -439,7 +422,7 @@ mod tests {
     fn fresh_reason_tells_nothing_stored_from_evicted_from_all_rejected() {
         // Nothing was ever saved.
         let mut f = Fixture::new(0);
-        let (outcome, from, _) = f.restore(false);
+        let (outcome, from, _) = f.restore();
         let fresh = |reason| RestoreOutcome::Fresh { reason };
         assert_eq!(outcome, fresh(FreshReason::NoCheckpoint));
         assert!(from.is_none());
@@ -450,14 +433,14 @@ mod tests {
         f.save(f.snapshot(3, 100));
         f.store.enforce_budget(&BTreeSet::new());
         assert_eq!(f.store.restore_candidates(SLOT.0, SLOT.1), 0);
-        assert_eq!(f.restore(false).0, fresh(FreshReason::Evicted));
+        assert_eq!(f.restore().0, fresh(FreshReason::Evicted));
         assert_eq!(f.counters(), (0, 1));
 
         // Generations exist, and the container rejects every one.
         let mut f = Fixture::new(1 << 20);
         f.save(f.unrestorable(1, 100));
         f.save(f.unrestorable(2, 200));
-        let (outcome, _, runtime) = f.restore(false);
+        let (outcome, _, runtime) = f.restore();
         assert_eq!(outcome, fresh(FreshReason::Incompatible));
         assert_eq!(runtime.tap("snk").unwrap().len(), 0);
         assert_eq!(f.counters(), (0, 1));
@@ -467,8 +450,9 @@ mod tests {
     fn lossy_restore_is_caught_by_self_verification() {
         let mut f = Fixture::new(0);
         f.save(f.snapshot(3, 100));
-        let (faithful, ..) = f.restore(false);
-        let (lossy, _, runtime) = f.restore(true);
+        let (faithful, ..) = f.restore();
+        f.registry = forgetful_registry();
+        let (lossy, _, runtime) = f.restore();
         let verified = |outcome: &RestoreOutcome| match outcome {
             RestoreOutcome::Restored { verified, .. } => *verified,
             other => panic!("expected a restore, got {other:?}"),

@@ -9,7 +9,8 @@
 //! The kernel provides:
 //! - [`SimTime`] / [`SimDuration`]: millisecond-resolution logical time,
 //! - [`Scheduler`]: a stable-ordered pending-event queue generic over the
-//!   event payload type (the runtime crate defines the payload),
+//!   event payload type (the runtime steps in fixed quanta and does not use
+//!   it; `perf` times it),
 //! - [`SimRng`]: a small, fast, seedable RNG (SplitMix64 / xoshiro256**),
 //! - [`trace`]: a bounded in-memory trace ring used for debugging runs.
 

@@ -1,10 +1,9 @@
 //! Pending-event queue with stable ordering and cancellation.
 //!
-//! The scheduler is generic over the event payload `E`; the runtime crate
-//! instantiates it with its own event enum. Two events scheduled for the same
-//! instant fire in insertion order (a strict requirement for determinism —
-//! `BinaryHeap` alone does not provide it, so entries carry a sequence
-//! number).
+//! The scheduler is generic over the event payload `E`. Two events scheduled
+//! for the same instant fire in insertion order (a strict requirement for
+//! determinism — `BinaryHeap` alone does not provide it, so entries carry a
+//! sequence number).
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -113,14 +112,14 @@ impl<E> Scheduler<E> {
     }
 
     /// Cancels a previously scheduled event. Returns true if the event was
-    /// still pending (i.e. this call prevented it from firing).
+    /// still pending (i.e. this call prevented it from firing); a ticket that
+    /// already fired, was already cancelled or was never issued changes
+    /// nothing. Linear in the number of queued entries.
     pub fn cancel(&mut self, ticket: TicketId) -> bool {
-        if ticket.0 >= self.next_seq {
-            return false;
-        }
         // We cannot remove from the middle of a BinaryHeap; record the seq and
-        // skip it at pop time. The set is drained as entries surface.
-        self.cancelled.insert(ticket.0)
+        // skip it at pop time. The set is drained as entries surface, so it
+        // only ever holds seqs still in the heap.
+        self.heap.iter().any(|e| e.seq == ticket.0) && self.cancelled.insert(ticket.0)
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -218,8 +217,20 @@ mod tests {
         let mut s = Scheduler::new();
         let t = s.schedule_at(SimTime::from_millis(10), ());
         assert!(s.cancel(t));
-        assert!(!s.cancel(t)); // the set already contains it? removed at pop; second insert returns false
+        assert!(!s.cancel(t)); // already cancelled
         assert!(!s.cancel(TicketId(999)));
+    }
+
+    #[test]
+    fn cancelling_a_fired_ticket_changes_nothing() {
+        let mut s = Scheduler::new();
+        let fired = s.schedule_at(SimTime::from_millis(10), "a");
+        s.schedule_at(SimTime::from_millis(20), "b");
+        assert_eq!(s.pop().unwrap().ticket, fired);
+        assert!(!s.cancel(fired));
+        assert_eq!(s.pending(), 1);
+        assert_eq!(s.pop().unwrap().payload, "b");
+        assert!(s.is_empty());
     }
 
     #[test]

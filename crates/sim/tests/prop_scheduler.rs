@@ -1,13 +1,15 @@
-//! Property tests for [`sps_sim::Scheduler`] — the determinism-critical
-//! pending-event queue under the runtime kernel and the fault-injection
-//! harness:
+//! Property tests for [`sps_sim::Scheduler`], the stable-ordered
+//! pending-event queue:
 //!
 //! 1. a cancelled ticket is never yielded by `pop` (cancel-then-pop),
 //! 2. pop order is non-decreasing in time regardless of insertion order,
-//! 3. events at the same `SimTime` fire in insertion order (FIFO tie-break).
+//! 3. events at the same `SimTime` fire in insertion order (FIFO tie-break),
+//! 4. under schedules, cancels and pops interleaved, `pop`, `cancel` and
+//!    `pending` agree with a sorted-set model.
 
 use proptest::prelude::*;
-use sps_sim::{Scheduler, SimTime, TicketId};
+use sps_sim::{Scheduler, SimDuration, SimTime, TicketId};
+use std::collections::BTreeSet;
 
 /// A scripted interaction: event times (in insertion order) plus the indices
 /// of the insertions to cancel before draining.
@@ -101,6 +103,41 @@ proptest! {
                 );
             }
             last_seq_at.insert(t, seq);
+        }
+    }
+
+    #[test]
+    fn interleaved_pops_and_cancels_agree_with_a_model(
+        script in prop::collection::vec((0u8..3, 0u64..50), 1..96)
+    ) {
+        // 0: schedule `arg` ms from now, 1: cancel a ticket issued so far
+        // (pending, cancelled or fired), 2: pop.
+        let mut s = Scheduler::new();
+        let mut tickets: Vec<TicketId> = Vec::new();
+        let mut model: BTreeSet<(SimTime, TicketId)> = BTreeSet::new();
+        for (op, arg) in script {
+            match op {
+                0 => {
+                    let at = s.now() + SimDuration::from_millis(arg);
+                    let ticket = s.schedule_at(at, ());
+                    tickets.push(ticket);
+                    model.insert((at, ticket));
+                }
+                1 if !tickets.is_empty() => {
+                    let ticket = tickets[arg as usize % tickets.len()];
+                    let live = model.iter().find(|e| e.1 == ticket).copied();
+                    prop_assert_eq!(s.cancel(ticket), live.is_some());
+                    if let Some(entry) = live {
+                        model.remove(&entry);
+                    }
+                }
+                1 => {}
+                _ => {
+                    let next = model.pop_first();
+                    prop_assert_eq!(s.pop().map(|ev| (ev.at, ev.ticket)), next);
+                }
+            }
+            prop_assert_eq!(s.pending(), model.len());
         }
     }
 }

@@ -7,9 +7,12 @@
 
 use orca_harness::{
     default_oracles, evaluate, reproducer_line, run_campaign, scenario, BaselineCache,
-    BaselineSource, CampaignConfig, CheckpointPolicy, FaultPlan, WorldPolicy,
+    BaselineSource, Built, CampaignConfig, CheckpointPolicy, FaultPlan, Scenario, WorldPolicy,
 };
+use sps_engine::op::TupleBatch;
+use sps_engine::{ops, EngineError, OpCtx, Operator, Punct, StateBlob, Tuple};
 use sps_sim::SimRng;
+use std::collections::VecDeque;
 
 fn cfg(plans: usize) -> CampaignConfig {
     CampaignConfig {
@@ -311,15 +314,58 @@ fn restored_state_actually_differs_from_fresh_restarts() {
     assert_ne!(fresh, restored, "checkpoint restore left no trace");
 }
 
+/// An operator whose `restore` ignores its blob: a restore that loses state.
+struct Forgetful(Box<dyn Operator>);
+
+impl Operator for Forgetful {
+    fn on_tuple(&mut self, port: usize, tuple: Tuple, ctx: &mut OpCtx) {
+        self.0.on_tuple(port, tuple, ctx)
+    }
+    fn on_batch(&mut self, port: usize, batch: TupleBatch, ctx: &mut OpCtx) {
+        self.0.on_batch(port, batch, ctx)
+    }
+    fn on_punct(&mut self, port: usize, punct: Punct, ctx: &mut OpCtx) {
+        self.0.on_punct(port, punct, ctx)
+    }
+    fn on_tick(&mut self, ctx: &mut OpCtx) {
+        self.0.on_tick(ctx)
+    }
+    fn cost_per_tuple(&self) -> u32 {
+        self.0.cost_per_tuple()
+    }
+    fn tap(&self) -> Option<&VecDeque<Tuple>> {
+        self.0.tap()
+    }
+    fn checkpoint(&self) -> Option<StateBlob> {
+        self.0.checkpoint()
+    }
+    fn restore(&mut self, _: &StateBlob) -> Result<(), EngineError> {
+        Ok(())
+    }
+}
+
+/// `trend`, with its windowed calculator (an `Aggregate`) [`Forgetful`].
+fn build_forgetful_trend(seed: u64, policy: WorldPolicy) -> Built {
+    let mut built = (scenario::trend().build)(seed, policy);
+    built.world.kernel.registry.register("Aggregate", |op| {
+        let calc = ops::Aggregate::from_params(&op.name, &op.params)?;
+        Ok(Box::new(Forgetful(Box::new(calc))))
+    });
+    built
+}
+
 #[test]
 fn lossy_restore_is_caught_and_shrinks_to_minimal_reproducer() {
-    let sc = scenario::trend();
+    let sc = Scenario {
+        build: build_forgetful_trend,
+        ..scenario::trend()
+    };
     let config = CampaignConfig {
         plans: 5,
         seed: 7,
         check_determinism: false,
         max_failures: 1,
-        checkpoint: CheckpointPolicy::every(10).lossy(true),
+        checkpoint: CheckpointPolicy::every(10),
         ..Default::default()
     };
     let report = run_campaign(&sc, &config);
@@ -336,7 +382,7 @@ fn lossy_restore_is_caught_and_shrinks_to_minimal_reproducer() {
     assert!(!f.shrunk.events.is_empty());
 
     // 1-minimality under the same lossy regime.
-    let opts = CheckpointPolicy::every(10).lossy(true);
+    let opts = CheckpointPolicy::every(10);
     let oracles = default_oracles(false, true, false);
     // Candidates compare against the baseline keyed by the *original*
     // plan's horizon — the same floor-keyed entry the shrink walk used.
@@ -373,7 +419,5 @@ fn lossy_restore_is_caught_and_shrinks_to_minimal_reproducer() {
         f.reproducer,
         reproducer_line(&sc, f.plan_seed, &f.shrunk, &config)
     );
-    assert!(f
-        .reproducer
-        .contains(" --checkpoint-interval 10 --lossy-restore "));
+    assert!(f.reproducer.contains(" --checkpoint-interval 10 "));
 }
