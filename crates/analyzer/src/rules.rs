@@ -7,7 +7,6 @@
 //! | R2  | `ambient-authority`| every scanned crate  | `Instant::now`, `SystemTime::now`, `thread_rng`, `rand::random`, `thread::spawn` |
 //! | R3  | `ckpt-contract`    | every scanned crate  | stateful `impl Operator` without `checkpoint` + `restore` |
 //! | R4  | `float-digest`     | digest-path crates   | `f32`/`f64` in digest/state-encode contexts without a bit-preserving encoding |
-//! | R5  | `batch-contract`   | every scanned crate  | `impl Operator` overriding `on_batch` without `on_tuple` coherence |
 //!
 //! Every rule honors `// sslint: allow(rule, reason)` on the offending line
 //! or the line immediately above. Allows must carry a non-empty reason
@@ -21,7 +20,6 @@ pub const R1_UNORDERED_ITER: &str = "unordered-iter";
 pub const R2_AMBIENT_AUTHORITY: &str = "ambient-authority";
 pub const R3_CKPT_CONTRACT: &str = "ckpt-contract";
 pub const R4_FLOAT_DIGEST: &str = "float-digest";
-pub const R5_BATCH_CONTRACT: &str = "batch-contract";
 pub const BAD_ALLOW: &str = "bad-allow";
 pub const UNUSED_ALLOW: &str = "unused-allow";
 
@@ -31,7 +29,6 @@ pub const ALLOWABLE_RULES: &[&str] = &[
     R2_AMBIENT_AUTHORITY,
     R3_CKPT_CONTRACT,
     R4_FLOAT_DIGEST,
-    R5_BATCH_CONTRACT,
 ];
 
 /// One diagnostic within a single file.
@@ -67,7 +64,6 @@ pub fn check_file(src: &str, class: FileClass) -> Vec<Finding> {
         raw.extend(check_ambient_authority(&toks));
     }
     raw.extend(check_ckpt_contract(&toks));
-    raw.extend(check_batch_contract(&toks));
 
     // Apply allow annotations: an allow covers findings of its rule on its
     // own line or the line directly below (annotation-above style).
@@ -668,84 +664,6 @@ fn block_mutates_self(toks: &[Tok]) -> bool {
         }
     }
     false
-}
-
-// ---------------------------------------------------------------------------
-// R5: batch-contract
-// ---------------------------------------------------------------------------
-
-/// A batched override must stay coherent with the per-tuple path it
-/// shadows: the engine's differential systest proves `on_batch` ≡ looped
-/// `on_tuple` dynamically, and this rule catches the two statically
-/// checkable ways the pair drifts apart. An `impl Operator` overriding
-/// `on_batch` is flagged when (a) the same impl block does not also define
-/// `on_tuple` — the two paths must be maintained side by side — or (b) its
-/// `on_tuple` can `raise_fault` but its `on_batch` never does, meaning the
-/// batched path silently drops the fault contract the per-tuple fallback
-/// enforces.
-fn check_batch_contract(toks: &[Tok]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for b in collect_impls(toks).iter().filter(|b| b.is_operator) {
-        let body = &toks[b.start..=b.end];
-        let Some((batch_start, batch_end, batch_line)) = fn_span(body, "on_batch") else {
-            continue;
-        };
-        let Some((tuple_start, tuple_end, _)) = fn_span(body, "on_tuple") else {
-            out.push(Finding {
-                rule: R5_BATCH_CONTRACT,
-                line: batch_line,
-                message: format!(
-                    "`{}` overrides `on_batch` without defining `on_tuple` in the same impl; \
-                     the per-tuple fallback and the batched path must be maintained together, \
-                     or the divergence justified with an allow",
-                    b.type_name
-                ),
-            });
-            continue;
-        };
-        let raises = |span: &[Tok]| {
-            span.iter()
-                .any(|t| t.kind == TokKind::Ident && t.text == "raise_fault")
-        };
-        if raises(&body[tuple_start..=tuple_end]) && !raises(&body[batch_start..=batch_end]) {
-            out.push(Finding {
-                rule: R5_BATCH_CONTRACT,
-                line: batch_line,
-                message: format!(
-                    "`{}`'s `on_tuple` can raise_fault but its `on_batch` override never does; \
-                     the batched path drops the fault contract the per-tuple fallback enforces — \
-                     propagate the fault or justify with an allow",
-                    b.type_name
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Token span and declaration line of `fn <name>` within an impl body:
-/// `(first token of the fn, index of its closing brace, line of `fn`)`.
-fn fn_span(toks: &[Tok], name: &str) -> Option<(usize, usize, u32)> {
-    for i in 0..toks.len().saturating_sub(1) {
-        if toks[i].text != "fn" || toks[i].kind != TokKind::Ident || toks[i + 1].text != name {
-            continue;
-        }
-        let mut open = None;
-        for (j, t) in toks.iter().enumerate().skip(i + 2).take(256) {
-            match t.text.as_str() {
-                "{" => {
-                    open = Some(j);
-                    break;
-                }
-                ";" => break,
-                _ => {}
-            }
-        }
-        let open = open?;
-        let end = matching_brace(toks, open)?;
-        return Some((i, end, toks[i].line));
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------

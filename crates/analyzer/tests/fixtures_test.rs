@@ -118,34 +118,6 @@ fn r4_good_and_allowed_are_clean() {
 }
 
 #[test]
-fn r5_bad_flags_missing_on_tuple_and_dropped_fault() {
-    assert_eq!(
-        rule_lines("fixtures/r5/bad.rs"),
-        vec![
-            (rules::R5_BATCH_CONTRACT, 6),  // on_batch without on_tuple
-            (rules::R5_BATCH_CONTRACT, 23), // on_tuple raises, on_batch doesn't
-        ]
-    );
-    let diags = fixture_diags("fixtures/r5/bad.rs");
-    assert!(
-        diags[0].message.contains("without defining `on_tuple`"),
-        "{}",
-        diags[0].message
-    );
-    assert!(
-        diags[1].message.contains("drops the fault contract"),
-        "{}",
-        diags[1].message
-    );
-}
-
-#[test]
-fn r5_good_and_allowed_are_clean() {
-    assert_eq!(rule_lines("fixtures/r5/good.rs"), vec![]);
-    assert_eq!(rule_lines("fixtures/r5/allowed.rs"), vec![]);
-}
-
-#[test]
 fn meta_bad_flags_malformed_and_unused_allows() {
     assert_eq!(
         rule_lines("fixtures/meta/bad.rs"),
@@ -184,7 +156,6 @@ fn deny_mode_rejects_the_fixture_corpus() {
         "ambient-authority",
         "ckpt-contract",
         "float-digest",
-        "batch-contract",
         "bad-allow",
         "unused-allow",
     ] {

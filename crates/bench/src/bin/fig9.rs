@@ -30,7 +30,13 @@ fn latest(world: &World, job: JobId, sym: &str) -> Option<(f64, bool, u64)> {
         })
 }
 
-fn main() {
+/// Group key rendering of SYM0, the symbol the figure follows.
+const SYM: &str = "s:SYM0";
+
+/// A world running the Trend Calculator's replicas under `TrendOrca` with
+/// the paper's 600-second sliding window; returns it with the ORCA
+/// controller's index.
+fn build_world() -> (World, usize) {
     let stores = SharedStores::new();
     let kernel = Kernel::new(
         Cluster::with_hosts(3),
@@ -38,7 +44,6 @@ fn main() {
         RuntimeConfig::default(),
     );
     let mut world = World::new(kernel);
-    // The paper's 600-second sliding window.
     let params = TrendParams {
         window_secs: 600.0,
         ..Default::default()
@@ -49,49 +54,50 @@ fn main() {
         Box::new(TrendOrca::new(3)),
     );
     let idx = world.add_controller(Box::new(service));
+    (world, idx)
+}
 
-    let sym = "s:SYM0"; // group key rendering of SYM0
-    let crash_at = SimTime::from_secs(700);
-    let mut rows: Vec<String> = Vec::new();
-    let mut sample = |world: &World, label: &str| {
-        let svc = world.controller::<OrcaService>(idx).unwrap();
-        let logic = svc.logic::<TrendOrca>().unwrap();
-        let r0 = latest(world, logic.replicas[0].job, sym);
-        let r1 = latest(world, logic.replicas[1].job, sym);
-        let fmt = |v: Option<(f64, bool, u64)>| match v {
-            None => format!("{:>10} {:>5} {:>8}", "-", "-", "-"),
-            Some((avg, full, ts)) => format!("{avg:>10.3} {full:>5} {:>8.0}", ts as f64 / 1000.0),
-        };
-        rows.push(format!(
-            "{:>7.0} {:>6} | {} | {} | {}",
-            world.now().as_secs_f64(),
-            svc.status("active").unwrap_or("?"),
-            fmt(r0),
-            fmt(r1),
-            label,
-        ));
+/// One table row: time, active replica, both replicas' latest output, label.
+fn sample(world: &World, idx: usize, label: &str) -> String {
+    let svc = world.controller::<OrcaService>(idx).unwrap();
+    let logic = svc.logic::<TrendOrca>().unwrap();
+    let r0 = latest(world, logic.replicas[0].job, SYM);
+    let r1 = latest(world, logic.replicas[1].job, SYM);
+    let fmt = |v: Option<(f64, bool, u64)>| match v {
+        None => format!("{:>10} {:>5} {:>8}", "-", "-", "-"),
+        Some((avg, full, ts)) => format!("{avg:>10.3} {full:>5} {:>8.0}", ts as f64 / 1000.0),
     };
+    format!(
+        "{:>7.0} {:>6} | {} | {} | {}",
+        world.now().as_secs_f64(),
+        svc.status("active").unwrap_or("?"),
+        fmt(r0),
+        fmt(r1),
+        label,
+    )
+}
 
-    // Warm up until windows are full, sampling along the way.
+/// Fills the windows, crashes the active replica's calculator PE at
+/// t=700s, and follows the failover until the window has refilled;
+/// returns one row per sample.
+fn run_crash(world: &mut World, idx: usize) -> Vec<String> {
+    let mut rows: Vec<String> = Vec::new();
     for t in [100u64, 300, 600, 650, 699] {
         world.run_until(SimTime::from_secs(t));
-        sample(
-            &world,
-            if t < 600 {
-                "filling windows"
-            } else {
-                "healthy (Fig 9a)"
-            },
-        );
+        let label = if t < 600 {
+            "filling windows"
+        } else {
+            "healthy (Fig 9a)"
+        };
+        rows.push(sample(world, idx, label));
     }
 
-    // Crash the active replica's calculator PE.
     let active_job = {
         let svc = world.controller::<OrcaService>(idx).unwrap();
         svc.logic::<TrendOrca>().unwrap().active_job()
     };
     let victim = world.kernel.pe_id_of(active_job, 1).unwrap();
-    world.run_until(crash_at);
+    world.run_until(SimTime::from_secs(700));
     world.kernel.kill_pe(victim).unwrap();
 
     for t in [702u64, 710, 730, 800, 1000, 1305, 1320] {
@@ -101,16 +107,21 @@ fn main() {
             730 | 800 | 1000 => "restarted replica refilling (incorrect output)",
             _ => "window refilled: replicas agree again",
         };
-        sample(&world, label);
+        rows.push(sample(world, idx, label));
     }
+    rows
+}
 
+/// Prints the table and the failover summary, then checks the shape the
+/// paper's narrative gives the figure.
+fn report(world: &World, idx: usize, rows: &[String]) {
     println!("=== Figure 9: replica output around a PE crash (symbol SYM0) ===\n");
     println!("crash of replica 0's calculator PE injected at t=700s; window = 600s\n");
     println!(
         "{:>7} {:>6} | {:>10} {:>5} {:>8} | {:>10} {:>5} {:>8} |",
         "t(s)", "active", "r0 avg", "full", "r0 ts", "r1 avg", "full", "r1 ts"
     );
-    for row in &rows {
+    for row in rows {
         println!("{row}");
     }
 
@@ -119,9 +130,8 @@ fn main() {
     println!("\nfailovers: {:?}", logic.failovers);
     println!("final active replica: {}", logic.active);
 
-    // Shape assertions mirroring the paper's narrative.
-    let r0 = latest(&world, logic.replicas[0].job, sym).unwrap();
-    let r1 = latest(&world, logic.replicas[1].job, sym).unwrap();
+    let r0 = latest(world, logic.replicas[0].job, SYM).unwrap();
+    let r1 = latest(world, logic.replicas[1].job, SYM).unwrap();
     assert!(
         r0.1 && r1.1,
         "both replicas should be full again at the end"
@@ -129,4 +139,10 @@ fn main() {
     assert_eq!(logic.active, 1, "failover must have moved the active role");
     assert_eq!(logic.failovers.len(), 1, "exactly one failover");
     println!("\nshape check passed: gap → incorrect (non-full) output → recovery after 600s");
+}
+
+fn main() {
+    let (mut world, idx) = build_world();
+    let rows = run_crash(&mut world, idx);
+    report(&world, idx, &rows);
 }

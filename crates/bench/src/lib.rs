@@ -76,15 +76,6 @@ pub fn graph_with_metrics(
     (graph, metrics)
 }
 
-/// Debug helper: prints the PE layout of an ADL (used while tuning tests).
-pub fn describe_layout(adl: &sps_model::Adl) -> String {
-    let mut out = String::new();
-    for pe in &adl.pes {
-        out.push_str(&format!("PE{}: {:?}\n", pe.index, pe.operators));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

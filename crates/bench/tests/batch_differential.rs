@@ -2,13 +2,15 @@
 //! byte-identical with batching on (the default) and with the per-tuple
 //! fallback forced via `SPS_BATCH=off`.
 //!
-//! The fallback caps every run at one tuple and dispatches straight to
-//! `on_tuple`, so this comparison proves the batched `on_batch` overrides,
-//! the run-coalesced transport deliveries, and the straddling-batch replay
-//! split in upstream backup all preserve the per-tuple semantics — not just
-//! on a clean run but under fault plans, checkpoint restores, and replay.
-//! `batching_enabled()` is read once per process, which is why each side
-//! runs in its own campaign subprocess.
+//! Operators take one tuple at a time in both modes; what the fallback
+//! changes is the PE around them. It caps every run at one tuple and sends
+//! every emitted tuple in its own frame, so this comparison proves run
+//! formation (and its per-run metric updates), run-coalesced transport
+//! frames, and the straddling-batch replay split in upstream backup all
+//! preserve the per-tuple semantics — not just on a clean run but under
+//! fault plans, checkpoint restores, and replay. `batching_enabled()` is
+//! read once per process, which is why each side runs in its own campaign
+//! subprocess.
 
 use std::process::Command;
 

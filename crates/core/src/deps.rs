@@ -325,11 +325,6 @@ impl DependencyManager {
         self.submit_times.insert(id.to_string(), at);
     }
 
-    /// Marks a config as explicitly submitted (exempt from GC).
-    pub fn mark_explicit(&mut self, id: &str) {
-        self.explicit.insert(id.to_string());
-    }
-
     /// Drops pending submissions that (transitively) depend on a config
     /// whose submission failed.
     pub fn abandon_dependents_of(&mut self, failed: &str) -> Vec<String> {

@@ -792,11 +792,6 @@ impl OrcaService {
         any.downcast_ref::<T>()
     }
 
-    /// Current number of queued, undelivered events.
-    pub fn queued_events(&self) -> usize {
-        self.core.queue.len()
-    }
-
     /// Jobs currently managed by this service (submitted, not cancelled).
     pub fn managed_jobs(&self) -> Vec<JobId> {
         self.core.jobs.keys().copied().collect()

@@ -23,11 +23,12 @@ pub enum StreamItem {
     Punct(Punct),
 }
 
-/// A run of consecutive tuples delivered to one input port within a single
-/// scheduling quantum. Batch boundaries never cross punctuation or quantum
-/// boundaries, so batching is invisible to determinism: an operator sees
-/// exactly the tuples, in exactly the order, that per-tuple delivery would
-/// have produced.
+/// A run of consecutive tuples on one port: what a transport frame carries
+/// and what the PE pops from one input queue per slot visit. Batch
+/// boundaries never cross punctuation or quantum boundaries, and the PE
+/// hands a batch to its operator one tuple at a time, so batching is
+/// invisible to determinism: an operator sees exactly the tuples, in
+/// exactly the order, that per-tuple delivery would have produced.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TupleBatch {
     items: Vec<Tuple>,
@@ -177,15 +178,6 @@ impl<'a> OpCtx<'a> {
         self.emitted.push((port, StreamItem::Tuple(tuple)));
     }
 
-    /// Submits every tuple of a batch on one output port, preserving order.
-    /// Bulk variant of [`OpCtx::submit`] for batched operator
-    /// implementations that forward whole runs (Merge, pass-throughs).
-    pub fn submit_batch(&mut self, port: usize, batch: TupleBatch) {
-        debug_assert!(port < self.num_outputs, "submit on nonexistent port");
-        self.emitted
-            .extend(batch.into_iter().map(|t| (port, StreamItem::Tuple(t))));
-    }
-
     /// Submits punctuation on an output port.
     pub fn submit_punct(&mut self, port: usize, punct: Punct) {
         debug_assert!(port < self.num_outputs, "punct on nonexistent port");
@@ -237,11 +229,10 @@ impl<'a> OpCtx<'a> {
         self.fault = Some(message.into());
     }
 
-    /// True once [`OpCtx::raise_fault`] has been called during this callback.
-    /// Batched implementations consult this to stop consuming the remainder
-    /// of a batch after a tuple faulted — everything after the faulting tuple
-    /// is lost with the crashing PE, exactly as per-tuple delivery loses the
-    /// cleared input queues.
+    /// True once [`OpCtx::raise_fault`] has been called since this context
+    /// was made. The PE reads it between the tuples of a run and stops
+    /// delivering once it is set: everything after the faulting tuple is
+    /// lost with the crashing PE, like its cleared input queues.
     pub fn has_fault(&self) -> bool {
         self.fault.is_some()
     }
@@ -258,27 +249,10 @@ impl<'a> OpCtx<'a> {
 /// A stream operator. Implementations are instantiated per ADL invocation by
 /// the [`crate::registry::OperatorRegistry`].
 pub trait Operator {
-    /// Called for every tuple arriving on `port`.
+    /// Called for every tuple arriving on `port`, one at a time and in
+    /// arrival order. The PE hands a run of queued tuples down by calling
+    /// this once per tuple, and stops after one raises a fault.
     fn on_tuple(&mut self, port: usize, tuple: Tuple, ctx: &mut OpCtx);
-
-    /// Called with a run of consecutive tuples from one input port within a
-    /// single quantum. The default loops [`Operator::on_tuple`], stopping
-    /// after a tuple raises a fault (the rest of the batch dies with the
-    /// PE), so every existing operator behaves identically under batching.
-    ///
-    /// Overrides must preserve the per-tuple contract: process tuples in
-    /// batch order, produce the same submissions the per-tuple loop would,
-    /// and stop consuming once [`OpCtx::has_fault`] is set. Punctuation is
-    /// never part of a batch — it still arrives via [`Operator::on_punct`],
-    /// and a batch never spans a punctuation or quantum boundary.
-    fn on_batch(&mut self, port: usize, batch: TupleBatch, ctx: &mut OpCtx) {
-        for tuple in batch {
-            if ctx.has_fault() {
-                break;
-            }
-            self.on_tuple(port, tuple, ctx);
-        }
-    }
 
     /// Called for punctuation arriving on `port`. The default forwards
     /// window punctuation to every output port, and forwards a `Final` only
@@ -532,59 +506,6 @@ mod tests {
         assert_eq!(emitted.len(), 4);
         assert!(matches!(emitted[0].1, StreamItem::Punct(Punct::Window)));
         assert!(matches!(emitted[2].1, StreamItem::Punct(Punct::Final)));
-    }
-
-    #[test]
-    fn default_on_batch_matches_per_tuple_loop() {
-        struct Doubler;
-        impl Operator for Doubler {
-            fn on_tuple(&mut self, _p: usize, t: Tuple, ctx: &mut OpCtx) {
-                ctx.submit(0, t.clone());
-                ctx.submit(1, t);
-            }
-        }
-        let mk = |i: i64| Tuple::new().with("v", i);
-        let (batched, _) = with_ctx(|ctx| {
-            let mut op = Doubler;
-            op.on_batch(0, vec![mk(1), mk(2), mk(3)].into(), ctx);
-            ctx.take_emitted()
-        });
-        let (looped, _) = with_ctx(|ctx| {
-            let mut op = Doubler;
-            for i in 1..=3 {
-                op.on_tuple(0, mk(i), ctx);
-            }
-            ctx.take_emitted()
-        });
-        assert_eq!(batched, looped);
-    }
-
-    #[test]
-    fn default_on_batch_stops_after_fault() {
-        struct FaultOnTwo {
-            processed: usize,
-        }
-        impl Operator for FaultOnTwo {
-            fn on_tuple(&mut self, _p: usize, t: Tuple, ctx: &mut OpCtx) {
-                self.processed += 1;
-                if t.get_int("v") == Some(2) {
-                    ctx.raise_fault("bad tuple");
-                    return;
-                }
-                ctx.submit(0, t);
-            }
-        }
-        let mk = |i: i64| Tuple::new().with("v", i);
-        let mut op = FaultOnTwo { processed: 0 };
-        let ((emitted, fault), _) = with_ctx(|ctx| {
-            op.on_batch(0, vec![mk(1), mk(2), mk(3), mk(4)].into(), ctx);
-            (ctx.take_emitted(), ctx.take_fault())
-        });
-        // Tuple 3 and 4 die with the PE: only tuple 1 made it out, and the
-        // faulting tuple itself was the last one consumed.
-        assert_eq!(op.processed, 2);
-        assert_eq!(emitted.len(), 1);
-        assert_eq!(fault.as_deref(), Some("bad tuple"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Windowed aggregation over a numeric attribute, optionally grouped.
 
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
-use crate::op::{OpCtx, Operator, Punct, TupleBatch};
+use crate::op::{OpCtx, Operator, Punct};
 use crate::ops::{opt_str, req_f64, req_str};
 use crate::tuple::{Schema, Tuple};
 use crate::window::SlidingTimeWindow;
@@ -127,49 +127,6 @@ impl Operator for Aggregate {
         };
         if let Err(fault) = self.push_grouped(&tuple, ctx.now(), v) {
             ctx.raise_fault(fault);
-        }
-    }
-
-    // Batched ingest. Ungrouped aggregation resolves the group window once
-    // for the whole run instead of one BTreeMap probe per tuple; grouped
-    // aggregation keeps per-tuple probes (keys vary within a run) but
-    // hoists the timestamp and mode dispatch. Faults stop consumption at
-    // the faulting tuple, matching the per-tuple fallback.
-    fn on_batch(&mut self, _port: usize, batch: TupleBatch, ctx: &mut OpCtx) {
-        let now = ctx.now();
-        let span = self.window;
-        match &self.group_by {
-            None => {
-                let window = self
-                    .groups
-                    .entry(String::new())
-                    .or_insert_with(|| SlidingTimeWindow::new(span));
-                for tuple in batch {
-                    let Some(v) = tuple.get_f64(&self.value_attr) else {
-                        ctx.raise_fault(format!(
-                            "aggregate value attribute '{}' missing or non-numeric",
-                            self.value_attr
-                        ));
-                        return;
-                    };
-                    window.push(now, v);
-                }
-            }
-            Some(_) => {
-                for tuple in batch {
-                    let Some(v) = tuple.get_f64(&self.value_attr) else {
-                        ctx.raise_fault(format!(
-                            "aggregate value attribute '{}' missing or non-numeric",
-                            self.value_attr
-                        ));
-                        return;
-                    };
-                    if let Err(fault) = self.push_grouped(&tuple, now, v) {
-                        ctx.raise_fault(fault);
-                        return;
-                    }
-                }
-            }
         }
     }
 

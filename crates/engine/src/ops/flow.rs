@@ -3,13 +3,12 @@
 
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
 use crate::metrics::MetricId;
-use crate::op::{OpCtx, Operator, TupleBatch};
+use crate::op::{OpCtx, Operator};
 use crate::ops::{opt_i64, req_f64};
 use crate::tuple::Tuple;
 use crate::EngineError;
 use sps_model::value::ParamMap;
 use sps_sim::SimTime;
-use std::cell::OnceCell;
 
 /// Drops tuples above a maximum rate (simple load shedder). Dropped tuples
 /// increment the built-in `nTuplesDropped` metric.
@@ -20,7 +19,7 @@ pub struct Throttle {
     window_start: Option<SimTime>,
     forwarded_in_window: f64,
     /// Handle of `nTuplesDropped`, resolved at the first drop.
-    dropped: OnceCell<MetricId>,
+    dropped: Option<MetricId>,
 }
 
 impl Throttle {
@@ -36,15 +35,8 @@ impl Throttle {
             max_rate,
             window_start: None,
             forwarded_in_window: 0.0,
-            dropped: OnceCell::new(),
+            dropped: None,
         })
-    }
-
-    fn count_dropped(&self, n: i64, ctx: &mut OpCtx) {
-        let id = *self
-            .dropped
-            .get_or_init(|| ctx.metric_id(crate::metrics::builtin::N_TUPLES_DROPPED));
-        ctx.metric_add_by(id, n);
     }
 }
 
@@ -64,35 +56,10 @@ impl Operator for Throttle {
             self.forwarded_in_window += 1.0;
             ctx.submit(0, tuple);
         } else {
-            self.count_dropped(1, ctx);
-        }
-    }
-
-    // Batched shedding: the window-reset decision is made once per batch
-    // (`ctx.now()` is constant within the callback, so the per-tuple loop
-    // could only reset on its first iteration anyway) and drops are counted
-    // into the metric store once instead of once per dropped tuple.
-    fn on_batch(&mut self, _port: usize, batch: TupleBatch, ctx: &mut OpCtx) {
-        let now = ctx.now();
-        let reset = match self.window_start {
-            None => true,
-            Some(start) => now.since(start).as_millis() >= 1000,
-        };
-        if reset {
-            self.window_start = Some(now);
-            self.forwarded_in_window = 0.0;
-        }
-        let mut dropped = 0i64;
-        for tuple in batch {
-            if self.forwarded_in_window + 1.0 <= self.max_rate {
-                self.forwarded_in_window += 1.0;
-                ctx.submit(0, tuple);
-            } else {
-                dropped += 1;
-            }
-        }
-        if dropped > 0 {
-            self.count_dropped(dropped, ctx);
+            let id = *self
+                .dropped
+                .get_or_insert_with(|| ctx.metric_id(crate::metrics::builtin::N_TUPLES_DROPPED));
+            ctx.metric_add_by(id, 1);
         }
     }
 

@@ -120,6 +120,8 @@ pub(crate) mod testutil {
             ctx.take_emitted()
         }
 
+        /// Delivers a run of tuples the way the PE does: one `on_tuple`
+        /// call each, stopping after a fault.
         pub fn batch(
             &mut self,
             op: &mut dyn Operator,
@@ -127,7 +129,12 @@ pub(crate) mod testutil {
             tuples: Vec<Tuple>,
         ) -> Vec<(usize, StreamItem)> {
             let mut ctx = self.ctx();
-            op.on_batch(port, tuples.into(), &mut ctx);
+            for t in tuples {
+                if ctx.has_fault() {
+                    break;
+                }
+                op.on_tuple(port, t, &mut ctx);
+            }
             ctx.take_emitted()
         }
 

@@ -3,7 +3,7 @@
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
 use crate::expr::{BoundExpr, Expr, Scalar};
 use crate::metrics::MetricId;
-use crate::op::{FinalPunctTracker, OpCtx, Operator, Punct, TupleBatch};
+use crate::op::{FinalPunctTracker, OpCtx, Operator, Punct};
 use crate::ops::{opt_i64, opt_str, req_str};
 use crate::tuple::{Schema, Tuple};
 use crate::EngineError;
@@ -288,30 +288,6 @@ impl Operator for Split {
         ctx.submit(port, tuple);
     }
 
-    // Batched routing hoists the mode dispatch and port-count read out of
-    // the per-tuple loop. Hash mode stops at the first unhashable tuple,
-    // exactly where the per-tuple fallback would crash the PE.
-    fn on_batch(&mut self, _port: usize, batch: TupleBatch, ctx: &mut OpCtx) {
-        let n = ctx.num_outputs().max(1);
-        match &mut self.mode {
-            SplitMode::RoundRobin => {
-                for tuple in batch {
-                    let p = self.next % n;
-                    self.next = self.next.wrapping_add(1);
-                    ctx.submit(p, tuple);
-                }
-            }
-            SplitMode::Hash(key) => {
-                for tuple in batch {
-                    let Some(p) = hash_port(key, &tuple, n, ctx) else {
-                        return;
-                    };
-                    ctx.submit(p, tuple);
-                }
-            }
-        }
-    }
-
     fn checkpoint(&self) -> Option<StateBlob> {
         let mut w = StateWriter::new();
         w.put_u64(self.next as u64);
@@ -341,11 +317,6 @@ impl Merge {
 impl Operator for Merge {
     fn on_tuple(&mut self, _port: usize, tuple: Tuple, ctx: &mut OpCtx) {
         ctx.submit(0, tuple);
-    }
-
-    // Merge is pure forwarding, so a whole run moves as one bulk append.
-    fn on_batch(&mut self, _port: usize, batch: TupleBatch, ctx: &mut OpCtx) {
-        ctx.submit_batch(0, batch);
     }
 
     fn on_punct(&mut self, port: usize, punct: Punct, ctx: &mut OpCtx) {

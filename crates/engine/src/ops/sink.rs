@@ -1,7 +1,7 @@
 //! Sink: terminal operator collecting recent output for observation.
 
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
-use crate::op::{OpCtx, Operator, Punct, TupleBatch};
+use crate::op::{OpCtx, Operator, Punct};
 use crate::ops::opt_i64;
 use crate::tuple::Tuple;
 use crate::EngineError;
@@ -122,17 +122,6 @@ impl Operator for Sink {
             self.recent.pop_front();
         }
         self.recent.push_back(tuple);
-    }
-
-    // Batched ring insert: tuples that the rest of the batch would evict
-    // anyway never enter the deque, and existing survivors are evicted in
-    // one drain instead of one pop per arrival.
-    fn on_batch(&mut self, _port: usize, batch: TupleBatch, _ctx: &mut OpCtx) {
-        self.total += batch.len() as u64;
-        let skip = batch.len().saturating_sub(self.keep);
-        let evict = (self.recent.len() + batch.len() - skip).saturating_sub(self.keep);
-        self.recent.drain(..evict);
-        self.recent.extend(batch.into_iter().skip(skip));
     }
 
     fn on_punct(&mut self, _port: usize, punct: Punct, _ctx: &mut OpCtx) {

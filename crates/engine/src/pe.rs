@@ -231,11 +231,11 @@ fn send_remote(
     }
 }
 
-/// Whether batched delivery is on. `SPS_BATCH=off|0|false` forces the
-/// per-tuple reference path — single-item runs dispatched through
-/// `on_tuple`, one transport frame per tuple — which the batching
-/// systest diffs against to prove the batched data path is
-/// observationally identical. Read once per process.
+/// Whether the PE batches around its operators. `SPS_BATCH=off|0|false`
+/// forces the per-tuple reference path — single-tuple runs, one transport
+/// frame per tuple — which the batching systest diffs against to prove
+/// the batched data path is observationally identical. Read once per
+/// process.
 fn batching_enabled() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ENABLED.get_or_init(|| {
@@ -416,8 +416,8 @@ impl PeRuntime {
         }
 
         // Phase 2: drain queues round-robin until budget exhausted. Each
-        // visit to a slot hands down a whole run of consecutive tuples from
-        // one port as a single `on_batch` call; punctuation is delivered
+        // visit to a slot pops a whole run of consecutive tuples from one
+        // port and delivers it tuple by tuple; punctuation is delivered
         // singly so batch boundaries never cross a punct.
         let mut spent: u64 = 0;
         loop {
@@ -557,10 +557,11 @@ impl PeRuntime {
         false
     }
 
-    /// Delivers a run of consecutive tuples from one port through a single
-    /// `on_batch` call. Returns true if the operator faulted; in that case
-    /// the whole run was consumed — tuples after the faulting one are lost
-    /// with the crashing process, like the cleared input queues.
+    /// Delivers a run of consecutive tuples from one port, one `on_tuple`
+    /// call each, and routes what they emitted in one go. Returns true if
+    /// the operator faulted; delivery stops at the faulting tuple and the
+    /// rest of the run is lost with the crashing process, like the cleared
+    /// input queues.
     fn process_batch(
         &mut self,
         slot_idx: usize,
@@ -588,17 +589,11 @@ impl PeRuntime {
             &mut self.rng,
         );
         ctx.set_all_inputs_final(all_final);
-        if batching_enabled() {
-            slot.op.on_batch(port, batch, &mut ctx);
-        } else {
-            // Reference path: dispatch each tuple through `on_tuple`,
-            // bypassing every batched override.
-            for tuple in batch {
-                if ctx.has_fault() {
-                    break;
-                }
-                slot.op.on_tuple(port, tuple, &mut ctx);
+        for tuple in batch {
+            if ctx.has_fault() {
+                break;
             }
+            slot.op.on_tuple(port, tuple, &mut ctx);
         }
         let emitted = ctx.take_emitted();
         let fault = ctx.take_fault();
@@ -1303,6 +1298,62 @@ mod tests {
         assert!(pe
             .inject("bomb", 0, StreamItem::Tuple(Tuple::new()))
             .is_ok());
+    }
+
+    /// A run is delivered one `on_tuple` at a time and stops at the tuple
+    /// that faults: the tuples before it leave, the ones after it die with
+    /// the process.
+    #[test]
+    fn a_run_stops_at_its_faulting_tuple() {
+        struct FaultOnTwo;
+        impl Operator for FaultOnTwo {
+            fn on_tuple(&mut self, _p: usize, t: Tuple, ctx: &mut OpCtx) {
+                ctx.metric_add("consumed", 1);
+                if t.get_int("v") == Some(2) {
+                    ctx.raise_fault("bad tuple");
+                    return;
+                }
+                ctx.submit(0, t);
+            }
+        }
+        let mut reg = registry();
+        reg.register("FaultOnTwo", |_| Ok(Box::new(FaultOnTwo)));
+        let operators = vec![op("f2", "FaultOnTwo", 0, 1, 1, ParamMap::new())];
+        let adl = Adl {
+            app_name: "Run".into(),
+            pes: vec![AdlPe {
+                index: 0,
+                operators: vec!["f2".into()],
+                host_pool: None,
+                host_exlocate: None,
+            }],
+            streams: vec![],
+            operators,
+            imports: vec![],
+            exports: vec![AdlExport {
+                op: "f2".into(),
+                port: 0,
+                spec: ExportSpec::by_id("out"),
+            }],
+            host_pools: vec![],
+        };
+        let mut pe = PeRuntime::build(&adl, 0, &reg, SimRng::new(1)).unwrap();
+        for v in 1..=4i64 {
+            let t = StreamItem::Tuple(Tuple::new().with("v", v));
+            pe.inject("f2", 0, t).unwrap();
+        }
+        // Not part of the run: only the crash takes it off the queue.
+        pe.inject("f2", 0, StreamItem::Punct(Punct::Window))
+            .unwrap();
+        let out = pe.step(SimTime::ZERO, SimDuration::from_millis(100), 10_000);
+        let left: Vec<_> = out.exported.iter().map(|e| &e.item).collect();
+        assert_eq!(left, [&StreamItem::Tuple(Tuple::new().with("v", 1i64))]);
+        assert_eq!(pe.metrics().op_get("f2", "consumed"), Some(2));
+        assert_eq!(out.crashed.as_deref(), Some("f2: bad tuple"));
+        assert!(pe
+            .slots
+            .iter()
+            .all(|s| s.queues.iter().all(VecDeque::is_empty)));
     }
 
     /// `i64::MIN / -1`, `i64::MIN % -1` and `-i64::MIN` used to panic —

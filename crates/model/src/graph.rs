@@ -8,7 +8,7 @@
 //! operators reside in PE x?" and "what is the enclosing composite of
 //! operator y?" (§4.2).
 
-use crate::adl::{Adl, AdlExport, AdlImport, AdlPe, AdlStream};
+use crate::adl::{Adl, AdlExport, AdlImport, AdlStream};
 use crate::value::ParamMap;
 use std::collections::BTreeMap;
 
@@ -45,7 +45,6 @@ pub struct GraphStore {
     app_name: String,
     ops: Vec<OperatorMeta>,
     op_index: BTreeMap<String, usize>,
-    pes: Vec<AdlPe>,
     pe_ops: Vec<Vec<usize>>,
     composites: Vec<CompositeInstance>,
     comp_index: BTreeMap<String, usize>,
@@ -115,7 +114,6 @@ impl GraphStore {
             app_name: adl.app_name.clone(),
             ops,
             op_index,
-            pes: adl.pes.clone(),
             pe_ops,
             composites,
             comp_index,
@@ -136,7 +134,7 @@ impl GraphStore {
     }
 
     pub fn num_pes(&self) -> usize {
-        self.pes.len()
+        self.pe_ops.len()
     }
 
     pub fn operators(&self) -> impl Iterator<Item = &OperatorMeta> {
@@ -145,10 +143,6 @@ impl GraphStore {
 
     pub fn operator(&self, name: &str) -> Option<&OperatorMeta> {
         self.op_index.get(name).map(|&i| &self.ops[i])
-    }
-
-    pub fn pe_info(&self, pe: usize) -> Option<&AdlPe> {
-        self.pes.get(pe)
     }
 
     pub fn streams(&self) -> &[AdlStream] {
@@ -315,7 +309,7 @@ impl GraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adl::AdlOperator;
+    use crate::adl::{AdlOperator, AdlPe};
     use crate::logical::HostPool;
 
     /// Hand-build an ADL matching the paper's Figure 2/3: two composite

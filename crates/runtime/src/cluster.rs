@@ -127,10 +127,6 @@ impl Cluster {
         self.hosts.values()
     }
 
-    pub fn hosts_mut(&mut self) -> impl Iterator<Item = &mut Host> {
-        self.hosts.values_mut()
-    }
-
     pub fn host_names(&self) -> Vec<&str> {
         self.hosts.keys().map(String::as_str).collect()
     }

@@ -8,7 +8,6 @@ use crate::broker::UpstreamBackup;
 use crate::ids::OrcaId;
 use crate::sam::{CrashReason, OrcaNotification};
 use sps_engine::codec::Frame;
-use sps_engine::op::TupleBatch;
 use sps_engine::{ops, EngineError, OpCtx, Operator, Punct, StateBlob};
 use sps_model::adl::Adl;
 use sps_model::compiler::{compile, CompileOptions};
@@ -66,9 +65,6 @@ struct ForgetfulSink(ops::Sink);
 impl Operator for ForgetfulSink {
     fn on_tuple(&mut self, port: usize, tuple: Tuple, ctx: &mut OpCtx) {
         self.0.on_tuple(port, tuple, ctx)
-    }
-    fn on_batch(&mut self, port: usize, batch: TupleBatch, ctx: &mut OpCtx) {
-        self.0.on_batch(port, batch, ctx)
     }
     fn on_punct(&mut self, port: usize, punct: Punct, ctx: &mut OpCtx) {
         self.0.on_punct(port, punct, ctx)

@@ -96,7 +96,6 @@ pub enum MetaOp {
         adl_index: usize,
         taken_at: SimTime,
     },
-    ForgetCkpt(JobId),
 }
 
 /// The materialized control-plane tables — exactly the state the pre-refactor
@@ -217,9 +216,6 @@ impl MetaTables {
                 taken_at,
             } => {
                 self.ckpt_commits.insert((*job, *adl_index), *taken_at);
-            }
-            MetaOp::ForgetCkpt(job) => {
-                self.ckpt_commits.retain(|(j, _), _| j != job);
             }
         }
     }

@@ -9,7 +9,6 @@ use orca_harness::{
     default_oracles, evaluate, reproducer_line, run_campaign, scenario, BaselineCache,
     BaselineSource, Built, CampaignConfig, CheckpointPolicy, FaultPlan, Scenario, WorldPolicy,
 };
-use sps_engine::op::TupleBatch;
 use sps_engine::{ops, EngineError, OpCtx, Operator, Punct, StateBlob, Tuple};
 use sps_sim::SimRng;
 use std::collections::VecDeque;
@@ -320,9 +319,6 @@ struct Forgetful(Box<dyn Operator>);
 impl Operator for Forgetful {
     fn on_tuple(&mut self, port: usize, tuple: Tuple, ctx: &mut OpCtx) {
         self.0.on_tuple(port, tuple, ctx)
-    }
-    fn on_batch(&mut self, port: usize, batch: TupleBatch, ctx: &mut OpCtx) {
-        self.0.on_batch(port, batch, ctx)
     }
     fn on_punct(&mut self, port: usize, punct: Punct, ctx: &mut OpCtx) {
         self.0.on_punct(port, punct, ctx)
