@@ -32,6 +32,8 @@
 //! compiles the four real applications and runs
 //! [`sps_model::verify_graph`] over them (see [`adl`]).
 
+#![forbid(unsafe_code)]
+
 pub mod adl;
 pub mod lexer;
 pub mod rules;

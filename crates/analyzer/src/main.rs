@@ -13,6 +13,8 @@
 //! gate. `--paths` restricts the lint to explicit files/directories (used
 //! to lint the fixture corpus on purpose).
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

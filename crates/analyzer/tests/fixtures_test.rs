@@ -6,6 +6,8 @@
 //! workspace walk never descends into, so the corpus trips nothing in CI
 //! while staying available for deliberate linting via `--paths`.
 
+#![forbid(unsafe_code)]
+
 use analyzer::{check_source, rules, Diagnostic};
 use std::path::Path;
 use std::process::Command;

@@ -14,6 +14,8 @@
 //! [`registry`] builds an operator registry containing the engine built-ins
 //! plus every application-specific operator kind defined here.
 
+#![forbid(unsafe_code)]
+
 pub mod live;
 pub mod sentiment;
 pub mod social;

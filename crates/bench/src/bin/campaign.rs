@@ -54,6 +54,8 @@
 //! default stream stays byte-stable (wall-clock and, under `--jobs > 1`,
 //! counter interleavings are nondeterministic).
 
+#![forbid(unsafe_code)]
+
 use orca_harness::{
     default_oracles, evaluate, run_campaign_cached, scenario, BaselineCache, BaselineSource,
     CampaignConfig, CampaignReport, CheckpointPolicy, FaultPlan, MetastoreKind, Scenario,

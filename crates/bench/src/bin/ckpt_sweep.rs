@@ -27,6 +27,8 @@
 //! fresh restore that legitimately breaks exactly-once replay, which would
 //! conflate transport loss with the storage effect this sweep isolates.
 
+#![forbid(unsafe_code)]
+
 use orca_harness::{
     plan_seeds, scenario, settled_world, CheckpointPolicy, FaultPlan, StorageModel, WorldPolicy,
 };

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release -p orca-bench --bin fig10`
 
+#![forbid(unsafe_code)]
+
 use orca::{OrcaDescriptor, OrcaService};
 use orca_apps::social::{composition_descriptor, CompositionOrca};
 use orca_apps::SharedStores;

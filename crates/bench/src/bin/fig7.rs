@@ -5,6 +5,8 @@
 //!
 //! Run with: `cargo run --release -p orca-bench --bin fig7`
 
+#![forbid(unsafe_code)]
+
 use orca::{
     AppConfig, JobEventContext, JobEventScope, OrcaCtx, OrcaDescriptor, OrcaError, OrcaService,
     OrcaStartContext, Orchestrator, UserEventContext, UserEventScope,

@@ -5,6 +5,8 @@
 //!
 //! Run with: `cargo run --release -p orca-bench --bin fig8`
 
+#![forbid(unsafe_code)]
+
 use orca::{OrcaDescriptor, OrcaService};
 use orca_apps::sentiment::{sentiment_app, SentimentOrca, SentimentParams};
 use orca_apps::SharedStores;

@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release -p orca-bench --bin fig9`
 
+#![forbid(unsafe_code)]
+
 use orca::{OrcaDescriptor, OrcaService};
 use orca_apps::trend::{trend_app, TrendOrca, TrendParams};
 use orca_apps::SharedStores;

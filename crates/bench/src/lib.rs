@@ -1,6 +1,8 @@
 //! Shared fixtures for the benchmark suite and the figure-regeneration
 //! harness binaries.
 
+#![forbid(unsafe_code)]
+
 use sps_model::adl::Adl;
 use sps_model::compiler::{compile, CompileOptions, FusionPolicy};
 use sps_model::logical::{AppModelBuilder, CompositeGraphBuilder, OperatorInvocation};

@@ -12,6 +12,8 @@
 //! read once per process, which is why each side runs in its own campaign
 //! subprocess.
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 fn campaign_stdout(app: &str, extra: &[&str], batch: bool) -> String {

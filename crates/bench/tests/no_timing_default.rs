@@ -5,6 +5,8 @@
 //! determinism claim flaky. (This is the invariant the `sslint` allow on
 //! `Instant::now()` in `src/bin/campaign.rs` records.)
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 fn campaign_stdout(extra: &[&str]) -> String {

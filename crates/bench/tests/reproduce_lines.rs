@@ -8,6 +8,8 @@
 //! replays the shrunk one, so a message that counts quanta (the convergence
 //! oracle's) may differ between the two; the oracle that fires may not.
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 fn campaign(args: &[&str]) -> (Option<i32>, String) {

@@ -82,6 +82,8 @@
 //! assert_eq!(world.kernel.pe_status(healed), Some(sps_runtime::PeStatus::Up));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod deps;
 pub mod error;
 pub mod event;

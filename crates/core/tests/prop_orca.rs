@@ -9,6 +9,8 @@
 //!    closure was computed once) arrives at; every submission follows its
 //!    dependencies, same-instant ones included.
 
+#![forbid(unsafe_code)]
+
 use orca::sqlbase::Tables;
 use orca::{AppConfig, DependencyManager, OperatorMetricScope};
 use proptest::prelude::*;

@@ -15,6 +15,8 @@
 //!   with bounded per-quantum budgets (so queues grow under overload and
 //!   `queueSize` metrics are meaningful).
 
+#![forbid(unsafe_code)]
+
 pub mod ckpt;
 pub mod codec;
 pub mod error;

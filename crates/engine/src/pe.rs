@@ -1010,19 +1010,33 @@ mod tests {
         let mut pe0 = PeRuntime::build(&adl, 0, &registry(), SimRng::new(1)).unwrap();
         let mut pe1 = PeRuntime::build(&adl, 1, &registry(), SimRng::new(2)).unwrap();
         let out0 = pe0.step(SimTime::ZERO, SimDuration::from_millis(100), 10_000);
-        // Consecutive same-port tuples coalesce into batch frames, so the
-        // delivery count is below the tuple count but the item total matches.
+        // Batched, consecutive same-port tuples coalesce into batch frames,
+        // so the delivery count is below the tuple count but the item total
+        // matches; per tuple, each tuple leaves in a frame of its own.
         let items: usize = out0.remote.iter().map(RemoteDelivery::items).sum();
         assert_eq!(items, 3);
-        assert!(out0.remote.len() <= 3);
         assert!(out0
             .remote
             .iter()
             .all(|d| d.dest.pe == 1 && &*d.dest.op == "snk"));
-        let Frame::Batch(sent) = &out0.remote[0].frame else {
-            panic!("a run of tuples leaves as a batch");
+        let first = if batching_enabled() {
+            assert!(out0.remote.len() <= 3);
+            let Frame::Batch(sent) = &out0.remote[0].frame else {
+                panic!("a run of tuples leaves as a batch");
+            };
+            sent.as_slice()[0].clone()
+        } else {
+            assert_eq!(out0.remote.len(), 3, "one frame per tuple");
+            assert!(out0
+                .remote
+                .iter()
+                .all(|d| matches!(d.frame, Frame::Item(StreamItem::Tuple(_)))));
+            let Frame::Item(StreamItem::Tuple(sent)) = &out0.remote[0].frame else {
+                panic!("a tuple leaves as an item");
+            };
+            sent.clone()
         };
-        let senders_schema = Arc::clone(sent.as_slice()[0].schema());
+        let senders_schema = Arc::clone(first.schema());
         for d in out0.remote {
             pe1.receive(d).unwrap();
         }
@@ -1117,12 +1131,20 @@ mod tests {
             .collect();
         let q = SimDuration::from_millis(100);
         let out = pes[0].step(SimTime::ZERO, q, 10_000);
-        assert_eq!(out.remote.len(), 2, "one frame per remote destination");
+        // Batched, one frame per remote destination carries the run; per
+        // tuple, one frame per tuple per destination.
+        let frames_per_dest = if batching_enabled() { 1 } else { 5 };
+        assert_eq!(out.remote.len(), 2 * frames_per_dest);
         for d in out.remote {
-            assert_eq!(d.items(), 5);
+            assert_eq!(d.items(), 5 / frames_per_dest);
+            if !batching_enabled() {
+                assert!(matches!(d.frame, Frame::Item(StreamItem::Tuple(_))));
+            }
             let to = d.dest.pe;
             pes[to].receive(d).unwrap();
-            pes[to].step(SimTime::from_millis(100), q, 10_000);
+        }
+        for pe in &mut pes[1..] {
+            pe.step(SimTime::from_millis(100), q, 10_000);
         }
         let near = pes[0].tap("near").unwrap();
         let bumped = pes[1].tap("bumped").unwrap();

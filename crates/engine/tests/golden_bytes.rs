@@ -5,6 +5,8 @@
 //! the codec must leave every value below exactly as it is. A drift fails
 //! here, in `sps_engine`, instead of as a shifted campaign digest.
 
+#![forbid(unsafe_code)]
+
 use sps_engine::codec::{decode, decode_batch, encode, TupleCodec};
 use sps_engine::{OperatorRegistry, PeRuntime, StreamItem, Tuple};
 use sps_model::adl::{Adl, AdlOperator, AdlPe, AdlStream};

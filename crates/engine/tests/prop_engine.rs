@@ -8,6 +8,8 @@
 //! per-item reference over generated route tables, a fused chain against
 //! the same chain one PE per operator, and window invariants.
 
+#![forbid(unsafe_code)]
+
 use bytes::Bytes;
 use proptest::prelude::*;
 use sps_engine::codec::{

@@ -33,6 +33,8 @@
 //!     --replay 6500:kp:0:1 --app trend --seed 123
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod artifacts;
 pub mod cache;
 pub mod inject;

@@ -12,6 +12,8 @@
 //! the baseline runs to), then requires the summary of the fault-free world
 //! under that policy to be the plain world's.
 
+#![forbid(unsafe_code)]
+
 use orca_harness::{
     plan_seeds, scenario, settled_world, BaselineCache, BaselineSummary, CheckpointPolicy,
     FaultPlan, MetastoreKind, StorageModel, WorldPolicy,

@@ -4,6 +4,8 @@
 //! event mixes. The encoding is the wire format of every campaign
 //! reproducer line, so a round-trip gap here silently breaks `--replay`.
 
+#![forbid(unsafe_code)]
+
 use orca_harness::{FaultAction, FaultEvent, FaultPlan};
 use proptest::prelude::*;
 use sps_sim::SimTime;

@@ -19,6 +19,8 @@
 //!   composite-containment queries ([`graph`]) — the substrate for both the
 //!   orchestrator's event-scope matching and its inspection API.
 
+#![forbid(unsafe_code)]
+
 pub mod adl;
 pub mod compiler;
 pub mod error;

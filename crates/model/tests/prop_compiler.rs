@@ -2,6 +2,8 @@
 //! models, compilation must succeed and its output must satisfy the
 //! partitioning invariants the runtime and orchestrator rely on.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use sps_model::compiler::{compile, CompileOptions, FusionPolicy};
 use sps_model::logical::{AppModelBuilder, CompositeGraphBuilder, OperatorInvocation};

@@ -2,6 +2,8 @@
 //! share a rendering) and graph-store containment invariants over randomly
 //! generated ADLs.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use sps_model::adl::{Adl, AdlExport, AdlImport, AdlOperator, AdlPe, AdlStream};
 use sps_model::logical::{ExportSpec, HostPool, ImportSpec};

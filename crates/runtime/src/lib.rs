@@ -16,6 +16,8 @@
 //! fixed scheduling quantum. The ORCA service (in the `orca` crate) plugs in
 //! as a [`world::Controller`].
 
+#![forbid(unsafe_code)]
+
 pub mod broker;
 pub mod ckpt;
 pub mod cluster;

@@ -18,6 +18,8 @@
 //! operators and every write size are those of a naive model that owns
 //! plain copies and compares them byte by byte.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use sps_engine::ckpt::{OpCheckpoint, PeCheckpoint, CKPT_FORMAT_VERSION};
 use sps_engine::StateWriter;

@@ -12,8 +12,17 @@
 //!   event payload type (the runtime steps in fixed quanta and does not use
 //!   it; `perf` times it),
 //! - [`SimRng`]: a small, fast, seedable RNG (SplitMix64 / xoshiro256**),
-//! - [`trace`]: a bounded in-memory trace ring used for debugging runs.
+//! - [`trace`]: a bounded in-memory trace ring used for debugging runs,
+//! - [`alloc`]: the process allocator. This crate is the root of the crate
+//!   graph, so every binary and test in the workspace links it.
 
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
+// The one module that needs `unsafe`: a global allocator hands out raw
+// memory. Every block in it carries a `// SAFETY:` comment.
+#[allow(unsafe_code)]
+pub mod alloc;
 pub mod rng;
 pub mod scheduler;
 pub mod time;

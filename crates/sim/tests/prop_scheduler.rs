@@ -7,6 +7,8 @@
 //! 4. under schedules, cancels and pops interleaved, `pop`, `cancel` and
 //!    `pending` agree with a sorted-set model.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use sps_sim::{Scheduler, SimDuration, SimTime, TicketId};
 use std::collections::BTreeSet;

@@ -11,6 +11,8 @@
 //! 4. run the world, inject a PE kill, and watch the orchestrator recover
 //!    it — streaming sink output live through a printer thread.
 
+#![forbid(unsafe_code)]
+
 use orca::{
     OperatorMetricContext, OperatorMetricScope, OrcaCtx, OrcaDescriptor, OrcaService,
     OrcaStartContext, Orchestrator, PeFailureContext, PeFailureScope,

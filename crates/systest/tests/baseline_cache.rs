@@ -4,6 +4,8 @@
 //! `--jobs` count — while the hit/miss accounting itself stays
 //! deterministic so `--timing` numbers are comparable across runs.
 
+#![forbid(unsafe_code)]
+
 use orca_harness::{
     run_campaign_cached, scenario, BaselineCache, CacheStats, CampaignConfig, CampaignReport,
     CheckpointPolicy, MetastoreKind, StorageModel,

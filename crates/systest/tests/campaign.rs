@@ -5,6 +5,8 @@
 //! checkpoint-recovery regime (`StatePreservation` oracle) holds under
 //! targeted stateful-kill schedules and full seeded campaigns.
 
+#![forbid(unsafe_code)]
+
 use orca_harness::{
     default_oracles, evaluate, reproducer_line, run_campaign, scenario, BaselineCache,
     BaselineSource, Built, CampaignConfig, CheckpointPolicy, FaultPlan, Scenario, WorldPolicy,

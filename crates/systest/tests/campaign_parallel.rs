@@ -6,6 +6,8 @@
 //! `(campaign_seed, plan_index)` and the coordinator folds results in
 //! plan-index order, so thread scheduling can never leak into a report.
 
+#![forbid(unsafe_code)]
+
 use orca_harness::{
     plan_seeds, run_campaign, scenario, CampaignConfig, CampaignReport, CheckpointPolicy,
 };

@@ -6,6 +6,8 @@
 //! sealed-generation fallbacks, and evictions included — without tripping
 //! recovery, convergence, or state preservation.
 
+#![forbid(unsafe_code)]
+
 use orca_harness::runner::{run_plan, BaselineSource};
 use orca_harness::{
     default_oracles, run_campaign, scenario, BaselineCache, CampaignConfig, CampaignReport,

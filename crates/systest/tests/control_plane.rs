@@ -6,6 +6,8 @@
 //! must be byte-identical with control faults off, at any parallelism), and
 //! full control-fault campaigns passing every oracle bit-deterministically.
 
+#![forbid(unsafe_code)]
+
 use orca_harness::{
     run_campaign, scenario, Built, CampaignConfig, CheckpointPolicy, FaultInjector, FaultPlan,
     Janitor, MetastoreKind, Scenario, WorldPolicy,

@@ -2,6 +2,8 @@
 //! world clock — ordered submission with uptime requirements, starvation
 //! protection, garbage collection with timeouts, and resurrection.
 
+#![forbid(unsafe_code)]
+
 use orca::{
     AppConfig, JobEventContext, JobEventScope, OrcaCtx, OrcaDescriptor, OrcaError, OrcaService,
     OrcaStartContext, Orchestrator,

@@ -6,6 +6,8 @@
 //! and the application output across runs — plus the original scripted §5.2
 //! trend failover with `schedule_kill`.
 
+#![forbid(unsafe_code)]
+
 use orca::{OrcaDescriptor, OrcaService};
 use orca_apps::live::stream_taps;
 use orca_apps::trend::{trend_app, TrendOrca, TrendParams};

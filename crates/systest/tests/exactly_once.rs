@@ -7,6 +7,8 @@
 //! the restored PE — tap counts must come back *equal* to the fault-free
 //! baseline, not merely bounded by it.
 
+#![forbid(unsafe_code)]
+
 use orca_harness::{
     scenario, Built, CheckpointPolicy, FaultInjector, FaultPlan, Janitor, Scenario, WorldPolicy,
 };

@@ -2,6 +2,8 @@
 //! including the Figure 9 output signature (silent gap, then incorrect
 //! output until window refill).
 
+#![forbid(unsafe_code)]
+
 use orca::{OrcaDescriptor, OrcaService};
 use orca_apps::trend::{trend_app, TrendOrca, TrendParams};
 use orca_apps::SharedStores;

@@ -1,6 +1,8 @@
 //! Integration: logical vs. physical disambiguation (paper Figures 2/3 and
 //! §4.2 inspection queries), end to end through compile → submit → inspect.
 
+#![forbid(unsafe_code)]
+
 use orca::sqlbase::Tables;
 use orca::{OperatorMetricScope, OrcaDescriptor, OrcaService};
 use orca_apps::SharedStores;

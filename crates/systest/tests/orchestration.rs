@@ -2,6 +2,8 @@
 //! filtering under load, queueSize overload detection with actuation, epoch
 //! correlation, and metric poll-period changes at runtime.
 
+#![forbid(unsafe_code)]
+
 use orca::{
     OperatorMetricContext, OperatorMetricScope, OrcaCtx, OrcaDescriptor, OrcaService,
     OrcaStartContext, Orchestrator,

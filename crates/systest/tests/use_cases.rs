@@ -2,6 +2,8 @@
 //! timescales; the full-scale figure regenerations live in the `fig8` and
 //! `fig10` harness binaries).
 
+#![forbid(unsafe_code)]
+
 use orca::{OrcaDescriptor, OrcaService};
 use orca_apps::sentiment::{sentiment_app, sentiment_app_embedded, SentimentOrca, SentimentParams};
 use orca_apps::social::{composition_descriptor, CompositionOrca};
