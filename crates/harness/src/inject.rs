@@ -63,9 +63,10 @@ impl FaultInjector {
                 }
             }
             FaultAction::KillHost { host_slot } => {
-                let names = kernel.cluster.host_names();
-                let name = names[host_slot as usize % names.len()].to_string();
-                if kernel.cluster.host(&name).is_some_and(|h| h.up) {
+                let hosts = kernel.cluster.hosts();
+                let host = &hosts[host_slot as usize % hosts.len()];
+                let (name, up) = (host.name.clone(), host.up);
+                if up {
                     kernel.schedule_kill(now, KillTarget::Host(name.clone()));
                     self.fired
                         .push(format!("[{now}] {} -> {name}", event.action));
@@ -75,9 +76,10 @@ impl FaultInjector {
                 }
             }
             FaultAction::ReviveHost { host_slot } => {
-                let names = kernel.cluster.host_names();
-                let name = names[host_slot as usize % names.len()].to_string();
-                if kernel.cluster.host(&name).is_some_and(|h| !h.up) {
+                let hosts = kernel.cluster.hosts();
+                let host = &hosts[host_slot as usize % hosts.len()];
+                let (name, up) = (host.name.clone(), host.up);
+                if !up {
                     let _ = kernel.revive_host(&name);
                     self.fired
                         .push(format!("[{now}] {} -> {name}", event.action));
@@ -157,7 +159,7 @@ pub struct Janitor {
 impl Controller for Janitor {
     fn on_quantum(&mut self, kernel: &mut Kernel) {
         // A quiet quantum — nearly all of them — costs one counter read.
-        if kernel.cluster.crashed() == 0 {
+        if kernel.cluster.count(PeStatus::Crashed) == 0 {
             return;
         }
         // Job × PE order: restart order assigns the new PE ids, and those

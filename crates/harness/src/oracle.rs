@@ -109,7 +109,7 @@ impl Oracle for RecoveryOracle {
     fn check(&self, ctx: &OracleCtx<'_>) -> Result<(), String> {
         let kernel = &ctx.world.kernel;
         for host in kernel.cluster.hosts() {
-            for proc in host.processes.values() {
+            for proc in host.processes() {
                 if proc.status != PeStatus::Up {
                     return Err(format!(
                         "PE {} ({:?}) left {:?} on {} after settle",

@@ -252,24 +252,33 @@ impl UbStats {
     }
 }
 
+/// One channel's emission counters. Every emission advances `pos`; an
+/// emission whose position is at or below the high-water mark `hwm` is a
+/// replay duplicate of something the channel already carried and is
+/// suppressed outright. `pos` is `None` until the channel's first emission
+/// and again after a rollback to a snapshot that predates the channel: it
+/// then counts from zero, and no snapshot records it.
+#[derive(Default)]
+struct Channel {
+    pos: Option<u64>,
+    hwm: u64,
+}
+
 /// Sender-side output buffering with duplicate suppression.
 ///
-/// Three cooperating maps:
-/// - `pos`/`hwm`: per-channel emission counters. Every emission advances
-///   `pos`; an emission whose position is at or below the high-water mark
-///   is a replay duplicate of something the channel already carried and is
-///   suppressed outright. On checkpoint restore the kernel rolls the
-///   *sender's* positions back to the snapshot ([`rollback_sender`]) so the
-///   restored PE's deterministic re-execution walks `pos` back up through
-///   the already-delivered range; `hwm` never rolls back.
+/// Two cooperating maps:
+/// - `channels`: per-channel emission counters ([`Channel`]), one search
+///   per delivery. On checkpoint restore the kernel rolls the *sender's*
+///   positions back to the snapshot ([`rollback_sender`]) so the restored
+///   PE's deterministic re-execution walks `pos` back up through the
+///   already-delivered range; `hwm` never rolls back.
 /// - `buffers`: per-receiver `(job, ADL index)` retained deliveries, in
 ///   delivery order, trimmed on checkpoint commit.
 ///
 /// [`rollback_sender`]: UpstreamBackup::rollback_sender
 #[derive(Default)]
 pub struct UpstreamBackup {
-    pos: BTreeMap<ChannelKey, u64>,
-    hwm: BTreeMap<ChannelKey, u64>,
+    channels: BTreeMap<ChannelKey, Channel>,
     buffers: BTreeMap<(JobId, usize), Vec<BackupEntry>>,
     current: u64,
     stats: UbStats,
@@ -299,26 +308,20 @@ impl UpstreamBackup {
     pub fn advance_n(&mut self, key: &ChannelKey, n: u64) -> u64 {
         // Look up before `entry`: a key (two `Arc<str>`) is cloned only for
         // a channel's first emission.
-        let pos = match self.pos.get_mut(key) {
-            Some(pos) => pos,
-            None => self.pos.entry(key.clone()).or_insert(0),
+        let channel = match self.channels.get_mut(key) {
+            Some(channel) => channel,
+            None => self.channels.entry(key.clone()).or_default(),
         };
-        let before = *pos;
-        *pos += n;
-        let after = *pos;
-        let hwm = match self.hwm.get_mut(key) {
-            Some(hwm) => hwm,
-            None => self.hwm.entry(key.clone()).or_insert(0),
-        };
-        let dup = if after <= *hwm {
+        let before = channel.pos.unwrap_or(0);
+        let after = before + n;
+        channel.pos = Some(after);
+        let dup = if after <= channel.hwm {
             n
         } else {
-            hwm.saturating_sub(before)
+            channel.hwm.saturating_sub(before)
         };
         self.stats.suppressed += dup;
-        if after > *hwm {
-            *hwm = after;
-        }
+        channel.hwm = channel.hwm.max(after);
         dup
     }
 
@@ -369,27 +372,32 @@ impl UpstreamBackup {
     /// Snapshot of a sender's channel positions, stored alongside its
     /// checkpoint so a restore can roll the counters back in lockstep.
     pub fn sender_snapshot(&self, job: JobId, adl_index: usize) -> Vec<(ChannelKey, u64)> {
-        self.pos
+        self.channels
             .iter()
             .filter(|(k, _)| k.sender() == (job, adl_index))
-            .map(|(k, &v)| (k.clone(), v))
+            .filter_map(|(k, channel)| Some((k.clone(), channel.pos?)))
             .collect()
     }
 
     /// Rolls a sender's channel positions back to a checkpoint-time
-    /// snapshot. Channels the sender created *after* the snapshot are
-    /// removed outright — leaving them at their crash-time positions would
-    /// let replay re-emissions sail past the high-water marks as
-    /// apparent new traffic. High-water marks are deliberately untouched.
+    /// snapshot. Channels the sender created *after* the snapshot lose
+    /// their positions outright — leaving them at their crash-time
+    /// positions would let replay re-emissions sail past the high-water
+    /// marks as apparent new traffic. High-water marks are deliberately
+    /// untouched.
     pub fn rollback_sender(
         &mut self,
         job: JobId,
         adl_index: usize,
         snapshot: &[(ChannelKey, u64)],
     ) {
-        self.pos.retain(|k, _| k.sender() != (job, adl_index));
+        for (k, channel) in &mut self.channels {
+            if k.sender() == (job, adl_index) {
+                channel.pos = None;
+            }
+        }
         for (k, v) in snapshot {
-            self.pos.insert(k.clone(), *v);
+            self.channels.entry(k.clone()).or_default().pos = Some(*v);
         }
     }
 
@@ -400,8 +408,7 @@ impl UpstreamBackup {
 
     /// Drops all channel state and buffers touching a cancelled job.
     pub fn forget_job(&mut self, job: JobId) {
-        self.pos.retain(|k, _| !k.touches_job(job));
-        self.hwm.retain(|k, _| !k.touches_job(job));
+        self.channels.retain(|k, _| !k.touches_job(job));
         let mut removed = 0u64;
         self.buffers.retain(|(j, _), buf| {
             if *j == job {
@@ -632,8 +639,11 @@ mod tests {
         let snap = ub.sender_snapshot(JobId(1), 0);
         ub.advance(&new); // channel born after the snapshot
         ub.rollback_sender(JobId(1), 0, &snap);
-        // The post-snapshot channel's position was discarded, so its replay
-        // re-emission lands at pos 1 <= hwm 1 and is suppressed.
+        // The post-snapshot channel has no position, so no snapshot taken
+        // now records it…
+        assert_eq!(ub.sender_snapshot(JobId(1), 0), snap);
+        // …and its replay re-emission counts from zero: pos 1 <= hwm 1 is
+        // suppressed.
         assert!(ub.advance(&new));
     }
 

@@ -166,12 +166,10 @@ impl Kernel {
     /// merely unreachable), which is exactly why a declaration before the
     /// deadline is a *false* one — counted, and required zero by the
     /// control-plane oracle.
-    fn declare_host_dead(&mut self, host_name: &str) {
-        self.sam.clear_heartbeat(host_name);
-        if self.cluster.host(host_name).is_none() {
-            return;
-        }
-        let victims = self.cluster.crash_host(host_name);
+    fn declare_host_dead(&mut self, host: usize) {
+        self.sam.clear_heartbeat(host);
+        let host_name = self.cluster.hosts()[host].name.clone();
+        let victims = self.cluster.crash_host(&host_name);
         self.control.stats.false_declarations += 1;
         self.note(
             "sam",
@@ -195,23 +193,25 @@ impl Kernel {
             .expire(self.now, &mut self.sam, &mut self.trace);
 
         // Heartbeats: every up host's controller pings SAM each quantum,
-        // unless the partition swallows them.
+        // unless the partition swallows them. A host is known to SAM by its
+        // position in the cluster's name order, so SAM records them all in
+        // one pass with no search by name.
         if self.control.hc_partition_until.is_none() {
-            for host in self.cluster.hosts().filter(|h| h.up) {
-                self.sam.record_heartbeat(&host.name, self.now);
-            }
+            let hosts = self.cluster.hosts().iter().enumerate();
+            let up = hosts.filter(|(_, h)| h.up).map(|(i, _)| i);
+            self.sam.record_heartbeats(up, self.now);
         }
 
         // Failure detection: hosts whose last heartbeat outlived the
-        // deadline. Unreachable on the fault-free path (heartbeats land
-        // every quantum) and under generated plans (partition durations are
-        // bounded below the deadline) — a declaration here is a modeling
-        // bug the oracle catches via `false_declarations`.
-        let stale = self
-            .sam
-            .stale_hosts(self.now, self.config.liveness_deadline);
-        for host in stale {
-            self.declare_host_dead(&host);
+        // deadline, in name order (a declaration clears the host's
+        // heartbeat, so the next read finds the next one). Unreachable on
+        // the fault-free path (heartbeats land every quantum) and under
+        // generated plans (partition durations are bounded below the
+        // deadline) — a declaration here is a modeling bug the oracle
+        // catches via `false_declarations`.
+        let deadline = self.config.liveness_deadline;
+        while let Some(host) = self.sam.stale_host(self.now, deadline) {
+            self.declare_host_dead(host);
         }
     }
 }

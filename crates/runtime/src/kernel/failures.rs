@@ -35,12 +35,12 @@ impl Kernel {
     pub fn stop_pe(&mut self, pe: PeId) -> Result<(), RuntimeError> {
         let proc = self
             .cluster
-            .process_mut(pe)
+            .process(pe)
             .ok_or(RuntimeError::UnknownPe(pe))?;
         if proc.status != PeStatus::Up {
             return Err(RuntimeError::BadPeState(pe, "up"));
         }
-        proc.status = PeStatus::Stopped;
+        self.cluster.set_status(pe, PeStatus::Stopped);
         self.note("sam", format!("PE {pe} stopped"));
         Ok(())
     }
@@ -56,7 +56,7 @@ impl Kernel {
         if !matches!(proc.status, PeStatus::Up | PeStatus::Starting) {
             return Err(RuntimeError::BadPeState(pe, "up or starting"));
         }
-        self.cluster.crash(pe);
+        self.cluster.set_status(pe, PeStatus::Crashed);
         self.note("hc", format!("PE {pe} killed"));
         self.notify_pe_failure(pe, CrashReason::Killed);
         Ok(())
@@ -66,14 +66,13 @@ impl Kernel {
     pub fn kill_host(&mut self, host_name: &str) -> Result<(), RuntimeError> {
         let host = self
             .cluster
-            .host_mut(host_name)
+            .set_up(host_name, false)
             .ok_or_else(|| RuntimeError::Invalid(format!("unknown host {host_name}")))?;
-        host.up = false;
         let victims = self.cluster.crash_host(host_name);
         self.srm.set_host_status(host_name, false);
         // A down host sends no heartbeats; forget its last one so the
         // liveness deadline never "detects" a failure SAM already handled.
-        self.sam.clear_heartbeat(host_name);
+        self.sam.clear_heartbeat(host);
         self.note(
             "srm",
             format!("host {host_name} down ({} PEs lost)", victims.len()),
@@ -89,13 +88,12 @@ impl Kernel {
     pub fn revive_host(&mut self, host_name: &str) -> Result<(), RuntimeError> {
         let host = self
             .cluster
-            .host_mut(host_name)
+            .set_up(host_name, true)
             .ok_or_else(|| RuntimeError::Invalid(format!("unknown host {host_name}")))?;
-        host.up = true;
         self.srm.set_host_status(host_name, true);
         // An immediate heartbeat: the revived host must get a full deadline
         // of grace even if a partition window is still open.
-        self.sam.record_heartbeat(host_name, self.now);
+        self.sam.record_heartbeats([host], self.now);
         self.note("srm", format!("host {host_name} up"));
         Ok(())
     }

@@ -130,15 +130,10 @@ impl Kernel {
             adl_index,
             checkpointable: fused_all(adl, adl_index, |o| o.checkpointable),
             status,
-            started_at: self.now,
             up_at,
             runtime,
         };
-        self.cluster
-            .host_mut(host)
-            .expect("placement picked an existing host")
-            .processes
-            .insert(pe_id, proc);
+        self.cluster.insert(host, proc);
     }
 
     /// Chooses the least-loaded eligible host for a PE.
@@ -158,11 +153,12 @@ impl Kernel {
             let reuse = self
                 .cluster
                 .hosts()
+                .iter()
                 .filter(|h| {
                     h.up && !excluded.contains(&h.name)
                         && self.sam.host_reservation(&h.name) == Some(job)
                 })
-                .map(|h| (h.live_processes(), h.name.as_str()))
+                .map(|h| (h.live_processes().count(), h.name.as_str()))
                 .min();
             if let Some((_, name)) = reuse {
                 return Some(name.to_string());
@@ -178,7 +174,7 @@ impl Kernel {
                 let member = if !pool.hosts.is_empty() {
                     pool.hosts.contains(&host.name)
                 } else if let Some(tag) = &pool.tag {
-                    host.has_tag(tag)
+                    host.tags.iter().any(|t| t == tag)
                 } else {
                     true
                 };
@@ -193,10 +189,10 @@ impl Kernel {
             }
             // Exclusive pools additionally require the host to be free of
             // other jobs' processes.
-            if pool.is_some_and(|p| p.exclusive) && host.processes.values().any(|p| p.job != job) {
+            if pool.is_some_and(|p| p.exclusive) && host.processes().iter().any(|p| p.job != job) {
                 continue;
             }
-            let load = host.live_processes();
+            let load = host.live_processes().count();
             if best.is_none_or(|(bl, bn)| (load, host.name.as_str()) < (bl, bn)) {
                 best = Some((load, &host.name));
             }

@@ -304,7 +304,7 @@ impl Kernel {
             }
         }
         for (pe, _) in &out.crashes {
-            self.cluster.crash(*pe);
+            self.cluster.set_status(*pe, PeStatus::Crashed);
         }
         out
     }

@@ -298,7 +298,7 @@ impl Kernel {
                 && self
                     .cluster
                     .host(old_host)
-                    .is_none_or(|h| !h.processes.values().any(|p| p.job == job))
+                    .is_none_or(|h| !h.processes().iter().any(|p| p.job == job))
             {
                 self.sam.unreserve_host(old_host);
             }

@@ -112,7 +112,12 @@ fn submit_and_flow_across_pes() {
 fn placement_balances_load() {
     let mut k = kernel(3);
     k.submit_job(pipeline_adl("P", 1.0), None).unwrap();
-    let loads: Vec<usize> = k.cluster.hosts().map(|h| h.live_processes()).collect();
+    let loads: Vec<usize> = k
+        .cluster
+        .hosts()
+        .iter()
+        .map(|h| h.live_processes().count())
+        .collect();
     assert_eq!(loads, vec![1, 1, 1]);
 }
 
@@ -139,7 +144,11 @@ fn submission_is_atomic_on_placement_failure() {
     ));
     // Nothing left behind.
     assert_eq!(
-        k.cluster.hosts().map(|h| h.processes.len()).sum::<usize>(),
+        k.cluster
+            .hosts()
+            .iter()
+            .map(|h| h.processes().len())
+            .sum::<usize>(),
         0
     );
 }
@@ -165,7 +174,11 @@ fn cancel_removes_everything() {
     k.cancel_job(job).unwrap();
     assert!(k.sam.job(job).is_none());
     assert_eq!(
-        k.cluster.hosts().map(|h| h.processes.len()).sum::<usize>(),
+        k.cluster
+            .hosts()
+            .iter()
+            .map(|h| h.processes().len())
+            .sum::<usize>(),
         0
     );
     assert!(matches!(
@@ -983,7 +996,7 @@ fn over_deadline_partition_falsely_declares_hosts() {
     assert_eq!(stats.hc_partitions, 1);
     assert_eq!(stats.false_declarations, 2, "both hosts declared");
     // The hosts themselves are still up — only their PEs were crashed.
-    assert!(k.cluster.hosts().all(|h| h.up));
+    assert!(k.cluster.hosts().iter().all(|h| h.up));
     for idx in 0..3 {
         let pe = k.pe_id_of(job, idx).unwrap();
         assert_eq!(k.pe_status(pe), Some(PeStatus::Crashed));

@@ -285,7 +285,7 @@ impl Kernel {
             g += quantum;
         }
         if crashed.is_some() {
-            self.cluster.crash(pe);
+            self.cluster.set_status(pe, PeStatus::Crashed);
         }
         if let Some(backup) = &mut self.transport.backup {
             backup.count_replayed(injected);
@@ -332,7 +332,6 @@ mod tests {
             adl_index: SLOT.1,
             checkpointable: true,
             status: PeStatus::Up,
-            started_at: SimTime::ZERO,
             up_at: SimTime::ZERO,
             runtime: PeRuntime::build(&adl, SLOT.1, &registry, SimRng::new(1)).unwrap(),
         }

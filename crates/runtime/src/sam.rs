@@ -23,7 +23,6 @@ use crate::metastore::{
 };
 use sps_model::adl::Adl;
 use sps_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Job lifecycle state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,10 +90,11 @@ pub struct Sam {
     /// empty (the Unavailable path) instead of panicking or serving stale
     /// queues; pushes keep landing in the durable store.
     available: bool,
-    /// host → last heartbeat SAM saw through HC. Volatile on purpose: a real
-    /// SAM rebuilds its liveness view from fresh heartbeats after a restart,
-    /// so it is not part of the metastore.
-    host_liveness: BTreeMap<String, SimTime>,
+    /// The last heartbeat SAM saw through each host's HC, by host position
+    /// in the cluster's name order (`None`: not heard from, or forgotten).
+    /// Volatile on purpose: a real SAM rebuilds its liveness view from fresh
+    /// heartbeats after a restart, so it is not part of the metastore.
+    host_liveness: Vec<Option<SimTime>>,
 }
 
 impl Default for Sam {
@@ -116,7 +116,7 @@ impl Sam {
         Sam {
             store: build_metastore(kind, seed),
             available: true,
-            host_liveness: BTreeMap::new(),
+            host_liveness: Vec::new(),
         }
     }
 
@@ -155,29 +155,31 @@ impl Sam {
 
     // ---- host liveness (HC heartbeats, §2.2) -------------------------------
 
-    /// Records a heartbeat relayed by a host controller.
-    pub fn record_heartbeat(&mut self, host: &str, now: SimTime) {
-        match self.host_liveness.get_mut(host) {
-            Some(last) => *last = now,
-            None => {
-                self.host_liveness.insert(host.to_string(), now);
+    /// Records one heartbeat relayed by the controller of each of `hosts`
+    /// (positions in the cluster's name order) in one pass: no search and,
+    /// once every host has been heard from, no allocation.
+    pub fn record_heartbeats(&mut self, hosts: impl IntoIterator<Item = usize>, now: SimTime) {
+        for host in hosts {
+            if self.host_liveness.len() <= host {
+                self.host_liveness.resize(host + 1, None);
             }
+            self.host_liveness[host] = Some(now);
         }
     }
 
     /// Forgets a host's heartbeat state (host decommissioned or declared).
-    pub fn clear_heartbeat(&mut self, host: &str) {
-        self.host_liveness.remove(host);
+    pub fn clear_heartbeat(&mut self, host: usize) {
+        if let Some(last) = self.host_liveness.get_mut(host) {
+            *last = None;
+        }
     }
 
-    /// Hosts whose last heartbeat is older than `deadline`. Only hosts SAM
-    /// has ever heard from are candidates — an unknown host is not stale.
-    pub fn stale_hosts(&self, now: SimTime, deadline: SimDuration) -> Vec<String> {
-        self.host_liveness
-            .iter()
-            .filter(|(_, &last)| now.since(last) > deadline)
-            .map(|(h, _)| h.clone())
-            .collect()
+    /// The first host, in the cluster's name order, whose last heartbeat is
+    /// older than `deadline`. Only hosts SAM has heard from are candidates
+    /// — an unknown host is not stale.
+    pub fn stale_host(&self, now: SimTime, deadline: SimDuration) -> Option<usize> {
+        let stale = |last: &Option<SimTime>| last.is_some_and(|t| now.since(t) > deadline);
+        self.host_liveness.iter().position(stale)
     }
 
     // ---- id allocation -----------------------------------------------------
@@ -568,14 +570,20 @@ mod tests {
     fn heartbeats_drive_staleness() {
         let mut sam = Sam::new();
         let deadline = SimDuration::from_secs(6);
-        sam.record_heartbeat("h1", SimTime::from_secs(1));
-        sam.record_heartbeat("h2", SimTime::from_secs(9));
-        // h1 is 9s stale at t=10; h2 is fresh; h3 was never heard from.
-        assert_eq!(
-            sam.stale_hosts(SimTime::from_secs(10), deadline),
-            vec!["h1".to_string()]
-        );
-        sam.clear_heartbeat("h1");
-        assert!(sam.stale_hosts(SimTime::from_secs(10), deadline).is_empty());
+        sam.record_heartbeats([1], SimTime::from_secs(1));
+        sam.record_heartbeats([2], SimTime::from_secs(9));
+        // Host 1 is 9s stale at t=10; host 2 is fresh; hosts 0 and 3 were
+        // never heard from.
+        let at_10 = SimTime::from_secs(10);
+        assert_eq!(sam.stale_host(at_10, deadline), Some(1));
+        sam.clear_heartbeat(1);
+        sam.clear_heartbeat(3);
+        assert_eq!(sam.stale_host(at_10, deadline), None);
+        // Later, host 2 is stale too, and the first host in name order
+        // comes first.
+        sam.record_heartbeats([0, 2], SimTime::from_secs(2));
+        assert_eq!(sam.stale_host(SimTime::from_secs(20), deadline), Some(0));
+        sam.clear_heartbeat(0);
+        assert_eq!(sam.stale_host(SimTime::from_secs(20), deadline), Some(2));
     }
 }
