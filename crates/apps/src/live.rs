@@ -1,16 +1,14 @@
 //! Live output streaming for interactive runs.
 //!
-//! The simulation itself is single-threaded and deterministic; examples that
-//! want to *watch* an application while it runs pump sink taps through a
-//! crossbeam channel to a printer thread, decoupling rendering from the
-//! simulation loop (a stand-in for the paper's live-updating GUI graphs,
-//! Figure 9).
+//! The simulation is single-threaded and deterministic, and so is watching
+//! it: [`stream_taps`] steps the world and samples its sink taps on the
+//! simulation thread, and the caller renders the updates (a stand-in for
+//! the paper's live-updating GUI graphs, Figure 9). A tuple never leaves the
+//! thread of its world.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sps_engine::Tuple;
 use sps_runtime::{JobId, World};
 use sps_sim::{SimDuration, SimTime};
-use std::thread::JoinHandle;
 
 /// One sampled observation of a sink operator.
 #[derive(Clone, Debug)]
@@ -23,16 +21,15 @@ pub struct TapUpdate {
 }
 
 /// Runs the world until `until`, sampling the given `(job, sink op)` taps
-/// every `period` and pushing newly observed tuples into the returned
-/// channel. The channel is unbounded so a slow consumer never stalls the
-/// simulation.
+/// every `period`, and returns the newly observed tuples of each sample in
+/// time order.
 pub fn stream_taps(
     world: &mut World,
     taps: &[(JobId, String)],
     period: SimDuration,
     until: SimTime,
-) -> Receiver<TapUpdate> {
-    let (tx, rx) = unbounded();
+) -> Vec<TapUpdate> {
+    let mut updates = Vec::new();
     let mut last_seen: Vec<usize> = vec![0; taps.len()];
     let mut next_sample = world.now();
     while world.now() < until {
@@ -41,17 +38,17 @@ pub fn stream_taps(
             continue;
         }
         next_sample = world.now() + period;
-        sample(world, taps, &mut last_seen, &tx);
+        sample(world, taps, &mut last_seen, &mut updates);
     }
-    sample(world, taps, &mut last_seen, &tx);
-    rx
+    sample(world, taps, &mut last_seen, &mut updates);
+    updates
 }
 
 fn sample(
     world: &World,
     taps: &[(JobId, String)],
     last_seen: &mut [usize],
-    tx: &Sender<TapUpdate>,
+    updates: &mut Vec<TapUpdate>,
 ) {
     for (i, (job, op)) in taps.iter().enumerate() {
         let Some(tuples) = world.kernel.tap(*job, op) else {
@@ -63,7 +60,7 @@ fn sample(
         let fresh: Vec<Tuple> = tuples[new_from..].to_vec();
         last_seen[i] = tuples.len();
         if !fresh.is_empty() {
-            let _ = tx.send(TapUpdate {
+            updates.push(TapUpdate {
                 at: world.now(),
                 job: *job,
                 op: op.clone(),
@@ -71,24 +68,6 @@ fn sample(
             });
         }
     }
-}
-
-/// Spawns a printer thread consuming tap updates with a formatting callback;
-/// returns its join handle. Runs concurrently with the simulation when the
-/// receiver is handed over before stepping.
-pub fn spawn_printer(
-    rx: Receiver<TapUpdate>,
-    mut render: impl FnMut(&TapUpdate) -> String + Send + 'static,
-) -> JoinHandle<usize> {
-    // sslint: allow(ambient-authority, display-only printer thread; output never feeds digests or campaign artifacts)
-    std::thread::spawn(move || {
-        let mut printed = 0;
-        while let Ok(update) = rx.recv() {
-            println!("{}", render(&update));
-            printed += 1;
-        }
-        printed
-    })
 }
 
 #[cfg(test)]
@@ -126,13 +105,12 @@ mod tests {
     #[test]
     fn streams_new_tuples_per_sample() {
         let (mut world, job) = tiny_world();
-        let rx = stream_taps(
+        let updates = stream_taps(
             &mut world,
             &[(job, "snk".to_string())],
             SimDuration::from_secs(1),
             SimTime::from_secs(5),
         );
-        let updates: Vec<TapUpdate> = rx.try_iter().collect();
         assert!(!updates.is_empty());
         let total: usize = updates.iter().map(|u| u.tuples.len()).sum();
         // ~10/s for 5 s, minus transport latency jitter.
@@ -143,28 +121,14 @@ mod tests {
     }
 
     #[test]
-    fn printer_thread_consumes_everything() {
-        let (mut world, job) = tiny_world();
-        let rx = stream_taps(
-            &mut world,
-            &[(job, "snk".to_string())],
-            SimDuration::from_secs(1),
-            SimTime::from_secs(3),
-        );
-        let expected = rx.len();
-        let handle = spawn_printer(rx, |u| format!("[{}] {} tuples", u.at, u.tuples.len()));
-        assert_eq!(handle.join().unwrap(), expected);
-    }
-
-    #[test]
     fn unknown_tap_is_skipped() {
         let (mut world, job) = tiny_world();
-        let rx = stream_taps(
+        let updates = stream_taps(
             &mut world,
             &[(job, "ghost".to_string())],
             SimDuration::from_secs(1),
             SimTime::from_secs(2),
         );
-        assert_eq!(rx.try_iter().count(), 0);
+        assert!(updates.is_empty());
     }
 }

@@ -22,7 +22,6 @@ use orca::{
     OperatorMetricContext, OperatorMetricScope, OrcaCtx, OrcaStartContext, Orchestrator,
     TimerContext,
 };
-use parking_lot::Mutex;
 use sps_engine::ops::{opt_f64, opt_i64};
 use sps_engine::{
     EngineError, MetricId, OpCtx, Operator, OperatorRegistry, Schema, StateBlob, StateReader,
@@ -32,9 +31,9 @@ use sps_model::compiler::{compile, CompileOptions};
 use sps_model::logical::{AppModelBuilder, CompositeGraphBuilder, OperatorInvocation};
 use sps_model::{Adl, Value};
 use sps_sim::{SimDuration, SimRng, SimTime};
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
 // Shared state: cause model + tweet archive (the paper's HDFS files)
@@ -48,36 +47,38 @@ pub struct CauseModel {
 }
 
 /// Shared handle to the cause model ("the list of causes is computed offline
-/// ... and loaded by the streaming application").
+/// ... and loaded by the streaming application"). Like every store of
+/// [`SharedStores`], it is built per world and never leaves that world's
+/// thread.
 #[derive(Clone, Default)]
-pub struct CauseModelHandle(Arc<Mutex<CauseModel>>);
+pub struct CauseModelHandle(Rc<RefCell<CauseModel>>);
 
 impl CauseModelHandle {
     pub fn set(&self, causes: &[&str]) {
-        let mut m = self.0.lock();
+        let mut m = self.0.borrow_mut();
         m.known_causes = causes.iter().map(|c| c.to_string()).collect();
         m.version += 1;
     }
 
     pub fn snapshot(&self) -> CauseModel {
-        self.0.lock().clone()
+        self.0.borrow().clone()
     }
 
     pub fn version(&self) -> u64 {
-        self.0.lock().version
+        self.0.borrow().version
     }
 }
 
 /// Archive of recent negative-tweet causes ("stored on disk for later batch
 /// processing"). Bounded so long runs stay bounded.
 #[derive(Clone, Default)]
-pub struct TweetArchiveHandle(Arc<Mutex<VecDeque<String>>>);
+pub struct TweetArchiveHandle(Rc<RefCell<VecDeque<String>>>);
 
 const ARCHIVE_CAP: usize = 50_000;
 
 impl TweetArchiveHandle {
     pub fn record(&self, cause: &str) {
-        let mut a = self.0.lock();
+        let mut a = self.0.borrow_mut();
         if a.len() == ARCHIVE_CAP {
             a.pop_front();
         }
@@ -85,17 +86,17 @@ impl TweetArchiveHandle {
     }
 
     pub fn len(&self) -> usize {
-        self.0.lock().len()
+        self.0.borrow().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.lock().is_empty()
+        self.0.borrow().is_empty()
     }
 
     /// Cause frequencies over the archived tweets.
     pub fn cause_histogram(&self) -> BTreeMap<String, usize> {
         let mut h = BTreeMap::new();
-        for c in self.0.lock().iter() {
+        for c in self.0.borrow().iter() {
             *h.entry(c.clone()).or_insert(0) += 1;
         }
         h
@@ -146,7 +147,7 @@ pub struct TweetSource {
     credit: f64,
     rng: Option<SimRng>,
     seed: u64,
-    schema: Arc<Schema>,
+    schema: Rc<Schema>,
 }
 
 impl TweetSource {

@@ -57,7 +57,6 @@ use orca::{
     AppConfig, JobEventContext, JobEventScope, OperatorMetricContext, OperatorMetricScope, OrcaCtx,
     OrcaStartContext, Orchestrator,
 };
-use parking_lot::Mutex;
 use sps_engine::metrics::builtin;
 use sps_engine::ops::{opt_f64, opt_i64, opt_str};
 use sps_engine::{
@@ -71,10 +70,11 @@ use sps_model::logical::{
 use sps_model::{Adl, Value};
 use sps_sim::{DigestWriter, SimDuration, SimRng, SimTime};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write;
 use std::hash::BuildHasherDefault;
-use std::sync::Arc;
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
 // The profile data store
@@ -95,16 +95,18 @@ pub struct Profile {
 /// profiles because they read directly from the data store, which has no
 /// duplicate profile entry" (§5.3).
 ///
-/// Clones of a handle share one store. Inside, a profile is a fixed-size
-/// entry next to its key in an arena found through a hashed index (see the
-/// module docs), so the per-tuple merge follows no pointer of its own and
-/// allocates nothing but room to grow, and the C3 scans read the entries in
-/// place; [`Profile`] values are built only on the way
-/// out, by [`snapshot`](Self::snapshot) and [`for_each`](Self::for_each).
+/// Clones of a handle share one store, and only on the thread of the world
+/// that built it: a merge borrows a `RefCell` and takes no lock. Inside, a
+/// profile is a fixed-size entry next to its key in an arena found through
+/// a hashed index (see the module docs), so the per-tuple merge follows no
+/// pointer of its own and allocates nothing but room to grow, and the C3
+/// scans read the entries in place; [`Profile`] values are built only on
+/// the way out, by [`snapshot`](Self::snapshot) and
+/// [`for_each`](Self::for_each).
 /// The store is out-of-band state (the paper's external data store): no
 /// checkpoint covers it, and a restarted C2 job merges into what is there.
 #[derive(Clone, Default)]
-pub struct ProfileStoreHandle(Arc<Mutex<ProfileStore>>);
+pub struct ProfileStoreHandle(Rc<RefCell<ProfileStore>>);
 
 /// One sighting of a user, its strings borrowed from wherever they were
 /// found: what [`ProfileStoreHandle::merge_observed`] folds into the store
@@ -487,7 +489,7 @@ impl ProfileStoreHandle {
     /// looked up by its bytes; a key is built only on first sight, and
     /// nothing is allocated while names and values fit their inline room.
     pub fn merge_observed(&self, seen: Observation<'_>) {
-        let mut store = self.0.lock();
+        let mut store = self.0.borrow_mut();
         let at = store.position(seen.user);
         let ProfileStore {
             arena,
@@ -498,27 +500,34 @@ impl ProfileStoreHandle {
     }
 
     pub fn len(&self) -> usize {
-        self.0.lock().arena.len()
+        self.0.borrow().arena.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.lock().arena.is_empty()
+        self.0.borrow().arena.is_empty()
     }
 
     /// Snapshot of all profiles, in user order (tests and figures).
     pub fn snapshot(&self) -> Vec<Profile> {
-        self.0.lock().profiles().map(Cow::into_owned).collect()
+        self.0
+            .borrow_mut()
+            .profiles()
+            .map(Cow::into_owned)
+            .collect()
     }
 
-    /// Visits every profile in user order, under the store's lock — `f`
-    /// must not call back into the store.
+    /// Visits every profile in user order, with the store borrowed — `f`
+    /// must not call back into the store (a call back panics).
     pub fn for_each(&self, mut f: impl FnMut(&Profile)) {
-        self.0.lock().profiles().for_each(|profile| f(&profile));
+        self.0
+            .borrow_mut()
+            .profiles()
+            .for_each(|profile| f(&profile));
     }
 
     /// Profiles that have the given attribute.
     pub fn count_with_attribute(&self, attribute: &str) -> usize {
-        let store = self.0.lock();
+        let store = self.0.borrow();
         let slots = store.arena.iter().map(|(_, slot)| slot);
         slots.filter(|slot| slot.has_attribute(attribute)).count()
     }
@@ -532,7 +541,7 @@ impl ProfileStoreHandle {
 /// `{user, source, sentiment}`.
 pub struct SocialStreamReader {
     source: String,
-    schema: Arc<Schema>,
+    schema: Rc<Schema>,
     rate: f64,
     credit: f64,
     rng: SimRng,
@@ -656,7 +665,7 @@ impl Operator for SocialQuery {
 /// the configured attribute, then a final punctuation.
 pub struct AttributeAggregator {
     attribute: String,
-    schema: Arc<Schema>,
+    schema: Rc<Schema>,
     store: ProfileStoreHandle,
     done: bool,
 }
@@ -716,7 +725,7 @@ fn sentiment_by_attribute(
     let mut groups: HashMap<String, (f64, usize), BuildHasherDefault<DigestWriter>> =
         HashMap::default();
     let mut decade = String::new();
-    let mut store = store.0.lock();
+    let mut store = store.0.borrow_mut();
     store.update_order();
     for (_, profile) in store.in_order() {
         let key = match attribute {
@@ -1564,7 +1573,7 @@ mod tests {
         // The run went where it was meant to: keys and entries of both
         // kinds, an entry filled to its last source, the id table full and
         // more names than it holds in use.
-        let inner = store.0.lock();
+        let inner = store.0.borrow();
         let keys = |heap: bool| {
             let keys = inner.arena.iter().map(|(key, _)| key);
             keys.filter(|key| matches!(key, UserKey::Heap(_)) == heap)
@@ -1662,7 +1671,7 @@ mod tests {
                 continue;
             }
             until_read = rng.gen_range(0, 401);
-            let inner = store.0.lock();
+            let inner = store.0.borrow();
             bursts.push((inner.order.len(), inner.arena.len() - inner.order.len()));
             drop(inner);
             ordered_read_is(&store, &model, rng.gen_range(0, READS));
@@ -1679,7 +1688,7 @@ mod tests {
         assert!(bursts
             .iter()
             .any(|&(kept, fresh)| kept > 500 && fresh > 150));
-        let inner = store.0.lock();
+        let inner = store.0.borrow();
         let heap = |(key, _): &&(UserKey, Slot)| matches!(key, UserKey::Heap(_));
         assert!(inner.arena.iter().filter(heap).count() > 300);
         let nul = |(key, _): &&(UserKey, Slot)| key.as_bytes().contains(&0);

@@ -20,7 +20,7 @@ use sps_model::logical::{AppModelBuilder, CompositeGraphBuilder, OperatorInvocat
 use sps_model::{Adl, Value};
 use sps_runtime::{JobId, PeId};
 use sps_sim::{SimRng, SimTime};
-use std::sync::Arc;
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
 // Workload: deterministic market tick source
@@ -37,7 +37,7 @@ pub struct TickSource {
     credit: f64,
     next_symbol: usize,
     rng: SimRng,
-    schema: Arc<Schema>,
+    schema: Rc<Schema>,
 }
 
 impl TickSource {

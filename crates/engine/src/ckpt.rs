@@ -445,6 +445,7 @@ impl PeCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     #[test]
     fn writer_reader_roundtrip_all_types() {
@@ -612,8 +613,8 @@ mod tests {
         let mut r = StateReader::new(&blob);
         assert_eq!(r.get_u32().unwrap(), 3);
         let same: Vec<Tuple> = (0..3).map(|_| r.get_tuple().unwrap()).collect();
-        assert!(Arc::ptr_eq(same[0].schema(), same[1].schema()));
-        assert!(Arc::ptr_eq(same[1].schema(), same[2].schema()));
+        assert!(Rc::ptr_eq(same[0].schema(), same[1].schema()));
+        assert!(Rc::ptr_eq(same[1].schema(), same[2].schema()));
         let changed = r.get_tuple().unwrap();
         let back = r.get_tuple().unwrap();
         assert!(r.is_exhausted());

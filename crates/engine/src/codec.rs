@@ -35,7 +35,7 @@ use crate::op::{Punct, StreamItem, TupleBatch};
 use crate::tuple::{Name, Schema, Tuple};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sps_model::Value;
-use std::sync::Arc;
+use std::rc::Rc;
 
 const TAG_TUPLE: u8 = 0;
 const TAG_WINDOW_PUNCT: u8 = 1;
@@ -182,7 +182,7 @@ fn encode_value(value: &Value, buf: &mut BytesMut) {
 
 /// The schema the last tuple decoded to. The next tuple's names are checked
 /// against it, byte for byte, and share it on a match.
-type Carry = Option<Arc<Schema>>;
+type Carry = Option<Rc<Schema>>;
 
 /// Decoder for one stream's frames, in order — today the tuples of a state
 /// blob being restored. A stream keeps its shape from frame to frame, so

@@ -48,7 +48,7 @@
 use crate::error::EngineError;
 use crate::tuple::{Schema, Tuple};
 use sps_model::Value;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Parsed expression AST.
 #[derive(Clone, Debug, PartialEq)]
@@ -362,7 +362,7 @@ pub struct BoundExpr {
     slots: Vec<usize>,
     /// The schema `slots` was resolved against. Held, not merely pointed
     /// at: a freed schema's address could come back under other names.
-    schema: Option<Arc<Schema>>,
+    schema: Option<Rc<Schema>>,
 }
 
 impl BoundExpr {
@@ -391,7 +391,7 @@ impl BoundExpr {
     #[inline]
     pub fn eval_scalar<'a>(&'a mut self, tuple: &'a Tuple) -> Option<Scalar<'a>> {
         let schema = tuple.schema();
-        if !self.schema.as_ref().is_some_and(|s| Arc::ptr_eq(s, schema)) {
+        if !self.schema.as_ref().is_some_and(|s| Rc::ptr_eq(s, schema)) {
             self.rebind(schema);
         }
         self.root.eval(&self.slots, tuple.values())
@@ -407,11 +407,11 @@ impl BoundExpr {
     }
 
     #[cold]
-    fn rebind(&mut self, schema: &Arc<Schema>) {
+    fn rebind(&mut self, schema: &Rc<Schema>) {
         for (slot, name) in self.slots.iter_mut().zip(&self.attrs) {
             *slot = schema.position(name).unwrap_or(MISSING);
         }
-        self.schema = Some(Arc::clone(schema));
+        self.schema = Some(Rc::clone(schema));
     }
 }
 
@@ -987,7 +987,7 @@ mod tests {
         let mut e = BoundExpr::parse("a - b").unwrap();
         let ab = Schema::new(&["a", "b"]);
         let ba = Schema::new(&["b", "a"]);
-        let row = |s: &Arc<Schema>, x: i64, y: i64| {
+        let row = |s: &Rc<Schema>, x: i64, y: i64| {
             Tuple::from_schema(s, vec![Value::Int(x), Value::Int(y)])
         };
         assert_eq!(e.eval_scalar(&row(&ab, 5, 3)), Some(Scalar::Int(2)));
@@ -1008,7 +1008,7 @@ mod tests {
         // Wider, with the attributes further out.
         let wide = Tuple::new().with("x", 0i64).with("b", 1i64).with("a", 8i64);
         assert_eq!(e.eval_scalar(&wide), Some(Scalar::Int(7)));
-        // The first shape again, by content, under another `Arc`.
+        // The first shape again, by content, under another `Rc`.
         let again = Schema::new(&["a", "b"]);
         assert_eq!(e.eval_scalar(&row(&again, 5, 3)), Some(Scalar::Int(2)));
         assert_eq!(e.eval_scalar(&row(&ab, 5, 3)), Some(Scalar::Int(2)));
@@ -1021,7 +1021,7 @@ mod tests {
     fn a_binding_holds_the_schema_it_resolved_against() {
         let mut e = BoundExpr::parse("a").unwrap();
         let first = Schema::new(&["a"]);
-        let weak = Arc::downgrade(&first);
+        let weak = Rc::downgrade(&first);
         e.eval_scalar(&Tuple::from_schema(&first, vec![Value::Int(1)]));
         drop(first);
         assert!(weak.upgrade().is_some());

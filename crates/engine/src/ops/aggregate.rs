@@ -10,7 +10,7 @@ use sps_model::value::ParamMap;
 use sps_model::Value;
 use sps_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Maintains a sliding time window per group and periodically emits
 /// `{group, count, min, max, avg, stddev, upper, lower, full, ts}` — the
@@ -30,7 +30,7 @@ pub struct Aggregate {
     period: SimDuration,
     bollinger_k: f64,
     /// The output shape, shared by every emitted row.
-    schema: Arc<Schema>,
+    schema: Rc<Schema>,
     groups: BTreeMap<String, SlidingTimeWindow<f64>>,
     last_emit: Option<SimTime>,
     got_final: bool,

@@ -12,7 +12,7 @@ use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Forwards tuples matching a predicate; maintains the custom metric
 /// `nDiscarded` (the paper's example of an operator-specific custom metric,
@@ -69,7 +69,7 @@ pub struct Functor {
 /// What a Functor does to the rows of one input schema: where each
 /// assignment's value goes, and what `project` keeps of the result.
 struct Layout {
-    input: Arc<Schema>,
+    input: Rc<Schema>,
     /// One per assignment, in order.
     targets: Vec<Target>,
     project: Option<Projection>,
@@ -80,12 +80,12 @@ enum Target {
     Slot(usize),
     /// A new name: the row moves to this child schema (the one `Tuple::set`
     /// would find through the parent's memo) and grows by one value.
-    Append(Arc<Schema>),
+    Append(Rc<Schema>),
 }
 
 struct Projection {
     /// The kept names the assigned row has, in `project` order.
-    schema: Arc<Schema>,
+    schema: Rc<Schema>,
     /// Where each of them sits in the assigned row.
     sources: Vec<usize>,
 }
@@ -99,11 +99,11 @@ struct LayoutCache(Option<Layout>);
 impl LayoutCache {
     fn get(
         &mut self,
-        input: &Arc<Schema>,
+        input: &Rc<Schema>,
         assignments: &[(String, BoundExpr)],
         project: Option<&[String]>,
     ) -> &Layout {
-        let fresh = |layout: &Layout| Arc::ptr_eq(&layout.input, input);
+        let fresh = |layout: &Layout| Rc::ptr_eq(&layout.input, input);
         if !self.0.as_ref().is_some_and(fresh) {
             self.0 = Some(Layout::resolve(input, assignments, project));
         }
@@ -114,18 +114,18 @@ impl LayoutCache {
 impl Layout {
     #[cold]
     fn resolve(
-        input: &Arc<Schema>,
+        input: &Rc<Schema>,
         assignments: &[(String, BoundExpr)],
         project: Option<&[String]>,
     ) -> Layout {
-        let mut schema = Arc::clone(input);
+        let mut schema = Rc::clone(input);
         let targets = assignments
             .iter()
             .map(|(attr, _)| match schema.position(attr) {
                 Some(slot) => Target::Slot(slot),
                 None => {
                     schema = schema.extended(attr);
-                    Target::Append(Arc::clone(&schema))
+                    Target::Append(Rc::clone(&schema))
                 }
             })
             .collect();
@@ -151,7 +151,7 @@ impl Layout {
             }
         });
         Layout {
-            input: Arc::clone(input),
+            input: Rc::clone(input),
             targets,
             project,
         }

@@ -7,7 +7,7 @@ use crate::tuple::{Schema, Tuple};
 use crate::EngineError;
 use sps_model::value::ParamMap;
 use sps_model::Value;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Produces `rate` tuples per second of the form
 /// `{seq: int, ts: timestamp [, payload: str]}`, emitting a final
@@ -22,7 +22,7 @@ pub struct Beacon {
     limit: Option<i64>,
     payload: Option<String>,
     /// The output shape, `payload` included when configured.
-    schema: Arc<Schema>,
+    schema: Rc<Schema>,
     seq: i64,
     /// Fractional tuple accumulator (rate × quantum may be < 1).
     credit: f64,

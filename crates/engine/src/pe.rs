@@ -867,6 +867,7 @@ mod tests {
     use sps_model::logical::ExportSpec;
     use sps_model::value::ParamMap;
     use sps_model::Value;
+    use std::rc::Rc;
 
     fn op(
         name: &str,
@@ -1036,7 +1037,7 @@ mod tests {
             };
             sent.clone()
         };
-        let senders_schema = Arc::clone(first.schema());
+        let senders_schema = Rc::clone(first.schema());
         for d in out0.remote {
             pe1.receive(d).unwrap();
         }
@@ -1066,7 +1067,7 @@ mod tests {
         );
         let tap = pe1.tap("snk").unwrap();
         assert!(tap.len() > 3);
-        assert!(tap.iter().all(|t| Arc::ptr_eq(t.schema(), &senders_schema)));
+        assert!(tap.iter().all(|t| Rc::ptr_eq(t.schema(), &senders_schema)));
 
         // A misaddressed delivery is an addressing error. (A corrupt one
         // has no representation: the frame is the tuples.)
@@ -1160,7 +1161,7 @@ mod tests {
             assert!(std::ptr::eq(near.values(), far.values()));
             // ...and the writer holds its own, under the shared schema.
             assert!(!std::ptr::eq(near.values(), bumped.values()));
-            assert!(Arc::ptr_eq(near.schema(), bumped.schema()));
+            assert!(Rc::ptr_eq(near.schema(), bumped.schema()));
         }
     }
 
@@ -1532,7 +1533,7 @@ mod tests {
         // share one schema instead of carrying one each.
         assert!(tap_revived.len() > 1);
         for t in tap_revived {
-            assert!(Arc::ptr_eq(t.schema(), tap_revived[0].schema()));
+            assert!(Rc::ptr_eq(t.schema(), tap_revived[0].schema()));
         }
         assert_eq!(
             revived.metrics().op_get("flt", builtin::N_TUPLES_PROCESSED),

@@ -1,7 +1,7 @@
 //! Stream tuples: a row of values under a shared schema.
 //!
 //! SPL streams declare their attribute names once per stream, and so does
-//! this representation: a [`Tuple`] is `Arc<Row { schema, values, bytes }>`,
+//! this representation: a [`Tuple`] is `Rc<Row { schema, values, bytes }>`,
 //! where the [`Schema`] — an ordered list of unique [`Name`]s — is shared by
 //! every tuple of that shape. Whoever produces a shape owns its schema: a
 //! source resolves one at construction and builds rows with
@@ -14,7 +14,7 @@
 //!
 //! The row is shared copy-on-write: `clone` is a refcount bump, and
 //! `set`/`remove` copy the row only when another clone still holds it
-//! (`Arc::make_mut`). Setting a name the schema does not have moves the row
+//! (`Rc::make_mut`). Setting a name the schema does not have moves the row
 //! to a *child* schema, found through a memoised parent→child link on the
 //! schema instance, so an operator adding one attribute to every tuple of a
 //! stream pays a lookup per tuple, not a new name list.
@@ -26,19 +26,24 @@
 //! removed one takes it off — and in debug builds every read checks it
 //! against a walk of the attributes.
 //!
-//! Nothing here is process-global. Memo links hang off schema instances, and
-//! an instance lives exactly as long as something holds it: an operator, a
-//! port decoder, a tuple, or the parent that memoised it. `Tuple::new()`
-//! chains start from a per-thread empty schema, so simulated worlds on
-//! different worker threads never share a lock or a refcount cache line.
+//! Nothing here is process-global, and nothing is shared between threads.
+//! One thread builds, steps and drops each simulated world, so a row, a
+//! schema and a name are counted by `Rc`, the memo is a `RefCell`, and a
+//! tuple is not `Send`: clones, writes and drops update reference counts
+//! with plain adds, not atomic ones. Memo links hang off schema instances,
+//! and an instance lives exactly as long as something holds it: an
+//! operator, a port decoder, a tuple, or the parent that memoised it.
+//! `Tuple::new()` chains start from a per-thread empty schema, because an
+//! `Rc` cannot be one static that every thread reads.
 
 use sps_model::Value;
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::rc::Rc;
 
 /// An attribute name. Shared, so deriving one schema from another never
 /// re-allocates the name strings.
-pub type Name = Arc<str>;
+pub type Name = Rc<str>;
 
 /// Most one-name extensions a schema memoises. Names come from operator
 /// parameters, so real fan-out is one or two; the bound keeps an operator
@@ -52,13 +57,13 @@ pub struct Schema {
     names: Box<[Name]>,
     /// Schemas reached from this one by appending one name (the key is the
     /// child's last name).
-    extensions: Mutex<Vec<Arc<Schema>>>,
+    extensions: RefCell<Vec<Rc<Schema>>>,
 }
 
 impl Schema {
     /// A schema with the given names, in order. Panics if a name repeats —
     /// the names are the program's own, so a duplicate is a bug.
-    pub fn new(names: &[&str]) -> Arc<Schema> {
+    pub fn new(names: &[&str]) -> Rc<Schema> {
         for (i, name) in names.iter().enumerate() {
             assert!(
                 !names[..i].contains(name),
@@ -71,17 +76,17 @@ impl Schema {
     /// Wraps a name list the caller guarantees to be duplicate-free (the
     /// decoder checks while it builds the list). The schema stands alone:
     /// no memo leads to it.
-    pub(crate) fn from_unique_names(names: Vec<Name>) -> Arc<Schema> {
-        Arc::new(Schema {
+    pub(crate) fn from_unique_names(names: Vec<Name>) -> Rc<Schema> {
+        Rc::new(Schema {
             names: names.into(),
-            extensions: Mutex::new(Vec::new()),
+            extensions: RefCell::new(Vec::new()),
         })
     }
 
     /// This thread's empty schema: where `Tuple::new()` chains start, and
     /// through its memo where any chain of the same names arrives again.
-    pub(crate) fn empty() -> Arc<Schema> {
-        EMPTY_SCHEMA.with(Arc::clone)
+    pub(crate) fn empty() -> Rc<Schema> {
+        EMPTY_SCHEMA.with(Rc::clone)
     }
 
     pub fn names(&self) -> &[Name] {
@@ -105,32 +110,27 @@ impl Schema {
     /// This schema plus `name` (which it must not already have) at the end.
     /// The link is memoised on `self`, so asking again returns the same
     /// instance for as long as `self` lives.
-    pub(crate) fn extended(&self, name: &str) -> Arc<Schema> {
+    pub(crate) fn extended(&self, name: &str) -> Rc<Schema> {
         debug_assert!(self.position(name).is_none(), "extending by a held name");
-        // The only update under the lock is a `push`, which leaves the list
-        // valid at every step, so a poisoned lock is still good to use.
-        let mut extensions = self
-            .extensions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut extensions = self.extensions.borrow_mut();
         if let Some(child) = extensions
             .iter()
             .find(|child| child.names.last().is_some_and(|last| &**last == name))
         {
-            return Arc::clone(child);
+            return Rc::clone(child);
         }
         let mut names = Vec::with_capacity(self.names.len() + 1);
         names.extend_from_slice(&self.names);
         names.push(Name::from(name));
         let child = Schema::from_unique_names(names);
         if extensions.len() < MAX_MEMOISED_EXTENSIONS {
-            extensions.push(Arc::clone(&child));
+            extensions.push(Rc::clone(&child));
         }
         child
     }
 
     /// This schema minus the name at `idx`, as a stand-alone schema.
-    fn without(&self, idx: usize) -> Arc<Schema> {
+    fn without(&self, idx: usize) -> Rc<Schema> {
         let mut names = Vec::with_capacity(self.names.len() - 1);
         names.extend_from_slice(&self.names[..idx]);
         names.extend_from_slice(&self.names[idx + 1..]);
@@ -146,12 +146,12 @@ impl fmt::Debug for Schema {
 
 thread_local! {
     /// Where this thread's `Tuple::new()` chains start.
-    static EMPTY_SCHEMA: Arc<Schema> = Schema::from_unique_names(Vec::new());
+    static EMPTY_SCHEMA: Rc<Schema> = Schema::from_unique_names(Vec::new());
 }
 
 #[derive(Clone)]
 struct Row {
-    schema: Arc<Schema>,
+    schema: Rc<Schema>,
     /// One value per schema name, in schema order.
     values: Vec<Value>,
     /// The row's [`Tuple::approx_bytes`], kept exact by every write.
@@ -193,9 +193,17 @@ impl Row {
 }
 
 /// A stream data item: ordered `(name, value)` attributes with unique names.
+///
+/// A tuple stays on the thread that made it: its row and schema are counted
+/// by `Rc`, so handing one to another thread does not compile.
+///
+/// ```compile_fail,E0277
+/// fn crosses_threads<T: Send>(_: T) {}
+/// crosses_threads(sps_engine::Tuple::new());
+/// ```
 #[derive(Clone)]
 pub struct Tuple {
-    row: Arc<Row>,
+    row: Rc<Row>,
 }
 
 impl Default for Tuple {
@@ -211,7 +219,7 @@ impl Tuple {
 
     /// A row of `schema`: one value per name, in the schema's order. Panics
     /// on a count mismatch (a bug in the producing operator).
-    pub fn from_schema(schema: &Arc<Schema>, values: Vec<Value>) -> Self {
+    pub fn from_schema(schema: &Rc<Schema>, values: Vec<Value>) -> Self {
         assert_eq!(
             schema.len(),
             values.len(),
@@ -221,8 +229,8 @@ impl Tuple {
         );
         let bytes = walked_bytes(&schema.names, &values);
         Tuple {
-            row: Arc::new(Row {
-                schema: Arc::clone(schema),
+            row: Rc::new(Row {
+                schema: Rc::clone(schema),
                 values,
                 bytes,
             }),
@@ -238,7 +246,7 @@ impl Tuple {
 
     pub fn set(&mut self, name: &str, value: impl Into<Value>) {
         let value = value.into();
-        let row = Arc::make_mut(&mut self.row);
+        let row = Rc::make_mut(&mut self.row);
         match row.schema.position(name) {
             Some(idx) => row.replace(idx, value),
             None => {
@@ -253,18 +261,18 @@ impl Tuple {
     /// For an operator that resolved the position when it first saw the
     /// schema; panics when the schema has no such position.
     pub(crate) fn set_at(&mut self, idx: usize, value: Value) {
-        Arc::make_mut(&mut self.row).replace(idx, value);
+        Rc::make_mut(&mut self.row).replace(idx, value);
     }
 
     /// Appends `value` under the last name of `child`, which must be what
     /// [`Schema::extended`] made of this tuple's schema: what `set` does
     /// with a new name, for an operator that looked the child up once.
-    pub(crate) fn push_as(&mut self, child: &Arc<Schema>, value: Value) {
-        let row = Arc::make_mut(&mut self.row);
+    pub(crate) fn push_as(&mut self, child: &Rc<Schema>, value: Value) {
+        let row = Rc::make_mut(&mut self.row);
         assert_eq!(child.len(), row.values.len() + 1, "not a one-name child");
         debug_assert_eq!(child.names[..row.values.len()], row.schema.names[..]);
         row.bytes += attr_bytes(&child.names[row.values.len()], &value);
-        row.schema = Arc::clone(child);
+        row.schema = Rc::clone(child);
         row.values.push(value);
     }
 
@@ -299,7 +307,7 @@ impl Tuple {
 
     pub fn remove(&mut self, name: &str) -> Option<Value> {
         let idx = self.row.schema.position(name)?;
-        let row = Arc::make_mut(&mut self.row);
+        let row = Rc::make_mut(&mut self.row);
         let value = row.values.remove(idx);
         row.bytes -= attr_bytes(&row.schema.names[idx], &value);
         row.schema = row.schema.without(idx);
@@ -315,7 +323,7 @@ impl Tuple {
     }
 
     /// The shape this tuple shares with the others of its stream.
-    pub fn schema(&self) -> &Arc<Schema> {
+    pub fn schema(&self) -> &Rc<Schema> {
         &self.row.schema
     }
 
@@ -348,7 +356,7 @@ impl Tuple {
 impl PartialEq for Tuple {
     fn eq(&self, other: &Self) -> bool {
         let (a, b) = (&*self.row, &*other.row);
-        (Arc::ptr_eq(&a.schema, &b.schema) || a.schema.names == b.schema.names)
+        (Rc::ptr_eq(&a.schema, &b.schema) || a.schema.names == b.schema.names)
             && a.values == b.values
     }
 }
@@ -468,7 +476,7 @@ mod tests {
             .with("seq", 3i64)
             .with("ts", Value::Timestamp(9));
         assert_eq!(row, built);
-        assert!(!Arc::ptr_eq(row.schema(), built.schema()));
+        assert!(!Rc::ptr_eq(row.schema(), built.schema()));
         assert_eq!(row.approx_bytes(), built.approx_bytes());
         let names: Vec<&str> = row.iter().map(|(n, _)| &**n).collect();
         assert_eq!(names, ["seq", "ts"]);
@@ -499,17 +507,17 @@ mod tests {
         a.set("v", 10i64);
         b.set("v", 20i64);
         // Both rows moved to the one child schema; the parent is untouched.
-        assert!(Arc::ptr_eq(a.schema(), b.schema()));
-        assert!(Arc::ptr_eq(a.schema(), &schema.extended("v")));
+        assert!(Rc::ptr_eq(a.schema(), b.schema()));
+        assert!(Rc::ptr_eq(a.schema(), &schema.extended("v")));
         assert_eq!(schema.len(), 1);
         // Overwriting keeps the schema.
-        let before = Arc::clone(a.schema());
+        let before = Rc::clone(a.schema());
         a.set("v", 11i64);
-        assert!(Arc::ptr_eq(a.schema(), &before));
+        assert!(Rc::ptr_eq(a.schema(), &before));
         // A different name is a different child.
         let mut c = Tuple::from_schema(&schema, vec![Value::Int(3)]);
         c.set("w", 1i64);
-        assert!(!Arc::ptr_eq(c.schema(), a.schema()));
+        assert!(!Rc::ptr_eq(c.schema(), a.schema()));
     }
 
     #[test]
@@ -520,11 +528,11 @@ mod tests {
             let child = schema.extended(&format!("n{i}"));
             assert_eq!(&**child.names().last().unwrap(), format!("n{i}"));
         }
-        assert!(schema.extensions.lock().unwrap().len() <= MAX_MEMOISED_EXTENSIONS);
+        assert!(schema.extensions.borrow().len() <= MAX_MEMOISED_EXTENSIONS);
         // Memoised links stay; names past the bound get fresh schemas.
-        assert!(Arc::ptr_eq(&first, &schema.extended("n0")));
+        assert!(Rc::ptr_eq(&first, &schema.extended("n0")));
         let late = format!("n{}", 4 * MAX_MEMOISED_EXTENSIONS - 1);
-        assert!(!Arc::ptr_eq(
+        assert!(!Rc::ptr_eq(
             &schema.extended(&late),
             &schema.extended(&late)
         ));
@@ -533,7 +541,7 @@ mod tests {
     #[test]
     fn a_schema_dies_with_its_last_holder() {
         let schema = Schema::new(&["a"]);
-        let child = Arc::downgrade(&schema.extended("b"));
+        let child = Rc::downgrade(&schema.extended("b"));
         // Held by the parent's memo, by nothing else.
         assert!(child.upgrade().is_some());
         drop(schema);
@@ -543,7 +551,7 @@ mod tests {
     /// `render_artifacts` prints `{:?}` of every retained tuple — the text
     /// the determinism suite compares and a failing plan is read by — so the
     /// rendering is pinned to what the derived `Debug` of the old
-    /// `Tuple { attrs: Arc<Vec<(Name, Value)>> }` printed.
+    /// `Tuple { attrs: Vec<(Name, Value)> }` behind a shared pointer printed.
     #[test]
     fn debug_rendering_is_pinned() {
         let empty = Tuple::new();

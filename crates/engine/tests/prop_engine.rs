@@ -29,7 +29,7 @@ use sps_model::Value;
 use sps_sim::{SimDuration, SimRng, SimTime};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
@@ -327,7 +327,7 @@ fn arb_wild_expr(literals: BoxedStrategy<Value>) -> BoxedStrategy<Expr> {
 
 /// A stream whose shape changes under the evaluator: three shapes (name
 /// lists over `a`..`d`, in any order), and per tuple which shape it has,
-/// whether it arrives under the `Arc` that shape had last time or under a
+/// whether it arrives under the `Rc` that shape had last time or under a
 /// fresh one of the same names, and its values. A `tame` stream is one
 /// typed expressions mostly evaluate on: two of its shapes have all four
 /// names and carry seven tuples in eight, and fifteen values in sixteen have
@@ -406,7 +406,7 @@ fn arb_stream(tame: bool) -> impl Strategy<Value = Vec<Tuple>> {
         let resolve = |shape: &[usize]| {
             Schema::new(&shape.iter().map(|&n| EXPR_ATTRS[n]).collect::<Vec<_>>())
         };
-        let mut schemas: Vec<Arc<Schema>> = shapes.iter().map(|s| resolve(s)).collect();
+        let mut schemas: Vec<Rc<Schema>> = shapes.iter().map(|s| resolve(s)).collect();
         steps
             .into_iter()
             .map(|(shape, fresh_arc, (a, b, c, d))| {
@@ -777,7 +777,7 @@ fn drive(pe: &mut PeRuntime, outputs: usize, chunks: &[Vec<Tuple>], first: usize
 }
 
 /// For each tuple a sink holds, the first tuple of that sink whose schema
-/// it shares (by `Arc`).
+/// it shares (by `Rc`).
 fn schema_sharing(pe: &PeRuntime, outputs: usize) -> Vec<Vec<usize>> {
     (0..outputs)
         .map(|port| {
@@ -785,7 +785,7 @@ fn schema_sharing(pe: &PeRuntime, outputs: usize) -> Vec<Vec<usize>> {
             tap.iter()
                 .map(|t| {
                     tap.iter()
-                        .position(|u| Arc::ptr_eq(u.schema(), t.schema()))
+                        .position(|u| Rc::ptr_eq(u.schema(), t.schema()))
                         .unwrap()
                 })
                 .collect()
@@ -843,9 +843,9 @@ fn str_params(pairs: &[(&str, &str)]) -> ParamMap {
 }
 
 /// The stream the pinned cases below run on: `{a, b, c, d}` rows, the same
-/// shape under a second `Arc` mid-chunk, then a shape without `b`.
+/// shape under a second `Rc` mid-chunk, then a shape without `b`.
 fn pinned_chunks() -> Vec<Vec<Tuple>> {
-    let row = |schema: &Arc<Schema>, a: i64| {
+    let row = |schema: &Rc<Schema>, a: i64| {
         let values = vec![
             Value::Int(a),
             Value::Int(a % 3),
@@ -1076,17 +1076,17 @@ fn port_decoder_carries_its_schema_across_frames() {
     // The steady stretch — two batch frames, punctuation between them, and
     // an item frame — is one schema: its names were allocated once.
     for t in &decoded[1..4] {
-        assert!(Arc::ptr_eq(t.schema(), decoded[0].schema()));
+        assert!(Rc::ptr_eq(t.schema(), decoded[0].schema()));
     }
     // After the schema changed, the old shape is a new schema again.
-    assert!(!Arc::ptr_eq(decoded[9].schema(), decoded[0].schema()));
+    assert!(!Rc::ptr_eq(decoded[9].schema(), decoded[0].schema()));
     // Carry-free decoding shares within a frame and not beyond it.
     let again = decode_batch(frame_bytes(&frames[0])).unwrap();
-    assert!(Arc::ptr_eq(
+    assert!(Rc::ptr_eq(
         again.as_slice()[0].schema(),
         again.as_slice()[1].schema()
     ));
-    assert!(!Arc::ptr_eq(
+    assert!(!Rc::ptr_eq(
         again.as_slice()[0].schema(),
         decoded[0].schema()
     ));
@@ -1112,7 +1112,7 @@ fn fresh_wire_names_leave_no_schema_behind() {
         };
         assert_eq!(batch.as_slice(), &tuples[..]);
         // The decoded names are the wire's own, not the encoder's.
-        assert!(!Arc::ptr_eq(
+        assert!(!Rc::ptr_eq(
             batch.as_slice()[0].schema(),
             tuples[0].schema()
         ));
@@ -1120,7 +1120,7 @@ fn fresh_wire_names_leave_no_schema_behind() {
         // wire schema, and goes when it goes.
         let mut extended = batch.as_slice()[0].clone();
         extended.set("v", 1i64);
-        let live = [batch.as_slice()[0].schema(), extended.schema()].map(Arc::downgrade);
+        let live = [batch.as_slice()[0].schema(), extended.schema()].map(Rc::downgrade);
         drop((batch, extended));
         // Carried by the port, and memoised on what the port carries —
         // until the next shape arrives.

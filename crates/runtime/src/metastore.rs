@@ -292,11 +292,9 @@ pub struct MetaRecovery {
     pub ops_replayed: u64,
 }
 
-/// The kernel's interface to its durable control-plane state.
-///
-/// `Send` is a supertrait because campaign workers move whole worlds across
-/// threads.
-pub trait Metastore: Send {
+/// The kernel's interface to its durable control-plane state. Like the rest
+/// of a world, a store stays on the thread that built it.
+pub trait Metastore {
     fn kind(&self) -> MetastoreKind;
     /// Applies (and, for logging stores, records) one mutation.
     fn apply(&mut self, op: MetaOp);

@@ -9,7 +9,7 @@
 //! 3. write an ORCA logic that submits the app, watches its throughput
 //!    metric, and auto-restarts crashed PEs,
 //! 4. run the world, inject a PE kill, and watch the orchestrator recover
-//!    it — streaming sink output live through a printer thread.
+//!    it — sampling the sink's output every 5 s of simulated time.
 
 #![forbid(unsafe_code)]
 
@@ -118,22 +118,22 @@ fn main() {
         .schedule_kill(SimTime::from_secs(12), KillTarget::Pe(victim));
     println!("[harness] scheduled kill of {victim} at t=12s");
 
-    // Stream sink output live while the simulation runs.
-    let rx = live::stream_taps(
+    // Sample the sink every 5 s while the simulation runs, then print the
+    // samples.
+    let updates = live::stream_taps(
         &mut world,
         &[(job, "snk".to_string())],
         SimDuration::from_secs(5),
         SimTime::from_secs(30),
     );
-    let printer = live::spawn_printer(rx, |u| {
-        format!(
+    for u in &updates {
+        println!(
             "[sink] t={} +{} tuples (latest seq {:?})",
             u.at,
             u.tuples.len(),
             u.tuples.last().and_then(|t| t.get_int("seq"))
-        )
-    });
-    printer.join().expect("printer thread");
+        );
+    }
 
     let svc = world.controller::<OrcaService>(idx).expect("service");
     println!(

@@ -232,9 +232,8 @@ fn live_tap_streaming_reproduces_bit_identically() {
             .map(|job| (job, "snk".to_string()))
             .collect();
         let until = world.now() + sc.fault_window + sc.settle;
-        let rx = stream_taps(&mut world, &taps, SimDuration::from_secs(1), until);
-        let rendered: String = rx
-            .try_iter()
+        let rendered: String = stream_taps(&mut world, &taps, SimDuration::from_secs(1), until)
+            .iter()
             .map(|u| format!("[{}] {} {} {:?}\n", u.at, u.job, u.op, u.tuples))
             .collect();
         (rendered, world.kernel.trace.digest())
