@@ -10,10 +10,13 @@
 //!     --replay 6500:kp:0:1 --app trend --seed 123 --checkpoint-interval 10
 //! ```
 //!
-//! A run is described by flags and by nothing else: no environment variable
-//! is read. `--replay PLAN --app A --seed S` executes one encoded plan
-//! instead of generating `--plans` of them, under the same policy flags,
-//! parsed and validated by the same code as a campaign command line. Every
+//! A run is described by flags. The binary reads no environment variable
+//! of its own; the engine reads `SPS_BATCH` (batched or per-tuple data
+//! path), and stdout does not depend on it: `scripts/stdout-matrix.sh`'s
+//! `<app>-batch-off` cell is byte-identical to its `<app>-j1-plain` cell.
+//! `--replay PLAN --app A --seed S` executes one encoded plan instead of
+//! generating `--plans` of them, under the same policy flags, parsed and
+//! validated by the same code as a campaign command line. Every
 //! failing plan's `reproduce:` line is such a command (see
 //! `orca_harness::reproducer_line`), so running it as printed replays the
 //! shrunk plan under the policy of the campaign that found it.

@@ -25,8 +25,6 @@ pub mod builtin {
     /// a fused PE of k operators counts a tuple once per operator it enters,
     /// and a PE whose only operator is a source never has the metric.
     pub const N_TUPLE_BYTES_PROCESSED: &str = "nTupleBytesProcessed";
-    /// Tuples dropped by an operator (e.g. Throttle under overload).
-    pub const N_TUPLES_DROPPED: &str = "nTuplesDropped";
 }
 
 /// Identifies one metric instance within a job.

@@ -1,82 +1,12 @@
-//! Flow-control and plumbing operators: Throttle, Work, FaultInject,
-//! PassThrough (Export), Import.
+//! Flow-control and plumbing operators: Work, FaultInject, PassThrough
+//! (Export), Import.
 
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
-use crate::metrics::MetricId;
 use crate::op::{OpCtx, Operator};
-use crate::ops::{opt_i64, req_f64};
+use crate::ops::opt_i64;
 use crate::tuple::Tuple;
 use crate::EngineError;
 use sps_model::value::ParamMap;
-use sps_sim::SimTime;
-
-/// Drops tuples above a maximum rate (simple load shedder). Dropped tuples
-/// increment the built-in `nTuplesDropped` metric.
-///
-/// Parameters: `max_rate` (float, required): tuples per second.
-pub struct Throttle {
-    max_rate: f64,
-    window_start: Option<SimTime>,
-    forwarded_in_window: f64,
-    /// Handle of `nTuplesDropped`, resolved at the first drop.
-    dropped: Option<MetricId>,
-}
-
-impl Throttle {
-    pub fn from_params(op: &str, params: &ParamMap) -> Result<Self, EngineError> {
-        let max_rate = req_f64(params, op, "max_rate")?;
-        if max_rate <= 0.0 {
-            return Err(EngineError::BadParam {
-                op: op.to_string(),
-                message: "max_rate must be positive".into(),
-            });
-        }
-        Ok(Throttle {
-            max_rate,
-            window_start: None,
-            forwarded_in_window: 0.0,
-            dropped: None,
-        })
-    }
-}
-
-impl Operator for Throttle {
-    fn on_tuple(&mut self, _port: usize, tuple: Tuple, ctx: &mut OpCtx) {
-        // One-second accounting windows.
-        let now = ctx.now();
-        let reset = match self.window_start {
-            None => true,
-            Some(start) => now.since(start).as_millis() >= 1000,
-        };
-        if reset {
-            self.window_start = Some(now);
-            self.forwarded_in_window = 0.0;
-        }
-        if self.forwarded_in_window + 1.0 <= self.max_rate {
-            self.forwarded_in_window += 1.0;
-            ctx.submit(0, tuple);
-        } else {
-            let id = *self
-                .dropped
-                .get_or_insert_with(|| ctx.metric_id(crate::metrics::builtin::N_TUPLES_DROPPED));
-            ctx.metric_add_by(id, 1);
-        }
-    }
-
-    fn checkpoint(&self) -> Option<StateBlob> {
-        let mut w = StateWriter::new();
-        w.put_opt(&self.window_start, |w, t| w.put_time(*t));
-        w.put_f64(self.forwarded_in_window);
-        Some(w.finish())
-    }
-
-    fn restore(&mut self, blob: &StateBlob) -> Result<(), EngineError> {
-        let mut r = StateReader::new(blob);
-        self.window_start = r.get_opt(|r| r.get_time())?;
-        self.forwarded_in_window = r.get_f64()?;
-        Ok(())
-    }
-}
 
 /// Pass-through that charges extra processing budget per tuple, modelling a
 /// CPU-heavy analytic. Used by overload scenarios so `queueSize` grows.
@@ -176,41 +106,9 @@ impl Operator for Import {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::builtin;
     use crate::ops::testutil::Harness;
     use sps_model::Value;
-    use sps_sim::SimDuration;
-
-    fn fparams(pairs: &[(&str, f64)]) -> ParamMap {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), Value::Float(*v)))
-            .collect()
-    }
-
-    #[test]
-    fn throttle_enforces_rate_per_second() {
-        let mut t = Throttle::from_params("t", &fparams(&[("max_rate", 3.0)])).unwrap();
-        let mut h = Harness::new(1);
-        let mut forwarded = 0;
-        for i in 0..10 {
-            forwarded += h.tuple(&mut t, 0, Tuple::new().with("i", i as i64)).len();
-        }
-        assert_eq!(forwarded, 3);
-        assert_eq!(
-            h.metrics.op_get("test_op", builtin::N_TUPLES_DROPPED),
-            Some(7)
-        );
-        // New window after a second.
-        h.advance(SimDuration::from_secs(1));
-        assert_eq!(h.tuple(&mut t, 0, Tuple::new()).len(), 1);
-    }
-
-    #[test]
-    fn throttle_rejects_bad_rate() {
-        assert!(Throttle::from_params("t", &fparams(&[("max_rate", 0.0)])).is_err());
-        assert!(Throttle::from_params("t", &ParamMap::new()).is_err());
-    }
+    use sps_sim::{SimDuration, SimTime};
 
     #[test]
     fn work_forwards_with_cost() {

@@ -1,8 +1,8 @@
 //! Built-in operator library.
 //!
 //! Mirrors the SPL standard toolkit subset the paper's applications need:
-//! sources (Beacon), relational ops (Filter/Functor/Split/Merge/DeDup),
-//! windowed aggregation, flow control (Throttle/Work), sinks, import/export
+//! sources (Beacon), relational ops (Filter/Functor/Split/Merge), windowed
+//! aggregation and join, flow control (Work), sinks, import/export
 //! pass-throughs, and a fault-injection operator for the failure experiments.
 
 mod aggregate;
@@ -13,9 +13,9 @@ mod sink;
 mod source;
 
 pub use aggregate::Aggregate;
-pub use flow::{FaultInject, Import, PassThrough, Throttle, Work};
+pub use flow::{FaultInject, Import, PassThrough, Work};
 pub use join::Join;
-pub use relational::{DeDup, Filter, Functor, Merge, Split};
+pub use relational::{Filter, Functor, Merge, Split};
 pub use sink::Sink;
 pub use source::Beacon;
 

@@ -1,16 +1,15 @@
-//! Relational-style operators: Filter, Functor, Split, Merge, DeDup.
+//! Relational-style operators: Filter, Functor, Split, Merge.
 
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
 use crate::expr::{BoundExpr, Expr, Scalar};
 use crate::metrics::MetricId;
 use crate::op::{FinalPunctTracker, OpCtx, Operator, Punct};
-use crate::ops::{opt_i64, opt_str, req_str};
+use crate::ops::{opt_str, req_str};
 use crate::tuple::{Schema, Tuple};
 use crate::EngineError;
 use sps_model::value::ParamMap;
 use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
@@ -342,85 +341,6 @@ impl Operator for Merge {
     }
 }
 
-/// Suppresses tuples whose key was seen among the last `window` distinct
-/// keys.
-///
-/// Parameters:
-/// - `key` (str, required): attribute to deduplicate on,
-/// - `window` (int, default 1024): number of recent keys remembered.
-pub struct DeDup {
-    key: String,
-    window: usize,
-    seen: HashSet<String>,
-    order: VecDeque<String>,
-    /// Handle of `nDuplicates`, resolved at the first duplicate.
-    duplicates: OnceCell<MetricId>,
-}
-
-impl DeDup {
-    pub fn from_params(op: &str, params: &ParamMap) -> Result<Self, EngineError> {
-        let window = opt_i64(params, op, "window")?.unwrap_or(1024);
-        if window <= 0 {
-            return Err(EngineError::BadParam {
-                op: op.to_string(),
-                message: "window must be positive".into(),
-            });
-        }
-        Ok(DeDup {
-            key: req_str(params, op, "key")?.to_string(),
-            window: window as usize,
-            seen: HashSet::new(),
-            order: VecDeque::new(),
-            duplicates: OnceCell::new(),
-        })
-    }
-}
-
-impl Operator for DeDup {
-    fn on_tuple(&mut self, _port: usize, tuple: Tuple, ctx: &mut OpCtx) {
-        let Some(v) = tuple.get(&self.key) else {
-            ctx.raise_fault(format!("dedup key '{}' missing", self.key));
-            return;
-        };
-        let rendered = v.render();
-        if self.seen.contains(&rendered) {
-            let id = *self.duplicates.get_or_init(|| ctx.metric_id("nDuplicates"));
-            ctx.metric_add_by(id, 1);
-            return;
-        }
-        self.seen.insert(rendered.clone());
-        self.order.push_back(rendered);
-        if self.order.len() > self.window {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
-        ctx.submit(0, tuple);
-    }
-
-    fn checkpoint(&self) -> Option<StateBlob> {
-        let mut w = StateWriter::new();
-        w.put_u32(self.order.len() as u32);
-        for key in &self.order {
-            w.put_str(key);
-        }
-        Some(w.finish())
-    }
-
-    fn restore(&mut self, blob: &StateBlob) -> Result<(), EngineError> {
-        let mut r = StateReader::new(blob);
-        let n = r.get_u32()? as usize;
-        self.order.clear();
-        self.seen.clear();
-        for _ in 0..n {
-            let key = r.get_str()?;
-            self.seen.insert(key.clone());
-            self.order.push_back(key);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,36 +462,5 @@ mod tests {
         assert!(matches!(out[0].1, StreamItem::Punct(Punct::Final)));
         // No further finals.
         assert!(h.punct(&mut m, 1, Punct::Final).is_empty());
-    }
-
-    #[test]
-    fn dedup_suppresses_recent_keys() {
-        let mut d = DeDup::from_params(
-            "d",
-            &[
-                ("key".to_string(), Value::Str("id".into())),
-                ("window".to_string(), Value::Int(2)),
-            ]
-            .into_iter()
-            .collect(),
-        )
-        .unwrap();
-        let mut h = Harness::new(1);
-        let t = |id: &str| Tuple::new().with("id", id);
-        assert_eq!(h.tuple(&mut d, 0, t("a")).len(), 1);
-        assert_eq!(h.tuple(&mut d, 0, t("a")).len(), 0);
-        assert_eq!(h.tuple(&mut d, 0, t("b")).len(), 1);
-        // Window of 2: "a" and "b" remembered; "c" evicts "a".
-        assert_eq!(h.tuple(&mut d, 0, t("c")).len(), 1);
-        assert_eq!(h.tuple(&mut d, 0, t("a")).len(), 1);
-        assert_eq!(h.metrics.op_get("test_op", "nDuplicates"), Some(1));
-    }
-
-    #[test]
-    fn dedup_rejects_bad_window() {
-        let mut p = ParamMap::new();
-        p.insert("key".into(), Value::Str("id".into()));
-        p.insert("window".into(), Value::Int(0));
-        assert!(DeDup::from_params("d", &p).is_err());
     }
 }

@@ -58,14 +58,8 @@ impl OperatorRegistry {
         r.register("Join", |op| {
             Ok(Box::new(ops::Join::from_params(&op.name, &op.params)?))
         });
-        r.register("Throttle", |op| {
-            Ok(Box::new(ops::Throttle::from_params(&op.name, &op.params)?))
-        });
         r.register("Work", |op| {
             Ok(Box::new(ops::Work::from_params(&op.name, &op.params)?))
-        });
-        r.register("DeDup", |op| {
-            Ok(Box::new(ops::DeDup::from_params(&op.name, &op.params)?))
         });
         r.register("Sink", |op| {
             Ok(Box::new(ops::Sink::from_params(&op.name, &op.params)?))
@@ -141,9 +135,7 @@ mod tests {
             "Merge",
             "Aggregate",
             "Join",
-            "Throttle",
             "Work",
-            "DeDup",
             "Sink",
             "FaultInject",
             "PassThrough",
@@ -153,7 +145,7 @@ mod tests {
             assert!(r.has_kind(kind), "missing builtin {kind}");
         }
         assert!(!r.has_kind("Zap"));
-        assert_eq!(r.kinds().len(), 15);
+        assert_eq!(r.kinds().len(), 13);
     }
 
     #[test]

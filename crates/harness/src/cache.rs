@@ -331,7 +331,6 @@ mod tests {
         let durable = WorldPolicy {
             checkpoint: CheckpointPolicy::every(5)
                 .upstream_backup(true)
-                .full_every(3)
                 .storage(StorageModel::default().with_write(250, 0).with_budget(4096)),
             metastore: MetastoreKind::Replicated,
         };

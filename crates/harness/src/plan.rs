@@ -8,6 +8,7 @@
 //! perturbations it causes, and a plan round-trips through a compact string
 //! encoding (`--replay …`) for one-line reproducers.
 
+use sps_runtime::RuntimeConfig;
 use sps_sim::{SimDuration, SimRng, SimTime};
 use std::fmt;
 
@@ -29,8 +30,11 @@ pub enum FaultAction {
     /// window; recovery rebuilds the tables from the metastore log.
     RestartSam,
     /// Control plane: SAM stops seeing host heartbeats for `duration_ms`.
-    /// Generated durations are bounded below the liveness deadline, so a
-    /// correct SAM declares no host dead.
+    /// Each generated duration is bounded below the liveness deadline, so
+    /// one partition makes a correct SAM declare no host dead. Their union
+    /// is not bounded: two chained partitions can outlast the deadline, and
+    /// then SAM declares live hosts dead (an open hole, ROADMAP *Honest
+    /// recovery* (2); 3 of the first 32,000 `campaign_durable` plans).
     PartitionSamHc { duration_ms: u32 },
 }
 
@@ -57,16 +61,6 @@ pub struct PlanSpec {
     /// Maximum number of sampled incidents (an incident may expand to
     /// several events: cascades, kill-during-restart, kill+revive pairs).
     pub max_incidents: usize,
-    /// Cap on hosts that may be down simultaneously, so generated plans
-    /// never exhaust placement capacity by construction.
-    pub max_hosts_down: usize,
-    /// The runtime's PE spawn latency — used to aim kills into the restart
-    /// gap.
-    pub restart_delay: SimDuration,
-    /// When true, every host kill is paired with a revive inside the
-    /// window (needed by scenarios whose adaptation logic never retries a
-    /// failed placement).
-    pub revive_all: bool,
     /// When true, the incident mix includes control-plane faults (ORCA
     /// crash, SAM restart, SAM/HC partition). Off by default: the draw
     /// sequence with this off is byte-identical to pre-control-fault plans.
@@ -124,34 +118,37 @@ fn kill_pe(rng: &mut SimRng, events: &mut Vec<FaultEvent>, t: u64) {
     });
 }
 
-/// A host kill at `t`, usually paired with a revive before `end`. Once
-/// `max_hosts_down` hosts are down it degrades to a PE kill, so the incident
-/// count is preserved.
+/// The runtime's PE spawn latency, in ms: kills are aimed into the restart
+/// gap, and host revives are drawn against it.
+fn restart_delay_ms() -> u64 {
+    RuntimeConfig::default().restart_delay.as_millis()
+}
+
+/// A host kill at `t`, paired with a revive before `end` (scenarios whose
+/// adaptation logic never retries a failed placement need every host back).
+/// One host is down at a time, so generated plans never exhaust placement
+/// capacity by construction and a stuck PE is always a runtime/ORCA bug,
+/// not a resource shortfall; while one is down it degrades to a PE kill, so
+/// the incident count is preserved.
 fn kill_host(rng: &mut SimRng, spec: &PlanSpec, events: &mut Vec<FaultEvent>, t: u64, end: u64) {
     let at = SimTime::from_millis(t);
-    let down = hosts_down_at(events, at);
-    let up: Vec<u8> = (0..spec.hosts as u8)
-        .filter(|h| !down.contains(h))
-        .collect();
-    if down.len() >= spec.max_hosts_down || up.is_empty() {
+    if !hosts_down_at(events, at).is_empty() {
         kill_pe(rng, events, t);
         return;
     }
-    let host_slot = up[rng.gen_range(0, up.len() as u64) as usize];
+    let host_slot = rng.gen_range(0, spec.hosts as u64) as u8;
     events.push(FaultEvent {
         at,
         action: FaultAction::KillHost { host_slot },
     });
-    if spec.revive_all || rng.gen_bool(0.7) {
-        let lo = spec.restart_delay.as_millis().max(100);
-        let revive_at = (t + lo + rng.gen_range(0, lo + 1))
-            .min(end - 1)
-            .max(t + 100);
-        events.push(FaultEvent {
-            at: SimTime::from_millis(revive_at),
-            action: FaultAction::ReviveHost { host_slot },
-        });
-    }
+    let lo = restart_delay_ms().max(100);
+    let revive_at = (t + lo + rng.gen_range(0, lo + 1))
+        .min(end - 1)
+        .max(t + 100);
+    events.push(FaultEvent {
+        at: SimTime::from_millis(revive_at),
+        action: FaultAction::ReviveHost { host_slot },
+    });
 }
 
 impl FaultPlan {
@@ -192,7 +189,7 @@ impl FaultPlan {
                         rng.gen_range(0, JOB_SLOTS) as u8,
                         rng.gen_range(0, PE_SLOTS) as u8,
                     );
-                    for dt in [0, spec.restart_delay.as_millis() / 2] {
+                    for dt in [0, restart_delay_ms() / 2] {
                         events.push(FaultEvent {
                             at: SimTime::from_millis(t + dt),
                             action: FaultAction::KillPe { job_slot, pe_slot },
@@ -211,8 +208,9 @@ impl FaultPlan {
                 }),
                 _ => events.push(FaultEvent {
                     at: SimTime::from_millis(t),
-                    // Bounded well below the 6 s liveness deadline so the
-                    // partition never triggers a false host declaration.
+                    // Bounded well below the 6 s liveness deadline, so one
+                    // partition alone never triggers a false host
+                    // declaration (two chained ones can).
                     action: FaultAction::PartitionSamHc {
                         duration_ms: rng.gen_range(500, 4001) as u32,
                     },
@@ -314,9 +312,6 @@ mod tests {
             hosts: 4,
             window: (SimTime::from_secs(5), SimTime::from_secs(15)),
             max_incidents: 5,
-            max_hosts_down: 1,
-            restart_delay: SimDuration::from_secs(2),
-            revive_all: true,
             control_faults: false,
         }
     }
@@ -367,7 +362,7 @@ mod tests {
                     _ => {}
                 }
             }
-            // revive_all: every kill has its revive.
+            // Every kill has its revive.
             let revives = plan
                 .events
                 .iter()

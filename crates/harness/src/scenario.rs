@@ -99,12 +99,6 @@ impl Scenario {
                 SimTime::ZERO + self.warmup + self.fault_window,
             ),
             max_incidents: self.max_incidents,
-            // One host down at a time: generated plans never exhaust
-            // placement capacity by construction, so a stuck PE is always a
-            // runtime/ORCA bug, not a resource shortfall.
-            max_hosts_down: 1,
-            restart_delay: RuntimeConfig::default().restart_delay,
-            revive_all: true,
             control_faults,
         }
     }

@@ -25,18 +25,12 @@ use std::sync::OnceLock;
 /// Seeds each scenario draws from.
 const SEEDS: usize = 60;
 
-/// `every` ∈ {5, 10, 20, 40} × upstream backup ×
-/// `full_every` ∈ {1, 3, 8} × storage ∈ {free, 5 ms writes, 250 ms writes
-/// and a 4 KiB budget, a 16 KiB budget} × metastore ∈ {memory, replicated}.
+/// `every` ∈ {5, 10, 20, 40} × upstream backup × storage ∈ {free, 5 ms
+/// writes, 250 ms writes and a 4 KiB budget, a 16 KiB budget} × metastore ∈
+/// {memory, replicated}.
 fn arb_policy() -> impl Strategy<Value = WorldPolicy> {
-    (
-        0usize..4,
-        any::<bool>(),
-        0usize..3,
-        0usize..4,
-        any::<bool>(),
-    )
-        .prop_map(|(every, ub, full_every, storage, replicated)| {
+    (0usize..4, any::<bool>(), 0usize..4, any::<bool>()).prop_map(
+        |(every, ub, storage, replicated)| {
             let storage = [
                 StorageModel::default(),
                 StorageModel::default().with_write(5, 0),
@@ -46,7 +40,6 @@ fn arb_policy() -> impl Strategy<Value = WorldPolicy> {
             WorldPolicy {
                 checkpoint: CheckpointPolicy::every([5, 10, 20, 40][every])
                     .upstream_backup(ub)
-                    .full_every([1, 3, 8][full_every])
                     .storage(storage),
                 metastore: if replicated {
                     MetastoreKind::Replicated
@@ -54,7 +47,8 @@ fn arb_policy() -> impl Strategy<Value = WorldPolicy> {
                     MetastoreKind::Memory
                 },
             }
-        })
+        },
+    )
 }
 
 /// The plain worlds' summaries, shared by every case: the cache computes

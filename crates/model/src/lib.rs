@@ -14,7 +14,7 @@
 //!   runtime (SAM) instantiates and the orchestrator builds its in-memory graph
 //!   representation from ([`adl`]), checked by [`Adl::validate`] for internal
 //!   consistency and by [`verify_graph`] for deployment soundness ([`verify`]),
-//! - dynamically typed attribute **values** and tuple schemas ([`value`]),
+//! - dynamically typed attribute **values** ([`value`]),
 //! - a queryable **graph store** with logical↔physical mapping and recursive
 //!   composite-containment queries ([`graph`]) — the substrate for both the
 //!   orchestrator's event-scope matching and its inspection API.
@@ -37,5 +37,5 @@ pub use logical::{
     AppModel, AppModelBuilder, CompositeDef, CompositeGraphBuilder, ExportSpec, HostPool,
     ImportSpec, NodeRef, OperatorInvocation,
 };
-pub use value::{AttrType, Schema, Value};
+pub use value::Value;
 pub use verify::{graph_is_sound, verify_graph, Severity, VerifyDiagnostic, VerifyOptions};

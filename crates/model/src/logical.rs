@@ -8,7 +8,7 @@
 //! is the crux of the orchestrator's graph-disambiguation machinery.
 
 use crate::error::ModelError;
-use crate::value::{ParamMap, Schema, Value};
+use crate::value::{ParamMap, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -131,8 +131,6 @@ pub struct OperatorInvocation {
     pub params: ParamMap,
     pub inputs: usize,
     pub outputs: usize,
-    /// Optional declared schema per output port (None = unchecked).
-    pub output_schemas: Vec<Option<Schema>>,
     /// Custom metrics the operator will maintain (§2.1); declared here so
     /// the graph store can answer "which operators expose metric m".
     pub custom_metrics: Vec<String>,
@@ -164,7 +162,6 @@ impl OperatorInvocation {
             params: ParamMap::new(),
             inputs: 1,
             outputs: 1,
-            output_schemas: Vec::new(),
             custom_metrics: Vec::new(),
             colocate: None,
             exlocate: None,
@@ -194,14 +191,6 @@ impl OperatorInvocation {
 
     pub fn sink(self) -> Self {
         self.ports(1, 0)
-    }
-
-    pub fn output_schema(mut self, port: usize, schema: Schema) -> Self {
-        if self.output_schemas.len() <= port {
-            self.output_schemas.resize(port + 1, None);
-        }
-        self.output_schemas[port] = Some(schema);
-        self
     }
 
     pub fn custom_metric(mut self, name: &str) -> Self {

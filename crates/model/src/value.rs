@@ -1,40 +1,13 @@
-//! Dynamically typed attribute values and tuple schemas.
+//! Dynamically typed attribute values.
 //!
-//! SPL is statically typed; here tuples carry [`Value`]s checked against a
-//! [`Schema`] at stream-connection boundaries. This keeps the operator
-//! library generic without code generation (the SPL compiler generates C++
-//! per invocation — out of scope per DESIGN.md).
+//! SPL is statically typed; here tuples carry [`Value`]s, and the engine's
+//! tuple schema names their attributes. This keeps the operator library
+//! generic without code generation (the SPL compiler generates C++ per
+//! invocation — out of scope per DESIGN.md).
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt::{self, Write};
-
-/// Type of a tuple attribute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AttrType {
-    Int,
-    Float,
-    Str,
-    Bool,
-    /// Milliseconds since run start (simulation time).
-    Timestamp,
-    /// Homogeneous-by-convention list (not enforced element-wise).
-    List,
-}
-
-impl fmt::Display for AttrType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AttrType::Int => "int",
-            AttrType::Float => "float",
-            AttrType::Str => "str",
-            AttrType::Bool => "bool",
-            AttrType::Timestamp => "timestamp",
-            AttrType::List => "list",
-        };
-        f.write_str(s)
-    }
-}
+use std::fmt::Write;
 
 /// A dynamically typed attribute value.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -48,17 +21,6 @@ pub enum Value {
 }
 
 impl Value {
-    pub fn attr_type(&self) -> AttrType {
-        match self {
-            Value::Int(_) => AttrType::Int,
-            Value::Float(_) => AttrType::Float,
-            Value::Str(_) => AttrType::Str,
-            Value::Bool(_) => AttrType::Bool,
-            Value::Timestamp(_) => AttrType::Timestamp,
-            Value::List(_) => AttrType::List,
-        }
-    }
-
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),
@@ -105,8 +67,8 @@ impl Value {
     }
 
     /// Canonical single-line rendering, read in two ways: `Tuple`'s
-    /// `Display` shows it, and `Aggregate` and `DeDup` key their per-group
-    /// and seen-before state by it. The keys make it a contract: two distinct
+    /// `Display` shows it, and `Aggregate` keys its per-group state by it.
+    /// The keys make it a contract: two distinct
     /// values must never share a rendering (`equal_renderings_imply_equal_values`
     /// in `tests/prop_model.rs`), or their groups merge. Nothing parses it.
     pub fn render(&self) -> String {
@@ -190,61 +152,6 @@ impl From<bool> for Value {
     }
 }
 
-/// Ordered attribute-name → type mapping describing tuples on a stream.
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Schema {
-    fields: Vec<(String, AttrType)>,
-}
-
-impl Schema {
-    pub fn new() -> Self {
-        Schema { fields: Vec::new() }
-    }
-
-    /// Builder-style field addition.
-    ///
-    /// # Panics
-    /// Panics on duplicate field names — schemas are authored in code, so
-    /// this is a programming error, not a runtime condition.
-    pub fn field(mut self, name: &str, ty: AttrType) -> Self {
-        assert!(
-            !self.fields.iter().any(|(n, _)| n == name),
-            "duplicate schema field {name}"
-        );
-        self.fields.push((name.to_string(), ty));
-        self
-    }
-
-    pub fn len(&self) -> usize {
-        self.fields.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
-    }
-
-    pub fn fields(&self) -> &[(String, AttrType)] {
-        &self.fields
-    }
-
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|(n, _)| n == name)
-    }
-
-    pub fn type_of(&self, name: &str) -> Option<AttrType> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, t)| *t)
-    }
-
-    /// Checks that `values` conform positionally to this schema.
-    pub fn check(&self, values: &[Value]) -> bool {
-        values.len() == self.fields.len()
-            && values
-                .iter()
-                .zip(&self.fields)
-                .all(|(v, (_, t))| v.attr_type() == *t)
-    }
-}
-
 /// Convenience alias used throughout for operator parameter maps.
 pub type ParamMap = BTreeMap<String, Value>;
 
@@ -273,39 +180,5 @@ mod tests {
         assert_eq!(Value::from("a"), Value::Str("a".into()));
         assert_eq!(Value::from(String::from("b")), Value::Str("b".into()));
         assert_eq!(Value::from(true), Value::Bool(true));
-    }
-
-    #[test]
-    fn schema_lookup_and_check() {
-        let s = Schema::new()
-            .field("sym", AttrType::Str)
-            .field("price", AttrType::Float)
-            .field("ts", AttrType::Timestamp);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.index_of("price"), Some(1));
-        assert_eq!(s.type_of("ts"), Some(AttrType::Timestamp));
-        assert_eq!(s.type_of("none"), None);
-        assert!(s.check(&[
-            Value::Str("IBM".into()),
-            Value::Float(100.0),
-            Value::Timestamp(1)
-        ]));
-        assert!(!s.check(&[Value::Str("IBM".into()), Value::Float(100.0)]));
-        assert!(!s.check(&[Value::Float(1.0), Value::Float(100.0), Value::Timestamp(1)]));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate schema field")]
-    fn schema_rejects_duplicates() {
-        let _ = Schema::new()
-            .field("a", AttrType::Int)
-            .field("a", AttrType::Int);
-    }
-
-    #[test]
-    fn empty_schema() {
-        let s = Schema::new();
-        assert!(s.is_empty());
-        assert!(s.check(&[]));
     }
 }

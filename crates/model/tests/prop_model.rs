@@ -71,7 +71,7 @@ proptest! {
         prop_assert_eq!(out, held + &expect);
     }
 
-    /// `Aggregate` and `DeDup` key their state by the rendering, so two
+    /// `Aggregate` keys its state by the rendering, so two
     /// values may share one only if they are the same value. `Debug` judges
     /// sameness, not `==`: a NaN renders like any other NaN and must pass, and
     /// a rendering that lost the sign of 0.0 must fail.

@@ -22,13 +22,12 @@
 //! at the first difference otherwise; `base`, the deltas, the cached head
 //! and sealed generations all point at one copy of an entry.
 //!
-//! A chain holds at most [`CheckpointPolicy::full_every`] snapshots — one
-//! full base plus `full_every - 1` deltas; the save that would stack one
-//! more delta instead compacts the chain back into a fresh full base,
-//! bounding recovery-chain length (`full_every = 1` disables deltas
-//! entirely). Alongside each snapshot the store records the sender-side
-//! upstream-backup channel positions, so a restore can roll the sender's
-//! duplicate-suppression counters back in lockstep with its state.
+//! A chain holds at most [`FULL_EVERY`] snapshots — one full base plus
+//! `FULL_EVERY - 1` deltas; the save that would stack one more delta
+//! instead compacts the chain back into a fresh full base, bounding
+//! recovery-chain length. Alongside each snapshot the store records the
+//! sender-side upstream-backup channel positions, so a restore can roll the
+//! sender's duplicate-suppression counters back in lockstep with its state.
 //!
 //! The store models a highly available external service (the real system
 //! would keep this in a distributed file system): host failures do not lose
@@ -54,6 +53,11 @@ use sps_engine::{PeCheckpoint, StateBlob};
 use sps_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// Chain compaction bound: a slot's chain holds at most this many snapshots
+/// (base + deltas); the save that would exceed it lands as a fresh full base
+/// instead.
+pub const FULL_EVERY: usize = 8;
 
 /// Simulated storage cost model for the checkpoint service.
 ///
@@ -118,8 +122,9 @@ impl StorageModel {
     }
 }
 
-/// Per-kernel checkpointing policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Per-kernel checkpointing policy. The default is off: no snapshots, no
+/// backup, the free store.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Snapshot period, in scheduling quanta; `0` disables checkpointing
     /// entirely (the seed behavior, and the paper's §5.2 setup).
@@ -129,23 +134,8 @@ pub struct CheckpointPolicy {
     /// into restored PEs — exactly-once recovery instead of losing the
     /// tuples in flight between the snapshot and the crash.
     pub upstream_backup: bool,
-    /// Chain compaction bound: a slot's chain holds at most this many
-    /// snapshots (base + deltas); the save that would exceed it lands as a
-    /// fresh full base instead. `1` disables deltas entirely.
-    pub full_every: u32,
     /// Simulated write/restore latency and byte budget of the store.
     pub storage: StorageModel,
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        CheckpointPolicy {
-            every_quanta: 0,
-            upstream_backup: false,
-            full_every: 8,
-            storage: StorageModel::default(),
-        }
-    }
 }
 
 impl CheckpointPolicy {
@@ -164,12 +154,6 @@ impl CheckpointPolicy {
     /// Builder: sender-side upstream backup for exactly-once recovery.
     pub fn upstream_backup(mut self, on: bool) -> Self {
         self.upstream_backup = on;
-        self
-    }
-
-    /// Builder: chain compaction bound (`1` disables deltas).
-    pub fn full_every(mut self, n: u32) -> Self {
-        self.full_every = n;
         self
     }
 
@@ -285,8 +269,6 @@ pub struct RestoreCandidate {
 /// counters.
 pub struct CheckpointStore {
     slots: BTreeMap<(JobId, usize), Slot>,
-    /// Compaction bound (from [`CheckpointPolicy::full_every`], min 1).
-    full_every: usize,
     /// Simulated latency/budget model (default: instant and unbounded).
     storage: StorageModel,
     /// Saves issued but not yet committed, keyed by `(commit time, issue
@@ -325,20 +307,13 @@ impl Default for CheckpointStore {
 
 impl CheckpointStore {
     pub fn new() -> Self {
-        CheckpointStore::with_full_every(CheckpointPolicy::default().full_every)
-    }
-
-    /// A store compacting each chain after `full_every` snapshots, with the
-    /// default (instant, unbounded) storage model.
-    pub fn with_full_every(full_every: u32) -> Self {
-        CheckpointStore::for_policy(&CheckpointPolicy::default().full_every(full_every))
+        CheckpointStore::for_policy(&CheckpointPolicy::default())
     }
 
     /// A store configured from the full checkpoint policy.
     pub fn for_policy(policy: &CheckpointPolicy) -> Self {
         CheckpointStore {
             slots: BTreeMap::new(),
-            full_every: (policy.full_every.max(1)) as usize,
             storage: policy.storage,
             pending: BTreeMap::new(),
             next_seq: 0,
@@ -386,7 +361,7 @@ impl CheckpointStore {
         } else {
             match self.slots.get(&(job, adl_index)) {
                 Some(slot)
-                    if slot.deltas.len() + 1 < self.full_every
+                    if slot.deltas.len() + 1 < FULL_EVERY
                         && delta_compatible(&slot.head, &ckpt) =>
                 {
                     delta_bytes(&ckpt, dirty_ops(&slot.head, &ckpt))
@@ -490,11 +465,11 @@ impl CheckpointStore {
                     self.stale_rejected += 1;
                     return false;
                 }
-                // The chain holds at most `full_every` snapshots (base +
-                // full_every - 1 deltas): once this save would stack one
+                // The chain holds at most `FULL_EVERY` snapshots (base +
+                // `FULL_EVERY - 1` deltas): once this save would stack one
                 // more delta — or the shape changed — compact to a fresh
                 // full base instead.
-                let chain_full = slot.deltas.len() + 1 >= self.full_every;
+                let chain_full = slot.deltas.len() + 1 >= FULL_EVERY;
                 if chain_full || !delta_compatible(&slot.head, &ckpt) {
                     let ckpt = Arc::new(ckpt);
                     let old_head = std::mem::replace(&mut slot.head, Arc::clone(&ckpt));
@@ -917,11 +892,9 @@ mod tests {
     }
 
     /// A store with a finite byte budget (instant writes).
-    fn budgeted(full_every: u32, budget: usize) -> CheckpointStore {
+    fn budgeted(budget: usize) -> CheckpointStore {
         CheckpointStore::for_policy(
-            &CheckpointPolicy::default()
-                .full_every(full_every)
-                .storage(StorageModel::default().with_budget(budget)),
+            &CheckpointPolicy::default().storage(StorageModel::default().with_budget(budget)),
         )
     }
 
@@ -964,7 +937,8 @@ mod tests {
 
     #[test]
     fn delta_chain_stores_dirty_ops_and_compacts() {
-        let mut s = CheckpointStore::with_full_every(3);
+        let full = FULL_EVERY as u64;
+        let mut s = CheckpointStore::new();
         save(&mut s, 1, 0, ckpt_with(1, 10, &[b"aa"]));
         assert_eq!((s.fulls_saved(), s.deltas_saved()), (1, 0));
         // Unchanged operator state: the delta re-stores only the queues.
@@ -980,30 +954,36 @@ mod tests {
         save(&mut s, 1, 0, ckpt_with(3, 30, &[]));
         assert_eq!((s.fulls_saved(), s.deltas_saved()), (1, 2));
         assert_eq!(s.state_bytes(), (8 + 2) + 4 + 8);
-        // The chain now holds full_every=3 snapshots (base + 2 deltas): the
-        // fourth save compacts instead of stacking a third delta.
-        save(&mut s, 1, 0, ckpt_with(4, 40, &[]));
+        // Fill the chain to FULL_EVERY snapshots (base + 7 deltas): the
+        // next save compacts instead of stacking an eighth delta.
+        for at in 4..=full {
+            save(&mut s, 1, 0, ckpt_with(at, at as i64 * 10, &[]));
+        }
+        assert_eq!(s.deltas(JobId(1), 0).len(), FULL_EVERY - 1);
+        assert_eq!((s.fulls_saved(), s.compactions()), (1, 0));
+        save(&mut s, 1, 0, ckpt_with(full + 1, 90, &[]));
         assert_eq!(s.deltas(JobId(1), 0).len(), 0);
         assert_eq!(s.compactions(), 1);
         assert_eq!(s.fulls_saved(), 2);
         assert_eq!(s.state_bytes(), 8);
         assert_eq!(
             s.latest(JobId(1), 0).unwrap().ops[0].blob.as_ref().unwrap(),
-            &blob(40)
+            &blob(90)
         );
-        // The cycle repeats: saves 5 and 6 stack deltas, save 7 compacts —
-        // fulls land on every full_every-th save of the slot (1, 4, 7).
-        save(&mut s, 1, 0, ckpt_with(5, 50, &[]));
-        save(&mut s, 1, 0, ckpt_with(6, 60, &[]));
+        // The cycle repeats: fulls land on every FULL_EVERY-th save of the
+        // slot (1, 9, 17).
+        for at in full + 2..=2 * full {
+            save(&mut s, 1, 0, ckpt_with(at, at as i64 * 10, &[]));
+        }
         assert_eq!((s.fulls_saved(), s.compactions()), (2, 1));
-        save(&mut s, 1, 0, ckpt_with(7, 70, &[]));
+        save(&mut s, 1, 0, ckpt_with(2 * full + 1, 170, &[]));
         assert_eq!((s.fulls_saved(), s.compactions()), (3, 2));
         assert_eq!(s.deltas(JobId(1), 0).len(), 0);
     }
 
     #[test]
     fn dirty_rule_is_byte_equality() {
-        let mut s = CheckpointStore::with_full_every(8);
+        let mut s = CheckpointStore::new();
         let dirty = |s: &CheckpointStore| -> Vec<usize> {
             s.deltas(JobId(1), 0)
                 .iter()
@@ -1050,9 +1030,7 @@ mod tests {
     fn write_size_is_the_delta_it_would_store() {
         // One byte per millisecond: latency reads as bytes.
         let mut s = CheckpointStore::for_policy(
-            &CheckpointPolicy::default()
-                .full_every(3)
-                .storage(StorageModel::default().with_write(0, 1)),
+            &CheckpointPolicy::default().storage(StorageModel::default().with_write(0, 1)),
         );
         let none = BTreeSet::new();
         let mut now = SimTime::from_secs(1);
@@ -1068,29 +1046,20 @@ mod tests {
         assert_eq!(write(&mut s, ckpt_with(1, 10, &[b"aa"])), 8 + 2);
         assert_eq!(write(&mut s, ckpt_with(2, 10, &[b"bbb"])), 3);
         assert_eq!(write(&mut s, ckpt_with(3, 30, &[b"c"])), 8 + 1);
+        for at in 4..=FULL_EVERY as u64 {
+            assert_eq!(write(&mut s, ckpt_with(at, 30, &[b"d"])), 1);
+        }
         // The chain is full: the next write is a full base, clean or not.
-        assert_eq!(write(&mut s, ckpt_with(4, 30, &[])), 8);
-        assert_eq!((s.fulls_saved(), s.deltas_saved()), (2, 2));
-    }
-
-    #[test]
-    fn full_every_one_disables_deltas() {
-        let mut s = CheckpointStore::with_full_every(1);
-        save(&mut s, 1, 0, ckpt_with(1, 10, &[]));
-        save(&mut s, 1, 0, ckpt_with(2, 20, &[]));
-        save(&mut s, 1, 0, ckpt_with(3, 30, &[]));
-        assert_eq!(s.deltas_saved(), 0);
-        assert_eq!(s.fulls_saved(), 3);
-        assert_eq!(s.deltas(JobId(1), 0).len(), 0);
+        assert_eq!(write(&mut s, ckpt_with(FULL_EVERY as u64 + 1, 30, &[])), 8);
         assert_eq!(
-            s.latest(JobId(1), 0).unwrap().ops[0].blob.as_ref().unwrap(),
-            &blob(30)
+            (s.fulls_saved(), s.deltas_saved()),
+            (2, FULL_EVERY as u64 - 1)
         );
     }
 
     #[test]
     fn materialize_replays_chain_to_head() {
-        let mut s = CheckpointStore::with_full_every(10);
+        let mut s = CheckpointStore::new();
         save(&mut s, 1, 0, ckpt_with(1, 10, &[b"aa"]));
         for at in 2..6 {
             save(&mut s, 1, 0, ckpt_with(at, at as i64 * 10, &[b"zz"]));
@@ -1132,7 +1101,6 @@ mod tests {
         let p = CheckpointPolicy::default();
         assert!(!p.enabled());
         assert!(!p.upstream_backup);
-        assert_eq!(p.full_every, 8);
         assert_eq!(p.storage, StorageModel::default());
         let p = CheckpointPolicy::every(10);
         assert!(p.enabled());
@@ -1223,7 +1191,7 @@ mod tests {
     #[test]
     fn eviction_reclaims_oldest_unprotected_chain() {
         // Two slots, 8 bytes each; budget fits only one.
-        let mut s = budgeted(8, 12);
+        let mut s = budgeted(12);
         save(&mut s, 1, 0, ckpt_with(1, 10, &[]));
         save(&mut s, 1, 1, ckpt_with(2, 20, &[]));
         assert_eq!(s.state_bytes(), 16);
@@ -1240,7 +1208,7 @@ mod tests {
 
     #[test]
     fn eviction_never_claims_protected_live_chain() {
-        let mut s = budgeted(8, 4);
+        let mut s = budgeted(4);
         save(&mut s, 1, 0, ckpt_with(1, 10, &[]));
         save(&mut s, 1, 1, ckpt_with(2, 20, &[]));
         let protected: BTreeSet<_> = [(JobId(1), 0), (JobId(1), 1)].into_iter().collect();
@@ -1254,20 +1222,21 @@ mod tests {
 
     #[test]
     fn compaction_seals_old_head_for_fallback_restores() {
-        // full_every=2 with a finite budget: saves 3 and 5 compact,
-        // sealing the outgoing heads (t2, t4) as older generations.
-        let mut s = budgeted(2, 1 << 20);
-        for at in 1..=5 {
+        // A finite budget: saves 9 and 17 compact, sealing the outgoing
+        // heads (t8, t16) as older generations.
+        let full = FULL_EVERY as u64;
+        let mut s = budgeted(1 << 20);
+        for at in 1..=2 * full + 1 {
             save(&mut s, 1, 0, ckpt_with(at, at as i64 * 10, &[]));
         }
         assert_eq!(s.compactions(), 2);
         assert_eq!(s.restore_candidates(JobId(1), 0), 3);
         let head = s.restore_candidate(JobId(1), 0, 0).unwrap();
-        assert_eq!(head.ckpt.taken_at, SimTime::from_secs(5));
+        assert_eq!(head.ckpt.taken_at, SimTime::from_secs(2 * full + 1));
         let prev = s.restore_candidate(JobId(1), 0, 1).unwrap();
-        assert_eq!(prev.ckpt.taken_at, SimTime::from_secs(4));
+        assert_eq!(prev.ckpt.taken_at, SimTime::from_secs(2 * full));
         let oldest = s.restore_candidate(JobId(1), 0, 2).unwrap();
-        assert_eq!(oldest.ckpt.taken_at, SimTime::from_secs(2));
+        assert_eq!(oldest.ckpt.taken_at, SimTime::from_secs(full));
         assert!(s.restore_candidate(JobId(1), 0, 3).is_none());
         // Sealed generations count toward the stored bytes.
         assert_eq!(s.state_bytes(), 3 * 8);
@@ -1279,7 +1248,7 @@ mod tests {
         assert_eq!(s.restore_candidates(JobId(1), 0), 2);
         assert_eq!(
             s.restore_candidate(JobId(1), 0, 1).unwrap().ckpt.taken_at,
-            SimTime::from_secs(4)
+            SimTime::from_secs(2 * full)
         );
         assert!(!s.was_evicted(JobId(1), 0), "live chain survived");
         assert_eq!(s.state_bytes(), 16);
@@ -1287,8 +1256,8 @@ mod tests {
 
     #[test]
     fn unbounded_budget_never_seals() {
-        let mut s = CheckpointStore::with_full_every(2);
-        for at in 1..6 {
+        let mut s = CheckpointStore::new();
+        for at in 1..=FULL_EVERY as u64 + 1 {
             save(&mut s, 1, 0, ckpt_with(at, at as i64, &[]));
         }
         assert!(s.compactions() > 0);
@@ -1299,7 +1268,7 @@ mod tests {
 
     #[test]
     fn forget_job_clears_pending_and_tombstones() {
-        let mut s = budgeted(8, 8);
+        let mut s = budgeted(8);
         save(&mut s, 1, 0, ckpt_with(1, 10, &[]));
         save(&mut s, 1, 1, ckpt_with(2, 20, &[]));
         s.enforce_budget(&BTreeSet::new());

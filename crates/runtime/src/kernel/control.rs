@@ -12,6 +12,10 @@ use crate::{CrashReason, OrcaId, Sam};
 use sps_sim::{SimDuration, SimTime, TraceRing};
 use std::collections::BTreeMap;
 
+/// How long a crashed control-plane component (ORCA service, SAM) stays
+/// down before its recovery completes.
+const CONTROL_RESTART_DELAY: SimDuration = SimDuration::from_secs(2);
+
 /// Control-plane fault/recovery counters (campaign-report hooks). All zero
 /// on a fault-free run — the report renders them only when any moved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -103,7 +107,7 @@ impl ControlFaults {
 
 impl Kernel {
     /// Crashes a registered ORCA service: it skips its quanta until the
-    /// recovery completes at `now + control_restart_delay`. SAM keeps
+    /// recovery completes at `now +` [`CONTROL_RESTART_DELAY`]. SAM keeps
     /// queueing the service's notifications durably throughout; on recovery
     /// the backlog is replayed into the service's next pull. Returns false
     /// for an unknown orchestrator.
@@ -111,7 +115,7 @@ impl Kernel {
         if !self.sam.orchestrators().contains(&orca) {
             return false;
         }
-        let until = self.now + self.config.control_restart_delay;
+        let until = self.now + CONTROL_RESTART_DELAY;
         self.control.orca_down.insert(orca, until);
         self.control.stats.orca_crashes += 1;
         self.note(
@@ -128,7 +132,7 @@ impl Kernel {
     }
 
     /// Restarts SAM: the daemon goes unavailable (drains return empty — the
-    /// explicit Unavailable path) until `now + control_restart_delay`, when
+    /// explicit Unavailable path) until `now +` [`CONTROL_RESTART_DELAY`], when
     /// the metastore recovers (a logging store replays its op log,
     /// digest-verified) and SAM serves again. Returns false if a restart
     /// window is already open.
@@ -136,7 +140,7 @@ impl Kernel {
         if self.control.sam_down_until.is_some() {
             return false;
         }
-        let until = self.now + self.config.control_restart_delay;
+        let until = self.now + CONTROL_RESTART_DELAY;
         self.control.sam_down_until = Some(until);
         self.sam.begin_restart();
         self.note("faults", format!("SAM restarting, recovery at {until}"));

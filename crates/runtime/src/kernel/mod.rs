@@ -48,8 +48,6 @@ pub struct RuntimeConfig {
     pub quantum: SimDuration,
     /// Work-budget units per PE per quantum.
     pub pe_budget: u32,
-    /// HC → SRM metric push period (paper default: 3 s).
-    pub metrics_push_period: SimDuration,
     /// Master seed for all deterministic randomness.
     pub seed: u64,
     /// Process spawn latency for PE restarts (the paper's recovery gap:
@@ -64,23 +62,21 @@ pub struct RuntimeConfig {
     /// dead and crashes its PEs (§2.2's failure detection deadline). Only
     /// hosts SAM has heard from at least once are candidates.
     pub liveness_deadline: SimDuration,
-    /// How long a crashed control-plane component (ORCA service, SAM) stays
-    /// down before its recovery completes.
-    pub control_restart_delay: SimDuration,
 }
+
+/// HC → SRM metric push period (the paper's default, 3 s).
+const METRICS_PUSH_PERIOD: SimDuration = SimDuration::from_secs(3);
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             quantum: SimDuration::from_millis(100),
             pe_budget: 10_000,
-            metrics_push_period: SimDuration::from_secs(3),
             seed: 0x5EED,
             restart_delay: SimDuration::from_secs(2),
             checkpoint: CheckpointPolicy::default(),
             metastore: MetastoreKind::Memory,
             liveness_deadline: SimDuration::from_secs(6),
-            control_restart_delay: SimDuration::from_secs(2),
         }
     }
 }
@@ -309,10 +305,10 @@ impl Kernel {
         out
     }
 
-    /// Periodic HC → SRM metric push: every `metrics_push_period`, every HC
+    /// Periodic HC → SRM metric push: every [`METRICS_PUSH_PERIOD`], every HC
     /// snapshots its live PEs' metrics into SRM.
     fn push_metrics_if_due(&mut self) {
-        if self.now.since(self.last_metrics_push) < self.config.metrics_push_period {
+        if self.now.since(self.last_metrics_push) < METRICS_PUSH_PERIOD {
             return;
         }
         self.last_metrics_push = self.now;

@@ -13,16 +13,18 @@
 //! are `debug_assert`s): for arbitrary snapshot sequences — operators
 //! handed out again, rebuilt equal, changed at equal length, resized, blobs
 //! appearing and vanishing, shape changes, stale `taken_at`, finite and
-//! unbounded budgets, `full_every` 1/3/8 — each chain replays to its head,
-//! and the running byte counter, the delta/full counts, every delta's dirty
-//! operators and every write size are those of a naive model that owns
-//! plain copies and compares them byte by byte.
+//! unbounded budgets — each chain replays to its head, and the running byte
+//! counter, the delta/full/compaction counts, every delta's dirty operators
+//! and every write size are those of a naive model that owns plain copies
+//! and compares them byte by byte. One slot saved more than [`FULL_EVERY`]
+//! times without a shape change compacts on every `FULL_EVERY`-th save.
 
 #![forbid(unsafe_code)]
 
 use proptest::prelude::*;
 use sps_engine::ckpt::{OpCheckpoint, PeCheckpoint, CKPT_FORMAT_VERSION};
 use sps_engine::StateWriter;
+use sps_runtime::ckpt::FULL_EVERY;
 use sps_runtime::{CheckpointPolicy, CheckpointStore, JobId, StorageModel};
 use sps_sim::SimTime;
 use std::collections::BTreeSet;
@@ -51,8 +53,10 @@ fn ckpt(at_secs: u64, weight: usize) -> PeCheckpoint {
 }
 
 /// One scripted save: which of the 4 slots, how heavy the snapshot is.
+/// Long enough that slots fill their chains and compact, sealing
+/// generations under a finite budget.
 fn arb_saves() -> impl Strategy<Value = Vec<(usize, usize)>> {
-    prop::collection::vec((0usize..4, 0usize..16), 1..40)
+    prop::collection::vec((0usize..4, 0usize..16), 1..120)
 }
 
 fn slot_key(slot: usize) -> (JobId, usize) {
@@ -64,14 +68,11 @@ proptest! {
     #[test]
     fn eviction_never_strands_a_protected_slot(
         saves in arb_saves(),
-        full_every in 1u32..5,
         budget in 1usize..2_000,
         protected_mask in 0usize..16,
     ) {
         let mut store = CheckpointStore::for_policy(
-            &CheckpointPolicy::default()
-                .full_every(full_every)
-                .storage(StorageModel::default().with_budget(budget)),
+            &CheckpointPolicy::default().storage(StorageModel::default().with_budget(budget)),
         );
         let protected: BTreeSet<(JobId, usize)> = (0..4)
             .filter(|s| protected_mask & (1 << s) != 0)
@@ -139,12 +140,8 @@ proptest! {
     }
 
     #[test]
-    fn unbounded_budget_never_evicts(
-        saves in arb_saves(),
-        full_every in 1u32..5,
-    ) {
-        let mut store =
-            CheckpointStore::for_policy(&CheckpointPolicy::default().full_every(full_every));
+    fn unbounded_budget_never_evicts(saves in arb_saves()) {
+        let mut store = CheckpointStore::new();
         for (tick, &(slot, weight)) in saves.iter().enumerate() {
             let (job, adl) = slot_key(slot);
             store.save(job, adl, ckpt(tick as u64 + 1, weight), vec![], tick as u64);
@@ -237,14 +234,15 @@ struct Model {
     saved: u64,
     deltas_saved: u64,
     fulls_saved: u64,
+    compactions: u64,
     stale_rejected: u64,
 }
 
 impl Model {
     /// Bytes a save of `next` would write if issued now.
-    fn write_bytes(&self, key: (JobId, usize), next: &ModelSnap, full_every: usize) -> usize {
+    fn write_bytes(&self, key: (JobId, usize), next: &ModelSnap) -> usize {
         match self.slots.get(&key) {
-            Some(slot) if slot.delta_dirty.len() + 1 < full_every && slot.head.compatible(next) => {
+            Some(slot) if slot.delta_dirty.len() + 1 < FULL_EVERY && slot.head.compatible(next) => {
                 slot.head
                     .dirty(next)
                     .iter()
@@ -256,13 +254,7 @@ impl Model {
         }
     }
 
-    fn commit(
-        &mut self,
-        key: (JobId, usize),
-        next: ModelSnap,
-        full_every: usize,
-        seals: bool,
-    ) -> bool {
+    fn commit(&mut self, key: (JobId, usize), next: ModelSnap, seals: bool) -> bool {
         let Some(slot) = self.slots.get_mut(&key) else {
             self.slots.insert(
                 key,
@@ -281,13 +273,14 @@ impl Model {
             self.stale_rejected += 1;
             return false;
         }
-        if slot.delta_dirty.len() + 1 >= full_every || !slot.head.compatible(&next) {
+        if slot.delta_dirty.len() + 1 >= FULL_EVERY || !slot.head.compatible(&next) {
             if seals {
                 slot.sealed.push(slot.head.full_bytes());
             }
             slot.chain_bytes = next.full_bytes();
             slot.delta_dirty.clear();
             self.fulls_saved += 1;
+            self.compactions += 1;
         } else {
             let dirty = slot.head.dirty(&next);
             slot.chain_bytes +=
@@ -406,9 +399,111 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
             0u64..8,
             0usize..6,
         ),
-        1..60,
+        1..120,
     )
 }
+
+/// Drives `steps` through a store (one byte per sim-millisecond of write
+/// latency, `budget` bytes, `0` unbounded) and the naive model side by
+/// side, comparing them after every step; returns the store.
+fn check_against_model(steps: &[Step], budget: usize, protected_mask: usize) -> CheckpointStore {
+    let mut store = CheckpointStore::for_policy(
+        &CheckpointPolicy::default()
+            .storage(StorageModel::default().with_write(0, 1).with_budget(budget)),
+    );
+    let protected: BTreeSet<(JobId, usize)> = (0..3)
+        .filter(|s| protected_mask & (1 << s) != 0)
+        .map(slot_key)
+        .collect();
+    let mut model = Model::default();
+    // Per slot: the entries of the last snapshot taken (the PE's side).
+    let mut last_ops: Vec<Vec<Arc<OpCheckpoint>>> = vec![first_ops(); 3];
+    let mut taken_at = [10u64; 3];
+    let mut now = SimTime::from_millis(1);
+
+    for (tick, &(slot, touches, shape, clock, queued)) in steps.iter().enumerate() {
+        let key = slot_key(slot);
+        let mut ops: Vec<_> = last_ops[slot]
+            .iter()
+            .zip(touches)
+            .map(|(prev, code)| touched(prev, touch(code)))
+            .collect();
+        if shape == 0 {
+            let renamed = OpCheckpoint {
+                name: format!("agg{tick}").into(),
+                ..OpCheckpoint::clone(&ops[1])
+            };
+            ops[1] = Arc::new(renamed);
+        }
+        last_ops[slot] = ops.clone();
+        taken_at[slot] = match clock {
+            0 => taken_at[slot].saturating_sub(3),
+            step => taken_at[slot] + step,
+        };
+        let snap = PeCheckpoint {
+            format_version: CKPT_FORMAT_VERSION,
+            pe_index: key.1,
+            taken_at: SimTime::from_millis(taken_at[slot]),
+            ops,
+            queues: vec![vec![bytes::Bytes::from(vec![9u8; queued])], vec![], vec![]],
+            metrics: vec![],
+        };
+        let expected = ModelSnap::of(&snap);
+
+        let write_bytes = model.write_bytes(key, &expected);
+        let commit_at = store.begin_save(key.0, key.1, snap, vec![], tick as u64, now);
+        prop_assert_eq!(
+            commit_at.since(now).as_millis(),
+            write_bytes as u64,
+            "write size of step {}",
+            tick
+        );
+        now = commit_at;
+        let commits = store.poll_commits(now, &protected);
+        prop_assert_eq!(commits.len(), 1);
+        let accepted = model.commit(key, expected, budget > 0);
+        prop_assert_eq!(commits[0].accepted, accepted);
+
+        // Eviction policy has its own property above; here the model
+        // follows what the store evicted and checks the arithmetic.
+        model.slots.retain(|&(job, adl), slot| {
+            let generations = store.restore_candidates(job, adl);
+            if generations == 0 {
+                return false;
+            }
+            let evicted = slot.sealed.len().saturating_sub(generations - 1);
+            slot.sealed.drain(..evicted);
+            true
+        });
+
+        prop_assert_eq!(store.state_bytes(), model.state_bytes());
+        prop_assert_eq!(store.saved(), model.saved);
+        prop_assert_eq!(store.deltas_saved(), model.deltas_saved);
+        prop_assert_eq!(store.fulls_saved(), model.fulls_saved);
+        prop_assert_eq!(store.compactions(), model.compactions);
+        prop_assert_eq!(store.stale_rejected(), model.stale_rejected);
+        for (&(job, adl), slot) in &model.slots {
+            let dirty: Vec<usize> = store
+                .deltas(job, adl)
+                .iter()
+                .map(|d| d.dirty_ops())
+                .collect();
+            prop_assert_eq!(&dirty, &slot.delta_dirty);
+            let head = store.latest(job, adl).expect("model slot is stored");
+            let replayed = store.materialize(job, adl).expect("chain replays");
+            prop_assert_eq!(replayed.digest(), head.digest());
+            prop_assert_eq!(&replayed, head);
+            prop_assert_eq!(head.taken_at.as_millis(), slot.head.at);
+            let read = store.restore_candidate(job, adl, 0).expect("head restores");
+            prop_assert_eq!(read.read_bytes, slot.chain_bytes);
+        }
+    }
+    store
+}
+
+/// Unbounded, tight enough to evict live chains, and roomy enough to keep
+/// sealed generations around.
+const BUDGETS: [usize; 3] = [0, 150, 600];
 
 proptest! {
     /// Whatever the snapshots share, rebuild or change, the store's chains,
@@ -417,102 +512,31 @@ proptest! {
     #[test]
     fn chains_match_a_naive_model(
         steps in arb_steps(),
-        full_every in 0usize..3,
         budget in 0usize..3,
         protected_mask in 0usize..8,
     ) {
-        let full_every = [1u32, 3, 8][full_every];
-        // Unbounded, tight enough to evict live chains, and roomy enough to
-        // keep sealed generations around.
-        let budget = [0usize, 150, 600][budget];
-        // One byte per sim-millisecond: a write's latency is its size.
-        let mut store = CheckpointStore::for_policy(
-            &CheckpointPolicy::default()
-                .full_every(full_every)
-                .storage(StorageModel::default().with_write(0, 1).with_budget(budget)),
-        );
-        let protected: BTreeSet<(JobId, usize)> = (0..3)
-            .filter(|s| protected_mask & (1 << s) != 0)
-            .map(slot_key)
+        check_against_model(&steps, BUDGETS[budget], protected_mask);
+    }
+
+    /// One protected slot saved more than `FULL_EVERY` times with no shape
+    /// change and no stale clock: every `FULL_EVERY`-th save after the
+    /// first compacts, and the chain between holds the rest as deltas.
+    #[test]
+    fn a_full_chain_compacts(
+        touches in prop::collection::vec(
+            (prop::array::uniform3(0usize..12), 0usize..6),
+            FULL_EVERY + 1..4 * FULL_EVERY,
+        ),
+        budget in 0usize..3,
+    ) {
+        let steps: Vec<Step> = touches
+            .iter()
+            .map(|&(touches, queued)| (0, touches, 1, 1, queued))
             .collect();
-        let full_every = full_every as usize;
-        let mut model = Model::default();
-        // Per slot: the entries of the last snapshot taken (the PE's side).
-        let mut last_ops: Vec<Vec<Arc<OpCheckpoint>>> = vec![first_ops(); 3];
-        let mut taken_at = [10u64; 3];
-        let mut now = SimTime::from_millis(1);
-
-        for (tick, &(slot, touches, shape, clock, queued)) in steps.iter().enumerate() {
-            let key = slot_key(slot);
-            let mut ops: Vec<_> = last_ops[slot]
-                .iter()
-                .zip(touches)
-                .map(|(prev, code)| touched(prev, touch(code)))
-                .collect();
-            if shape == 0 {
-                let renamed = OpCheckpoint {
-                    name: format!("agg{tick}").into(),
-                    ..OpCheckpoint::clone(&ops[1])
-                };
-                ops[1] = Arc::new(renamed);
-            }
-            last_ops[slot] = ops.clone();
-            taken_at[slot] = match clock {
-                0 => taken_at[slot].saturating_sub(3),
-                step => taken_at[slot] + step,
-            };
-            let snap = PeCheckpoint {
-                format_version: CKPT_FORMAT_VERSION,
-                pe_index: key.1,
-                taken_at: SimTime::from_millis(taken_at[slot]),
-                ops,
-                queues: vec![vec![bytes::Bytes::from(vec![9u8; queued])], vec![], vec![]],
-                metrics: vec![],
-            };
-            let expected = ModelSnap::of(&snap);
-
-            let write_bytes = model.write_bytes(key, &expected, full_every);
-            let commit_at = store.begin_save(key.0, key.1, snap, vec![], tick as u64, now);
-            prop_assert_eq!(
-                commit_at.since(now).as_millis(),
-                write_bytes as u64,
-                "write size of step {}", tick
-            );
-            now = commit_at;
-            let commits = store.poll_commits(now, &protected);
-            prop_assert_eq!(commits.len(), 1);
-            let accepted = model.commit(key, expected, full_every, budget > 0);
-            prop_assert_eq!(commits[0].accepted, accepted);
-
-            // Eviction policy has its own property above; here the model
-            // follows what the store evicted and checks the arithmetic.
-            model.slots.retain(|&(job, adl), slot| {
-                let generations = store.restore_candidates(job, adl);
-                if generations == 0 {
-                    return false;
-                }
-                let evicted = slot.sealed.len().saturating_sub(generations - 1);
-                slot.sealed.drain(..evicted);
-                true
-            });
-
-            prop_assert_eq!(store.state_bytes(), model.state_bytes());
-            prop_assert_eq!(store.saved(), model.saved);
-            prop_assert_eq!(store.deltas_saved(), model.deltas_saved);
-            prop_assert_eq!(store.fulls_saved(), model.fulls_saved);
-            prop_assert_eq!(store.stale_rejected(), model.stale_rejected);
-            for (&(job, adl), slot) in &model.slots {
-                let dirty: Vec<usize> =
-                    store.deltas(job, adl).iter().map(|d| d.dirty_ops()).collect();
-                prop_assert_eq!(&dirty, &slot.delta_dirty);
-                let head = store.latest(job, adl).expect("model slot is stored");
-                let replayed = store.materialize(job, adl).expect("chain replays");
-                prop_assert_eq!(replayed.digest(), head.digest());
-                prop_assert_eq!(&replayed, head);
-                prop_assert_eq!(head.taken_at.as_millis(), slot.head.at);
-                let read = store.restore_candidate(job, adl, 0).expect("head restores");
-                prop_assert_eq!(read.read_bytes, slot.chain_bytes);
-            }
-        }
+        let store = check_against_model(&steps, BUDGETS[budget], 1);
+        let n = steps.len();
+        prop_assert!(store.compactions() >= 1);
+        prop_assert_eq!(store.compactions(), ((n - 1) / FULL_EVERY) as u64);
+        prop_assert_eq!(store.deltas(JobId(1), 0).len(), (n - 1) % FULL_EVERY);
     }
 }

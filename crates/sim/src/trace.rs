@@ -136,7 +136,6 @@ pub struct TraceRing {
     cap: usize,
     entries: VecDeque<TraceEntry>,
     dropped: u64,
-    enabled: bool,
 }
 
 impl TraceRing {
@@ -146,19 +145,10 @@ impl TraceRing {
             cap,
             entries: VecDeque::with_capacity(cap.min(4096)),
             dropped: 0,
-            enabled: true,
         }
-    }
-
-    /// Disables recording (appends become no-ops); useful in benches.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
     }
 
     pub fn push(&mut self, at: SimTime, component: &'static str, message: impl Into<String>) {
-        if !self.enabled {
-            return;
-        }
         if self.entries.len() == self.cap {
             self.entries.pop_front();
             self.dropped += 1;
@@ -256,17 +246,6 @@ mod tests {
         assert_eq!(r.dropped(), 2);
         let msgs: Vec<_> = r.iter().map(|e| e.message.as_str()).collect();
         assert_eq!(msgs, vec!["e2", "e3", "e4"]);
-    }
-
-    #[test]
-    fn disabled_ring_ignores_pushes() {
-        let mut r = TraceRing::new(3);
-        r.set_enabled(false);
-        r.push(SimTime::ZERO, "c", "x");
-        assert!(r.is_empty());
-        r.set_enabled(true);
-        r.push(SimTime::ZERO, "c", "y");
-        assert_eq!(r.len(), 1);
     }
 
     #[test]
