@@ -30,7 +30,8 @@
 //! MS` adds a fixed per-snapshot write latency (commits — and upstream-backup
 //! trims — land that much sim time after the snapshot is taken);
 //! `--ckpt-budget BYTES` bounds total checkpoint storage, turning on
-//! sealed-generation retention and eviction. All of these need an interval.
+//! oldest-first eviction of the chains of PEs that are neither `Up` nor
+//! `Starting`. All of these need an interval.
 //!
 //! `--upstream-backup on` additionally buffers in-flight deliveries at the
 //! sender and replays the post-checkpoint gap into restored PEs, making

@@ -80,24 +80,25 @@ impl fmt::Display for FaultAction {
     }
 }
 
-/// Hosts down at instant `t` according to the events generated so far.
-fn hosts_down_at(events: &[FaultEvent], t: SimTime) -> Vec<u8> {
-    let mut down: Vec<u8> = Vec::new();
-    let mut ordered: Vec<&FaultEvent> = events.iter().collect();
-    ordered.sort_by_key(|e| e.at);
-    for e in ordered {
-        if e.at > t {
-            break;
+/// Whether a host is down at instant `t` according to the events generated
+/// so far: some host kill at or before `t` that no revive of its host
+/// follows by `t`, in `(time, generation)` order.
+fn any_host_down_at(events: &[FaultEvent], t: SimTime) -> bool {
+    // Events due by `t`, keyed by when they fire (ties in generation order).
+    let due = || {
+        let keyed = events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| ((e.at, i), e.action));
+        keyed.filter(move |((at, _), _)| *at <= t)
+    };
+    due().any(|(kill, action)| match action {
+        FaultAction::KillHost { host_slot } => {
+            let revive = FaultAction::ReviveHost { host_slot };
+            !due().any(|(later, action)| later > kill && action == revive)
         }
-        match e.action {
-            FaultAction::KillHost { host_slot } if !down.contains(&host_slot) => {
-                down.push(host_slot);
-            }
-            FaultAction::ReviveHost { host_slot } => down.retain(|&h| h != host_slot),
-            _ => {}
-        }
-    }
-    down
+        _ => false,
+    })
 }
 
 /// Slot draw ranges — wide enough to reach every member of the largest
@@ -132,7 +133,7 @@ fn restart_delay_ms() -> u64 {
 /// the incident count is preserved.
 fn kill_host(rng: &mut SimRng, spec: &PlanSpec, events: &mut Vec<FaultEvent>, t: u64, end: u64) {
     let at = SimTime::from_millis(t);
-    if !hosts_down_at(events, at).is_empty() {
+    if any_host_down_at(events, at) {
         kill_pe(rng, events, t);
         return;
     }
@@ -370,6 +371,60 @@ mod tests {
                 .count();
             assert_eq!(kills, revives, "seed {seed}: {plan:?}");
         }
+    }
+
+    /// The down set replayed the long way: every event sorted by time
+    /// (a stable sort, so ties stay in generation order), kills adding
+    /// their host and revives removing it.
+    fn hosts_down_replayed(events: &[FaultEvent], t: SimTime) -> Vec<u8> {
+        let mut ordered: Vec<&FaultEvent> = events.iter().collect();
+        ordered.sort_by_key(|e| e.at);
+        let mut down = Vec::new();
+        for e in ordered.into_iter().take_while(|e| e.at <= t) {
+            match e.action {
+                FaultAction::KillHost { host_slot } if !down.contains(&host_slot) => {
+                    down.push(host_slot)
+                }
+                FaultAction::ReviveHost { host_slot } => down.retain(|&h| h != host_slot),
+                _ => {}
+            }
+        }
+        down
+    }
+
+    #[test]
+    fn any_host_down_agrees_with_a_replay_of_the_events() {
+        let at = SimTime::from_millis;
+        let event = |ms, action| FaultEvent { at: at(ms), action };
+        let (kill, revive) = (
+            FaultAction::KillHost { host_slot: 1 },
+            FaultAction::ReviveHost { host_slot: 1 },
+        );
+        // Equal times fire in generation order.
+        let kill_then_revive = [event(10, kill), event(10, revive)];
+        let revive_then_kill = [event(10, revive), event(10, kill)];
+        assert!(!any_host_down_at(&kill_then_revive, at(10)));
+        assert!(any_host_down_at(&revive_then_kill, at(10)));
+        let mut plans: Vec<Vec<FaultEvent>> =
+            vec![kill_then_revive.into(), revive_then_kill.into()];
+        for seed in 0..200u64 {
+            let mut events = FaultPlan::generate(&mut SimRng::new(seed), &spec()).events;
+            plans.push(events.clone());
+            // Out of time order, as a plan is while it is generated.
+            events.reverse();
+            plans.push(events);
+        }
+        let mut downs = 0;
+        for events in &plans {
+            for e in events {
+                for t in [e.at.as_millis() - 1, e.at.as_millis(), e.at.as_millis() + 1] {
+                    let replayed = !hosts_down_replayed(events, at(t)).is_empty();
+                    assert_eq!(any_host_down_at(events, at(t)), replayed, "{events:?} @{t}");
+                    downs += replayed as usize;
+                }
+            }
+        }
+        assert!(downs > 0, "the generated plans take hosts down");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! Nothing is hashed. Entries are shared `Arc`s, and a PE hands its previous
 //! entry out again while the operator's bytes stay the same, so the test is a
 //! pointer compare for an unchanged operator and a byte compare that leaves
-//! at the first difference otherwise; `base`, the deltas, the cached head
-//! and sealed generations all point at one copy of an entry.
+//! at the first difference otherwise; `base`, the deltas and the cached head
+//! all point at one copy of an entry.
 //!
 //! A chain holds at most [`FULL_EVERY`] snapshots — one full base plus
 //! `FULL_EVERY - 1` deltas; the save that would stack one more delta
@@ -37,12 +37,11 @@
 //! (restorable, upstream-backup-trimmable) once
 //! [`CheckpointStore::poll_commits`] reaches `issue + write_latency(bytes)`
 //! in sim-time, and a finite byte budget is enforced by deterministic
-//! oldest-first eviction that never claims the only restorable chain of a
-//! PE the kernel marks protected (its `Up` checkpointable PEs). Under a
-//! finite budget, compaction *seals* the old chain head as a read-only
-//! older generation instead of discarding it, so a restore whose newest
-//! generation is unusable can fall back one or more generations
-//! (`generations_back` on the restart record).
+//! oldest-first eviction of whole chains that never claims the chain of a
+//! PE the kernel marks protected (its `Up` and `Starting` checkpointable
+//! PEs). A slot holds one restorable thing, its chain: compaction discards
+//! the old one, and a restore whose head the container rejects comes back
+//! fresh.
 //!
 //! [`StateBlob`]: sps_engine::StateBlob
 //! [`PeId`]: crate::ids::PeId
@@ -77,7 +76,7 @@ pub struct StorageModel {
     /// Restore throughput in bytes per sim-millisecond; `0` = infinite.
     pub restore_bytes_per_ms: u64,
     /// Total serialized-byte budget across all chains; `0` = unbounded.
-    /// A finite budget turns on sealed-generation retention and eviction.
+    /// A finite budget turns on oldest-first chain eviction.
     pub budget_bytes: usize,
 }
 
@@ -115,7 +114,7 @@ impl StorageModel {
         self
     }
 
-    /// Builder: finite byte budget (turns on sealed-generation eviction).
+    /// Builder: finite byte budget (turns on oldest-first chain eviction).
     pub fn with_budget(mut self, bytes: usize) -> Self {
         self.budget_bytes = bytes;
         self
@@ -189,16 +188,6 @@ impl PeDelta {
     }
 }
 
-/// A compacted-away chain head retained as a read-only older generation
-/// (finite budgets only): the fallback a restore reaches for when its newer
-/// generations are unusable, and the first thing eviction reclaims.
-struct SealedGen {
-    ckpt: Arc<PeCheckpoint>,
-    sender_pos: Vec<(ChannelKey, u64)>,
-    /// `ckpt.state_bytes()`, counted once when the generation is sealed.
-    bytes: usize,
-}
-
 /// One PE slot's recovery chain plus its replay bookkeeping.
 struct Slot {
     /// Full snapshot anchoring the chain (the head it was committed as).
@@ -211,11 +200,8 @@ struct Slot {
     head: Arc<PeCheckpoint>,
     /// Sender-side upstream-backup channel positions at snapshot time.
     sender_pos: Vec<(ChannelKey, u64)>,
-    /// Older generations sealed off by compaction, oldest first (empty
-    /// under an unbounded budget).
-    sealed: Vec<SealedGen>,
-    /// Serialized bytes of the live chain — `base` plus every delta, what a
-    /// head restore reads — kept as snapshots land instead of re-walked.
+    /// Serialized bytes of the chain — `base` plus every delta, what a
+    /// restore reads — kept as snapshots land instead of re-walked.
     chain_bytes: usize,
 }
 
@@ -227,11 +213,6 @@ impl Slot {
             .iter()
             .map(|d| delta_bytes(&d.snap, d.dirty.iter().copied()));
         self.base.state_bytes() + deltas.sum::<usize>()
-    }
-
-    /// Everything the slot stores: live chain plus sealed generations.
-    fn stored_bytes(&self) -> usize {
-        self.chain_bytes + self.sealed.iter().map(|gen| gen.bytes).sum::<usize>()
     }
 }
 
@@ -255,13 +236,13 @@ pub struct CommittedSave {
     pub accepted: bool,
 }
 
-/// One restorable generation of a slot, newest-first by `generations_back`
-/// (0 = live chain head, 1 = newest sealed generation, …).
+/// What a restore of a slot reads: its chain's head, the sender-side
+/// positions recorded alongside it, and the chain's bytes.
 pub struct RestoreCandidate {
     pub ckpt: Arc<PeCheckpoint>,
     pub sender_pos: Vec<(ChannelKey, u64)>,
-    /// Bytes a restore reads back (the whole live chain for generation 0,
-    /// the sealed snapshot itself otherwise) — drives restore latency.
+    /// Bytes a restore reads back (the whole chain, base and deltas) —
+    /// drives restore latency.
     pub read_bytes: usize,
 }
 
@@ -280,9 +261,9 @@ pub struct CheckpointStore {
     /// restore), for the per-PE cadence skip. Store-level so an in-flight
     /// write already counts as recent capture.
     cadence: BTreeMap<(JobId, usize), u64>,
-    /// Slots whose live chain eviction reclaimed, and how often — restarts
-    /// report `FreshReason::Evicted` instead of `NoCheckpoint` for these.
-    evicted: BTreeMap<(JobId, usize), u64>,
+    /// Slots whose chain eviction reclaimed — restarts report
+    /// `FreshReason::Evicted` instead of `NoCheckpoint` for these.
+    evicted: BTreeSet<(JobId, usize)>,
     /// Running total of serialized chain bytes, maintained on
     /// save/compact/evict/forget so `state_bytes()` is O(1) per SRM push.
     bytes: usize,
@@ -307,18 +288,18 @@ impl Default for CheckpointStore {
 
 impl CheckpointStore {
     pub fn new() -> Self {
-        CheckpointStore::for_policy(&CheckpointPolicy::default())
+        CheckpointStore::with_storage(StorageModel::default())
     }
 
-    /// A store configured from the full checkpoint policy.
-    pub fn for_policy(policy: &CheckpointPolicy) -> Self {
+    /// A store simulating `storage`'s latencies and budget.
+    pub fn with_storage(storage: StorageModel) -> Self {
         CheckpointStore {
             slots: BTreeMap::new(),
-            storage: policy.storage,
+            storage,
             pending: BTreeMap::new(),
             next_seq: 0,
             cadence: BTreeMap::new(),
-            evicted: BTreeMap::new(),
+            evicted: BTreeSet::new(),
             bytes: 0,
             saved: 0,
             restored: 0,
@@ -390,8 +371,8 @@ impl CheckpointStore {
     /// Commits every pending write due by `now` (in `(commit_at, issue)`
     /// order, so zero-latency saves commit exactly as the old synchronous
     /// store did), then enforces the byte budget. `protected` lists the PE
-    /// slots whose live chain eviction must never reclaim — the kernel
-    /// passes its `Up` checkpointable PEs.
+    /// slots whose chain eviction must never reclaim — the kernel passes
+    /// its `Up` and `Starting` checkpointable PEs.
     pub fn poll_commits(
         &mut self,
         now: SimTime,
@@ -472,22 +453,10 @@ impl CheckpointStore {
                 let chain_full = slot.deltas.len() + 1 >= FULL_EVERY;
                 if chain_full || !delta_compatible(&slot.head, &ckpt) {
                     let ckpt = Arc::new(ckpt);
-                    let old_head = std::mem::replace(&mut slot.head, Arc::clone(&ckpt));
-                    if self.storage.budget_bytes > 0 {
-                        // Finite budget: seal the outgoing head as an older
-                        // generation for restore fallback (it is also first
-                        // in line for eviction).
-                        let bytes = old_head.state_bytes();
-                        self.bytes += bytes;
-                        slot.sealed.push(SealedGen {
-                            ckpt: old_head,
-                            sender_pos: std::mem::take(&mut slot.sender_pos),
-                            bytes,
-                        });
-                    }
                     let full_bytes = ckpt.state_bytes();
                     self.bytes = self.bytes - slot.chain_bytes + full_bytes;
                     slot.chain_bytes = full_bytes;
+                    slot.head = Arc::clone(&ckpt);
                     slot.base = ckpt;
                     slot.deltas.clear();
                     self.fulls_saved += 1;
@@ -518,7 +487,6 @@ impl CheckpointStore {
                         base: ckpt,
                         deltas: Vec::new(),
                         sender_pos,
-                        sealed: Vec::new(),
                         chain_bytes,
                     },
                 );
@@ -535,7 +503,7 @@ impl CheckpointStore {
     /// running byte counters with a recount, and the just-saved slot's
     /// delta chain with its cached head.
     fn consistent(&self, job: JobId, adl_index: usize) -> bool {
-        let recount = self.slots.values().map(Slot::stored_bytes).sum::<usize>();
+        let recount = self.slots.values().map(|s| s.chain_bytes).sum::<usize>();
         let chains = |slot: &Slot| slot.chain_bytes == slot.recount_chain();
         let chain = self.materialize(job, adl_index).map(|c| c.digest());
         self.bytes == recount
@@ -543,51 +511,27 @@ impl CheckpointStore {
             && chain == self.latest(job, adl_index).map(|c| c.digest())
     }
 
-    /// Evicts oldest-first until stored bytes fit the budget (no-op when
-    /// unbounded). Per slot the oldest sealed generation goes before the
-    /// live chain, and a live chain in `protected` is never evicted — an
-    /// `Up` PE always keeps at least one restorable generation. Public so
+    /// Evicts whole chains, oldest base first (ties by slot), until stored
+    /// bytes fit the budget (no-op when unbounded). A chain in `protected`
+    /// is never evicted, so a protected PE can always restore. Public so
     /// the eviction-safety property test can drive it directly.
     pub fn enforce_budget(&mut self, protected: &BTreeSet<(JobId, usize)>) {
         let budget = self.storage.budget_bytes;
         if budget == 0 {
             return;
         }
-        enum Victim {
-            Sealed,
-            Chain,
-        }
         while self.bytes > budget {
-            let mut best: Option<(SimTime, (JobId, usize), Victim)> = None;
-            for (key, slot) in &self.slots {
-                let cand = if let Some(gen) = slot.sealed.first() {
-                    (gen.ckpt.taken_at, *key, Victim::Sealed)
-                } else if !protected.contains(key) {
-                    (slot.base.taken_at, *key, Victim::Chain)
-                } else {
-                    continue;
-                };
-                if best.as_ref().is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                    best = Some(cand);
-                }
-            }
-            match best {
-                Some((_, key, Victim::Sealed)) => {
-                    let slot = self.slots.get_mut(&key).expect("victim slot exists");
-                    let gen = slot.sealed.remove(0);
-                    self.bytes -= gen.bytes;
-                    self.evictions += 1;
-                }
-                Some((_, key, Victim::Chain)) => {
-                    let slot = self.slots.remove(&key).expect("victim slot exists");
-                    self.bytes -= slot.stored_bytes();
-                    *self.evicted.entry(key).or_insert(0) += 1;
-                    self.evictions += 1;
-                }
-                // Only protected live chains remain: stop rather than
-                // evict an Up PE's last restorable generation.
-                None => break,
-            }
+            let victim = self
+                .slots
+                .iter()
+                .filter(|(key, _)| !protected.contains(key))
+                .min_by_key(|(key, slot)| (slot.base.taken_at, **key));
+            // Only protected chains remain: stop rather than evict one.
+            let Some((&key, _)) = victim else { break };
+            let slot = self.slots.remove(&key).expect("victim slot exists");
+            self.bytes -= slot.chain_bytes;
+            self.evicted.insert(key);
+            self.evictions += 1;
         }
     }
 
@@ -597,46 +541,22 @@ impl CheckpointStore {
         self.slots.get(&(job, adl_index)).map(|s| &*s.head)
     }
 
-    /// Restorable generations of a slot: the live chain head plus any
-    /// sealed older generations (0 when the slot holds nothing).
-    pub fn restore_candidates(&self, job: JobId, adl_index: usize) -> usize {
-        self.slots
-            .get(&(job, adl_index))
-            .map_or(0, |s| 1 + s.sealed.len())
-    }
-
-    /// The snapshot `generations_back` generations behind the head
-    /// (0 = live head, 1 = newest sealed generation, …), with the
-    /// sender-side positions recorded alongside it and the bytes a restore
-    /// would read back.
-    pub fn restore_candidate(
-        &self,
-        job: JobId,
-        adl_index: usize,
-        generations_back: usize,
-    ) -> Option<RestoreCandidate> {
+    /// What a restore of this slot reads — its chain's head, with the
+    /// sender-side positions recorded alongside it and the chain's bytes —
+    /// or `None` when the slot holds nothing.
+    pub fn restore_candidate(&self, job: JobId, adl_index: usize) -> Option<RestoreCandidate> {
         let slot = self.slots.get(&(job, adl_index))?;
-        if generations_back == 0 {
-            return Some(RestoreCandidate {
-                ckpt: Arc::clone(&slot.head),
-                sender_pos: slot.sender_pos.clone(),
-                read_bytes: slot.chain_bytes,
-            });
-        }
-        let idx = slot.sealed.len().checked_sub(generations_back)?;
-        let gen = &slot.sealed[idx];
         Some(RestoreCandidate {
-            ckpt: Arc::clone(&gen.ckpt),
-            sender_pos: gen.sender_pos.clone(),
-            read_bytes: gen.bytes,
+            ckpt: Arc::clone(&slot.head),
+            sender_pos: slot.sender_pos.clone(),
+            read_bytes: slot.chain_bytes,
         })
     }
 
-    /// Whether this slot's live chain was ever reclaimed by eviction — a
-    /// restart that finds nothing distinguishes `Evicted` from plain
-    /// `NoCheckpoint`.
+    /// Whether this slot's chain was ever reclaimed by eviction — a restart
+    /// that finds nothing distinguishes `Evicted` from plain `NoCheckpoint`.
     pub fn was_evicted(&self, job: JobId, adl_index: usize) -> bool {
-        self.evicted.contains_key(&(job, adl_index))
+        self.evicted.contains(&(job, adl_index))
     }
 
     /// Replays a slot's chain — base, then each delta in order — into a
@@ -704,13 +624,13 @@ impl CheckpointStore {
         }
     }
 
-    /// Drops every snapshot (committed, sealed, and in-flight) of a
-    /// cancelled job, plus its cadence and eviction bookkeeping.
+    /// Drops every snapshot (committed and in-flight) of a cancelled job,
+    /// plus its cadence and eviction bookkeeping.
     pub fn forget_job(&mut self, job: JobId) {
         let mut removed = 0usize;
         self.slots.retain(|(j, _), slot| {
             if *j == job {
-                removed += slot.stored_bytes();
+                removed += slot.chain_bytes;
                 false
             } else {
                 true
@@ -719,7 +639,7 @@ impl CheckpointStore {
         self.bytes -= removed;
         self.pending.retain(|_, w| w.job != job);
         self.cadence.retain(|(j, _), _| *j != job);
-        self.evicted.retain(|(j, _), _| *j != job);
+        self.evicted.retain(|(j, _)| *j != job);
     }
 
     /// Number of PE slots currently holding a snapshot.
@@ -776,7 +696,7 @@ impl CheckpointStore {
         self.aborted
     }
 
-    /// Sealed generations and live chains reclaimed by the budget.
+    /// Chains reclaimed by the budget.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -893,9 +813,7 @@ mod tests {
 
     /// A store with a finite byte budget (instant writes).
     fn budgeted(budget: usize) -> CheckpointStore {
-        CheckpointStore::for_policy(
-            &CheckpointPolicy::default().storage(StorageModel::default().with_budget(budget)),
-        )
+        CheckpointStore::with_storage(StorageModel::default().with_budget(budget))
     }
 
     #[test]
@@ -1029,9 +947,7 @@ mod tests {
     #[test]
     fn write_size_is_the_delta_it_would_store() {
         // One byte per millisecond: latency reads as bytes.
-        let mut s = CheckpointStore::for_policy(
-            &CheckpointPolicy::default().storage(StorageModel::default().with_write(0, 1)),
-        );
+        let mut s = CheckpointStore::with_storage(StorageModel::default().with_write(0, 1));
         let none = BTreeSet::new();
         let mut now = SimTime::from_secs(1);
         let mut write = |s: &mut CheckpointStore, c: PeCheckpoint| {
@@ -1133,9 +1049,7 @@ mod tests {
 
     #[test]
     fn async_save_commits_at_write_latency() {
-        let mut s = CheckpointStore::for_policy(
-            &CheckpointPolicy::default().storage(StorageModel::default().with_write(250, 0)),
-        );
+        let mut s = CheckpointStore::with_storage(StorageModel::default().with_write(250, 0));
         let none = BTreeSet::new();
         let t0 = SimTime::from_secs(1);
         let commit_at = s.begin_save(JobId(1), 0, ckpt(1), vec![], 10, t0);
@@ -1173,9 +1087,7 @@ mod tests {
 
     #[test]
     fn abort_inflight_drops_pending_writes() {
-        let mut s = CheckpointStore::for_policy(
-            &CheckpointPolicy::default().storage(StorageModel::default().with_write(100, 0)),
-        );
+        let mut s = CheckpointStore::with_storage(StorageModel::default().with_write(100, 0));
         let t = SimTime::from_secs(1);
         s.begin_save(JobId(1), 0, ckpt(1), vec![], 10, t);
         s.begin_save(JobId(1), 1, ckpt(1), vec![], 10, t);
@@ -1221,49 +1133,21 @@ mod tests {
     }
 
     #[test]
-    fn compaction_seals_old_head_for_fallback_restores() {
-        // A finite budget: saves 9 and 17 compact, sealing the outgoing
-        // heads (t8, t16) as older generations.
+    fn compaction_keeps_one_generation_under_any_budget() {
+        // Unbounded and finite alike, saves 9 and 17 compact and the old
+        // chain goes with them: the slot stores one base and reads back
+        // its head.
         let full = FULL_EVERY as u64;
-        let mut s = budgeted(1 << 20);
-        for at in 1..=2 * full + 1 {
-            save(&mut s, 1, 0, ckpt_with(at, at as i64 * 10, &[]));
+        for mut s in [CheckpointStore::new(), budgeted(1 << 20)] {
+            for at in 1..=2 * full + 1 {
+                save(&mut s, 1, 0, ckpt_with(at, at as i64 * 10, &[]));
+            }
+            assert_eq!(s.compactions(), 2);
+            assert_eq!(s.state_bytes(), 8);
+            let head = s.restore_candidate(JobId(1), 0).unwrap();
+            assert_eq!(head.ckpt.taken_at, SimTime::from_secs(2 * full + 1));
+            assert_eq!(head.read_bytes, 8);
         }
-        assert_eq!(s.compactions(), 2);
-        assert_eq!(s.restore_candidates(JobId(1), 0), 3);
-        let head = s.restore_candidate(JobId(1), 0, 0).unwrap();
-        assert_eq!(head.ckpt.taken_at, SimTime::from_secs(2 * full + 1));
-        let prev = s.restore_candidate(JobId(1), 0, 1).unwrap();
-        assert_eq!(prev.ckpt.taken_at, SimTime::from_secs(2 * full));
-        let oldest = s.restore_candidate(JobId(1), 0, 2).unwrap();
-        assert_eq!(oldest.ckpt.taken_at, SimTime::from_secs(full));
-        assert!(s.restore_candidate(JobId(1), 0, 3).is_none());
-        // Sealed generations count toward the stored bytes.
-        assert_eq!(s.state_bytes(), 3 * 8);
-        // Eviction under pressure reclaims sealed generations oldest-first
-        // before touching any live chain.
-        let protected: BTreeSet<_> = [(JobId(1), 0)].into_iter().collect();
-        s.storage.budget_bytes = 16;
-        s.enforce_budget(&protected);
-        assert_eq!(s.restore_candidates(JobId(1), 0), 2);
-        assert_eq!(
-            s.restore_candidate(JobId(1), 0, 1).unwrap().ckpt.taken_at,
-            SimTime::from_secs(2 * full)
-        );
-        assert!(!s.was_evicted(JobId(1), 0), "live chain survived");
-        assert_eq!(s.state_bytes(), 16);
-    }
-
-    #[test]
-    fn unbounded_budget_never_seals() {
-        let mut s = CheckpointStore::new();
-        for at in 1..=FULL_EVERY as u64 + 1 {
-            save(&mut s, 1, 0, ckpt_with(at, at as i64, &[]));
-        }
-        assert!(s.compactions() > 0);
-        // No sealed generations pile up: the old behavior, byte-for-byte.
-        assert_eq!(s.restore_candidates(JobId(1), 0), 1);
-        assert_eq!(s.state_bytes(), 8);
     }
 
     #[test]

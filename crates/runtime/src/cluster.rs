@@ -220,8 +220,8 @@ impl Cluster {
 
     /// The live walk: every `Up` process on an up host, hosts in name order
     /// and each host's processes in `PeId` order. Every per-quantum phase
-    /// (step, checkpoint issue, eviction protection, metrics push) visits
-    /// PEs in this order, and every trace digest depends on it.
+    /// (step, checkpoint issue, metrics push) visits PEs in this order, and
+    /// every trace digest depends on it.
     pub fn live(&self) -> impl Iterator<Item = &PeProcess> {
         let processes = self.hosts.iter().filter(|h| h.up).flat_map(Host::processes);
         processes.filter(|p| p.status == PeStatus::Up)

@@ -2,6 +2,7 @@
 //! commit what the storage model has finished writing.
 
 use super::Kernel;
+use crate::cluster::Host;
 use std::collections::BTreeSet;
 
 impl Kernel {
@@ -57,15 +58,19 @@ impl Kernel {
         if !self.ckpt.has_pending() {
             return;
         }
-        // PE slots whose live chain budget eviction must never reclaim:
-        // every `Up`, checkpointable PE (any of them may need to restore at
-        // any moment). Slots of crashed PEs are deliberately *not* protected
-        // — losing a dead PE's chain to the budget is exactly the recovery
-        // cost the storage model exists to expose.
+        // PE slots whose chain budget eviction must never reclaim: every
+        // checkpointable PE that is `Up` (it may need to restore at any
+        // moment) or `Starting` (it restored from that chain, and its replay
+        // has not run yet), on an up host. Slots of crashed PEs are
+        // deliberately *not* protected — losing a dead PE's chain to the
+        // budget is exactly the recovery cost the storage model exists to
+        // expose.
         let mut protected = BTreeSet::new();
         if self.ckpt.storage().budget_bytes > 0 {
-            let live = self.cluster.live().filter(|p| p.checkpointable);
-            protected.extend(live.map(|p| (p.job, p.adl_index)));
+            let up_hosts = self.cluster.hosts().iter().filter(|h| h.up);
+            let live = up_hosts.flat_map(Host::live_processes);
+            let restorable = live.filter(|p| p.checkpointable);
+            protected.extend(restorable.map(|p| (p.job, p.adl_index)));
         }
         for commit in self.ckpt.poll_commits(self.now, &protected) {
             if commit.accepted {

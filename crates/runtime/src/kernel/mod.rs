@@ -129,7 +129,7 @@ impl Kernel {
             srm,
             broker: Broker::new(),
             registry,
-            ckpt: CheckpointStore::for_policy(&config.checkpoint),
+            ckpt: CheckpointStore::with_storage(config.checkpoint.storage),
             trace: TraceRing::new(65_536),
             scheduled_kills: VecDeque::new(),
             last_metrics_push: SimTime::ZERO,

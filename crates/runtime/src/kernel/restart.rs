@@ -51,10 +51,6 @@ pub enum RestoreOutcome {
         digest: u64,
         verified: bool,
         ops_restored: usize,
-        /// How far behind the chain head the restored generation was:
-        /// 0 = the live head, k > 0 = the k-th sealed generation, reached
-        /// because every newer generation failed to restore.
-        generations_back: usize,
     },
     /// Fresh operator state (checkpointing disabled, PE not checkpointable,
     /// no snapshot yet, or an incompatible snapshot was rejected).
@@ -88,15 +84,14 @@ pub struct RestartRecord {
     pub restore_ms: u64,
 }
 
-/// Seeds `runtime` — a freshly built container for `slot` — from the newest
-/// restorable checkpoint generation in `store`, self-verifying the result by
+/// Seeds `runtime` — a freshly built container for `slot` — from the head of
+/// the slot's chain in `store`, self-verifying the result by
 /// re-checkpointing the revived container and comparing digests (`taken_at`
-/// is excluded from the digest). A generation the container rejects is
+/// is excluded from the digest). A head the container rejects is traced and
 /// discarded — partial restores corrupt state, so `runtime` is replaced by
-/// `rebuild()` — and the next-oldest sealed generation is tried; when none
-/// is left the container stays fresh and the reason says why. Returns the
-/// outcome and the generation restored from, if any, and counts one restore
-/// or one fallback in `store` per call.
+/// `rebuild()` — and the container stays fresh; the reason says why.
+/// Returns the outcome and the head restored from, if any, and counts one
+/// restore or one fallback in `store` per call.
 pub(super) fn restore_slot(
     store: &mut CheckpointStore,
     (job, adl_index): (JobId, usize),
@@ -111,42 +106,30 @@ pub(super) fn restore_slot(
     // state and, under upstream backup, trim buffered tuples the
     // replacement still needs. Abort it.
     store.abort_inflight(job, adl_index);
-    let candidates = store.restore_candidates(job, adl_index);
-    for generations_back in 0..candidates {
-        let cand = store
-            .restore_candidate(job, adl_index, generations_back)
-            .expect("generation index in range");
-        match runtime.restore(&cand.ckpt) {
+    let reason = match store.restore_candidate(job, adl_index) {
+        Some(head) => match runtime.restore(&head.ckpt) {
             Ok(ops_restored) => {
-                let digest = cand.ckpt.digest();
+                let digest = head.ckpt.digest();
                 store.count_restore();
                 let outcome = RestoreOutcome::Restored {
-                    taken_at: cand.ckpt.taken_at,
+                    taken_at: head.ckpt.taken_at,
                     digest,
                     verified: runtime.checkpoint(now).digest() == digest,
                     ops_restored,
-                    generations_back,
                 };
-                return Ok((outcome, Some(cand)));
+                return Ok((outcome, Some(head)));
             }
             Err(e) => {
                 *runtime = rebuild()?;
-                trace.push(
-                    now,
-                    "ckpt",
-                    format!("restore of PE slot {job}/{adl_index} rejected: {e}"),
-                );
+                let msg = format!("restore of PE slot {job}/{adl_index} rejected: {e}");
+                trace.push(now, "ckpt", msg);
+                FreshReason::Incompatible
             }
-        }
-    }
-    store.count_fallback();
-    let reason = if candidates > 0 {
-        FreshReason::Incompatible
-    } else if store.was_evicted(job, adl_index) {
-        FreshReason::Evicted
-    } else {
-        FreshReason::NoCheckpoint
+        },
+        None if store.was_evicted(job, adl_index) => FreshReason::Evicted,
+        None => FreshReason::NoCheckpoint,
     };
+    store.count_fallback();
     Ok((RestoreOutcome::Fresh { reason }, None))
 }
 
@@ -311,7 +294,7 @@ impl Kernel {
 mod tests {
     use super::super::tests::{forgetful_registry, sink_adl};
     use super::*;
-    use crate::{CheckpointPolicy, StorageModel};
+    use crate::StorageModel;
     use sps_engine::{OperatorRegistry, StreamItem, Tuple};
     use sps_model::adl::Adl;
     use sps_sim::SimRng;
@@ -333,7 +316,7 @@ mod tests {
             Fixture {
                 adl: sink_adl(),
                 registry: OperatorRegistry::with_builtins(),
-                store: CheckpointStore::for_policy(&CheckpointPolicy::every(5).storage(storage)),
+                store: CheckpointStore::with_storage(storage),
                 trace: TraceRing::new(64),
             }
         }
@@ -355,12 +338,12 @@ mod tests {
             pe.checkpoint(now)
         }
 
-        /// A snapshot no container of this build accepts: each `version_skew`
-        /// is also incompatible with every other, so saving one seals the
-        /// previous head instead of stacking a delta on it.
-        fn unrestorable(&self, version_skew: u32, at_ms: u64) -> PeCheckpoint {
+        /// A snapshot no container of this build accepts (a format version
+        /// ahead of it), so saving one compacts the chain to a fresh base
+        /// instead of stacking a delta on it.
+        fn unrestorable(&self, at_ms: u64) -> PeCheckpoint {
             let mut ckpt = self.snapshot(1, at_ms);
-            ckpt.format_version += version_skew;
+            ckpt.format_version += 1;
             ckpt
         }
 
@@ -390,35 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn rejected_generations_fall_back_to_the_kth_sealed_one() {
-        let mut f = Fixture::new(1 << 20);
-        f.save(f.snapshot(3, 100));
-        f.save(f.unrestorable(1, 200));
-        f.save(f.unrestorable(2, 300));
-        assert_eq!(f.store.restore_candidates(SLOT.0, SLOT.1), 3);
-
-        let (outcome, from, runtime) = f.restore();
-        match outcome {
-            RestoreOutcome::Restored {
-                taken_at,
-                verified,
-                generations_back,
-                ..
-            } => {
-                assert_eq!(generations_back, 2);
-                assert_eq!(taken_at, SimTime::from_millis(100));
-                assert!(verified);
-            }
-            other => panic!("expected the oldest generation, got {other:?}"),
-        }
-        assert_eq!(from.unwrap().ckpt.taken_at, SimTime::from_millis(100));
-        // The two rejected restores left nothing behind in the container.
-        assert_eq!(runtime.tap("snk").unwrap().len(), 3);
-        assert_eq!(f.trace.find("rejected").len(), 2);
-        assert_eq!(f.counters(), (1, 0));
-    }
-
-    #[test]
     fn fresh_reason_tells_nothing_stored_from_evicted_from_all_rejected() {
         // Nothing was ever saved.
         let mut f = Fixture::new(0);
@@ -432,17 +386,21 @@ mod tests {
         let mut f = Fixture::new(1);
         f.save(f.snapshot(3, 100));
         f.store.enforce_budget(&BTreeSet::new());
-        assert_eq!(f.store.restore_candidates(SLOT.0, SLOT.1), 0);
+        assert!(f.store.restore_candidate(SLOT.0, SLOT.1).is_none());
         assert_eq!(f.restore().0, fresh(FreshReason::Evicted));
         assert_eq!(f.counters(), (0, 1));
 
-        // Generations exist, and the container rejects every one.
+        // A chain exists, and the container rejects its head: the restore
+        // is traced once and leaves a blank container, and the restorable
+        // base the head compacted away is not tried.
         let mut f = Fixture::new(1 << 20);
-        f.save(f.unrestorable(1, 100));
-        f.save(f.unrestorable(2, 200));
-        let (outcome, _, runtime) = f.restore();
+        f.save(f.snapshot(3, 100));
+        f.save(f.unrestorable(200));
+        let (outcome, from, runtime) = f.restore();
         assert_eq!(outcome, fresh(FreshReason::Incompatible));
+        assert!(from.is_none());
         assert_eq!(runtime.tap("snk").unwrap().len(), 0);
+        assert_eq!(f.trace.find("rejected").len(), 1);
         assert_eq!(f.counters(), (0, 1));
     }
 

@@ -850,6 +850,37 @@ fn budget_eviction_reclaims_crashed_slot_and_reports_evicted() {
     assert_eq!(rec.restore_ms, 0);
 }
 
+/// A replacement that is still `Starting` restored from its slot's chain and
+/// has yet to replay from it: budget pressure must not take that chain, or a
+/// second kill inside the spawn gap comes back `Fresh { Evicted }`.
+#[test]
+fn starting_replacement_keeps_its_chain_under_budget() {
+    let mut k = storage_kernel(
+        2,
+        crate::ckpt::CheckpointPolicy::every(2)
+            .storage(crate::ckpt::StorageModel::default().with_budget(1)),
+    );
+    let job = k.submit_job(pipeline_adl("P", 50.0), None).unwrap();
+    run(&mut k, 10);
+    let pe = k.pe_id_of(job, 2).unwrap();
+    k.kill_pe(pe).unwrap();
+    let new_pe = k.restart_pe(pe).unwrap();
+    assert!(k.restart_log().last().unwrap().restore.restored());
+    let commits = k.ckpt.saved();
+    run(&mut k, 2); // next boundary: the other slots commit, over budget
+    assert!(k.ckpt.saved() > commits);
+    let status = k.cluster.process(new_pe).unwrap().status;
+    assert_eq!(status, PeStatus::Starting);
+    assert!(
+        k.ckpt.latest(job, 2).is_some(),
+        "the restored chain survives"
+    );
+    assert!(!k.ckpt.was_evicted(job, 2));
+    k.kill_pe(new_pe).unwrap();
+    k.restart_pe(new_pe).unwrap();
+    assert!(k.restart_log().last().unwrap().restore.restored());
+}
+
 /// Satellite regression for the `delivered_at <= taken_at` trim
 /// boundary, end to end: deliveries landing on the snapshot instant are
 /// captured inside the v2 queue snapshot *and* acked by the commit, so

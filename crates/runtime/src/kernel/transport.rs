@@ -100,7 +100,7 @@ impl Transport {
     }
 
     /// Bookkeeping for replacing `old_pe` by `new_pe` in `slot`, seeded from
-    /// the checkpoint generation `from` (fresh state if `None`). Returns
+    /// the chain head `from` (fresh state if `None`). Returns
     /// whether a gap replay is now pending for `new_pe`.
     pub(super) fn restarted(
         &mut self,

@@ -7,7 +7,8 @@
 //! 2. after every save + budget pass, either stored bytes fit the budget or
 //!    everything still stored belongs to protected live chains (the only
 //!    state eviction refuses to reclaim),
-//! 3. every restore generation the store advertises actually materializes.
+//! 3. every stored chain offers its head to a restore, with the chain's
+//!    bytes as the read size.
 //!
 //! The chains themselves, in every build profile (the store's own checks
 //! are `debug_assert`s): for arbitrary snapshot sequences — operators
@@ -25,7 +26,7 @@ use proptest::prelude::*;
 use sps_engine::ckpt::{OpCheckpoint, PeCheckpoint, CKPT_FORMAT_VERSION};
 use sps_engine::StateWriter;
 use sps_runtime::ckpt::FULL_EVERY;
-use sps_runtime::{CheckpointPolicy, CheckpointStore, JobId, StorageModel};
+use sps_runtime::{CheckpointStore, JobId, StorageModel};
 use sps_sim::SimTime;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -53,8 +54,7 @@ fn ckpt(at_secs: u64, weight: usize) -> PeCheckpoint {
 }
 
 /// One scripted save: which of the 4 slots, how heavy the snapshot is.
-/// Long enough that slots fill their chains and compact, sealing
-/// generations under a finite budget.
+/// Long enough that slots fill their chains and compact.
 fn arb_saves() -> impl Strategy<Value = Vec<(usize, usize)>> {
     prop::collection::vec((0usize..4, 0usize..16), 1..120)
 }
@@ -71,9 +71,7 @@ proptest! {
         budget in 1usize..2_000,
         protected_mask in 0usize..16,
     ) {
-        let mut store = CheckpointStore::for_policy(
-            &CheckpointPolicy::default().storage(StorageModel::default().with_budget(budget)),
-        );
+        let mut store = CheckpointStore::with_storage(StorageModel::default().with_budget(budget));
         let protected: BTreeSet<(JobId, usize)> = (0..4)
             .filter(|s| protected_mask & (1 << s) != 0)
             .map(slot_key)
@@ -107,26 +105,22 @@ proptest! {
                     "over budget ({} > {budget}) with evictable state left",
                     store.state_bytes()
                 );
-                for &&(job, adl) in &survivors {
-                    prop_assert_eq!(
-                        store.restore_candidates(job, adl),
-                        1,
-                        "over budget but sealed generations survive"
-                    );
-                }
             }
 
-            // (3) Every advertised restore generation materializes, and the
+            // (3) Every stored chain offers its head to a restore, and the
             // advertised read size is the bytes a restore would stream back.
             for &(job, adl) in &saved_to {
-                for generation in 0..store.restore_candidates(job, adl) {
-                    let cand = store.restore_candidate(job, adl, generation);
-                    prop_assert!(
-                        cand.is_some(),
-                        "generation {generation} advertised but missing for {job:?}/{adl}"
-                    );
-                    prop_assert!(cand.unwrap().read_bytes > 0);
-                }
+                let Some(head) = store.latest(job, adl) else {
+                    prop_assert!(store.restore_candidate(job, adl).is_none());
+                    continue;
+                };
+                let cand = store.restore_candidate(job, adl);
+                prop_assert!(cand.is_some(), "{job:?}/{adl} stored but not restorable");
+                let cand = cand.unwrap();
+                prop_assert_eq!(cand.ckpt.taken_at, head.taken_at);
+                let chain = store.materialize(job, adl).expect("chain replays");
+                prop_assert_eq!(chain.digest(), cand.ckpt.digest());
+                prop_assert!(cand.read_bytes > 0);
             }
         }
 
@@ -219,13 +213,12 @@ impl ModelSnap {
     }
 }
 
-/// One slot of the model store: the head, the chain's byte count, how many
-/// operators each delta re-stored, and the sealed generations' sizes.
+/// One slot of the model store: the head, the chain's byte count and how
+/// many operators each delta re-stored.
 struct ModelSlot {
     head: ModelSnap,
     chain_bytes: usize,
     delta_dirty: Vec<usize>,
-    sealed: Vec<usize>,
 }
 
 #[derive(Default)]
@@ -254,7 +247,7 @@ impl Model {
         }
     }
 
-    fn commit(&mut self, key: (JobId, usize), next: ModelSnap, seals: bool) -> bool {
+    fn commit(&mut self, key: (JobId, usize), next: ModelSnap) -> bool {
         let Some(slot) = self.slots.get_mut(&key) else {
             self.slots.insert(
                 key,
@@ -262,7 +255,6 @@ impl Model {
                     chain_bytes: next.full_bytes(),
                     head: next,
                     delta_dirty: Vec::new(),
-                    sealed: Vec::new(),
                 },
             );
             self.fulls_saved += 1;
@@ -274,9 +266,6 @@ impl Model {
             return false;
         }
         if slot.delta_dirty.len() + 1 >= FULL_EVERY || !slot.head.compatible(&next) {
-            if seals {
-                slot.sealed.push(slot.head.full_bytes());
-            }
             slot.chain_bytes = next.full_bytes();
             slot.delta_dirty.clear();
             self.fulls_saved += 1;
@@ -294,10 +283,7 @@ impl Model {
     }
 
     fn state_bytes(&self) -> usize {
-        self.slots
-            .values()
-            .map(|s| s.chain_bytes + s.sealed.iter().sum::<usize>())
-            .sum()
+        self.slots.values().map(|s| s.chain_bytes).sum()
     }
 }
 
@@ -407,10 +393,8 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
 /// latency, `budget` bytes, `0` unbounded) and the naive model side by
 /// side, comparing them after every step; returns the store.
 fn check_against_model(steps: &[Step], budget: usize, protected_mask: usize) -> CheckpointStore {
-    let mut store = CheckpointStore::for_policy(
-        &CheckpointPolicy::default()
-            .storage(StorageModel::default().with_write(0, 1).with_budget(budget)),
-    );
+    let mut store =
+        CheckpointStore::with_storage(StorageModel::default().with_write(0, 1).with_budget(budget));
     let protected: BTreeSet<(JobId, usize)> = (0..3)
         .filter(|s| protected_mask & (1 << s) != 0)
         .map(slot_key)
@@ -461,20 +445,14 @@ fn check_against_model(steps: &[Step], budget: usize, protected_mask: usize) -> 
         now = commit_at;
         let commits = store.poll_commits(now, &protected);
         prop_assert_eq!(commits.len(), 1);
-        let accepted = model.commit(key, expected, budget > 0);
+        let accepted = model.commit(key, expected);
         prop_assert_eq!(commits[0].accepted, accepted);
 
         // Eviction policy has its own property above; here the model
         // follows what the store evicted and checks the arithmetic.
-        model.slots.retain(|&(job, adl), slot| {
-            let generations = store.restore_candidates(job, adl);
-            if generations == 0 {
-                return false;
-            }
-            let evicted = slot.sealed.len().saturating_sub(generations - 1);
-            slot.sealed.drain(..evicted);
-            true
-        });
+        model
+            .slots
+            .retain(|&(job, adl), _| store.latest(job, adl).is_some());
 
         prop_assert_eq!(store.state_bytes(), model.state_bytes());
         prop_assert_eq!(store.saved(), model.saved);
@@ -494,15 +472,15 @@ fn check_against_model(steps: &[Step], budget: usize, protected_mask: usize) -> 
             prop_assert_eq!(replayed.digest(), head.digest());
             prop_assert_eq!(&replayed, head);
             prop_assert_eq!(head.taken_at.as_millis(), slot.head.at);
-            let read = store.restore_candidate(job, adl, 0).expect("head restores");
+            let read = store.restore_candidate(job, adl).expect("head restores");
             prop_assert_eq!(read.read_bytes, slot.chain_bytes);
         }
     }
     store
 }
 
-/// Unbounded, tight enough to evict live chains, and roomy enough to keep
-/// sealed generations around.
+/// Unbounded, tight enough to evict chains often, and roomy enough to evict
+/// them rarely.
 const BUDGETS: [usize; 3] = [0, 150, 600];
 
 proptest! {

@@ -2,17 +2,18 @@
 //! [`StorageModel`] must be byte-invisible (async bookkeeping with zero
 //! latency reproduces the synchronous reports bit-for-bit), while nonzero
 //! write/restore latency and a finite byte budget must run whole campaigns
-//! through the standard oracle set — deferred commits, delayed promotions,
-//! sealed-generation fallbacks, and evictions included — without tripping
-//! recovery, convergence, or state preservation.
+//! through the standard oracle set — deferred commits, delayed promotions
+//! and evictions included — without tripping recovery, convergence, or state
+//! preservation.
 
 #![forbid(unsafe_code)]
 
 use orca_harness::runner::{run_plan, BaselineSource};
 use orca_harness::{
-    default_oracles, run_campaign, scenario, BaselineCache, CampaignConfig, CampaignReport,
-    CheckpointPolicy, FaultPlan, StorageModel, WorldPolicy,
+    default_oracles, run_campaign, scenario, settled_world, BaselineCache, CampaignConfig,
+    CampaignReport, CheckpointPolicy, FaultPlan, StorageModel, WorldPolicy,
 };
+use sps_runtime::{FreshReason, RestoreOutcome};
 
 fn render(report: &CampaignReport) -> String {
     report.render()
@@ -78,8 +79,8 @@ fn write_and_restore_latency_pass_the_oracles() {
 
 #[test]
 fn finite_budget_evictions_pass_the_oracles() {
-    // A budget far below the working set forces sealing and eviction on
-    // every compaction; fresh restarts from evicted chains are a legitimate
+    // A budget below the working set: eviction reclaims the chains of
+    // crashed PEs, and fresh restarts from evicted chains are a legitimate
     // recovery mode (FreshReason::Evicted), not an oracle violation.
     let sc = scenario::live();
     let policy = CheckpointPolicy::every(5).storage(slow_storage().with_budget(16_384));
@@ -115,11 +116,12 @@ fn storage_model_reports_are_byte_identical_across_jobs() {
 /// here, so this is not ROADMAP recovery hole (2)). `campaign --app trend
 /// --plans 100 --seed 7 --checkpoint-interval 5 --ckpt-budget 4096
 /// --ckpt-write-latency 250` used to fail one plan; shrunk, it is the two
-/// kills below. The first (t = 15.9 s) restores job2's `graph` PE from its
-/// 15.5 s snapshot, `nTuplesProcessed` 45. The second (17.0 s) hits the
-/// replacement after the 4 KiB budget evicted that slot's chain, so it comes
-/// back fresh — `FreshReason::Evicted`, which the state oracle itself calls
-/// legitimate — and counts 39 tuples by the end. The monotone-counter check
+/// kills below. The first restart (t = 15.9 s) restores job2's `graph` PE
+/// from its 15.5 s snapshot, `nTuplesProcessed` 45. The second kill (16.8 s)
+/// hits the replacement while it is still `Starting`; once it has crashed
+/// its chain is no longer protected, the 4 KiB budget evicts it, and the
+/// restart at 17.0 s comes back fresh — `FreshReason::Evicted`, which the
+/// state oracle itself calls legitimate — and counts 39 tuples by the end. The monotone-counter check
 /// must not hold the *first* restart's 45 against that 39: a restored
 /// record's claim ends at the slot's next fresh restart.
 /// `campaign --replay 15798:kp:4:5,16809:kp:7:2 --app trend
@@ -127,15 +129,17 @@ fn storage_model_reports_are_byte_identical_across_jobs() {
 /// --ckpt-write-latency 250 --ckpt-budget 4096`
 #[test]
 fn restore_then_evicted_restart_of_one_slot_passes_the_state_oracle() {
+    const SEED: u64 = 16362195719958910532;
     let plan = FaultPlan::decode("15798:kp:4:5,16809:kp:7:2").unwrap();
     let storage = StorageModel::default().with_write(250, 0).with_budget(4096);
+    let policy = WorldPolicy::checkpointed(CheckpointPolicy::every(5).storage(storage));
     let cache = BaselineCache::new();
     let outcome = run_plan(
         &scenario::trend(),
-        16362195719958910532,
+        SEED,
         &plan,
         &default_oracles(false, true, false),
-        WorldPolicy::checkpointed(CheckpointPolicy::every(5).storage(storage)),
+        policy,
         BaselineSource::new(&cache, plan.horizon()),
     );
     let violations: Vec<String> = outcome
@@ -144,4 +148,20 @@ fn restore_then_evicted_restart_of_one_slot_passes_the_state_oracle() {
         .map(|v| format!("{}: {}", v.oracle, v.message))
         .collect();
     assert!(violations.is_empty(), "{violations:#?}");
+    // The replay still reaches what the test is named for: one slot whose
+    // restart restored and whose next restart came back evicted.
+    let (world, _, _) = settled_world(&scenario::trend(), SEED, &plan, policy, None);
+    let log = world.kernel.restart_log();
+    let evicted = RestoreOutcome::Fresh {
+        reason: FreshReason::Evicted,
+    };
+    let reached = log.iter().enumerate().any(|(i, first)| {
+        let slot = (first.job, first.adl_index);
+        let next = log[i + 1..].iter().find(|r| (r.job, r.adl_index) == slot);
+        first.restore.restored() && next.is_some_and(|r| r.restore == evicted)
+    });
+    assert!(
+        reached,
+        "no slot restored and then came back evicted: {log:#?}"
+    );
 }
