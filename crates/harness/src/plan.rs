@@ -405,8 +405,7 @@ mod tests {
         let revive_then_kill = [event(10, revive), event(10, kill)];
         assert!(!any_host_down_at(&kill_then_revive, at(10)));
         assert!(any_host_down_at(&revive_then_kill, at(10)));
-        let mut plans: Vec<Vec<FaultEvent>> =
-            vec![kill_then_revive.into(), revive_then_kill.into()];
+        let mut plans = Vec::new();
         for seed in 0..200u64 {
             let mut events = FaultPlan::generate(&mut SimRng::new(seed), &spec()).events;
             plans.push(events.clone());
