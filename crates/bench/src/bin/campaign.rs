@@ -29,9 +29,10 @@
 //! quanta and activates the `StatePreservation` oracle. `--ckpt-write-latency
 //! MS` adds a fixed per-snapshot write latency (commits — and upstream-backup
 //! trims — land that much sim time after the snapshot is taken);
-//! `--ckpt-budget BYTES` bounds total checkpoint storage, turning on
-//! oldest-first eviction of the chains of PEs that are neither `Up` nor
-//! `Starting`. All of these need an interval.
+//! `--ckpt-budget BYTES` turns on oldest-first eviction of the chains of PEs
+//! that are neither `Up` nor `Starting` while stored bytes exceed it; the
+//! chains it may not evict can keep storage over it. All of these need an
+//! interval.
 //!
 //! `--upstream-backup on` additionally buffers in-flight deliveries at the
 //! sender and replays the post-checkpoint gap into restored PEs, making

@@ -1,5 +1,52 @@
 //! Shared fixtures for the benchmark suite and the figure-regeneration
 //! harness binaries.
+//!
+//! # The surface `perf/` pins
+//!
+//! The benchmark binary, `src/bin/perf/`, is frozen: it is built from its
+//! files as they stand, so every name it uses must keep compiling with the
+//! meaning it uses it with. How the code behind a name works is not pinned.
+//! From a read of `perf/*.rs`, by crate:
+//!
+//! - `sps_runtime`: `Cluster`, `Controller`, `Kernel`, `World`, `JobId`,
+//!   `MetaOp`, `MetaTables::{default, apply, digest}`, the trait `Metastore`
+//!   (`apply`, `recover`), `ReplicatedMetastore::new(seed)`, and
+//!   `RuntimeConfig` (`quantum`, `restart_delay`, `liveness_deadline`).
+//!   `Kernel`'s fields `config`, `ckpt`, `sam`, `trace` and `cluster`; its
+//!   methods `submit_job`, `quantum`, `restart_pe`, `kill_pe`, `pe_id_of`,
+//!   `tap`, `restart_log`, `op_metric`, `ub_stats` and `control_stats`;
+//!   `Sam::{job, running_jobs, metastore_stats}`.
+//! - `sps_sim`: `TraceRing::{new, push, digest}`, `Scheduler::{new,
+//!   schedule_at, pop}`, `SimRng`, `SimTime`, `SimDuration`, `fnv1a`,
+//!   `FNV_OFFSET`, `DigestWriter`.
+//! - `sps_engine`: `codec::{decode_batch, TupleCodec}`, `OperatorRegistry`,
+//!   `PeRuntime`, `Tuple`, `metrics::builtin`.
+//! - `sps_model`: `Adl`, `compiler::{compile, CompileOptions,
+//!   FusionPolicy}`, `logical::{AppModelBuilder, CompositeGraphBuilder,
+//!   OperatorInvocation}`.
+//! - `orca`: `OrcaDescriptor`, `OrcaService`, `Orchestrator`, `OrcaCtx`,
+//!   `OrcaStartContext`, `OperatorMetricContext`, `OperatorMetricScope`,
+//!   `PeFailureContext`, `PeFailureScope`.
+//! - `orca_apps`: `registry`, `SharedStores`, `sentiment::{sentiment_app,
+//!   SentimentOrca, SentimentParams}`, `social::{c1_app, c2_app, c3_app,
+//!   CompositionOrca}`, `trend::{trend_app, TrendOrca, TrendParams}`.
+//! - `orca_harness`: `by_name`, `default_oracles(bool, bool, bool)`,
+//!   `plan_seeds`, `run_plan`, `run_campaign_cached`, `quiescent`,
+//!   `render_artifacts_to`, `BaselineCache`, `BaselineKey`, `BaselineSource`,
+//!   `BaselineSummary`, `Built`, `CampaignConfig`, `CheckpointPolicy`,
+//!   `FaultAction`, `FaultInjector`, `FaultPlan`, `Janitor`, `MetastoreKind`,
+//!   `Oracle`, `OracleCtx`, `PlanOutcome`, `Scenario`, `StorageModel`,
+//!   `Violation`, and `WorldPolicy` (`checkpoint`, `metastore`).
+//! - `orca_bench` (this crate): [`nested_app`].
+//!
+//! A refactor keeps a pinned name as a thin alias or constructor and keeps
+//! nothing else on `perf/`'s account: `ReplicatedMetastore` is an alias of
+//! the one store type, and its `new(seed)` ignores the seed. A trait that
+//! `perf/` imports only to call its methods must stay a trait that carries
+//! those methods. Were `Metastore` a type alias, `perf/`'s import of it would
+//! be unused and `cargo clippy --workspace --all-targets -- -D warnings`
+//! would fail. CI's stand-alone build of `perf/` and that lint check the
+//! list.
 
 #![forbid(unsafe_code)]
 

@@ -36,12 +36,12 @@
 //! issued with [`CheckpointStore::begin_save`] and only become visible
 //! (restorable, upstream-backup-trimmable) once
 //! [`CheckpointStore::poll_commits`] reaches `issue + write_latency(bytes)`
-//! in sim-time, and a finite byte budget is enforced by deterministic
-//! oldest-first eviction of whole chains that never claims the chain of a
-//! PE the kernel marks protected (its `Up` and `Starting` checkpointable
-//! PEs). A slot holds one restorable thing, its chain: compaction discards
-//! the old one, and a restore whose head the container rejects comes back
-//! fresh.
+//! in sim-time. A finite byte budget evicts unprotected chains whole,
+//! oldest base first, and never claims the chain of a PE the kernel marks
+//! protected (its `Up` and `Starting` checkpointable PEs), so protected
+//! chains alone can exceed it. A slot holds one restorable thing, its
+//! chain: compaction discards the old one, and a restore whose head the
+//! container rejects comes back fresh.
 //!
 //! [`StateBlob`]: sps_engine::StateBlob
 //! [`PeId`]: crate::ids::PeId
@@ -75,8 +75,9 @@ pub struct StorageModel {
     pub restore_op_ms: u64,
     /// Restore throughput in bytes per sim-millisecond; `0` = infinite.
     pub restore_bytes_per_ms: u64,
-    /// Total serialized-byte budget across all chains; `0` = unbounded.
-    /// A finite budget turns on oldest-first chain eviction.
+    /// Serialized-byte budget across all chains; `0` = unbounded. A finite
+    /// budget evicts unprotected chains, oldest base first, and can be
+    /// exceeded: protected chains are never evicted.
     pub budget_bytes: usize,
 }
 
@@ -114,7 +115,8 @@ impl StorageModel {
         self
     }
 
-    /// Builder: finite byte budget (turns on oldest-first chain eviction).
+    /// Builder: finite byte budget. It evicts unprotected chains, oldest
+    /// base first, and can be exceeded by protected ones.
     pub fn with_budget(mut self, bytes: usize) -> Self {
         self.budget_bytes = bytes;
         self
@@ -512,8 +514,9 @@ impl CheckpointStore {
     }
 
     /// Evicts whole chains, oldest base first (ties by slot), until stored
-    /// bytes fit the budget (no-op when unbounded). A chain in `protected`
-    /// is never evicted, so a protected PE can always restore. Public so
+    /// bytes fit the budget or only protected chains remain (no-op when
+    /// unbounded). A chain in `protected` is never evicted, so a protected
+    /// PE can always restore, and stored bytes can stay over the budget. Public so
     /// the eviction-safety property test can drive it directly.
     pub fn enforce_budget(&mut self, protected: &BTreeSet<(JobId, usize)>) {
         let budget = self.storage.budget_bytes;

@@ -119,11 +119,9 @@ impl Kernel {
         Kernel {
             now: SimTime::ZERO,
             rng: SimRng::new(config.seed),
-            // The replicated store's RNG is a separate seeded stream, never
-            // a fork of the kernel's live RNG: building (or running) it must
-            // not perturb the simulation's draw sequence, so the fault-free
-            // campaign digest is identical across store kinds.
-            sam: Sam::with_store(config.metastore, config.seed ^ 0x4d45_5441),
+            // The store draws no randomness, with or without its op log, so
+            // the fault-free campaign digest is identical across store kinds.
+            sam: Sam::with_store(config.metastore),
             config,
             cluster,
             srm,

@@ -41,8 +41,8 @@ pub use kernel::{
     RuntimeConfig,
 };
 pub use metastore::{
-    build_metastore, MemoryMetastore, MetaOp, MetaRecovery, MetaStats, MetaTables, Metastore,
-    MetastoreKind, ReplicatedMetastore,
+    MetaOp, MetaRecovery, MetaStats, MetaTables, Metastore, MetastoreKind, ReplicatedMetastore,
+    SamStore,
 };
 pub use sam::{CrashReason, JobInfo, JobStatus, OrcaNotification, Sam};
 pub use srm::{JobMetrics, MetricSnapshot, Srm};

@@ -1,41 +1,37 @@
-//! Metastore — the kernel's durable control-plane state behind a trait (§3).
+//! Metastore — the kernel's durable control-plane state (§3).
 //!
 //! Everything SAM must not lose across its own crash lives here: the job
 //! table, the PE index, orchestrator notification queues, exclusive host
 //! reservations, the id counters, and the checkpoint-commit index. All
-//! mutations funnel through [`MetaOp`] so a store can log them; reads go
+//! mutations funnel through [`MetaOp`] so the store can log them; reads go
 //! through the materialized [`MetaTables`].
 //!
-//! Two implementations:
+//! One store type, [`SamStore`]: the tables, their counters, and an optional
+//! op log. [`MetastoreKind::Memory`] builds it without a log, so `recover()`
+//! keeps the tables as they are (state survives by fiat, the immortal-SAM
+//! assumption) and costs nothing. [`MetastoreKind::Replicated`] builds it
+//! with a log: every op is appended in application order, and recovery
+//! replays the whole log into fresh tables and digest-verifies the replay
+//! against the pre-crash state. The log stands for a strongly consistent
+//! store's committed prefix; no follower is simulated, since a follower that
+//! always catches up decides nothing.
 //!
-//! - [`MemoryMetastore`]: the status-quo in-memory tables. `recover()` is a
-//!   no-op (state survives by fiat — the immortal-SAM assumption the rest of
-//!   the repo had baked in until now). Zero cost, byte-identical to the
-//!   pre-metastore behavior.
-//! - [`ReplicatedMetastore`]: a simulated single-leader replicated log.
-//!   Every op is appended to the log and synchronously shipped to one
-//!   follower chosen by a private [`SimRng`] stream (so the fault-free
-//!   campaign digest never moves); recovery elects the most-caught-up
-//!   follower and replays its log prefix into fresh tables, then
-//!   digest-verifies the replay against the pre-crash state.
-//!
-//! Determinism: no ambient clocks or RNG anywhere in this module — the
-//! replicated store's randomness is a seeded `SimRng` fork and log replay is
-//! a pure fold over `MetaOp`s. The table digest hashes integers and strings
+//! Determinism: no clock or RNG anywhere in this module — log replay is a
+//! pure fold over `MetaOp`s. The table digest hashes integers and strings
 //! only (never the ADL body, whose operator parameters are floats).
 
 use crate::ids::{JobId, OrcaId, PeId};
 use crate::sam::{JobInfo, JobStatus, OrcaNotification};
-use sps_sim::{fnv1a, SimRng, SimTime, FNV_OFFSET};
+use sps_sim::{fnv1a, SimTime, FNV_OFFSET};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Which metastore implementation backs the kernel.
+/// Whether the kernel's store keeps an op log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum MetastoreKind {
     /// In-memory tables, no log, `recover()` keeps state by fiat.
     #[default]
     Memory,
-    /// Simulated leader + append-only op log + replay-on-recovery.
+    /// Append-only op log, replayed and digest-verified on recovery.
     Replicated,
 }
 
@@ -144,8 +140,8 @@ fn mix_notification(mut h: u64, n: &OrcaNotification) -> u64 {
 }
 
 impl MetaTables {
-    /// Applies one op. This is the single transition function both stores and
-    /// log replay share, so "replay reproduces the tables" holds by
+    /// Applies one op. This is the single transition function the live
+    /// tables and log replay share, so "replay reproduces the tables" holds by
     /// construction as long as ops are logged in application order.
     pub fn apply(&mut self, op: &MetaOp) {
         match op {
@@ -287,172 +283,103 @@ pub struct MetaStats {
 /// Result of one [`Metastore::recover`] call.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MetaRecovery {
-    /// Ops replayed from the durable log to rebuild the tables. Zero for the
-    /// in-memory store, whose tables survive by fiat.
+    /// Ops replayed from the durable log to rebuild the tables. Zero for a
+    /// store without a log, whose tables survive by fiat.
     pub ops_replayed: u64,
 }
 
-/// The kernel's interface to its durable control-plane state. Like the rest
-/// of a world, a store stays on the thread that built it.
+/// The store's mutation and recovery calls. The frozen `perf/probes.rs`
+/// imports this trait to call them on `ReplicatedMetastore::new(seed)`, so
+/// they stay trait methods; [`SamStore`] is the one impl. Like the rest of a
+/// world, a store stays on the thread that built it.
 pub trait Metastore {
-    fn kind(&self) -> MetastoreKind;
-    /// Applies (and, for logging stores, records) one mutation.
+    /// Applies one mutation and, when the store keeps a log, records it.
     fn apply(&mut self, op: MetaOp);
-    /// The live, materialized tables. All SAM reads go through here.
-    fn tables(&self) -> &MetaTables;
-    /// Rebuilds the tables as a post-crash restart would. A logging store
-    /// replays its log and panics if the replay diverges from the pre-crash
-    /// tables; the in-memory store keeps its tables untouched.
+    /// Rebuilds the tables as a post-crash restart would. With a log, replays
+    /// all of it and panics if the replay diverges from the pre-crash tables;
+    /// without one, keeps the tables untouched.
     fn recover(&mut self) -> MetaRecovery;
-    /// True iff replaying the durable log reproduces the live tables
-    /// (trivially true for the in-memory store). Oracle hook.
-    fn verify(&self) -> bool;
-    fn stats(&self) -> MetaStats;
 }
 
-/// The status-quo store: plain tables, no log, immortal state.
+/// SAM's durable state: the tables, their counters, and, for
+/// [`MetastoreKind::Replicated`], the op log recovery replays.
 #[derive(Default)]
-pub struct MemoryMetastore {
+pub struct SamStore {
     tables: MetaTables,
     stats: MetaStats,
+    log: Option<Vec<MetaOp>>,
 }
 
-impl MemoryMetastore {
-    pub fn new() -> Self {
-        Self::default()
+/// The logging store under the name `perf/` builds it by.
+pub type ReplicatedMetastore = SamStore;
+
+fn replay(log: &[MetaOp]) -> MetaTables {
+    let mut fresh = MetaTables::default();
+    for op in log {
+        fresh.apply(op);
     }
+    fresh
 }
 
-impl Metastore for MemoryMetastore {
-    fn kind(&self) -> MetastoreKind {
-        MetastoreKind::Memory
+impl SamStore {
+    /// The store for a kind: with an op log for `Replicated`, without for
+    /// `Memory`.
+    pub fn with_kind(kind: MetastoreKind) -> Self {
+        SamStore {
+            log: (kind == MetastoreKind::Replicated).then(Vec::new),
+            ..SamStore::default()
+        }
     }
 
-    fn apply(&mut self, op: MetaOp) {
-        self.tables.apply(&op);
-        self.stats.ops_applied += 1;
+    /// The store with an op log. The seed is unused: the store draws no
+    /// randomness.
+    pub fn new(_seed: u64) -> Self {
+        SamStore::with_kind(MetastoreKind::Replicated)
     }
 
-    fn tables(&self) -> &MetaTables {
+    /// The live, materialized tables. All SAM reads go through here.
+    pub fn tables(&self) -> &MetaTables {
         &self.tables
     }
 
-    fn recover(&mut self) -> MetaRecovery {
-        self.stats.recoveries += 1;
-        MetaRecovery::default()
+    /// True iff replaying the log reproduces the live tables (trivially true
+    /// without a log). Oracle hook.
+    pub fn verify(&self) -> bool {
+        self.log
+            .as_deref()
+            .is_none_or(|log| replay(log).digest() == self.tables.digest())
     }
 
-    fn verify(&self) -> bool {
-        true
-    }
-
-    fn stats(&self) -> MetaStats {
+    pub fn stats(&self) -> MetaStats {
         self.stats
     }
 }
 
-/// Number of simulated log followers behind the leader.
-const REPLICAS: usize = 3;
-
-/// Simulated single-leader replicated log.
-///
-/// The real-system analogue is a Raft/Paxos-backed store (cf. the
-/// single-leader + replicated-log sketch in ROADMAP item 1): the leader
-/// appends each op and ships it to followers. Here every append synchronously
-/// catches one follower — chosen by a private seeded RNG stream — up to the
-/// full log, so the most-caught-up follower always holds a complete prefix
-/// and recovery is loss-free by construction. The point of the simulation is
-/// not the quorum arithmetic but the recovery contract: tables rebuilt by
-/// log replay must be bit-identical to the tables that crashed.
-pub struct ReplicatedMetastore {
-    tables: MetaTables,
-    log: Vec<MetaOp>,
-    /// Log length each follower has durably acknowledged.
-    match_idx: [usize; REPLICAS],
-    rng: SimRng,
-    stats: MetaStats,
-}
-
-impl ReplicatedMetastore {
-    /// `seed` should be a kernel-derived constant stream tag, not a fork of
-    /// the kernel's live RNG — constructing this store must not perturb the
-    /// simulation's draw sequence.
-    pub fn new(seed: u64) -> Self {
-        ReplicatedMetastore {
-            tables: MetaTables::default(),
-            log: Vec::new(),
-            match_idx: [0; REPLICAS],
-            rng: SimRng::new(seed),
-            stats: MetaStats::default(),
-        }
-    }
-
-    /// Elected leader for recovery: the most-caught-up follower.
-    fn leader_match(&self) -> usize {
-        self.match_idx.iter().copied().max().unwrap_or(0)
-    }
-
-    fn replay(&self, upto: usize) -> MetaTables {
-        let mut fresh = MetaTables::default();
-        for op in &self.log[..upto] {
-            fresh.apply(op);
-        }
-        fresh
-    }
-}
-
-impl Metastore for ReplicatedMetastore {
-    fn kind(&self) -> MetastoreKind {
-        MetastoreKind::Replicated
-    }
-
+impl Metastore for SamStore {
     fn apply(&mut self, op: MetaOp) {
         self.tables.apply(&op);
-        self.log.push(op);
-        // Synchronous catch-up of one randomly chosen follower to the full
-        // log. The max over match_idx is therefore always log.len(): the
-        // elected leader never misses an acknowledged op.
-        let follower = self.rng.gen_range(0, REPLICAS as u64) as usize;
-        self.match_idx[follower] = self.log.len();
+        if let Some(log) = &mut self.log {
+            log.push(op);
+        }
         self.stats.ops_applied += 1;
     }
 
-    fn tables(&self) -> &MetaTables {
-        &self.tables
-    }
-
     fn recover(&mut self) -> MetaRecovery {
-        let upto = self.leader_match();
-        let fresh = self.replay(upto);
+        self.stats.recoveries += 1;
+        let Some(log) = &self.log else {
+            return MetaRecovery::default();
+        };
+        let fresh = replay(log);
+        let ops_replayed = log.len() as u64;
         assert_eq!(
             fresh.digest(),
             self.tables.digest(),
-            "metastore recovery diverged: log replay ({upto} ops) does not \
-             reproduce the pre-crash tables"
+            "metastore recovery diverged: log replay ({ops_replayed} ops) does \
+             not reproduce the pre-crash tables"
         );
         self.tables = fresh;
-        self.stats.recoveries += 1;
-        self.stats.ops_replayed += upto as u64;
-        MetaRecovery {
-            ops_replayed: upto as u64,
-        }
-    }
-
-    fn verify(&self) -> bool {
-        self.replay(self.leader_match()).digest() == self.tables.digest()
-    }
-
-    fn stats(&self) -> MetaStats {
-        self.stats
-    }
-}
-
-/// Constructs the store for a kind. `seed` feeds only the replicated store's
-/// private RNG stream.
-pub fn build_metastore(kind: MetastoreKind, seed: u64) -> Box<dyn Metastore> {
-    match kind {
-        MetastoreKind::Memory => Box::new(MemoryMetastore::new()),
-        MetastoreKind::Replicated => Box::new(ReplicatedMetastore::new(seed)),
+        self.stats.ops_replayed += ops_replayed;
+        MetaRecovery { ops_replayed }
     }
 }
 
@@ -496,7 +423,7 @@ mod tests {
         }
     }
 
-    fn script(store: &mut dyn Metastore) {
+    fn script(store: &mut SamStore) {
         store.apply(MetaOp::RegisterOrchestrator);
         store.apply(MetaOp::AllocJobId);
         store.apply(MetaOp::AllocPeId);
@@ -516,15 +443,17 @@ mod tests {
         });
     }
 
+    /// The store with a log against the store without one.
     #[test]
     fn both_stores_materialize_identical_tables() {
-        let mut mem = MemoryMetastore::new();
-        let mut rep = ReplicatedMetastore::new(7);
+        let mut mem = SamStore::with_kind(MetastoreKind::Memory);
+        let mut rep = SamStore::with_kind(MetastoreKind::Replicated);
         script(&mut mem);
         script(&mut rep);
         assert_eq!(mem.tables().digest(), rep.tables().digest());
         assert_eq!(mem.tables().jobs[&JobId(1)].pe_ids, vec![PeId(99)]);
         assert_eq!(mem.tables().pe_index[&PeId(99)], (JobId(1), 0));
+        assert_eq!(mem.stats(), rep.stats());
     }
 
     #[test]
@@ -542,18 +471,39 @@ mod tests {
 
     #[test]
     fn memory_recovery_keeps_tables_by_fiat() {
-        let mut mem = MemoryMetastore::new();
+        let mut mem = SamStore::with_kind(MetastoreKind::Memory);
         script(&mut mem);
         let before = mem.tables().digest();
         let rec = mem.recover();
         assert_eq!(rec.ops_replayed, 0);
         assert_eq!(mem.tables().digest(), before);
+        assert_eq!(mem.stats().recoveries, 1);
+        assert_eq!(mem.stats().ops_replayed, 0);
         assert!(mem.verify());
+    }
+
+    /// A store whose live tables moved without the log: bypasses `apply`.
+    fn diverged() -> SamStore {
+        let mut rep = SamStore::with_kind(MetastoreKind::Replicated);
+        script(&mut rep);
+        rep.tables.apply(&MetaOp::ReleaseHost("h1".into()));
+        rep
+    }
+
+    #[test]
+    fn verify_fails_when_the_tables_leave_the_log() {
+        assert!(!diverged().verify());
+    }
+
+    #[test]
+    #[should_panic(expected = "metastore recovery diverged")]
+    fn recovery_panics_when_the_tables_leave_the_log() {
+        diverged().recover();
     }
 
     #[test]
     fn remove_job_clears_all_derived_state() {
-        let mut mem = MemoryMetastore::new();
+        let mut mem = SamStore::with_kind(MetastoreKind::Memory);
         script(&mut mem);
         mem.apply(MetaOp::RemoveJob(JobId(1)));
         let t = mem.tables();
@@ -587,16 +537,6 @@ mod tests {
             MetaOp::SetJobStatus(JobId(1), JobStatus::Cancelled),
             &mut last,
         );
-    }
-
-    #[test]
-    fn replicated_apply_stream_is_deterministic() {
-        let run = || {
-            let mut rep = ReplicatedMetastore::new(42);
-            script(&mut rep);
-            (rep.match_idx, rep.tables().digest())
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

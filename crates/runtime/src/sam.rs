@@ -7,19 +7,19 @@
 //! notifications to the orchestrator owning the crashed PE.
 //!
 //! As of the control-plane fault-tolerance work, SAM itself is crashable: all
-//! durable state lives behind the [`Metastore`] trait (every mutation is a
-//! logged [`MetaOp`]), and this struct keeps only volatile daemon state — the
-//! availability flag for an in-progress restart and the host-heartbeat table
-//! the liveness deadline is judged against. A `RestartSam` fault flips
-//! `available` off, drops nothing durable, and recovery rebuilds the tables
-//! from the store's log.
+//! durable state lives in its [`SamStore`] (every mutation is a [`MetaOp`],
+//! logged when the store keeps a log), and this struct keeps only volatile
+//! daemon state — the availability flag for an in-progress restart and the
+//! host-heartbeat table the liveness deadline is judged against. A
+//! `RestartSam` fault flips `available` off, drops nothing durable, and
+//! recovery rebuilds the tables from the store's log.
 //!
 //! This module holds SAM's bookkeeping; the RPC-like coordination with the
 //! cluster and broker lives in [`crate::kernel::Kernel`].
 
 use crate::ids::{JobId, OrcaId, PeId};
 use crate::metastore::{
-    build_metastore, MetaOp, MetaRecovery, MetaStats, Metastore, MetastoreKind,
+    MetaOp, MetaRecovery, MetaStats, MetaTables, Metastore, MetastoreKind, SamStore,
 };
 use sps_model::adl::Adl;
 use sps_sim::{SimDuration, SimTime};
@@ -83,9 +83,9 @@ pub enum OrcaNotification {
     },
 }
 
-/// SAM daemon: durable tables behind the metastore, volatile state here.
+/// SAM daemon: durable tables in the metastore, volatile state here.
 pub struct Sam {
-    store: Box<dyn Metastore>,
+    store: SamStore,
     /// False while a `RestartSam` fault window is active: drains return
     /// empty (the Unavailable path) instead of panicking or serving stale
     /// queues; pushes keep landing in the durable store.
@@ -104,23 +104,23 @@ impl Default for Sam {
 }
 
 impl Sam {
-    /// In-memory store — the zero-cost default, byte-identical to the
-    /// pre-metastore SAM.
+    /// A store without an op log — the zero-cost default, byte-identical to
+    /// the pre-metastore SAM.
     pub fn new() -> Self {
-        Sam::with_store(MetastoreKind::Memory, 0)
+        Sam::with_store(MetastoreKind::Memory)
     }
 
-    /// `seed` feeds only the replicated store's private RNG stream; the
-    /// memory store ignores it.
-    pub fn with_store(kind: MetastoreKind, seed: u64) -> Self {
+    /// `Replicated` keeps an op log that a restart replays and verifies;
+    /// `Memory` keeps none. Neither draws randomness.
+    pub fn with_store(kind: MetastoreKind) -> Self {
         Sam {
-            store: build_metastore(kind, seed),
+            store: SamStore::with_kind(kind),
             available: true,
             host_liveness: Vec::new(),
         }
     }
 
-    fn tables(&self) -> &crate::metastore::MetaTables {
+    fn tables(&self) -> &MetaTables {
         self.store.tables()
     }
 
@@ -501,7 +501,7 @@ mod tests {
     #[test]
     fn drain_during_restart_window_is_unavailable_not_stale() {
         for kind in [MetastoreKind::Memory, MetastoreKind::Replicated] {
-            let mut sam = Sam::with_store(kind, 11);
+            let mut sam = Sam::with_store(kind);
             let o = sam.register_orchestrator();
             let n = OrcaNotification::PeFailure {
                 job: JobId(1),
@@ -530,12 +530,12 @@ mod tests {
         }
     }
 
-    /// The same call script against both stores materializes identical
+    /// The same call script with and without the op log materializes identical
     /// state — the byte-identity claim behind the memory default.
     #[test]
     fn facade_behaves_identically_across_stores() {
         let drive = |kind: MetastoreKind| {
-            let mut sam = Sam::with_store(kind, 3);
+            let mut sam = Sam::with_store(kind);
             let o = sam.register_orchestrator();
             let info = job_info(&mut sam, Some(o));
             let (id, pe) = (info.id, info.pe_ids[0]);
