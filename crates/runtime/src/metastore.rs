@@ -13,8 +13,7 @@
 //! with a log: every op is appended in application order, and recovery
 //! replays the whole log into fresh tables and digest-verifies the replay
 //! against the pre-crash state. The log stands for a strongly consistent
-//! store's committed prefix; no follower is simulated, since a follower that
-//! always catches up decides nothing.
+//! store's committed prefix.
 //!
 //! Determinism: no clock or RNG anywhere in this module — log replay is a
 //! pure fold over `MetaOp`s. The table digest hashes integers and strings
@@ -324,7 +323,7 @@ fn replay(log: &[MetaOp]) -> MetaTables {
 impl SamStore {
     /// The store for a kind: with an op log for `Replicated`, without for
     /// `Memory`.
-    pub fn with_kind(kind: MetastoreKind) -> Self {
+    pub(crate) fn with_kind(kind: MetastoreKind) -> Self {
         SamStore {
             log: (kind == MetastoreKind::Replicated).then(Vec::new),
             ..SamStore::default()
@@ -338,19 +337,19 @@ impl SamStore {
     }
 
     /// The live, materialized tables. All SAM reads go through here.
-    pub fn tables(&self) -> &MetaTables {
+    pub(crate) fn tables(&self) -> &MetaTables {
         &self.tables
     }
 
     /// True iff replaying the log reproduces the live tables (trivially true
     /// without a log). Oracle hook.
-    pub fn verify(&self) -> bool {
+    pub(crate) fn verify(&self) -> bool {
         self.log
             .as_deref()
             .is_none_or(|log| replay(log).digest() == self.tables.digest())
     }
 
-    pub fn stats(&self) -> MetaStats {
+    pub(crate) fn stats(&self) -> MetaStats {
         self.stats
     }
 }

@@ -18,9 +18,7 @@
 //! cluster and broker lives in [`crate::kernel::Kernel`].
 
 use crate::ids::{JobId, OrcaId, PeId};
-use crate::metastore::{
-    MetaOp, MetaRecovery, MetaStats, MetaTables, Metastore, MetastoreKind, SamStore,
-};
+use crate::metastore::{MetaOp, MetaRecovery, MetaStats, Metastore, MetastoreKind, SamStore};
 use sps_model::adl::Adl;
 use sps_sim::{SimDuration, SimTime};
 
@@ -120,7 +118,7 @@ impl Sam {
         }
     }
 
-    fn tables(&self) -> &MetaTables {
+    fn tables(&self) -> &crate::metastore::MetaTables {
         self.store.tables()
     }
 
