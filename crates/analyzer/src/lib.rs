@@ -11,8 +11,7 @@
 //!   feeds a sorting adapter within two lines or carries an allow.
 //! - **R2 `ambient-authority`** — no `Instant::now`, `SystemTime`,
 //!   `thread_rng`, `rand::random`, or `std::thread::spawn` anywhere in the
-//!   workspace (the metastore's replicated follower choice is the canonical
-//!   seeded-draw site the `rand::random` matcher protects),
+//!   workspace (simulation randomness comes from seeded `SimRng` streams),
 //!   outside [`AMBIENT_ALLOWED_FILES`] (the deterministic harness pool) or
 //!   an annotated allow.
 //! - **R3 `ckpt-contract`** — an `impl Operator` whose type has mutable

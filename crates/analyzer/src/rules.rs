@@ -374,10 +374,7 @@ fn check_ambient_authority(toks: &[Tok]) -> Vec<Finding> {
         } else if t.text == "thread_rng" {
             Some("`thread_rng()` is ambient randomness; use a seeded SimRng stream")
         } else if path2("rand", "random") {
-            Some(
-                "`rand::random()` is ambient randomness; metastore follower choice and \
-                 every other draw must come from a seeded SimRng stream",
-            )
+            Some("`rand::random()` is ambient randomness; use a seeded SimRng stream")
         } else if path2("thread", "spawn") {
             Some(
                 "`thread::spawn` introduces scheduling nondeterminism; route parallelism \
