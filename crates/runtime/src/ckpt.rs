@@ -516,8 +516,8 @@ impl CheckpointStore {
     /// Evicts whole chains, oldest base first (ties by slot), until stored
     /// bytes fit the budget or only protected chains remain (no-op when
     /// unbounded). A chain in `protected` is never evicted, so a protected
-    /// PE can always restore, and stored bytes can stay over the budget. Public so
-    /// the eviction-safety property test can drive it directly.
+    /// PE can always restore, and stored bytes can stay over the budget.
+    /// Public so the eviction-safety property test can drive it directly.
     pub fn enforce_budget(&mut self, protected: &BTreeSet<(JobId, usize)>) {
         let budget = self.storage.budget_bytes;
         if budget == 0 {
