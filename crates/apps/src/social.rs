@@ -72,8 +72,7 @@ use sps_sim::{DigestWriter, SimDuration, SimRng, SimTime};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
@@ -286,10 +285,11 @@ impl Slot {
         }
     }
 
-    fn gender(&self) -> Option<&str> {
+    /// The stored bytes of the `gender` value.
+    fn gender(&self) -> Option<&[u8]> {
         match self {
-            Slot::Flat(entry) => entry.gender.as_ref().map(Inline::as_str),
-            Slot::Spilled(profile) => profile.gender.as_deref(),
+            Slot::Flat(entry) => entry.gender.as_ref().map(Inline::as_bytes),
+            Slot::Spilled(profile) => profile.gender.as_deref().map(str::as_bytes),
         }
     }
 
@@ -300,10 +300,11 @@ impl Slot {
         }
     }
 
-    fn location(&self) -> Option<&str> {
+    /// The stored bytes of the `location` value.
+    fn location(&self) -> Option<&[u8]> {
         match self {
-            Slot::Flat(entry) => entry.location.as_ref().map(Inline::as_str),
-            Slot::Spilled(profile) => profile.location.as_deref(),
+            Slot::Flat(entry) => entry.location.as_ref().map(Inline::as_bytes),
+            Slot::Spilled(profile) => profile.location.as_deref().map(str::as_bytes),
         }
     }
 
@@ -537,6 +538,26 @@ impl ProfileStoreHandle {
 // Operators
 // ---------------------------------------------------------------------------
 
+/// Appends `prefix` and `n` in decimal to `out`, growing it at most once,
+/// to exactly the length they need: an empty `out` becomes one allocation of
+/// that size, a scratch one with room allocates nothing.
+fn push_numbered(out: &mut String, prefix: &str, n: u64) {
+    let mut digits = [0; 20];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.reserve_exact(prefix.len() + digits.len() - at);
+    out.push_str(prefix);
+    out.extend(digits[at..].iter().map(|&digit| char::from(digit)));
+}
+
 /// C1: reads a social stream and emits interesting profiles
 /// `{user, source, sentiment}`.
 pub struct SocialStreamReader {
@@ -556,7 +577,8 @@ impl Operator for SocialStreamReader {
         while self.credit >= 1.0 - 1e-9 {
             self.credit -= 1.0;
             // Negative-post filter baked in: only ~interesting profiles flow.
-            let user = format!("u{}", self.rng.gen_range(0, self.user_space));
+            let mut user = String::new();
+            push_numbered(&mut user, "u", self.rng.gen_range(0, self.user_space));
             let sentiment = -self.rng.next_f64(); // negative posts
             ctx.submit(
                 0,
@@ -603,13 +625,28 @@ pub struct SocialQuery {
     counters: Option<[MetricId; 3]>,
     /// Scratch for the `locN` string of the tuple in hand.
     location: String,
+    /// The input schema last seen, with where `user` and `sentiment` sit in
+    /// its rows; resolved again when the stream changes shape.
+    fields: Option<(Rc<Schema>, Option<usize>, Option<usize>)>,
 }
 
 impl Operator for SocialQuery {
     fn on_tuple(&mut self, _port: usize, tuple: Tuple, ctx: &mut OpCtx) {
-        let Some(user) = tuple.get_str("user") else {
+        let schema = tuple.schema();
+        if !self
+            .fields
+            .as_ref()
+            .is_some_and(|(seen, ..)| Rc::ptr_eq(seen, schema))
+        {
+            let at = |name: &str| schema.names().iter().position(|held| &**held == name);
+            self.fields = Some((Rc::clone(schema), at("user"), at("sentiment")));
+        }
+        let (_, user_at, sentiment_at) = self.fields.as_ref().expect("resolved above");
+        let values = tuple.values();
+        let Some(user) = user_at.and_then(|at| values[at].as_str()) else {
             return;
         };
+        let sentiment = sentiment_at.and_then(|at| values[at].as_f64());
         let gender =
             self.rng
                 .gen_bool(self.p_gender)
@@ -620,7 +657,7 @@ impl Operator for SocialQuery {
             .then(|| self.rng.gen_range(13, 80) as i64);
         let location = self.rng.gen_bool(self.p_location).then(|| {
             self.location.clear();
-            write!(self.location, "loc{}", self.rng.gen_range(0, 50)).expect("writing to a String");
+            push_numbered(&mut self.location, "loc", self.rng.gen_range(0, 50));
             self.location.as_str()
         });
         // Cumulative per-attribute counters — duplicates included, exactly
@@ -642,7 +679,7 @@ impl Operator for SocialQuery {
             gender,
             age,
             location,
-            sentiment: tuple.get_f64("sentiment").unwrap_or(0.0),
+            sentiment: sentiment.unwrap_or(0.0),
             sources: &[self.service.as_str()],
         });
         ctx.submit(0, tuple);
@@ -713,42 +750,110 @@ impl Operator for AttributeAggregator {
     }
 }
 
-/// Sentiment sum and profile count per value of `attribute` over the
-/// deduplicated store, scanned in place and in user order (so each sum adds
-/// in that order); profiles without the attribute are skipped. Groups are
-/// probed in a hash table and sorted once, on the way out; a key is
-/// allocated only when its group is first seen.
+/// The C3 scan's group hasher: a `u128` or `i64` key is one
+/// [`DigestWriter::word`] step, where `DigestWriter`'s own `Hasher` folds
+/// it as a length-prefixed byte string; bytes hash as they do there.
+#[derive(Default)]
+struct GroupHasher(DigestWriter);
+
+impl Hasher for GroupHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.bytes(bytes);
+    }
+
+    fn write_u128(&mut self, word: u128) {
+        self.0.word(word as u64 ^ (word >> 64) as u64);
+    }
+
+    fn write_i64(&mut self, word: i64) {
+        self.0.word(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.digest()
+    }
+}
+
+/// Sentiment sum and profile count per group key of one C3 scan.
+type ScanGroups<K> = HashMap<K, (f64, usize), BuildHasherDefault<GroupHasher>>;
+
+const _: () = assert!(ATTR_INLINE < 16, "a value and its length fit a u128");
+
+/// A `gender` or `location` value of at most [`ATTR_INLINE`] bytes as one
+/// word: its bytes zero-padded, its length in the top byte, so `"a"` and
+/// `"a\0"` are two keys. `None` for a longer value.
+fn value_word(value: &[u8]) -> Option<u128> {
+    if value.len() > ATTR_INLINE {
+        return None;
+    }
+    let mut word = [0; 16];
+    word[..value.len()].copy_from_slice(value);
+    word[15] = value.len() as u8;
+    Some(u128::from_le_bytes(word))
+}
+
+/// The value [`value_word`] made `word` of.
+fn word_value(word: u128) -> String {
+    let word = word.to_le_bytes();
+    let value = std::str::from_utf8(&word[..usize::from(word[15])]);
+    value.expect("a word holds a whole str").to_string()
+}
+
+/// Sentiment sum and profile count per group of `attribute` over the
+/// deduplicated store, scanned in place and in user order (so each group's
+/// sum adds in that order); profiles without the attribute are skipped.
+/// Profiles are grouped by what the store holds — an age by its integer
+/// decade, a value of at most [`ATTR_INLINE`] bytes by [`value_word`] (an
+/// entry's and a spilled profile's alike), a longer one by its bytes — and
+/// each group's name is built once, on the way out.
 fn sentiment_by_attribute(
     store: &ProfileStoreHandle,
     attribute: &str,
 ) -> BTreeMap<String, (f64, usize)> {
-    let mut groups: HashMap<String, (f64, usize), BuildHasherDefault<DigestWriter>> =
-        HashMap::default();
-    let mut decade = String::new();
+    let add = |group: &mut (f64, usize), slot: &Slot| {
+        group.0 += slot.sentiment();
+        group.1 += 1;
+    };
     let mut store = store.0.borrow_mut();
     store.update_order();
-    for (_, profile) in store.in_order() {
-        let key = match attribute {
-            "gender" => profile.gender(),
-            "location" => profile.location(),
-            "age" => profile.age().map(|age| {
-                decade.clear();
-                write!(decade, "{}s", (age / 10) * 10).expect("writing to a String");
-                decade.as_str()
-            }),
-            _ => unreachable!("validated at construction"),
-        };
-        let Some(key) = key else {
+    let slots = store.in_order().map(|(_, slot)| slot);
+    if attribute == "age" {
+        let mut decades = ScanGroups::<i64>::default();
+        for slot in slots {
+            if let Some(age) = slot.age() {
+                add(decades.entry((age / 10) * 10).or_default(), slot);
+            }
+        }
+        let named = decades.into_iter();
+        return named
+            .map(|(decade, group)| (format!("{decade}s"), group))
+            .collect();
+    }
+    let value: fn(&Slot) -> Option<&[u8]> = match attribute {
+        "gender" => Slot::gender,
+        "location" => Slot::location,
+        _ => unreachable!("validated at construction"),
+    };
+    let mut words = ScanGroups::<u128>::default();
+    let mut long = ScanGroups::<&[u8]>::default();
+    for slot in slots {
+        let Some(bytes) = value(slot) else {
             continue;
         };
-        let slot = match groups.get_mut(key) {
-            Some(slot) => slot,
-            None => groups.entry(key.to_string()).or_insert((0.0, 0)),
+        let group = match value_word(bytes) {
+            Some(word) => words.entry(word).or_default(),
+            None => long.entry(bytes).or_default(),
         };
-        slot.0 += profile.sentiment();
-        slot.1 += 1;
+        add(group, slot);
     }
-    groups.into_iter().collect()
+    let long = long.into_iter().map(|(bytes, group)| {
+        let value = std::str::from_utf8(bytes).expect("a value is a whole str");
+        (value.to_string(), group)
+    });
+    let words = words
+        .into_iter()
+        .map(|(word, group)| (word_value(word), group));
+    words.chain(long).collect()
 }
 
 /// Registers the social operator kinds.
@@ -779,6 +884,7 @@ pub fn register_ops(r: &mut OperatorRegistry, stores: &SharedStores) {
             rng: SimRng::new(seed),
             counters: None,
             location: String::new(),
+            fields: None,
             p_gender: opt_f64(params, name, "p_gender")?.unwrap_or(0.6),
             p_age: opt_f64(params, name, "p_age")?.unwrap_or(0.4),
             p_location: opt_f64(params, name, "p_location")?.unwrap_or(0.3),
@@ -1151,29 +1257,11 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn aggregator_over_for_each_emits_what_the_snapshot_grouping_did() {
-        let stores = SharedStores::new();
-        let mut rng = SimRng::new(0x50c1a1);
-        for _ in 0..400 {
-            // ~300 distinct users, so merges also update existing profiles.
-            stores.profile_store.merge(Profile {
-                user: format!("u{}", rng.gen_range(0, 300)),
-                gender: rng
-                    .gen_bool(0.6)
-                    .then(|| if rng.gen_bool(0.5) { "f" } else { "m" }.to_string()),
-                // Ages beyond two digits: "100s" sorts before "20s".
-                age: rng.gen_bool(0.5).then(|| rng.gen_range(5, 120) as i64),
-                location: rng
-                    .gen_bool(0.4)
-                    .then(|| format!("loc{}", rng.gen_range(0, 40))),
-                sentiment: -rng.next_f64(),
-                sources: vec!["test".into()],
-            });
-        }
-        assert!(stores.profile_store.len() > 200);
-
-        let registry = crate::registry(&stores);
+    /// Runs a C3 aggregator per attribute over `stores`, one step of a PE of
+    /// its own, and checks that it emits what [`groups_of`] a `snapshot()`
+    /// makes, every average bit for bit, then one final punctuation.
+    fn assert_aggregators_emit_the_snapshot_grouping(stores: &SharedStores) {
+        let registry = crate::registry(stores);
         let now = SimTime::from_millis(100);
         for (attribute, _) in ATTRIBUTES {
             let mut adl = c3_app();
@@ -1220,6 +1308,97 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn aggregator_over_for_each_emits_what_the_snapshot_grouping_did() {
+        let stores = SharedStores::new();
+        let mut rng = SimRng::new(0x50c1a1);
+        for _ in 0..400 {
+            // ~300 distinct users, so merges also update existing profiles.
+            stores.profile_store.merge(Profile {
+                user: format!("u{}", rng.gen_range(0, 300)),
+                gender: rng
+                    .gen_bool(0.6)
+                    .then(|| if rng.gen_bool(0.5) { "f" } else { "m" }.to_string()),
+                // Ages beyond two digits: "100s" sorts before "20s".
+                age: rng.gen_bool(0.5).then(|| rng.gen_range(5, 120) as i64),
+                location: rng
+                    .gen_bool(0.4)
+                    .then(|| format!("loc{}", rng.gen_range(0, 40))),
+                sentiment: -rng.next_f64(),
+                sources: vec!["test".into()],
+            });
+        }
+        assert!(stores.profile_store.len() > 200);
+        assert_aggregators_emit_the_snapshot_grouping(&stores);
+    }
+
+    /// The scan groups an entry's value and a spilled profile's by the same
+    /// key, and adds both to the group's sum at their places in user order.
+    #[test]
+    fn aggregator_groups_spilled_profiles_with_the_entries_that_share_a_value() {
+        let stores = SharedStores::new();
+        let mut rng = SimRng::new(0x5911);
+        let x = |n: usize| "x".repeat(n);
+        // Values an entry holds, at most `ATTR_INLINE` bytes, with "a" beside
+        // "a\0"; and values one byte and many bytes past it, which spill.
+        let short = ["f", "m", "a", "a\0", "loc7", &x(ATTR_INLINE)].map(String::from);
+        let long = [x(ATTR_INLINE + 1), "y".repeat(40)];
+        let eight: Vec<String> = (0..=SOURCES_INLINE).map(|n| format!("svc{n}")).collect();
+        let value = |rng: &mut SimRng| {
+            let pool: &[String] = if rng.gen_bool(0.1) { &long } else { &short };
+            rng.gen_bool(0.6)
+                .then(|| pool[rng.gen_range(0, pool.len() as u64) as usize].clone())
+        };
+        for _ in 0..3000 {
+            // ~400 users; a tenth of merges spill a profile by an eighth
+            // source, a later merge may overwrite its long value with a short
+            // one.
+            let profile = Profile {
+                user: format!("u{}", rng.gen_range(0, 400)),
+                gender: value(&mut rng),
+                // Negative ages, and ages of 100 and more.
+                age: rng
+                    .gen_bool(0.6)
+                    .then(|| rng.gen_range(0, 260) as i64 - 130),
+                location: value(&mut rng),
+                sentiment: if rng.gen_bool(0.05) {
+                    -0.0
+                } else {
+                    -rng.next_f64()
+                },
+                sources: if rng.gen_bool(0.1) {
+                    eight.clone()
+                } else {
+                    vec!["blogs".into()]
+                },
+            };
+            stores.profile_store.merge(profile);
+        }
+
+        // The store holds what the scan must group together: each short value
+        // both in entries and in spilled profiles, the long ones in spilled
+        // profiles only, and ages on both sides of two digits.
+        let inner = stores.profile_store.0.borrow();
+        let held = |spilled: bool, value: &str| {
+            inner.arena.iter().any(|(_, slot)| {
+                let has = |held: Option<&[u8]>| held == Some(value.as_bytes());
+                matches!(slot, Slot::Spilled(_)) == spilled
+                    && (has(slot.gender()) || has(slot.location()))
+            })
+        };
+        for value in &short {
+            assert!(held(false, value) && held(true, value), "{value:?}");
+        }
+        for value in &long {
+            assert!(held(true, value) && !held(false, value), "{value:?}");
+        }
+        let ages = || inner.arena.iter().filter_map(|(_, slot)| slot.age());
+        assert!(ages().any(|age| age < -10) && ages().any(|age| age >= 100));
+        drop(inner);
+
+        assert_aggregators_emit_the_snapshot_grouping(&stores);
     }
 
     #[test]

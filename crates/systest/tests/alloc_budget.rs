@@ -81,14 +81,15 @@ const SETUP: [(&str, usize, u64, u64); 4] = [
 ];
 
 /// `(scenario, requests per steady quantum it may make)`, seed 7: what this
-/// tree makes (127.3, 35.5, 26.6 and 25.0, the same in debug and release
+/// tree makes (115.3, 35.5, 26.6 and 25.0, the same in debug and release
 /// builds), rounded up. Lower them when a change earns it. Whole runs, set-up
-/// included, make 130.4, 37.7, 28.2 and 25.0 a quantum; that is what the
-/// history below counts. While the profile store was a B-tree, which
-/// allocates its nodes one at a time, `social` made 131.6; the arena and
-/// index that replaced it grow by doubling. While a tuple
-/// crossing a PE boundary was encoded by the sender and decoded by the
-/// receiver, the same runs made 436.7, 65.2, 63.7 and 48.2: a payload per
+/// included, make 118.4, 37.7, 28.2 and 25.0 a quantum; that is what the
+/// history below counts. While C1 named each user with `format!` (an
+/// allocation, then a reallocation), `social` made 130.4 (127.3 steady).
+/// While the profile store was a B-tree, which allocates its nodes one at a
+/// time, `social` made 131.6; the arena and index that replaced it grow by
+/// doubling. While a tuple crossing a PE boundary was encoded by the sender
+/// and decoded by the receiver, the same runs made 436.7, 65.2, 63.7 and 48.2: a payload per
 /// frame, then a row, a value vector and a `String` per `Str` value for
 /// every tuple decoded — `live` moved with the rest because every scenario
 /// is a graph of one-operator PEs. Before the
@@ -99,7 +100,7 @@ const SETUP: [(&str, usize, u64, u64); 4] = [
 /// predicates are on integers and never allocated: it is the control for
 /// operator changes, and moves only if the container or transport does.
 const CEILINGS: [(&str, u64); 4] = [
-    ("social", 128),
+    ("social", 116),
     ("trend", 36),
     ("sentiment", 27),
     ("live", 26),
@@ -107,22 +108,22 @@ const CEILINGS: [(&str, u64); 4] = [
 
 /// The same under the `campaign_durable` benchmark's policy: checkpoints
 /// every 10 quanta, upstream backup, 5 ms writes, the replicated metastore.
-/// The steady state makes 158.5, 51.4, 41.9 and 36.0 in a release build,
+/// The steady state makes 146.5, 51.4, 41.9 and 36.0 in a release build,
 /// rounded up here. A fault-free run under this policy executes what the
 /// plain one does, so the surplus is the write side alone: snapshots, sink
 /// blobs, the backup's buffered deliveries and the metastore's op log. A
-/// debug build makes 172.0, 60.7, 46.0 and 42.1: its debug assertions run
+/// debug build makes 160.0, 60.7, 46.0 and 42.1: its debug assertions run
 /// on the write side too (a `Sink` compares every blob with a full encode).
 const DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
     [
-        ("social", 173),
+        ("social", 161),
         ("trend", 61),
         ("sentiment", 47),
         ("live", 43),
     ]
 } else {
     [
-        ("social", 159),
+        ("social", 147),
         ("trend", 52),
         ("sentiment", 42),
         ("live", 37),
@@ -132,12 +133,12 @@ const DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
 /// Both ceiling tables again for the per-tuple reference path
 /// (`SPS_BATCH=off`: single-tuple runs, one transport frame per tuple), as
 /// this tree's steady state makes them, rounded up. Plain, the same in debug
-/// and release builds: 290.3, 36.8, 28.5 and 27.1 — a frame per tuple is a
+/// and release builds: 278.3, 36.8, 28.5 and 27.1 — a frame per tuple is a
 /// request per tuple, and `social` moves most because it moves the most
-/// tuples across PEs. Under the durable policy, release: 315.7, 49.4, 41.8
-/// and 35.7; debug: 329.3, 58.7, 46.0 and 41.8.
+/// tuples across PEs. Under the durable policy, release: 303.7, 49.4, 41.8
+/// and 35.7; debug: 317.2, 58.7, 46.0 and 41.8.
 const PER_TUPLE_CEILINGS: [(&str, u64); 4] = [
-    ("social", 291),
+    ("social", 279),
     ("trend", 37),
     ("sentiment", 29),
     ("live", 28),
@@ -145,14 +146,14 @@ const PER_TUPLE_CEILINGS: [(&str, u64); 4] = [
 
 const PER_TUPLE_DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
     [
-        ("social", 330),
+        ("social", 318),
         ("trend", 59),
         ("sentiment", 46),
         ("live", 42),
     ]
 } else {
     [
-        ("social", 316),
+        ("social", 304),
         ("trend", 50),
         ("sentiment", 42),
         ("live", 36),
