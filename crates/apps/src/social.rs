@@ -154,6 +154,27 @@ impl<const N: usize> Inline<N> {
     }
 }
 
+const _: () = assert!(ATTR_INLINE < 16, "a value and its length fit a u128");
+
+impl Inline<ATTR_INLINE> {
+    /// This value as one word: its bytes, zero above its length whatever the
+    /// padding holds, and its length in the top byte, so `"a"` and `"a\0"`
+    /// are two words. A fixed-size copy and a mask; no byte loop.
+    fn word(&self) -> u128 {
+        let mut word = [0; 16];
+        word[..ATTR_INLINE].copy_from_slice(&self.bytes);
+        let content = (1 << (8 * u32::from(self.len))) - 1;
+        u128::from_le_bytes(word) & content | u128::from(self.len) << 120
+    }
+}
+
+/// How the C3 scan groups a `gender` or `location` value: as one word, or,
+/// longer than any inline slot, as itself.
+enum ValueKey<'a> {
+    Word(u128),
+    Long(&'a str),
+}
+
 /// Arena key: the user name, compared and ordered by [`UserKey::as_bytes`]
 /// exactly as `str` is (bytewise over the name, never over the padded
 /// array).
@@ -285,11 +306,10 @@ impl Slot {
         }
     }
 
-    /// The stored bytes of the `gender` value.
-    fn gender(&self) -> Option<&[u8]> {
+    fn gender(&self) -> Option<&str> {
         match self {
-            Slot::Flat(entry) => entry.gender.as_ref().map(Inline::as_bytes),
-            Slot::Spilled(profile) => profile.gender.as_deref().map(str::as_bytes),
+            Slot::Flat(entry) => entry.gender.as_ref().map(Inline::as_str),
+            Slot::Spilled(profile) => profile.gender.as_deref(),
         }
     }
 
@@ -300,11 +320,34 @@ impl Slot {
         }
     }
 
-    /// The stored bytes of the `location` value.
-    fn location(&self) -> Option<&[u8]> {
+    fn location(&self) -> Option<&str> {
         match self {
-            Slot::Flat(entry) => entry.location.as_ref().map(Inline::as_bytes),
-            Slot::Spilled(profile) => profile.location.as_deref().map(str::as_bytes),
+            Slot::Flat(entry) => entry.location.as_ref().map(Inline::as_str),
+            Slot::Spilled(profile) => profile.location.as_deref(),
+        }
+    }
+
+    /// The `gender` value (`location` unless `gender`) as the C3 scan
+    /// groups it: a value of at most [`ATTR_INLINE`] bytes as its
+    /// [`Inline::word`], whether an entry or a spilled profile holds it.
+    fn value_key(&self, gender: bool) -> Option<ValueKey<'_>> {
+        match self {
+            Slot::Flat(entry) => {
+                let value = if gender { entry.gender } else { entry.location };
+                value.map(|value| ValueKey::Word(value.word()))
+            }
+            Slot::Spilled(profile) => {
+                let value = if gender {
+                    &profile.gender
+                } else {
+                    &profile.location
+                };
+                let value = value.as_deref()?;
+                Some(match Inline::<ATTR_INLINE>::new(value) {
+                    Some(inline) => ValueKey::Word(inline.word()),
+                    None => ValueKey::Long(value),
+                })
+            }
         }
     }
 
@@ -777,22 +820,7 @@ impl Hasher for GroupHasher {
 /// Sentiment sum and profile count per group key of one C3 scan.
 type ScanGroups<K> = HashMap<K, (f64, usize), BuildHasherDefault<GroupHasher>>;
 
-const _: () = assert!(ATTR_INLINE < 16, "a value and its length fit a u128");
-
-/// A `gender` or `location` value of at most [`ATTR_INLINE`] bytes as one
-/// word: its bytes zero-padded, its length in the top byte, so `"a"` and
-/// `"a\0"` are two keys. `None` for a longer value.
-fn value_word(value: &[u8]) -> Option<u128> {
-    if value.len() > ATTR_INLINE {
-        return None;
-    }
-    let mut word = [0; 16];
-    word[..value.len()].copy_from_slice(value);
-    word[15] = value.len() as u8;
-    Some(u128::from_le_bytes(word))
-}
-
-/// The value [`value_word`] made `word` of.
+/// The value [`Inline::word`] made `word` of.
 fn word_value(word: u128) -> String {
     let word = word.to_le_bytes();
     let value = std::str::from_utf8(&word[..usize::from(word[15])]);
@@ -803,9 +831,8 @@ fn word_value(word: u128) -> String {
 /// deduplicated store, scanned in place and in user order (so each group's
 /// sum adds in that order); profiles without the attribute are skipped.
 /// Profiles are grouped by what the store holds — an age by its integer
-/// decade, a value of at most [`ATTR_INLINE`] bytes by [`value_word`] (an
-/// entry's and a spilled profile's alike), a longer one by its bytes — and
-/// each group's name is built once, on the way out.
+/// decade, a value by its [`ValueKey`] — and each group's name is built
+/// once, on the way out.
 fn sentiment_by_attribute(
     store: &ProfileStoreHandle,
     attribute: &str,
@@ -824,32 +851,27 @@ fn sentiment_by_attribute(
                 add(decades.entry((age / 10) * 10).or_default(), slot);
             }
         }
-        let named = decades.into_iter();
-        return named
-            .map(|(decade, group)| (format!("{decade}s"), group))
-            .collect();
+        let name = |(decade, group): (i64, _)| (format!("{decade}s"), group);
+        return decades.into_iter().map(name).collect();
     }
-    let value: fn(&Slot) -> Option<&[u8]> = match attribute {
-        "gender" => Slot::gender,
-        "location" => Slot::location,
+    let gender = match attribute {
+        "gender" => true,
+        "location" => false,
         _ => unreachable!("validated at construction"),
     };
     let mut words = ScanGroups::<u128>::default();
-    let mut long = ScanGroups::<&[u8]>::default();
+    let mut long = ScanGroups::<&str>::default();
     for slot in slots {
-        let Some(bytes) = value(slot) else {
-            continue;
-        };
-        let group = match value_word(bytes) {
-            Some(word) => words.entry(word).or_default(),
-            None => long.entry(bytes).or_default(),
+        let group = match slot.value_key(gender) {
+            None => continue,
+            Some(ValueKey::Word(word)) => words.entry(word).or_default(),
+            Some(ValueKey::Long(value)) => long.entry(value).or_default(),
         };
         add(group, slot);
     }
-    let long = long.into_iter().map(|(bytes, group)| {
-        let value = std::str::from_utf8(bytes).expect("a value is a whole str");
-        (value.to_string(), group)
-    });
+    let long = long
+        .into_iter()
+        .map(|(value, group)| (value.to_string(), group));
     let words = words
         .into_iter()
         .map(|(word, group)| (word_value(word), group));
@@ -1383,7 +1405,7 @@ mod tests {
         let inner = stores.profile_store.0.borrow();
         let held = |spilled: bool, value: &str| {
             inner.arena.iter().any(|(_, slot)| {
-                let has = |held: Option<&[u8]>| held == Some(value.as_bytes());
+                let has = |held: Option<&str>| held == Some(value);
                 matches!(slot, Slot::Spilled(_)) == spilled
                     && (has(slot.gender()) || has(slot.location()))
             })
