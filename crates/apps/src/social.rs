@@ -34,7 +34,9 @@
 //!   probing, at most half full, probed from the low bits of
 //!   [`DigestWriter::bytes`] of the name. A probe compares the name's bytes
 //!   with the key at the position it finds, so each key is stored once;
-//! - **`order`**, the arena positions in user order. Only an ordered read
+//! - **`order`**, the arena positions in user order, each beside the first
+//!   eight bytes of its name as a big-endian word, so that two names compare
+//!   as one word compare unless those bytes tie. Only an ordered read
 //!   (`snapshot`, `for_each`, the C3 scan) touches it: the positions added
 //!   since the previous ordered read are sorted among themselves and merged
 //!   into `order` in place from the back, so a read sorts what is new and
@@ -411,9 +413,10 @@ struct ProfileStore {
     /// Arena positions, or [`VACANT`], in a power-of-two number of cells at
     /// least twice the arena's length (none before the first merge).
     index: Vec<u32>,
-    /// Arena positions in user order as of the last ordered read; the
-    /// positions from `order.len()` on were added since.
-    order: Vec<u32>,
+    /// Arena positions in user order as of the last ordered read, each
+    /// after its name's [`order_key`]; the positions from `order.len()` on
+    /// were added since.
+    order: Vec<(u64, u32)>,
     source_names: SourceNames,
 }
 
@@ -426,6 +429,17 @@ fn home_cell(name: &[u8], mask: usize) -> usize {
     let mut hash = DigestWriter::default();
     hash.bytes(name);
     hash.digest() as usize & mask
+}
+
+/// The first eight bytes of `name`, zero-padded, as a big-endian word. Where
+/// two names' words differ, they order as the names do (a shorter name that
+/// ties with a longer one's first bytes pads with zeros, and is its prefix);
+/// where they tie, only the names can tell.
+fn order_key(name: &[u8]) -> u64 {
+    let mut head = [0; 8];
+    let n = name.len().min(8);
+    head[..n].copy_from_slice(&name[..n]);
+    u64::from_be_bytes(head)
 }
 
 impl ProfileStore {
@@ -473,7 +487,8 @@ impl ProfileStore {
     /// Brings `order` up to date: the positions added since the last ordered
     /// read are sorted among themselves, then merged into `order` in place
     /// from the back, each step moving the greater of the two runs' last
-    /// elements into the last unfilled cell.
+    /// elements into the last unfilled cell. Two positions compare by their
+    /// [`order_key`]s, and by their names only when those tie.
     fn update_order(&mut self) {
         let (arena, order) = (&self.arena, &mut self.order);
         let mut kept = order.len();
@@ -481,14 +496,18 @@ impl ProfileStore {
             return;
         }
         let name = |at: u32| arena[at as usize].0.as_bytes();
-        let mut fresh: Vec<u32> = (kept..arena.len()).map(|at| at as u32).collect();
-        fresh.sort_unstable_by(|&a, &b| name(a).cmp(name(b)));
-        order.resize(arena.len(), VACANT);
+        let user_order =
+            |a: &(u64, u32), b: &(u64, u32)| a.0.cmp(&b.0).then_with(|| name(a.1).cmp(name(b.1)));
+        let mut fresh: Vec<(u64, u32)> = (arena[kept..].iter().zip(kept as u32..))
+            .map(|((user, _), at)| (order_key(user.as_bytes()), at))
+            .collect();
+        fresh.sort_unstable_by(user_order);
+        order.resize(arena.len(), (0, VACANT));
         for to in (0..order.len()).rev() {
             let Some(&new) = fresh.last() else {
                 break;
             };
-            if kept > 0 && name(order[kept - 1]) > name(new) {
+            if kept > 0 && user_order(&order[kept - 1], &new).is_gt() {
                 kept -= 1;
                 order[to] = order[kept];
             } else {
@@ -501,7 +520,7 @@ impl ProfileStore {
     /// Every key and slot in user order as of the last
     /// [`update_order`](Self::update_order).
     fn in_order(&self) -> impl Iterator<Item = &(UserKey, Slot)> {
-        self.order.iter().map(|&at| &self.arena[at as usize])
+        self.order.iter().map(|&(_, at)| &self.arena[at as usize])
     }
 
     /// Every profile in user order, built on the way out unless it spilled.
@@ -795,7 +814,10 @@ impl Operator for AttributeAggregator {
 
 /// The C3 scan's group hasher: a `u128` or `i64` key is one
 /// [`DigestWriter::word`] step, where `DigestWriter`'s own `Hasher` folds
-/// it as a length-prefixed byte string; bytes hash as they do there.
+/// it as a length-prefixed byte string; bytes hash as they do there. The
+/// digest's top bits barely depend on a word's bytes 3 to 5 (all that tells
+/// `"loc12"` from `"loc13"`), and `HashMap` tags each entry with the top
+/// seven bits, so `finish` multiplies the whole digest into them.
 #[derive(Default)]
 struct GroupHasher(DigestWriter);
 
@@ -813,7 +835,7 @@ impl Hasher for GroupHasher {
     }
 
     fn finish(&self) -> u64 {
-        self.0.digest()
+        self.0.digest().wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 }
 
@@ -1832,7 +1854,8 @@ mod tests {
 
         // The edge names, then ≈ 2,000 generated ones in no particular
         // order: short, NUL-bearing, and straddling the inline capacity
-        // with a capacity-long common prefix.
+        // with a capacity-long common prefix (whose first eight bytes tie,
+        // so only the names themselves order them).
         let mut users = edge_strings(USER_INLINE);
         let long_stem = "x".repeat(USER_INLINE - 2);
         let stems = ["u", "a\0", long_stem.as_str()];
