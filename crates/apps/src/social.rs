@@ -813,11 +813,11 @@ impl Operator for AttributeAggregator {
 }
 
 /// The C3 scan's group hasher: a `u128` or `i64` key is one
-/// [`DigestWriter::word`] step, where `DigestWriter`'s own `Hasher` folds
-/// it as a length-prefixed byte string; bytes hash as they do there. The
-/// digest's top bits barely depend on a word's bytes 3 to 5 (all that tells
-/// `"loc12"` from `"loc13"`), and `HashMap` tags each entry with the top
-/// seven bits, so `finish` multiplies the whole digest into them.
+/// [`DigestWriter::word`] step, and bytes are one [`DigestWriter::bytes`]
+/// string. The digest's top bits barely depend on a word's bytes 3 to 5
+/// (all that tells `"loc12"` from `"loc13"`), and `HashMap` tags each entry
+/// with the top seven bits, so `finish` multiplies the whole digest into
+/// them.
 #[derive(Default)]
 struct GroupHasher(DigestWriter);
 

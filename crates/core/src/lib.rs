@@ -103,4 +103,4 @@ pub use scope::{
     EventScope, JobEventScope, OperatorMetricScope, OperatorPortMetricScope, PeFailureScope,
     PeMetricScope, UserEventScope,
 };
-pub use service::{JournalEntry, ManagedApp, OrcaCtx, OrcaDescriptor, OrcaService};
+pub use service::{ManagedApp, OrcaCtx, OrcaDescriptor, OrcaService};

@@ -21,8 +21,7 @@
 //! Every decision on the way has one owner: which subscopes an observation
 //! matches is `ScopeSet::matching`, a metric event is built by
 //! `MetricSource::event`, a job starts in `ServiceCore::submit` and ends in
-//! `ServiceCore::cancel`, and the `Journal` ties actuations to the event
-//! being delivered.
+//! `ServiceCore::cancel`.
 
 use crate::deps::{AppConfig, DependencyManager};
 use crate::error::OrcaError;
@@ -41,37 +40,6 @@ use std::collections::{BTreeMap, VecDeque};
 /// Safety cap on events dispatched per quantum (guards against handler ↔
 /// event feedback loops).
 const MAX_EVENTS_PER_QUANTUM: usize = 10_000;
-
-/// Journal retention (most recent entries kept).
-const JOURNAL_CAP: usize = 100_000;
-
-/// Human-readable one-liner for a queued event (journal rendering).
-fn describe_event(event: &QueuedEvent) -> String {
-    match event {
-        QueuedEvent::OperatorMetric(c, _) => format!(
-            "operatorMetric {}@{} {}={} epoch={}",
-            c.instance_name, c.app_name, c.metric, c.value, c.epoch
-        ),
-        QueuedEvent::OperatorPortMetric(c, _) => format!(
-            "portMetric {}:{}@{} {}={}",
-            c.instance_name, c.port, c.app_name, c.metric, c.value
-        ),
-        QueuedEvent::PeMetric(c, _) => {
-            format!("peMetric {}@{} {}={}", c.pe, c.app_name, c.metric, c.value)
-        }
-        QueuedEvent::PeFailure(c, _) => format!(
-            "peFailure {}@{} reason={} epoch={}",
-            c.pe,
-            c.app_name,
-            c.reason.class(),
-            c.epoch
-        ),
-        QueuedEvent::JobSubmitted(c, _) => format!("jobSubmitted {} ({})", c.job, c.app_name),
-        QueuedEvent::JobCancelled(c, _) => format!("jobCancelled {} ({})", c.job, c.app_name),
-        QueuedEvent::Timer(c) => format!("timer {}", c.key),
-        QueuedEvent::User(c, _) => format!("userEvent {}", c.name),
-    }
-}
 
 /// The orchestrator description submitted to SAM (the paper's `MyORCA.xml`):
 /// a name plus the applications the orchestrator may manage, each with its
@@ -133,60 +101,6 @@ pub struct ServiceStats {
     pub metric_events_matched: u64,
     pub polls: u64,
     pub failures_seen: u64,
-}
-
-/// One entry of the event/actuation journal (paper §7 future work:
-/// "adding transaction IDs to delivered events, and associating actuations
-/// taking place via the ORCA service to the event transaction ID", enabling
-/// reliable delivery and actuation replay).
-#[derive(Clone, Debug, PartialEq)]
-pub struct JournalEntry {
-    /// Transaction id: one per delivered event, monotonically increasing.
-    pub txn: u64,
-    pub at: SimTime,
-    /// Event summary (type + identifying fields).
-    pub event: String,
-    /// Actuations the handler performed under this transaction.
-    pub actuations: Vec<String>,
-}
-
-/// The journal: one entry per delivered event, newest last, capped at
-/// [`JOURNAL_CAP`]. The last entry is *open* while its event's handler runs.
-#[derive(Default)]
-struct Journal {
-    entries: Vec<JournalEntry>,
-    next_txn: u64,
-    open: bool,
-}
-
-impl Journal {
-    /// Opens a transaction for an event about to be delivered.
-    fn open(&mut self, at: SimTime, event: String) {
-        self.next_txn += 1;
-        self.entries.push(JournalEntry {
-            txn: self.next_txn,
-            at,
-            event,
-            actuations: Vec::new(),
-        });
-        if self.entries.len() > JOURNAL_CAP {
-            self.entries.remove(0);
-        }
-        self.open = true;
-    }
-
-    /// Ties an actuation to the open transaction. Outside event handling
-    /// (the start callback, GC cancellations, config-driven submissions)
-    /// nothing is open and nothing is recorded.
-    fn record(&mut self, actuation: String) {
-        if let (true, Some(entry)) = (self.open, self.entries.last_mut()) {
-            entry.actuations.push(actuation);
-        }
-    }
-
-    fn close(&mut self) {
-        self.open = false;
-    }
 }
 
 /// One managed job as a metric poll round sees it: everything a metric
@@ -293,7 +207,6 @@ pub(crate) struct ServiceCore {
     status: BTreeMap<String, String>,
     exclusive_uniquifier: u64,
     stats: ServiceStats,
-    journal: Journal,
 }
 
 impl ServiceCore {
@@ -366,7 +279,7 @@ impl ServiceCore {
     }
 
     /// The one submission: kernel call → `jobs` table → dependency manager →
-    /// job event → journal. `config_id` is the application configuration the
+    /// job event. `config_id` is the application configuration the
     /// dependency manager is starting, `None` for a direct submission.
     fn submit(
         &mut self,
@@ -386,12 +299,11 @@ impl ServiceCore {
             self.deps.mark_submitted(cfg, job, at);
         }
         self.enqueue_job_event(true, record.into_event(job, at));
-        self.journal.record(format!("submit({app_name}) -> {job}"));
         Ok(job)
     }
 
     /// The one cancellation, in the same order: kernel call → `jobs` table →
-    /// dependency manager → job event → journal.
+    /// dependency manager → job event.
     fn cancel(&mut self, kernel: &mut Kernel, job: JobId) -> Result<(), OrcaError> {
         self.require_managed(job)?;
         kernel.cancel_job(job).map_err(OrcaError::Runtime)?;
@@ -400,7 +312,6 @@ impl ServiceCore {
             self.deps.mark_cancelled(cfg);
         }
         self.enqueue_job_event(false, record.into_event(job, kernel.now()));
-        self.journal.record(format!("cancel({job})"));
         Ok(())
     }
 }
@@ -516,23 +427,13 @@ impl<'a> OrcaCtx<'a> {
     /// the replacement PE id.
     pub fn restart_pe(&mut self, pe: PeId) -> Result<PeId, OrcaError> {
         self.require_managed_pe(pe)?;
-        let new_pe = self.kernel.restart_pe(pe).map_err(OrcaError::Runtime)?;
-        let how = match self.kernel.restart_log().last() {
-            Some(rec) if rec.new_pe == new_pe && rec.restore.restored() => "restored",
-            _ => "fresh",
-        };
-        self.core
-            .journal
-            .record(format!("restart({pe}) -> {new_pe} [{how}]"));
-        Ok(new_pe)
+        self.kernel.restart_pe(pe).map_err(OrcaError::Runtime)
     }
 
     /// Stops a PE of a managed job.
     pub fn stop_pe(&mut self, pe: PeId) -> Result<(), OrcaError> {
         self.require_managed_pe(pe)?;
-        self.kernel.stop_pe(pe).map_err(OrcaError::Runtime)?;
-        self.core.journal.record(format!("stop({pe})"));
-        Ok(())
+        self.kernel.stop_pe(pe).map_err(OrcaError::Runtime)
     }
 
     /// Sends a control item directly into an operator of a managed job (the
@@ -613,11 +514,6 @@ impl<'a> OrcaCtx<'a> {
         // The target is cancelled immediately; its now-unused upstream waits
         // in the dependency manager's GC queue.
         job.map_or(Ok(()), |job| self.core.cancel(self.kernel, job))
-    }
-
-    /// Job currently running a configuration.
-    pub fn job_of_config(&self, config_id: &str) -> Option<JobId> {
-        self.core.deps.job_of(config_id)
     }
 
     /// Configuration a managed job was started from (None for direct
@@ -753,7 +649,6 @@ impl OrcaService {
                 status: BTreeMap::new(),
                 exclusive_uniquifier: 0,
                 stats: ServiceStats::default(),
-                journal: Journal::default(),
             },
             logic,
             started: false,
@@ -812,13 +707,6 @@ impl OrcaService {
                         .all(|&pe| kernel.pe_status(pe) == Some(sps_runtime::PeStatus::Up))
                 })
             })
-    }
-
-    /// The event/actuation journal (§7 extension): one entry per delivered
-    /// event, carrying its transaction id and the actuations the handler
-    /// performed — sufficient to audit or replay adaptation decisions.
-    pub fn journal(&self) -> &[JournalEntry] {
-        &self.core.journal.entries
     }
 
     // ---- the steps of a quantum, in order ------------------------------------
@@ -985,9 +873,6 @@ impl OrcaService {
         let mut delivered = 0;
         while let Some(event) = self.core.queue.pop_front() {
             self.core.stats.events_delivered += 1;
-            // One transaction per delivery (§7 extension): the journal ties
-            // every actuation to the event that caused it.
-            self.core.journal.open(kernel.now(), describe_event(&event));
             let mut ctx = OrcaCtx {
                 kernel,
                 core: &mut self.core,
@@ -1010,7 +895,6 @@ impl OrcaService {
                 QueuedEvent::Timer(c) => self.logic.on_timer(&mut ctx, c),
                 QueuedEvent::User(c, keys) => self.logic.on_user_event(&mut ctx, c, keys),
             }
-            self.core.journal.close();
             delivered += 1;
             if delivered >= MAX_EVENTS_PER_QUANTUM {
                 kernel.trace.push(
@@ -1545,7 +1429,7 @@ mod tests {
     }
 
     #[test]
-    fn request_cancel_journals_its_actuation_under_the_handlers_transaction() {
+    fn request_cancel_cancels_the_target_and_gc_cancels_its_unused_upstream() {
         let (mut world, idx) = world_with_logic(
             Box::<ConfigLogic>::default(),
             vec![pipeline_adl("A"), pipeline_adl("B")],
@@ -1554,7 +1438,6 @@ mod tests {
         let svc = world.controller_mut::<OrcaService>(idx).unwrap();
         assert_eq!(svc.managed_jobs().len(), 2);
         svc.inject_user_event("b", ParamMap::new());
-        let job = world.kernel.sam.running_jobs()[1];
         world.run_for(SimDuration::from_secs(1));
 
         let svc = world.controller::<OrcaService>(idx).unwrap();
@@ -1562,14 +1445,10 @@ mod tests {
             svc.logic::<ConfigLogic>().unwrap().cancel_result,
             Some(Ok(()))
         );
-        // The handler's cancellation is tied to the user event's transaction…
-        let entry = svc.journal().iter().find(|e| e.event == "userEvent b");
-        assert_eq!(entry.unwrap().actuations, [format!("cancel({job})")]);
-        // …while the GC cancellation of the now-unused `a` ran outside any
-        // transaction: both jobs are gone, no other entry carries a cancel.
+        // The handler cancelled `b`, and the GC cancellation of the
+        // now-unused `a` followed: both jobs are gone.
         assert!(svc.managed_jobs().is_empty());
-        let cancels = svc.journal().iter().flat_map(|e| &e.actuations);
-        assert_eq!(cancels.filter(|a| a.starts_with("cancel(")).count(), 1);
+        assert!(world.kernel.sam.running_jobs().is_empty());
     }
 
     /// Submits `A` on start and stops its source PE on any user event.
@@ -1593,7 +1472,7 @@ mod tests {
     }
 
     #[test]
-    fn stop_pe_stops_the_pe_under_the_handlers_transaction() {
+    fn stop_pe_leaves_the_pe_stopped() {
         let (mut world, idx) = world_with_logic(Box::<Shedder>::default(), vec![pipeline_adl("A")]);
         world.run_for(SimDuration::from_secs(1));
         let svc = world.controller_mut::<OrcaService>(idx).unwrap();
@@ -1604,8 +1483,6 @@ mod tests {
         let pe = svc.logic::<Shedder>().unwrap().stopped.unwrap();
         let status = world.kernel.pe_status(pe);
         assert_eq!(status, Some(sps_runtime::PeStatus::Stopped));
-        let entry = svc.journal().iter().find(|e| e.event == "userEvent shed");
-        assert_eq!(entry.unwrap().actuations, [format!("stop({pe})")]);
     }
 
     #[test]

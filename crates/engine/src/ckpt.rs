@@ -40,7 +40,7 @@ use crate::metrics::MetricKey;
 use crate::tuple::Tuple;
 use crate::{codec, op::StreamItem};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use sps_sim::{fnv1a, SimDuration, SimRng, SimTime, FNV_OFFSET};
+use sps_sim::{fnv1a, SimRng, SimTime, FNV_OFFSET};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -170,10 +170,6 @@ impl StateWriter {
         }
     }
 
-    pub fn put_duration(&mut self, d: SimDuration) {
-        self.put_u64(d.as_millis());
-    }
-
     /// `Option<T>` via a presence byte.
     pub fn put_opt<T>(&mut self, v: &Option<T>, mut f: impl FnMut(&mut Self, &T)) {
         match v {
@@ -285,10 +281,6 @@ impl StateReader {
             *slot = self.get_u64()?;
         }
         Ok(SimRng::from_state(s))
-    }
-
-    pub fn get_duration(&mut self) -> Result<SimDuration, EngineError> {
-        Ok(SimDuration::from_millis(self.get_u64()?))
     }
 
     pub fn get_opt<T>(
@@ -458,7 +450,6 @@ mod tests {
         w.put_bool(true);
         w.put_str("hello ✓");
         w.put_time(SimTime::from_millis(500));
-        w.put_duration(SimDuration::from_secs(3));
         w.put_opt(&Some(9i64), |w, v| w.put_i64(*v));
         w.put_opt(&None::<i64>, |w, v| w.put_i64(*v));
         w.put_tuple(&Tuple::new().with("a", 1i64).with("s", "x"));
@@ -473,7 +464,6 @@ mod tests {
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_str().unwrap(), "hello ✓");
         assert_eq!(r.get_time().unwrap(), SimTime::from_millis(500));
-        assert_eq!(r.get_duration().unwrap(), SimDuration::from_secs(3));
         assert_eq!(r.get_opt(|r| r.get_i64()).unwrap(), Some(9));
         assert_eq!(r.get_opt(|r| r.get_i64()).unwrap(), None);
         let t = r.get_tuple().unwrap();

@@ -2,19 +2,17 @@
 //!
 //! Mirrors the SPL standard toolkit subset the paper's applications need:
 //! sources (Beacon), relational ops (Filter/Functor/Split/Merge), windowed
-//! aggregation and join, flow control (Work), sinks, import/export
+//! aggregation, flow control (Work), sinks, import/export
 //! pass-throughs, and a fault-injection operator for the failure experiments.
 
 mod aggregate;
 mod flow;
-mod join;
 mod relational;
 mod sink;
 mod source;
 
 pub use aggregate::Aggregate;
 pub use flow::{FaultInject, Import, PassThrough, Work};
-pub use join::Join;
 pub use relational::{Filter, Functor, Merge, Split};
 pub use sink::Sink;
 pub use source::Beacon;

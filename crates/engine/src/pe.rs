@@ -408,9 +408,12 @@ impl PeRuntime {
             return out;
         }
 
-        // Phase 1: ticks (sources and periodic operators).
+        // Phase 1: ticks (sources and periodic operators). A tick sees
+        // every input final, `OpCtx`'s default.
         for slot_idx in 0..self.slots.len() {
-            if self.tick_slot(slot_idx, now, quantum, &mut out) {
+            if self.call_op(slot_idx, true, now, quantum, &mut out, |op, ctx| {
+                op.on_tick(ctx)
+            }) {
                 return self.crash(out);
             }
         }
@@ -529,13 +532,18 @@ impl PeRuntime {
         None
     }
 
-    /// Returns true if the operator faulted.
-    fn tick_slot(
+    /// Calls `slot_idx`'s operator once through a fresh [`OpCtx`] that
+    /// reports `all_final` as [`OpCtx::all_inputs_final`], routes what the
+    /// call emitted, and marks the PE crashed if the operator faulted.
+    /// Returns true if it faulted.
+    fn call_op(
         &mut self,
         slot_idx: usize,
+        all_final: bool,
         now: SimTime,
         quantum: SimDuration,
         out: &mut PeOutput,
+        call: impl FnOnce(&mut dyn Operator, &mut OpCtx),
     ) -> bool {
         let slot = &mut self.slots[slot_idx];
         let mut ctx = OpCtx::new(
@@ -546,7 +554,8 @@ impl PeRuntime {
             &mut self.metrics,
             &mut self.rng,
         );
-        slot.op.on_tick(&mut ctx);
+        ctx.set_all_inputs_final(all_final);
+        call(slot.op.as_mut(), &mut ctx);
         let emitted = ctx.take_emitted();
         let fault = ctx.take_fault();
         self.route(slot_idx, emitted, out);
@@ -573,36 +582,21 @@ impl PeRuntime {
     ) -> bool {
         // Consumption-side built-in metrics, amortized over the run.
         let k = batch.len() as i64;
-        let slot = &mut self.slots[slot_idx];
+        let slot = &self.slots[slot_idx];
         self.metrics.add_by(slot.metrics.processed, k);
         self.metrics.add_by(slot.metrics.in_ports[port].0, k);
         self.metrics
             .add_by(self.bytes_processed, batch.approx_bytes() as i64);
 
         let all_final = slot.finals_seen.iter().all(|&s| s);
-        let mut ctx = OpCtx::new(
-            now,
-            quantum,
-            &slot.name,
-            slot.outputs,
-            &mut self.metrics,
-            &mut self.rng,
-        );
-        ctx.set_all_inputs_final(all_final);
-        for tuple in batch {
-            if ctx.has_fault() {
-                break;
+        self.call_op(slot_idx, all_final, now, quantum, out, |op, ctx| {
+            for tuple in batch {
+                if ctx.has_fault() {
+                    break;
+                }
+                op.on_tuple(port, tuple, ctx);
             }
-            slot.op.on_tuple(port, tuple, &mut ctx);
-        }
-        let emitted = ctx.take_emitted();
-        let fault = ctx.take_fault();
-        self.route(slot_idx, emitted, out);
-        if let Some(msg) = fault {
-            self.crashed = Some(format!("{}: {msg}", self.slots[slot_idx].name));
-            return true;
-        }
-        false
+        })
     }
 
     /// Returns true if the operator faulted.
@@ -623,24 +617,9 @@ impl PeRuntime {
             }
         }
         let all_final = slot.finals_seen.iter().all(|&s| s);
-        let mut ctx = OpCtx::new(
-            now,
-            quantum,
-            &slot.name,
-            slot.outputs,
-            &mut self.metrics,
-            &mut self.rng,
-        );
-        ctx.set_all_inputs_final(all_final);
-        slot.op.on_punct(port, punct, &mut ctx);
-        let emitted = ctx.take_emitted();
-        let fault = ctx.take_fault();
-        self.route(slot_idx, emitted, out);
-        if let Some(msg) = fault {
-            self.crashed = Some(format!("{}: {msg}", self.slots[slot_idx].name));
-            return true;
-        }
-        false
+        self.call_op(slot_idx, all_final, now, quantum, out, |op, ctx| {
+            op.on_punct(port, punct, ctx)
+        })
     }
 
     /// Routes items emitted by `slot_idx` to local queues, the remote

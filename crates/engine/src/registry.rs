@@ -55,9 +55,6 @@ impl OperatorRegistry {
         r.register("Aggregate", |op| {
             Ok(Box::new(ops::Aggregate::from_params(&op.name, &op.params)?))
         });
-        r.register("Join", |op| {
-            Ok(Box::new(ops::Join::from_params(&op.name, &op.params)?))
-        });
         r.register("Work", |op| {
             Ok(Box::new(ops::Work::from_params(&op.name, &op.params)?))
         });
@@ -134,7 +131,6 @@ mod tests {
             "Split",
             "Merge",
             "Aggregate",
-            "Join",
             "Work",
             "Sink",
             "FaultInject",
@@ -145,7 +141,7 @@ mod tests {
             assert!(r.has_kind(kind), "missing builtin {kind}");
         }
         assert!(!r.has_kind("Zap"));
-        assert_eq!(r.kinds().len(), 13);
+        assert_eq!(r.kinds().len(), 12);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Sliding and tumbling windows.
+//! Sliding time windows.
 //!
 //! The Trend Calculator (§5.2) keeps 600-second sliding time windows per
 //! stock symbol; losing and refilling that state after a PE restart is the
@@ -20,10 +20,6 @@ impl<T> SlidingTimeWindow<T> {
             span,
             items: VecDeque::new(),
         }
-    }
-
-    pub fn span(&self) -> SimDuration {
-        self.span
     }
 
     /// Inserts an item observed at `at`, then evicts expired entries.
@@ -69,10 +65,6 @@ impl<T> SlidingTimeWindow<T> {
         self.oldest()
             .is_some_and(|oldest| now.since(oldest) >= self.span)
     }
-
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
 }
 
 /// Numeric aggregates over a sliding window of f64 samples.
@@ -89,7 +81,7 @@ impl SlidingTimeWindow<f64> {
     /// Computes min/max/avg/stddev over the current contents; `None` when
     /// empty. Used by the financial operators (Bollinger Bands = avg ± k·σ).
     pub fn aggregates(&self) -> Option<WindowAggregates> {
-        if self.items.is_empty() {
+        if self.is_empty() {
             return None;
         }
         let mut min = f64::INFINITY;
@@ -115,37 +107,6 @@ impl SlidingTimeWindow<f64> {
             avg,
             stddev: var.sqrt(),
         })
-    }
-}
-
-/// A count-based tumbling window: buffers `size` items then flushes.
-#[derive(Clone, Debug)]
-pub struct TumblingCountWindow<T> {
-    size: usize,
-    items: Vec<T>,
-}
-
-impl<T> TumblingCountWindow<T> {
-    pub fn new(size: usize) -> Self {
-        assert!(size > 0, "tumbling window size must be positive");
-        TumblingCountWindow {
-            size,
-            items: Vec::with_capacity(size),
-        }
-    }
-
-    /// Pushes an item; returns the full batch when the window tumbles.
-    pub fn push(&mut self, item: T) -> Option<Vec<T>> {
-        self.items.push(item);
-        if self.items.len() >= self.size {
-            Some(std::mem::take(&mut self.items))
-        } else {
-            None
-        }
-    }
-
-    pub fn pending(&self) -> usize {
-        self.items.len()
     }
 }
 
@@ -185,8 +146,8 @@ mod tests {
         assert!(!w.is_full(s(0)));
         assert!(!w.is_full(s(599)));
         assert!(w.is_full(s(600)));
-        // After clearing (PE restart), fullness is lost.
-        w.clear();
+        // A fresh window (PE restart) has lost its fullness.
+        w = SlidingTimeWindow::new(SimDuration::from_secs(600));
         assert!(!w.is_full(s(600)));
         w.push(s(700), 1.0);
         assert!(!w.is_full(s(900)));
@@ -225,22 +186,5 @@ mod tests {
         w.push(s(2), 20.0);
         let vals: Vec<f64> = w.iter().map(|(_, v)| *v).collect();
         assert_eq!(vals, vec![10.0, 20.0]);
-    }
-
-    #[test]
-    fn tumbling_window_flushes_at_size() {
-        let mut w = TumblingCountWindow::new(3);
-        assert_eq!(w.push(1), None);
-        assert_eq!(w.push(2), None);
-        assert_eq!(w.pending(), 2);
-        assert_eq!(w.push(3), Some(vec![1, 2, 3]));
-        assert_eq!(w.pending(), 0);
-        assert_eq!(w.push(4), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn tumbling_window_rejects_zero() {
-        let _ = TumblingCountWindow::<i32>::new(0);
     }
 }

@@ -17,7 +17,7 @@ use sps_engine::codec::{
 };
 use sps_engine::expr::{BinaryOp, BoundExpr, Expr, Scalar, UnaryOp};
 use sps_engine::metrics::builtin::{N_TUPLES_SUBMITTED, N_TUPLE_BYTES_PROCESSED};
-use sps_engine::window::{SlidingTimeWindow, TumblingCountWindow};
+use sps_engine::window::SlidingTimeWindow;
 use sps_engine::{
     EngineError, MetricKey, OpCtx, Operator, OperatorRegistry, PeCheckpoint, PeRuntime, Punct,
     Schema, StateBlob, StateWriter, StreamItem, Tuple,
@@ -1768,17 +1768,4 @@ proptest! {
         prop_assert_eq!(w.is_full(now), age_s >= span_s);
     }
 
-    #[test]
-    fn tumbling_window_batches_exactly(size in 1usize..20, n in 0usize..100) {
-        let mut w = TumblingCountWindow::new(size);
-        let mut flushed = 0usize;
-        for i in 0..n {
-            if let Some(batch) = w.push(i) {
-                prop_assert_eq!(batch.len(), size);
-                flushed += batch.len();
-            }
-        }
-        prop_assert_eq!(flushed + w.pending(), n);
-        prop_assert!(w.pending() < size);
-    }
 }

@@ -19,8 +19,8 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// and of every chaining of one digest into another (trace digest into run
 /// digest, run digests into a campaign's). The one other mixing function in
 /// the workspace is [`DigestWriter::word`], for typed values; through
-/// [`DigestWriter::bytes`] and the `Hasher` impl on it, it is also the hash
-/// of the social profile store's index and of its C3 scan's group table.
+/// [`DigestWriter::bytes`] it is also the hash of the social profile
+/// store's index and, under its own `Hasher`, of the C3 scan's group table.
 pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
@@ -98,27 +98,6 @@ impl std::fmt::Write for DigestWriter {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
         self.h = fnv1a(self.h, s.as_bytes());
         Ok(())
-    }
-}
-
-/// A hasher for in-memory tables (`BuildHasherDefault<DigestWriter>`):
-/// every `write` is one [`DigestWriter::bytes`] string, `finish` the state.
-/// A `u8` is one word, so the terminator `str`'s `Hash` appends costs one
-/// step.
-impl std::hash::Hasher for DigestWriter {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        self.bytes(bytes);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.word(u64::from(i));
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.digest()
     }
 }
 
@@ -316,28 +295,6 @@ mod tests {
         assert_ne!(words(&[7, 0]), words(&[7]));
         // An empty string is its length word and nothing else.
         assert_eq!(strings(&[b""]), words(&[0]));
-    }
-
-    #[test]
-    fn hasher_write_and_finish_are_bytes_and_digest() {
-        use std::hash::Hasher;
-        // Nothing, an empty string, a NUL, and strings on either side of a
-        // word boundary, one after another.
-        let parts: [&[&[u8]]; 5] = [
-            &[],
-            &[b""],
-            &[b"a\0"],
-            &[b"abcdefgh", b"i"],
-            &[b"bcdefghijklmnopq", b"\0", b"abcdefghijklmnopq"],
-        ];
-        for parts in parts {
-            let (mut hasher, mut writer) = (DigestWriter::default(), DigestWriter::default());
-            for part in parts {
-                hasher.write(part);
-                writer.bytes(part);
-            }
-            assert_eq!(hasher.finish(), writer.digest(), "{parts:?}");
-        }
     }
 
     #[test]

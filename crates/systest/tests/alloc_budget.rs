@@ -74,18 +74,20 @@ fn requests_over_a_run(scenario: &str, jobs: usize, seed: u64, policy: WorldPoli
 /// the C2 queries; its C3 jobs come and go later, in the steady state).
 /// The durable policy's set-up makes two or three requests more.
 const SETUP: [(&str, usize, u64, u64); 4] = [
-    ("social", 5, 1056, 1059),
-    ("trend", 3, 739, 742),
-    ("sentiment", 1, 450, 452),
+    ("social", 5, 1036, 1039),
+    ("trend", 3, 733, 736),
+    ("sentiment", 1, 448, 450),
     ("live", 2, 0, 0),
 ];
 
 /// `(scenario, requests per steady quantum it may make)`, seed 7: what this
-/// tree makes (115.3, 35.5, 26.6 and 25.0, the same in debug and release
+/// tree makes (114.3, 35.5, 26.4 and 25.0, the same in debug and release
 /// builds), rounded up. Lower them when a change earns it. Whole runs, set-up
-/// included, make 118.4, 37.7, 28.2 and 25.0 a quantum; that is what the
-/// history below counts. While C1 named each user with `format!` (an
-/// allocation, then a reallocation), `social` made 130.4 (127.3 steady).
+/// included, make 117.3, 37.7, 28.1 and 25.0 a quantum; that is what the
+/// history below counts. While the ORCA service wrote a text journal entry
+/// for every event it delivered, `social` made 118.4 (115.3 steady). While
+/// C1 named each user with `format!` (an allocation, then a reallocation),
+/// `social` made 130.4 (127.3 steady).
 /// While the profile store was a B-tree, which allocates its nodes one at a
 /// time, `social` made 131.6; the arena and index that replaced it grow by
 /// doubling. While a tuple crossing a PE boundary was encoded by the sender
@@ -100,7 +102,7 @@ const SETUP: [(&str, usize, u64, u64); 4] = [
 /// predicates are on integers and never allocated: it is the control for
 /// operator changes, and moves only if the container or transport does.
 const CEILINGS: [(&str, u64); 4] = [
-    ("social", 116),
+    ("social", 115),
     ("trend", 36),
     ("sentiment", 27),
     ("live", 26),
@@ -108,22 +110,22 @@ const CEILINGS: [(&str, u64); 4] = [
 
 /// The same under the `campaign_durable` benchmark's policy: checkpoints
 /// every 10 quanta, upstream backup, 5 ms writes, the replicated metastore.
-/// The steady state makes 146.5, 51.4, 41.9 and 36.0 in a release build,
+/// The steady state makes 145.5, 51.4, 41.8 and 36.0 in a release build,
 /// rounded up here. A fault-free run under this policy executes what the
 /// plain one does, so the surplus is the write side alone: snapshots, sink
 /// blobs, the backup's buffered deliveries and the metastore's op log. A
-/// debug build makes 160.0, 60.7, 46.0 and 42.1: its debug assertions run
+/// debug build makes 159.0, 60.7, 45.9 and 42.1: its debug assertions run
 /// on the write side too (a `Sink` compares every blob with a full encode).
 const DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
     [
-        ("social", 161),
+        ("social", 160),
         ("trend", 61),
-        ("sentiment", 47),
+        ("sentiment", 46),
         ("live", 43),
     ]
 } else {
     [
-        ("social", 147),
+        ("social", 146),
         ("trend", 52),
         ("sentiment", 42),
         ("live", 37),
@@ -133,12 +135,12 @@ const DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
 /// Both ceiling tables again for the per-tuple reference path
 /// (`SPS_BATCH=off`: single-tuple runs, one transport frame per tuple), as
 /// this tree's steady state makes them, rounded up. Plain, the same in debug
-/// and release builds: 278.3, 36.8, 28.5 and 27.1 — a frame per tuple is a
+/// and release builds: 277.3, 36.8, 28.4 and 27.1 — a frame per tuple is a
 /// request per tuple, and `social` moves most because it moves the most
-/// tuples across PEs. Under the durable policy, release: 303.7, 49.4, 41.8
-/// and 35.7; debug: 317.2, 58.7, 46.0 and 41.8.
+/// tuples across PEs. Under the durable policy, release: 302.7, 49.4, 41.7
+/// and 35.7; debug: 316.2, 58.7, 45.9 and 41.8.
 const PER_TUPLE_CEILINGS: [(&str, u64); 4] = [
-    ("social", 279),
+    ("social", 278),
     ("trend", 37),
     ("sentiment", 29),
     ("live", 28),
@@ -146,14 +148,14 @@ const PER_TUPLE_CEILINGS: [(&str, u64); 4] = [
 
 const PER_TUPLE_DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
     [
-        ("social", 318),
+        ("social", 317),
         ("trend", 59),
         ("sentiment", 46),
         ("live", 42),
     ]
 } else {
     [
-        ("social", 304),
+        ("social", 303),
         ("trend", 50),
         ("sentiment", 42),
         ("live", 36),

@@ -6,6 +6,7 @@
 use orca::sqlbase::Tables;
 use orca::{OperatorMetricScope, OrcaDescriptor, OrcaService};
 use orca_apps::SharedStores;
+use sps_engine::MetricKey;
 use sps_model::compiler::{compile, CompileOptions, FusionPolicy};
 use sps_model::logical::{AppModelBuilder, CompositeGraphBuilder, OperatorInvocation};
 use sps_model::{Adl, GraphStore};
@@ -83,9 +84,12 @@ fn figure2_app_runs_end_to_end_and_data_reaches_both_sinks() {
         orca_apps::registry(&stores),
         RuntimeConfig::default(),
     );
-    let job = kernel
-        .submit_job(figure2_adl(FusionPolicy::Target(3)), None)
-        .unwrap();
+    let adl = figure2_adl(FusionPolicy::Target(3));
+    let pe = |op: &str| adl.operator(op).unwrap().pe;
+    // `c2.op6`, a two-input Merge, is fed from two PEs.
+    assert_eq!(pe("c2.op4"), pe("c2.op6"));
+    assert_ne!(pe("c2.op5"), pe("c2.op6"));
+    let job = kernel.submit_job(adl, None).unwrap();
     for _ in 0..100 {
         kernel.quantum();
     }
@@ -94,6 +98,17 @@ fn figure2_app_runs_end_to_end_and_data_reaches_both_sinks() {
     let s8 = kernel.tap(job, "op8").unwrap();
     assert!(!s7.is_empty(), "c1 pipeline should deliver to op7");
     assert!(!s8.is_empty(), "c2 pipeline should deliver to op8");
+    // Both of the merge's ports, the local one and the remote one, took
+    // tuples.
+    let snapshot = &kernel.srm.query_jobs(&[job])[&job];
+    for port in 0..2 {
+        let key = MetricKey::OperatorPort("c2.op6".into(), port, "nTuplesProcessed".into());
+        let processed = snapshot.values.iter().find(|(k, _)| **k == key);
+        assert!(
+            processed.is_some_and(|(_, n)| *n > 0),
+            "merge port {port}: {processed:?}"
+        );
+    }
 }
 
 #[test]
