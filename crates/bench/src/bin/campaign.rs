@@ -48,9 +48,12 @@
 //!
 //! Fault-free baselines are memoized process-wide in a `BaselineCache`
 //! keyed by `(scenario, seed, horizon floor)` and built as the plain world
-//! whatever the checkpoint policy; the determinism replay, the shrink walk
-//! and `--replay` all hit entries instead of re-simulating baseline worlds. The cache cannot change any
-//! report: entries are pure functions of their key.
+//! whatever the checkpoint policy; the determinism replay and `--replay`
+//! hit entries instead of re-simulating baseline worlds. The memo keeps
+//! only what a campaign revisits, so the shrink walk of a failing plan may
+//! recompute its baseline once (phase 1 may have evicted it) and hits that
+//! entry for every further candidate. The cache cannot change any report:
+//! entries are pure functions of their key.
 //!
 //! Stdout is bit-identical across runs with the same arguments (timings go
 //! to stderr), so campaign output itself can be diffed for determinism.

@@ -19,7 +19,7 @@
 //! Canonical bytes are also the *dirty rule* of incremental snapshots: an
 //! operator changed since the previous snapshot iff its blob's bytes did.
 //! Nothing hashes a blob. A [`PeCheckpoint`] holds its operator entries
-//! behind `Arc`s, and [`crate::pe::PeRuntime::checkpoint`] hands the previous
+//! behind `Rc`s, and [`crate::pe::PeRuntime::checkpoint`] hands the previous
 //! entry out again while an operator's bytes stay the same, so an unchanged
 //! operator costs one byte compare in the PE and a pointer compare in the
 //! store, and allocates nothing.
@@ -42,7 +42,7 @@ use crate::{codec, op::StreamItem};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sps_sim::{fnv1a, SimRng, SimTime, FNV_OFFSET};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Checkpoint wire-format version; bumped on incompatible layout changes.
 /// [`crate::pe::PeRuntime::restore`] rejects any other version, which the
@@ -310,13 +310,13 @@ impl StateReader {
 
 /// Checkpoint of one operator slot inside a PE container. Immutable once
 /// built: snapshots, the store's chains and the PE itself share one entry
-/// behind an `Arc` for as long as the operator does not change.
+/// behind an `Rc` for as long as the operator does not change.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpCheckpoint {
     /// Operator instance name (ADL identity; restore matches on it).
-    pub name: Arc<str>,
+    pub name: Rc<str>,
     /// Operator kind (a kind change means the blob is meaningless).
-    pub kind: Arc<str>,
+    pub kind: Rc<str>,
     /// Container-side per-input-port final-punctuation tracking.
     pub finals_seen: Vec<bool>,
     /// Serialized operator state; `None` for stateless operators.
@@ -337,8 +337,8 @@ pub struct PeCheckpoint {
     /// Simulation time the snapshot was taken.
     pub taken_at: SimTime,
     /// One entry per operator slot, in container order. An entry that is
-    /// the same `Arc` as in an earlier snapshot is an unchanged operator.
-    pub ops: Vec<Arc<OpCheckpoint>>,
+    /// the same `Rc` as in an earlier snapshot is an unchanged operator.
+    pub ops: Vec<Rc<OpCheckpoint>>,
     /// Input queues at snapshot time: `[op slot][input port]` → one blob per
     /// port in wire encoding at batch granularity (runs of consecutive
     /// tuples coalesced into batch frames, punctuation as bare item frames —
@@ -346,9 +346,9 @@ pub struct PeCheckpoint {
     pub queues: Vec<Vec<Bytes>>,
     /// Metric snapshot, restored wholesale so monotone counters
     /// (`nTuplesProcessed`, custom metrics) stay continuous across restarts.
-    /// Keys are the store's interned `Arc`s — snapshotting bumps refcounts
+    /// Keys are the store's interned `Rc`s — snapshotting bumps refcounts
     /// instead of cloning every name string.
-    pub metrics: Vec<(Arc<MetricKey>, i64)>,
+    pub metrics: Vec<(Rc<MetricKey>, i64)>,
 }
 
 impl PeCheckpoint {
@@ -494,13 +494,13 @@ mod tests {
             pe_index: 2,
             taken_at: SimTime::from_secs(9),
             ops: vec![
-                Arc::new(OpCheckpoint {
+                Rc::new(OpCheckpoint {
                     name: "src".into(),
                     kind: "Beacon".into(),
                     finals_seen: vec![false],
                     blob: Some(w.finish()),
                 }),
-                Arc::new(OpCheckpoint {
+                Rc::new(OpCheckpoint {
                     name: "flt".into(),
                     kind: "Filter".into(),
                     finals_seen: vec![true],
@@ -508,7 +508,7 @@ mod tests {
                 }),
             ],
             queues: vec![vec![Bytes::new()], vec![Bytes::from_static(b"abcd")]],
-            metrics: vec![(Arc::new(MetricKey::Operator("src".into(), "n".into())), 3)],
+            metrics: vec![(Rc::new(MetricKey::Operator("src".into(), "n".into())), 3)],
         }
     }
 
@@ -520,7 +520,7 @@ mod tests {
         assert_eq!(a.digest(), b.digest(), "taken_at must not affect digest");
 
         let mut c = a.clone();
-        Arc::make_mut(&mut c.ops[0]).blob = None; // a lossy restore drops exactly this
+        Rc::make_mut(&mut c.ops[0]).blob = None; // a lossy restore drops exactly this
         assert_ne!(a.digest(), c.digest(), "dropped blob must change digest");
 
         let mut d = a.clone();
@@ -528,7 +528,7 @@ mod tests {
         assert_ne!(a.digest(), d.digest());
 
         let mut e = a.clone();
-        Arc::make_mut(&mut e.ops[1]).finals_seen[0] = false;
+        Rc::make_mut(&mut e.ops[1]).finals_seen[0] = false;
         assert_ne!(a.digest(), e.digest());
 
         let mut f = a.clone();

@@ -6,7 +6,7 @@
 //! code at any point during execution — e.g. the sentiment application's
 //! `nKnownCauses` / `nUnknownCauses` counters (§5.1).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Well-known built-in metric names (paper §2.1 examples).
 pub mod builtin {
@@ -101,7 +101,7 @@ pub struct MetricId(usize);
 
 #[derive(Clone, Debug)]
 struct Slot {
-    key: Arc<MetricKey>,
+    key: Rc<MetricKey>,
     value: i64,
     /// False until the first `add`/`set`: a resolved but never-updated
     /// metric does not exist as far as readers are concerned.
@@ -111,7 +111,7 @@ struct Slot {
 /// A flat store of metric values, owned by a PE container and periodically
 /// snapshotted by the host controller (§2.2).
 ///
-/// Keys are interned behind `Arc` the first time they are inserted, so the
+/// Keys are interned behind `Rc` the first time they are inserted, so the
 /// per-checkpoint-quantum [`MetricStore::snapshot`] hands out refcount bumps
 /// instead of deep-cloning every operator/metric name string. The container
 /// resolves its built-in metrics to [`MetricId`]s once, at build time.
@@ -140,7 +140,7 @@ impl MetricStore {
     fn slot_at(
         &mut self,
         found: Result<usize, usize>,
-        interned: impl FnOnce() -> Arc<MetricKey>,
+        interned: impl FnOnce() -> Rc<MetricKey>,
     ) -> usize {
         match found {
             Ok(pos) => self.order[pos],
@@ -159,7 +159,7 @@ impl MetricStore {
 
     fn slot_of(&mut self, key: KeyRef<'_>) -> usize {
         let found = self.find(key);
-        self.slot_at(found, || Arc::new(key.to_key()))
+        self.slot_at(found, || Rc::new(key.to_key()))
     }
 
     /// Resolves a key to an id for [`MetricStore::add_by`] /
@@ -167,7 +167,7 @@ impl MetricStore {
     /// metric appears with its first update.
     pub fn resolve(&mut self, key: MetricKey) -> MetricId {
         let found = self.find(key.key_ref());
-        MetricId(self.slot_at(found, || Arc::new(key)))
+        MetricId(self.slot_at(found, || Rc::new(key)))
     }
 
     /// The value behind an id, brought to life (at zero) if this is its
@@ -198,7 +198,7 @@ impl MetricStore {
 
     /// Sets a metric through an already-interned key (checkpoint restore),
     /// sharing the snapshot's allocation instead of re-interning.
-    pub fn set_shared(&mut self, key: Arc<MetricKey>, value: i64) {
+    pub fn set_shared(&mut self, key: Rc<MetricKey>, value: i64) {
         let found = self.find(key.key_ref());
         let slot = self.slot_at(found, || key);
         self.set_by(MetricId(slot), value);
@@ -252,9 +252,9 @@ impl MetricStore {
     /// Snapshot for SRM collection and checkpointing, in key order:
     /// interned keys, so each row costs one refcount bump, not a string
     /// clone.
-    pub fn snapshot(&self) -> Vec<(Arc<MetricKey>, i64)> {
+    pub fn snapshot(&self) -> Vec<(Rc<MetricKey>, i64)> {
         let mut rows = Vec::with_capacity(self.live);
-        rows.extend(self.live_slots().map(|s| (Arc::clone(&s.key), s.value)));
+        rows.extend(self.live_slots().map(|s| (Rc::clone(&s.key), s.value)));
         rows
     }
 
@@ -376,7 +376,7 @@ mod tests {
         // By-key and by-id updates hit the same row, and its interned key.
         m.op_add("k", "m", 1);
         assert_eq!(m.get(&key), Some(8));
-        assert!(Arc::ptr_eq(&m.snapshot()[1].0, &snap[1].0));
+        assert!(Rc::ptr_eq(&m.snapshot()[1].0, &snap[1].0));
 
         // Clearing forgets the values, not the ids.
         m.clear();

@@ -30,7 +30,7 @@ use sps_model::adl::Adl;
 use sps_sim::{SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Address of an operator input port in another PE. The operator name is
 /// shared with the route table it was resolved from, so copying a
@@ -38,7 +38,7 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RemoteDest {
     pub pe: usize,
-    pub op: Arc<str>,
+    pub op: Rc<str>,
     pub port: usize,
 }
 
@@ -64,7 +64,7 @@ impl RemoteDelivery {
 #[derive(Clone, Debug)]
 pub struct ExportedItem {
     /// The exporting operator's name, shared with its container slot.
-    pub op: Arc<str>,
+    pub op: Rc<str>,
     pub port: usize,
     pub item: StreamItem,
 }
@@ -124,8 +124,8 @@ impl SlotMetrics {
 }
 
 struct OpSlot {
-    name: Arc<str>,
-    kind: Arc<str>,
+    name: Rc<str>,
+    kind: Rc<str>,
     op: Box<dyn Operator>,
     outputs: usize,
     cost: u32,
@@ -148,7 +148,7 @@ struct OpSlot {
     /// The entry the last [`PeRuntime::checkpoint`] produced (or
     /// [`PeRuntime::restore`] applied). Handed out again for as long as the
     /// operator's bytes and final tracking stay what it recorded.
-    last_ckpt: RefCell<Option<Arc<OpCheckpoint>>>,
+    last_ckpt: RefCell<Option<Rc<OpCheckpoint>>>,
 }
 
 impl OpSlot {
@@ -156,7 +156,7 @@ impl OpSlot {
     /// happens here, new bytes against the previous entry's: on a match the
     /// previous entry goes out again, so whoever holds the earlier snapshot
     /// recognises an unchanged operator by pointer.
-    fn checkpoint(&self) -> Arc<OpCheckpoint> {
+    fn checkpoint(&self) -> Rc<OpCheckpoint> {
         let mut last = self.last_ckpt.borrow_mut();
         let prev_len = last
             .as_ref()
@@ -165,16 +165,16 @@ impl OpSlot {
         let blob = ckpt::with_capacity_hint(prev_len, || self.op.checkpoint());
         if let Some(prev) = &*last {
             if prev.blob == blob && prev.finals_seen == self.finals_seen {
-                return Arc::clone(prev);
+                return Rc::clone(prev);
             }
         }
-        let entry = Arc::new(OpCheckpoint {
-            name: Arc::clone(&self.name),
-            kind: Arc::clone(&self.kind),
+        let entry = Rc::new(OpCheckpoint {
+            name: Rc::clone(&self.name),
+            kind: Rc::clone(&self.kind),
             finals_seen: self.finals_seen.clone(),
             blob,
         });
-        *last = Some(Arc::clone(&entry));
+        *last = Some(Rc::clone(&entry));
         entry
     }
 }
@@ -183,7 +183,7 @@ impl OpSlot {
 pub struct PeRuntime {
     pe_index: usize,
     slots: Vec<OpSlot>,
-    op_index: BTreeMap<Arc<str>, usize>,
+    op_index: BTreeMap<Rc<str>, usize>,
     metrics: MetricStore,
     /// The PE-level `nTupleBytesProcessed`.
     bytes_processed: MetricId,
@@ -262,11 +262,11 @@ impl PeRuntime {
         for op in adl.operators.iter().filter(|o| o.pe == pe_index) {
             let instance = registry.instantiate(op)?;
             let cost = instance.cost_per_tuple();
-            let name: Arc<str> = Arc::from(op.name.as_str());
+            let name: Rc<str> = Rc::from(op.name.as_str());
             let inputs = op.inputs.max(1);
-            op_index.insert(Arc::clone(&name), slots.len());
+            op_index.insert(Rc::clone(&name), slots.len());
             slots.push(OpSlot {
-                kind: Arc::from(op.kind.as_str()),
+                kind: Rc::from(op.kind.as_str()),
                 op: instance,
                 outputs: op.outputs,
                 cost,
@@ -296,7 +296,7 @@ impl PeRuntime {
                     })?;
                 slots[from_slot].remote_routes[stream.from_port].push(RemoteDest {
                     pe: to_pe,
-                    op: Arc::from(stream.to_op.as_str()),
+                    op: Rc::from(stream.to_op.as_str()),
                     port: stream.to_port,
                 });
             }
@@ -653,7 +653,7 @@ impl PeRuntime {
             }
             let slot = &self.slots[slot_idx];
             let exported = slot.exported_ports.get(port) == Some(&true);
-            let exporter = exported.then(|| Arc::clone(&slot.name));
+            let exporter = exported.then(|| Rc::clone(&slot.name));
             let local = local_routes.get(port).map_or(&[][..], Vec::as_slice);
             let remote = slot.remote_routes.get(port).map_or(&[][..], Vec::as_slice);
             // Bound for other PEs only: the last frame takes the items.
@@ -698,7 +698,7 @@ impl PeRuntime {
         &mut self,
         dests: &[(usize, usize)],
         port: usize,
-        exporter: Option<Arc<str>>,
+        exporter: Option<Rc<str>>,
         run: impl Iterator<Item = StreamItem>,
         out: &mut PeOutput,
     ) {
@@ -711,14 +711,14 @@ impl PeRuntime {
             match (dests.split_last(), &exporter) {
                 (Some((&(last_slot, last_port), others)), exporter) => {
                     if let Some(op) = exporter {
-                        out.exported.push(export(Arc::clone(op), item.clone()));
+                        out.exported.push(export(Rc::clone(op), item.clone()));
                     }
                     for &(to_slot, to_port) in others {
                         self.slots[to_slot].queues[to_port].push_back(item.clone());
                     }
                     self.slots[last_slot].queues[last_port].push_back(item);
                 }
-                (None, Some(op)) => out.exported.push(export(Arc::clone(op), item)),
+                (None, Some(op)) => out.exported.push(export(Rc::clone(op), item)),
                 (None, None) => {}
             }
         }
@@ -736,7 +736,7 @@ impl PeRuntime {
     /// sender-side upstream-backup buffers instead.
     ///
     /// An operator whose serialized bytes equal those of the previous call
-    /// contributes the previous call's entry (the same `Arc`), so a snapshot
+    /// contributes the previous call's entry (the same `Rc`), so a snapshot
     /// allocates for the operators that changed, the queues and the metric
     /// table — not for the ones that did not.
     pub fn checkpoint(&self, now: SimTime) -> PeCheckpoint {
@@ -810,7 +810,7 @@ impl PeRuntime {
             }
             // The revived operator is this entry: its next checkpoint is
             // compared against (and, unchanged, *is*) the stored one.
-            *slot.last_ckpt.get_mut() = Some(Arc::clone(op_ckpt));
+            *slot.last_ckpt.get_mut() = Some(Rc::clone(op_ckpt));
         }
         // Repopulate the input queues from the captured wire encodings, so
         // tuples that were in flight inside the container at snapshot time
@@ -833,7 +833,7 @@ impl PeRuntime {
         for (key, value) in &ckpt.metrics {
             // Share the checkpoint's interned keys instead of re-cloning
             // every name string into the revived store.
-            self.metrics.set_shared(Arc::clone(key), *value);
+            self.metrics.set_shared(Rc::clone(key), *value);
         }
         Ok(restored)
     }
@@ -1526,7 +1526,7 @@ mod tests {
         // entry it was restored from, so a store holding `ckpt` sees a
         // clean operator by pointer.
         for (stored, retaken) in ckpt.ops.iter().zip(&again.ops) {
-            assert!(Arc::ptr_eq(stored, retaken));
+            assert!(Rc::ptr_eq(stored, retaken));
         }
 
         // The revived beacon continues the sequence instead of rewinding to
@@ -1549,7 +1549,7 @@ mod tests {
         let idle = pe.checkpoint(SimTime::from_millis(150));
         assert_eq!(idle.digest(), first.digest());
         for (a, b) in first.ops.iter().zip(&idle.ops) {
-            assert!(Arc::ptr_eq(a, b));
+            assert!(Rc::ptr_eq(a, b));
         }
         // A quantum later the stateful operators moved and carry new
         // entries; the stateless filter still carries its first one. Names
@@ -1558,8 +1558,8 @@ mod tests {
         let second = pe.checkpoint(SimTime::from_millis(200));
         assert_ne!(second.digest(), first.digest());
         for (a, b) in first.ops.iter().zip(&second.ops) {
-            assert_eq!(Arc::ptr_eq(a, b), a.blob == b.blob, "{}", a.name);
-            assert!(Arc::ptr_eq(&a.name, &b.name) && Arc::ptr_eq(&a.kind, &b.kind));
+            assert_eq!(Rc::ptr_eq(a, b), a.blob == b.blob, "{}", a.name);
+            assert!(Rc::ptr_eq(&a.name, &b.name) && Rc::ptr_eq(&a.kind, &b.kind));
         }
         assert!(first
             .ops
@@ -1572,7 +1572,7 @@ mod tests {
             .unwrap();
         pe.step(SimTime::from_millis(300), q, 10_000);
         let third = pe.checkpoint(SimTime::from_millis(300));
-        let flt = |c: &PeCheckpoint| Arc::clone(c.ops.iter().find(|o| &*o.name == "flt").unwrap());
+        let flt = |c: &PeCheckpoint| Rc::clone(c.ops.iter().find(|o| &*o.name == "flt").unwrap());
         assert_eq!(flt(&second).blob, flt(&third).blob);
         assert_ne!(flt(&second).finals_seen, flt(&third).finals_seen);
     }
@@ -1594,11 +1594,11 @@ mod tests {
         assert!(target.restore(&bad).is_err());
         // Renamed operator (ADL shape change).
         let mut bad = good.clone();
-        Arc::make_mut(&mut bad.ops[1]).name = "ghost".into();
+        Rc::make_mut(&mut bad.ops[1]).name = "ghost".into();
         assert!(target.restore(&bad).is_err());
         // Changed kind under the same name.
         let mut bad = good.clone();
-        Arc::make_mut(&mut bad.ops[0]).kind = "Sink".into();
+        Rc::make_mut(&mut bad.ops[0]).kind = "Sink".into();
         assert!(target.restore(&bad).is_err());
         // Dropped operator entry.
         let mut bad = good.clone();

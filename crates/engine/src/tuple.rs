@@ -13,7 +13,7 @@
 //! sizes and trivially deterministic.
 //!
 //! The row is shared copy-on-write: `clone` is a refcount bump, and
-//! `set`/`remove` copy the row only when another clone still holds it
+//! `set` copies the row only when another clone still holds it
 //! (`Rc::make_mut`). Setting a name the schema does not have moves the row
 //! to a *child* schema, found through a memoised parent→child link on the
 //! schema instance, so an operator adding one attribute to every tuple of a
@@ -22,9 +22,8 @@
 //! The row also carries its size, [`Tuple::approx_bytes`], which the
 //! `nTupleBytesProcessed` metric reads at every operator input. Every writer
 //! keeps it exact in O(1) — `from_schema` sums it once, a replaced value
-//! swaps its share for the new one's, a new name adds its attribute, a
-//! removed one takes it off — and in debug builds every read checks it
-//! against a walk of the attributes.
+//! swaps its share for the new one's, a new name adds its attribute — and
+//! in debug builds every read checks it against a walk of the attributes.
 //!
 //! Nothing here is process-global, and nothing is shared between threads.
 //! One thread builds, steps and drops each simulated world, so a row, a
@@ -127,14 +126,6 @@ impl Schema {
             extensions.push(Rc::clone(&child));
         }
         child
-    }
-
-    /// This schema minus the name at `idx`, as a stand-alone schema.
-    fn without(&self, idx: usize) -> Rc<Schema> {
-        let mut names = Vec::with_capacity(self.names.len() - 1);
-        names.extend_from_slice(&self.names[..idx]);
-        names.extend_from_slice(&self.names[idx + 1..]);
-        Schema::from_unique_names(names)
     }
 }
 
@@ -305,15 +296,6 @@ impl Tuple {
         self.get(name).and_then(Value::as_bool)
     }
 
-    pub fn remove(&mut self, name: &str) -> Option<Value> {
-        let idx = self.row.schema.position(name)?;
-        let row = Rc::make_mut(&mut self.row);
-        let value = row.values.remove(idx);
-        row.bytes -= attr_bytes(&row.schema.names[idx], &value);
-        row.schema = row.schema.without(idx);
-        Some(value)
-    }
-
     pub fn len(&self) -> usize {
         self.row.values.len()
     }
@@ -429,15 +411,6 @@ mod tests {
         let t = Tuple::new().with("x", 1i64).with("x", 2i64);
         assert_eq!(t.len(), 1);
         assert_eq!(t.get_int("x"), Some(2));
-    }
-
-    #[test]
-    fn remove_attr() {
-        let mut t = Tuple::new().with("a", 1i64).with("b", 2i64);
-        assert_eq!(t.remove("a"), Some(Value::Int(1)));
-        assert_eq!(t.remove("a"), None);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t, Tuple::new().with("b", 2i64));
     }
 
     #[test]
@@ -631,7 +604,6 @@ mod tests {
         SetAt(usize, usize, Value),
         /// `push_as` through `Schema::extended`; a no-op on a held name.
         PushAs(usize, usize, Value),
-        Remove(usize, usize),
         Collect(Vec<(usize, Value)>),
         /// A clone joins the pool; writes to either must not reach the other.
         Clone(usize),
@@ -651,7 +623,6 @@ mod tests {
                 .prop_map(|(t, i, v)| Step::SetAt(t, i, v)),
             3 => (any::<usize>(), name.clone(), arb_value())
                 .prop_map(|(t, n, v)| Step::PushAs(t, n, v)),
-            2 => (any::<usize>(), name.clone()).prop_map(|(t, n)| Step::Remove(t, n)),
             1 => prop::collection::vec((name, arb_value()), 0..8).prop_map(Step::Collect),
             2 => any::<usize>().prop_map(Step::Clone),
             1 => Just(Step::RoundTrip),
@@ -709,11 +680,6 @@ mod tests {
                             pool[t].push_as(&child, v);
                             written = Some(t);
                         }
-                    }
-                    Step::Remove(t, n) => {
-                        let t = t % pool.len();
-                        pool[t].remove(NAMES[n]);
-                        written = Some(t);
                     }
                     Step::Collect(attrs) => pool.push(
                         attrs

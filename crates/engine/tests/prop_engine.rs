@@ -120,7 +120,6 @@ fn hand_built_batch_frame(batch: &[Vec<(usize, Value)>]) -> Bytes {
 enum TupleOp {
     Set(usize, Value),
     With(usize, Value),
-    Remove(usize),
 }
 
 /// One frame as a port sees it: a batch, a lone tuple, or punctuation.
@@ -165,20 +164,13 @@ fn same_content_by_other_paths(t: &Tuple) -> Vec<Tuple> {
     let StreamItem::Tuple(decoded) = decode(encode(&StreamItem::Tuple(t.clone()))).unwrap() else {
         panic!("a tuple frame decodes to a tuple");
     };
-    // Through a wider schema and back down by `remove`.
-    let mut narrowed = Tuple::new().with("zz_extra", 0i64);
-    for (n, v) in t.iter() {
-        narrowed.set(n, v.clone());
-    }
-    narrowed.remove("zz_extra");
-    vec![chained, resolved, decoded, narrowed]
+    vec![chained, resolved, decoded]
 }
 
 fn arb_tuple_op() -> impl Strategy<Value = TupleOp> {
     prop_oneof![
         (0..NAMES.len(), arb_value()).prop_map(|(n, v)| TupleOp::Set(n, v)),
         (0..NAMES.len(), arb_value()).prop_map(|(n, v)| TupleOp::With(n, v)),
-        (0..NAMES.len()).prop_map(TupleOp::Remove),
     ]
 }
 
@@ -191,7 +183,6 @@ fn apply_to_model(model: &mut Vec<(String, Value)>, op: &TupleOp) {
                 None => model.push((NAMES[*n].to_string(), v.clone())),
             }
         }
-        TupleOp::Remove(n) => model.retain(|(name, _)| name != NAMES[*n]),
     }
 }
 
@@ -199,9 +190,6 @@ fn apply_to_tuple(t: &mut Tuple, op: &TupleOp) {
     match op {
         TupleOp::Set(n, v) => t.set(NAMES[*n], v.clone()),
         TupleOp::With(n, v) => *t = t.clone().with(NAMES[*n], v.clone()),
-        TupleOp::Remove(n) => {
-            t.remove(NAMES[*n]);
-        }
     }
 }
 
@@ -1500,7 +1488,7 @@ proptest! {
             }
         }
         // Equality is by content: the same attributes reached through a
-        // `set` chain, a resolved schema, the wire, or a `remove` share no
+        // `set` chain, a resolved schema or the wire share no
         // schema with the tuple and still equal it, and render like it.
         for (t, model) in &pool {
             for other in same_content_by_other_paths(t) {

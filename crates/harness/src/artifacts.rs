@@ -194,7 +194,7 @@ mod tests {
     use sps_runtime::PeId;
     use sps_sim::{fnv1a, SimRng, SimTime, FNV_OFFSET};
     use std::collections::BTreeMap;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     // ---- a model of an artifact set, and the real walk over it ------------
 
@@ -232,7 +232,7 @@ mod tests {
         let mut rings: BTreeMap<JobId, BTreeMap<&str, VecDeque<Tuple>>> = BTreeMap::new();
         for (job, id) in model.iter().zip(1..) {
             for ((at, rows), pe) in job.pushes.iter().zip(0..) {
-                let rows = rows.iter().map(|(k, v)| (Arc::new(k.clone()), *v));
+                let rows = rows.iter().map(|(k, v)| (Rc::new(k.clone()), *v));
                 srm.push_pe_metrics(
                     JobId(id),
                     PeId(pe),

@@ -21,9 +21,17 @@
 //! 1. phase-1 plan evaluation ([`crate::runner::run_plan`], including the
 //!    determinism replay, which hits the entry its primary run populated),
 //! 2. the concurrent shrink walk ([`crate::shrink`]), whose candidates keep
-//!    the *original* plan's horizon as their floor and therefore hit the
-//!    same floor-keyed entry phase 1 created, and
+//!    the *original* plan's horizon as their floor and therefore share one
+//!    floor-keyed entry, and
 //! 3. the `campaign` binary's `--replay` path.
+//!
+//! Every plan seed is distinct, so a campaign revisits an entry in two
+//! places only: the determinism replay, which is the very next lookup after
+//! its primary run, and the shrink walk of at most `max_failures` failing
+//! plans. The memo is sized for that ([`DEFAULT_BASELINE_CAPACITY`]), not
+//! for the whole campaign: by the time phase 2 shrinks a failing plan, the
+//! entry phase 1 made for it may be gone, and the walk recomputes that
+//! baseline once — its candidates then hit the entry the recompute left.
 //!
 //! Correctness does not depend on the cache: every entry is a pure function
 //! of its key, so hits, misses, and evictions can never change a campaign
@@ -39,9 +47,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default entry capacity: comfortably holds every per-plan key of the CI
-/// campaigns (one entry per plan seed) while bounding unbounded campaigns.
-pub const DEFAULT_BASELINE_CAPACITY: usize = 1024;
+/// Default entry capacity: what a campaign revisits (module doc) — each
+/// worker's latest entry until its determinism replay, and a failing plan's
+/// entry through its shrink walk — with room to spare at any `--jobs` the
+/// host has cores for. Entries a campaign will not look up again are evicted
+/// instead of held to the end.
+pub const DEFAULT_BASELINE_CAPACITY: usize = 64;
 
 /// Canonical identity of one fault-free baseline. Two runs with equal keys
 /// produce bit-equal [`BaselineSummary`]s, which is the invariant
@@ -250,9 +261,9 @@ impl BaselineCache {
                 last_used: clock,
             });
             while guard.map.len() > self.capacity {
-                // O(n) LRU scan: capacity is small (~1k) and eviction only
-                // runs once the memo is full, so this never shows up next
-                // to the cost of simulating even one baseline world.
+                // O(n) LRU scan: capacity is small (64 by default), so this
+                // never shows up next to the cost of simulating even one
+                // baseline world.
                 let Some(oldest) = guard
                     .map
                     // sslint: allow(unordered-iter, eviction victim choice is perf-only: values are key-pinned, any evictee recomputes bit-identically)

@@ -20,14 +20,14 @@ use sps_engine::{EngineError, PeRuntime, RemoteDelivery, StreamItem};
 use sps_model::logical::{ExportSpec, ImportSpec};
 use sps_sim::SimTime;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A registered export endpoint.
 #[derive(Clone, Debug)]
 struct ExportReg {
     job: JobId,
     app_name: String,
-    op: Arc<str>,
+    op: Rc<str>,
     port: usize,
     spec: ExportSpec,
 }
@@ -36,12 +36,12 @@ struct ExportReg {
 #[derive(Clone, Debug)]
 struct ImportReg {
     job: JobId,
-    op: Arc<str>,
+    op: Rc<str>,
     spec: ImportSpec,
 }
 
 /// An importing endpoint an exported item is routed to: `(job, operator)`.
-pub type ImportTarget = (JobId, Arc<str>);
+pub type ImportTarget = (JobId, Rc<str>);
 
 /// Matches exported streams to import subscriptions across running jobs.
 #[derive(Default)]
@@ -51,7 +51,7 @@ pub struct Broker {
     /// Cached resolution: (export job, port) → op → [(import job, import
     /// op)]. The operator name is the inner key so that routing an item
     /// looks it up by `&str`; the names are shared with the registrations.
-    routes: BTreeMap<(JobId, usize), BTreeMap<Arc<str>, Vec<ImportTarget>>>,
+    routes: BTreeMap<(JobId, usize), BTreeMap<Rc<str>, Vec<ImportTarget>>>,
 }
 
 impl Broker {
@@ -104,13 +104,13 @@ impl Broker {
                     // (that would be a static stream).
                     imp.job != export.job && imp.spec.matches(&export.spec, &export.app_name)
                 })
-                .map(|imp| (imp.job, Arc::clone(&imp.op)))
+                .map(|imp| (imp.job, Rc::clone(&imp.op)))
                 .collect();
             if !targets.is_empty() {
                 self.routes
                     .entry((export.job, export.port))
                     .or_default()
-                    .insert(Arc::clone(&export.op), targets);
+                    .insert(Rc::clone(&export.op), targets);
             }
         }
     }
@@ -146,17 +146,17 @@ pub enum ChannelKey {
         job: JobId,
         from: usize,
         to: usize,
-        op: Arc<str>,
+        op: Rc<str>,
         port: usize,
     },
     /// Cross-job export, resolved by the broker to an importing operator.
     Export {
         from_job: JobId,
         from: usize,
-        op: Arc<str>,
+        op: Rc<str>,
         port: usize,
         to_job: JobId,
-        to_op: Arc<str>,
+        to_op: Rc<str>,
     },
 }
 
@@ -189,7 +189,7 @@ pub enum BackupItem {
     /// and whoever else holds them, so buffering costs pointers, not copies.
     Remote(RemoteDelivery),
     /// A cross-job import (replayed via `inject` on the importing operator).
-    Import { op: Arc<str>, item: StreamItem },
+    Import { op: Rc<str>, item: StreamItem },
 }
 
 impl BackupItem {
@@ -306,7 +306,7 @@ impl UpstreamBackup {
     /// different boundaries than the crashed incarnation did. The caller
     /// must drop exactly the duplicated prefix and deliver the tail.
     pub fn advance_n(&mut self, key: &ChannelKey, n: u64) -> u64 {
-        // Look up before `entry`: a key (two `Arc<str>`) is cloned only for
+        // Look up before `entry`: a key (two `Rc<str>`) is cloned only for
         // a channel's first emission.
         let channel = match self.channels.get_mut(key) {
             Some(channel) => channel,

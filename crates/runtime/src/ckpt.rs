@@ -12,15 +12,21 @@
 //! exists or the shape changed.
 //!
 //! Since checkpoint format v2 snapshots also capture the PE's input queues,
-//! and the store keeps each slot as an *incremental chain*: a full base
+//! and the store accounts each slot as an *incremental chain*: a full base
 //! snapshot plus per-interval deltas that re-store only the operators whose
 //! checkpoint entry actually changed. The dirty rule is equality: same
 //! name, kind and final tracking, and a [`StateBlob`] of the same bytes.
-//! Nothing is hashed. Entries are shared `Arc`s, and a PE hands its previous
+//! Nothing is hashed. Entries are shared `Rc`s, and a PE hands its previous
 //! entry out again while the operator's bytes stay the same, so the test is a
 //! pointer compare for an unchanged operator and a byte compare that leaves
-//! at the first difference otherwise; `base`, the deltas and the cached head
-//! all point at one copy of an entry.
+//! at the first difference otherwise.
+//!
+//! A slot keeps its chain's head and the chain only as numbers: its bytes,
+//! how many operators each delta re-stored, and when its base was taken.
+//! Restores read the head; everything else a chain decides — what a save
+//! writes, what a restore reads, when the chain compacts and which chain
+//! eviction takes first — needs nothing more, so the snapshots behind the
+//! head are dropped as soon as it moves on.
 //!
 //! A chain holds at most [`FULL_EVERY`] snapshots — one full base plus
 //! `FULL_EVERY - 1` deltas; the save that would stack one more delta
@@ -51,7 +57,7 @@ use crate::ids::JobId;
 use sps_engine::{PeCheckpoint, StateBlob};
 use sps_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Chain compaction bound: a slot's chain holds at most this many snapshots
 /// (base + deltas); the save that would exceed it lands as a fresh full base
@@ -170,52 +176,21 @@ impl CheckpointPolicy {
     }
 }
 
-/// An incremental snapshot: only the operators whose checkpoint entry
-/// changed since the previous snapshot in the chain, plus the
-/// (always-changing) input queues and metric table. It is kept as a
-/// reference to the snapshot it was cut from and a mask of the operators it
-/// re-stores — nothing is copied out of the snapshot, and only the masked
-/// entries, the queues and the metrics are ever read back through it.
-#[derive(Clone, Debug)]
-pub struct PeDelta {
-    snap: Arc<PeCheckpoint>,
-    /// Per operator slot: dirty since the previous snapshot.
-    dirty: Vec<bool>,
-}
-
-impl PeDelta {
-    /// Operators re-stored by this delta.
-    pub fn dirty_ops(&self) -> usize {
-        self.dirty.iter().filter(|&&d| d).count()
-    }
-}
-
-/// One PE slot's recovery chain plus its replay bookkeeping.
+/// One PE slot: its chain's head, the replay bookkeeping saved with it, and
+/// the chain itself as numbers (module doc).
 struct Slot {
-    /// Full snapshot anchoring the chain (the head it was committed as).
-    base: Arc<PeCheckpoint>,
-    /// Incremental snapshots applied on top of `base`, oldest first.
-    deltas: Vec<PeDelta>,
-    /// The newest committed snapshot, which is what `base` + `deltas`
-    /// materialize to and what restores use. Not counted in `state_bytes`
-    /// (it is a cache, not stored state).
-    head: Arc<PeCheckpoint>,
+    /// The newest committed snapshot: what restores use.
+    head: Rc<PeCheckpoint>,
     /// Sender-side upstream-backup channel positions at snapshot time.
     sender_pos: Vec<(ChannelKey, u64)>,
-    /// Serialized bytes of the chain — `base` plus every delta, what a
-    /// restore reads — kept as snapshots land instead of re-walked.
+    /// Serialized bytes of the chain — its base plus every delta, what a
+    /// restore reads — added up as snapshots land.
     chain_bytes: usize,
-}
-
-impl Slot {
-    /// `chain_bytes`, counted again from the chain (the debug cross-check).
-    fn recount_chain(&self) -> usize {
-        let deltas = self
-            .deltas
-            .iter()
-            .map(|d| delta_bytes(&d.snap, d.dirty.iter().copied()));
-        self.base.state_bytes() + deltas.sum::<usize>()
-    }
+    /// Operators each delta on top of the base re-stored, oldest first: the
+    /// chain holds `1 + delta_dirty.len()` snapshots.
+    delta_dirty: Vec<usize>,
+    /// When the chain's base was taken; eviction takes the oldest first.
+    base_taken_at: SimTime,
 }
 
 /// A save issued but not yet durable: commits at `commit_at`.
@@ -241,7 +216,7 @@ pub struct CommittedSave {
 /// What a restore of a slot reads: its chain's head, the sender-side
 /// positions recorded alongside it, and the chain's bytes.
 pub struct RestoreCandidate {
-    pub ckpt: Arc<PeCheckpoint>,
+    pub ckpt: Rc<PeCheckpoint>,
     pub sender_pos: Vec<(ChannelKey, u64)>,
     /// Bytes a restore reads back (the whole chain, base and deltas) —
     /// drives restore latency.
@@ -344,10 +319,10 @@ impl CheckpointStore {
         } else {
             match self.slots.get(&(job, adl_index)) {
                 Some(slot)
-                    if slot.deltas.len() + 1 < FULL_EVERY
+                    if slot.delta_dirty.len() + 1 < FULL_EVERY
                         && delta_compatible(&slot.head, &ckpt) =>
                 {
-                    delta_bytes(&ckpt, dirty_ops(&slot.head, &ckpt))
+                    delta_cost(&ckpt, dirty_ops(&slot.head, &ckpt)).1
                 }
                 _ => ckpt.state_bytes(),
             }
@@ -452,44 +427,37 @@ impl CheckpointStore {
                 // `FULL_EVERY - 1` deltas): once this save would stack one
                 // more delta — or the shape changed — compact to a fresh
                 // full base instead.
-                let chain_full = slot.deltas.len() + 1 >= FULL_EVERY;
+                let chain_full = slot.delta_dirty.len() + 1 >= FULL_EVERY;
                 if chain_full || !delta_compatible(&slot.head, &ckpt) {
-                    let ckpt = Arc::new(ckpt);
                     let full_bytes = ckpt.state_bytes();
                     self.bytes = self.bytes - slot.chain_bytes + full_bytes;
                     slot.chain_bytes = full_bytes;
-                    slot.head = Arc::clone(&ckpt);
-                    slot.base = ckpt;
-                    slot.deltas.clear();
+                    slot.delta_dirty.clear();
+                    slot.base_taken_at = ckpt.taken_at;
                     self.fulls_saved += 1;
                     self.compactions += 1;
                 } else {
-                    let dirty: Vec<bool> = dirty_ops(&slot.head, &ckpt).collect();
-                    let bytes = delta_bytes(&ckpt, dirty.iter().copied());
+                    let (ops, bytes) = delta_cost(&ckpt, dirty_ops(&slot.head, &ckpt));
                     self.bytes += bytes;
                     slot.chain_bytes += bytes;
-                    slot.head = Arc::new(ckpt);
-                    slot.deltas.push(PeDelta {
-                        snap: Arc::clone(&slot.head),
-                        dirty,
-                    });
+                    slot.delta_dirty.push(ops);
                     self.deltas_saved += 1;
                 }
+                slot.head = Rc::new(ckpt);
                 slot.sender_pos = sender_pos;
             }
             None => {
-                let ckpt = Arc::new(ckpt);
                 let chain_bytes = ckpt.state_bytes();
                 self.bytes += chain_bytes;
                 self.fulls_saved += 1;
                 self.slots.insert(
                     (job, adl_index),
                     Slot {
-                        head: Arc::clone(&ckpt),
-                        base: ckpt,
-                        deltas: Vec::new(),
+                        base_taken_at: ckpt.taken_at,
+                        head: Rc::new(ckpt),
                         sender_pos,
                         chain_bytes,
+                        delta_dirty: Vec::new(),
                     },
                 );
             }
@@ -497,20 +465,20 @@ impl CheckpointStore {
         self.cadence.insert((job, adl_index), quanta_now);
         self.saved += 1;
         self.peak_bytes = self.peak_bytes.max(self.bytes);
-        debug_assert!(self.consistent(job, adl_index));
+        debug_assert!(self.consistent());
         true
     }
 
     /// The store's redundant bookkeeping agrees with what it stores: the
-    /// running byte counters with a recount, and the just-saved slot's
-    /// delta chain with its cached head.
-    fn consistent(&self, job: JobId, adl_index: usize) -> bool {
+    /// running byte counter with the slots' chains, and every chain's length
+    /// with the compaction bound.
+    fn consistent(&self) -> bool {
         let recount = self.slots.values().map(|s| s.chain_bytes).sum::<usize>();
-        let chains = |slot: &Slot| slot.chain_bytes == slot.recount_chain();
-        let chain = self.materialize(job, adl_index).map(|c| c.digest());
         self.bytes == recount
-            && self.slots.values().all(chains)
-            && chain == self.latest(job, adl_index).map(|c| c.digest())
+            && self
+                .slots
+                .values()
+                .all(|s| s.delta_dirty.len() < FULL_EVERY)
     }
 
     /// Evicts whole chains, oldest base first (ties by slot), until stored
@@ -528,7 +496,7 @@ impl CheckpointStore {
                 .slots
                 .iter()
                 .filter(|(key, _)| !protected.contains(key))
-                .min_by_key(|(key, slot)| (slot.base.taken_at, **key));
+                .min_by_key(|(key, slot)| (slot.base_taken_at, **key));
             // Only protected chains remain: stop rather than evict one.
             let Some((&key, _)) = victim else { break };
             let slot = self.slots.remove(&key).expect("victim slot exists");
@@ -550,7 +518,7 @@ impl CheckpointStore {
     pub fn restore_candidate(&self, job: JobId, adl_index: usize) -> Option<RestoreCandidate> {
         let slot = self.slots.get(&(job, adl_index))?;
         Some(RestoreCandidate {
-            ckpt: Arc::clone(&slot.head),
+            ckpt: Rc::clone(&slot.head),
             sender_pos: slot.sender_pos.clone(),
             read_bytes: slot.chain_bytes,
         })
@@ -562,38 +530,12 @@ impl CheckpointStore {
         self.evicted.contains(&(job, adl_index))
     }
 
-    /// Replays a slot's chain — base, then each delta in order — into a
-    /// full snapshot. Restores use the cached head; this exists to verify
-    /// the chain itself (and is what a cold-start recovery would run).
-    pub fn materialize(&self, job: JobId, adl_index: usize) -> Option<PeCheckpoint> {
-        let slot = self.slots.get(&(job, adl_index))?;
-        let mut cur = PeCheckpoint::clone(&slot.base);
-        for delta in &slot.deltas {
-            for ((op, new_op), _) in cur
-                .ops
-                .iter_mut()
-                .zip(&delta.snap.ops)
-                .zip(&delta.dirty)
-                .filter(|(_, &dirty)| dirty)
-            {
-                *op = Arc::clone(new_op);
-            }
-        }
-        // Queues and metrics are re-stored whole by every delta, so only
-        // the newest one's survive the replay.
-        if let Some(newest) = slot.deltas.last() {
-            cur.taken_at = newest.snap.taken_at;
-            cur.queues = newest.snap.queues.clone();
-            cur.metrics = newest.snap.metrics.clone();
-        }
-        Some(cur)
-    }
-
-    /// The deltas stacked on a slot's base snapshot, oldest first.
-    pub fn deltas(&self, job: JobId, adl_index: usize) -> &[PeDelta] {
+    /// The deltas stacked on a slot's base, oldest first, as the number of
+    /// operators each re-stored.
+    pub fn deltas(&self, job: JobId, adl_index: usize) -> &[usize] {
         self.slots
             .get(&(job, adl_index))
-            .map_or(&[], |s| s.deltas.as_slice())
+            .map_or(&[], |s| s.delta_dirty.as_slice())
     }
 
     /// Sender-side channel positions recorded with a slot's newest snapshot.
@@ -742,7 +684,7 @@ fn delta_compatible(head: &PeCheckpoint, next: &PeCheckpoint) -> bool {
 /// Which operators of `next` a delta on top of `head` re-stores. The dirty
 /// rule: an operator is clean iff its entry equals the head's — name, kind,
 /// final tracking and blob bytes. An entry the PE handed out again is the
-/// same `Arc` and never reaches the byte compare; one it rebuilt differs
+/// same `Rc` and never reaches the byte compare; one it rebuilt differs
 /// from its predecessor, and the compare (length first) leaves at the first
 /// differing byte.
 fn dirty_ops<'a>(
@@ -752,20 +694,22 @@ fn dirty_ops<'a>(
     head.ops
         .iter()
         .zip(&next.ops)
-        .map(|(old, new)| !(Arc::ptr_eq(old, new) || old == new))
+        .map(|(old, new)| !(Rc::ptr_eq(old, new) || old == new))
 }
 
-/// Serialized bytes a delta re-storing the `dirty` operators of `snap`
-/// writes, and contributes to its chain: their blobs plus every queue.
-fn delta_bytes(snap: &PeCheckpoint, dirty: impl Iterator<Item = bool>) -> usize {
-    let blobs: usize = snap
+/// What a delta re-storing the `dirty` operators of `snap` costs: how many
+/// operators it re-stores, and the serialized bytes it writes and adds to
+/// its chain — their blobs plus every queue.
+fn delta_cost(snap: &PeCheckpoint, dirty: impl Iterator<Item = bool>) -> (usize, usize) {
+    let (ops, blobs) = snap
         .ops
         .iter()
         .zip(dirty)
         .filter(|(_, dirty)| *dirty)
-        .map(|(op, _)| op.blob.as_ref().map_or(0, StateBlob::len))
-        .sum();
-    blobs + snap.queue_bytes()
+        .fold((0, 0), |(ops, bytes), (op, _)| {
+            (ops + 1, bytes + op.blob.as_ref().map_or(0, StateBlob::len))
+        });
+    (ops, blobs + snap.queue_bytes())
 }
 
 #[cfg(test)]
@@ -787,13 +731,13 @@ mod tests {
             pe_index: 0,
             taken_at: SimTime::from_secs(at),
             ops: vec![
-                Arc::new(OpCheckpoint {
+                Rc::new(OpCheckpoint {
                     name: "agg".into(),
                     kind: "Aggregate".into(),
                     finals_seen: vec![false],
                     blob: Some(blob(state)),
                 }),
-                Arc::new(OpCheckpoint {
+                Rc::new(OpCheckpoint {
                     name: "snk".into(),
                     kind: "Sink".into(),
                     finals_seen: vec![false],
@@ -905,14 +849,9 @@ mod tests {
     #[test]
     fn dirty_rule_is_byte_equality() {
         let mut s = CheckpointStore::new();
-        let dirty = |s: &CheckpointStore| -> Vec<usize> {
-            s.deltas(JobId(1), 0)
-                .iter()
-                .map(PeDelta::dirty_ops)
-                .collect()
-        };
+        let dirty = |s: &CheckpointStore| s.deltas(JobId(1), 0).to_vec();
         save(&mut s, 1, 0, ckpt_with(1, 10, &[]));
-        // The same bytes from a separate writer, behind separate `Arc`s:
+        // The same bytes from a separate writer, behind separate `Rc`s:
         // clean, and the delta stores no blob.
         save(&mut s, 1, 0, ckpt_with(2, 10, &[]));
         assert_eq!(dirty(&s), [0]);
@@ -929,7 +868,7 @@ mod tests {
         // A blob appearing where there was none is dirty, and so is its
         // disappearing again — even an empty one.
         let mut appeared = ckpt_with(5, 11, &[]);
-        Arc::make_mut(&mut appeared.ops[1]).blob = Some(StateWriter::new().finish());
+        Rc::make_mut(&mut appeared.ops[1]).blob = Some(StateWriter::new().finish());
         save(&mut s, 1, 0, appeared);
         assert_eq!(dirty(&s), [0, 1, 0, 1]);
         save(&mut s, 1, 0, ckpt_with(6, 11, &[]));
@@ -937,14 +876,10 @@ mod tests {
         assert_eq!(s.state_bytes(), 16, "an empty blob weighs nothing");
         // Final tracking is part of the entry.
         let mut finals = ckpt_with(7, 11, &[]);
-        Arc::make_mut(&mut finals.ops[1]).finals_seen[0] = true;
+        Rc::make_mut(&mut finals.ops[1]).finals_seen[0] = true;
         save(&mut s, 1, 0, finals);
         assert_eq!(dirty(&s), [0, 1, 0, 1, 1, 1]);
         assert_eq!((s.fulls_saved(), s.deltas_saved()), (1, 6));
-        assert_eq!(
-            s.materialize(JobId(1), 0).unwrap().digest(),
-            s.latest(JobId(1), 0).unwrap().digest()
-        );
     }
 
     #[test]
@@ -977,17 +912,25 @@ mod tests {
     }
 
     #[test]
-    fn materialize_replays_chain_to_head() {
+    fn a_slot_keeps_only_its_head() {
+        // Three compaction cycles of one slot: the chain is accounted for
+        // (its bytes and deltas), but every snapshot behind the head, and
+        // every operator entry only they held, is gone, and the head is
+        // held by the store alone once the caller lets go of it.
         let mut s = CheckpointStore::new();
-        save(&mut s, 1, 0, ckpt_with(1, 10, &[b"aa"]));
-        for at in 2..6 {
+        let mut taken = Vec::new();
+        for at in 1..=3 * FULL_EVERY as u64 {
             save(&mut s, 1, 0, ckpt_with(at, at as i64 * 10, &[b"zz"]));
+            let head = s.restore_candidate(JobId(1), 0).unwrap().ckpt;
+            taken.push((Rc::downgrade(&head), Rc::downgrade(&head.ops[0])));
         }
-        assert_eq!(s.deltas(JobId(1), 0).len(), 4);
-        let materialized = s.materialize(JobId(1), 0).unwrap();
-        let head = s.latest(JobId(1), 0).unwrap();
-        assert_eq!(&materialized, head);
-        assert_eq!(materialized.digest(), head.digest());
+        assert_eq!(s.deltas(JobId(1), 0), [1; FULL_EVERY - 1]);
+        assert_eq!(s.state_bytes(), FULL_EVERY * (8 + 2));
+        let ((head, head_op), older) = taken.split_last().unwrap();
+        for (snap, op) in older {
+            assert_eq!((snap.strong_count(), op.strong_count()), (0, 0));
+        }
+        assert_eq!((head.strong_count(), head_op.strong_count()), (1, 1));
     }
 
     #[test]

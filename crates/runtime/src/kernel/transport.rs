@@ -11,7 +11,7 @@ use sps_engine::pe::ExportedItem;
 use sps_engine::{EngineError, RemoteDelivery};
 use sps_sim::SimTime;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// What one restored PE replays at promotion: its id and slot, the snapshot
 /// time it rewound to, and the deliveries buffered for it since.
@@ -197,14 +197,14 @@ impl Kernel {
                 let key = self.transport.backup.as_ref().map(|_| ChannelKey::Export {
                     from_job: job,
                     from: from_adl,
-                    op: Arc::clone(op),
+                    op: Rc::clone(op),
                     port,
                     to_job: target_job,
-                    to_op: Arc::clone(import_op),
+                    to_op: Rc::clone(import_op),
                 });
                 for item in run {
                     // No books are kept: spare the item the wrapping they
-                    // would need (an `Arc` bump per item, 4 % of a social
+                    // would need (a refcount bump per item, 4 % of a social
                     // plan) and hand it straight over.
                     if key.is_none() {
                         if proc.status == PeStatus::Up {
@@ -213,7 +213,7 @@ impl Kernel {
                         continue;
                     }
                     let item = BackupItem::Import {
-                        op: Arc::clone(import_op),
+                        op: Rc::clone(import_op),
                         item: item.item.clone(),
                     };
                     let to = (target_job, to_adl);

@@ -30,9 +30,7 @@ pub mod srm;
 pub mod world;
 
 pub use broker::{BackupEntry, BackupItem, Broker, ChannelKey, UbStats, UpstreamBackup};
-pub use ckpt::{
-    CheckpointPolicy, CheckpointStore, CommittedSave, PeDelta, RestoreCandidate, StorageModel,
-};
+pub use ckpt::{CheckpointPolicy, CheckpointStore, CommittedSave, RestoreCandidate, StorageModel};
 pub use cluster::{Cluster, Host, PeProcess, PeStatus};
 pub use error::RuntimeError;
 pub use ids::{JobId, OrcaId, PeId};

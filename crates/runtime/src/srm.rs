@@ -12,22 +12,22 @@ use sps_engine::MetricKey;
 use sps_sim::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Latest metric values collected for one job.
 ///
-/// Keys are the owning `MetricStore`'s interned `Arc`s, so HC pushes and
+/// Keys are the owning `MetricStore`'s interned `Rc`s, so HC pushes and
 /// per-job merges move refcounts around rather than cloning name strings.
 #[derive(Clone, Debug, Default)]
 pub struct MetricSnapshot {
     /// Time of the most recent HC push contributing to this snapshot.
     pub collected_at: SimTime,
     /// Per-PE metric vectors, merged.
-    pub values: Vec<(Arc<MetricKey>, i64)>,
+    pub values: Vec<(Rc<MetricKey>, i64)>,
 }
 
 /// One PE's snapshot: collection time plus metric rows.
-type PeSnapshot = (SimTime, Vec<(Arc<MetricKey>, i64)>);
+type PeSnapshot = (SimTime, Vec<(Rc<MetricKey>, i64)>);
 
 /// One job's merged snapshot read in place: what a [`MetricSnapshot`] holds,
 /// without copying the per-PE vectors. Prints (`{:?}`) as the
@@ -43,7 +43,7 @@ impl<'a> JobMetrics<'a> {
     }
 
     /// Every metric row, PE by PE in `PeId` order.
-    pub fn rows(self) -> impl Iterator<Item = &'a (Arc<MetricKey>, i64)> + Clone {
+    pub fn rows(self) -> impl Iterator<Item = &'a (Rc<MetricKey>, i64)> + Clone {
         self.0.values().flat_map(|(_, values)| values)
     }
 
@@ -101,7 +101,7 @@ impl Srm {
         job: JobId,
         pe: PeId,
         at: SimTime,
-        values: Vec<(Arc<MetricKey>, i64)>,
+        values: Vec<(Rc<MetricKey>, i64)>,
     ) {
         self.pushes += 1;
         self.metrics
@@ -148,8 +148,8 @@ impl Srm {
 mod tests {
     use super::*;
 
-    fn key(op: &str, m: &str) -> Arc<MetricKey> {
-        Arc::new(MetricKey::Operator(op.into(), m.into()))
+    fn key(op: &str, m: &str) -> Rc<MetricKey> {
+        Rc::new(MetricKey::Operator(op.into(), m.into()))
     }
 
     #[test]
@@ -215,8 +215,8 @@ mod tests {
     #[test]
     fn the_lent_view_is_the_snapshot() {
         let mut srm = Srm::new();
-        let pe_key = Arc::new(MetricKey::Pe(1, "m".into()));
-        let port_key = Arc::new(MetricKey::OperatorPort("b".into(), 2, "m".into()));
+        let pe_key = Rc::new(MetricKey::Pe(1, "m".into()));
+        let port_key = Rc::new(MetricKey::OperatorPort("b".into(), 2, "m".into()));
         srm.push_pe_metrics(
             JobId(1),
             PeId(11),

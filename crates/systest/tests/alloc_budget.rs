@@ -110,25 +110,29 @@ const CEILINGS: [(&str, u64); 4] = [
 
 /// The same under the `campaign_durable` benchmark's policy: checkpoints
 /// every 10 quanta, upstream backup, 5 ms writes, the replicated metastore.
-/// The steady state makes 145.5, 51.4, 41.8 and 36.0 in a release build,
+/// The steady state makes 144.4, 50.6, 41.2 and 35.5 in a release build,
 /// rounded up here. A fault-free run under this policy executes what the
 /// plain one does, so the surplus is the write side alone: snapshots, sink
 /// blobs, the backup's buffered deliveries and the metastore's op log. A
-/// debug build makes 159.0, 60.7, 45.9 and 42.1: its debug assertions run
+/// debug build makes 149.2, 54.1, 41.6 and 37.8: its debug assertions run
 /// on the write side too (a `Sink` compares every blob with a full encode).
+/// While a checkpoint slot kept its chain's snapshots and each delta a mask
+/// of what it re-stored (the debug build replaying the chain after every
+/// save), release made 145.5, 51.4, 41.8 and 36.0 and debug 159.0, 60.7,
+/// 45.9 and 42.1.
 const DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
     [
-        ("social", 160),
-        ("trend", 61),
-        ("sentiment", 46),
-        ("live", 43),
+        ("social", 150),
+        ("trend", 55),
+        ("sentiment", 42),
+        ("live", 38),
     ]
 } else {
     [
-        ("social", 146),
-        ("trend", 52),
+        ("social", 145),
+        ("trend", 51),
         ("sentiment", 42),
-        ("live", 37),
+        ("live", 36),
     ]
 };
 
@@ -137,8 +141,9 @@ const DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
 /// this tree's steady state makes them, rounded up. Plain, the same in debug
 /// and release builds: 277.3, 36.8, 28.4 and 27.1 — a frame per tuple is a
 /// request per tuple, and `social` moves most because it moves the most
-/// tuples across PEs. Under the durable policy, release: 302.7, 49.4, 41.7
-/// and 35.7; debug: 316.2, 58.7, 45.9 and 41.8.
+/// tuples across PEs. Under the durable policy, release: 301.6, 48.6, 41.2
+/// and 35.2; debug: 306.5, 52.1, 41.5 and 37.5 (302.7, 49.4, 41.7 and 35.7,
+/// and 316.2, 58.7, 45.9 and 41.8, while slots kept their chains).
 const PER_TUPLE_CEILINGS: [(&str, u64); 4] = [
     ("social", 278),
     ("trend", 37),
@@ -148,15 +153,15 @@ const PER_TUPLE_CEILINGS: [(&str, u64); 4] = [
 
 const PER_TUPLE_DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
     [
-        ("social", 317),
-        ("trend", 59),
-        ("sentiment", 46),
-        ("live", 42),
+        ("social", 307),
+        ("trend", 53),
+        ("sentiment", 42),
+        ("live", 38),
     ]
 } else {
     [
-        ("social", 303),
-        ("trend", 50),
+        ("social", 302),
+        ("trend", 49),
         ("sentiment", 42),
         ("live", 36),
     ]

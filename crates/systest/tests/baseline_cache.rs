@@ -8,7 +8,7 @@
 
 use orca_harness::{
     run_campaign_cached, scenario, BaselineCache, CacheStats, CampaignConfig, CampaignReport,
-    CheckpointPolicy, MetastoreKind, StorageModel,
+    CheckpointPolicy, MetastoreKind, StorageModel, DEFAULT_BASELINE_CAPACITY,
 };
 
 /// Canonical whole-report rendering (see `CampaignReport::render`).
@@ -139,4 +139,32 @@ fn capacity_squeezed_cache_still_yields_identical_reports() {
     // Sequential plans never revisit a key mid-plan, so the replay hit
     // pattern survives even a single-slot memo.
     assert_eq!(tiny.stats(), CacheStats { hits: 3, misses: 3 });
+}
+
+#[test]
+fn a_default_memo_holds_what_a_longer_campaign_revisits() {
+    // More plans than the default capacity: the memo evicts what no lookup
+    // will ask for again, yet every determinism replay still hits its
+    // primary run's entry, at one worker and at four, and the report is
+    // the one a disabled cache gives.
+    let sc = scenario::live();
+    let plans = 80;
+    assert!(plans > DEFAULT_BASELINE_CAPACITY);
+    let reference = render_of(run_campaign_cached(
+        &sc,
+        &cfg(plans, 1, 10),
+        &BaselineCache::disabled(),
+    ));
+    for jobs in [1usize, 4] {
+        let cache = BaselineCache::new();
+        let report = render_of(run_campaign_cached(&sc, &cfg(plans, jobs, 10), &cache));
+        assert!(cache.len() <= DEFAULT_BASELINE_CAPACITY, "jobs={jobs}");
+        let n = plans as u64;
+        assert_eq!(
+            cache.stats(),
+            CacheStats { hits: n, misses: n },
+            "jobs={jobs}"
+        );
+        assert_eq!(report, reference, "jobs={jobs}");
+    }
 }
