@@ -26,9 +26,9 @@
 //! 3. the `campaign` binary's `--replay` path.
 //!
 //! Every plan seed is distinct, so a campaign revisits an entry in two
-//! places only: the determinism replay, which is the very next lookup after
-//! its primary run, and the shrink walk of at most `max_failures` failing
-//! plans. The memo is sized for that ([`DEFAULT_BASELINE_CAPACITY`]), not
+//! places only: the determinism replay, which is the next lookup its
+//! worker makes after the primary run, and the shrink walk of at most
+//! `max_failures` failing plans. The memo is sized for that ([`DEFAULT_BASELINE_CAPACITY`]), not
 //! for the whole campaign: by the time phase 2 shrinks a failing plan, the
 //! entry phase 1 made for it may be gone, and the walk recomputes that
 //! baseline once — its candidates then hit the entry the recompute left.
