@@ -42,9 +42,9 @@
 //! suppressed / trimmed / peak) join the report and the `--timing` line.
 //!
 //! `--control-faults on` adds orchestrator crashes, SAM restarts and SAM↔HC
-//! partitions to the generated mix and the control-plane oracle to the set;
-//! `--metastore memory|replicated` picks the store, which when unspecified
-//! is replicated exactly when control faults are on.
+//! partitions to the generated mix and the control-plane oracle to the set.
+//! SAM's store keeps its op log in every world, so a SAM restart replays it
+//! whichever flags a campaign runs under.
 //!
 //! Fault-free baselines are memoized process-wide in a `BaselineCache`
 //! keyed by `(scenario, seed, horizon floor)` and built as the plain world
@@ -66,8 +66,7 @@
 
 use orca_harness::{
     default_oracles, evaluate, run_campaign_cached, scenario, BaselineCache, BaselineSource,
-    CampaignConfig, CampaignReport, CheckpointPolicy, FaultPlan, MetastoreKind, Scenario,
-    StorageModel,
+    CampaignConfig, CampaignReport, CheckpointPolicy, FaultPlan, Scenario, StorageModel,
 };
 use std::process::ExitCode;
 use std::time::Instant;
@@ -75,8 +74,7 @@ use std::time::Instant;
 const USAGE: &str = "usage: campaign [--plans N] [--seed S] [--app NAME] [--jobs N] [--timing] \
      [--broken-oracle convergence] [--checkpoint-interval QUANTA] \
      [--upstream-backup on|off] [--ckpt-write-latency MS] [--ckpt-budget BYTES] \
-     [--control-faults on|off] [--metastore memory|replicated] \
-     [--replay PLAN --app NAME --seed S]";
+     [--control-faults on|off] [--replay PLAN --app NAME --seed S]";
 
 #[derive(Debug)]
 struct Args {
@@ -109,7 +107,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let (mut plans, mut seed, mut app, mut replay) = (None, None, None, None);
     let mut timing = false;
     let (mut interval, mut ub, mut write_latency, mut budget) = (0, false, 0, 0);
-    let mut metastore = None;
     let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         let flag = arg.as_str();
@@ -129,7 +126,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--ckpt-write-latency" => write_latency = parse(flag, &value()?)?,
             "--ckpt-budget" => budget = parse(flag, &value()?)?,
             "--control-faults" => cfg.control_faults = on_off(flag, &value()?)?,
-            "--metastore" => metastore = Some(parse(flag, &value()?)?),
             "--replay" => replay = Some(FaultPlan::decode(&value()?)?),
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument `{other}`")),
@@ -170,13 +166,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 .with_write(write_latency, 0)
                 .with_budget(budget),
         );
-    // Control-fault runs default to the replicated store (recovery should
-    // exercise log replay); everything else stays on the zero-cost one.
-    cfg.metastore = metastore.unwrap_or(if cfg.control_faults {
-        MetastoreKind::Replicated
-    } else {
-        MetastoreKind::Memory
-    });
     Ok(Args {
         cfg,
         app,
@@ -262,7 +251,7 @@ fn print_report(cfg: &CampaignConfig, report: &CampaignReport) {
     }
     // Same convention for the control-plane counters: folded in plan-index
     // order, omitted entirely when no control fault fired so legacy output
-    // (and the memory-vs-replicated differential diff) stays byte-identical.
+    // stays byte-identical.
     if report.control.any() {
         println!(
             "  control-plane orca_crashes={} orca_recoveries={} notifications_replayed={} \
@@ -389,56 +378,33 @@ mod tests {
             CheckpointPolicy::every(10).storage(stored),
         ] {
             for control_faults in [false, true] {
-                for metastore in [MetastoreKind::Memory, MetastoreKind::Replicated] {
-                    for broken_convergence in [false, true] {
-                        let cfg = CampaignConfig {
-                            checkpoint,
-                            metastore,
-                            control_faults,
-                            broken_convergence,
-                            ..CampaignConfig::default()
-                        };
-                        let line = reproducer_line(&sc, 123, &plan, &cfg);
-                        let args = parse_line(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
-                        assert_eq!(args.app.as_deref(), Some("trend"), "`{line}`");
-                        assert_eq!(args.replay.as_ref(), Some(&plan), "`{line}`");
-                        assert_eq!(args.cfg.seed, 123, "`{line}`");
-                        assert_eq!(args.cfg.policy(), cfg.policy(), "`{line}`");
-                        assert_eq!(args.cfg.control_faults, control_faults, "`{line}`");
-                        assert_eq!(args.cfg.broken_convergence, broken_convergence, "`{line}`");
-                        assert!(args.cfg.check_determinism, "`{line}`");
-                        lines.insert(line);
-                    }
+                for broken_convergence in [false, true] {
+                    let cfg = CampaignConfig {
+                        checkpoint,
+                        control_faults,
+                        broken_convergence,
+                        ..CampaignConfig::default()
+                    };
+                    let line = reproducer_line(&sc, 123, &plan, &cfg);
+                    let args = parse_line(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+                    assert_eq!(args.app.as_deref(), Some("trend"), "`{line}`");
+                    assert_eq!(args.replay.as_ref(), Some(&plan), "`{line}`");
+                    assert_eq!(args.cfg.seed, 123, "`{line}`");
+                    assert_eq!(args.cfg.policy(), cfg.policy(), "`{line}`");
+                    assert_eq!(args.cfg.control_faults, control_faults, "`{line}`");
+                    assert_eq!(args.cfg.broken_convergence, broken_convergence, "`{line}`");
+                    assert!(args.cfg.check_determinism, "`{line}`");
+                    lines.insert(line);
                 }
             }
         }
-        assert_eq!(lines.len(), 32, "two settings printed the same line");
+        assert_eq!(lines.len(), 16, "two settings printed the same line");
         // The empty plan has an encoding, too.
         let line = reproducer_line(&sc, 9, &FaultPlan::default(), &CampaignConfig::default());
         assert_eq!(
             parse_line(&line).unwrap().replay,
             Some(FaultPlan::default())
         );
-    }
-
-    #[test]
-    fn an_unspecified_metastore_follows_the_control_faults() {
-        for (line, want) in [
-            ("", MetastoreKind::Memory),
-            ("--control-faults off", MetastoreKind::Memory),
-            ("--control-faults on", MetastoreKind::Replicated),
-            (
-                "--control-faults on --metastore memory",
-                MetastoreKind::Memory,
-            ),
-            ("--metastore replicated", MetastoreKind::Replicated),
-            (
-                "--replay 1000:co --app live --seed 3 --control-faults on",
-                MetastoreKind::Replicated,
-            ),
-        ] {
-            assert_eq!(parse_line(line).unwrap().cfg.metastore, want, "`{line}`");
-        }
     }
 
     #[test]
@@ -461,8 +427,17 @@ mod tests {
             let args = parse_line(&format!("{prefix}{zeros}")).unwrap();
             assert_eq!(args.cfg.checkpoint, CheckpointPolicy::default());
         }
-        let err = parse_line("--checkpoint-interval 10 --lossy-restore").unwrap_err();
-        assert_eq!(err, "unknown argument `--lossy-restore`");
+        // Flags the binary once had are unknown, not ignored.
+        for (line, flag) in [
+            (
+                "--checkpoint-interval 10 --lossy-restore",
+                "--lossy-restore",
+            ),
+            ("--metastore memory", "--metastore"),
+        ] {
+            let err = parse_line(line).unwrap_err();
+            assert_eq!(err, format!("unknown argument `{flag}`"));
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! - `sps_runtime`: `Cluster`, `Controller`, `Kernel`, `World`, `JobId`,
 //!   `MetaOp`, `MetaTables::{default, apply, digest}`, the trait `Metastore`
 //!   (`apply`, `recover`), `ReplicatedMetastore::new(seed)`, and
-//!   `RuntimeConfig` (`quantum`, `restart_delay`, `liveness_deadline`).
+//!   `RuntimeConfig` (`seed`, `pe_budget`, `quantum`, `checkpoint`,
+//!   `metastore`, `restart_delay`, `liveness_deadline`).
 //!   `Kernel`'s fields `config`, `ckpt`, `sam`, `trace` and `cluster`; its
 //!   methods `submit_job`, `quantum`, `restart_pe`, `kill_pe`, `pe_id_of`,
 //!   `tap`, `restart_log`, `op_metric`, `ub_stats` and `control_stats`;
@@ -33,15 +34,20 @@
 //! - `orca_harness`: `by_name`, `default_oracles(bool, bool, bool)`,
 //!   `plan_seeds`, `run_plan`, `run_campaign_cached`, `quiescent`,
 //!   `render_artifacts_to`, `BaselineCache`, `BaselineKey`, `BaselineSource`,
-//!   `BaselineSummary`, `Built`, `CampaignConfig`, `CheckpointPolicy`,
-//!   `FaultAction`, `FaultInjector`, `FaultPlan`, `Janitor`, `MetastoreKind`,
-//!   `Oracle`, `OracleCtx`, `PlanOutcome`, `Scenario`, `StorageModel`,
-//!   `Violation`, and `WorldPolicy` (`checkpoint`, `metastore`).
+//!   `BaselineSummary`, `Built`, `CampaignConfig` (`plans`, `seed`,
+//!   `checkpoint`, `metastore`, `control_faults`), `CheckpointPolicy`,
+//!   `FaultAction`, `FaultInjector`, `FaultPlan`, `Janitor`,
+//!   `MetastoreKind::Replicated`, `Oracle`, `OracleCtx`, `PlanOutcome`,
+//!   `Scenario`, `StorageModel`, `Violation`, and `WorldPolicy`
+//!   (`checkpoint`, `metastore`).
 //! - `orca_bench` (this crate): [`nested_app`].
 //!
 //! A refactor keeps a pinned name as a thin alias or constructor and keeps
 //! nothing else on `perf/`'s account: `ReplicatedMetastore` is an alias of
-//! the one store type, and its `new(seed)` ignores the seed. A trait that
+//! the one store type, and its `new(seed)` ignores the seed. Every store
+//! keeps its op log, so `MetastoreKind` has the one variant and the
+//! `metastore` fields of `RuntimeConfig`, `WorldPolicy` and `CampaignConfig`
+//! set nothing. A trait that
 //! `perf/` imports only to call its methods must stay a trait that carries
 //! those methods. Were `Metastore` a type alias, `perf/`'s import of it would
 //! be unused and `cargo clippy --workspace --all-targets -- -D warnings`

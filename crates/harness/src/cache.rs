@@ -9,7 +9,7 @@
 //!
 //! The plan's durable policy is not among them. A fault-free world never
 //! restores, replays or recovers, so checkpoints, upstream backup, storage
-//! latency and budget, and the metastore backing leave its tap counts and
+//! latency and budget leave its tap counts and
 //! app names where the plain world puts them;
 //! `a_fault_free_world_is_the_same_under_every_policy` checks that over a
 //! grid of policies. [`crate::runner::compute_baseline`] therefore builds
@@ -335,16 +335,15 @@ mod tests {
 
     #[test]
     fn the_policy_does_not_enter_the_key() {
-        use sps_runtime::{CheckpointPolicy, MetastoreKind, StorageModel};
+        use sps_runtime::{CheckpointPolicy, StorageModel};
         let trend = crate::scenario::trend();
         let floor = Some(SimTime::from_secs(9));
         let plain = BaselineKey::new(&trend, 7, WorldPolicy::default(), floor);
-        let durable = WorldPolicy {
-            checkpoint: CheckpointPolicy::every(5)
+        let durable = WorldPolicy::checkpointed(
+            CheckpointPolicy::every(5)
                 .upstream_backup(true)
                 .storage(StorageModel::default().with_write(250, 0).with_budget(4096)),
-            metastore: MetastoreKind::Replicated,
-        };
+        );
         assert_eq!(BaselineKey::new(&trend, 7, durable, floor), plain);
         assert_eq!(plain, key(7));
     }

@@ -58,9 +58,6 @@ pub struct PlanSpec {
     pub hosts: usize,
     /// Faults are injected within `[window.0, window.1)`.
     pub window: (SimTime, SimTime),
-    /// Maximum number of sampled incidents (an incident may expand to
-    /// several events: cascades, kill-during-restart, kill+revive pairs).
-    pub max_incidents: usize,
     /// When true, the incident mix includes control-plane faults (ORCA
     /// crash, SAM restart, SAM/HC partition). Off by default: the draw
     /// sequence with this off is byte-identical to pre-control-fault plans.
@@ -107,6 +104,10 @@ fn any_host_down_at(events: &[FaultEvent], t: SimTime) -> bool {
 /// fire time, so oversized draws still land on real targets.
 const JOB_SLOTS: u64 = 8;
 const PE_SLOTS: u64 = 6;
+
+/// Most incidents a plan samples, in every scenario (an incident may expand
+/// to several events: cascades, kill-during-restart, kill+revive pairs).
+const MAX_INCIDENTS: usize = 5;
 
 /// A plain PE kill at `t` on a drawn job and PE slot.
 fn kill_pe(rng: &mut SimRng, events: &mut Vec<FaultEvent>, t: u64) {
@@ -159,7 +160,7 @@ impl FaultPlan {
     pub fn generate(rng: &mut SimRng, spec: &PlanSpec) -> FaultPlan {
         let (start, end) = (spec.window.0.as_millis(), spec.window.1.as_millis());
         assert!(start < end, "empty fault window");
-        let n = rng.gen_range(1, spec.max_incidents as u64 + 1) as usize;
+        let n = rng.gen_range(1, MAX_INCIDENTS as u64 + 1) as usize;
         let mut times: Vec<u64> = (0..n).map(|_| rng.gen_range(start, end)).collect();
         times.sort_unstable();
 
@@ -312,7 +313,6 @@ mod tests {
         PlanSpec {
             hosts: 4,
             window: (SimTime::from_secs(5), SimTime::from_secs(15)),
-            max_incidents: 5,
             control_faults: false,
         }
     }

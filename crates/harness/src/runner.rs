@@ -32,9 +32,8 @@ pub struct CampaignConfig {
     /// enabled, the `StatePreservation` oracle joins the set and every plan
     /// is compared against a fault-free baseline of the same seed.
     pub checkpoint: CheckpointPolicy,
-    /// Metastore backing for every world the campaign builds (`--metastore`).
-    /// With control faults off this must be execution-invisible: campaign
-    /// stdout is byte-identical for `Memory` and `Replicated`.
+    /// Sets nothing: every world's SAM keeps its op log. Kept because
+    /// `perf/` names the field.
     pub metastore: MetastoreKind,
     /// Include control-plane faults (orchestrator crash, SAM restart,
     /// SAM↔HC partition) in the generated plan mix and add the
@@ -150,8 +149,8 @@ impl CampaignReport {
             ));
         }
         // Likewise only rendered when a control-plane fault actually fired,
-        // so control-faults-off reports (any metastore) stay byte-identical
-        // to earlier releases.
+        // so control-faults-off reports stay byte-identical to earlier
+        // releases.
         if self.control.any() {
             out.push_str(&format!(
                 "  control-plane: orca_crashes={} orca_recoveries={} \
@@ -259,8 +258,8 @@ pub fn settled_world(
 /// faulted runs against.
 ///
 /// The world is the plain one (`WorldPolicy::default()`) whatever policy the
-/// faulted plan runs under: checkpoints, upstream backup, storage latency
-/// and the replicated metastore change nothing a fault-free run summarizes
+/// faulted plan runs under: checkpoints, upstream backup and storage latency
+/// change nothing a fault-free run summarizes
 /// (`a_fault_free_world_is_the_same_under_every_policy`), and the plain
 /// world is the cheapest to simulate.
 ///
@@ -414,10 +413,9 @@ pub fn evaluate(
 
 /// Renders the `campaign` argv that replays one plan of a campaign run
 /// under `cfg`: `--replay PLAN --app A --seed S`, then the flags the campaign
-/// itself was given for the checkpoint policy, the control-fault regime, the
-/// metastore and the broken-oracle demo. The binary parses and validates
-/// this through the same code as a campaign command line; the metastore is
-/// always spelled out, so the line does not depend on the binary's default.
+/// itself was given for the checkpoint policy, the control-fault regime and
+/// the broken-oracle demo. The binary parses and validates this through the
+/// same code as a campaign command line.
 pub fn reproducer_line(
     scenario: &Scenario,
     plan_seed: u64,
@@ -449,7 +447,6 @@ pub fn reproducer_line(
     if cfg.control_faults {
         line.push_str(" --control-faults on");
     }
-    line.push_str(&format!(" --metastore {}", cfg.metastore.as_str()));
     if cfg.broken_convergence {
         line.push_str(" --broken-oracle convergence");
     }

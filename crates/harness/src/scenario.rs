@@ -18,11 +18,13 @@ use sps_runtime::{CheckpointPolicy, Cluster, Kernel, MetastoreKind, RuntimeConfi
 use sps_sim::{SimDuration, SimTime};
 
 /// Durable-state knobs a campaign threads into every world it builds: the
-/// checkpoint policy (data plane) and the metastore backing (control plane).
-/// Plain `Copy` data so scenarios stay shareable across campaign workers.
+/// checkpoint policy (data plane). Plain `Copy` data so scenarios stay
+/// shareable across campaign workers.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct WorldPolicy {
     pub checkpoint: CheckpointPolicy,
+    /// Sets nothing: every world's SAM keeps its op log. Kept because
+    /// `perf/` names the field.
     pub metastore: MetastoreKind,
 }
 
@@ -58,7 +60,6 @@ pub struct Scenario {
     pub convergence_bound: usize,
     /// Attach the harness [`crate::Janitor`] as the recovery policy.
     pub janitor: bool,
-    pub max_incidents: usize,
     /// Builds the world from a campaign seed and the durable-state policy.
     pub build: fn(u64, WorldPolicy) -> Built,
     /// Sink operators to include in determinism artifacts, by name.
@@ -98,7 +99,6 @@ impl Scenario {
                 SimTime::ZERO + self.warmup,
                 SimTime::ZERO + self.warmup + self.fault_window,
             ),
-            max_incidents: self.max_incidents,
             control_faults,
         }
     }
@@ -108,7 +108,6 @@ fn config(seed: u64, policy: WorldPolicy) -> RuntimeConfig {
     RuntimeConfig {
         seed,
         checkpoint: policy.checkpoint,
-        metastore: policy.metastore,
         ..RuntimeConfig::default()
     }
 }
@@ -249,7 +248,6 @@ pub fn live() -> Scenario {
         settle: SimDuration::from_secs(10),
         convergence_bound: 80,
         janitor: true,
-        max_incidents: 5,
         build: build_live,
         taps: &["snk"],
         exact_taps: &["snk"],
@@ -265,7 +263,6 @@ pub fn sentiment() -> Scenario {
         settle: SimDuration::from_secs(10),
         convergence_bound: 80,
         janitor: true,
-        max_incidents: 5,
         build: build_sentiment,
         taps: &["display"],
         // `display` sits downstream of a windowed aggregate whose emptiness
@@ -284,7 +281,6 @@ pub fn social() -> Scenario {
         settle: SimDuration::from_secs(12),
         convergence_bound: 100,
         janitor: true,
-        max_incidents: 5,
         build: build_social,
         taps: &["log", "result"],
         // `result` rides on dynamically (un)subscribed import routes, so its
@@ -302,7 +298,6 @@ pub fn trend() -> Scenario {
         settle: SimDuration::from_secs(15),
         convergence_bound: 120,
         janitor: false,
-        max_incidents: 5,
         build: build_trend,
         taps: &["graph"],
         exact_taps: &["graph"],

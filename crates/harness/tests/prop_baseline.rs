@@ -5,7 +5,7 @@
 //! fault-free run of the same seed, and `compute_baseline` builds that run
 //! as the plain world whatever the plan's policy. That is sound only if
 //! checkpoints, upstream backup, chain compaction, storage latency and
-//! budget, and the metastore backing change nothing a fault-free world's
+//! budget change nothing a fault-free world's
 //! [`BaselineSummary`] holds. Each case draws a scenario, one of the
 //! `plan_seeds(7, SEEDS)` seeds, a policy from the grid below and whether
 //! the seed's plan has control faults (which moves its horizon, the floor
@@ -16,7 +16,7 @@
 
 use orca_harness::{
     plan_seeds, scenario, settled_world, BaselineCache, BaselineSummary, CheckpointPolicy,
-    FaultPlan, MetastoreKind, StorageModel, WorldPolicy,
+    FaultPlan, StorageModel, WorldPolicy,
 };
 use proptest::prelude::*;
 use sps_sim::SimRng;
@@ -26,29 +26,21 @@ use std::sync::OnceLock;
 const SEEDS: usize = 60;
 
 /// `every` ∈ {5, 10, 20, 40} × upstream backup × storage ∈ {free, 5 ms
-/// writes, 250 ms writes and a 4 KiB budget, a 16 KiB budget} × metastore ∈
-/// {memory, replicated}.
+/// writes, 250 ms writes and a 4 KiB budget, a 16 KiB budget}.
 fn arb_policy() -> impl Strategy<Value = WorldPolicy> {
-    (0usize..4, any::<bool>(), 0usize..4, any::<bool>()).prop_map(
-        |(every, ub, storage, replicated)| {
-            let storage = [
-                StorageModel::default(),
-                StorageModel::default().with_write(5, 0),
-                StorageModel::default().with_write(250, 0).with_budget(4096),
-                StorageModel::default().with_budget(16384),
-            ][storage];
-            WorldPolicy {
-                checkpoint: CheckpointPolicy::every([5, 10, 20, 40][every])
-                    .upstream_backup(ub)
-                    .storage(storage),
-                metastore: if replicated {
-                    MetastoreKind::Replicated
-                } else {
-                    MetastoreKind::Memory
-                },
-            }
-        },
-    )
+    (0usize..4, any::<bool>(), 0usize..4).prop_map(|(every, ub, storage)| {
+        let storage = [
+            StorageModel::default(),
+            StorageModel::default().with_write(5, 0),
+            StorageModel::default().with_write(250, 0).with_budget(4096),
+            StorageModel::default().with_budget(16384),
+        ][storage];
+        WorldPolicy::checkpointed(
+            CheckpointPolicy::every([5, 10, 20, 40][every])
+                .upstream_backup(ub)
+                .storage(storage),
+        )
+    })
 }
 
 /// The plain worlds' summaries, shared by every case: the cache computes

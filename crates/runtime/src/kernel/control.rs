@@ -133,9 +133,8 @@ impl Kernel {
 
     /// Restarts SAM: the daemon goes unavailable (drains return empty — the
     /// explicit Unavailable path) until `now +` [`CONTROL_RESTART_DELAY`], when
-    /// the metastore recovers (a logging store replays its op log,
-    /// digest-verified) and SAM serves again. Returns false if a restart
-    /// window is already open.
+    /// the metastore recovers (replays its op log, digest-verified) and SAM
+    /// serves again. Returns false if a restart window is already open.
     pub fn restart_sam(&mut self) -> bool {
         if self.control.sam_down_until.is_some() {
             return false;

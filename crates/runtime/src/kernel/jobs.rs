@@ -8,6 +8,7 @@ use sps_model::adl::{Adl, AdlOperator, AdlPe};
 use sps_model::logical::HostPool;
 use sps_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// Whether every operator fused into a PE slot satisfies `opted_in` — the
 /// rule by which a PE is `restartable` or `checkpointable` only if all of
@@ -55,7 +56,7 @@ impl Kernel {
         self.sam.insert_job(JobInfo {
             id: job,
             app_name: adl.app_name.clone(),
-            adl,
+            adl: Rc::new(adl),
             pe_ids,
             status: JobStatus::Running,
             submitted_at: self.now,

@@ -55,8 +55,8 @@ pub struct RuntimeConfig {
     pub restart_delay: SimDuration,
     /// Checkpoint/restore policy (off by default — the seed behavior).
     pub checkpoint: CheckpointPolicy,
-    /// Which metastore implementation backs SAM's durable state (in-memory
-    /// by default — the seed behavior, byte-identical).
+    /// Sets nothing: SAM's store always keeps its op log, and the one kind
+    /// there is is the default. Kept because `perf/` names the field.
     pub metastore: MetastoreKind,
     /// How stale a host's heartbeat may grow before SAM declares the host
     /// dead and crashes its PEs (§2.2's failure detection deadline). Only
@@ -75,7 +75,7 @@ impl Default for RuntimeConfig {
             seed: 0x5EED,
             restart_delay: SimDuration::from_secs(2),
             checkpoint: CheckpointPolicy::default(),
-            metastore: MetastoreKind::Memory,
+            metastore: MetastoreKind::Replicated,
             liveness_deadline: SimDuration::from_secs(6),
         }
     }
@@ -111,6 +111,8 @@ struct Stepped {
 }
 
 impl Kernel {
+    /// A kernel over `cluster` with no jobs. SAM starts with an empty store
+    /// whose op log every control-plane mutation is appended to.
     pub fn new(cluster: Cluster, registry: OperatorRegistry, config: RuntimeConfig) -> Self {
         let mut srm = Srm::new();
         for host in cluster.hosts() {
@@ -119,9 +121,9 @@ impl Kernel {
         Kernel {
             now: SimTime::ZERO,
             rng: SimRng::new(config.seed),
-            // The store draws no randomness, with or without its op log, so
-            // the fault-free campaign digest is identical across store kinds.
-            sam: Sam::with_store(config.metastore),
+            // The store draws no randomness: appending to its log moves no
+            // trace event and no digest.
+            sam: Sam::new(),
             config,
             cluster,
             srm,

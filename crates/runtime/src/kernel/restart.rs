@@ -212,7 +212,7 @@ impl Kernel {
         let restore_ms = read.map_or(0, |latency| latency.as_millis());
         let up_at = self.now + self.config.restart_delay + SimDuration::from_millis(restore_ms);
         self.swap_process(pe, job, old_host.as_deref(), &host, pool);
-        let slot = (job, &adl, adl_index);
+        let slot = (job, &*adl, adl_index);
         self.spawn(&host, new_pe, slot, runtime, (PeStatus::Starting, up_at));
         self.sam.replace_pe(job, adl_index, new_pe);
         self.srm.forget_pe(job, pe);

@@ -1083,18 +1083,15 @@ fn orca_crash_window_preserves_backlog() {
     assert_eq!(k.sam.drain_notifications(orca).len(), 1);
 }
 
-/// SAM restart on the replicated metastore: drains go unavailable for
-/// the window, recovery replays the op log (digest-verified inside the
-/// store), and notification conservation holds throughout.
+/// SAM restart: drains go unavailable for the window, recovery replays the
+/// op log (digest-verified inside the store), and notification conservation
+/// holds throughout.
 #[test]
 fn sam_restart_replays_the_metastore_log() {
     let mut k = Kernel::new(
         Cluster::with_hosts(2),
         OperatorRegistry::with_builtins(),
-        RuntimeConfig {
-            metastore: MetastoreKind::Replicated,
-            ..RuntimeConfig::default()
-        },
+        RuntimeConfig::default(),
     );
     let orca = k.sam.register_orchestrator();
     let job = k.submit_job(pipeline_adl("P", 10.0), Some(orca)).unwrap();
@@ -1120,16 +1117,15 @@ fn sam_restart_replays_the_metastore_log() {
     assert!(k.sam.metastore_verify());
 }
 
-/// The replicated store is a pure drop-in: a fault-free run produces a
-/// bit-identical trace digest under either store kind.
+/// A fault-free run traces the same whether SAM keeps serving from its live
+/// tables or, mid-run, from the tables its store rebuilds from the op log.
 #[test]
 fn fault_free_trace_digest_identical_across_stores() {
-    let drive = |kind: MetastoreKind| {
+    let drive = |rebuild: bool| {
         let mut k = Kernel::new(
             Cluster::with_hosts(2),
             OperatorRegistry::with_builtins(),
             RuntimeConfig {
-                metastore: kind,
                 checkpoint: crate::ckpt::CheckpointPolicy::every(5),
                 ..RuntimeConfig::default()
             },
@@ -1138,14 +1134,16 @@ fn fault_free_trace_digest_identical_across_stores() {
         run(&mut k, 30);
         let pe = k.pe_id_of(job, 2).unwrap();
         k.kill_pe(pe).unwrap();
+        if rebuild {
+            // Straight to the store, so no restart window is traced.
+            k.sam.begin_restart();
+            assert!(k.sam.complete_restart().ops_replayed > 0);
+        }
         k.restart_pe(pe).unwrap();
         run(&mut k, 30);
         k.trace.digest()
     };
-    assert_eq!(
-        drive(MetastoreKind::Memory),
-        drive(MetastoreKind::Replicated)
-    );
+    assert_eq!(drive(false), drive(true));
 }
 
 /// Durable checkpoint commits land in the metastore's index and survive
@@ -1156,7 +1154,6 @@ fn ckpt_commits_recorded_in_metastore() {
         Cluster::with_hosts(2),
         OperatorRegistry::with_builtins(),
         RuntimeConfig {
-            metastore: MetastoreKind::Replicated,
             checkpoint: crate::ckpt::CheckpointPolicy::every(5),
             ..RuntimeConfig::default()
         },

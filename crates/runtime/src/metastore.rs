@@ -6,14 +6,11 @@
 //! mutations funnel through [`MetaOp`] so the store can log them; reads go
 //! through the materialized [`MetaTables`].
 //!
-//! One store type, [`SamStore`]: the tables, their counters, and an optional
-//! op log. [`MetastoreKind::Memory`] builds it without a log, so `recover()`
-//! keeps the tables as they are (state survives by fiat, the immortal-SAM
-//! assumption) and costs nothing. [`MetastoreKind::Replicated`] builds it
-//! with a log: every op is appended in application order, and recovery
-//! replays the whole log into fresh tables and digest-verifies the replay
-//! against the pre-crash state. The log stands for a strongly consistent
-//! store's committed prefix.
+//! One store type, [`SamStore`]: the tables, their counters, and the op
+//! log. Every op is appended in application order; recovery replays the
+//! whole log into fresh tables and digest-verifies the replay against the
+//! pre-crash state. The log stands for a strongly consistent store's
+//! committed prefix.
 //!
 //! Determinism: no clock or RNG anywhere in this module — log replay is a
 //! pure fold over `MetaOp`s. The table digest hashes integers and strings
@@ -24,51 +21,19 @@ use crate::sam::{JobInfo, JobStatus, OrcaNotification};
 use sps_sim::{fnv1a, SimTime, FNV_OFFSET};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Whether the kernel's store keeps an op log.
+/// The store behind SAM. One kind is left: every store keeps its op log.
+/// The type stays because the frozen `perf/` names it in a `WorldPolicy`;
+/// with one value it selects nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum MetastoreKind {
-    /// In-memory tables, no log, `recover()` keeps state by fiat.
-    #[default]
-    Memory,
     /// Append-only op log, replayed and digest-verified on recovery.
+    #[default]
     Replicated,
-}
-
-impl MetastoreKind {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MetastoreKind::Memory => "memory",
-            MetastoreKind::Replicated => "replicated",
-        }
-    }
-
-    /// Parses the campaign-bin / env spelling. `None` on unknown input.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "memory" => Some(MetastoreKind::Memory),
-            "replicated" => Some(MetastoreKind::Replicated),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for MetastoreKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for MetastoreKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        MetastoreKind::parse(s).ok_or_else(|| format!("`{s}` (expected memory|replicated)"))
-    }
 }
 
 /// One logged mutation of the control-plane state. Replaying the sequence of
 /// ops applied since boot onto empty tables reproduces the live tables
-/// exactly — that is the recovery contract [`Metastore::verify`] checks.
+/// exactly — that is the recovery contract `SamStore::verify` checks.
 #[derive(Clone, Debug)]
 pub enum MetaOp {
     AllocJobId,
@@ -282,8 +247,8 @@ pub struct MetaStats {
 /// Result of one [`Metastore::recover`] call.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MetaRecovery {
-    /// Ops replayed from the durable log to rebuild the tables. Zero for a
-    /// store without a log, whose tables survive by fiat.
+    /// Ops replayed from the durable log to rebuild the tables: the whole
+    /// log, every op applied since boot.
     pub ops_replayed: u64,
 }
 
@@ -292,24 +257,23 @@ pub struct MetaRecovery {
 /// they stay trait methods; [`SamStore`] is the one impl. Like the rest of a
 /// world, a store stays on the thread that built it.
 pub trait Metastore {
-    /// Applies one mutation and, when the store keeps a log, records it.
+    /// Applies one mutation and appends it to the log.
     fn apply(&mut self, op: MetaOp);
-    /// Rebuilds the tables as a post-crash restart would. With a log, replays
-    /// all of it and panics if the replay diverges from the pre-crash tables;
-    /// without one, keeps the tables untouched.
+    /// Rebuilds the tables as a post-crash restart would: replays the whole
+    /// log and panics if the replay diverges from the pre-crash tables.
     fn recover(&mut self) -> MetaRecovery;
 }
 
-/// SAM's durable state: the tables, their counters, and, for
-/// [`MetastoreKind::Replicated`], the op log recovery replays.
+/// SAM's durable state: the tables, their counters, and the op log recovery
+/// replays.
 #[derive(Default)]
 pub struct SamStore {
     tables: MetaTables,
     stats: MetaStats,
-    log: Option<Vec<MetaOp>>,
+    log: Vec<MetaOp>,
 }
 
-/// The logging store under the name `perf/` builds it by.
+/// The store under the name `perf/` builds it by.
 pub type ReplicatedMetastore = SamStore;
 
 fn replay(log: &[MetaOp]) -> MetaTables {
@@ -321,19 +285,9 @@ fn replay(log: &[MetaOp]) -> MetaTables {
 }
 
 impl SamStore {
-    /// The store for a kind: with an op log for `Replicated`, without for
-    /// `Memory`.
-    pub(crate) fn with_kind(kind: MetastoreKind) -> Self {
-        SamStore {
-            log: (kind == MetastoreKind::Replicated).then(Vec::new),
-            ..SamStore::default()
-        }
-    }
-
-    /// The store with an op log. The seed is unused: the store draws no
-    /// randomness.
+    /// An empty store. The seed is unused: the store draws no randomness.
     pub fn new(_seed: u64) -> Self {
-        SamStore::with_kind(MetastoreKind::Replicated)
+        SamStore::default()
     }
 
     /// The live, materialized tables. All SAM reads go through here.
@@ -341,12 +295,9 @@ impl SamStore {
         &self.tables
     }
 
-    /// True iff replaying the log reproduces the live tables (trivially true
-    /// without a log). Oracle hook.
+    /// True iff replaying the log reproduces the live tables. Oracle hook.
     pub(crate) fn verify(&self) -> bool {
-        self.log
-            .as_deref()
-            .is_none_or(|log| replay(log).digest() == self.tables.digest())
+        replay(&self.log).digest() == self.tables.digest()
     }
 
     pub(crate) fn stats(&self) -> MetaStats {
@@ -357,19 +308,14 @@ impl SamStore {
 impl Metastore for SamStore {
     fn apply(&mut self, op: MetaOp) {
         self.tables.apply(&op);
-        if let Some(log) = &mut self.log {
-            log.push(op);
-        }
+        self.log.push(op);
         self.stats.ops_applied += 1;
     }
 
     fn recover(&mut self) -> MetaRecovery {
         self.stats.recoveries += 1;
-        let Some(log) = &self.log else {
-            return MetaRecovery::default();
-        };
-        let fresh = replay(log);
-        let ops_replayed = log.len() as u64;
+        let fresh = replay(&self.log);
+        let ops_replayed = self.log.len() as u64;
         assert_eq!(
             fresh.digest(),
             self.tables.digest(),
@@ -404,7 +350,7 @@ mod tests {
         JobInfo {
             id: JobId(id),
             app_name: "A".into(),
-            adl: adl(),
+            adl: std::rc::Rc::new(adl()),
             pe_ids: vec![PeId(id * 10)],
             status: JobStatus::Running,
             submitted_at: SimTime::from_secs(1),
@@ -442,17 +388,18 @@ mod tests {
         });
     }
 
-    /// The store with a log against the store without one.
+    /// The live tables against the tables a replay of the log builds.
     #[test]
     fn both_stores_materialize_identical_tables() {
-        let mut mem = SamStore::with_kind(MetastoreKind::Memory);
-        let mut rep = SamStore::with_kind(MetastoreKind::Replicated);
-        script(&mut mem);
-        script(&mut rep);
-        assert_eq!(mem.tables().digest(), rep.tables().digest());
-        assert_eq!(mem.tables().jobs[&JobId(1)].pe_ids, vec![PeId(99)]);
-        assert_eq!(mem.tables().pe_index[&PeId(99)], (JobId(1), 0));
-        assert_eq!(mem.stats(), rep.stats());
+        let mut store = SamStore::new(7);
+        script(&mut store);
+        let replayed = replay(&store.log);
+        assert_eq!(store.tables().digest(), replayed.digest());
+        for t in [store.tables(), &replayed] {
+            assert_eq!(t.jobs[&JobId(1)].pe_ids, vec![PeId(99)]);
+            assert_eq!(t.pe_index[&PeId(99)], (JobId(1), 0));
+        }
+        assert_eq!(store.stats().ops_applied, store.log.len() as u64);
     }
 
     #[test]
@@ -468,22 +415,9 @@ mod tests {
         assert!(rep.verify());
     }
 
-    #[test]
-    fn memory_recovery_keeps_tables_by_fiat() {
-        let mut mem = SamStore::with_kind(MetastoreKind::Memory);
-        script(&mut mem);
-        let before = mem.tables().digest();
-        let rec = mem.recover();
-        assert_eq!(rec.ops_replayed, 0);
-        assert_eq!(mem.tables().digest(), before);
-        assert_eq!(mem.stats().recoveries, 1);
-        assert_eq!(mem.stats().ops_replayed, 0);
-        assert!(mem.verify());
-    }
-
     /// A store whose live tables moved without the log: bypasses `apply`.
     fn diverged() -> SamStore {
-        let mut rep = SamStore::with_kind(MetastoreKind::Replicated);
+        let mut rep = SamStore::new(7);
         script(&mut rep);
         rep.tables.apply(&MetaOp::ReleaseHost("h1".into()));
         rep
@@ -502,10 +436,10 @@ mod tests {
 
     #[test]
     fn remove_job_clears_all_derived_state() {
-        let mut mem = SamStore::with_kind(MetastoreKind::Memory);
-        script(&mut mem);
-        mem.apply(MetaOp::RemoveJob(JobId(1)));
-        let t = mem.tables();
+        let mut store = SamStore::new(7);
+        script(&mut store);
+        store.apply(MetaOp::RemoveJob(JobId(1)));
+        let t = store.tables();
         assert!(t.jobs.is_empty());
         assert!(t.pe_index.is_empty());
         assert!(t.exclusive_hosts.is_empty());
@@ -536,13 +470,5 @@ mod tests {
             MetaOp::SetJobStatus(JobId(1), JobStatus::Cancelled),
             &mut last,
         );
-    }
-
-    #[test]
-    fn kind_spelling_round_trips() {
-        for kind in [MetastoreKind::Memory, MetastoreKind::Replicated] {
-            assert_eq!(MetastoreKind::parse(kind.as_str()), Some(kind));
-        }
-        assert_eq!(MetastoreKind::parse("raft"), None);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! As of the control-plane fault-tolerance work, SAM itself is crashable: all
 //! durable state lives in its [`SamStore`] (every mutation is a [`MetaOp`],
-//! logged when the store keeps a log), and this struct keeps only volatile
+//! appended to the store's op log), and this struct keeps only volatile
 //! daemon state — the availability flag for an in-progress restart and the
 //! host-heartbeat table the liveness deadline is judged against. A
 //! `RestartSam` fault flips `available` off, drops nothing durable, and
@@ -18,9 +18,10 @@
 //! cluster and broker lives in [`crate::kernel::Kernel`].
 
 use crate::ids::{JobId, OrcaId, PeId};
-use crate::metastore::{MetaOp, MetaRecovery, MetaStats, Metastore, MetastoreKind, SamStore};
+use crate::metastore::{MetaOp, MetaRecovery, MetaStats, Metastore, SamStore};
 use sps_model::adl::Adl;
 use sps_sim::{SimDuration, SimTime};
+use std::rc::Rc;
 
 /// Job lifecycle state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,7 +57,8 @@ impl CrashReason {
 pub struct JobInfo {
     pub id: JobId,
     pub app_name: String,
-    pub adl: Adl,
+    /// Shared: the op log's `InsertJob` and the job table hold one ADL.
+    pub adl: Rc<Adl>,
     /// PE ids by ADL PE index.
     pub pe_ids: Vec<PeId>,
     pub status: JobStatus,
@@ -102,17 +104,11 @@ impl Default for Sam {
 }
 
 impl Sam {
-    /// A store without an op log — the zero-cost default, byte-identical to
-    /// the pre-metastore SAM.
+    /// An empty store whose op log a restart replays and verifies. SAM
+    /// draws no randomness.
     pub fn new() -> Self {
-        Sam::with_store(MetastoreKind::Memory)
-    }
-
-    /// `Replicated` keeps an op log that a restart replays and verifies;
-    /// `Memory` keeps none. Neither draws randomness.
-    pub fn with_store(kind: MetastoreKind) -> Self {
         Sam {
-            store: SamStore::with_kind(kind),
+            store: SamStore::default(),
             available: true,
             host_liveness: Vec::new(),
         }
@@ -134,8 +130,8 @@ impl Sam {
         self.available = false;
     }
 
-    /// Completes the restart: the store recovers (a logging store replays
-    /// its op log and digest-verifies the replay) and SAM serves again.
+    /// Completes the restart: the store recovers (replays its op log and
+    /// digest-verifies the replay) and SAM serves again.
     pub fn complete_restart(&mut self) -> MetaRecovery {
         let rec = self.store.recover();
         self.available = true;
@@ -369,7 +365,7 @@ mod tests {
         JobInfo {
             id,
             app_name: "A".into(),
-            adl: adl(),
+            adl: Rc::new(adl()),
             pe_ids: vec![pe],
             status: JobStatus::Running,
             submitted_at: SimTime::ZERO,
@@ -498,42 +494,40 @@ mod tests {
     /// (`pushed == drained + pending`) holds through recovery.
     #[test]
     fn drain_during_restart_window_is_unavailable_not_stale() {
-        for kind in [MetastoreKind::Memory, MetastoreKind::Replicated] {
-            let mut sam = Sam::with_store(kind);
-            let o = sam.register_orchestrator();
-            let n = OrcaNotification::PeFailure {
-                job: JobId(1),
-                pe: PeId(1),
-                adl_index: 0,
-                reason: CrashReason::Killed,
-                detected_at: SimTime::ZERO,
-            };
-            sam.push_notification(o, n.clone());
-            sam.begin_restart();
-            assert!(!sam.is_available());
-            // The Unavailable path: empty, no drained-counter movement.
-            assert!(sam.drain_notifications(o).is_empty());
-            assert_eq!(sam.notifications_drained(o), 0);
-            // Pushes during the window land durably.
-            sam.push_notification(o, n.clone());
-            assert_eq!(sam.notifications_pending(o), 2);
-            sam.complete_restart();
-            assert!(sam.is_available());
-            assert_eq!(sam.drain_notifications(o), vec![n.clone(), n.clone()]);
-            assert_eq!(
-                sam.notifications_pushed(o),
-                sam.notifications_drained(o) + sam.notifications_pending(o) as u64
-            );
-            assert!(sam.metastore_verify(), "{kind:?} replay must verify");
-        }
+        let mut sam = Sam::new();
+        let o = sam.register_orchestrator();
+        let n = OrcaNotification::PeFailure {
+            job: JobId(1),
+            pe: PeId(1),
+            adl_index: 0,
+            reason: CrashReason::Killed,
+            detected_at: SimTime::ZERO,
+        };
+        sam.push_notification(o, n.clone());
+        sam.begin_restart();
+        assert!(!sam.is_available());
+        // The Unavailable path: empty, no drained-counter movement.
+        assert!(sam.drain_notifications(o).is_empty());
+        assert_eq!(sam.notifications_drained(o), 0);
+        // Pushes during the window land durably.
+        sam.push_notification(o, n.clone());
+        assert_eq!(sam.notifications_pending(o), 2);
+        sam.complete_restart();
+        assert!(sam.is_available());
+        assert_eq!(sam.drain_notifications(o), vec![n.clone(), n.clone()]);
+        assert_eq!(
+            sam.notifications_pushed(o),
+            sam.notifications_drained(o) + sam.notifications_pending(o) as u64
+        );
+        assert!(sam.metastore_verify(), "replay must verify");
     }
 
-    /// The same call script with and without the op log materializes identical
-    /// state — the byte-identity claim behind the memory default.
+    /// The same call script read from the live tables and from the tables a
+    /// restart rebuilds from the op log: SAM answers identically.
     #[test]
     fn facade_behaves_identically_across_stores() {
-        let drive = |kind: MetastoreKind| {
-            let mut sam = Sam::with_store(kind);
+        let drive = |restart: bool| {
+            let mut sam = Sam::new();
             let o = sam.register_orchestrator();
             let info = job_info(&mut sam, Some(o));
             let (id, pe) = (info.id, info.pe_ids[0]);
@@ -551,6 +545,10 @@ mod tests {
             );
             let drained = sam.drain_notifications(o).len();
             sam.record_ckpt_commit(id, 0, SimTime::from_secs(9));
+            if restart {
+                sam.begin_restart();
+                assert_eq!(sam.complete_restart().ops_replayed, 8);
+            }
             (
                 drained,
                 sam.notifications_pushed(o),
@@ -558,10 +556,7 @@ mod tests {
                 sam.ckpt_commit(id, 0),
             )
         };
-        assert_eq!(
-            drive(MetastoreKind::Memory),
-            drive(MetastoreKind::Replicated)
-        );
+        assert_eq!(drive(false), drive(true));
     }
 
     #[test]

@@ -16,9 +16,7 @@
 
 #![forbid(unsafe_code)]
 
-use orca_harness::{
-    by_name, Built, CheckpointPolicy, Janitor, MetastoreKind, StorageModel, WorldPolicy,
-};
+use orca_harness::{by_name, Built, CheckpointPolicy, Janitor, StorageModel, WorldPolicy};
 use sps_runtime::{PeStatus, World};
 use sps_sim::alloc::requests;
 
@@ -66,24 +64,28 @@ fn requests_over_a_run(scenario: &str, jobs: usize, seed: u64, policy: WorldPoli
     }
 }
 
-/// `(scenario, jobs it runs once set up, set-up requests under the plain
-/// policy, under the durable one)`, seed 7: exact, and the same in debug and
-/// release builds, batched or not. `live` submits its two pipelines before
-/// the first quantum, so it has no set-up to count; the ORCA logics submit
-/// theirs in their first quantum (`social`'s five are the C1 readers and
-/// the C2 queries; its C3 jobs come and go later, in the steady state).
-/// The durable policy's set-up makes two or three requests more.
-const SETUP: [(&str, usize, u64, u64); 4] = [
-    ("social", 5, 1036, 1039),
-    ("trend", 3, 733, 736),
-    ("sentiment", 1, 448, 450),
-    ("live", 2, 0, 0),
+/// `(scenario, jobs it runs once set up, set-up requests)`, seed 7: exact,
+/// the same under the plain and the durable policy, in debug and release
+/// builds, batched or not. `live` submits its two pipelines before the first
+/// quantum, so it has no set-up to count; the ORCA logics submit theirs in
+/// their first quantum (`social`'s five are the C1 readers and the C2
+/// queries; its C3 jobs come and go later, in the steady state). While SAM's
+/// job table held its own deep copy of each job's ADL, set-up made 1039, 736
+/// and 450 (1036, 733 and 448 under the plain policy while plain worlds kept
+/// no metastore op log).
+const SETUP: [(&str, usize, u64); 4] = [
+    ("social", 5, 907),
+    ("trend", 3, 625),
+    ("sentiment", 1, 390),
+    ("live", 2, 0),
 ];
 
 /// `(scenario, requests per steady quantum it may make)`, seed 7: what this
-/// tree makes (114.3, 35.5, 26.4 and 25.0, the same in debug and release
+/// tree makes (112.6, 35.5, 26.4 and 25.0, the same in debug and release
 /// builds), rounded up. Lower them when a change earns it. Whole runs, set-up
-/// included, make 117.3, 37.7, 28.1 and 25.0 a quantum; that is what the
+/// included, make 115.2, 37.4, 27.9 and 25.0 a quantum. While SAM cloned a
+/// job's ADL into its table, and out of it on every PE restart, they made
+/// 117.3, 37.7, 28.1 and 25.0 (114.3 steady for `social`); that is what the
 /// history below counts. While the ORCA service wrote a text journal entry
 /// for every event it delivered, `social` made 118.4 (115.3 steady). While
 /// C1 named each user with `format!` (an allocation, then a reallocation),
@@ -102,34 +104,36 @@ const SETUP: [(&str, usize, u64, u64); 4] = [
 /// predicates are on integers and never allocated: it is the control for
 /// operator changes, and moves only if the container or transport does.
 const CEILINGS: [(&str, u64); 4] = [
-    ("social", 115),
+    ("social", 113),
     ("trend", 36),
     ("sentiment", 27),
     ("live", 26),
 ];
 
 /// The same under the `campaign_durable` benchmark's policy: checkpoints
-/// every 10 quanta, upstream backup, 5 ms writes, the replicated metastore.
-/// The steady state makes 144.4, 50.6, 41.2 and 35.5 in a release build,
+/// every 10 quanta, upstream backup, 5 ms writes.
+/// The steady state makes 142.7, 50.6, 41.2 and 35.5 in a release build,
 /// rounded up here. A fault-free run under this policy executes what the
 /// plain one does, so the surplus is the write side alone: snapshots, sink
-/// blobs, the backup's buffered deliveries and the metastore's op log. A
-/// debug build makes 149.2, 54.1, 41.6 and 37.8: its debug assertions run
-/// on the write side too (a `Sink` compares every blob with a full encode).
+/// blobs, the backup's buffered deliveries and the checkpoint commits the
+/// metastore logs. A debug build makes 147.6, 54.1, 41.6 and 37.8: its
+/// debug assertions run on the write side too (a `Sink` compares every blob
+/// with a full encode). While SAM cloned each job's ADL, `social` made 144.4
+/// in release and 149.2 in debug.
 /// While a checkpoint slot kept its chain's snapshots and each delta a mask
 /// of what it re-stored (the debug build replaying the chain after every
 /// save), release made 145.5, 51.4, 41.8 and 36.0 and debug 159.0, 60.7,
 /// 45.9 and 42.1.
 const DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
     [
-        ("social", 150),
+        ("social", 148),
         ("trend", 55),
         ("sentiment", 42),
         ("live", 38),
     ]
 } else {
     [
-        ("social", 145),
+        ("social", 143),
         ("trend", 51),
         ("sentiment", 42),
         ("live", 36),
@@ -139,13 +143,15 @@ const DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
 /// Both ceiling tables again for the per-tuple reference path
 /// (`SPS_BATCH=off`: single-tuple runs, one transport frame per tuple), as
 /// this tree's steady state makes them, rounded up. Plain, the same in debug
-/// and release builds: 277.3, 36.8, 28.4 and 27.1 — a frame per tuple is a
+/// and release builds: 275.7, 36.8, 28.4 and 27.1 — a frame per tuple is a
 /// request per tuple, and `social` moves most because it moves the most
-/// tuples across PEs. Under the durable policy, release: 301.6, 48.6, 41.2
-/// and 35.2; debug: 306.5, 52.1, 41.5 and 37.5 (302.7, 49.4, 41.7 and 35.7,
-/// and 316.2, 58.7, 45.9 and 41.8, while slots kept their chains).
+/// tuples across PEs. Under the durable policy, release: 299.9, 48.6, 41.2
+/// and 35.2; debug: 304.8, 52.1, 41.5 and 37.5 (302.7, 49.4, 41.7 and 35.7,
+/// and 316.2, 58.7, 45.9 and 41.8, while slots kept their chains; `social`
+/// made 277.3 plain, 301.6 and 306.5 durable while SAM cloned each job's
+/// ADL).
 const PER_TUPLE_CEILINGS: [(&str, u64); 4] = [
-    ("social", 278),
+    ("social", 276),
     ("trend", 37),
     ("sentiment", 29),
     ("live", 28),
@@ -153,14 +159,14 @@ const PER_TUPLE_CEILINGS: [(&str, u64); 4] = [
 
 const PER_TUPLE_DURABLE_CEILINGS: [(&str, u64); 4] = if cfg!(debug_assertions) {
     [
-        ("social", 307),
+        ("social", 305),
         ("trend", 53),
         ("sentiment", 42),
         ("live", 38),
     ]
 } else {
     [
-        ("social", 302),
+        ("social", 300),
         ("trend", 49),
         ("sentiment", 42),
         ("live", 36),
@@ -177,24 +183,20 @@ fn batching_on() -> bool {
 }
 
 fn durable_policy() -> WorldPolicy {
-    WorldPolicy {
-        checkpoint: CheckpointPolicy::every(10)
+    WorldPolicy::checkpointed(
+        CheckpointPolicy::every(10)
             .upstream_backup(true)
             .storage(StorageModel::default().with_write(5, 0)),
-        metastore: MetastoreKind::Replicated,
-    }
+    )
 }
 
-fn check_budgets(policy: WorldPolicy, durable: bool, ceilings: [(&str, u64); 4]) {
+fn check_budgets(policy: WorldPolicy, ceilings: [(&str, u64); 4]) {
     // The data path reads `SPS_BATCH` once a process, on the first step of
     // any world, and when the variable is set that read allocates. A
     // warm-up run pays for it before anything is counted.
     requests_over_a_run("live", 2, 7, policy);
-    for ((scenario, ceiling), (named, jobs, plain, durable_setup)) in
-        ceilings.into_iter().zip(SETUP)
-    {
+    for ((scenario, ceiling), (named, jobs, setup)) in ceilings.into_iter().zip(SETUP) {
         assert_eq!(scenario, named, "the tables list scenarios in one order");
-        let setup = if durable { durable_setup } else { plain };
         let run = requests_over_a_run(scenario, jobs, 7, policy);
         assert_eq!(
             requests_over_a_run(scenario, jobs, 7, policy),
@@ -226,7 +228,7 @@ fn heap_requests_repeat_exactly_and_stay_under_their_ceiling() {
     } else {
         PER_TUPLE_CEILINGS
     };
-    check_budgets(WorldPolicy::default(), false, ceilings);
+    check_budgets(WorldPolicy::default(), ceilings);
 }
 
 #[test]
@@ -236,5 +238,5 @@ fn durable_heap_requests_repeat_exactly_and_stay_under_their_ceiling() {
     } else {
         PER_TUPLE_DURABLE_CEILINGS
     };
-    check_budgets(durable_policy(), true, ceilings);
+    check_budgets(durable_policy(), ceilings);
 }

@@ -8,7 +8,7 @@
 
 use orca_harness::{
     run_campaign_cached, scenario, BaselineCache, CacheStats, CampaignConfig, CampaignReport,
-    CheckpointPolicy, MetastoreKind, StorageModel, DEFAULT_BASELINE_CAPACITY,
+    CheckpointPolicy, StorageModel, DEFAULT_BASELINE_CAPACITY,
 };
 
 /// Canonical whole-report rendering (see `CampaignReport::render`).
@@ -99,22 +99,14 @@ fn one_baseline_serves_every_checkpointed_policy() {
     let sc = scenario::trend();
     let cache = BaselineCache::new();
     run_campaign_cached(&sc, &cfg(3, 1, 10), &cache);
-    let with = |checkpoint: CheckpointPolicy, metastore: MetastoreKind| CampaignConfig {
+    let with = |checkpoint: CheckpointPolicy| CampaignConfig {
         checkpoint,
-        metastore,
         ..cfg(3, 1, 10)
     };
     let budget = StorageModel::default().with_write(250, 0).with_budget(4096);
     for config in [
-        with(
-            CheckpointPolicy::every(10).upstream_backup(true),
-            MetastoreKind::Memory,
-        ),
-        with(
-            CheckpointPolicy::every(5).storage(budget),
-            MetastoreKind::Memory,
-        ),
-        with(CheckpointPolicy::every(10), MetastoreKind::Replicated),
+        with(CheckpointPolicy::every(10).upstream_backup(true)),
+        with(CheckpointPolicy::every(5).storage(budget)),
     ] {
         let before = cache.stats();
         let warm = render_of(run_campaign_cached(&sc, &config, &cache));

@@ -2,30 +2,24 @@
 //! is crashable). Covers the metastore-backed SAM across `RestartSam`
 //! recoveries on all four use-case apps (notification conservation and op-log
 //! replay verification), the explicit Unavailable drain path inside a restart
-//! window, the memory-vs-replicated metastore differential (campaign reports
-//! must be byte-identical with control faults off, at any parallelism), and
-//! full control-fault campaigns passing every oracle bit-deterministically.
+//! window, op-log replay in plain worlds (no control fault, no checkpoint),
+//! and full control-fault campaigns passing every oracle
+//! bit-deterministically.
 
 #![forbid(unsafe_code)]
 
 use orca_harness::{
-    run_campaign, scenario, Built, CampaignConfig, CheckpointPolicy, FaultInjector, FaultPlan,
-    Janitor, MetastoreKind, Scenario, WorldPolicy,
+    plan_seeds, run_campaign, scenario, settled_world, Built, CampaignConfig, FaultInjector,
+    FaultPlan, Janitor, Scenario, WorldPolicy,
 };
 use sps_runtime::World;
-
-fn policy(metastore: MetastoreKind) -> WorldPolicy {
-    WorldPolicy {
-        checkpoint: CheckpointPolicy::default(),
-        metastore,
-    }
-}
+use sps_sim::SimRng;
 
 /// Drives one scenario under a fixed fault plan and returns the settled
 /// world (same drive sequence the campaign runner uses).
-fn settled(sc: &Scenario, plan: &str, seed: u64, metastore: MetastoreKind) -> World {
+fn settled(sc: &Scenario, plan: &str, seed: u64) -> World {
     let plan = FaultPlan::decode(plan).expect("valid fixed plan");
-    let Built { mut world, .. } = (sc.build)(seed, policy(metastore));
+    let Built { mut world, .. } = (sc.build)(seed, WorldPolicy::default());
     if sc.janitor {
         world.add_controller(Box::new(Janitor::default()));
     }
@@ -44,57 +38,86 @@ fn restart_plan(sc: &Scenario) -> String {
 }
 
 /// Satellite: `notifications_pushed == drained + pending` holds for every
-/// orchestrator across a `RestartSam` recovery, on all four apps and on
-/// both metastores. Nothing queued while the daemon was down is lost or
-/// double-delivered, and replaying the op log reproduces the tables.
+/// orchestrator across a `RestartSam` recovery, on all four apps. Nothing
+/// queued while the daemon was down is lost or double-delivered, and
+/// replaying the op log reproduces the tables.
 #[test]
 fn notifications_are_conserved_across_sam_restart_on_every_app() {
     for sc in scenario::all() {
-        for kind in [MetastoreKind::Memory, MetastoreKind::Replicated] {
-            let world = settled(&sc, &restart_plan(&sc), 0xC7A1_0001, kind);
-            let kernel = &world.kernel;
-            let stats = kernel.control_stats();
+        let world = settled(&sc, &restart_plan(&sc), 0xC7A1_0001);
+        let kernel = &world.kernel;
+        let stats = kernel.control_stats();
+        assert_eq!(
+            stats.sam_restarts, 1,
+            "[{}] restart did not complete",
+            sc.name
+        );
+        assert!(
+            kernel.sam.is_available(),
+            "[{}] SAM still down after settle",
+            sc.name
+        );
+        for orca in kernel.sam.orchestrators() {
+            let pushed = kernel.sam.notifications_pushed(orca);
+            let drained = kernel.sam.notifications_drained(orca);
+            let pending = kernel.sam.notifications_pending(orca) as u64;
             assert_eq!(
-                stats.sam_restarts, 1,
-                "[{} {kind}] restart did not complete",
+                pushed,
+                drained + pending,
+                "[{}] {orca}: pushed={pushed} drained={drained} pending={pending}",
                 sc.name
             );
+        }
+        // `live` runs unmanaged pipelines (no orchestrator), so only the
+        // managed apps are required to have exercised the queues.
+        if !kernel.sam.orchestrators().is_empty() {
             assert!(
-                kernel.sam.is_available(),
-                "[{} {kind}] SAM still down after settle",
+                kernel.sam.total_notifications_pushed() > 0,
+                "[{}] plan generated no notifications",
                 sc.name
             );
-            for orca in kernel.sam.orchestrators() {
-                let pushed = kernel.sam.notifications_pushed(orca);
-                let drained = kernel.sam.notifications_drained(orca);
-                let pending = kernel.sam.notifications_pending(orca) as u64;
-                assert_eq!(
-                    pushed,
-                    drained + pending,
-                    "[{} {kind}] {orca}: pushed={pushed} drained={drained} pending={pending}",
-                    sc.name
-                );
-            }
-            // `live` runs unmanaged pipelines (no orchestrator), so only the
-            // managed apps are required to have exercised the queues.
-            if !kernel.sam.orchestrators().is_empty() {
-                assert!(
-                    kernel.sam.total_notifications_pushed() > 0,
-                    "[{} {kind}] plan generated no notifications",
-                    sc.name
-                );
-            }
+        }
+        assert!(
+            kernel.sam.metastore_verify(),
+            "[{}] op-log replay does not reproduce the tables",
+            sc.name
+        );
+        // The recovery actually replayed the log.
+        assert!(
+            stats.meta_ops_replayed > 0,
+            "[{}] recovery replayed nothing",
+            sc.name
+        );
+    }
+}
+
+/// Every world keeps SAM's op log, so a settled plain world (no checkpoint,
+/// no control fault, no SAM restart) must replay its log to its tables:
+/// fault-free, and under the first plan of the seed-7 campaign. Under that
+/// plan the managed apps drain notifications, so a log that misses a drain
+/// fails here.
+#[test]
+fn plain_worlds_replay_their_log_to_their_tables() {
+    let seed = plan_seeds(7, 1)[0];
+    for sc in scenario::all() {
+        let generated = FaultPlan::generate(&mut SimRng::new(seed), &sc.plan_spec());
+        for plan in [FaultPlan::default(), generated] {
+            let (world, _, _) = settled_world(&sc, seed, &plan, WorldPolicy::default(), None);
+            let sam = &world.kernel.sam;
             assert!(
-                kernel.sam.metastore_verify(),
-                "[{} {kind}] op-log replay does not reproduce the tables",
-                sc.name
+                sam.metastore_verify(),
+                "[{} plan={}] op-log replay does not reproduce the tables",
+                sc.name,
+                plan.encode()
             );
-            // The replicated store actually replayed its log on recovery.
-            if kind == MetastoreKind::Replicated {
+            if !plan.events.is_empty() && !sam.orchestrators().is_empty() {
                 assert!(
-                    stats.meta_ops_replayed > 0,
-                    "[{}] replicated recovery replayed nothing",
-                    sc.name
+                    sam.orchestrators()
+                        .into_iter()
+                        .any(|orca| sam.notifications_drained(orca) > 0),
+                    "[{} plan={}] no notification was drained",
+                    sc.name,
+                    plan.encode()
                 );
             }
         }
@@ -108,7 +131,7 @@ fn notifications_are_conserved_across_sam_restart_on_every_app() {
 fn drains_during_restart_window_are_empty_and_uncounted() {
     let sc = scenario::trend();
     let plan = FaultPlan::decode(&restart_plan(&sc)).unwrap();
-    let Built { mut world, .. } = (sc.build)(0xC7A1_0002, policy(MetastoreKind::Replicated));
+    let Built { mut world, .. } = (sc.build)(0xC7A1_0002, WorldPolicy::default());
     world.run_for(sc.warmup);
     world.add_controller(Box::new(FaultInjector::new(plan)));
     // Land inside the restart window: the `rs` fires at warmup+2000 and the
@@ -151,34 +174,15 @@ fn drains_during_restart_window_are_empty_and_uncounted() {
     }
 }
 
-fn cfg(metastore: MetastoreKind, control_faults: bool, jobs: usize) -> CampaignConfig {
+fn cfg(jobs: usize) -> CampaignConfig {
     CampaignConfig {
         plans: 4,
         seed: 0xC7A1_C0DE,
         check_determinism: true,
         max_failures: 3,
-        metastore,
-        control_faults,
+        control_faults: true,
         jobs,
         ..Default::default()
-    }
-}
-
-/// Tentpole acceptance: with control faults off the metastore choice is
-/// execution-invisible — the rendered campaign report is byte-identical
-/// between the memory and replicated stores, sequentially and sharded.
-#[test]
-fn metastore_choice_is_byte_invisible_with_control_faults_off() {
-    for sc in scenario::all() {
-        let memory = run_campaign(&sc, &cfg(MetastoreKind::Memory, false, 1)).render();
-        let replicated = run_campaign(&sc, &cfg(MetastoreKind::Replicated, false, 1)).render();
-        assert_eq!(
-            memory, replicated,
-            "[{}] metastore kind leaked into the report",
-            sc.name
-        );
-        let sharded = run_campaign(&sc, &cfg(MetastoreKind::Replicated, false, 8)).render();
-        assert_eq!(memory, sharded, "[{}] jobs=8 diverged", sc.name);
     }
 }
 
@@ -188,7 +192,7 @@ fn metastore_choice_is_byte_invisible_with_control_faults_off() {
 #[test]
 fn control_fault_campaigns_pass_all_oracles_on_every_app() {
     for sc in scenario::all() {
-        let a = run_campaign(&sc, &cfg(MetastoreKind::Replicated, true, 1));
+        let a = run_campaign(&sc, &cfg(1));
         assert_eq!(
             a.plans_failed,
             0,
@@ -200,7 +204,7 @@ fn control_fault_campaigns_pass_all_oracles_on_every_app() {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        let b = run_campaign(&sc, &cfg(MetastoreKind::Replicated, true, 4));
+        let b = run_campaign(&sc, &cfg(4));
         assert_eq!(
             a.render(),
             b.render(),

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The campaign-stdout matrix: 44 cells x 100 plans, seed 7, one file per cell.
+# The campaign-stdout matrix: 40 cells x 100 plans, seed 7, one file per cell.
 #
 #   scripts/stdout-matrix.sh <campaign-binary> <out-dir>
 #
@@ -24,8 +24,12 @@
 #
 # Cells: 4 apps x --jobs 1/8 x plain / --checkpoint-interval 10 /
 # + --upstream-backup on, then per app SPS_BATCH=off, --control-faults on,
-# --metastore replicated, and two finite-budget checkpoint stores. Every cell must exit 0: a failing plan
-# anywhere stops the script, and its `reproduce:` line is in the cell's file.
+# and two finite-budget checkpoint stores. Every cell must exit 0: a failing
+# plan anywhere stops the script, and its `reproduce:` line is in the cell's
+# file. There is no metastore cell: SAM's store keeps its op log in every
+# world, so the <app>-replicated cell that `--metastore replicated` once ran
+# is the <app>-j1-plain cell (a parent matrix that still has it must equal
+# that cell byte for byte).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -54,7 +58,6 @@ for app in live sentiment social trend; do
   done
   SPS_BATCH=off cell "$app-batch-off" --app "$app"
   cell "$app-ctrl" --app "$app" --control-faults on
-  cell "$app-replicated" --app "$app" --metastore replicated
   cell "$app-budget-16k" --app "$app" --checkpoint-interval 10 --ckpt-budget 16384 --ckpt-write-latency 5
   cell "$app-budget-4k" --app "$app" --checkpoint-interval 5 --ckpt-budget 4096 --ckpt-write-latency 250
 done
