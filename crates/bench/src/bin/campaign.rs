@@ -4,11 +4,15 @@
 //! cargo run --release -p orca_bench --bin campaign -- --plans 200 --seed 7
 //! cargo run --release -p orca_bench --bin campaign -- --app trend --plans 50
 //! cargo run --release -p orca_bench --bin campaign -- --plans 100 --jobs 8 --timing
-//! cargo run --release -p orca_bench --bin campaign -- --broken-oracle convergence
 //! cargo run --release -p orca_bench --bin campaign -- --checkpoint-interval 10
 //! cargo run --release -p orca_bench --bin campaign -- \
 //!     --replay 6500:kp:0:1 --app trend --seed 123 --checkpoint-interval 10
+//! cargo run --release -p orca_bench --bin campaign -- \
+//!     --replay 6000:kh:0,6000:kh:1,6000:kh:2,6000:kh:3 --app trend --seed 7
 //! ```
+//!
+//! The last line kills every trend host and revives none, so it fails the
+//! recovery oracle and exits 1: the quickest way to see a failing run.
 //!
 //! A run is described by flags. The binary reads no environment variable
 //! of its own; the engine reads `SPS_BATCH` (batched or per-tuple data
@@ -65,14 +69,14 @@
 #![forbid(unsafe_code)]
 
 use orca_harness::{
-    default_oracles, evaluate, run_campaign_cached, scenario, BaselineCache, BaselineSource,
-    CampaignConfig, CampaignReport, CheckpointPolicy, FaultPlan, Scenario, StorageModel,
+    evaluate, run_campaign_cached, scenario, BaselineCache, BaselineSource, CampaignConfig,
+    CheckpointPolicy, FaultPlan, Scenario, StorageModel,
 };
 use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str = "usage: campaign [--plans N] [--seed S] [--app NAME] [--jobs N] [--timing] \
-     [--broken-oracle convergence] [--checkpoint-interval QUANTA] \
+     [--checkpoint-interval QUANTA] \
      [--upstream-backup on|off] [--ckpt-write-latency MS] [--ckpt-budget BYTES] \
      [--control-faults on|off] [--replay PLAN --app NAME --seed S]";
 
@@ -117,10 +121,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--app" => app = Some(value()?),
             "--jobs" => cfg.jobs = parse(flag, &value()?)?,
             "--timing" => timing = true,
-            "--broken-oracle" => match value()?.as_str() {
-                "convergence" => cfg.broken_convergence = true,
-                other => return Err(format!("unknown oracle `{other}` (try: convergence)")),
-            },
             "--checkpoint-interval" => interval = parse(flag, &value()?)?,
             "--upstream-backup" => ub = on_off(flag, &value()?)?,
             "--ckpt-write-latency" => write_latency = parse(flag, &value()?)?,
@@ -185,107 +185,35 @@ fn scenarios_for(app: &Option<String>) -> Result<Vec<Scenario>, String> {
 
 /// `--replay`: one plan, every oracle of the campaign that printed it.
 fn replay(cfg: &CampaignConfig, sc: &Scenario, plan: &FaultPlan) -> ExitCode {
-    let policy = cfg.policy();
-    let oracles = default_oracles(
-        cfg.broken_convergence,
-        policy.checkpoint.enabled(),
-        cfg.control_faults,
-    );
     // The baseline is fetched through the cache at the point of use: one
     // computation for the whole replay (the determinism re-run hits the
     // entry the first run populated).
     let cache = BaselineCache::new();
-    let (digest, violations) = evaluate(
+    let outcome = evaluate(
         sc,
         cfg.seed,
         plan,
-        &oracles,
+        &cfg.oracles(),
         cfg.check_determinism,
-        policy,
+        cfg.policy(),
         BaselineSource::new(&cache, plan.horizon()),
     );
     println!(
         "replay app={} seed={} ckpt={} plan={} digest={:016x}",
         sc.name,
         cfg.seed,
-        policy.checkpoint.every_quanta,
+        cfg.checkpoint.every_quanta,
         plan.encode(),
-        digest
+        outcome.digest
     );
-    if violations.is_empty() {
+    if outcome.violations.is_empty() {
         println!("all oracles passed");
         ExitCode::SUCCESS
     } else {
-        for v in &violations {
+        for v in &outcome.violations {
             println!("oracle {} violated: {}", v.oracle, v.message);
         }
         ExitCode::FAILURE
-    }
-}
-
-fn print_report(cfg: &CampaignConfig, report: &CampaignReport) {
-    // Note: the campaign line carries no jobs= field on purpose — the
-    // report is independent of --jobs, and the stdout of a --jobs 8 run
-    // must diff clean against a --jobs 1 run.
-    println!(
-        "campaign app={} plans={} seed={} ckpt={} digest={:016x} failures={}",
-        report.scenario,
-        report.plans_run,
-        cfg.seed,
-        cfg.checkpoint.every_quanta,
-        report.digest,
-        report.plans_failed
-    );
-    // Deterministic (folded in plan-index order from primary runs only), so
-    // it diffs clean across --jobs; omitted entirely when backup is off to
-    // keep legacy output byte-identical.
-    if report.ub.any() {
-        println!(
-            "  upstream-backup buffered={} replayed={} suppressed={} trimmed={} peak_buffered={}",
-            report.ub.buffered,
-            report.ub.replayed,
-            report.ub.suppressed,
-            report.ub.trimmed,
-            report.ub.peak_buffered
-        );
-    }
-    // Same convention for the control-plane counters: folded in plan-index
-    // order, omitted entirely when no control fault fired so legacy output
-    // stays byte-identical.
-    if report.control.any() {
-        println!(
-            "  control-plane orca_crashes={} orca_recoveries={} notifications_replayed={} \
-             sam_restarts={} meta_ops_replayed={} hc_partitions={} false_declarations={}",
-            report.control.orca_crashes,
-            report.control.orca_recoveries,
-            report.control.notifications_replayed,
-            report.control.sam_restarts,
-            report.control.meta_ops_replayed,
-            report.control.hc_partitions,
-            report.control.false_declarations
-        );
-    }
-    for f in &report.failures {
-        println!(
-            "  FAIL seed={} original={} shrunk={}",
-            f.plan_seed,
-            f.original.encode(),
-            f.shrunk.encode()
-        );
-        for v in &f.violations {
-            println!("    oracle {}: {}", v.oracle, v.message);
-        }
-        println!(
-            "  reproduce: cargo run --release -p orca_bench --bin campaign -- {}",
-            f.reproducer
-        );
-    }
-    if report.failures_truncated > 0 {
-        println!(
-            "  failures_truncated={}: that many more plans failed beyond the \
-             shrink cap; re-run with a higher max_failures to shrink them",
-            report.failures_truncated
-        );
     }
 }
 
@@ -308,7 +236,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         let report = run_campaign_cached(sc, cfg, &cache);
         let wall = start.elapsed().as_secs_f64();
         eprintln!("[{}] {} plans in {:.1}s", sc.name, report.plans_run, wall);
-        print_report(cfg, &report);
+        print!("{}", report.render());
         if args.timing {
             // Wall-clock is nondeterministic, hence flag-gated (see module
             // docs). plans/sec is the CI matrix's throughput headline; the
@@ -361,7 +289,7 @@ mod tests {
         parse_args(line.split_whitespace().map(String::from))
     }
 
-    /// What `print_report` prints after `--` is what the campaign ran under,
+    /// What a `reproduce:` line prints after `--` is what the campaign ran under,
     /// read back by the parser every command line goes through.
     #[test]
     fn reproducer_line_round_trips_through_parse_args() {
@@ -378,27 +306,23 @@ mod tests {
             CheckpointPolicy::every(10).storage(stored),
         ] {
             for control_faults in [false, true] {
-                for broken_convergence in [false, true] {
-                    let cfg = CampaignConfig {
-                        checkpoint,
-                        control_faults,
-                        broken_convergence,
-                        ..CampaignConfig::default()
-                    };
-                    let line = reproducer_line(&sc, 123, &plan, &cfg);
-                    let args = parse_line(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
-                    assert_eq!(args.app.as_deref(), Some("trend"), "`{line}`");
-                    assert_eq!(args.replay.as_ref(), Some(&plan), "`{line}`");
-                    assert_eq!(args.cfg.seed, 123, "`{line}`");
-                    assert_eq!(args.cfg.policy(), cfg.policy(), "`{line}`");
-                    assert_eq!(args.cfg.control_faults, control_faults, "`{line}`");
-                    assert_eq!(args.cfg.broken_convergence, broken_convergence, "`{line}`");
-                    assert!(args.cfg.check_determinism, "`{line}`");
-                    lines.insert(line);
-                }
+                let cfg = CampaignConfig {
+                    checkpoint,
+                    control_faults,
+                    ..CampaignConfig::default()
+                };
+                let line = reproducer_line(&sc, 123, &plan, &cfg);
+                let args = parse_line(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+                assert_eq!(args.app.as_deref(), Some("trend"), "`{line}`");
+                assert_eq!(args.replay.as_ref(), Some(&plan), "`{line}`");
+                assert_eq!(args.cfg.seed, 123, "`{line}`");
+                assert_eq!(args.cfg.policy(), cfg.policy(), "`{line}`");
+                assert_eq!(args.cfg.control_faults, control_faults, "`{line}`");
+                assert!(args.cfg.check_determinism, "`{line}`");
+                lines.insert(line);
             }
         }
-        assert_eq!(lines.len(), 16, "two settings printed the same line");
+        assert_eq!(lines.len(), 8, "two settings printed the same line");
         // The empty plan has an encoding, too.
         let line = reproducer_line(&sc, 9, &FaultPlan::default(), &CampaignConfig::default());
         assert_eq!(
@@ -434,6 +358,7 @@ mod tests {
                 "--lossy-restore",
             ),
             ("--metastore memory", "--metastore"),
+            ("--broken-oracle convergence", "--broken-oracle"),
         ] {
             let err = parse_line(line).unwrap_err();
             assert_eq!(err, format!("unknown argument `{flag}`"));

@@ -31,9 +31,10 @@
 //! - `orca_apps`: `registry`, `SharedStores`, `sentiment::{sentiment_app,
 //!   SentimentOrca, SentimentParams}`, `social::{c1_app, c2_app, c3_app,
 //!   CompositionOrca}`, `trend::{trend_app, TrendOrca, TrendParams}`.
-//! - `orca_harness`: `by_name`, `default_oracles(bool, bool, bool)`,
-//!   `plan_seeds`, `run_plan`, `run_campaign_cached`, `quiescent`,
-//!   `render_artifacts_to`, `BaselineCache`, `BaselineKey`, `BaselineSource`,
+//! - `orca_harness`: `by_name`, `default_oracles(bool, bool, bool)` (always
+//!   `false` first), `plan_seeds`, `run_plan`, `run_campaign_cached`,
+//!   `quiescent`, `render_artifacts_to`, `BaselineCache`, `BaselineKey`,
+//!   `BaselineSource`,
 //!   `BaselineSummary`, `Built`, `CampaignConfig` (`plans`, `seed`,
 //!   `checkpoint`, `metastore`, `control_faults`), `CheckpointPolicy`,
 //!   `FaultAction`, `FaultInjector`, `FaultPlan`, `Janitor`,
@@ -47,9 +48,9 @@
 //! the one store type, and its `new(seed)` ignores the seed. Every store
 //! keeps its op log, so `MetastoreKind` has the one variant and the
 //! `metastore` fields of `RuntimeConfig`, `WorldPolicy` and `CampaignConfig`
-//! set nothing. A trait that
-//! `perf/` imports only to call its methods must stay a trait that carries
-//! those methods. Were `Metastore` a type alias, `perf/`'s import of it would
+//! set nothing. No oracle is broken on request, so the first argument of
+//! `default_oracles` sets nothing either. A trait that `perf/` imports only
+//! to call its methods must stay a trait that carries those methods. Were `Metastore` a type alias, `perf/`'s import of it would
 //! be unused and `cargo clippy --workspace --all-targets -- -D warnings`
 //! would fail. CI's stand-alone build of `perf/` and that lint check the
 //! list.

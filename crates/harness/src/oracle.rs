@@ -135,11 +135,7 @@ impl Oracle for RecoveryOracle {
 
 /// The adaptation loop reconverged (no crashed PEs, no undelivered events or
 /// notifications) within the scenario's quantum budget after the last fault.
-pub struct ConvergenceOracle {
-    /// Overrides the scenario bound; `Some(1)` is the intentionally-broken
-    /// oracle used to demonstrate schedule shrinking.
-    pub bound_override: Option<usize>,
-}
+pub struct ConvergenceOracle;
 
 impl Oracle for ConvergenceOracle {
     fn name(&self) -> &'static str {
@@ -147,7 +143,7 @@ impl Oracle for ConvergenceOracle {
     }
 
     fn check(&self, ctx: &OracleCtx<'_>) -> Result<(), String> {
-        let bound = self.bound_override.unwrap_or(ctx.convergence_bound);
+        let bound = ctx.convergence_bound;
         match ctx.quanta_to_quiesce {
             Some(q) if q <= bound => Ok(()),
             Some(q) => Err(format!("reconverged after {q} quanta (bound {bound})")),
@@ -450,21 +446,23 @@ impl Oracle for ControlPlaneOracle {
     }
 }
 
-/// The standard oracle set; `broken_convergence` swaps in the deliberately
-/// broken 1-quantum convergence bound (shrinking demo), `state_preservation`
-/// adds the checkpoint-recovery oracle (meaningful only when runs execute
-/// with checkpointing enabled), and `control_plane` adds the control-plane
+/// The standard oracle set — recovery, convergence within the scenario's
+/// bound, notification conservation — plus, with `state_preservation`, the
+/// checkpoint-recovery oracle (meaningful only when runs execute with
+/// checkpointing enabled) and, with `control_plane`, the control-plane
 /// recovery oracle (meaningful when campaigns inject control faults).
+/// [`crate::CampaignConfig::oracles`] picks the pair for a campaign.
+///
+/// The first argument sets nothing. Kept because `perf/` calls the function
+/// with three arguments.
 pub fn default_oracles(
-    broken_convergence: bool,
+    _: bool,
     state_preservation: bool,
     control_plane: bool,
 ) -> Vec<Box<dyn Oracle>> {
     let mut oracles: Vec<Box<dyn Oracle>> = vec![
         Box::new(RecoveryOracle),
-        Box::new(ConvergenceOracle {
-            bound_override: broken_convergence.then_some(1),
-        }),
+        Box::new(ConvergenceOracle),
         Box::new(NotificationOracle),
     ];
     if state_preservation {

@@ -24,8 +24,6 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Re-run every plan and require bit-identical trace digests.
     pub check_determinism: bool,
-    /// Swap in the intentionally-broken convergence oracle (shrinking demo).
-    pub broken_convergence: bool,
     /// Stop shrinking/collecting after this many distinct failures.
     pub max_failures: usize,
     /// Kernel checkpoint policy for every world the campaign builds. When
@@ -52,7 +50,6 @@ impl Default for CampaignConfig {
             plans: 50,
             seed: 7,
             check_determinism: true,
-            broken_convergence: false,
             max_failures: 3,
             checkpoint: CheckpointPolicy::default(),
             metastore: MetastoreKind::default(),
@@ -69,6 +66,13 @@ impl CampaignConfig {
             checkpoint: self.checkpoint,
             metastore: self.metastore,
         }
+    }
+
+    /// The oracles every plan of this campaign is checked against: the
+    /// standard set, the state oracle under a checkpoint policy and the
+    /// control-plane oracle under control faults.
+    pub fn oracles(&self) -> Vec<Box<dyn Oracle>> {
+        default_oracles(false, self.checkpoint.enabled(), self.control_faults)
     }
 }
 
@@ -102,6 +106,10 @@ pub struct CampaignFailure {
 pub struct CampaignReport {
     pub scenario: &'static str,
     pub plans_run: usize,
+    /// The campaign's master seed.
+    pub seed: u64,
+    /// The checkpoint interval every world ran under, in quanta (0: off).
+    pub ckpt: u32,
     /// Every plan that violated an oracle — including those beyond
     /// `max_failures`, which are counted here but not shrunk.
     pub plans_failed: usize,
@@ -124,55 +132,62 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Renders every observable report field, so equality on the rendering
-    /// is a byte-identity check over the whole report. This is the one
-    /// canonical rendering — the systest identity suites all compare it, so
-    /// a future report field rendered here is covered by every identity
-    /// check at once.
+    /// The report as `campaign` prints it, covering every field, so equality
+    /// on the rendering is a byte-identity check over the whole report and
+    /// over what users read. The systest identity suites all compare it.
+    ///
+    /// The `campaign` line has no `jobs=` field: the report does not depend
+    /// on `--jobs`. The upstream-backup and control-plane lines appear only
+    /// when a counter is non-zero, and every failure prints its violations
+    /// and the command that replays its shrunk plan.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "app={} plans={} failed={} truncated={} digest={:016x}\n",
-            self.scenario, self.plans_run, self.plans_failed, self.failures_truncated, self.digest
+            "campaign app={} plans={} seed={} ckpt={} digest={:016x} failures={}\n",
+            self.scenario, self.plans_run, self.seed, self.ckpt, self.digest, self.plans_failed
         );
-        // Only rendered when the campaign ran with upstream backup (any
-        // counter nonzero), so backup-off reports stay byte-identical to
-        // earlier releases.
-        if self.ub.any() {
+        let (ub, control) = (&self.ub, &self.control);
+        if ub.any() {
             out.push_str(&format!(
-                "  upstream-backup: buffered={} replayed={} suppressed={} \
-                 trimmed={} peak_buffered={}\n",
-                self.ub.buffered,
-                self.ub.replayed,
-                self.ub.suppressed,
-                self.ub.trimmed,
-                self.ub.peak_buffered
+                "  upstream-backup buffered={} replayed={} suppressed={} trimmed={} \
+                 peak_buffered={}\n",
+                ub.buffered, ub.replayed, ub.suppressed, ub.trimmed, ub.peak_buffered
             ));
         }
-        // Likewise only rendered when a control-plane fault actually fired,
-        // so control-faults-off reports stay byte-identical to earlier
-        // releases.
-        if self.control.any() {
+        if control.any() {
             out.push_str(&format!(
-                "  control-plane: orca_crashes={} orca_recoveries={} \
-                 notifications_replayed={} sam_restarts={} \
-                 meta_ops_replayed={} hc_partitions={} false_declarations={}\n",
-                self.control.orca_crashes,
-                self.control.orca_recoveries,
-                self.control.notifications_replayed,
-                self.control.sam_restarts,
-                self.control.meta_ops_replayed,
-                self.control.hc_partitions,
-                self.control.false_declarations
+                "  control-plane orca_crashes={} orca_recoveries={} notifications_replayed={} \
+                 sam_restarts={} meta_ops_replayed={} hc_partitions={} false_declarations={}\n",
+                control.orca_crashes,
+                control.orca_recoveries,
+                control.notifications_replayed,
+                control.sam_restarts,
+                control.meta_ops_replayed,
+                control.hc_partitions,
+                control.false_declarations
             ));
         }
         for f in &self.failures {
             out.push_str(&format!(
-                "  seed={} original={} shrunk={} violations={:?}\n  reproduce: {}\n",
+                "  FAIL seed={} original={} shrunk={}\n",
                 f.plan_seed,
                 f.original.encode(),
-                f.shrunk.encode(),
-                f.violations,
+                f.shrunk.encode()
+            ));
+            for v in &f.violations {
+                out.push_str(&format!("    oracle {}: {}\n", v.oracle, v.message));
+            }
+            out.push_str(&format!(
+                "  reproduce: cargo run --release -p orca_bench --bin campaign -- {}\n",
                 f.reproducer
+            ));
+        }
+        if self.failures_truncated > 0 {
+            // The cap is full whenever a failure was dropped.
+            out.push_str(&format!(
+                "  failures_truncated={}: that many more plans failed; \
+                 the campaign shrinks the first {}\n",
+                self.failures_truncated,
+                self.failures.len()
             ));
         }
         out
@@ -354,16 +369,18 @@ pub fn run_plan(
     }
 }
 
-/// Runs a plan and, when requested, replays it to enforce the determinism
-/// oracle. Returns the *primary* run's outcome — its counters are one
-/// execution's; the replay's are dropped — with the determinism violation,
-/// if any, appended to its violations.
+/// Executes one plan with [`run_plan`] and, when `check_determinism` is
+/// set, replays it to enforce the determinism oracle. Returns the *primary*
+/// run's outcome — its counters are one execution's; the replay's are
+/// dropped — with the determinism violation, if any, appended to its
+/// violations. Campaign plans, shrink candidates and `campaign --replay`
+/// are all evaluated here.
 ///
 /// Both executions fetch their baseline through `baseline.cache`: the
 /// primary run misses (at most once per key process-wide) and the
 /// determinism replay hits the same entry, so enabling the replay does not
 /// double baseline cost.
-fn run_plan_checked(
+pub fn evaluate(
     scenario: &Scenario,
     seed: u64,
     plan: &FaultPlan,
@@ -388,33 +405,10 @@ fn run_plan_checked(
     outcome
 }
 
-/// [`run_plan`] plus the determinism replay when requested: the run digest
-/// and all violations (oracle + determinism).
-pub fn evaluate(
-    scenario: &Scenario,
-    seed: u64,
-    plan: &FaultPlan,
-    oracles: &[Box<dyn Oracle>],
-    check_determinism: bool,
-    policy: WorldPolicy,
-    baseline: BaselineSource<'_>,
-) -> (u64, Vec<Violation>) {
-    let outcome = run_plan_checked(
-        scenario,
-        seed,
-        plan,
-        oracles,
-        check_determinism,
-        policy,
-        baseline,
-    );
-    (outcome.digest, outcome.violations)
-}
-
 /// Renders the `campaign` argv that replays one plan of a campaign run
 /// under `cfg`: `--replay PLAN --app A --seed S`, then the flags the campaign
-/// itself was given for the checkpoint policy, the control-fault regime and
-/// the broken-oracle demo. The binary parses and validates this through the
+/// itself was given for the checkpoint policy and the control-fault regime.
+/// The binary parses and validates this through the
 /// same code as a campaign command line.
 pub fn reproducer_line(
     scenario: &Scenario,
@@ -447,9 +441,6 @@ pub fn reproducer_line(
     if cfg.control_faults {
         line.push_str(" --control-faults on");
     }
-    if cfg.broken_convergence {
-        line.push_str(" --broken-oracle convergence");
-    }
     line
 }
 
@@ -471,13 +462,7 @@ pub fn plan_seeds(campaign_seed: u64, plans: usize) -> Vec<u64> {
 pub(crate) struct PlanEval {
     pub plan_seed: u64,
     pub plan: FaultPlan,
-    pub digest: u64,
-    pub violations: Vec<Violation>,
-    /// Upstream-backup counters of the primary run (the determinism replay
-    /// is excluded so the report reflects one execution per plan).
-    pub ub: UbStats,
-    /// Control-plane counters of the primary run, same convention.
-    pub control: ControlStats,
+    pub outcome: PlanOutcome,
 }
 
 /// Evaluates one indexed plan: generation, baseline, execution, oracles.
@@ -488,12 +473,6 @@ fn evaluate_plan(
     plan_seed: u64,
     cache: &BaselineCache,
 ) -> PlanEval {
-    let policy = cfg.policy();
-    let oracles = default_oracles(
-        cfg.broken_convergence,
-        policy.checkpoint.enabled(),
-        cfg.control_faults,
-    );
     // Independent per-plan stream: seeds world RNG and plan sampling.
     let plan = FaultPlan::generate(
         &mut SimRng::new(plan_seed),
@@ -503,24 +482,19 @@ fn evaluate_plan(
     // seed, memoized by `(scenario, seed, horizon floor)`: the
     // determinism replay and the shrink phase hit the entry this fetch
     // populates instead of re-simulating the baseline world.
-    let floor = plan.horizon();
-    let baseline = BaselineSource::new(cache, floor);
-    let outcome = run_plan_checked(
+    let outcome = evaluate(
         scenario,
         plan_seed,
         &plan,
-        &oracles,
+        &cfg.oracles(),
         cfg.check_determinism,
-        policy,
-        baseline,
+        cfg.policy(),
+        BaselineSource::new(cache, plan.horizon()),
     );
     PlanEval {
         plan_seed,
         plan,
-        digest: outcome.digest,
-        violations: outcome.violations,
-        ub: outcome.ub,
-        control: outcome.control,
+        outcome,
     }
 }
 
@@ -565,10 +539,11 @@ pub fn run_campaign_cached(
     let mut control = ControlStats::default();
     let mut to_shrink: Vec<PlanEval> = Vec::new();
     for eval in evals {
-        digest = fnv1a(digest, &eval.digest.to_le_bytes());
-        ub.absorb(&eval.ub);
-        control.merge(&eval.control);
-        if eval.violations.is_empty() {
+        let outcome = &eval.outcome;
+        digest = fnv1a(digest, &outcome.digest.to_le_bytes());
+        ub.absorb(&outcome.ub);
+        control.merge(&outcome.control);
+        if outcome.violations.is_empty() {
             continue;
         }
         plans_failed += 1;
@@ -586,11 +561,80 @@ pub fn run_campaign_cached(
     CampaignReport {
         scenario: scenario.name,
         plans_run: cfg.plans,
+        seed: cfg.seed,
+        ckpt: cfg.checkpoint.every_quanta,
         plans_failed,
         digest,
         failures,
         failures_truncated,
         ub,
         control,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every line `campaign` prints for a report, pinned: no passing cell of
+    /// the stdout matrix prints a failure, a violation or the truncation.
+    #[test]
+    fn render_prints_every_line_of_a_failing_campaign() {
+        let shrunk = FaultPlan::decode("6500:kp:0:1").unwrap();
+        let report = CampaignReport {
+            scenario: "trend",
+            plans_run: 5,
+            seed: 7,
+            ckpt: 10,
+            plans_failed: 3,
+            digest: 0x0123_4567_89ab_cdef,
+            failures: vec![CampaignFailure {
+                plan_seed: 42,
+                original: FaultPlan::decode("6000:kh:1,6500:kp:0:1").unwrap(),
+                reproducer: format!("--replay {} --app trend --seed 42", shrunk.encode()),
+                shrunk,
+                violations: vec![
+                    Violation {
+                        oracle: "convergence",
+                        message: "reconverged after 9 quanta (bound 1)".into(),
+                    },
+                    Violation {
+                        oracle: "state",
+                        message: "lost".into(),
+                    },
+                ],
+            }],
+            failures_truncated: 2,
+            ub: UbStats {
+                buffered: 1,
+                replayed: 2,
+                suppressed: 3,
+                trimmed: 4,
+                peak_buffered: 5,
+            },
+            control: ControlStats {
+                orca_crashes: 1,
+                orca_recoveries: 2,
+                notifications_replayed: 3,
+                sam_restarts: 4,
+                meta_ops_replayed: 5,
+                hc_partitions: 6,
+                false_declarations: 7,
+            },
+        };
+        assert_eq!(
+            report.render(),
+            "campaign app=trend plans=5 seed=7 ckpt=10 digest=0123456789abcdef failures=3\n\
+             \x20 upstream-backup buffered=1 replayed=2 suppressed=3 trimmed=4 peak_buffered=5\n\
+             \x20 control-plane orca_crashes=1 orca_recoveries=2 notifications_replayed=3 \
+             sam_restarts=4 meta_ops_replayed=5 hc_partitions=6 false_declarations=7\n\
+             \x20 FAIL seed=42 original=6000:kh:1,6500:kp:0:1 shrunk=6500:kp:0:1\n\
+             \x20   oracle convergence: reconverged after 9 quanta (bound 1)\n\
+             \x20   oracle state: lost\n\
+             \x20 reproduce: cargo run --release -p orca_bench --bin campaign -- \
+             --replay 6500:kp:0:1 --app trend --seed 42\n\
+             \x20 failures_truncated=2: that many more plans failed; \
+             the campaign shrinks the first 1\n"
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! campaign.
 
 use crate::cache::BaselineCache;
-use crate::oracle::{default_oracles, Oracle};
+use crate::oracle::Oracle;
 use crate::plan::FaultPlan;
 use crate::pool::indexed_pool;
 use crate::runner::{
@@ -41,7 +41,7 @@ pub fn shrink(
             policy,
             baseline,
         )
-        .1
+        .violations
         .is_empty()
     };
     let mut current = plan.clone();
@@ -72,25 +72,20 @@ pub(crate) fn shrink_failures(
     failing: Vec<PlanEval>,
     cache: &BaselineCache,
 ) -> Vec<CampaignFailure> {
-    let policy = cfg.policy();
     indexed_pool(failing.len(), cfg.jobs, |i| {
         let eval = &failing[i];
-        let oracles = default_oracles(
-            cfg.broken_convergence,
-            policy.checkpoint.enabled(),
-            cfg.control_faults,
-        );
+        let violations = &eval.outcome.violations;
         // The determinism replay doubles every shrink candidate's cost;
         // only pay for it when the failure actually is a divergence.
         let det_shrink =
-            cfg.check_determinism && eval.violations.iter().any(|v| v.oracle == "determinism");
+            cfg.check_determinism && violations.iter().any(|v| v.oracle == "determinism");
         let shrunk = shrink(
             scenario,
             eval.plan_seed,
             &eval.plan,
-            &oracles,
+            &cfg.oracles(),
             det_shrink,
-            policy,
+            cfg.policy(),
             // Original plan's horizon: every candidate hits the same
             // floor-keyed baseline entry phase 1 computed.
             BaselineSource::new(cache, eval.plan.horizon()),
@@ -100,7 +95,7 @@ pub(crate) fn shrink_failures(
             plan_seed: eval.plan_seed,
             original: eval.plan.clone(),
             shrunk,
-            violations: eval.violations.clone(),
+            violations: violations.clone(),
             reproducer,
         }
     })

@@ -1,6 +1,6 @@
 //! Integration: the fault-injection campaign harness over all four
 //! use-case applications — fixed-seed campaigns pass every oracle, reports
-//! are bit-deterministic, a deliberately broken oracle demonstrates
+//! are bit-deterministic, a convergence bound of one quantum demonstrates
 //! shrinking down to a 1-minimal reproducible plan, and the
 //! checkpoint-recovery regime (`StatePreservation` oracle) holds under
 //! targeted stateful-kill schedules and full seeded campaigns.
@@ -20,7 +20,6 @@ fn cfg(plans: usize) -> CampaignConfig {
         plans,
         seed: 0xC0FFEE,
         check_determinism: true,
-        broken_convergence: false,
         max_failures: 3,
         ..Default::default()
     }
@@ -109,7 +108,7 @@ fn generated_plans_actually_perturb_the_system() {
     let plan = FaultPlan::generate(&mut SimRng::new(seed), &sc.plan_spec());
     assert!(!plan.events.is_empty());
     let cache = BaselineCache::new();
-    let (faulted, violations) = evaluate(
+    let faulted = evaluate(
         &sc,
         seed,
         &plan,
@@ -118,8 +117,8 @@ fn generated_plans_actually_perturb_the_system() {
         WorldPolicy::checkpointed(opts),
         BaselineSource::new(&cache, None),
     );
-    assert!(violations.is_empty(), "{violations:?}");
-    let (baseline, _) = evaluate(
+    assert!(faulted.violations.is_empty(), "{:?}", faulted.violations);
+    let baseline = evaluate(
         &sc,
         seed,
         &FaultPlan::default(),
@@ -128,24 +127,37 @@ fn generated_plans_actually_perturb_the_system() {
         WorldPolicy::checkpointed(opts),
         BaselineSource::new(&cache, None),
     );
-    assert_ne!(faulted, baseline, "plan {} left no mark", plan.encode());
+    assert_ne!(
+        faulted.digest,
+        baseline.digest,
+        "plan {} left no mark",
+        plan.encode()
+    );
+}
+
+/// `trend` with a convergence bound of one quantum, which no plan that
+/// faults anything meets: a campaign that fails on purpose.
+fn trend_bound_one() -> Scenario {
+    Scenario {
+        convergence_bound: 1,
+        ..scenario::trend()
+    }
 }
 
 #[test]
-fn broken_oracle_shrinks_to_a_minimal_reproducible_plan() {
-    let sc = scenario::trend();
+fn convergence_bound_one_shrinks_to_a_minimal_reproducible_plan() {
+    let sc = trend_bound_one();
     let config = CampaignConfig {
         plans: 5,
         seed: 7,
         check_determinism: false, // halve the cost; determinism is covered above
-        broken_convergence: true,
         max_failures: 1,
         ..Default::default()
     };
     let report = run_campaign(&sc, &config);
     assert!(
         !report.failures.is_empty(),
-        "the inverted convergence bound must trip on some plan"
+        "a one-quantum convergence bound must trip on some plan"
     );
     // Every failing plan is counted, even beyond the shrink cap, and the
     // dropped reproducers are reported rather than silently vanishing.
@@ -160,45 +172,49 @@ fn broken_oracle_shrinks_to_a_minimal_reproducible_plan() {
     assert!(!f.shrunk.events.is_empty());
 
     // The reproducer round-trips and still fails.
-    let oracles = default_oracles(true, false, false);
-    let opts = CheckpointPolicy::default();
+    let oracles = config.oracles();
     let decoded = FaultPlan::decode(&f.shrunk.encode()).unwrap();
     assert_eq!(decoded, f.shrunk);
     let cache = BaselineCache::new();
-    let (_, violations) = evaluate(
+    let replayed = evaluate(
         &sc,
         f.plan_seed,
         &decoded,
         &oracles,
         false,
-        WorldPolicy::checkpointed(opts),
+        config.policy(),
         BaselineSource::new(&cache, None),
     );
-    assert!(!violations.is_empty(), "shrunk plan no longer fails");
+    assert!(
+        !replayed.violations.is_empty(),
+        "shrunk plan no longer fails"
+    );
 
     // 1-minimality: removing any single remaining event makes it pass.
     for i in 0..f.shrunk.events.len() {
         let smaller = f.shrunk.without(i);
-        let (_, v) = evaluate(
+        let v = evaluate(
             &sc,
             f.plan_seed,
             &smaller,
             &oracles,
             false,
-            WorldPolicy::checkpointed(opts),
+            config.policy(),
             BaselineSource::new(&cache, None),
-        );
+        )
+        .violations;
         assert!(
             v.is_empty(),
             "shrunk plan is not minimal: dropping event {i} still fails ({v:?})"
         );
     }
 
-    // The one-line reproducer carries everything needed for replay.
+    // The one-line reproducer carries everything needed for replay; the
+    // bound is the scenario's, so no flag names it.
     assert_eq!(
         f.reproducer,
         format!(
-            "--replay {} --app trend --seed {} --broken-oracle convergence",
+            "--replay {} --app trend --seed {}",
             f.shrunk.encode(),
             f.plan_seed
         )
@@ -219,7 +235,7 @@ fn assert_stateful_recovery(app: &str, seed: u64, plan: &str) {
     let oracles = default_oracles(false, true, false);
     let plan = FaultPlan::decode(plan).unwrap();
     let cache = BaselineCache::new();
-    let (digest_a, violations) = evaluate(
+    let first = evaluate(
         &sc,
         seed,
         &plan,
@@ -229,9 +245,10 @@ fn assert_stateful_recovery(app: &str, seed: u64, plan: &str) {
         BaselineSource::new(&cache, plan.horizon()),
     );
     assert!(
-        violations.is_empty(),
-        "[{app}] plan {} violated: {violations:?}",
-        plan.encode()
+        first.violations.is_empty(),
+        "[{app}] plan {} violated: {:?}",
+        plan.encode(),
+        first.violations
     );
     // One baseline computation served the primary run and the determinism
     // replay inside `evaluate`.
@@ -240,7 +257,7 @@ fn assert_stateful_recovery(app: &str, seed: u64, plan: &str) {
     assert!(stats.hits >= 1, "[{app}] replay missed the cache");
     // Replaying the whole evaluation reproduces the digest bit-identically
     // (and is itself a pure cache hit for the baseline).
-    let (digest_b, _) = evaluate(
+    let second = evaluate(
         &sc,
         seed,
         &plan,
@@ -249,7 +266,7 @@ fn assert_stateful_recovery(app: &str, seed: u64, plan: &str) {
         WorldPolicy::checkpointed(opts),
         BaselineSource::new(&cache, plan.horizon()),
     );
-    assert_eq!(digest_a, digest_b);
+    assert_eq!(first.digest, second.digest);
     assert_eq!(cache.stats().misses, 1);
 }
 
@@ -294,7 +311,7 @@ fn restored_state_actually_differs_from_fresh_restarts() {
     let plan = FaultPlan::decode("8000:kp:0:1").unwrap();
     let oracles = default_oracles(false, false, false);
     let cache = BaselineCache::new();
-    let (fresh, _) = evaluate(
+    let fresh = evaluate(
         &sc,
         seed,
         &plan,
@@ -303,7 +320,7 @@ fn restored_state_actually_differs_from_fresh_restarts() {
         WorldPolicy::default(),
         BaselineSource::new(&cache, None),
     );
-    let (restored, _) = evaluate(
+    let restored = evaluate(
         &sc,
         seed,
         &plan,
@@ -312,7 +329,10 @@ fn restored_state_actually_differs_from_fresh_restarts() {
         WorldPolicy::checkpointed(CheckpointPolicy::every(10)),
         BaselineSource::new(&cache, None),
     );
-    assert_ne!(fresh, restored, "checkpoint restore left no trace");
+    assert_ne!(
+        fresh.digest, restored.digest,
+        "checkpoint restore left no trace"
+    );
 }
 
 /// An operator whose `restore` ignores its blob: a restore that loses state.
@@ -385,7 +405,7 @@ fn lossy_restore_is_caught_and_shrinks_to_minimal_reproducer() {
     // Candidates compare against the baseline keyed by the *original*
     // plan's horizon — the same floor-keyed entry the shrink walk used.
     let cache = BaselineCache::new();
-    let (_, violations) = evaluate(
+    let replayed = evaluate(
         &sc,
         f.plan_seed,
         &f.shrunk,
@@ -394,10 +414,13 @@ fn lossy_restore_is_caught_and_shrinks_to_minimal_reproducer() {
         WorldPolicy::checkpointed(opts),
         BaselineSource::new(&cache, f.original.horizon()),
     );
-    assert!(!violations.is_empty(), "shrunk plan no longer fails");
+    assert!(
+        !replayed.violations.is_empty(),
+        "shrunk plan no longer fails"
+    );
     for i in 0..f.shrunk.events.len() {
         let smaller = f.shrunk.without(i);
-        let (_, v) = evaluate(
+        let v = evaluate(
             &sc,
             f.plan_seed,
             &smaller,
@@ -405,7 +428,8 @@ fn lossy_restore_is_caught_and_shrinks_to_minimal_reproducer() {
             false,
             WorldPolicy::checkpointed(opts),
             BaselineSource::new(&cache, f.original.horizon()),
-        );
+        )
+        .violations;
         assert!(
             v.is_empty(),
             "not minimal: dropping event {i} still fails ({v:?})"

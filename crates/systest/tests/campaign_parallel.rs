@@ -9,13 +9,21 @@
 #![forbid(unsafe_code)]
 
 use orca_harness::{
-    plan_seeds, run_campaign, scenario, CampaignConfig, CampaignReport, CheckpointPolicy,
+    plan_seeds, run_campaign, scenario, CampaignConfig, CampaignReport, CheckpointPolicy, Scenario,
 };
 
 /// Canonical whole-report rendering (see `CampaignReport::render`), so
 /// `assert_eq!` on it is a byte-identity check over the whole report.
 fn render(report: &CampaignReport) -> String {
     report.render()
+}
+
+/// `trend` with a convergence bound of one quantum: most plans fail it.
+fn trend_bound_one() -> Scenario {
+    Scenario {
+        convergence_bound: 1,
+        ..scenario::trend()
+    }
 }
 
 fn cfg(plans: usize, jobs: usize) -> CampaignConfig {
@@ -56,23 +64,22 @@ fn checkpointed_reports_are_byte_identical_across_jobs() {
 }
 
 #[test]
-fn broken_oracle_failures_shrink_identically_across_jobs() {
-    // Seed 7 over 5 trend plans trips the inverted convergence bound on
+fn convergence_bound_one_failures_shrink_identically_across_jobs() {
+    // Seed 7 over 5 trend plans trips the one-quantum convergence bound on
     // more than one plan, so with jobs > 1 the sharded shrink path runs
     // distinct failures concurrently — and must still emit the same shrunk
     // reproducers in the same (plan-index) order.
-    let broken = |jobs| CampaignConfig {
+    let capped = |jobs| CampaignConfig {
         plans: 5,
         seed: 7,
         check_determinism: false,
-        broken_convergence: true,
         max_failures: 3,
         jobs,
         ..Default::default()
     };
-    let sc = scenario::trend();
-    let sequential = run_campaign(&sc, &broken(1));
-    let sharded = run_campaign(&sc, &broken(4));
+    let sc = trend_bound_one();
+    let sequential = run_campaign(&sc, &capped(1));
+    let sharded = run_campaign(&sc, &capped(4));
     assert!(
         sequential.failures.len() > 1,
         "need >1 failure to exercise concurrent shrinking, got {}",
@@ -83,18 +90,17 @@ fn broken_oracle_failures_shrink_identically_across_jobs() {
 
 #[test]
 fn failures_truncated_counts_reproducers_dropped_beyond_the_cap() {
-    // Same broken-oracle campaign capped at one shrunk failure: the other
+    // Same bound-one campaign capped at one shrunk failure: the other
     // failing plans must be surfaced as a truncation count, not dropped.
     let config = CampaignConfig {
         plans: 5,
         seed: 7,
         check_determinism: false,
-        broken_convergence: true,
         max_failures: 1,
         jobs: 2,
         ..Default::default()
     };
-    let report = run_campaign(&scenario::trend(), &config);
+    let report = run_campaign(&trend_bound_one(), &config);
     assert_eq!(report.failures.len(), 1);
     assert!(report.failures_truncated > 0, "seed 7 fails >1 of 5 plans");
     assert_eq!(
@@ -102,6 +108,12 @@ fn failures_truncated_counts_reproducers_dropped_beyond_the_cap() {
         report.failures.len() + report.failures_truncated,
         "every failing plan is either shrunk or counted as truncated"
     );
+    // The report names the cap, the one number that decides what is shrunk.
+    let line = format!(
+        "  failures_truncated={}: that many more plans failed; the campaign shrinks the first 1\n",
+        report.failures_truncated
+    );
+    assert!(render(&report).ends_with(&line), "{}", render(&report));
 }
 
 #[test]
