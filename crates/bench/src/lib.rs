@@ -34,13 +34,12 @@
 //! - `orca_harness`: `by_name`, `default_oracles(bool, bool, bool)` (always
 //!   `false` first), `plan_seeds`, `run_plan`, `run_campaign_cached`,
 //!   `quiescent`, `render_artifacts_to`, `BaselineCache`, `BaselineKey`,
-//!   `BaselineSource`,
-//!   `BaselineSummary`, `Built`, `CampaignConfig` (`plans`, `seed`,
-//!   `checkpoint`, `metastore`, `control_faults`), `CheckpointPolicy`,
-//!   `FaultAction`, `FaultInjector`, `FaultPlan`, `Janitor`,
-//!   `MetastoreKind::Replicated`, `Oracle`, `OracleCtx`, `PlanOutcome`,
-//!   `Scenario`, `StorageModel`, `Violation`, and `WorldPolicy`
-//!   (`checkpoint`, `metastore`).
+//!   `BaselineSource`, `BaselineSummary`, `Built`, `CampaignConfig`
+//!   (`plans`, `seed`, `checkpoint`, `metastore`, `control_faults`),
+//!   `CheckpointPolicy`, `FaultAction`, `FaultInjector`, `FaultPlan`,
+//!   `Janitor`, `MetastoreKind::Replicated`, `Oracle`, `OracleCtx`,
+//!   `PlanOutcome`, `Scenario`, `StorageModel`, `Violation`, and
+//!   `WorldPolicy` (`checkpoint`, `metastore`).
 //! - `orca_bench` (this crate): [`nested_app`].
 //!
 //! A refactor keeps a pinned name as a thin alias or constructor and keeps
@@ -50,9 +49,9 @@
 //! `metastore` fields of `RuntimeConfig`, `WorldPolicy` and `CampaignConfig`
 //! set nothing. No oracle is broken on request, so the first argument of
 //! `default_oracles` sets nothing either. A trait that `perf/` imports only
-//! to call its methods must stay a trait that carries those methods. Were `Metastore` a type alias, `perf/`'s import of it would
-//! be unused and `cargo clippy --workspace --all-targets -- -D warnings`
-//! would fail. CI's stand-alone build of `perf/` and that lint check the
+//! to call its methods must stay a trait that carries those methods. Were
+//! `Metastore` a type alias, `perf/`'s import of it would be unused and
+//! `cargo clippy --workspace --all-targets -- -D warnings` would fail. CI's stand-alone build of `perf/` and that lint check the
 //! list.
 
 #![forbid(unsafe_code)]
