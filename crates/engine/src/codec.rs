@@ -286,29 +286,54 @@ fn decode_frame_carrying(buf: &[u8], carry: &mut Carry) -> Result<Frame, EngineE
 /// tuples become batch frames, punctuation stays as bare item frames. This
 /// is the checkpoint-v2 queue capture at batch granularity.
 pub fn encode_queue<'a>(items: impl IntoIterator<Item = &'a StreamItem>) -> Bytes {
-    let mut buf = BytesMut::new();
-    let mut run: Vec<&Tuple> = Vec::new();
-    let flush = |run: &mut Vec<&Tuple>, buf: &mut BytesMut| {
-        if run.is_empty() {
-            return;
-        }
-        buf.put_u8(TAG_BATCH);
-        buf.put_u32_le(run.len() as u32);
-        for t in run.drain(..) {
-            encode_tuple_item(t, buf);
-        }
-    };
+    let mut w = QueueWriter::default();
     for item in items {
         match item {
-            StreamItem::Tuple(t) => run.push(t),
-            punct => {
-                flush(&mut run, &mut buf);
-                encode_into(punct, &mut buf);
-            }
+            StreamItem::Tuple(t) => w.tuple(t),
+            StreamItem::Punct(p) => w.punct(*p),
         }
     }
-    flush(&mut run, &mut buf);
-    buf.freeze()
+    w.finish()
+}
+
+/// Writes an [`encode_queue`] blob one item at a time, however the queue
+/// holds its items: a tuple opens a batch frame or joins the open one, and
+/// the frame's count is written when a punctuation or the end closes it.
+#[derive(Default)]
+pub(crate) struct QueueWriter {
+    buf: BytesMut,
+    /// Where the open batch frame starts, and how many tuples it holds.
+    open: Option<(usize, u32)>,
+}
+
+impl QueueWriter {
+    pub(crate) fn tuple(&mut self, t: &Tuple) {
+        match &mut self.open {
+            Some((_, count)) => *count += 1,
+            None => {
+                self.open = Some((self.buf.len(), 1));
+                self.buf.put_u8(TAG_BATCH);
+                self.buf.put_u32_le(0);
+            }
+        }
+        encode_tuple_item(t, &mut self.buf);
+    }
+
+    pub(crate) fn punct(&mut self, p: Punct) {
+        self.close();
+        encode_into(&StreamItem::Punct(p), &mut self.buf);
+    }
+
+    fn close(&mut self) {
+        if let Some((at, count)) = self.open.take() {
+            self.buf[at + 1..at + 5].copy_from_slice(&count.to_le_bytes());
+        }
+    }
+
+    pub(crate) fn finish(mut self) -> Bytes {
+        self.close();
+        self.buf.freeze()
+    }
 }
 
 /// Decodes a queue blob written by [`encode_queue`] back into its item

@@ -13,7 +13,8 @@
 //! - a binary tuple [`codec`] for inter-PE transport,
 //! - [`pe::PeRuntime`]: the per-process container executing fused operators
 //!   with bounded per-quantum budgets (so queues grow under overload and
-//!   `queueSize` metrics are meaningful).
+//!   `queueSize` metrics are meaningful), moving tuples between its
+//!   operators as whole runs ([`queue`]).
 
 #![forbid(unsafe_code)]
 
@@ -25,6 +26,7 @@ pub mod metrics;
 pub mod op;
 pub mod ops;
 pub mod pe;
+pub mod queue;
 pub mod registry;
 pub mod tuple;
 pub mod window;

@@ -3,6 +3,7 @@
 use crate::ckpt::{StateBlob, StateReader, StateWriter};
 use crate::error::EngineError;
 use crate::metrics::{MetricId, MetricStore};
+use crate::queue::{Emission, Emissions};
 use crate::tuple::Tuple;
 use sps_sim::{SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
@@ -82,6 +83,12 @@ impl From<Vec<Tuple>> for TupleBatch {
     }
 }
 
+impl From<TupleBatch> for Vec<Tuple> {
+    fn from(batch: TupleBatch) -> Self {
+        batch.items
+    }
+}
+
 impl IntoIterator for TupleBatch {
     type Item = Tuple;
     type IntoIter = std::vec::IntoIter<Tuple>;
@@ -100,10 +107,11 @@ impl<'a> IntoIterator for &'a TupleBatch {
 
 /// Execution context handed to operator callbacks.
 ///
-/// Collects submissions (routed by the PE container after the callback
-/// returns), exposes custom-metric updates, deterministic randomness, the
-/// simulation clock, and a fault channel: an operator raising a fault
-/// crashes its whole PE, modelling the uncaught-exception PE crash of §4.2.
+/// Collects submissions — consecutive tuples on one port as one run, routed
+/// by the PE container after the callback returns — and exposes
+/// custom-metric updates, deterministic randomness, the simulation clock,
+/// and a fault channel: an operator raising a fault crashes its whole PE,
+/// modelling the uncaught-exception PE crash of §4.2.
 pub struct OpCtx<'a> {
     now: SimTime,
     quantum: SimDuration,
@@ -111,7 +119,7 @@ pub struct OpCtx<'a> {
     num_outputs: usize,
     metrics: &'a mut MetricStore,
     rng: &'a mut SimRng,
-    emitted: Vec<(usize, StreamItem)>,
+    emitted: Emissions,
     fault: Option<String>,
     all_inputs_final: bool,
 }
@@ -132,7 +140,7 @@ impl<'a> OpCtx<'a> {
             num_outputs,
             metrics,
             rng,
-            emitted: Vec::new(),
+            emitted: Emissions::new(),
             fault: None,
             all_inputs_final: true,
         }
@@ -175,13 +183,13 @@ impl<'a> OpCtx<'a> {
     /// Submits a tuple on an output port.
     pub fn submit(&mut self, port: usize, tuple: Tuple) {
         debug_assert!(port < self.num_outputs, "submit on nonexistent port");
-        self.emitted.push((port, StreamItem::Tuple(tuple)));
+        self.emitted.tuple(port, tuple);
     }
 
     /// Submits punctuation on an output port.
     pub fn submit_punct(&mut self, port: usize, punct: Punct) {
         debug_assert!(port < self.num_outputs, "punct on nonexistent port");
-        self.emitted.push((port, StreamItem::Punct(punct)));
+        self.emitted.punct(port, punct);
     }
 
     /// Adds to (creating if needed) a custom metric of this operator.
@@ -237,8 +245,8 @@ impl<'a> OpCtx<'a> {
         self.fault.is_some()
     }
 
-    pub(crate) fn take_emitted(&mut self) -> Vec<(usize, StreamItem)> {
-        std::mem::take(&mut self.emitted)
+    pub(crate) fn take_emitted(&mut self) -> Vec<Emission> {
+        self.emitted.take()
     }
 
     pub(crate) fn take_fault(&mut self) -> Option<String> {
@@ -372,6 +380,7 @@ impl FinalPunctTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::testutil::items;
 
     fn with_ctx<R>(f: impl FnOnce(&mut OpCtx) -> R) -> (R, MetricStore) {
         let mut metrics = MetricStore::new();
@@ -405,7 +414,7 @@ mod tests {
             ctx.submit(0, Tuple::new().with("a", 1i64));
             ctx.submit_punct(1, Punct::Final);
             ctx.submit(1, Tuple::new().with("b", 2i64));
-            ctx.take_emitted()
+            items(ctx.take_emitted())
         });
         assert_eq!(emitted.len(), 3);
         assert!(matches!(emitted[0], (0, StreamItem::Tuple(_))));
@@ -471,7 +480,7 @@ mod tests {
         let (emitted, _) = with_ctx(|ctx| {
             let mut op = PassThrough;
             op.on_punct(0, Punct::Final, ctx);
-            ctx.take_emitted()
+            items(ctx.take_emitted())
         });
         // Forwarded to both output ports.
         assert_eq!(emitted.len(), 2);
@@ -499,7 +508,7 @@ mod tests {
             assert!(!ctx.all_inputs_final());
             ctx.set_all_inputs_final(true);
             op.on_punct(1, Punct::Final, ctx);
-            ctx.take_emitted()
+            items(ctx.take_emitted())
         });
         // One swallowed final, one window through (2 ports), then the real
         // final (2 ports).

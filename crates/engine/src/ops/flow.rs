@@ -148,10 +148,10 @@ mod tests {
             let fault = ctx.take_fault();
             if i < 3 {
                 assert!(fault.is_none());
-                assert_eq!(ctx.take_emitted().len(), 1);
+                assert_eq!(crate::ops::testutil::items(ctx.take_emitted()).len(), 1);
             } else {
                 assert!(fault.is_some());
-                assert!(ctx.take_emitted().is_empty());
+                assert!(crate::ops::testutil::items(ctx.take_emitted()).is_empty());
             }
         }
     }

@@ -71,8 +71,19 @@ pub(crate) fn req_f64(params: &ParamMap, op: &str, key: &str) -> Result<f64, Eng
 pub(crate) mod testutil {
     use crate::metrics::MetricStore;
     use crate::op::{OpCtx, Operator, Punct, StreamItem};
+    use crate::queue::Emission;
     use crate::tuple::Tuple;
     use sps_sim::{SimDuration, SimRng, SimTime};
+
+    /// What an operator emitted, item by item, whatever runs it formed.
+    pub fn items(emitted: Vec<Emission>) -> Vec<(usize, StreamItem)> {
+        let mut items = Vec::new();
+        for emission in emitted {
+            let port = emission.port();
+            items.extend(emission.into_items().map(|item| (port, item)));
+        }
+        items
+    }
 
     /// Drives a single operator directly, without a PE container.
     pub struct Harness {
@@ -115,7 +126,7 @@ pub(crate) mod testutil {
         ) -> Vec<(usize, StreamItem)> {
             let mut ctx = self.ctx();
             op.on_tuple(port, t, &mut ctx);
-            ctx.take_emitted()
+            items(ctx.take_emitted())
         }
 
         /// Delivers a run of tuples the way the PE does: one `on_tuple`
@@ -133,7 +144,7 @@ pub(crate) mod testutil {
                 }
                 op.on_tuple(port, t, &mut ctx);
             }
-            ctx.take_emitted()
+            items(ctx.take_emitted())
         }
 
         pub fn punct(
@@ -144,13 +155,13 @@ pub(crate) mod testutil {
         ) -> Vec<(usize, StreamItem)> {
             let mut ctx = self.ctx();
             op.on_punct(port, p, &mut ctx);
-            ctx.take_emitted()
+            items(ctx.take_emitted())
         }
 
         pub fn tick(&mut self, op: &mut dyn Operator) -> Vec<(usize, StreamItem)> {
             let mut ctx = self.ctx();
             op.on_tick(&mut ctx);
-            ctx.take_emitted()
+            items(ctx.take_emitted())
         }
 
         pub fn advance(&mut self, d: SimDuration) {

@@ -63,6 +63,10 @@ pub struct Functor {
     assignments: Vec<(String, BoundExpr)>,
     project: Option<Vec<String>>,
     layout: LayoutCache,
+    /// Where a string result waits between its evaluation, which may read
+    /// the very row it is written into, and the write. Kept, so a steady
+    /// stream allocates it once.
+    text: String,
 }
 
 /// What a Functor does to the rows of one input schema: where each
@@ -179,8 +183,34 @@ impl Functor {
             assignments,
             project,
             layout: LayoutCache::default(),
+            text: String::new(),
         })
     }
+}
+
+/// Writes `expr`'s value over `slot` of `tuple` in place when the fast path
+/// decides it, and says whether it did. A string result is copied through
+/// `text`: it may borrow from the row it is written into.
+fn assign_in_place(
+    expr: &mut BoundExpr,
+    tuple: &mut Tuple,
+    slot: usize,
+    text: &mut String,
+) -> bool {
+    let value = match expr.eval_scalar(tuple) {
+        None => return false,
+        Some(Scalar::Str(s)) => {
+            text.clear();
+            text.push_str(s);
+            None
+        }
+        Some(Scalar::Int(i)) => Some(Scalar::Int(i)),
+        Some(Scalar::Float(f)) => Some(Scalar::Float(f)),
+        Some(Scalar::Bool(b)) => Some(Scalar::Bool(b)),
+        Some(Scalar::Timestamp(t)) => Some(Scalar::Timestamp(t)),
+    };
+    tuple.set_scalar_at(slot, value.unwrap_or(Scalar::Str(text)));
+    true
 }
 
 impl Operator for Functor {
@@ -189,15 +219,18 @@ impl Operator for Functor {
             .layout
             .get(tuple.schema(), &self.assignments, self.project.as_deref());
         for ((attr, expr), target) in self.assignments.iter_mut().zip(&layout.targets) {
-            match expr.eval(&tuple) {
-                Ok(v) => match target {
-                    Target::Slot(slot) => tuple.set_at(*slot, v),
-                    Target::Append(child) => tuple.push_as(child, v),
-                },
-                Err(e) => {
-                    ctx.raise_fault(format!("assignment to '{attr}' failed: {e}"));
-                    return;
+            let written = match target {
+                Target::Slot(slot) => {
+                    if assign_in_place(expr, &mut tuple, *slot, &mut self.text) {
+                        continue;
+                    }
+                    expr.expr().eval(&tuple).map(|v| tuple.set_at(*slot, v))
                 }
+                Target::Append(child) => expr.eval(&tuple).map(|v| tuple.push_as(child, v)),
+            };
+            if let Err(e) = written {
+                ctx.raise_fault(format!("assignment to '{attr}' failed: {e}"));
+                return;
             }
         }
         let out = match &layout.project {

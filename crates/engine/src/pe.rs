@@ -23,7 +23,8 @@ use crate::ckpt::{self, OpCheckpoint, PeCheckpoint, StateBlob, CKPT_FORMAT_VERSI
 use crate::codec::{self, Frame};
 use crate::error::EngineError;
 use crate::metrics::{builtin, MetricId, MetricKey, MetricStore};
-use crate::op::{OpCtx, Operator, Punct, StreamItem, TupleBatch};
+use crate::op::{OpCtx, Operator, Punct, StreamItem};
+use crate::queue::{batching_enabled, Emission, Popped, PortQueue};
 use crate::registry::OperatorRegistry;
 use crate::tuple::Tuple;
 use sps_model::adl::Adl;
@@ -131,7 +132,7 @@ struct OpSlot {
     cost: u32,
     /// Input queues, one per port (at least one, so Import pseudo-sources
     /// can receive broker injections).
-    queues: Vec<VecDeque<StreamItem>>,
+    queues: Vec<PortQueue>,
     /// Per-input-port final-punctuation tracking, maintained by the
     /// container so the default [`Operator::on_punct`] can coalesce finals
     /// of multi-input operators correctly.
@@ -191,37 +192,10 @@ pub struct PeRuntime {
     crashed: Option<String>,
 }
 
-/// One scheduling decision from the drain loop: a run of consecutive tuples
-/// from one port, or a single punctuation (punctuation is never batched).
-enum PoppedRun {
-    Batch(usize, TupleBatch),
-    Punct(usize, Punct),
-}
-
-/// The frame a run of emitted items leaves in: a lone item as it is, a longer
-/// run (tuples only) as a batch.
-fn frame_of(mut run: impl ExactSizeIterator<Item = StreamItem>) -> Frame {
-    if run.len() == 1 {
-        return Frame::Item(run.next().expect("one item left"));
-    }
-    let tuples: Vec<Tuple> = run
-        .map(|item| match item {
-            StreamItem::Tuple(t) => t,
-            StreamItem::Punct(_) => unreachable!("runs hold only tuples"),
-        })
-        .collect();
-    Frame::Batch(tuples.into())
-}
-
-/// Sends a run to every remote destination of its port, one frame each; the
-/// last destination gets the frame built from `run`, the others copies.
-fn send_remote(
-    dests: &[RemoteDest],
-    run: impl ExactSizeIterator<Item = StreamItem>,
-    out: &mut PeOutput,
-) {
+/// Sends a frame to every remote destination of its port; the last
+/// destination gets `frame`, the others copies.
+fn send_remote(dests: &[RemoteDest], frame: Frame, out: &mut PeOutput) {
     if let Some((last_dest, other_dests)) = dests.split_last() {
-        let frame = frame_of(run);
         for dest in other_dests {
             let (dest, frame) = (dest.clone(), frame.clone());
             out.remote.push(RemoteDelivery { dest, frame });
@@ -231,19 +205,21 @@ fn send_remote(
     }
 }
 
-/// Whether the PE batches around its operators. `SPS_BATCH=off|0|false`
-/// forces the per-tuple reference path — single-tuple runs, one transport
-/// frame per tuple — which the batching systest diffs against to prove
-/// the batched data path is observationally identical. Read once per
-/// process.
-fn batching_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("SPS_BATCH").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    })
+/// Hands a popped run of tuples to `op`, one `on_tuple` call each, and
+/// stops after the call that raises a fault.
+fn deliver(op: &mut dyn Operator, port: usize, run: Popped, ctx: &mut OpCtx) {
+    match run {
+        Popped::Tuple(tuple) => op.on_tuple(port, tuple, ctx),
+        Popped::Batch(batch) => {
+            for tuple in batch {
+                if ctx.has_fault() {
+                    break;
+                }
+                op.on_tuple(port, tuple, ctx);
+            }
+        }
+        Popped::Punct(_) => unreachable!("punctuation is processed on its own"),
+    }
 }
 
 impl PeRuntime {
@@ -270,7 +246,7 @@ impl PeRuntime {
                 op: instance,
                 outputs: op.outputs,
                 cost,
-                queues: (0..inputs).map(|_| VecDeque::new()).collect(),
+                queues: (0..inputs).map(|_| PortQueue::new()).collect(),
                 finals_seen: vec![false; inputs],
                 local_routes: vec![Vec::new(); op.outputs],
                 remote_routes: vec![Vec::new(); op.outputs],
@@ -354,17 +330,13 @@ impl PeRuntime {
         if self.crashed.is_some() {
             return Ok(()); // a dead process silently loses input
         }
-        self.input_queue(op_name, port)?.push_back(item);
+        self.input_queue(op_name, port)?.push(item);
         Ok(())
     }
 
     /// The queue behind an operator input port (ports past the last one
     /// land on the last).
-    fn input_queue(
-        &mut self,
-        op_name: &str,
-        port: usize,
-    ) -> Result<&mut VecDeque<StreamItem>, EngineError> {
+    fn input_queue(&mut self, op_name: &str, port: usize) -> Result<&mut PortQueue, EngineError> {
         let &slot = self
             .op_index
             .get(op_name)
@@ -377,10 +349,11 @@ impl PeRuntime {
         Ok(&mut queues[port])
     }
 
-    /// Takes a remote delivery — one item or a whole batch (the tuples land
-    /// on the port queue in batch order, exactly as per-item deliveries
-    /// would). Its bytes are counted whatever becomes of it; a dead process
-    /// then loses it silently, a live one reports a misaddressed delivery.
+    /// Takes a remote delivery — one item, or a whole batch, which joins the
+    /// port queue as one run (its tuples in batch order, exactly as per-item
+    /// deliveries would). Its bytes are counted whatever becomes of it; a
+    /// dead process then loses it silently, a live one reports a
+    /// misaddressed delivery.
     pub fn receive(&mut self, delivery: RemoteDelivery) -> Result<(), EngineError> {
         let RemoteDelivery { dest, frame } = delivery;
         // Punctuation is not counted at all, not counted as zero: a metric
@@ -394,8 +367,8 @@ impl PeRuntime {
         }
         let queue = self.input_queue(&dest.op, dest.port)?;
         match frame {
-            Frame::Item(item) => queue.push_back(item),
-            Frame::Batch(batch) => queue.extend(batch.into_iter().map(StreamItem::Tuple)),
+            Frame::Item(item) => queue.push(item),
+            Frame::Batch(batch) => queue.push_run(batch),
         }
         Ok(())
     }
@@ -434,19 +407,16 @@ impl PeRuntime {
                 // legacy loop's overshoot (an item started under budget is
                 // always charged in full).
                 let headroom = (budget as u64 - spent).div_ceil(cost.max(1));
-                let Some(run) = self.pop_run(slot_idx, headroom as usize) else {
+                let Some((port, popped)) = self.pop_run(slot_idx, headroom as usize) else {
                     continue;
                 };
                 progressed = true;
-                let crashed = match run {
-                    PoppedRun::Punct(port, punct) => {
-                        spent += cost;
+                spent += cost * popped.items() as u64;
+                let crashed = match popped {
+                    Popped::Punct(punct) => {
                         self.process_punct(slot_idx, port, punct, now, quantum, &mut out)
                     }
-                    PoppedRun::Batch(port, batch) => {
-                        spent += cost * batch.len() as u64;
-                        self.process_batch(slot_idx, port, batch, now, quantum, &mut out)
-                    }
+                    run => self.process_batch(slot_idx, port, run, now, quantum, &mut out),
                 };
                 if crashed {
                     out.work_done = spent;
@@ -478,7 +448,7 @@ impl PeRuntime {
     /// Updates per-operator and per-port `queueSize` metrics.
     pub fn refresh_queue_metrics(&mut self) {
         for slot in &self.slots {
-            let total: usize = slot.queues.iter().map(VecDeque::len).sum();
+            let total: usize = slot.queues.iter().map(PortQueue::len).sum();
             self.metrics.set_by(slot.metrics.queue_size, total as i64);
             for (q, &(_, queue_size)) in slot.queues.iter().zip(&slot.metrics.in_ports) {
                 self.metrics.set_by(queue_size, q.len() as i64);
@@ -491,42 +461,19 @@ impl PeRuntime {
     /// punctuation), or one punctuation. Slots with several input ports keep
     /// per-item runs — the legacy loop rotates ports after *every* item, so
     /// longer runs would change a multi-input operator's interleaving.
-    fn pop_run(&mut self, slot_idx: usize, max_items: usize) -> Option<PoppedRun> {
+    fn pop_run(&mut self, slot_idx: usize, max_items: usize) -> Option<(usize, Popped)> {
         let slot = &mut self.slots[slot_idx];
         let ports = slot.queues.len();
+        let cap = if ports > 1 || !batching_enabled() {
+            1
+        } else {
+            max_items
+        };
         for offset in 0..ports {
             let port = (slot.next_port + offset) % ports;
-            let queue = &mut slot.queues[port];
-            match queue.front() {
-                None => continue,
-                Some(StreamItem::Punct(_)) => {
-                    let Some(StreamItem::Punct(p)) = queue.pop_front() else {
-                        unreachable!("front was a punct");
-                    };
-                    slot.next_port = (port + 1) % ports;
-                    return Some(PoppedRun::Punct(port, p));
-                }
-                Some(StreamItem::Tuple(_)) => {
-                    let cap = if ports > 1 || !batching_enabled() {
-                        1
-                    } else {
-                        max_items.max(1)
-                    };
-                    let mut batch = TupleBatch::with_capacity(cap.min(queue.len()));
-                    while batch.len() < cap {
-                        match queue.front() {
-                            Some(StreamItem::Tuple(_)) => {
-                                let Some(StreamItem::Tuple(t)) = queue.pop_front() else {
-                                    unreachable!("front was a tuple");
-                                };
-                                batch.push(t);
-                            }
-                            _ => break,
-                        }
-                    }
-                    slot.next_port = (port + 1) % ports;
-                    return Some(PoppedRun::Batch(port, batch));
-                }
+            if let Some(popped) = slot.queues[port].pop(cap) {
+                slot.next_port = (port + 1) % ports;
+                return Some((port, popped));
             }
         }
         None
@@ -566,36 +513,31 @@ impl PeRuntime {
         false
     }
 
-    /// Delivers a run of consecutive tuples from one port, one `on_tuple`
-    /// call each, and routes what they emitted in one go. Returns true if
-    /// the operator faulted; delivery stops at the faulting tuple and the
-    /// rest of the run is lost with the crashing process, like the cleared
-    /// input queues.
+    /// Delivers a popped run of consecutive tuples from one port, one
+    /// `on_tuple` call each, and routes what they emitted in one go. Returns
+    /// true if the operator faulted; delivery stops at the faulting tuple
+    /// and the rest of the run is lost with the crashing process, like the
+    /// cleared input queues.
     fn process_batch(
         &mut self,
         slot_idx: usize,
         port: usize,
-        batch: TupleBatch,
+        run: Popped,
         now: SimTime,
         quantum: SimDuration,
         out: &mut PeOutput,
     ) -> bool {
         // Consumption-side built-in metrics, amortized over the run.
-        let k = batch.len() as i64;
+        let k = run.items() as i64;
         let slot = &self.slots[slot_idx];
         self.metrics.add_by(slot.metrics.processed, k);
         self.metrics.add_by(slot.metrics.in_ports[port].0, k);
         self.metrics
-            .add_by(self.bytes_processed, batch.approx_bytes() as i64);
+            .add_by(self.bytes_processed, run.approx_bytes() as i64);
 
         let all_final = slot.finals_seen.iter().all(|&s| s);
         self.call_op(slot_idx, all_final, now, quantum, out, |op, ctx| {
-            for tuple in batch {
-                if ctx.has_fault() {
-                    break;
-                }
-                op.on_tuple(port, tuple, ctx);
-            }
+            deliver(op, port, run, ctx)
         })
     }
 
@@ -622,49 +564,39 @@ impl PeRuntime {
         })
     }
 
-    /// Routes items emitted by `slot_idx` to local queues, the remote
-    /// outbox, and the export outbox, in emission order. A run of
-    /// consecutive tuples on one output port leaves as a single batch frame
-    /// per remote channel, and is extended onto a local queue whole when
-    /// that queue is the port's only local destination and the port is not
-    /// exported. A run bound for several local queues goes item by item,
-    /// because two of those queues may be one ([`Self::deliver_local`]).
-    /// Each item is moved into its last consumer — the last remote
-    /// destination when nothing in this PE and no export takes it too; the
-    /// others get (pointer) copies.
-    fn route(&mut self, slot_idx: usize, emitted: Vec<(usize, StreamItem)>, out: &mut PeOutput) {
+    /// Routes what `slot_idx` emitted to local queues, the remote outbox,
+    /// and the export outbox, in emission order. A run — consecutive tuples
+    /// on one output port — leaves as a single batch frame per remote
+    /// channel, and joins a local queue whole when that queue is the port's
+    /// only local destination and the port is not exported. A run bound for
+    /// several local queues goes item by item, because two of those queues
+    /// may be one ([`Self::deliver_local`]). Each run is moved into its last
+    /// consumer — the last remote destination when nothing in this PE and no
+    /// export takes it too; the others get (pointer) copies.
+    fn route(&mut self, slot_idx: usize, emitted: Vec<Emission>, out: &mut PeOutput) {
         // Lent out for the call, so a run can go straight into any queue of
         // this PE, the emitter's own included.
         let local_routes = std::mem::take(&mut self.slots[slot_idx].local_routes);
-        let mut items = emitted.into_iter();
-        while let Some(&(port, ref first)) = items.as_slice().first() {
-            let tuples = matches!(first, StreamItem::Tuple(_));
-            // Extend the run while consecutive emissions are tuples on
-            // the same port; puncts and port switches end it.
-            let mut len = 1;
-            if tuples && batching_enabled() {
-                len += items.as_slice()[1..]
-                    .iter()
-                    .take_while(|(p, it)| *p == port && matches!(it, StreamItem::Tuple(_)))
-                    .count();
-            }
-            if tuples {
-                self.count_submitted(slot_idx, port, len);
+        for run in emitted {
+            let port = run.port();
+            if run.tuples() > 0 {
+                self.count_submitted(slot_idx, port, run.tuples());
             }
             let slot = &self.slots[slot_idx];
             let exported = slot.exported_ports.get(port) == Some(&true);
             let exporter = exported.then(|| Rc::clone(&slot.name));
             let local = local_routes.get(port).map_or(&[][..], Vec::as_slice);
             let remote = slot.remote_routes.get(port).map_or(&[][..], Vec::as_slice);
-            // Bound for other PEs only: the last frame takes the items.
-            if !exported && local.is_empty() && !remote.is_empty() {
-                send_remote(remote, items.by_ref().take(len).map(|(_, item)| item), out);
+            // Bound for other PEs only (or nowhere): the last frame takes
+            // the run.
+            if !exported && local.is_empty() {
+                send_remote(remote, run.into_frame(), out);
                 continue;
             }
-            let copies = items.as_slice()[..len].iter().map(|(_, item)| item.clone());
-            send_remote(remote, copies, out);
-            let run = items.by_ref().take(len).map(|(_, item)| item);
-            self.deliver_local(local, port, exporter, run, out);
+            if !remote.is_empty() {
+                send_remote(remote, run.to_frame(), out);
+            }
+            self.deliver_local(local, exporter, run, out);
         }
         self.slots[slot_idx].local_routes = local_routes;
     }
@@ -689,34 +621,38 @@ impl PeRuntime {
 
     /// Hands a run to this PE's queues `dests` and, when `exporter` names
     /// the emitting operator, to the export outbox. A run with one local
-    /// destination and no export is extended onto that queue whole, as
-    /// `receive` extends a queue from a batch. Otherwise each item reaches
-    /// every destination before the next item does: the ADL allows two
-    /// identical streams, so two destinations may be one queue, and one
-    /// `extend` per destination would turn its `a a b b` into `a b a b`.
+    /// destination and no export joins that queue whole, as `receive` queues
+    /// a batch. Otherwise each item reaches every destination before the
+    /// next item does: the ADL allows two identical streams, so two
+    /// destinations may be one queue, and one run per destination would turn
+    /// its `a a b b` into `a b a b`.
     fn deliver_local(
         &mut self,
         dests: &[(usize, usize)],
-        port: usize,
         exporter: Option<Rc<str>>,
-        run: impl Iterator<Item = StreamItem>,
+        run: Emission,
         out: &mut PeOutput,
     ) {
         if let (&[(to_slot, to_port)], None) = (dests, &exporter) {
-            self.slots[to_slot].queues[to_port].extend(run);
+            let queue = &mut self.slots[to_slot].queues[to_port];
+            match run {
+                Emission::Item(_, item) => queue.push(item),
+                Emission::Run(_, tuples) => queue.push_run(tuples.into()),
+            }
             return;
         }
+        let port = run.port();
         let export = |op, item| ExportedItem { op, port, item };
-        for item in run {
+        for item in run.into_items() {
             match (dests.split_last(), &exporter) {
                 (Some((&(last_slot, last_port), others)), exporter) => {
                     if let Some(op) = exporter {
                         out.exported.push(export(Rc::clone(op), item.clone()));
                     }
                     for &(to_slot, to_port) in others {
-                        self.slots[to_slot].queues[to_port].push_back(item.clone());
+                        self.slots[to_slot].queues[to_port].push(item.clone());
                     }
-                    self.slots[last_slot].queues[last_port].push_back(item);
+                    self.slots[last_slot].queues[last_port].push(item);
                 }
                 (None, Some(op)) => out.exported.push(export(Rc::clone(op), item)),
                 (None, None) => {}
@@ -748,7 +684,7 @@ impl PeRuntime {
             queues: self
                 .slots
                 .iter()
-                .map(|slot| slot.queues.iter().map(codec::encode_queue).collect())
+                .map(|slot| slot.queues.iter().map(PortQueue::encode).collect())
                 .collect(),
             metrics: self.metrics.snapshot(),
         }
@@ -826,7 +762,9 @@ impl PeRuntime {
             }
             for (queue, blob) in slot.queues.iter_mut().zip(q_ckpt) {
                 queue.clear();
-                queue.extend(codec::decode_queue(blob.clone())?);
+                for item in codec::decode_queue(blob.clone())? {
+                    queue.push(item);
+                }
             }
         }
         self.metrics.clear();
@@ -1355,7 +1293,7 @@ mod tests {
         assert!(pe
             .slots
             .iter()
-            .all(|s| s.queues.iter().all(VecDeque::is_empty)));
+            .all(|s| s.queues.iter().all(PortQueue::is_empty)));
     }
 
     /// `i64::MIN / -1`, `i64::MIN % -1` and `-i64::MIN` used to panic —

@@ -199,9 +199,9 @@ mod tests {
             &mut rng,
         );
         op.on_punct(0, crate::op::Punct::Final, &mut ctx);
-        assert!(ctx.take_emitted().is_empty());
+        assert!(crate::ops::testutil::items(ctx.take_emitted()).is_empty());
         op.on_punct(1, crate::op::Punct::Final, &mut ctx);
-        assert_eq!(ctx.take_emitted().len(), 1);
+        assert_eq!(crate::ops::testutil::items(ctx.take_emitted()).len(), 1);
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! `Tuple::new()` chains start from a per-thread empty schema, because an
 //! `Rc` cannot be one static that every thread reads.
 
+use crate::expr::Scalar;
 use sps_model::Value;
 use std::cell::RefCell;
 use std::fmt;
@@ -253,6 +254,26 @@ impl Tuple {
     /// schema; panics when the schema has no such position.
     pub(crate) fn set_at(&mut self, idx: usize, value: Value) {
         Rc::make_mut(&mut self.row).replace(idx, value);
+    }
+
+    /// Writes `value` over the value at `idx`, a position in this tuple's
+    /// schema, in place: a value of the same kind has its payload
+    /// overwritten, a string its bytes (in the buffer it already holds).
+    /// `set_at` for a value an expression decided without owning it.
+    pub(crate) fn set_scalar_at(&mut self, idx: usize, value: Scalar) {
+        let row = Rc::make_mut(&mut self.row);
+        match (&mut row.values[idx], value) {
+            (Value::Int(v), Scalar::Int(s)) => *v = s,
+            (Value::Float(v), Scalar::Float(s)) => *v = s,
+            (Value::Bool(v), Scalar::Bool(s)) => *v = s,
+            (Value::Timestamp(v), Scalar::Timestamp(s)) => *v = s,
+            (Value::Str(v), Scalar::Str(s)) => {
+                row.bytes = row.bytes - v.len() + s.len();
+                v.clear();
+                v.push_str(s);
+            }
+            (_, s) => row.replace(idx, s.to_value()),
+        }
     }
 
     /// Appends `value` under the last name of `child`, which must be what
@@ -602,6 +623,10 @@ mod tests {
         /// `with` (builder) or `set`, on a held or a new name.
         Set(usize, usize, Value, bool),
         SetAt(usize, usize, Value),
+        /// `set_scalar_at` of the scalar view of a value (a list has none:
+        /// the step is skipped), or with the flag of a value of the slot's
+        /// own kind, so strings grow and shrink in place.
+        SetScalar(usize, usize, Value, bool),
         /// `push_as` through `Schema::extended`; a no-op on a held name.
         PushAs(usize, usize, Value),
         Collect(Vec<(usize, Value)>),
@@ -621,6 +646,8 @@ mod tests {
                 .prop_map(|(t, n, v, builder)| Step::Set(t, n, v, builder)),
             3 => (any::<usize>(), any::<usize>(), arb_value())
                 .prop_map(|(t, i, v)| Step::SetAt(t, i, v)),
+            4 => (any::<usize>(), any::<usize>(), arb_value(), any::<bool>())
+                .prop_map(|(t, i, v, same)| Step::SetScalar(t, i, v, same)),
             3 => (any::<usize>(), name.clone(), arb_value())
                 .prop_map(|(t, n, v)| Step::PushAs(t, n, v)),
             1 => prop::collection::vec((name, arb_value()), 0..8).prop_map(Step::Collect),
@@ -628,6 +655,27 @@ mod tests {
             1 => Just(Step::RoundTrip),
             1 => Just(Step::SinkRing),
         ]
+    }
+
+    /// A value of `old`'s kind drawn from `v`'s bits; for a string, one of a
+    /// length `v` picks, so a write grows or shrinks it.
+    fn same_kind(old: &Value, v: &Value) -> Value {
+        let n = match v {
+            Value::Int(i) => *i as u64,
+            Value::Float(f) => f.to_bits(),
+            Value::Str(s) => s.len() as u64 * 7,
+            Value::Bool(b) => *b as u64,
+            Value::Timestamp(t) => *t,
+            Value::List(l) => l.len() as u64,
+        };
+        match old {
+            Value::Int(_) => Value::Int(n as i64),
+            Value::Float(_) => Value::Float((n % 1000) as f64 / 8.0),
+            Value::Bool(_) => Value::Bool(n % 2 == 1),
+            Value::Timestamp(_) => Value::Timestamp(n),
+            Value::Str(_) => Value::Str("z".repeat((n % 20) as usize)),
+            Value::List(_) => v.clone(),
+        }
     }
 
     /// Every tuple read back from a codec or a sink sizes as its walk and as
@@ -649,7 +697,8 @@ mod tests {
         fn row_size_is_the_attribute_walk(steps in prop::collection::vec(arb_step(), 0..40)) {
             let mut pool = vec![Tuple::new()];
             for step in steps {
-                let before: Vec<usize> = pool.iter().map(walked).collect();
+                let before: Vec<(usize, Vec<Value>)> =
+                    pool.iter().map(|t| (walked(t), t.values().to_vec())).collect();
                 let mut written = None;
                 match step {
                     Step::FromSchema(values) => {
@@ -671,6 +720,32 @@ mod tests {
                             let i = i % pool[t].len();
                             pool[t].set_at(i, v);
                             written = Some(t);
+                        }
+                    }
+                    Step::SetScalar(t, i, v, same) => {
+                        let t = t % pool.len();
+                        if !pool[t].is_empty() {
+                            let i = i % pool[t].len();
+                            let v = if same { same_kind(&pool[t].values()[i], &v) } else { v };
+                            if let Some(s) = Scalar::of(&v) {
+                                let unshared = Rc::strong_count(&pool[t].row) == 1;
+                                let row = pool[t].values().as_ptr();
+                                let text = match &pool[t].values()[i] {
+                                    Value::Str(old) if v.as_str().is_some_and(|new| new.len() <= old.capacity()) => Some(old.as_ptr()),
+                                    _ => None,
+                                };
+                                pool[t].set_scalar_at(i, s);
+                                prop_assert_eq!(&pool[t].values()[i], &v);
+                                // An unshared row is written where it lies, a
+                                // string into the buffer it held when that fits.
+                                if unshared {
+                                    prop_assert_eq!(pool[t].values().as_ptr(), row);
+                                    if let (Some(old), Value::Str(new)) = (text, &pool[t].values()[i]) {
+                                        prop_assert_eq!(new.as_ptr(), old);
+                                    }
+                                }
+                                written = Some(t);
+                            }
                         }
                     }
                     Step::PushAs(t, n, v) => {
@@ -717,9 +792,10 @@ mod tests {
                     prop_assert_eq!(t.approx_bytes(), walked(t), "tuple {} of {:?}", i, t);
                 }
                 // Copy-on-write: a write reaches its own tuple and no clone.
-                for (i, size) in before.into_iter().enumerate() {
+                for (i, (size, values)) in before.into_iter().enumerate() {
                     if written != Some(i) {
                         prop_assert_eq!(pool[i].approx_bytes(), size, "tuple {}", i);
+                        prop_assert_eq!(pool[i].values(), &values[..], "tuple {}", i);
                     }
                 }
             }

@@ -13,10 +13,12 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use sps_engine::codec::{
-    decode, decode_batch, decode_frame, encode, encode_queue, Frame, PortDecoder, TupleCodec,
+    decode, decode_batch, decode_frame, decode_queue, encode, encode_queue, Frame, PortDecoder,
+    TupleCodec,
 };
 use sps_engine::expr::{BinaryOp, BoundExpr, Expr, Scalar, UnaryOp};
 use sps_engine::metrics::builtin::{N_TUPLES_SUBMITTED, N_TUPLE_BYTES_PROCESSED};
+use sps_engine::queue::{Popped, PortQueue};
 use sps_engine::window::SlidingTimeWindow;
 use sps_engine::{
     EngineError, MetricKey, OpCtx, Operator, OperatorRegistry, PeCheckpoint, PeRuntime, Punct,
@@ -28,6 +30,7 @@ use sps_model::value::ParamMap;
 use sps_model::Value;
 use sps_sim::{SimDuration, SimRng, SimTime};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::rc::{Rc, Weak};
 
@@ -1420,7 +1423,115 @@ fn fused_pipeline_delivers_what_an_unfused_one_delivers() {
     );
 }
 
+// ---------------------------------------------------------------------------
+// A run queue against a flat queue of items
+// ---------------------------------------------------------------------------
+
+/// One operation on a port queue. Tuples are numbered as they are pushed.
+#[derive(Clone, Debug)]
+enum QueueOp {
+    /// A single item: a tuple, or a window or final punctuation.
+    Push(u8),
+    /// A run of this many tuples, pushed whole (empty included).
+    PushRun(usize),
+    /// A pop with this cap (0 means 1, as the PE's headroom rounds up).
+    Pop(usize),
+    Clear,
+    /// Encode, then rebuild the queue from the blob as a restore does.
+    Restore,
+}
+
+fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        4 => (0..3u8).prop_map(QueueOp::Push),
+        3 => (0..9usize).prop_map(QueueOp::PushRun),
+        2 => Just(QueueOp::Pop(1)),
+        4 => (0..10usize).prop_map(QueueOp::Pop),
+        1 => Just(QueueOp::Clear),
+        1 => Just(QueueOp::Restore),
+    ]
+}
+
+/// What the PE popped from a flat item queue: one punctuation, or up to
+/// `cap` (at least one) consecutive tuples.
+fn pop_flat(queue: &mut VecDeque<StreamItem>, cap: usize) -> Option<Vec<StreamItem>> {
+    if let StreamItem::Punct(_) = queue.front()? {
+        return queue.pop_front().map(|p| vec![p]);
+    }
+    let mut batch = Vec::new();
+    while batch.len() < cap.max(1) && matches!(queue.front(), Some(StreamItem::Tuple(_))) {
+        batch.extend(queue.pop_front());
+    }
+    Some(batch)
+}
+
+/// A pop's items, however the queue handed them over.
+fn popped_items(popped: Popped) -> Vec<StreamItem> {
+    match popped {
+        Popped::Punct(p) => vec![StreamItem::Punct(p)],
+        Popped::Tuple(t) => vec![StreamItem::Tuple(t)],
+        Popped::Batch(batch) => batch.into_iter().map(StreamItem::Tuple).collect(),
+    }
+}
+
 proptest! {
+    /// A queue of whole runs and inline items pops exactly the batches —
+    /// contents and boundaries — that a flat queue of the same items pops,
+    /// counts the same length, and encodes to the same checkpoint blob;
+    /// rebuilt from that blob, it goes on doing so.
+    #[test]
+    fn run_queue_pops_what_a_flat_item_queue_pops(
+        ops in prop::collection::vec(arb_queue_op(), 0..60),
+    ) {
+        let mut queue = PortQueue::new();
+        let mut flat: VecDeque<StreamItem> = VecDeque::new();
+        let mut seq = 0i64;
+        let mut next_tuple = || {
+            seq += 1;
+            Tuple::new().with("seq", seq)
+        };
+        for op in ops {
+            match op {
+                QueueOp::Push(kind) => {
+                    let item = match kind {
+                        0 => StreamItem::Tuple(next_tuple()),
+                        1 => StreamItem::Punct(Punct::Window),
+                        _ => StreamItem::Punct(Punct::Final),
+                    };
+                    flat.push_back(item.clone());
+                    queue.push(item);
+                }
+                QueueOp::PushRun(n) => {
+                    let run: Vec<Tuple> = (0..n).map(|_| next_tuple()).collect();
+                    flat.extend(run.iter().cloned().map(StreamItem::Tuple));
+                    queue.push_run(run.into());
+                }
+                QueueOp::Pop(cap) => {
+                    let want = pop_flat(&mut flat, cap);
+                    let got = queue.pop(cap);
+                    if let Some(Popped::Batch(batch)) = &got {
+                        prop_assert!(batch.len() <= cap.max(1));
+                    }
+                    prop_assert_eq!(got.map(popped_items), want);
+                }
+                QueueOp::Clear => {
+                    flat.clear();
+                    queue.clear();
+                }
+                QueueOp::Restore => {
+                    let blob = queue.encode();
+                    queue = PortQueue::new();
+                    for item in decode_queue(blob).unwrap() {
+                        queue.push(item);
+                    }
+                }
+            }
+            prop_assert_eq!(queue.len(), flat.len());
+            prop_assert_eq!(queue.is_empty(), flat.is_empty());
+            prop_assert_eq!(queue.encode(), encode_queue(&flat));
+        }
+    }
+
     #[test]
     fn batch_decode_matches_tuple_set_semantics(batch in arb_wire_batch()) {
         let expect: Vec<Tuple> = batch.iter().map(|attrs| tuple_of(attrs)).collect();
