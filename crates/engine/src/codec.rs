@@ -286,19 +286,37 @@ fn decode_frame_carrying(buf: &[u8], carry: &mut Carry) -> Result<Frame, EngineE
 /// tuples become batch frames, punctuation stays as bare item frames. This
 /// is the checkpoint-v2 queue capture at batch granularity.
 pub fn encode_queue<'a>(items: impl IntoIterator<Item = &'a StreamItem>) -> Bytes {
-    let mut w = QueueWriter::default();
+    let mut buf = BytesMut::new();
+    let mut run: Vec<&Tuple> = Vec::new();
+    let flush = |run: &mut Vec<&Tuple>, buf: &mut BytesMut| {
+        if run.is_empty() {
+            return;
+        }
+        buf.put_u8(TAG_BATCH);
+        buf.put_u32_le(run.len() as u32);
+        for t in run.drain(..) {
+            encode_tuple_item(t, buf);
+        }
+    };
     for item in items {
         match item {
-            StreamItem::Tuple(t) => w.tuple(t),
-            StreamItem::Punct(p) => w.punct(*p),
+            StreamItem::Tuple(t) => run.push(t),
+            punct => {
+                flush(&mut run, &mut buf);
+                encode_into(punct, &mut buf);
+            }
         }
     }
-    w.finish()
+    flush(&mut run, &mut buf);
+    buf.freeze()
 }
 
-/// Writes an [`encode_queue`] blob one item at a time, however the queue
-/// holds its items: a tuple opens a batch frame or joins the open one, and
-/// the frame's count is written when a punctuation or the end closes it.
+/// Writes the blob [`encode_queue`] writes one item at a time, however the
+/// queue holds its items: a tuple opens a batch frame or joins the open
+/// one, and the frame's count is written when a punctuation or the end
+/// closes it. [`crate::queue::PortQueue::encode`] writes through it;
+/// `encode_queue`, which collects each run first, stays the reference the
+/// property tests compare it with.
 #[derive(Default)]
 pub(crate) struct QueueWriter {
     buf: BytesMut,

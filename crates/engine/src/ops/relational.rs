@@ -63,10 +63,6 @@ pub struct Functor {
     assignments: Vec<(String, BoundExpr)>,
     project: Option<Vec<String>>,
     layout: LayoutCache,
-    /// Where a string result waits between its evaluation, which may read
-    /// the very row it is written into, and the write. Kept, so a steady
-    /// stream allocates it once.
-    text: String,
 }
 
 /// What a Functor does to the rows of one input schema: where each
@@ -183,33 +179,28 @@ impl Functor {
             assignments,
             project,
             layout: LayoutCache::default(),
-            text: String::new(),
         })
     }
 }
 
-/// Writes `expr`'s value over `slot` of `tuple` in place when the fast path
-/// decides it, and says whether it did. A string result is copied through
-/// `text`: it may borrow from the row it is written into.
-fn assign_in_place(
-    expr: &mut BoundExpr,
-    tuple: &mut Tuple,
-    slot: usize,
-    text: &mut String,
-) -> bool {
+/// Writes `expr`'s value over `slot` of `tuple` when the fast path decides
+/// it, and says whether it did: a number, flag or timestamp in place, a
+/// string (which may borrow from the row it is written into) as an owned
+/// copy.
+fn assign_in_place(expr: &mut BoundExpr, tuple: &mut Tuple, slot: usize) -> bool {
     let value = match expr.eval_scalar(tuple) {
         None => return false,
         Some(Scalar::Str(s)) => {
-            text.clear();
-            text.push_str(s);
-            None
+            let value = Scalar::Str(s).to_value();
+            tuple.set_at(slot, value);
+            return true;
         }
-        Some(Scalar::Int(i)) => Some(Scalar::Int(i)),
-        Some(Scalar::Float(f)) => Some(Scalar::Float(f)),
-        Some(Scalar::Bool(b)) => Some(Scalar::Bool(b)),
-        Some(Scalar::Timestamp(t)) => Some(Scalar::Timestamp(t)),
+        Some(Scalar::Int(i)) => Scalar::Int(i),
+        Some(Scalar::Float(f)) => Scalar::Float(f),
+        Some(Scalar::Bool(b)) => Scalar::Bool(b),
+        Some(Scalar::Timestamp(t)) => Scalar::Timestamp(t),
     };
-    tuple.set_scalar_at(slot, value.unwrap_or(Scalar::Str(text)));
+    tuple.set_scalar_at(slot, value);
     true
 }
 
@@ -221,7 +212,7 @@ impl Operator for Functor {
         for ((attr, expr), target) in self.assignments.iter_mut().zip(&layout.targets) {
             let written = match target {
                 Target::Slot(slot) => {
-                    if assign_in_place(expr, &mut tuple, *slot, &mut self.text) {
+                    if assign_in_place(expr, &mut tuple, *slot) {
                         continue;
                     }
                     expr.expr().eval(&tuple).map(|v| tuple.set_at(*slot, v))

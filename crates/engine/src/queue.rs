@@ -143,23 +143,21 @@ impl Emission {
     }
 }
 
-/// One entry of a [`PortQueue`].
+/// One entry of a [`PortQueue`], no larger than the item it may keep
+/// inline.
 #[derive(Debug)]
 enum Entry {
     /// A single item, kept inline.
     Item(StreamItem),
-    /// A run of tuples that arrived whole; never empty.
-    Run(VecDeque<Tuple>),
+    /// A run of tuples that arrived whole: the front of the queue's `runs`
+    /// when this is its first run entry.
+    Run,
 }
 
 impl Entry {
-    /// Tuples this entry holds: 0 for a punctuation.
-    fn tuples(&self) -> usize {
-        match self {
-            Entry::Item(StreamItem::Tuple(_)) => 1,
-            Entry::Item(StreamItem::Punct(_)) => 0,
-            Entry::Run(run) => run.len(),
-        }
+    /// Whether it holds a tuple: a run is never empty.
+    fn holds_tuples(&self) -> bool {
+        !matches!(self, Entry::Item(StreamItem::Punct(_)))
     }
 }
 
@@ -198,6 +196,9 @@ impl Popped {
 #[derive(Debug, Default)]
 pub struct PortQueue {
     entries: VecDeque<Entry>,
+    /// The tuples of each [`Entry::Run`], in the entries' order; none is
+    /// empty.
+    runs: VecDeque<VecDeque<Tuple>>,
     /// Items queued, over all entries.
     len: usize,
 }
@@ -218,6 +219,7 @@ impl PortQueue {
 
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.runs.clear();
         self.len = 0;
     }
 
@@ -227,11 +229,12 @@ impl PortQueue {
         self.entries.push_back(Entry::Item(item));
     }
 
-    /// Queues a run whole, in O(1): the run's buffer becomes the entry.
+    /// Queues a run whole, in O(1): the run's buffer becomes the entry's.
     pub fn push_run(&mut self, run: TupleBatch) {
         if !run.is_empty() {
             self.len += run.len();
-            self.entries.push_back(Entry::Run(Vec::from(run).into()));
+            self.runs.push_back(Vec::from(run).into());
+            self.entries.push_back(Entry::Run);
         }
     }
 
@@ -241,20 +244,25 @@ impl PortQueue {
     /// split at `cap`. A single tuple is taken in O(1).
     pub fn pop(&mut self, cap: usize) -> Option<Popped> {
         let cap = cap.max(1);
-        let n = self.entries.front()?.tuples();
-        let followed = self.entries.get(1).is_some_and(|e| e.tuples() > 0);
+        let n = match self.entries.front()? {
+            Entry::Run => self.runs.front().expect("a run entry has its run").len(),
+            item => usize::from(item.holds_tuples()),
+        };
+        let followed = self.entries.get(1).is_some_and(Entry::holds_tuples);
         let popped = if n == 0 || n == cap || (n < cap && !followed) {
             // The front entry whole: a punctuation, or all the tuples there
             // are up to the next punctuation, within the cap.
             match self.entries.pop_front().expect("front exists") {
                 Entry::Item(StreamItem::Punct(p)) => Popped::Punct(p),
                 Entry::Item(StreamItem::Tuple(t)) => Popped::Tuple(t),
-                Entry::Run(run) => Popped::Batch(Vec::from(run).into()),
+                Entry::Run => {
+                    let run = self.runs.pop_front().expect("a run entry has its run");
+                    Popped::Batch(Vec::from(run).into())
+                }
             }
         } else if n > cap {
-            let Some(Entry::Run(run)) = self.entries.front_mut() else {
-                unreachable!("only a run holds more than one tuple");
-            };
+            // Only a run holds more than one tuple.
+            let run = self.runs.front_mut().expect("a run entry has its run");
             if cap == 1 {
                 Popped::Tuple(run.pop_front().expect("longer than the cap"))
             } else {
@@ -272,11 +280,13 @@ impl PortQueue {
     fn join(&mut self, cap: usize) -> TupleBatch {
         let mut batch = Vec::with_capacity(cap.min(self.len));
         while batch.len() < cap {
-            match self.entries.front_mut() {
-                Some(Entry::Run(run)) => {
+            match self.entries.front() {
+                Some(Entry::Run) => {
+                    let run = self.runs.front_mut().expect("a run entry has its run");
                     let k = (cap - batch.len()).min(run.len());
                     batch.extend(run.drain(..k));
                     if run.is_empty() {
+                        self.runs.pop_front();
                         self.entries.pop_front();
                     }
                 }
@@ -296,11 +306,15 @@ impl PortQueue {
     /// [`crate::codec::encode_queue`] writes for the same items.
     pub fn encode(&self) -> Bytes {
         let mut w = QueueWriter::default();
+        let mut runs = self.runs.iter();
         for entry in &self.entries {
             match entry {
                 Entry::Item(StreamItem::Tuple(t)) => w.tuple(t),
                 Entry::Item(StreamItem::Punct(p)) => w.punct(*p),
-                Entry::Run(run) => run.iter().for_each(|t| w.tuple(t)),
+                Entry::Run => {
+                    let run = runs.next().expect("a run entry has its run");
+                    run.iter().for_each(|t| w.tuple(t));
+                }
             }
         }
         w.finish()
@@ -369,6 +383,14 @@ mod tests {
                 .collect();
             assert_eq!(seqs, [0, 1, 2, 3, 4, 5, 6]);
         }
+    }
+
+    #[test]
+    fn an_entry_is_the_size_of_an_inline_item() {
+        assert_eq!(
+            std::mem::size_of::<Entry>(),
+            std::mem::size_of::<StreamItem>()
+        );
     }
 
     #[test]

@@ -257,9 +257,8 @@ impl Tuple {
     }
 
     /// Writes `value` over the value at `idx`, a position in this tuple's
-    /// schema, in place: a value of the same kind has its payload
-    /// overwritten, a string its bytes (in the buffer it already holds).
-    /// `set_at` for a value an expression decided without owning it.
+    /// schema, in place: a number, flag or timestamp over one of the same
+    /// kind has its payload overwritten; anything else is `set_at`.
     pub(crate) fn set_scalar_at(&mut self, idx: usize, value: Scalar) {
         let row = Rc::make_mut(&mut self.row);
         match (&mut row.values[idx], value) {
@@ -267,11 +266,6 @@ impl Tuple {
             (Value::Float(v), Scalar::Float(s)) => *v = s,
             (Value::Bool(v), Scalar::Bool(s)) => *v = s,
             (Value::Timestamp(v), Scalar::Timestamp(s)) => *v = s,
-            (Value::Str(v), Scalar::Str(s)) => {
-                row.bytes = row.bytes - v.len() + s.len();
-                v.clear();
-                v.push_str(s);
-            }
             (_, s) => row.replace(idx, s.to_value()),
         }
     }
@@ -625,7 +619,7 @@ mod tests {
         SetAt(usize, usize, Value),
         /// `set_scalar_at` of the scalar view of a value (a list has none:
         /// the step is skipped), or with the flag of a value of the slot's
-        /// own kind, so strings grow and shrink in place.
+        /// own kind, so payloads are overwritten and strings grow and shrink.
         SetScalar(usize, usize, Value, bool),
         /// `push_as` through `Schema::extended`; a no-op on a held name.
         PushAs(usize, usize, Value),
@@ -730,19 +724,11 @@ mod tests {
                             if let Some(s) = Scalar::of(&v) {
                                 let unshared = Rc::strong_count(&pool[t].row) == 1;
                                 let row = pool[t].values().as_ptr();
-                                let text = match &pool[t].values()[i] {
-                                    Value::Str(old) if v.as_str().is_some_and(|new| new.len() <= old.capacity()) => Some(old.as_ptr()),
-                                    _ => None,
-                                };
                                 pool[t].set_scalar_at(i, s);
                                 prop_assert_eq!(&pool[t].values()[i], &v);
-                                // An unshared row is written where it lies, a
-                                // string into the buffer it held when that fits.
+                                // An unshared row is written where it lies.
                                 if unshared {
                                     prop_assert_eq!(pool[t].values().as_ptr(), row);
-                                    if let (Some(old), Value::Str(new)) = (text, &pool[t].values()[i]) {
-                                        prop_assert_eq!(new.as_ptr(), old);
-                                    }
                                 }
                                 written = Some(t);
                             }
